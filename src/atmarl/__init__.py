@@ -13,7 +13,7 @@ from .agents import (
     pretrain_system,
     select_action,
 )
-from .baselines import BaselineKind, goal_halving, naive_parallel_goals, rule_based_select
+from .baselines import goal_halving, naive_parallel_goals, rule_based_select
 from .config import ScenarioConfig, default_scenario, load_scenario, write_scenario
 from .harness import Approach, ExperimentPlan, evaluate_episode, run_pipeline
 from .metrics import Direction, KpiSeries, convergence_time, iae, oscillation_amplitude

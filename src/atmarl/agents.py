@@ -5,10 +5,13 @@ own KPI, its own knob, its assigned goal and a global congestion scalar, and
 nudges its knob one rung per step. The two planes are pre-trained separately
 (the other plane frozen at defaults) and stay frozen afterwards; capability
 vectors summarize, per goal rung, how often an agent reached it.
+``run_episode`` is the one closed loop that pre-training, supervisor training
+and evaluation all run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -216,6 +219,63 @@ def goal_achieved(kpi: float, goal_kpi: float, kpi_kind: KpiKind) -> bool:
 
 
 @dataclass
+class GoalAssignment:
+    """Per-agent goal, as a ladder rung where applicable plus its KPI value."""
+
+    levels: dict[str, int]
+    values: dict[str, float]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+BOTH_PLANES = frozenset(SystemKind)
+
+
+def run_episode(
+    state: NetworkState,
+    config: ScenarioConfig,
+    qtables: dict[str, QTable],
+    goals: Callable,
+    rng: np.random.Generator,
+    episode_length: int,
+    on_step: Callable,
+    shift_schedule: Iterable[tuple[int, slice_sim.DistributionSpec]] = (),
+    explore: bool = False,
+) -> None:
+    """The closed loop shared by pre-training, supervisor training and evaluation.
+
+    Each step applies the UE redistribution scheduled for it, asks
+    ``goals(t, state, report, current, last_action)`` for this step's
+    assignment and active planes (``current`` is the previous step's
+    assignment, None on the first step), lets every agent of an active plane
+    observe its goal, pick an action and move its knob, steps the network,
+    and hands the outcome to ``on_step(t, state, report, current, active,
+    taken)``, where ``taken`` maps agent key to its (observation, action).
+    """
+    roster = agent_roster(config)
+    shifts = dict(shift_schedule)
+    report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
+    current = None
+    last_action = {a.key: KnobAction.HOLD for a in roster}
+    for t in range(episode_length):
+        if t in shifts:
+            state = slice_sim.set_distribution(state, shifts[t])
+        current, active = goals(t, state, report, current, last_action)
+        taken = {}
+        for a in roster:
+            if a.system not in active:
+                continue
+            obs = observe(state, report, a, current.values[a.key])
+            action = select_action(qtables[a.key], obs, explore=explore, rng=rng)
+            apply_action(state, a, action)
+            last_action[a.key] = action
+            taken[a.key] = (obs, action)
+        state, report = sim_step(state, rng)
+        on_step(t, state, report, current, active, taken)
+
+
+@dataclass
 class PretrainConfig:
     episodes: int = 600
     episode_length: int = 20
@@ -264,52 +324,53 @@ def pretrain_system(
     recent_rewards: list[float] = []
     anneal = params.episodes * 0.7
     spreads = list(slice_sim.DistributionKind) if params.vary_distribution else [config.distribution.kind]
+    planes = {system}
     for episode in range(params.episodes):
         eps = max(
             params.epsilon_end,
             params.epsilon_start + (params.epsilon_end - params.epsilon_start) * episode / max(anneal, 1),
         )
+        for table in tables.values():
+            table.exploration = eps
         state = init_scenario(config)
         kind = spreads[int(rng.integers(len(spreads)))]
         if kind is not config.distribution.kind:
             state = slice_sim.set_distribution(state, slice_sim.DistributionSpec.of(kind))
-        report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
-        goals = {a.key: int(rng.integers(1, GOAL_LEVELS + 1)) for a in agents}
-        goal_kpis = {
-            a.key: goal_value(config.services[a.intent_index].kpi_kind, goals[a.key]) for a in agents
-        }
+        levels = {a.key: int(rng.integers(1, GOAL_LEVELS + 1)) for a in agents}
+        goals = GoalAssignment(
+            levels=levels,
+            values={a.key: goal_value(config.services[a.intent_index].kpi_kind, levels[a.key]) for a in agents},
+        )
         hit_step = {a.key: None for a in agents}
         episode_reward = 0.0
-        for t in range(params.episode_length):
-            obs_bins = {}
-            actions = {}
-            for a in agents:
-                tables[a.key].exploration = eps
-                obs = observe(state, report, a, goal_kpis[a.key])
-                obs_bins[a.key] = discretize(obs)
-                actions[a.key] = select_action(tables[a.key], obs, explore=True, rng=rng)
-                apply_action(state, a, actions[a.key])
-            state, report = sim_step(state, rng)
+
+        def learn(t, state, report, current, active, taken):
+            nonlocal episode_reward
             for a in agents:
                 svc = config.services[a.intent_index]
+                goal_kpi = current.values[a.key]
                 kpi = float(report.kpi[a.intent_index])
-                r = agent_reward(kpi, goal_kpis[a.key], svc.kpi_kind)
+                r = agent_reward(kpi, goal_kpi, svc.kpi_kind)
                 episode_reward += r
-                next_obs = observe(state, report, a, goal_kpis[a.key])
-                nb = discretize(next_obs)
+                obs, action = taken[a.key]
+                nb = discretize(observe(state, report, a, goal_kpi))
                 table = tables[a.key]
-                sa = obs_bins[a.key] + (int(actions[a.key]),)
+                sa = discretize(obs) + (int(action),)
                 td = r + table.discount * table.values[nb].max() - table.values[sa]
                 table.values[sa] += table.learning_rate * td
-                if hit_step[a.key] is None and goal_achieved(kpi, goal_kpis[a.key], svc.kpi_kind):
+                if hit_step[a.key] is None and goal_achieved(kpi, goal_kpi, svc.kpi_kind):
                     hit_step[a.key] = t + 1
+
+        run_episode(
+            state, config, tables, lambda *_: (goals, planes), rng, params.episode_length, learn, explore=True
+        )
         for a in agents:
             steps = hit_step[a.key]
             logs.append(
                 {
                     "agent_system": system.value,
                     "intent_index": a.intent_index,
-                    "goal_level": goals[a.key],
+                    "goal_level": levels[a.key],
                     "achieved": int(steps is not None and steps <= ACHIEVEMENT_HORIZON),
                     "episode": episode,
                     "steps_taken": steps if steps is not None else params.episode_length,

@@ -2,19 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
-from .agents import SystemKind, agent_roster, nearest_goal_level
+from .agents import GoalAssignment, SystemKind, agent_roster, nearest_goal_level
 from .config import ScenarioConfig
-from .supervisor import GoalAssignment
-
-
-class BaselineKind(str, Enum):
-    RULE_BASED = "RuleBased"
-    NAIVE_PARALLEL = "NaiveParallel"
-    GOAL_HALVING = "GoalHalving"
-
 
 DEFAULT_SWITCH_PERIOD = 5
 

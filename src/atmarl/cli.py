@@ -1,4 +1,4 @@
-"""Command-line entry points: pretrain, train-supervisor, evaluate, report, full.
+"""Command-line entry points: pretrain, train-supervisor, evaluate, full.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for stage failures.
 """
@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import load_scenario
@@ -41,7 +42,7 @@ def _parse_shift(raw: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="atmarl", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("pretrain", "train-supervisor", "evaluate", "report", "full"):
+    for verb in ("pretrain", "train-supervisor", "evaluate", "full"):
         p = sub.add_parser(verb)
         p.add_argument("--scenario", required=True, help="scenario config file")
         p.add_argument("--out", required=True, help="output directory")
@@ -105,29 +106,9 @@ def main(argv=None) -> int:
                 load_policy(plan, artifacts, approach, ckpt_dir)
             traces = [evaluate_episode(plan, artifacts, approach, seed) for seed in plan.seeds]
             emit_report(plan, traces, out_dir)
-        elif args.verb == "report":
-            artifacts = load_pretrain(plan, ckpt_dir)
-            approach = plan.approaches[0]
-            if approach in _POLICY_FILES:
-                load_policy(plan, artifacts, approach, ckpt_dir)
-            traces = [evaluate_episode(plan, artifacts, approach, seed) for seed in plan.seeds]
-            emit_report(plan, traces, out_dir)
         elif args.verb == "full":
-            plan = ExperimentPlan(
-                scenario=plan.scenario,
-                approaches=(
-                    Approach.ATMARL,
-                    Approach.RULE_BASED,
-                    Approach.NAIVE_PARALLEL,
-                    Approach.GOAL_HALVING,
-                ),
-                seeds=plan.seeds,
-                episode_length=plan.episode_length,
-                shift_schedule=plan.shift_schedule,
-                eval_distribution=plan.eval_distribution,
-                train_cfg=plan.train_cfg,
-            )
-            run_pipeline(plan, out_dir)
+            approaches = (Approach.ATMARL, Approach.RULE_BASED, Approach.NAIVE_PARALLEL, Approach.GOAL_HALVING)
+            run_pipeline(replace(plan, approaches=approaches), out_dir)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,10 +18,6 @@ TRAIN_SEED = 1001
 SUPERVISOR_EPISODES = 500
 
 
-def standard_train_cfg(episodes: int = SUPERVISOR_EPISODES) -> TrainConfig:
-    return TrainConfig(episodes=episodes)
-
-
 def uniform_comparison_plan(episodes: int = SUPERVISOR_EPISODES) -> ExperimentPlan:
     """All four approaches on the stock 3-intent scenario under uniform UEs."""
     return ExperimentPlan(
@@ -35,7 +31,7 @@ def uniform_comparison_plan(episodes: int = SUPERVISOR_EPISODES) -> ExperimentPl
         seeds=EVAL_SEEDS,
         train_seed=TRAIN_SEED,
         pretrain_cfg=PretrainConfig(),
-        train_cfg=standard_train_cfg(episodes),
+        train_cfg=TrainConfig(episodes=episodes),
     )
 
 
@@ -48,7 +44,7 @@ def generalization_plan(episodes: int = SUPERVISOR_EPISODES) -> ExperimentPlan:
         train_seed=TRAIN_SEED,
         eval_distribution=DistributionSpec.of(DistributionKind.GAUSSIAN),
         pretrain_cfg=PretrainConfig(),
-        train_cfg=standard_train_cfg(episodes),
+        train_cfg=TrainConfig(episodes=episodes),
     )
 
 
@@ -65,7 +61,7 @@ def shift_plan(episodes: int = SUPERVISOR_EPISODES) -> ExperimentPlan:
             (30, DistributionSpec.of(DistributionKind.GAMMA)),
         ),
         pretrain_cfg=PretrainConfig(),
-        train_cfg=standard_train_cfg(episodes),
+        train_cfg=TrainConfig(episodes=episodes),
     )
 
 
@@ -77,5 +73,5 @@ def five_intent_plan(episodes: int = SUPERVISOR_EPISODES) -> ExperimentPlan:
         seeds=(1, 2, 3),
         train_seed=TRAIN_SEED,
         pretrain_cfg=PretrainConfig(),
-        train_cfg=standard_train_cfg(episodes),
+        train_cfg=TrainConfig(episodes=episodes),
     )

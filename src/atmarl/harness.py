@@ -24,21 +24,18 @@ import numpy as np
 
 from . import slice_sim
 from .agents import (
+    BOTH_PLANES,
     CapabilityVector,
     GOAL_LEVELS,
-    KnobAction,
     N_ACTIONS,
     OBS_BINS,
     PretrainConfig,
     QTable,
     SystemKind,
     agent_roster,
-    apply_action,
     estimate_capabilities,
-    normalize_goal,
-    observe,
     pretrain_system,
-    select_action,
+    run_episode,
     write_pretrain_log,
 )
 from .baselines import (
@@ -53,12 +50,10 @@ from .errors import CheckpointError, ScenarioError, StageFailure
 from .metrics import Direction, KpiSeries, convergence_time, iae, oscillation_amplitude
 from .slice_sim import DistributionSpec, KpiKind
 from .supervisor import (
-    ActorHidden,
-    GoalAssignment,
     GoalMode,
+    PolicyGoals,
     SupervisorPolicy,
     TrainConfig,
-    act,
     create_policy,
     intents_of,
     supervisor_reward,
@@ -249,8 +244,24 @@ def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, 
 # evaluation
 
 
-def _target_assignment(config: ScenarioConfig) -> GoalAssignment:
-    return naive_parallel_goals(config)
+def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, rng: np.random.Generator):
+    """The ``run_episode`` goal source that drives ``approach`` greedily."""
+    config = plan.eval_scenario
+    targets = naive_parallel_goals(config)
+    if approach is Approach.RULE_BASED:
+        return lambda t, *_: (targets, {rule_based_select(t, plan.switch_period)})
+    if approach is Approach.NAIVE_PARALLEL:
+        return lambda *_: (targets, BOTH_PLANES)
+    policy = PolicyGoals(
+        artifacts.policies[approach.value],
+        config,
+        artifacts.policy_capabilities[approach.value],
+        rng,
+        explore=False,
+    )
+    if approach is Approach.GOAL_HALVING:
+        return lambda *step: (goal_halving(policy(*step)[0], config), BOTH_PLANES)
+    return policy
 
 
 def evaluate_episode(
@@ -264,22 +275,6 @@ def evaluate_episode(
     roster = agent_roster(config)
     intents = intents_of(config)
     rng = np.random.default_rng(seed)
-    state = slice_sim.init_scenario(config)
-    report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
-    shift_map = {t: spec for t, spec in plan.shift_schedule}
-
-    policy = None
-    policy_caps = None
-    hidden = None
-    if approach in (Approach.ATMARL, Approach.ORACLE, Approach.GOAL_HALVING):
-        policy = artifacts.policies[approach.value]
-        policy_caps = artifacts.policy_capabilities[approach.value]
-        hidden = ActorHidden.zeros(policy.dims.gru)
-
-    targets_norm = np.array([it.normalized_target for it in intents])
-    current = _target_assignment(config)
-    last_action = {a.key: KnobAction.HOLD for a in roster}
-
     columns = (
         ["t"]
         + [f"kpi_{svc.name}" for svc in config.services]
@@ -288,47 +283,9 @@ def evaluate_episode(
         + ["reward", "active_priority", "active_mbr", "dist_kind"]
     )
     rows = []
-    for t in range(plan.episode_length):
-        if t in shift_map:
-            state = slice_sim.set_distribution(state, shift_map[t])
-        if approach is Approach.RULE_BASED:
-            active = {rule_based_select(t, plan.switch_period)}
-            current = _target_assignment(config)
-        elif approach is Approach.NAIVE_PARALLEL:
-            active = {SystemKind.PRIORITY, SystemKind.MBR}
-            current = _target_assignment(config)
-        else:
-            active = {SystemKind.PRIORITY, SystemKind.MBR}
-            gammas = [policy_caps[a.key].rho for a in roster]
-            tuples = []
-            for a in roster:
-                svc = config.services[a.intent_index]
-                obs = observe(state, report, a, current.values[a.key])
-                onehot = np.zeros(3)
-                onehot[int(last_action[a.key])] = 1.0
-                tuples.append(
-                    np.concatenate(
-                        [obs.as_array(), onehot, [normalize_goal(svc.kpi_kind, current.values[a.key])]]
-                    )
-                )
-            assignment, _, hidden, _ = act(
-                policy, config, gammas, tuples, targets_norm, hidden, rng, explore=False
-            )
-            if approach is Approach.GOAL_HALVING:
-                current = goal_halving(assignment, config)
-            else:
-                current = assignment
 
-        for a in roster:
-            if a.system not in active:
-                continue
-            obs = observe(state, report, a, current.values[a.key])
-            action = select_action(artifacts.qtables[a.key], obs, explore=False, rng=rng)
-            apply_action(state, a, action)
-            last_action[a.key] = action
-        state, report = slice_sim.step(state, rng)
-        reward = supervisor_reward(report, intents)
-        row = (
+    def record(t, state, report, current, active, taken):
+        rows.append(
             [t]
             + [float(report.kpi[k]) for k in range(len(config.services))]
             + [float(current.values[a.key]) for a in roster]
@@ -339,13 +296,16 @@ def evaluate_episode(
                 for a in roster
             ]
             + [
-                reward,
+                supervisor_reward(report, intents),
                 int(SystemKind.PRIORITY in active),
                 int(SystemKind.MBR in active),
                 state.distribution.kind.value,
             ]
         )
-        rows.append(row)
+
+    goals = _goal_source(plan, artifacts, approach, rng)
+    state = slice_sim.init_scenario(config)
+    run_episode(state, config, artifacts.qtables, goals, rng, plan.episode_length, record, plan.shift_schedule)
     return EpisodeTrace(columns=columns, rows=rows, approach=approach, seed=seed)
 
 

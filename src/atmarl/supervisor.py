@@ -19,21 +19,21 @@ import numpy as np
 from . import slice_sim
 from .agents import (
     ACHIEVEMENT_HORIZON,
+    BOTH_PLANES,
     AgentId,
     CapabilityVector,
     GOAL_LEVELS,
-    KnobAction,
+    GoalAssignment,
     PL_SCALE,
     QTable,
     agent_roster,
-    apply_action,
     goal_achieved,
     goal_value,
-    nearest_goal_level,
     normalize_goal,
     observe,
-    select_action,
+    run_episode,
 )
+from .baselines import naive_parallel_goals
 from .config import ScenarioConfig
 from .errors import TrainingDivergence
 from .nn import (
@@ -75,17 +75,6 @@ class GlobalIntent:
 
 def intents_of(config: ScenarioConfig) -> list[GlobalIntent]:
     return [GlobalIntent(s.name, s.kpi_kind, s.kpi_target) for s in config.services]
-
-
-@dataclass
-class GoalAssignment:
-    """Per-agent goal, as a ladder rung where applicable plus its KPI value."""
-
-    levels: dict[str, int]
-    values: dict[str, float]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass
@@ -563,6 +552,54 @@ class TrainStats:
         return float(np.mean(tail))
 
 
+class PolicyGoals:
+    """Goal source for ``run_episode``: the supervisor assigns fresh goals every step.
+
+    Agents start aimed at the global targets until the first assignment. The
+    latest decision's leaf inputs and forward caches stay readable as
+    ``gammas``, ``tuples`` and ``forward`` until the next step; nothing older
+    is kept.
+    """
+
+    def __init__(
+        self,
+        policy: SupervisorPolicy,
+        config: ScenarioConfig,
+        capabilities: dict[str, CapabilityVector],
+        rng: np.random.Generator,
+        explore: bool,
+    ):
+        self.policy = policy
+        self.config = config
+        self.capabilities = capabilities
+        self.rng = rng
+        self.explore = explore
+        self.targets = np.array([it.normalized_target for it in intents_of(config)])
+        self.hidden = ActorHidden.zeros(policy.dims.gru)
+        self.start = naive_parallel_goals(config)
+        self.gammas: list[np.ndarray] = []
+        self.tuples: list[np.ndarray] = []
+        self.forward: StepForward | None = None
+
+    def __call__(self, t, state, report, current, last_action):
+        current = self.start if current is None else current
+        roster = self.policy.agents
+        # copies: capability tracking updates rho in place during training
+        self.gammas = [self.capabilities[a.key].rho.copy() for a in roster]
+        self.tuples = []
+        for a in roster:
+            svc = self.config.services[a.intent_index]
+            obs = observe(state, report, a, current.values[a.key])
+            onehot = np.zeros(N_ACTION_ONEHOT)
+            onehot[int(last_action[a.key])] = 1.0
+            goal_norm = normalize_goal(svc.kpi_kind, current.values[a.key])
+            self.tuples.append(np.concatenate([obs.as_array(), onehot, [goal_norm]]))
+        assignment, _, self.hidden, self.forward = act(
+            self.policy, self.config, self.gammas, self.tuples, self.targets, self.hidden, self.rng, self.explore
+        )
+        return assignment, BOTH_PLANES
+
+
 def rollout_episode(
     policy: SupervisorPolicy,
     config: ScenarioConfig,
@@ -572,70 +609,31 @@ def rollout_episode(
     episode_length: int,
     explore: bool,
     tracker: CapabilityTracker | None = None,
-    shift_schedule: list[tuple[int, slice_sim.DistributionSpec]] | None = None,
     randomize_start: bool = False,
 ) -> EpisodeTrajectory:
     """Run one closed-loop episode with the frozen agents in the loop."""
     intents = intents_of(config)
-    targets_norm = np.array([it.normalized_target for it in intents])
-    roster = policy.agents
     state = slice_sim.init_scenario(config)
     if randomize_start:
         n = len(config.services)
         state.controls.priority[:] = rng.integers(1, 6, size=n)
         state.controls.mbr[:] = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
-    report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
-    hidden = ActorHidden.zeros(policy.dims.gru)
-    # agents start aimed at the global targets until the first assignment
-    current = GoalAssignment(
-        levels={
-            a.key: nearest_goal_level(config.services[a.intent_index].kpi_kind, config.services[a.intent_index].kpi_target)
-            for a in roster
-        },
-        values={a.key: config.services[a.intent_index].kpi_target for a in roster},
-    )
-    last_action = {a.key: KnobAction.HOLD for a in roster}
-    traj = EpisodeTrajectory(targets=targets_norm)
-    shift_map = {t: spec for t, spec in (shift_schedule or [])}
+    goals = PolicyGoals(policy, config, capabilities, rng, explore)
+    traj = EpisodeTrajectory(targets=goals.targets)
+    # in service mode the heads read their rung off the priority agents
+    head_keys = [a.key for a in policy.agents[: policy.n_heads]]
 
-    for t in range(episode_length):
-        if t in shift_map:
-            state = slice_sim.set_distribution(state, shift_map[t])
-        gammas = [capabilities[a.key].rho.copy() for a in roster]
-        tuples = []
-        for a in roster:
-            svc = config.services[a.intent_index]
-            obs = observe(state, report, a, current.values[a.key])
-            onehot = np.zeros(N_ACTION_ONEHOT)
-            onehot[int(last_action[a.key])] = 1.0
-            goal_norm = normalize_goal(svc.kpi_kind, current.values[a.key])
-            tuples.append(np.concatenate([obs.as_array(), onehot, [goal_norm]]))
-        assignment, _, hidden, fwd = act(
-            policy, config, gammas, tuples, targets_norm, hidden, rng, explore
-        )
-        current = assignment
-        for a in roster:
-            obs = observe(state, report, a, current.values[a.key])
-            action = select_action(qtables[a.key], obs, explore=False, rng=rng)
-            apply_action(state, a, action)
-            last_action[a.key] = action
-        state, report = slice_sim.step(state, rng)
-        reward = supervisor_reward(report, intents)
+    def record(t, state, report, current, active, taken):
         if tracker is not None:
-            tracker.observe_step(assignment, report, roster)
-        traj.gammas.append(gammas)
-        traj.tuples.append(tuples)
-        traj.sampled_levels.append([assignment.levels[_head_key(policy, i)] for i in range(policy.n_heads)])
-        traj.rewards.append(reward)
-        traj.forwards.append(fwd)
+            tracker.observe_step(current, report, policy.agents)
+        traj.gammas.append(goals.gammas)
+        traj.tuples.append(goals.tuples)
+        traj.sampled_levels.append([current.levels[key] for key in head_keys])
+        traj.rewards.append(supervisor_reward(report, intents))
+        traj.forwards.append(goals.forward)
+
+    run_episode(state, config, qtables, goals, rng, episode_length, record)
     return traj
-
-
-def _head_key(policy: SupervisorPolicy, head_idx: int) -> str:
-    if policy.mode is GoalMode.AGENT_LEVEL:
-        return policy.agents[head_idx].key
-    # service mode: both planes share the rung; read it off the priority agent
-    return policy.agents[head_idx].key
 
 
 def train_supervisor(

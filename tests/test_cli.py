@@ -1,7 +1,9 @@
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
+from atmarl import cli
+from atmarl.agents import PretrainConfig
 from atmarl.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from atmarl.config import default_scenario, write_scenario
 
@@ -11,6 +13,14 @@ def scenario_file(tmp_path):
     path = tmp_path / "scenario.ini"
     write_scenario(default_scenario(), path)
     return path
+
+
+@pytest.fixture()
+def quick_pretrain(monkeypatch):
+    """Shrink pre-training so the CLI path stays fast."""
+    plan_from_args = cli._plan_from_args
+    quick = PretrainConfig(episodes=60, episode_length=10)
+    monkeypatch.setattr(cli, "_plan_from_args", lambda args: replace(plan_from_args(args), pretrain_cfg=quick))
 
 
 def run_cli(*args):
@@ -37,14 +47,7 @@ def test_cli_evaluate_without_checkpoint_fails_with_stage_code(scenario_file, tm
     assert rc == EXIT_STAGE
 
 
-def test_cli_pretrain_then_evaluate_baseline(scenario_file, tmp_path, monkeypatch):
-    # shrink the workload so the CLI path stays fast
-    import atmarl.agents as agents_mod
-
-    monkeypatch.setattr(
-        agents_mod.PretrainConfig, "episodes", 60, raising=False
-    )
-    monkeypatch.setattr(agents_mod.PretrainConfig, "episode_length", 10, raising=False)
+def test_cli_pretrain_then_evaluate_baseline(scenario_file, tmp_path, quick_pretrain):
     out = tmp_path / "out"
     rc = run_cli("pretrain", "--scenario", scenario_file, "--out", out)
     assert rc == EXIT_OK
@@ -60,11 +63,7 @@ def test_cli_pretrain_then_evaluate_baseline(scenario_file, tmp_path, monkeypatc
     assert (out / "summary.csv").exists()
 
 
-def test_cli_shift_flag_parsing(scenario_file, tmp_path, monkeypatch):
-    import atmarl.agents as agents_mod
-
-    monkeypatch.setattr(agents_mod.PretrainConfig, "episodes", 60, raising=False)
-    monkeypatch.setattr(agents_mod.PretrainConfig, "episode_length", 10, raising=False)
+def test_cli_shift_flag_parsing(scenario_file, tmp_path, quick_pretrain):
     out = tmp_path / "out"
     assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
     rc = run_cli(

@@ -4,20 +4,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atmarl.agents import PretrainConfig
+from atmarl.agents import PretrainConfig, agent_roster, goal_value
 from atmarl.config import default_scenario, load_scenario, write_scenario
 from atmarl.errors import ScenarioError
 from atmarl.harness import (
     Approach,
     ExperimentPlan,
     evaluate_episode,
+    load_policy,
     load_pretrain,
     run_pipeline,
     stage_pretrain,
     summarize,
 )
 from atmarl.slice_sim import DistributionKind, DistributionSpec
-from atmarl.supervisor import TrainConfig
+from atmarl.supervisor import TrainConfig, rollout_episode
 
 QUICK_PRETRAIN = PretrainConfig(episodes=120, episode_length=12)
 QUICK_TRAIN = TrainConfig(episodes=8, episode_length=12)
@@ -212,14 +213,40 @@ def test_pipeline_byte_identical_reruns(tmp_path):
         assert (res_a.out_dir / name).read_bytes() == (res_b.out_dir / name).read_bytes(), name
 
 
+def test_evaluation_matches_greedy_training_rollout(pipeline_result):
+    # an ATMARL evaluation episode is the supervisor-training rollout run greedily
+    plan, result = pipeline_result
+    artifacts = load_pretrain(plan, result.out_dir)
+    load_policy(plan, artifacts, Approach.ATMARL, result.out_dir)
+    seed = plan.seeds[0]
+    trace = evaluate_episode(plan, artifacts, Approach.ATMARL, seed)
+    config = plan.eval_scenario
+    traj = rollout_episode(
+        artifacts.policies[Approach.ATMARL.value],
+        config,
+        artifacts.qtables,
+        artifacts.policy_capabilities[Approach.ATMARL.value],
+        np.random.default_rng(seed),
+        plan.episode_length,
+        explore=False,
+    )
+    reward = trace.columns.index("reward")
+    assert [row[reward] for row in trace.rows] == traj.rewards
+    roster = agent_roster(config)
+    goal_cols = [trace.columns.index(f"goal_{a.key}") for a in roster]
+    sampled = [
+        [goal_value(config.services[a.intent_index].kpi_kind, level) for a, level in zip(roster, levels)]
+        for levels in traj.sampled_levels
+    ]
+    assert [[row[c] for c in goal_cols] for row in trace.rows] == sampled
+
+
 def test_evaluation_does_not_mutate_checkpoints(tmp_path):
     plan = quick_plan(approaches=(Approach.ATMARL,), seeds=(1,))
     result = run_pipeline(plan, tmp_path, reuse=False)
     ckpts = sorted(tmp_path.glob("*.ckpt"))
     before = {p.name: p.read_bytes() for p in ckpts}
     artifacts = load_pretrain(plan, tmp_path)
-    from atmarl.harness import load_policy
-
     load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
     evaluate_episode(plan, artifacts, Approach.ATMARL, seed=3)
     after = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("*.ckpt"))}
@@ -230,8 +257,6 @@ def test_checkpoint_round_trip_reproduces_trace(tmp_path):
     plan = quick_plan(approaches=(Approach.ATMARL,), seeds=(4,))
     result = run_pipeline(plan, tmp_path, reuse=False)
     artifacts = load_pretrain(plan, tmp_path)
-    from atmarl.harness import load_policy
-
     load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
     replay = evaluate_episode(plan, artifacts, Approach.ATMARL, seed=4)
     original = result.traces[0]
