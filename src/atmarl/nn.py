@@ -1,9 +1,9 @@
 """Minimal dense/GRU substrate with hand-written gradients.
 
-Everything operates on 1-D float64 vectors; parameters live in small
-dataclasses so training code can walk them generically. Backward passes
-return exact analytic gradients and are verified against central finite
-differences in the test suite.
+Everything operates on float64 vectors; parameters live in small dataclasses
+so training code can walk them generically. A dense layer may stack copies
+along a leading axis. Backward passes return exact analytic gradients and are
+verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -29,13 +29,22 @@ def init_matrix(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarr
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # [out, in]
-    bias: np.ndarray  # [out]
+    weights: np.ndarray  # [out, in], or [copies, out, in] when stacked
+    bias: np.ndarray  # [out], or [copies, out]
     activation: str = "tanh"  # tanh | relu | identity
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_dim: int, out_dim: int, activation="tanh"):
         return cls(weights=init_matrix(rng, out_dim, in_dim), bias=np.zeros(out_dim), activation=activation)
+
+    @classmethod
+    def stack(cls, layers: list[DenseLayer]) -> DenseLayer:
+        """One layer holding same-shaped layers, of one activation, as copies along a new first axis."""
+        return cls(
+            weights=np.stack([layer.weights for layer in layers]),
+            bias=np.stack([layer.bias for layer in layers]),
+            activation=layers[0].activation,
+        )
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.weights, "b": self.bias}
@@ -62,25 +71,47 @@ def _activate_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Affine map plus activation; returns (output, cache)."""
-    if x.shape[0] != layer.weights.shape[1]:
+    """Affine map plus activation; returns (output, cache).
+
+    ``x`` is [in], or [copies, in] for a stacked layer, which shares an [in]
+    input among its copies. np.matmul runs each copy as its own matrix-vector
+    product, bit-equal to the copy alone; np.einsum sums in another order.
+    """
+    if x.shape[-1] != layer.weights.shape[-1]:
         raise ValueError(
-            f"dense input size {x.shape[0]} does not match weights {layer.weights.shape}"
+            f"dense input size {x.shape[-1]} does not match weights {layer.weights.shape}"
         )
-    pre = layer.weights @ x + layer.bias
+    pre = (layer.weights @ x[..., None])[..., 0] + layer.bias
     out = _activate(pre, layer.activation)
     return out, (x, pre, out)
 
 
 def dense_backward(layer: DenseLayer, cache, dout: np.ndarray):
-    """Returns ({'W': dW, 'b': db}, dx) for the cached forward pass."""
+    """Returns ({'W': dW, 'b': db}, dx); a shared input gets one dx per copy."""
     x, pre, out = cache
     if dout.shape != out.shape:
         raise ValueError(f"upstream grad shape {dout.shape} != output shape {out.shape}")
     dpre = dout * _activate_grad(pre, out, layer.activation)
-    grads = {"W": np.outer(dpre, x), "b": dpre.copy()}
-    dx = layer.weights.T @ dpre
+    grads = {"W": dpre[..., :, None] * x[..., None, :], "b": dpre.copy()}
+    dx = (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
     return grads, dx
+
+
+def stack_forward(layers: list[DenseLayer], x: np.ndarray):
+    """Run ``x`` through a sequence of layers; returns (output, per-layer caches)."""
+    caches = []
+    for layer in layers:
+        x, cache = dense_forward(layer, x)
+        caches.append(cache)
+    return x, caches
+
+
+def stack_backward(layers: list[DenseLayer], caches, dout: np.ndarray):
+    """Backward through ``stack_forward``; returns (per-layer grads, dx)."""
+    grads = [None] * len(layers)
+    for j in range(len(layers) - 1, -1, -1):
+        grads[j], dout = dense_backward(layers[j], caches[j], dout)
+    return grads, dout
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ Per agent, a private 2-layer encoder projects the capability vector and a
 shared 3-layer fusion block combines all embeddings with the normalized
 global targets into a context vector; a 2-layer GRU actor with one softmax
 head per goal slot emits goal rungs, and a 2-layer dense critic scores the
-context. Training is episodic advantage actor-critic with backpropagation
-through the whole episode.
+context. The per-agent encoder and merger weights and the per-slot head
+weights are each stacked into one layer, [copies, out, in], so all agents or
+heads run in one call. Training is episodic advantage actor-critic with
+backpropagation through the whole episode.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,6 +51,8 @@ from .nn import (
     log_softmax,
     softmax,
     softmax_sample,
+    stack_backward,
+    stack_forward,
 )
 from .slice_sim import KpiKind, KpiReport, NetworkState
 
@@ -101,38 +106,38 @@ class SupervisorPolicy:
     agents: list[AgentId]
     n_intents: int
     dims: PolicyDims
-    encoders: list[list[DenseLayer]]  # one 2-layer stack per agent
-    mergers: list[DenseLayer]  # one per agent
+    encoders: list[DenseLayer]  # 2 layers, each stacked over agents
+    merger: DenseLayer  # stacked over agents
     fusion: list[DenseLayer]  # shared, 3 layers
     gru: list[GruCell]  # 2 stacked cells
-    heads: list[DenseLayer]  # one linear head per goal slot
+    heads: DenseLayer  # one linear head per goal slot, stacked
     critic: list[DenseLayer]  # 2 layers to a scalar
 
     @property
     def n_heads(self) -> int:
-        return len(self.heads)
+        return len(self.heads.weights)
 
     def named_params(self) -> dict[str, np.ndarray]:
+        """Every parameter by checkpoint name; stacked copies appear as views, one per agent or head."""
         out: dict[str, np.ndarray] = {}
-        for i, stack in enumerate(self.encoders):
-            for j, layer in enumerate(stack):
-                for name, arr in layer.params().items():
-                    out[f"enc{i}_l{j}.{name}"] = arr
-        for i, layer in enumerate(self.mergers):
-            for name, arr in layer.params().items():
-                out[f"mrg{i}.{name}"] = arr
+
+        def put(prefix: str, part: DenseLayer | GruCell, index: int | None = None):
+            for name, arr in part.params().items():
+                out[f"{prefix}.{name}"] = arr if index is None else arr[index]
+
+        for i in range(len(self.agents)):
+            for j, layer in enumerate(self.encoders):
+                put(f"enc{i}_l{j}", layer, i)
+        for i in range(len(self.agents)):
+            put(f"mrg{i}", self.merger, i)
         for j, layer in enumerate(self.fusion):
-            for name, arr in layer.params().items():
-                out[f"fus_l{j}.{name}"] = arr
+            put(f"fus_l{j}", layer)
         for j, cell in enumerate(self.gru):
-            for name, arr in cell.params().items():
-                out[f"gru_l{j}.{name}"] = arr
-        for i, layer in enumerate(self.heads):
-            for name, arr in layer.params().items():
-                out[f"head{i}.{name}"] = arr
+            put(f"gru_l{j}", cell)
+        for i in range(self.n_heads):
+            put(f"head{i}", self.heads, i)
         for j, layer in enumerate(self.critic):
-            for name, arr in layer.params().items():
-                out[f"crit_l{j}.{name}"] = arr
+            put(f"crit_l{j}", layer)
         return out
 
 
@@ -147,21 +152,23 @@ def create_policy(
     k = config.intent_count
     n_heads = len(agents) if mode is GoalMode.AGENT_LEVEL else k
     fusion_in = len(agents) * dims.merger + k
-    encoders = [
+    # drawn agent by agent, then stacked, so the initial weights keep their draw order
+    per_agent = [
         [
             DenseLayer.create(rng, GOAL_LEVELS, dims.encoder, "tanh"),
             DenseLayer.create(rng, dims.encoder, dims.encoder, "tanh"),
         ]
         for _ in agents
     ]
-    mergers = [DenseLayer.create(rng, dims.encoder + TUPLE_DIM, dims.merger, "tanh") for _ in agents]
+    encoders = [DenseLayer.stack(list(layers)) for layers in zip(*per_agent)]
+    merger = DenseLayer.stack([DenseLayer.create(rng, dims.encoder + TUPLE_DIM, dims.merger, "tanh") for _ in agents])
     fusion = [
         DenseLayer.create(rng, fusion_in, dims.fusion, "tanh"),
         DenseLayer.create(rng, dims.fusion, dims.fusion, "tanh"),
         DenseLayer.create(rng, dims.fusion, dims.fusion, "tanh"),
     ]
     gru = [GruCell.create(rng, dims.fusion, dims.gru), GruCell.create(rng, dims.gru, dims.gru)]
-    heads = [DenseLayer.create(rng, dims.gru, GOAL_LEVELS, "identity") for _ in range(n_heads)]
+    heads = DenseLayer.stack([DenseLayer.create(rng, dims.gru, GOAL_LEVELS, "identity") for _ in range(n_heads)])
     critic = [
         DenseLayer.create(rng, dims.fusion, dims.fusion, "tanh"),
         DenseLayer.create(rng, dims.fusion, 1, "identity"),
@@ -172,7 +179,7 @@ def create_policy(
         n_intents=k,
         dims=dims,
         encoders=encoders,
-        mergers=mergers,
+        merger=merger,
         fusion=fusion,
         gru=gru,
         heads=heads,
@@ -184,33 +191,21 @@ def create_policy(
 # forward pieces
 
 
-def encode_capability(policy: SupervisorPolicy, agent_idx: int, gamma: np.ndarray):
-    """Project one agent's capability vector through its private encoder."""
-    caches = []
-    h = gamma
-    for layer in policy.encoders[agent_idx]:
-        h, cache = dense_forward(layer, h)
-        caches.append(cache)
-    return h, caches
+def encode_capabilities(policy: SupervisorPolicy, gammas: np.ndarray):
+    """Project each agent's capability vector, [agents, levels], through its private encoder."""
+    return stack_forward(policy.encoders, gammas)
 
 
-def merge(policy: SupervisorPolicy, agent_idx: int, latent: np.ndarray, tuple_vec: np.ndarray):
-    """Fold the (state, action, goal) tuple into the capability latent."""
-    x = np.concatenate([latent, tuple_vec])
-    return dense_forward(policy.mergers[agent_idx], x)
+def merge(policy: SupervisorPolicy, latents: np.ndarray, tuples: np.ndarray):
+    """Fold each agent's (state, action, goal) tuple into its capability latent."""
+    return dense_forward(policy.merger, np.concatenate([latents, tuples], axis=1))
 
 
-def fuse(policy: SupervisorPolicy, embeddings: list[np.ndarray], targets_norm: np.ndarray):
-    """Concatenate all agent embeddings (fixed roster order) with the targets."""
+def fuse(policy: SupervisorPolicy, embeddings: np.ndarray, targets_norm: np.ndarray):
+    """Concatenate all agent embeddings, [agents, merger] in roster order, with the targets."""
     if len(embeddings) != len(policy.agents):
         raise ValueError(f"expected {len(policy.agents)} embeddings, got {len(embeddings)}")
-    x = np.concatenate(embeddings + [targets_norm])
-    caches = []
-    h = x
-    for layer in policy.fusion:
-        h, cache = dense_forward(layer, h)
-        caches.append(cache)
-    return h, caches
+    return stack_forward(policy.fusion, np.concatenate([embeddings.ravel(), targets_norm]))
 
 
 @dataclass
@@ -219,81 +214,62 @@ class StepForward:
 
     context: np.ndarray
     value: float
-    logits: list[np.ndarray]
+    logits: np.ndarray  # [heads, levels]
     hidden: ActorHidden
     enc_caches: list
-    mrg_caches: list
+    mrg_cache: tuple
     fus_caches: list
     gru_caches: tuple
-    head_caches: list
+    head_cache: tuple
     crit_caches: list
 
 
 def forward_step(
     policy: SupervisorPolicy,
-    gammas: list[np.ndarray],
-    tuples: list[np.ndarray],
+    gammas: np.ndarray,
+    tuples: np.ndarray,
     targets_norm: np.ndarray,
     hidden: ActorHidden,
 ) -> StepForward:
-    enc_caches, mrg_caches, embeddings = [], [], []
-    for i in range(len(policy.agents)):
-        latent, ec = encode_capability(policy, i, gammas[i])
-        m, mc = merge(policy, i, latent, tuples[i])
-        enc_caches.append(ec)
-        mrg_caches.append(mc)
-        embeddings.append(m)
+    """One decision's forward pass from [agents, levels] capabilities and [agents, TUPLE_DIM] tuples."""
+    latents, enc_caches = encode_capabilities(policy, gammas)
+    embeddings, mrg_cache = merge(policy, latents, tuples)
     context, fus_caches = fuse(policy, embeddings, targets_norm)
     h1, cache1 = gru_forward(policy.gru[0], context, hidden.h1)
     h2, cache2 = gru_forward(policy.gru[1], h1, hidden.h2)
-    logits = []
-    head_caches = []
-    for layer in policy.heads:
-        lg, hc = dense_forward(layer, h2)
-        logits.append(lg)
-        head_caches.append(hc)
-    v = context
-    crit_caches = []
-    for layer in policy.critic:
-        v, cc = dense_forward(layer, v)
-        crit_caches.append(cc)
+    logits, head_cache = dense_forward(policy.heads, h2)
+    v, crit_caches = stack_forward(policy.critic, context)
     return StepForward(
         context=context,
         value=float(v[0]),
         logits=logits,
         hidden=ActorHidden(h1=h1, h2=h2),
         enc_caches=enc_caches,
-        mrg_caches=mrg_caches,
+        mrg_cache=mrg_cache,
         fus_caches=fus_caches,
         gru_caches=(cache1, cache2),
-        head_caches=head_caches,
+        head_cache=head_cache,
         crit_caches=crit_caches,
     )
 
 
 def assignment_from_levels(policy: SupervisorPolicy, config: ScenarioConfig, levels: list[int]) -> GoalAssignment:
-    """Map head outputs to per-agent goals (broadcast in service mode)."""
+    """Map head outputs to per-agent goals: head i drives agent i, or in service mode the intent's head drives both planes."""
     lvl_map: dict[str, int] = {}
     val_map: dict[str, float] = {}
-    if policy.mode is GoalMode.AGENT_LEVEL:
-        for agent, level in zip(policy.agents, levels):
-            kind = config.services[agent.intent_index].kpi_kind
-            lvl_map[agent.key] = level
-            val_map[agent.key] = goal_value(kind, level)
-    else:
-        for agent in policy.agents:
-            level = levels[agent.intent_index]
-            kind = config.services[agent.intent_index].kpi_kind
-            lvl_map[agent.key] = level
-            val_map[agent.key] = goal_value(kind, level)
+    for i, agent in enumerate(policy.agents):
+        level = levels[i if policy.mode is GoalMode.AGENT_LEVEL else agent.intent_index]
+        kind = config.services[agent.intent_index].kpi_kind
+        lvl_map[agent.key] = level
+        val_map[agent.key] = goal_value(kind, level)
     return GoalAssignment(levels=lvl_map, values=val_map)
 
 
 def act(
     policy: SupervisorPolicy,
     config: ScenarioConfig,
-    gammas: list[np.ndarray],
-    tuples: list[np.ndarray],
+    gammas: np.ndarray,
+    tuples: np.ndarray,
     targets_norm: np.ndarray,
     hidden: ActorHidden,
     rng: np.random.Generator,
@@ -396,8 +372,8 @@ class TrainConfig:
 class EpisodeTrajectory:
     """Leaf inputs and outcomes of one rollout, enough to replay the forward."""
 
-    gammas: list[list[np.ndarray]] = field(default_factory=list)  # [t][agent]
-    tuples: list[list[np.ndarray]] = field(default_factory=list)
+    gammas: list[np.ndarray] = field(default_factory=list)  # [t] -> [agents, levels]
+    tuples: list[np.ndarray] = field(default_factory=list)  # [t] -> [agents, TUPLE_DIM]
     targets: np.ndarray | None = None
     sampled_levels: list[list[int]] = field(default_factory=list)  # [t][head]
     rewards: list[float] = field(default_factory=list)
@@ -416,6 +392,12 @@ def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
     return out
 
 
+def _accumulate(layers: list[DenseLayer], grads: list[dict[str, np.ndarray]]):
+    for layer, g in zip(layers, grads):
+        layer.weights += g["W"]
+        layer.bias += g["b"]
+
+
 def episode_gradients(
     policy: SupervisorPolicy,
     traj: EpisodeTrajectory,
@@ -425,21 +407,22 @@ def episode_gradients(
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """Backpropagate the A2C loss through the episode.
 
-    Advantages are treated as constants. Returns (gradients, loss terms).
+    Advantages are treated as constants. Returns (gradients, loss terms),
+    the gradients under the names of ``named_params``.
     """
-    grads = {k: np.zeros_like(v) for k, v in policy.named_params().items()}
-    T = len(traj)
+    acc = copy.deepcopy(policy)  # gradient accumulators in the policy's own layout
+    grads = acc.named_params()
+    for g in grads.values():
+        g[...] = 0.0
     dh2_list = []
+    dc_direct = []
     actor_loss = 0.0
     entropy_total = 0.0
     critic_loss = 0.0
-    dc_direct = [np.zeros(policy.dims.fusion) for _ in range(T)]
 
-    for t in range(T):
-        fwd = traj.forwards[t]
-        dh2 = np.zeros(policy.dims.gru)
-        for i, layer in enumerate(policy.heads):
-            logits = fwd.logits[i]
+    for t, fwd in enumerate(traj.forwards):
+        dlogits = np.empty_like(fwd.logits)
+        for i, logits in enumerate(fwd.logits):
             probs = softmax(logits)
             logp = log_softmax(logits)
             chosen = traj.sampled_levels[t][i] - 1
@@ -448,56 +431,37 @@ def episode_gradients(
             entropy = float(-(probs * logp).sum())
             actor_loss += -advantages[t] * float(logp[chosen]) - cfg.entropy_coef * entropy
             entropy_total += entropy
-            dlogits = advantages[t] * (probs - onehot)
-            dlogits += cfg.entropy_coef * probs * (logp + entropy)
-            layer_grads, dh = dense_backward(layer, fwd.head_caches[i], dlogits)
-            for name, g in layer_grads.items():
-                grads[f"head{i}.{name}"] += g
-            dh2 += dh
-        dh2_list.append(dh2)
+            dlogits[i] = advantages[t] * (probs - onehot)
+            dlogits[i] += cfg.entropy_coef * probs * (logp + entropy)
+        head_grads, dh = dense_backward(policy.heads, fwd.head_cache, dlogits)
+        _accumulate([acc.heads], [head_grads])
+        dh2_list.append(dh.sum(axis=0))
 
         # critic: 0.5-weighted squared error on the context value
         err = fwd.value - returns[t]
         critic_loss += cfg.critic_coef * err * err
-        dval = np.array([2.0 * cfg.critic_coef * err])
-        dv = dval
-        for j in range(len(policy.critic) - 1, -1, -1):
-            layer_grads, dv = dense_backward(policy.critic[j], fwd.crit_caches[j], dv)
-            for name, g in layer_grads.items():
-                grads[f"crit_l{j}.{name}"] += g
-        dc_direct[t] += dv
+        crit_grads, dv = stack_backward(policy.critic, fwd.crit_caches, np.array([2.0 * cfg.critic_coef * err]))
+        _accumulate(acc.critic, crit_grads)
+        dc_direct.append(dv)
 
-    # BPTT through the two stacked GRU cells
-    caches2 = [traj.forwards[t].gru_caches[1] for t in range(T)]
-    gru2_grads, dh1_list, _ = gru_sequence_backward(policy.gru[1], caches2, dh2_list)
-    for name, g in gru2_grads.items():
-        grads[f"gru_l1.{name}"] += g
-    caches1 = [traj.forwards[t].gru_caches[0] for t in range(T)]
-    gru1_grads, dcontext_list, _ = gru_sequence_backward(policy.gru[0], caches1, dh1_list)
-    for name, g in gru1_grads.items():
-        grads[f"gru_l0.{name}"] += g
+    # BPTT through the two stacked GRU cells, top cell first, down to the context
+    dcontext_list = dh2_list
+    for j in (1, 0):
+        caches = [fwd.gru_caches[j] for fwd in traj.forwards]
+        cell_grads, dcontext_list, _ = gru_sequence_backward(policy.gru[j], caches, dcontext_list)
+        for name, g in cell_grads.items():
+            grads[f"gru_l{j}.{name}"] += g
 
-    # fusion, mergers, encoders per step
+    # fusion, then all agents' mergers and encoders at once, per step
     n_agents = len(policy.agents)
-    for t in range(T):
-        fwd = traj.forwards[t]
-        dc = dc_direct[t] + dcontext_list[t]
-        dx = dc
-        for j in range(len(policy.fusion) - 1, -1, -1):
-            layer_grads, dx = dense_backward(policy.fusion[j], fwd.fus_caches[j], dx)
-            for name, g in layer_grads.items():
-                grads[f"fus_l{j}.{name}"] += g
-        for i in range(n_agents):
-            dm = dx[i * policy.dims.merger : (i + 1) * policy.dims.merger]
-            layer_grads, dmx = dense_backward(policy.mergers[i], fwd.mrg_caches[i], dm)
-            for name, g in layer_grads.items():
-                grads[f"mrg{i}.{name}"] += g
-            dlatent = dmx[: policy.dims.encoder]
-            dh = dlatent
-            for j in range(len(policy.encoders[i]) - 1, -1, -1):
-                layer_grads, dh = dense_backward(policy.encoders[i][j], fwd.enc_caches[i][j], dh)
-                for name, g in layer_grads.items():
-                    grads[f"enc{i}_l{j}.{name}"] += g
+    for t, fwd in enumerate(traj.forwards):
+        fus_grads, dx = stack_backward(policy.fusion, fwd.fus_caches, dc_direct[t] + dcontext_list[t])
+        _accumulate(acc.fusion, fus_grads)
+        dm = dx[: n_agents * policy.dims.merger].reshape(n_agents, policy.dims.merger)
+        mrg_grads, dmx = dense_backward(policy.merger, fwd.mrg_cache, dm)
+        _accumulate([acc.merger], [mrg_grads])
+        enc_grads, _ = stack_backward(policy.encoders, fwd.enc_caches, dmx[:, : policy.dims.encoder])
+        _accumulate(acc.encoders, enc_grads)
 
     losses = {
         "actor": float(actor_loss),
@@ -577,23 +541,24 @@ class PolicyGoals:
         self.targets = np.array([it.normalized_target for it in intents_of(config)])
         self.hidden = ActorHidden.zeros(policy.dims.gru)
         self.start = naive_parallel_goals(config)
-        self.gammas: list[np.ndarray] = []
-        self.tuples: list[np.ndarray] = []
+        self.gammas = np.zeros((0, GOAL_LEVELS))
+        self.tuples = np.zeros((0, TUPLE_DIM))
         self.forward: StepForward | None = None
 
     def __call__(self, t, state, report, current, last_action):
         current = self.start if current is None else current
         roster = self.policy.agents
-        # copies: capability tracking updates rho in place during training
-        self.gammas = [self.capabilities[a.key].rho.copy() for a in roster]
-        self.tuples = []
+        # a copy: capability tracking updates rho in place during training
+        self.gammas = np.array([self.capabilities[a.key].rho for a in roster])
+        tuples = []
         for a in roster:
             svc = self.config.services[a.intent_index]
             obs = observe(state, report, a, current.values[a.key])
             onehot = np.zeros(N_ACTION_ONEHOT)
             onehot[int(last_action[a.key])] = 1.0
             goal_norm = normalize_goal(svc.kpi_kind, current.values[a.key])
-            self.tuples.append(np.concatenate([obs.as_array(), onehot, [goal_norm]]))
+            tuples.append(np.concatenate([obs.as_array(), onehot, [goal_norm]]))
+        self.tuples = np.array(tuples)
         assignment, _, self.hidden, self.forward = act(
             self.policy, self.config, self.gammas, self.tuples, self.targets, self.hidden, self.rng, self.explore
         )

@@ -89,6 +89,44 @@ def test_dense_gradients_match_finite_differences(activation, trial):
     assert rel_error(dx, finite_difference(loss, x)) < 1e-4
 
 
+def _copy_reference(layer, x, dout):
+    """One tanh copy run alone with the 2-D formulas: (out, dW, db, dx)."""
+    out = np.tanh(layer.weights @ x + layer.bias)
+    dpre = dout * (1.0 - out * out)
+    return out, np.outer(dpre, x), dpre, layer.weights.T @ dpre
+
+
+@pytest.mark.parametrize("shared_input", [False, True])
+def test_stacked_dense_equals_copies_bit_for_bit(shared_input):
+    # the sums must run in the same order as each copy's matrix-vector
+    # product, so that stacking keeps checkpoints and traces byte-identical
+    rng = np.random.default_rng(11)
+    copies = [DenseLayer.create(rng, 48, 16) for _ in range(6)]
+    for layer in copies:
+        layer.bias += rng.normal(size=16)
+    stacked = DenseLayer.stack(copies)
+    x = rng.normal(size=48) if shared_input else rng.normal(size=(6, 48))
+    dout = rng.normal(size=(6, 16))
+
+    out, cache = dense_forward(stacked, x)
+    grads, dx = dense_backward(stacked, cache, dout)
+    for i, layer in enumerate(copies):
+        ref_out, ref_dw, ref_db, ref_dx = _copy_reference(layer, x if shared_input else x[i], dout[i])
+        assert np.array_equal(out[i], ref_out)
+        assert np.array_equal(grads["W"][i], ref_dw)
+        assert np.array_equal(grads["b"][i], ref_db)
+        assert np.array_equal(dx[i], ref_dx)
+
+
+def test_stacked_dense_shape_mismatch_raises():
+    rng = np.random.default_rng(12)
+    stacked = DenseLayer.stack([DenseLayer.create(rng, 3, 4) for _ in range(2)])
+    with pytest.raises(ValueError):
+        dense_forward(stacked, np.zeros((2, 5)))
+    with pytest.raises(ValueError):
+        dense_forward(stacked, np.zeros(5))
+
+
 # ---------------------------------------------------------------------------
 # GRU
 

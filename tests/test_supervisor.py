@@ -15,7 +15,7 @@ from atmarl.supervisor import (
     act,
     create_policy,
     discounted_returns,
-    encode_capability,
+    encode_capabilities,
     episode_gradients,
     episode_loss,
     forward_step,
@@ -49,50 +49,48 @@ def zero_policy(policy):
 def test_encode_zero_params_is_bias_path():
     cfg, policy = toy_policy()
     zero_policy(policy)
-    latent, _ = encode_capability(policy, 0, np.full(GOAL_LEVELS, 0.7))
-    np.testing.assert_allclose(latent, np.tanh(np.zeros(TOY_DIMS.encoder)))
+    latents, _ = encode_capabilities(policy, np.full((6, GOAL_LEVELS), 0.7))
+    np.testing.assert_allclose(latents[0], np.tanh(np.zeros(TOY_DIMS.encoder)))
 
 
 def test_encode_distinct_agents_distinct_latents():
     cfg, policy = toy_policy(seed=3)
     gamma = np.linspace(0.1, 0.9, GOAL_LEVELS)
-    a, _ = encode_capability(policy, 0, gamma)
-    b, _ = encode_capability(policy, 1, gamma)
-    assert not np.allclose(a, b)
+    latents, _ = encode_capabilities(policy, np.tile(gamma, (6, 1)))
+    assert not np.allclose(latents[0], latents[1])
 
 
 def test_encode_sensitive_to_capability_change():
     cfg, policy = toy_policy(seed=4)
-    gamma = np.full(GOAL_LEVELS, 0.5)
-    bumped = gamma.copy()
-    bumped[3] += 0.1
-    a, _ = encode_capability(policy, 0, gamma)
-    b, _ = encode_capability(policy, 0, bumped)
-    assert not np.allclose(a, b)
+    gammas = np.full((6, GOAL_LEVELS), 0.5)
+    bumped = gammas.copy()
+    bumped[0, 3] += 0.1
+    a, _ = encode_capabilities(policy, gammas)
+    b, _ = encode_capabilities(policy, bumped)
+    assert not np.allclose(a[0], b[0])
 
 
 def test_merge_zero_params_closed_form():
     cfg, policy = toy_policy()
     zero_policy(policy)
-    out, _ = merge(policy, 0, np.zeros(TOY_DIMS.encoder), np.zeros(8))
-    np.testing.assert_allclose(out, np.zeros(TOY_DIMS.merger))
+    out, _ = merge(policy, np.zeros((6, TOY_DIMS.encoder)), np.zeros((6, 8)))
+    np.testing.assert_allclose(out[0], np.zeros(TOY_DIMS.merger))
 
 
 def test_merge_distinct_agents_distinct_outputs():
     cfg, policy = toy_policy(seed=5)
-    latent = np.full(TOY_DIMS.encoder, 0.2)
-    tup = np.full(8, 0.3)
-    a, _ = merge(policy, 0, latent, tup)
-    b, _ = merge(policy, 1, latent, tup)
-    assert not np.allclose(a, b)
+    latents = np.full((6, TOY_DIMS.encoder), 0.2)
+    tuples = np.full((6, 8), 0.3)
+    out, _ = merge(policy, latents, tuples)
+    assert not np.allclose(out[0], out[1])
 
 
 def test_merge_sensitive_to_tuple():
     cfg, policy = toy_policy(seed=6)
-    latent = np.full(TOY_DIMS.encoder, 0.2)
-    a, _ = merge(policy, 0, latent, np.zeros(8))
-    b, _ = merge(policy, 0, latent, np.ones(8) * 0.5)
-    assert not np.allclose(a, b)
+    latents = np.full((6, TOY_DIMS.encoder), 0.2)
+    a, _ = merge(policy, latents, np.zeros((6, 8)))
+    b, _ = merge(policy, latents, np.ones((6, 8)) * 0.5)
+    assert not np.allclose(a[0], b[0])
 
 
 def test_fuse_orders_matter():
@@ -101,21 +99,21 @@ def test_fuse_orders_matter():
     m2 = np.full(TOY_DIMS.merger, -0.3)
     rest = [np.zeros(TOY_DIMS.merger) for _ in range(4)]
     targets = np.array([0.75, 0.25, 0.25])
-    a, _ = fuse(policy, [m1, m2] + rest, targets)
-    b, _ = fuse(policy, [m2, m1] + rest, targets)
+    a, _ = fuse(policy, np.array([m1, m2] + rest), targets)
+    b, _ = fuse(policy, np.array([m2, m1] + rest), targets)
     assert not np.allclose(a, b)
 
 
 def test_fuse_zero_closed_form():
     cfg, policy = toy_policy()
     zero_policy(policy)
-    out, _ = fuse(policy, [np.zeros(TOY_DIMS.merger)] * 6, np.zeros(3))
+    out, _ = fuse(policy, np.zeros((6, TOY_DIMS.merger)), np.zeros(3))
     np.testing.assert_allclose(out, np.zeros(TOY_DIMS.fusion))
 
 
 def test_fuse_sensitive_to_global_targets():
     cfg, policy = toy_policy(seed=8)
-    ms = [np.full(TOY_DIMS.merger, 0.1)] * 6
+    ms = np.full((6, TOY_DIMS.merger), 0.1)
     a, _ = fuse(policy, ms, np.array([0.75, 0.25, 0.25]))
     b, _ = fuse(policy, ms, np.array([0.9, 0.25, 0.25]))
     assert not np.allclose(a, b)
@@ -124,7 +122,7 @@ def test_fuse_sensitive_to_global_targets():
 def test_fuse_rejects_wrong_embedding_count():
     cfg, policy = toy_policy()
     with pytest.raises(ValueError):
-        fuse(policy, [np.zeros(TOY_DIMS.merger)] * 3, np.zeros(3))
+        fuse(policy, np.zeros((3, TOY_DIMS.merger)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +131,8 @@ def test_fuse_rejects_wrong_embedding_count():
 
 def _act_inputs(cfg, policy):
     n = len(policy.agents)
-    gammas = [np.full(GOAL_LEVELS, 0.5) for _ in range(n)]
-    tuples = [np.full(8, 0.25) for _ in range(n)]
+    gammas = np.full((n, GOAL_LEVELS), 0.5)
+    tuples = np.full((n, 8), 0.25)
     targets = np.array([it.normalized_target for it in intents_of(cfg)])
     return gammas, tuples, targets
 
@@ -205,6 +203,64 @@ def test_service_mode_broadcasts_one_level_per_intent():
 
 
 # ---------------------------------------------------------------------------
+# parameter names: checkpoints, Adam and gradient clipping address them
+
+
+def _layer_names(prefixes):
+    return [f"{p}.{n}" for p in prefixes for n in ("W", "b")]
+
+
+def _expected_param_names(n_agents, n_heads):
+    gru = [f"gru_l{j}.{n}" for j in range(2) for n in ("Wz", "Wr", "Wn", "bz", "br", "bn")]
+    return (
+        _layer_names(f"enc{i}_l{j}" for i in range(n_agents) for j in range(2))
+        + _layer_names(f"mrg{i}" for i in range(n_agents))
+        + _layer_names(f"fus_l{j}" for j in range(3))
+        + gru
+        + _layer_names(f"head{i}" for i in range(n_heads))
+        + _layer_names(f"crit_l{j}" for j in range(2))
+    )
+
+
+@pytest.mark.parametrize("mode,n_heads", [(GoalMode.AGENT_LEVEL, 6), (GoalMode.SERVICE_LEVEL, 3)])
+def test_named_params_names_order_and_shapes(mode, n_heads):
+    cfg, policy = toy_policy(mode=mode)
+    params = policy.named_params()
+    assert list(params) == _expected_param_names(6, n_heads)
+    d = TOY_DIMS
+    fusion_in = 6 * d.merger + 3
+    expected = {
+        "enc0_l0.W": (d.encoder, GOAL_LEVELS),
+        "enc0_l0.b": (d.encoder,),
+        "enc5_l1.W": (d.encoder, d.encoder),
+        "mrg5.W": (d.merger, d.encoder + 8),
+        "mrg5.b": (d.merger,),
+        "fus_l0.W": (d.fusion, fusion_in),
+        "fus_l2.b": (d.fusion,),
+        "gru_l0.Wz": (d.gru, d.fusion + d.gru),
+        "gru_l1.bn": (d.gru,),
+        f"head{n_heads - 1}.W": (GOAL_LEVELS, d.gru),
+        f"head{n_heads - 1}.b": (GOAL_LEVELS,),
+        "crit_l0.W": (d.fusion, d.fusion),
+        "crit_l1.W": (1, d.fusion),
+        "crit_l1.b": (1,),
+    }
+    for name, shape in expected.items():
+        assert params[name].shape == shape, name
+
+
+@pytest.mark.parametrize("name", ["enc3_l0.W", "enc3_l1.b", "mrg3.W", "mrg3.b", "head3.W", "head3.b", "fus_l0.W"])
+def test_named_params_write_through_to_forward(name):
+    cfg, policy = toy_policy(seed=15)
+    gammas, tuples, targets = _act_inputs(cfg, policy)
+    hidden = ActorHidden.zeros(TOY_DIMS.gru)
+    before = forward_step(policy, gammas, tuples, targets, hidden)
+    policy.named_params()[name][...] += 0.5
+    after = forward_step(policy, gammas, tuples, targets, hidden)
+    assert not np.array_equal(before.logits, after.logits)
+
+
+# ---------------------------------------------------------------------------
 # supervisor reward
 
 
@@ -253,8 +309,8 @@ def test_actor_critic_gradients_match_finite_differences():
     traj = EpisodeTrajectory(targets=np.array([0.75]))
     hidden = ActorHidden.zeros(dims.gru)
     for t in range(T):
-        gammas = [rng.uniform(0.2, 0.8, GOAL_LEVELS) for _ in range(2)]
-        tuples = [rng.uniform(0.0, 1.0, 8) for _ in range(2)]
+        gammas = np.array([rng.uniform(0.2, 0.8, GOAL_LEVELS) for _ in range(2)])
+        tuples = np.array([rng.uniform(0.0, 1.0, 8) for _ in range(2)])
         fwd = forward_step(policy, gammas, tuples, traj.targets, hidden)
         hidden = fwd.hidden
         traj.gammas.append(gammas)
