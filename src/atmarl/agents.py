@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class AgentId:
     system: SystemKind
     intent_index: int
 
-    @property
+    @cached_property
     def key(self) -> str:
         return f"{self.system.value.lower()}_{self.intent_index}"
 
@@ -128,12 +129,17 @@ def goal_value(kpi_kind: KpiKind, level: int) -> float:
     return float(level)
 
 
+def _clamp(x, lo, hi):
+    """``np.clip`` for one scalar, without the numpy call; NaN passes through."""
+    return lo if x < lo else hi if x > hi else x
+
+
 def nearest_goal_level(kpi_kind: KpiKind, value: float) -> int:
     if kpi_kind is KpiKind.QOE:
         level = round((value - 1.0) / QOE_BIN)
     else:
         level = round(value)
-    return int(np.clip(level, 1, GOAL_LEVELS))
+    return int(_clamp(level, 1, GOAL_LEVELS))
 
 
 def normalize_kpi(kpi_kind: KpiKind, value: float) -> float:
@@ -152,11 +158,18 @@ def normalize_knob(agent: AgentId, state: NetworkState) -> float:
     k = agent.intent_index
     if agent.system is SystemKind.PRIORITY:
         return (float(state.controls.priority[k]) - 1.0) / 4.0
-    return MBR_LEVELS.index(_nearest_mbr(state.controls.mbr[k])) / (len(MBR_LEVELS) - 1)
+    return _mbr_index(state.controls.mbr[k]) / (len(MBR_LEVELS) - 1)
 
 
-def _nearest_mbr(value: float) -> float:
-    return min(MBR_LEVELS, key=lambda lvl: abs(lvl - value))
+_MBR_INDEX = {lvl: i for i, lvl in enumerate(MBR_LEVELS)}
+
+
+def _mbr_index(value: float) -> int:
+    """Ladder index of the MBR rung nearest ``value``; a tie goes to the lower rung."""
+    i = _MBR_INDEX.get(value)
+    if i is None:
+        i = min(range(len(MBR_LEVELS)), key=lambda j: abs(MBR_LEVELS[j] - value))
+    return i
 
 
 def observe(state: NetworkState, report: KpiReport, agent: AgentId, goal_kpi: float) -> AgentObservation:
@@ -173,10 +186,12 @@ def observe(state: NetworkState, report: KpiReport, agent: AgentId, goal_kpi: fl
 
 
 def discretize(obs: AgentObservation) -> tuple[int, int, int, int]:
-    def bin_unit(x: float) -> int:
-        return min(int(np.clip(x, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
+    """Table index of an observation; a NaN field raises ValueError."""
 
-    cong = min(int(np.clip(obs.congestion / CONGESTION_MAX, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
+    def bin_unit(x: float) -> int:
+        return min(int(_clamp(x, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
+
+    cong = bin_unit(obs.congestion / CONGESTION_MAX)
     return (bin_unit(obs.kpi), bin_unit(obs.knob), bin_unit(obs.goal), cong)
 
 
@@ -184,11 +199,11 @@ def select_action(table: QTable, obs: AgentObservation, explore: bool, rng: np.r
     """Epsilon-greedy over the table; exact ties break toward HOLD."""
     if explore and rng.random() < table.exploration:
         return KnobAction(int(rng.integers(N_ACTIONS)))
-    q = table.values[discretize(obs)]
-    best = q.max()
+    q = table.values[discretize(obs)].tolist()
+    best = max(q)
     if q[ACTION_HOLD] == best:
         return KnobAction.HOLD
-    return KnobAction(int(np.argmax(q)))
+    return KnobAction(q.index(best))
 
 
 def apply_action(state: NetworkState, agent: AgentId, action: KnobAction):
@@ -196,10 +211,9 @@ def apply_action(state: NetworkState, agent: AgentId, action: KnobAction):
     k = agent.intent_index
     if agent.system is SystemKind.PRIORITY:
         level = int(state.controls.priority[k]) + action.delta
-        state.controls.priority[k] = int(np.clip(level, PRIORITY_LEVELS[0], PRIORITY_LEVELS[-1]))
+        state.controls.priority[k] = _clamp(level, PRIORITY_LEVELS[0], PRIORITY_LEVELS[-1])
     else:
-        idx = MBR_LEVELS.index(_nearest_mbr(state.controls.mbr[k]))
-        idx = int(np.clip(idx + action.delta, 0, len(MBR_LEVELS) - 1))
+        idx = _clamp(_mbr_index(state.controls.mbr[k]) + action.delta, 0, len(MBR_LEVELS) - 1)
         state.controls.mbr[k] = MBR_LEVELS[idx]
 
 
@@ -356,7 +370,7 @@ def pretrain_system(
                 nb = discretize(observe(state, report, a, goal_kpi))
                 table = tables[a.key]
                 sa = discretize(obs) + (int(action),)
-                td = r + table.discount * table.values[nb].max() - table.values[sa]
+                td = r + table.discount * max(table.values[nb].tolist()) - table.values[sa]
                 table.values[sa] += table.learning_rate * td
                 if hit_step[a.key] is None and goal_achieved(kpi, goal_kpi, svc.kpi_kind):
                     hit_step[a.key] = t + 1

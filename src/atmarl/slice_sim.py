@@ -189,34 +189,43 @@ def allocate_capacity(
     mbrs: np.ndarray,
     bandwidth: float,
 ) -> np.ndarray:
-    """Share one gNodeB's bandwidth across services.
+    """Share each gNodeB's bandwidth across services.
 
-    Each service's demand is its offered load clipped to its MBR cap. The
+    ``offered`` is ``[services]`` for one gNodeB or ``[services, gNodeBs]``
+    for several; ``priorities`` and ``mbrs`` are ``[services]`` and apply to
+    every gNodeB, and the result has the shape of ``offered``. Per gNodeB,
+    each service's demand is its offered load clipped to its MBR cap. The
     bandwidth is split proportionally to priority-weighted demand; services
     whose demand falls below their share are served in full and their surplus
     is redistributed among the rest by the same weights, repeated to a fixed
-    point. The result never exceeds demand and sums to at most ``bandwidth``.
+    point. All gNodeBs are filled together, one masked pass per round; each
+    round either serves a service in full or settles the gNodeB, so at most
+    one pass per service is needed. The result never exceeds demand and sums
+    to at most ``bandwidth`` per gNodeB.
     """
     offered = np.asarray(offered, dtype=np.float64)
-    demand = np.minimum(offered, mbrs)
-    served = np.zeros_like(demand)
-    weights = priorities.astype(np.float64) * demand
+    demand = np.minimum(offered.reshape(len(offered), -1), np.asarray(mbrs, dtype=np.float64)[:, None])
+    served = np.zeros(offered.shape)
+    columns = served.reshape(demand.shape)  # a view: writes land in served
+    weights = np.asarray(priorities, dtype=np.float64)[:, None] * demand
     unsat = demand > 0
-    budget = float(bandwidth)
-    while unsat.any() and budget > 1e-12:
-        total_w = weights[unsat].sum()
-        if total_w <= 0:
+    budget = np.full(demand.shape[1], float(bandwidth))
+    for _ in range(len(demand)):
+        unsat &= budget > 1e-12
+        if not unsat.any():
             break
-        shares = np.zeros_like(demand)
-        shares[unsat] = budget * weights[unsat] / total_w
+        # masked lanes add +0.0, so each sum equals that over the unsaturated lanes alone
+        total_w = np.where(unsat, weights, 0.0).sum(axis=0)
+        dead = total_w <= 0
+        unsat &= ~dead
+        shares = budget * weights / np.where(dead, 1.0, total_w)
         full = unsat & (demand <= shares + 1e-12)
-        if not full.any():
-            served[unsat] = shares[unsat]
-            budget = 0.0
-            break
-        served[full] = demand[full]
-        budget -= demand[full].sum()
-        unsat &= ~full
+        # a gNodeB where no service saturates hands out its shares and is done
+        spill = unsat & ~full.any(axis=0)
+        np.copyto(columns, shares, where=spill)
+        np.copyto(columns, demand, where=full)
+        budget = budget - np.where(full, demand, 0.0).sum(axis=0)
+        unsat &= ~(spill | full)
     return served
 
 
@@ -250,27 +259,21 @@ def offered_loads(state: NetworkState, rng: np.random.Generator | None) -> np.nd
 
 def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     """Run the allocator on every gNodeB and aggregate KPIs by UE share."""
-    n = len(state.services)
-    served = np.zeros_like(offered)
-    for g in range(N_GNODEBS):
-        served[:, g] = allocate_capacity(
-            offered[:, g], state.controls.priority, state.controls.mbr, state.airlink_bandwidth
-        )
+    served = allocate_capacity(
+        offered, state.controls.priority, state.controls.mbr, state.airlink_bandwidth
+    )
+    # compute_qoe and compute_packet_loss on every [service, gNodeB] lane; an
+    # idle lane scores full QoE and no loss, and divides by a stand-in 1.0
+    busy = offered > 0
+    load = np.where(busy, offered, 1.0)
+    qoe = np.where(busy, np.clip(1.0 + 4.0 * (served / load), *QOE_RANGE), QOE_RANGE[1])
+    loss = np.where(busy, np.clip(100.0 * (offered - served) / load, *PL_RANGE), 0.0)
+    is_qoe = np.array([svc.kpi_kind is KpiKind.QOE for svc in state.services])
+    per_gnb = np.where(is_qoe[:, None], qoe, loss)
     weights = np.asarray(state.distribution.weights)
-    kpi = np.zeros(n)
-    for i, svc in enumerate(state.services):
-        if svc.kpi_kind is KpiKind.QOE:
-            per_gnb = np.array(
-                [
-                    compute_qoe(served[i, g], offered[i, g]) if offered[i, g] > 0 else QOE_RANGE[1]
-                    for g in range(N_GNODEBS)
-                ]
-            )
-        else:
-            per_gnb = np.array(
-                [compute_packet_loss(offered[i, g], served[i, g]) for g in range(N_GNODEBS)]
-            )
-        kpi[i] = float(per_gnb @ weights)
+    # one row-times-weights product per service: a plain [services, gNodeBs]
+    # @ [gNodeBs] product sums in another order and changes the last bits
+    kpi = (per_gnb[:, None, :] @ weights[:, None]).flatten()
     return KpiReport(
         kpi=kpi,
         offered=offered.sum(axis=1),

@@ -32,7 +32,6 @@ from .agents import (
     agent_roster,
     goal_achieved,
     goal_value,
-    normalize_goal,
     observe,
     run_episode,
 )
@@ -550,15 +549,14 @@ class PolicyGoals:
         roster = self.policy.agents
         # a copy: capability tracking updates rho in place during training
         self.gammas = np.array([self.capabilities[a.key].rho for a in roster])
-        tuples = []
-        for a in roster:
-            svc = self.config.services[a.intent_index]
+        # per agent: observation, one-hot last action, normalized goal (the
+        # observation's own goal field)
+        self.tuples = np.zeros((len(roster), TUPLE_DIM))
+        for i, a in enumerate(roster):
             obs = observe(state, report, a, current.values[a.key])
-            onehot = np.zeros(N_ACTION_ONEHOT)
-            onehot[int(last_action[a.key])] = 1.0
-            goal_norm = normalize_goal(svc.kpi_kind, current.values[a.key])
-            tuples.append(np.concatenate([obs.as_array(), onehot, [goal_norm]]))
-        self.tuples = np.array(tuples)
+            self.tuples[i, :4] = (obs.kpi, obs.knob, obs.goal, obs.congestion)
+            self.tuples[i, 4 + int(last_action[a.key])] = 1.0
+            self.tuples[i, -1] = obs.goal
         assignment, _, self.hidden, self.forward = act(
             self.policy, self.config, self.gammas, self.tuples, self.targets, self.hidden, self.rng, self.explore
         )

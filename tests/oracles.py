@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from atmarl.slice_sim import N_GNODEBS, QOE_RANGE, KpiKind, compute_packet_loss, compute_qoe
+
 
 def packet_scheduling_oracle(
     offered,
@@ -55,3 +57,60 @@ def packet_scheduling_oracle(
             budget -= int(draws.sum())
         served_acc += served * packet_size
     return served_acc / repetitions
+
+
+def scalar_allocate_capacity(offered, priorities, mbrs, bandwidth: float) -> np.ndarray:
+    """One gNodeB's water-filling as a scalar loop over the unsaturated services.
+
+    ``allocate_capacity`` must equal it bit for bit on every gNodeB column.
+    """
+    offered = np.asarray(offered, dtype=np.float64)
+    demand = np.minimum(offered, mbrs)
+    served = np.zeros_like(demand)
+    weights = priorities.astype(np.float64) * demand
+    unsat = demand > 0
+    budget = float(bandwidth)
+    while unsat.any() and budget > 1e-12:
+        total_w = weights[unsat].sum()
+        if total_w <= 0:
+            break
+        shares = np.zeros_like(demand)
+        shares[unsat] = budget * weights[unsat] / total_w
+        full = unsat & (demand <= shares + 1e-12)
+        if not full.any():
+            served[unsat] = shares[unsat]
+            budget = 0.0
+            break
+        served[full] = demand[full]
+        budget -= demand[full].sum()
+        unsat &= ~full
+    return served
+
+
+def scalar_kpis(state, offered) -> tuple[np.ndarray, np.ndarray]:
+    """Served rates and per-service KPIs, one gNodeB and one service at a time.
+
+    Allocation runs ``scalar_allocate_capacity`` per gNodeB, the KPIs run the
+    scalar ``compute_qoe``/``compute_packet_loss`` per lane, and each
+    service's readings are aggregated by UE share with one row-times-weights
+    product. ``evaluate_kpis`` must equal it bit for bit.
+    """
+    served = np.zeros_like(offered)
+    for g in range(N_GNODEBS):
+        served[:, g] = scalar_allocate_capacity(
+            offered[:, g], state.controls.priority, state.controls.mbr, state.airlink_bandwidth
+        )
+    weights = np.asarray(state.distribution.weights)
+    kpi = np.zeros(len(state.services))
+    for i, svc in enumerate(state.services):
+        if svc.kpi_kind is KpiKind.QOE:
+            per_gnb = np.array(
+                [
+                    compute_qoe(served[i, g], offered[i, g]) if offered[i, g] > 0 else QOE_RANGE[1]
+                    for g in range(N_GNODEBS)
+                ]
+            )
+        else:
+            per_gnb = np.array([compute_packet_loss(offered[i, g], served[i, g]) for g in range(N_GNODEBS)])
+        kpi[i] = float(per_gnb @ weights)
+    return served, kpi

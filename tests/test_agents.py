@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from atmarl import slice_sim
 from atmarl.agents import (
     ACHIEVEMENT_HORIZON,
+    CONGESTION_MAX,
+    OBS_BINS,
     AgentId,
     AgentObservation,
     CapabilityVector,
@@ -21,6 +23,7 @@ from atmarl.agents import (
     estimate_capabilities,
     goal_achieved,
     goal_value,
+    normalize_knob,
     observe,
     pretrain_system,
     select_action,
@@ -89,6 +92,37 @@ def test_observation_fields_bounded():
 
 
 # ---------------------------------------------------------------------------
+# discretize
+
+
+def numpy_bin(x):
+    """The table bin of a unit-scaled field, as defined with ``np.clip``."""
+    return min(int(np.clip(x, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
+
+
+def test_discretize_bins_edges_and_out_of_range_values():
+    edges = [k / OBS_BINS for k in range(OBS_BINS + 1)]
+    probes = [-np.inf, -1.0, -1e-300, 1.5, 7.0, np.inf]
+    for e in edges:
+        probes += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+    for k, e in enumerate(edges):
+        assert numpy_bin(e) == min(k, OBS_BINS - 1)
+    for x in probes:
+        obs = AgentObservation(kpi=x, knob=x, goal=x, congestion=x * CONGESTION_MAX)
+        expected = (numpy_bin(x), numpy_bin(x), numpy_bin(x), numpy_bin(x * CONGESTION_MAX / CONGESTION_MAX))
+        assert discretize(obs) == expected, x
+    assert discretize(AgentObservation(-0.5, -0.5, -0.5, -0.5)) == (0, 0, 0, 0)
+    assert discretize(AgentObservation(1.2, 1.2, 1.2, 2.0)) == (OBS_BINS - 1,) * 4
+
+
+@pytest.mark.parametrize("field", ["kpi", "knob", "goal", "congestion"])
+def test_discretize_rejects_nan(field):
+    fields = {"kpi": 0.5, "knob": 0.5, "goal": 0.5, "congestion": 0.5, field: float("nan")}
+    with pytest.raises(ValueError):
+        discretize(AgentObservation(**fields))
+
+
+# ---------------------------------------------------------------------------
 # select_action
 
 
@@ -119,8 +153,64 @@ def test_select_action_tie_breaks_to_hold():
     assert action is KnobAction.HOLD
 
 
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        ([0.0, 0.0, 0.0], KnobAction.HOLD),
+        ([1.0, 1.0, 0.0], KnobAction.HOLD),
+        ([0.0, 1.0, 1.0], KnobAction.HOLD),
+        ([1.0, 0.0, 1.0], KnobAction.DECREMENT),  # first maximum wins
+        ([-1.0, -2.0, -1.0], KnobAction.DECREMENT),
+        ([0.9, 0.0, 0.5], KnobAction.DECREMENT),
+        ([0.5, 0.0, 0.9], KnobAction.INCREMENT),
+        ([0.0, np.nextafter(0.5, 0.0), 0.5], KnobAction.INCREMENT),
+    ],
+)
+def test_select_action_greedy_tie_rules(q, expected):
+    table = QTable.create()
+    obs = AgentObservation(0.3, 0.6, 0.9, 0.4)
+    table.values[discretize(obs)] = q
+    assert select_action(table, obs, explore=False, rng=np.random.default_rng(0)) is expected
+
+
 # ---------------------------------------------------------------------------
 # knob application
+
+
+@pytest.mark.parametrize(
+    "system, start, action",
+    [
+        (SystemKind.PRIORITY, PRIORITY_LEVELS[0], KnobAction.DECREMENT),
+        (SystemKind.PRIORITY, PRIORITY_LEVELS[-1], KnobAction.INCREMENT),
+        (SystemKind.MBR, MBR_LEVELS[0], KnobAction.DECREMENT),
+        (SystemKind.MBR, MBR_LEVELS[-1], KnobAction.INCREMENT),
+    ],
+)
+def test_apply_action_saturates_at_both_ladder_ends(system, start, action):
+    cfg, state, _ = fresh_state()
+    knobs = state.controls.priority if system is SystemKind.PRIORITY else state.controls.mbr
+    knobs[1] = start
+    apply_action(state, AgentId(system, 1), action)
+    assert knobs[1] == start
+    assert state.controls.priority.dtype == np.int64
+    assert state.controls.mbr.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "value, rung",
+    [(3.0, 2), (5.0, 3), (7.0, 4), (0.75, 0), (2.9, 2), (3.1, 3), (0.0, 0), (12.0, 6)],
+)
+def test_off_ladder_mbr_resolves_to_first_nearest_rung(value, rung):
+    cfg, state, _ = fresh_state()
+    agent = AgentId(SystemKind.MBR, 0)
+    state.controls.mbr[0] = value
+    assert normalize_knob(agent, state) == rung / (len(MBR_LEVELS) - 1)
+    apply_action(state, agent, KnobAction.HOLD)
+    assert state.controls.mbr[0] == MBR_LEVELS[rung]
+    state.controls.mbr[0] = value
+    apply_action(state, agent, KnobAction.INCREMENT)
+    assert state.controls.mbr[0] == MBR_LEVELS[min(rung + 1, len(MBR_LEVELS) - 1)]
+    assert state.controls.mbr.dtype == np.float64
 
 
 def test_apply_action_saturates_priority_ladder():

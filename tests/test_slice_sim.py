@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from atmarl.config import default_scenario
 from atmarl.errors import ScenarioError
 from atmarl.slice_sim import (
+    MBR_LEVELS,
+    N_GNODEBS,
     DistributionKind,
     DistributionSpec,
     KpiKind,
@@ -21,7 +23,7 @@ from atmarl.slice_sim import (
     step,
 )
 
-from oracles import packet_scheduling_oracle
+from oracles import packet_scheduling_oracle, scalar_allocate_capacity, scalar_kpis
 
 
 def make_state(seed=7, distribution=DistributionKind.UNIFORM):
@@ -125,8 +127,6 @@ def test_allocate_matches_packet_oracle_on_random_contended_instances():
 )
 @settings(max_examples=60, deadline=None)
 def test_allocate_conservation(offered, priorities, mbr_idx):
-    from atmarl.slice_sim import MBR_LEVELS
-
     n = len(offered)
     offered = np.array(offered)
     pri = np.array(priorities[:n])
@@ -167,6 +167,91 @@ def test_priority_conflict_pair():
         pl_hi = compute_packet_loss(offered[1], hi[1])
         assert qoe_hi >= qoe_lo - 1e-9
         assert pl_hi >= pl_lo - 1e-9
+
+
+@st.composite
+def allocation_inputs(draw):
+    """3 or 5 services x 4 gNodeBs, each gNodeB drawn from one load regime.
+
+    Regimes: free loads with idle lanes; light loads under which every
+    service is served in full; heavy loads that exhaust the budget; and
+    water-filling edges: a demand within about 1e-12 of its share, alone on
+    the gNodeB or paired with a service of no lower priority, or a service
+    served in full that leaves a budget near the 1e-12 cut-off.
+    """
+    n = draw(st.sampled_from([3, 5]))
+    bandwidth = draw(st.sampled_from([10.0, 4.0]) | st.floats(0.5, 10.0))
+    priorities = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    mbrs = np.array([MBR_LEVELS[i] for i in draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))])
+    regime = st.sampled_from(["free", "light", "heavy", "alone", "pair", "leftover"])
+    regimes = draw(st.lists(regime, min_size=N_GNODEBS, max_size=N_GNODEBS))
+    edges = {}
+    for g, regime in enumerate(regimes):
+        if regime in ("alone", "pair", "leftover"):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            mbrs[[i, j]] = MBR_LEVELS[-1]  # the edges are on demand, so no cap may cut them
+            if regime == "leftover":
+                priorities[[i, j]] = 5, 1
+            edges[g] = (i, j)
+    offered = np.zeros((n, N_GNODEBS))
+    idle_or = lambda lo, hi: st.just(0.0) | st.floats(lo, hi)  # noqa: E731
+    for g, regime in enumerate(regimes):
+        delta = draw(st.sampled_from([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12]))
+        if regime == "free":
+            offered[:, g] = draw(st.lists(idle_or(1e-3, 12.0), min_size=n, max_size=n))
+        elif regime == "light":
+            offered[:, g] = draw(st.lists(idle_or(1e-3, bandwidth / n), min_size=n, max_size=n))
+        elif regime == "heavy":
+            offered[:, g] = draw(st.lists(st.floats(bandwidth / n, 12.0), min_size=n, max_size=n))
+        elif regime == "alone":
+            offered[edges[g][0], g] = bandwidth + delta
+        elif regime == "pair":
+            i, j = sorted(edges[g], key=lambda k: priorities[k])
+            # share_i = B p_i d_i / (p_i d_i + p_j d_j) = d_i when p_j d_j = p_i (B - d_i)
+            offered[i, g] = draw(st.floats(0.1 * bandwidth, 0.9 * bandwidth))
+            offered[j, g] = priorities[i] * (bandwidth - offered[i, g]) / priorities[j] + delta
+        else:
+            # i (priority 5) is served in full and leaves a budget at the
+            # 1e-12 cut-off, below what j (priority 1) still wants
+            i, j = edges[g]
+            left = draw(st.sampled_from([5e-13, 8e-13, 1e-12, 1.5e-12]))
+            offered[i, g] = bandwidth - left
+            offered[j, g] = 4.0 * left
+    return offered, priorities, mbrs, bandwidth
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), f"{actual!r} != {expected!r}"
+
+
+@given(case=allocation_inputs())
+@settings(max_examples=300, deadline=None)
+def test_allocate_all_gnodebs_equals_scalar_per_gnodeb(case):
+    offered, priorities, mbrs, bandwidth = case
+    expected = np.stack(
+        [scalar_allocate_capacity(offered[:, g], priorities, mbrs, bandwidth) for g in range(N_GNODEBS)], axis=1
+    )
+    assert_same_bits(allocate_capacity(offered, priorities, mbrs, bandwidth), expected)
+    for g in range(N_GNODEBS):
+        assert_same_bits(allocate_capacity(offered[:, g], priorities, mbrs, bandwidth), expected[:, g])
+
+
+@given(case=allocation_inputs(), spread=st.lists(st.integers(0, 20), min_size=N_GNODEBS, max_size=N_GNODEBS))
+@settings(max_examples=300, deadline=None)
+def test_evaluate_kpis_equals_scalar_per_lane(case, spread):
+    offered, priorities, mbrs, bandwidth = case
+    state = init_scenario(default_scenario(five_intents=len(offered) == 5))
+    state.controls.priority[:] = priorities
+    state.controls.mbr[:] = mbrs
+    state.airlink_bandwidth = bandwidth
+    if sum(spread) > 0:
+        weights = tuple(w / sum(spread) for w in spread)
+        state = set_distribution(state, DistributionSpec(DistributionKind.UNIFORM, weights))
+    served, kpi = scalar_kpis(state, offered)
+    report = evaluate_kpis(state, offered)
+    assert_same_bits(report.served_per_gnb, served)
+    assert_same_bits(report.kpi, kpi)
 
 
 # ---------------------------------------------------------------------------
