@@ -15,6 +15,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,15 +72,11 @@ class AgentId:
         return f"{self.system.value.lower()}_{self.intent_index}"
 
 
-@dataclass(frozen=True)
-class AgentObservation:
+class AgentObservation(NamedTuple):
     kpi: float  # own KPI, normalized
     knob: float  # own knob level, normalized
     goal: float  # assigned goal, normalized
     congestion: float  # slice offered / slice bandwidth
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.kpi, self.knob, self.goal, self.congestion])
 
 
 @dataclass
@@ -143,15 +140,10 @@ def nearest_goal_level(kpi_kind: KpiKind, value: float) -> int:
 
 
 def normalize_kpi(kpi_kind: KpiKind, value: float) -> float:
+    """A KPI reading or a goal in KPI space, on the observation's scale."""
     if kpi_kind is KpiKind.QOE:
         return (value - 1.0) / 4.0
     return min(value / PL_SCALE, CONGESTION_MAX)
-
-
-def normalize_goal(kpi_kind: KpiKind, goal_kpi: float) -> float:
-    if kpi_kind is KpiKind.QOE:
-        return (goal_kpi - 1.0) / 4.0
-    return min(goal_kpi / PL_SCALE, CONGESTION_MAX)
 
 
 def normalize_knob(agent: AgentId, state: NetworkState) -> float:
@@ -180,8 +172,8 @@ def observe(state: NetworkState, report: KpiReport, agent: AgentId, goal_kpi: fl
     return AgentObservation(
         kpi=normalize_kpi(svc.kpi_kind, float(report.kpi[agent.intent_index])),
         knob=normalize_knob(agent, state),
-        goal=normalize_goal(svc.kpi_kind, goal_kpi),
-        congestion=min(report.congestion(state), CONGESTION_MAX),
+        goal=normalize_kpi(svc.kpi_kind, goal_kpi),
+        congestion=min(report.congestion, CONGESTION_MAX),
     )
 
 
@@ -259,34 +251,45 @@ def run_episode(
 ) -> None:
     """The closed loop shared by pre-training, supervisor training and evaluation.
 
-    Each step applies the UE redistribution scheduled for it, asks
-    ``goals(t, state, report, current, last_action)`` for this step's
-    assignment and active planes (``current`` is the previous step's
-    assignment, None on the first step), lets every agent of an active plane
-    observe its goal, pick an action and move its knob, steps the network,
-    and hands the outcome to ``on_step(t, state, report, current, active,
-    taken)``, where ``taken`` maps agent key to its (observation, action).
+    The agents are those of the roster that have a Q-table. The engine is the
+    only caller of ``observe``: it observes every agent once per report, into
+    ``seen`` (agent key to observation). The noise-free opening report is
+    observed against each intent's target; every later report against the
+    goal the agent was last assigned. Each step applies the UE redistribution
+    scheduled for it, asks ``goals(t, seen, last_action)`` for this step's
+    assignment and active planes, and lets every agent of an active plane act
+    on its observation, with the goal field replaced where its assigned goal
+    changed, and move its knob. It then steps the network, observes the new
+    report and hands the outcome to ``on_step(t, state, report, current,
+    active, taken, seen)``, where ``taken`` maps agent key to the
+    (observation, action) acted on.
     """
-    roster = agent_roster(config)
+    roster = [a for a in agent_roster(config) if a.key in qtables]
     shifts = dict(shift_schedule)
     report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
-    current = None
+    aimed = {a.key: config.services[a.intent_index].kpi_target for a in roster}
+    seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
     last_action = {a.key: KnobAction.HOLD for a in roster}
     for t in range(episode_length):
         if t in shifts:
             state = slice_sim.set_distribution(state, shifts[t])
-        current, active = goals(t, state, report, current, last_action)
+        current, active = goals(t, seen, last_action)
         taken = {}
         for a in roster:
             if a.system not in active:
                 continue
-            obs = observe(state, report, a, current.values[a.key])
+            obs = seen[a.key]
+            goal = current.values[a.key]
+            if goal != aimed[a.key]:
+                obs = obs._replace(goal=normalize_kpi(config.services[a.intent_index].kpi_kind, goal))
             action = select_action(qtables[a.key], obs, explore=explore, rng=rng)
             apply_action(state, a, action)
             last_action[a.key] = action
             taken[a.key] = (obs, action)
         state, report = sim_step(state, rng)
-        on_step(t, state, report, current, active, taken)
+        aimed = current.values
+        seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
+        on_step(t, state, report, current, active, taken, seen)
 
 
 @dataclass
@@ -298,9 +301,6 @@ class PretrainConfig:
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     reward_floor: float = -0.5  # mean final-phase reward below this flags non-convergence
-    # UE spreads sampled per episode; agents arrive robust to the radio
-    # environment, so the generalization experiments probe the supervisor
-    vary_distribution: bool = True
 
 
 @dataclass
@@ -337,7 +337,9 @@ def pretrain_system(
     logs: list[dict] = []
     recent_rewards: list[float] = []
     anneal = params.episodes * 0.7
-    spreads = list(slice_sim.DistributionKind) if params.vary_distribution else [config.distribution.kind]
+    # UE spreads sampled per episode; agents arrive robust to the radio
+    # environment, so the generalization experiments probe the supervisor
+    spreads = list(slice_sim.DistributionKind)
     planes = {system}
     for episode in range(params.episodes):
         eps = max(
@@ -358,7 +360,7 @@ def pretrain_system(
         hit_step = {a.key: None for a in agents}
         episode_reward = 0.0
 
-        def learn(t, state, report, current, active, taken):
+        def learn(t, state, report, current, active, taken, seen):
             nonlocal episode_reward
             for a in agents:
                 svc = config.services[a.intent_index]
@@ -367,7 +369,7 @@ def pretrain_system(
                 r = agent_reward(kpi, goal_kpi, svc.kpi_kind)
                 episode_reward += r
                 obs, action = taken[a.key]
-                nb = discretize(observe(state, report, a, goal_kpi))
+                nb = discretize(seen[a.key])
                 table = tables[a.key]
                 sa = discretize(obs) + (int(action),)
                 td = r + table.discount * max(table.values[nb].tolist()) - table.values[sa]

@@ -146,6 +146,26 @@ class Artifacts:
 # stages
 
 
+def _capability_blocks(capabilities: dict[str, CapabilityVector]) -> dict[str, np.ndarray]:
+    """Checkpoint blocks of capability vectors: ``capability.<key>`` and ``capability_mask.<key>``."""
+    arrays = {}
+    for key, vec in capabilities.items():
+        arrays[f"capability.{key}"] = vec.rho
+        arrays[f"capability_mask.{key}"] = vec.from_data.astype(np.float64)
+    return arrays
+
+
+def _read_capabilities(arrays: dict[str, np.ndarray], config: ScenarioConfig) -> dict[str, CapabilityVector]:
+    """The capability vectors of ``config``'s roster from blocks written by ``_capability_blocks``."""
+    return {
+        a.key: CapabilityVector(
+            rho=take_block(arrays, f"capability.{a.key}", (GOAL_LEVELS,)),
+            from_data=take_block(arrays, f"capability_mask.{a.key}", (GOAL_LEVELS,)) > 0.5,
+        )
+        for a in agent_roster(config)
+    }
+
+
 def stage_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     rng = np.random.default_rng(plan.pretrain_seed)
     results = {}
@@ -157,29 +177,19 @@ def stage_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     qtables = {**results[SystemKind.PRIORITY].qtables, **results[SystemKind.MBR].qtables}
     capabilities = estimate_capabilities(logs, plan.scenario)
     write_pretrain_log(logs, out_dir / "pretrain_log.csv")
-    arrays = {}
-    for key, table in qtables.items():
-        arrays[f"qtable.{key}"] = table.values
-    for key, vec in capabilities.items():
-        arrays[f"capability.{key}"] = vec.rho
-        arrays[f"capability_mask.{key}"] = vec.from_data.astype(np.float64)
+    arrays = {f"qtable.{key}": table.values for key, table in qtables.items()}
+    arrays.update(_capability_blocks(capabilities))
     save_checkpoint(out_dir / "pretrain.ckpt", arrays, meta={"intents": str(plan.scenario.intent_count)})
     return Artifacts(qtables=qtables, capabilities=capabilities)
 
 
 def load_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     meta, arrays = load_checkpoint(out_dir / "pretrain.ckpt")
-    qtables = {}
-    capabilities = {}
     table_shape = (OBS_BINS,) * 4 + (N_ACTIONS,)
-    for agent in agent_roster(plan.scenario):
-        key = agent.key
-        qtables[key] = QTable(values=take_block(arrays, f"qtable.{key}", table_shape))
-        capabilities[key] = CapabilityVector(
-            rho=take_block(arrays, f"capability.{key}", (GOAL_LEVELS,)),
-            from_data=take_block(arrays, f"capability_mask.{key}", (GOAL_LEVELS,)) > 0.5,
-        )
-    return Artifacts(qtables=qtables, capabilities=capabilities)
+    qtables = {
+        a.key: QTable(values=take_block(arrays, f"qtable.{a.key}", table_shape)) for a in agent_roster(plan.scenario)
+    }
+    return Artifacts(qtables=qtables, capabilities=_read_capabilities(arrays, plan.scenario))
 
 
 _POLICY_FILES = {
@@ -208,9 +218,7 @@ def stage_train_supervisor(plan: ExperimentPlan, artifacts: Artifacts, approach:
     capabilities = {k: CapabilityVector(rho=v.rho.copy(), from_data=v.from_data.copy()) for k, v in artifacts.capabilities.items()}
     train_supervisor(policy, scenario, artifacts.qtables, capabilities, rng, plan.train_cfg)
     arrays = {f"policy.{k}": v for k, v in policy.named_params().items()}
-    for key, vec in capabilities.items():
-        arrays[f"capability.{key}"] = vec.rho
-        arrays[f"capability_mask.{key}"] = vec.from_data.astype(np.float64)
+    arrays.update(_capability_blocks(capabilities))
     save_checkpoint(
         out_dir / _POLICY_FILES[approach],
         arrays,
@@ -230,14 +238,8 @@ def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, 
     policy = create_policy(np.random.default_rng(0), scenario, mode=mode)
     for key, param in policy.named_params().items():
         param[...] = take_block(arrays, f"policy.{key}", param.shape)
-    capabilities = {}
-    for agent in agent_roster(scenario):
-        capabilities[agent.key] = CapabilityVector(
-            rho=take_block(arrays, f"capability.{agent.key}", (GOAL_LEVELS,)),
-            from_data=take_block(arrays, f"capability_mask.{agent.key}", (GOAL_LEVELS,)) > 0.5,
-        )
     artifacts.policies[approach.value] = policy
-    artifacts.policy_capabilities[approach.value] = capabilities
+    artifacts.policy_capabilities[approach.value] = _read_capabilities(arrays, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def evaluate_episode(
     )
     rows = []
 
-    def record(t, state, report, current, active, taken):
+    def record(t, state, report, current, active, taken, seen):
         rows.append(
             [t]
             + [float(report.kpi[k]) for k in range(len(config.services))]

@@ -151,10 +151,7 @@ class KpiReport:
     served: np.ndarray
     offered_per_gnb: np.ndarray  # [services, gnodebs]
     served_per_gnb: np.ndarray  # [services, gnodebs]
-
-    def congestion(self, state: NetworkState) -> float:
-        total_bw = state.airlink_bandwidth * N_GNODEBS
-        return float(self.offered.sum() / total_bw)
+    congestion: float  # slice offered / slice bandwidth
 
 
 def init_scenario(config) -> NetworkState:
@@ -274,12 +271,14 @@ def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     # one row-times-weights product per service: a plain [services, gNodeBs]
     # @ [gNodeBs] product sums in another order and changes the last bits
     kpi = (per_gnb[:, None, :] @ weights[:, None]).flatten()
+    offered_totals = offered.sum(axis=1)
     return KpiReport(
         kpi=kpi,
-        offered=offered.sum(axis=1),
+        offered=offered_totals,
         served=served.sum(axis=1),
         offered_per_gnb=offered,
         served_per_gnb=served,
+        congestion=float(offered_totals.sum() / (state.airlink_bandwidth * N_GNODEBS)),
     )
 
 

@@ -32,10 +32,8 @@ from .agents import (
     agent_roster,
     goal_achieved,
     goal_value,
-    observe,
     run_episode,
 )
-from .baselines import naive_parallel_goals
 from .config import ScenarioConfig
 from .errors import TrainingDivergence
 from .nn import (
@@ -360,7 +358,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     critic_coef: float = 0.5
     grad_clip: float = 5.0
-    normalize_advantage: bool = True
     # fraction of training episodes that start from randomized knob settings,
     # so the goal policy learns recovery behavior beyond the canonical
     # default-start transient
@@ -518,10 +515,10 @@ class TrainStats:
 class PolicyGoals:
     """Goal source for ``run_episode``: the supervisor assigns fresh goals every step.
 
-    Agents start aimed at the global targets until the first assignment. The
-    latest decision's leaf inputs and forward caches stay readable as
-    ``gammas``, ``tuples`` and ``forward`` until the next step; nothing older
-    is kept.
+    Each decision reads the engine's observations, which before the first
+    assignment are made against the global targets. The latest decision's
+    leaf inputs and forward caches stay readable as ``gammas``, ``tuples``
+    and ``forward`` until the next step; nothing older is kept.
     """
 
     def __init__(
@@ -539,13 +536,11 @@ class PolicyGoals:
         self.explore = explore
         self.targets = np.array([it.normalized_target for it in intents_of(config)])
         self.hidden = ActorHidden.zeros(policy.dims.gru)
-        self.start = naive_parallel_goals(config)
         self.gammas = np.zeros((0, GOAL_LEVELS))
         self.tuples = np.zeros((0, TUPLE_DIM))
         self.forward: StepForward | None = None
 
-    def __call__(self, t, state, report, current, last_action):
-        current = self.start if current is None else current
+    def __call__(self, t, seen, last_action):
         roster = self.policy.agents
         # a copy: capability tracking updates rho in place during training
         self.gammas = np.array([self.capabilities[a.key].rho for a in roster])
@@ -553,8 +548,8 @@ class PolicyGoals:
         # observation's own goal field)
         self.tuples = np.zeros((len(roster), TUPLE_DIM))
         for i, a in enumerate(roster):
-            obs = observe(state, report, a, current.values[a.key])
-            self.tuples[i, :4] = (obs.kpi, obs.knob, obs.goal, obs.congestion)
+            obs = seen[a.key]
+            self.tuples[i, :4] = obs
             self.tuples[i, 4 + int(last_action[a.key])] = 1.0
             self.tuples[i, -1] = obs.goal
         assignment, _, self.hidden, self.forward = act(
@@ -586,7 +581,7 @@ def rollout_episode(
     # in service mode the heads read their rung off the priority agents
     head_keys = [a.key for a in policy.agents[: policy.n_heads]]
 
-    def record(t, state, report, current, active, taken):
+    def record(t, state, report, current, active, taken, seen):
         if tracker is not None:
             tracker.observe_step(current, report, policy.agents)
         traj.gammas.append(goals.gammas)
@@ -629,7 +624,7 @@ def train_supervisor(
         returns = discounted_returns(traj.rewards, cfg.discount)
         values = np.array([f.value for f in traj.forwards])
         advantages = returns - values
-        if cfg.normalize_advantage and len(advantages) > 1:
+        if len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         grads, losses = episode_gradients(policy, traj, advantages, returns, cfg)
         if not all(np.all(np.isfinite(g)) for g in grads.values()):

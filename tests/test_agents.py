@@ -62,7 +62,9 @@ def test_observe_zero_packet_loss_normalizes_to_zero():
 
 def test_observe_congestion_ratio():
     cfg, state, report = fresh_state()
-    report.offered = np.array([6.0, 3.0, 3.0])
+    # 6 + 3 + 3 = 12 Mbps offered across four 10 Mbps gNodeBs
+    loads = np.array([6.0, 3.0, 3.0])[:, None] * np.asarray(state.distribution.weights)[None, :]
+    report = slice_sim.evaluate_kpis(state, loads)
     obs = observe(state, report, AgentId(SystemKind.MBR, 0), goal_kpi=4.0)
     assert obs.congestion == pytest.approx(12.0 / 40.0)
 
@@ -87,7 +89,7 @@ def test_observation_fields_bounded():
     report.kpi[1] = 90.0  # blown packet loss still maps inside the bound
     for agent in agent_roster(cfg):
         obs = observe(state, report, agent, goal_kpi=3.0)
-        arr = obs.as_array()
+        arr = np.array(obs)
         assert (arr >= 0.0).all() and (arr <= 1.5).all()
 
 
@@ -318,6 +320,13 @@ def test_pretrain_other_system_knobs_frozen():
     rng = np.random.default_rng(5)
     res = pretrain_system(SystemKind.PRIORITY, cfg, rng, PretrainConfig(episodes=3, episode_length=5))
     assert set(res.qtables) == {"priority_0", "priority_1", "priority_2"}
+
+
+def test_pretrain_observes_each_agent_once_per_report(observe_calls):
+    # one plane's agents, at the opening report and after each of the 5 steps
+    cfg = default_scenario()
+    pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), PretrainConfig(episodes=4, episode_length=5))
+    assert len(observe_calls) == 4 * cfg.intent_count * (5 + 1)
 
 
 def test_pretrain_deterministic():

@@ -272,6 +272,7 @@ def _report(kpis):
         served=np.zeros(n),
         offered_per_gnb=np.zeros((n, 4)),
         served_per_gnb=np.zeros((n, 4)),
+        congestion=0.0,
     )
 
 
@@ -394,6 +395,15 @@ def test_rollout_both_systems_act_each_step(tiny_system):
     # at least one knob in each plane within the first steps of some episode
     # (weak check: the trajectory recorded actions through its tuples)
     assert all(len(ts) == 6 for ts in traj.tuples)
+
+
+def test_rollout_observes_each_agent_once_per_report(tiny_system, observe_calls):
+    # the opening report and the one after each of the 12 steps, 6 agents each
+    cfg, qtables, caps = tiny_system
+    rng = np.random.default_rng(2)
+    policy = create_policy(rng, cfg, dims=TOY_DIMS)
+    rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
+    assert len(observe_calls) == 6 * (12 + 1)
 
 
 def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
