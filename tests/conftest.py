@@ -1,10 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # let test modules import the shared oracle helpers
 sys.path.insert(0, str(Path(__file__).parent))
-
-import pytest
 
 
 @pytest.fixture
