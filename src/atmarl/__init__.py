@@ -34,7 +34,6 @@ from .slice_sim import (
     step,
 )
 from .supervisor import (
-    GlobalIntent,
     GoalAssignment,
     GoalMode,
     SupervisorPolicy,

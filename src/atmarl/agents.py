@@ -34,6 +34,7 @@ from .slice_sim import (
 
 GOAL_LEVELS = 8
 ACHIEVEMENT_HORIZON = 5
+CAPABILITY_EMA = 0.05  # weight of the newest outcome in an online capability update
 
 # Observation scales. QoE maps [1,5] onto [0,1]; packet loss uses an
 # operational 8-percent window so that one table bin spans 1% (the full
@@ -84,9 +85,6 @@ class QTable:
     """Dense state-action values over the binned observation space."""
 
     values: np.ndarray  # [OBS_BINS]*4 + [N_ACTIONS]
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    exploration: float = 0.05
 
     @classmethod
     def create(cls) -> "QTable":
@@ -104,9 +102,9 @@ class CapabilityVector:
     def prior(cls) -> "CapabilityVector":
         return cls(rho=np.full(GOAL_LEVELS, 0.5), from_data=np.zeros(GOAL_LEVELS, dtype=bool))
 
-    def ema_update(self, level: int, achieved: bool, factor: float = 0.05):
+    def ema_update(self, level: int, achieved: bool):
         i = level - 1
-        self.rho[i] = (1.0 - factor) * self.rho[i] + factor * (1.0 if achieved else 0.0)
+        self.rho[i] = (1.0 - CAPABILITY_EMA) * self.rho[i] + CAPABILITY_EMA * (1.0 if achieved else 0.0)
         self.from_data[i] = True
 
 
@@ -187,11 +185,15 @@ def discretize(obs: AgentObservation) -> tuple[int, int, int, int]:
     return (bin_unit(obs.kpi), bin_unit(obs.knob), bin_unit(obs.goal), cong)
 
 
-def select_action(table: QTable, obs: AgentObservation, explore: bool, rng: np.random.Generator) -> KnobAction:
-    """Epsilon-greedy over the table; exact ties break toward HOLD."""
-    if explore and rng.random() < table.exploration:
+def select_action(table: QTable, index: tuple[int, int, int, int], epsilon: float, rng: np.random.Generator) -> KnobAction:
+    """Epsilon-greedy over the table row at ``index``; exact ties break toward HOLD.
+
+    At ``epsilon == 0`` nothing is drawn from ``rng``. Otherwise each call
+    draws ``rng.random()``, then ``rng.integers(3)`` only when it explores.
+    """
+    if epsilon > 0 and rng.random() < epsilon:
         return KnobAction(int(rng.integers(N_ACTIONS)))
-    q = table.values[discretize(obs)].tolist()
+    q = table.values[index].tolist()
     best = max(q)
     if q[ACTION_HOLD] == best:
         return KnobAction.HOLD
@@ -247,7 +249,7 @@ def run_episode(
     episode_length: int,
     on_step: Callable,
     shift_schedule: Iterable[tuple[int, slice_sim.DistributionSpec]] = (),
-    explore: bool = False,
+    epsilon: float = 0.0,
 ) -> None:
     """The closed loop shared by pre-training, supervisor training and evaluation.
 
@@ -259,10 +261,12 @@ def run_episode(
     scheduled for it, asks ``goals(t, seen, last_action)`` for this step's
     assignment and active planes, and lets every agent of an active plane act
     on its observation, with the goal field replaced where its assigned goal
-    changed, and move its knob. It then steps the network, observes the new
-    report and hands the outcome to ``on_step(t, state, report, current,
-    active, taken, seen)``, where ``taken`` maps agent key to the
-    (observation, action) acted on.
+    changed, and move its knob. Each acting agent bins that observation once
+    and picks its action epsilon-greedily with probability ``epsilon`` of a
+    uniform random action (0 acts greedily and draws nothing). It then steps
+    the network, observes the new report and hands the outcome to
+    ``on_step(t, state, report, current, active, taken, seen)``, where
+    ``taken`` maps agent key to the (table index, action) acted on.
     """
     roster = [a for a in agent_roster(config) if a.key in qtables]
     shifts = dict(shift_schedule)
@@ -282,10 +286,11 @@ def run_episode(
             goal = current.values[a.key]
             if goal != aimed[a.key]:
                 obs = obs._replace(goal=normalize_kpi(config.services[a.intent_index].kpi_kind, goal))
-            action = select_action(qtables[a.key], obs, explore=explore, rng=rng)
+            index = discretize(obs)
+            action = select_action(qtables[a.key], index, epsilon, rng)
             apply_action(state, a, action)
             last_action[a.key] = action
-            taken[a.key] = (obs, action)
+            taken[a.key] = (index, action)
         state, report = sim_step(state, rng)
         aimed = current.values
         seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
@@ -326,14 +331,7 @@ def pretrain_system(
     """
     params = params or PretrainConfig()
     agents = [AgentId(system, k) for k in range(config.intent_count)]
-    tables = {
-        a.key: QTable(
-            values=np.zeros((OBS_BINS,) * 4 + (N_ACTIONS,)),
-            learning_rate=params.learning_rate,
-            discount=params.discount,
-        )
-        for a in agents
-    }
+    tables = {a.key: QTable.create() for a in agents}
     logs: list[dict] = []
     recent_rewards: list[float] = []
     anneal = params.episodes * 0.7
@@ -346,8 +344,6 @@ def pretrain_system(
             params.epsilon_end,
             params.epsilon_start + (params.epsilon_end - params.epsilon_start) * episode / max(anneal, 1),
         )
-        for table in tables.values():
-            table.exploration = eps
         state = init_scenario(config)
         kind = spreads[int(rng.integers(len(spreads)))]
         if kind is not config.distribution.kind:
@@ -368,17 +364,16 @@ def pretrain_system(
                 kpi = float(report.kpi[a.intent_index])
                 r = agent_reward(kpi, goal_kpi, svc.kpi_kind)
                 episode_reward += r
-                obs, action = taken[a.key]
-                nb = discretize(seen[a.key])
-                table = tables[a.key]
-                sa = discretize(obs) + (int(action),)
-                td = r + table.discount * max(table.values[nb].tolist()) - table.values[sa]
-                table.values[sa] += table.learning_rate * td
+                index, action = taken[a.key]
+                values = tables[a.key].values
+                sa = index + (int(action),)
+                td = r + params.discount * max(values[discretize(seen[a.key])].tolist()) - values[sa]
+                values[sa] += params.learning_rate * td
                 if hit_step[a.key] is None and goal_achieved(kpi, goal_kpi, svc.kpi_kind):
                     hit_step[a.key] = t + 1
 
         run_episode(
-            state, config, tables, lambda *_: (goals, planes), rng, params.episode_length, learn, explore=True
+            state, config, tables, lambda *_: (goals, planes), rng, params.episode_length, learn, epsilon=eps
         )
         for a in agents:
             steps = hit_step[a.key]
@@ -419,14 +414,12 @@ def write_pretrain_log(logs: list[dict], path) -> None:
         writer.writerows(logs)
 
 
-def estimate_capabilities(
-    logs: list[dict], config: ScenarioConfig, horizon: int = ACHIEVEMENT_HORIZON
-) -> dict[str, CapabilityVector]:
+def estimate_capabilities(logs: list[dict], config: ScenarioConfig) -> dict[str, CapabilityVector]:
     """Success-frequency capability vectors from pre-training logs.
 
-    Missing (agent, rung) pairs fall back to a 0.5 prior and are flagged via
-    ``from_data``. ``horizon`` re-filters logged step counts so capabilities
-    can be recomputed for a stricter window than the logged flag.
+    A success is a logged ``achieved`` flag: the rung was reached within
+    ``ACHIEVEMENT_HORIZON`` steps. Missing (agent, rung) pairs fall back to a
+    0.5 prior and are flagged via ``from_data``.
     """
     vectors = {a.key: CapabilityVector.prior() for a in agent_roster(config)}
     attempts = {key: np.zeros(GOAL_LEVELS) for key in vectors}
@@ -437,8 +430,7 @@ def estimate_capabilities(
             continue
         lvl = int(row["goal_level"]) - 1
         attempts[key][lvl] += 1
-        achieved = int(row["achieved"]) == 1 and int(row["steps_taken"]) <= horizon
-        successes[key][lvl] += int(achieved)
+        successes[key][lvl] += int(row["achieved"]) == 1
     for key, vec in vectors.items():
         seen = attempts[key] > 0
         vec.rho[seen] = successes[key][seen] / attempts[key][seen]

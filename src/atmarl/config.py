@@ -7,7 +7,6 @@ settings and one ``[service:<name>]`` section per carried service, e.g.::
     bandwidth_mbps = 10.0
     distribution = uniform
     noise_pct = 5.0
-    seed = 7
 
     [service:cv0]
     kind = CV
@@ -47,7 +46,6 @@ class ScenarioConfig:
     distribution: DistributionSpec
     bandwidth_mbps: float = DEFAULT_BANDWIDTH_MBPS
     noise_pct: float = 5.0
-    seed: int = 7
 
     @property
     def intent_count(self) -> int:
@@ -108,7 +106,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         distribution=distribution,
         bandwidth_mbps=sc.getfloat("bandwidth_mbps", DEFAULT_BANDWIDTH_MBPS),
         noise_pct=sc.getfloat("noise_pct", 5.0),
-        seed=sc.getint("seed", 7),
     )
     validate_scenario(config)
     return config
@@ -125,7 +122,6 @@ def validate_scenario(config: ScenarioConfig):
 
 def default_scenario(
     distribution: DistributionKind = DistributionKind.UNIFORM,
-    seed: int = 7,
     five_intents: bool = False,
 ) -> ScenarioConfig:
     """The stock 3-intent scenario (or the 5-intent scaling variant).
@@ -150,11 +146,7 @@ def default_scenario(
             ServiceSpec(ServiceKind.URLLC, 0, 0.2, 68, DEFAULT_PL_TARGET),
             ServiceSpec(ServiceKind.MIOT, 0, 0.1, 104, DEFAULT_PL_TARGET),
         ]
-    return ScenarioConfig(
-        services=services,
-        distribution=DistributionSpec.of(distribution),
-        seed=seed,
-    )
+    return ScenarioConfig(services=services, distribution=DistributionSpec.of(distribution))
 
 
 def write_scenario(config: ScenarioConfig, path: str | Path):
@@ -165,7 +157,6 @@ def write_scenario(config: ScenarioConfig, path: str | Path):
         "distribution": config.distribution.kind.value.lower(),
         "dist_weights": " ".join(repr(w) for w in config.distribution.weights),
         "noise_pct": repr(config.noise_pct),
-        "seed": str(config.seed),
     }
     for svc in config.services:
         parser[f"service:{svc.name}"] = {

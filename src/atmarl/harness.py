@@ -55,7 +55,6 @@ from .supervisor import (
     SupervisorPolicy,
     TrainConfig,
     create_policy,
-    intents_of,
     supervisor_reward,
     train_supervisor,
 )
@@ -275,7 +274,6 @@ def evaluate_episode(
     """Run one greedy evaluation episode and record the full trace."""
     config = plan.eval_scenario
     roster = agent_roster(config)
-    intents = intents_of(config)
     rng = np.random.default_rng(seed)
     columns = (
         ["t"]
@@ -298,7 +296,7 @@ def evaluate_episode(
                 for a in roster
             ]
             + [
-                supervisor_reward(report, intents),
+                supervisor_reward(report, config.services),
                 int(SystemKind.PRIORITY in active),
                 int(SystemKind.MBR in active),
                 state.distribution.kind.value,

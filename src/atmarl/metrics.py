@@ -34,15 +34,15 @@ class KpiSeries:
             raise ValueError(f"target must be positive, got {self.target}")
 
 
-def _in_band(series: KpiSeries, tolerance: float) -> np.ndarray:
+def _in_band(series: KpiSeries) -> np.ndarray:
     if series.direction is Direction.MAXIMIZE:
-        return series.values >= (1.0 - tolerance) * series.target
-    return series.values <= (1.0 + tolerance) * series.target
+        return series.values >= (1.0 - ONSET_TOLERANCE) * series.target
+    return series.values <= (1.0 + ONSET_TOLERANCE) * series.target
 
 
-def onset_index(series: KpiSeries, tolerance: float = ONSET_TOLERANCE) -> int | None:
+def onset_index(series: KpiSeries) -> int | None:
     """First index inside the tolerance band, or None if never reached."""
-    hits = np.flatnonzero(_in_band(series, tolerance))
+    hits = np.flatnonzero(_in_band(series))
     return int(hits[0]) if hits.size else None
 
 
@@ -55,9 +55,9 @@ def iae(series: KpiSeries) -> float | None:
     return float(np.mean(np.abs(tail - series.target) / series.target))
 
 
-def convergence_time(series: KpiSeries, tolerance: float = 0.10) -> int | None:
+def convergence_time(series: KpiSeries) -> int | None:
     """First step from which the KPI stays in the band for good."""
-    in_band = _in_band(series, tolerance)
+    in_band = _in_band(series)
     # Longest all-true suffix; scan from the back.
     idx = len(in_band)
     for i in range(len(in_band) - 1, -1, -1):

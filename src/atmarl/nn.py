@@ -31,7 +31,7 @@ def init_matrix(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarr
 class DenseLayer:
     weights: np.ndarray  # [out, in], or [copies, out, in] when stacked
     bias: np.ndarray  # [out], or [copies, out]
-    activation: str = "tanh"  # tanh | relu | identity
+    activation: str = "tanh"  # tanh | identity
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_dim: int, out_dim: int, activation="tanh"):
@@ -53,8 +53,6 @@ class DenseLayer:
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(pre)
-    if kind == "relu":
-        return np.maximum(pre, 0.0)
     if kind == "identity":
         return pre
     raise ValueError(f"unknown activation {kind!r}")
@@ -63,8 +61,6 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
 def _activate_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return 1.0 - out * out
-    if kind == "relu":
-        return (pre > 0).astype(np.float64)
     if kind == "identity":
         return np.ones_like(pre)
     raise ValueError(f"unknown activation {kind!r}")
@@ -128,7 +124,10 @@ class GruCell:
     bz: np.ndarray
     br: np.ndarray
     bn: np.ndarray
-    hidden_size: int
+
+    @property
+    def hidden_size(self) -> int:
+        return self.Wz.shape[0]
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_dim: int, hidden: int):
@@ -140,7 +139,6 @@ class GruCell:
             bz=np.zeros(hidden),
             br=np.zeros(hidden),
             bn=np.zeros(hidden),
-            hidden_size=hidden,
         )
 
     def params(self) -> dict[str, np.ndarray]:

@@ -113,17 +113,6 @@ class ControlVector:
     priority: np.ndarray  # int levels in {1..5}, one per service
     mbr: np.ndarray  # Mbps caps from MBR_LEVELS, one per service
 
-    def copy(self) -> "ControlVector":
-        return ControlVector(priority=self.priority.copy(), mbr=self.mbr.copy())
-
-    def validate(self, n_services: int):
-        if len(self.priority) != n_services or len(self.mbr) != n_services:
-            raise ScenarioError("control vector length does not match service count")
-        if not all(int(p) in PRIORITY_LEVELS for p in self.priority):
-            raise ScenarioError(f"priority levels outside {PRIORITY_LEVELS}: {self.priority}")
-        if not all(any(abs(m - lvl) < 1e-9 for lvl in MBR_LEVELS) for m in self.mbr):
-            raise ScenarioError(f"mbr values outside {MBR_LEVELS}: {self.mbr}")
-
 
 @dataclass
 class NetworkState:
@@ -135,20 +124,13 @@ class NetworkState:
     airlink_bandwidth: float
     noise_pct: float
     timestep: int
-    rng_seed: int
 
 
 @dataclass
 class KpiReport:
-    """Per-service KPI readings plus the served/offered rates behind them.
-
-    ``offered``/``served`` are slice totals; ``offered_per_gnb`` and
-    ``served_per_gnb`` keep the per-gNodeB breakdown for invariant checks.
-    """
+    """Per-service KPI readings plus the per-gNodeB rates behind them."""
 
     kpi: np.ndarray  # QoE on [1,5] or PL percent, per service
-    offered: np.ndarray
-    served: np.ndarray
     offered_per_gnb: np.ndarray  # [services, gnodebs]
     served_per_gnb: np.ndarray  # [services, gnodebs]
     congestion: float  # slice offered / slice bandwidth
@@ -176,7 +158,6 @@ def init_scenario(config) -> NetworkState:
         airlink_bandwidth=float(config.bandwidth_mbps),
         noise_pct=float(config.noise_pct),
         timestep=0,
-        rng_seed=int(config.seed),
     )
 
 
@@ -271,14 +252,11 @@ def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     # one row-times-weights product per service: a plain [services, gNodeBs]
     # @ [gNodeBs] product sums in another order and changes the last bits
     kpi = (per_gnb[:, None, :] @ weights[:, None]).flatten()
-    offered_totals = offered.sum(axis=1)
     return KpiReport(
         kpi=kpi,
-        offered=offered_totals,
-        served=served.sum(axis=1),
         offered_per_gnb=offered,
         served_per_gnb=served,
-        congestion=float(offered_totals.sum() / (state.airlink_bandwidth * N_GNODEBS)),
+        congestion=float(offered.sum(axis=1).sum() / (state.airlink_bandwidth * N_GNODEBS)),
     )
 
 

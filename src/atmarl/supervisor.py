@@ -27,11 +27,11 @@ from .agents import (
     CapabilityVector,
     GOAL_LEVELS,
     GoalAssignment,
-    PL_SCALE,
     QTable,
     agent_roster,
     goal_achieved,
     goal_value,
+    normalize_kpi,
     run_episode,
 )
 from .config import ScenarioConfig
@@ -51,7 +51,7 @@ from .nn import (
     stack_backward,
     stack_forward,
 )
-from .slice_sim import KpiKind, KpiReport, NetworkState
+from .slice_sim import KpiKind, KpiReport, ServiceSpec
 
 N_ACTION_ONEHOT = 3
 TUPLE_DIM = 4 + N_ACTION_ONEHOT + 1  # observation, one-hot action, normalized goal
@@ -60,23 +60,6 @@ TUPLE_DIM = 4 + N_ACTION_ONEHOT + 1  # observation, one-hot action, normalized g
 class GoalMode(str, Enum):
     AGENT_LEVEL = "agent"  # one head per agent (2K heads)
     SERVICE_LEVEL = "service"  # one head per intent, broadcast to both planes
-
-
-@dataclass(frozen=True)
-class GlobalIntent:
-    name: str
-    kpi_kind: KpiKind
-    target: float
-
-    @property
-    def normalized_target(self) -> float:
-        if self.kpi_kind is KpiKind.QOE:
-            return (self.target - 1.0) / 4.0
-        return self.target / PL_SCALE
-
-
-def intents_of(config: ScenarioConfig) -> list[GlobalIntent]:
-    return [GlobalIntent(s.name, s.kpi_kind, s.kpi_target) for s in config.services]
 
 
 @dataclass
@@ -101,7 +84,6 @@ class PolicyDims:
 class SupervisorPolicy:
     mode: GoalMode
     agents: list[AgentId]
-    n_intents: int
     dims: PolicyDims
     encoders: list[DenseLayer]  # 2 layers, each stacked over agents
     merger: DenseLayer  # stacked over agents
@@ -173,7 +155,6 @@ def create_policy(
     return SupervisorPolicy(
         mode=mode,
         agents=agents,
-        n_intents=k,
         dims=dims,
         encoders=encoders,
         merger=merger,
@@ -209,7 +190,6 @@ def fuse(policy: SupervisorPolicy, embeddings: np.ndarray, targets_norm: np.ndar
 class StepForward:
     """All intermediate values of one supervisor forward step."""
 
-    context: np.ndarray
     value: float
     logits: np.ndarray  # [heads, levels]
     hidden: ActorHidden
@@ -237,7 +217,6 @@ def forward_step(
     logits, head_cache = dense_forward(policy.heads, h2)
     v, crit_caches = stack_forward(policy.critic, context)
     return StepForward(
-        context=context,
         value=float(v[0]),
         logits=logits,
         hidden=ActorHidden(h1=h1, h2=h2),
@@ -290,15 +269,15 @@ def act(
     return assignment, log_probs, fwd.hidden, fwd
 
 
-def supervisor_reward(report: KpiReport, intents: list[GlobalIntent]) -> float:
+def supervisor_reward(report: KpiReport, services: list[ServiceSpec]) -> float:
     """Shortfall-only deviation penalty plus a bonus when every intent is met."""
     total_dev = 0.0
-    for k, intent in enumerate(intents):
+    for k, svc in enumerate(services):
         kpi = float(report.kpi[k])
-        if intent.kpi_kind is KpiKind.QOE:
-            dev = max(0.0, (intent.target - kpi) / intent.target)
+        if svc.kpi_kind is KpiKind.QOE:
+            dev = max(0.0, (svc.kpi_target - kpi) / svc.kpi_target)
         else:
-            dev = max(0.0, (kpi - intent.target) / intent.target)
+            dev = max(0.0, (kpi - svc.kpi_target) / svc.kpi_target)
         total_dev += dev
     return -total_dev + (1.0 if total_dev == 0.0 else 0.0)
 
@@ -310,10 +289,9 @@ def supervisor_reward(report: KpiReport, intents: list[GlobalIntent]) -> float:
 class CapabilityTracker:
     """Online EMA of goal-achievement per agent while assignments run."""
 
-    def __init__(self, capabilities: dict[str, CapabilityVector], config: ScenarioConfig, factor: float = 0.05):
+    def __init__(self, capabilities: dict[str, CapabilityVector], config: ScenarioConfig):
         self.capabilities = capabilities
         self.config = config
-        self.factor = factor
         self._active: dict[str, tuple[int, int, bool]] = {}  # key -> (level, steps, achieved)
 
     def observe_step(self, assignment: GoalAssignment, report: KpiReport, roster: list[AgentId]):
@@ -327,21 +305,21 @@ class CapabilityTracker:
             active = self._active.get(key)
             if active is None or active[0] != level:
                 if active is not None:
-                    self.capabilities[key].ema_update(active[0], active[2], self.factor)
+                    self.capabilities[key].ema_update(active[0], active[2])
                 active = (level, 0, False)
             lvl, steps, achieved = active
             steps += 1
             if steps <= ACHIEVEMENT_HORIZON and goal_achieved(kpi, goal_value(svc.kpi_kind, lvl), svc.kpi_kind):
                 achieved = True
             if steps >= ACHIEVEMENT_HORIZON:
-                self.capabilities[key].ema_update(lvl, achieved, self.factor)
+                self.capabilities[key].ema_update(lvl, achieved)
                 steps, achieved = 0, False
             self._active[key] = (lvl, steps, achieved)
 
     def flush(self):
         for key, (lvl, steps, achieved) in self._active.items():
             if steps > 0:
-                self.capabilities[key].ema_update(lvl, achieved, self.factor)
+                self.capabilities[key].ema_update(lvl, achieved)
         self._active.clear()
 
 
@@ -504,7 +482,6 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float):
 class TrainStats:
     episode_rewards: list[float]
     grad_norms: list[float]
-    diverged: bool = False
 
     @property
     def final_mean_reward(self) -> float:
@@ -534,7 +511,7 @@ class PolicyGoals:
         self.capabilities = capabilities
         self.rng = rng
         self.explore = explore
-        self.targets = np.array([it.normalized_target for it in intents_of(config)])
+        self.targets = np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services])
         self.hidden = ActorHidden.zeros(policy.dims.gru)
         self.gammas = np.zeros((0, GOAL_LEVELS))
         self.tuples = np.zeros((0, TUPLE_DIM))
@@ -570,7 +547,6 @@ def rollout_episode(
     randomize_start: bool = False,
 ) -> EpisodeTrajectory:
     """Run one closed-loop episode with the frozen agents in the loop."""
-    intents = intents_of(config)
     state = slice_sim.init_scenario(config)
     if randomize_start:
         n = len(config.services)
@@ -587,7 +563,7 @@ def rollout_episode(
         traj.gammas.append(goals.gammas)
         traj.tuples.append(goals.tuples)
         traj.sampled_levels.append([current.levels[key] for key in head_keys])
-        traj.rewards.append(supervisor_reward(report, intents))
+        traj.rewards.append(supervisor_reward(report, config.services))
         traj.forwards.append(goals.forward)
 
     run_episode(state, config, qtables, goals, rng, episode_length, record)

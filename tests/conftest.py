@@ -8,18 +8,21 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture
-def observe_calls(monkeypatch):
-    """A list that gets one entry per ``agents.observe`` call, made through any atmarl module."""
+def calls_to(monkeypatch):
+    """``calls_to(name)`` returns a list that gets one entry per call of ``atmarl.agents.<name>``, made through any atmarl module."""
     import atmarl
 
-    real = atmarl.agents.observe
-    calls = []
+    def count(name: str) -> list:
+        real = getattr(atmarl.agents, name)
+        calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("atmarl.") and getattr(module, "observe", None) is real:
-            monkeypatch.setattr(module, "observe", counted)
-    return calls
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("atmarl.") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count

@@ -130,29 +130,58 @@ def test_discretize_rejects_nan(field):
 
 def test_select_action_full_exploration_uniform():
     table = QTable.create()
-    table.exploration = 1.0
-    obs = AgentObservation(0.5, 0.5, 0.5, 0.5)
+    index = discretize(AgentObservation(0.5, 0.5, 0.5, 0.5))
     rng = np.random.default_rng(0)
     counts = np.zeros(3)
     for _ in range(3000):
-        counts[int(select_action(table, obs, explore=True, rng=rng))] += 1
+        counts[int(select_action(table, index, 1.0, rng))] += 1
     assert (counts > 800).all()
 
 
 def test_select_action_greedy_argmax():
     table = QTable.create()
-    table.exploration = 0.0
-    obs = AgentObservation(0.5, 0.5, 0.5, 0.5)
-    table.values[discretize(obs)] = np.array([0.1, 0.2, 0.9])
-    action = select_action(table, obs, explore=False, rng=np.random.default_rng(0))
+    index = discretize(AgentObservation(0.5, 0.5, 0.5, 0.5))
+    table.values[index] = np.array([0.1, 0.2, 0.9])
+    action = select_action(table, index, 0.0, np.random.default_rng(0))
     assert action is KnobAction.INCREMENT
 
 
 def test_select_action_tie_breaks_to_hold():
     table = QTable.create()
-    obs = AgentObservation(0.2, 0.2, 0.2, 0.2)
-    action = select_action(table, obs, explore=False, rng=np.random.default_rng(0))
+    index = discretize(AgentObservation(0.2, 0.2, 0.2, 0.2))
+    action = select_action(table, index, 0.0, np.random.default_rng(0))
     assert action is KnobAction.HOLD
+
+
+def _draws_of(epsilon, seed=3):
+    """(action, rng after the call, an untouched twin of that rng) for one select_action call."""
+    table = QTable.create()
+    index = discretize(AgentObservation(0.5, 0.5, 0.5, 0.5))
+    table.values[index] = np.array([0.0, 0.0, 1.0])
+    rng = np.random.default_rng(seed)
+    return select_action(table, index, epsilon, rng), rng, np.random.default_rng(seed)
+
+
+def test_select_action_greedy_draws_nothing():
+    action, rng, twin = _draws_of(0.0)
+    assert action is KnobAction.INCREMENT
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_select_action_exploiting_draws_one_uniform():
+    # an epsilon below this seed's first uniform draw never explores
+    epsilon = np.random.default_rng(3).random() / 2
+    action, rng, twin = _draws_of(epsilon)
+    twin.random()
+    assert action is KnobAction.INCREMENT
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_select_action_exploring_draws_uniform_then_action():
+    action, rng, twin = _draws_of(1.0)
+    twin.random()
+    assert int(action) == int(twin.integers(3))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -170,9 +199,9 @@ def test_select_action_tie_breaks_to_hold():
 )
 def test_select_action_greedy_tie_rules(q, expected):
     table = QTable.create()
-    obs = AgentObservation(0.3, 0.6, 0.9, 0.4)
-    table.values[discretize(obs)] = q
-    assert select_action(table, obs, explore=False, rng=np.random.default_rng(0)) is expected
+    index = discretize(AgentObservation(0.3, 0.6, 0.9, 0.4))
+    table.values[index] = q
+    assert select_action(table, index, 0.0, np.random.default_rng(0)) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +332,7 @@ def test_pretrain_priority_reaches_feasible_qoe_goals(pretrained):
         for t in range(10):
             for a in agents:
                 obs = observe(state, report, a, goals[a.key])
-                action = select_action(priority.qtables[a.key], obs, explore=False, rng=rng)
+                action = select_action(priority.qtables[a.key], discretize(obs), 0.0, rng)
                 apply_action(state, a, action)
             state, report = slice_sim.step(state, rng)
             if goal_achieved(float(report.kpi[0]), goal, KpiKind.QOE):
@@ -322,11 +351,21 @@ def test_pretrain_other_system_knobs_frozen():
     assert set(res.qtables) == {"priority_0", "priority_1", "priority_2"}
 
 
-def test_pretrain_observes_each_agent_once_per_report(observe_calls):
+def test_pretrain_observes_each_agent_once_per_report(calls_to):
     # one plane's agents, at the opening report and after each of the 5 steps
     cfg = default_scenario()
+    observed = calls_to("observe")
     pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), PretrainConfig(episodes=4, episode_length=5))
-    assert len(observe_calls) == 4 * cfg.intent_count * (5 + 1)
+    assert len(observed) == 4 * cfg.intent_count * (5 + 1)
+
+
+def test_pretrain_bins_each_agent_twice_per_step(calls_to):
+    # per agent-step: the observation acted on, and the next one for the TD
+    # target; greedy and exploring steps alike (epsilon anneals from 1 here)
+    cfg = default_scenario()
+    binned = calls_to("discretize")
+    pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), PretrainConfig(episodes=4, episode_length=5))
+    assert len(binned) == 4 * 2 * cfg.intent_count * 5
 
 
 def test_pretrain_deterministic():

@@ -85,7 +85,7 @@ def test_scenario_exact_keys(tmp_path):
         "distribution = gaussian\n"
         "dist_weights = 0.2 0.3 0.3 0.2\n"
         "noise_pct = 4.0\n"
-        "seed = 11\n"
+        "seed = 11\n"  # a key older files carry; it is ignored
         "\n"
         "[service:cv0]\n"
         "kind = CV\n"
@@ -98,7 +98,6 @@ def test_scenario_exact_keys(tmp_path):
     assert cfg.distribution.kind is DistributionKind.GAUSSIAN
     assert cfg.distribution.weights == (0.2, 0.3, 0.3, 0.2)
     assert cfg.noise_pct == 4.0
-    assert cfg.seed == 11
     assert cfg.services[0].kpi_target == 4.2
 
 

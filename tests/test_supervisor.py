@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from atmarl import slice_sim
-from atmarl.agents import GOAL_LEVELS, PretrainConfig, SystemKind, pretrain_system, estimate_capabilities
+from atmarl.agents import GOAL_LEVELS, PretrainConfig, SystemKind, estimate_capabilities, normalize_kpi, pretrain_system
 from atmarl.config import default_scenario
 from atmarl.nn import log_softmax
 from atmarl.slice_sim import KpiKind
@@ -20,7 +20,6 @@ from atmarl.supervisor import (
     episode_loss,
     forward_step,
     fuse,
-    intents_of,
     merge,
     rollout_episode,
     supervisor_reward,
@@ -133,7 +132,7 @@ def _act_inputs(cfg, policy):
     n = len(policy.agents)
     gammas = np.full((n, GOAL_LEVELS), 0.5)
     tuples = np.full((n, 8), 0.25)
-    targets = np.array([it.normalized_target for it in intents_of(cfg)])
+    targets = np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in cfg.services])
     return gammas, tuples, targets
 
 
@@ -268,8 +267,6 @@ def _report(kpis):
     n = len(kpis)
     return slice_sim.KpiReport(
         kpi=np.array(kpis, dtype=np.float64),
-        offered=np.zeros(n),
-        served=np.zeros(n),
         offered_per_gnb=np.zeros((n, 4)),
         served_per_gnb=np.zeros((n, 4)),
         congestion=0.0,
@@ -277,21 +274,15 @@ def _report(kpis):
 
 
 def test_reward_bonus_when_all_met():
-    cfg = default_scenario()
-    intents = intents_of(cfg)
-    assert supervisor_reward(_report([4.5, 1.0, 0.5]), intents) == 1.0
+    assert supervisor_reward(_report([4.5, 1.0, 0.5]), default_scenario().services) == 1.0
 
 
 def test_reward_single_qoe_shortfall():
-    cfg = default_scenario()
-    intents = intents_of(cfg)
-    assert supervisor_reward(_report([3.6, 1.0, 0.5]), intents) == pytest.approx(-0.1)
+    assert supervisor_reward(_report([3.6, 1.0, 0.5]), default_scenario().services) == pytest.approx(-0.1)
 
 
 def test_reward_sums_deviations():
-    cfg = default_scenario()
-    intents = intents_of(cfg)
-    assert supervisor_reward(_report([2.0, 4.0, 1.0]), intents) == pytest.approx(-1.5)
+    assert supervisor_reward(_report([2.0, 4.0, 1.0]), default_scenario().services) == pytest.approx(-1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +388,14 @@ def test_rollout_both_systems_act_each_step(tiny_system):
     assert all(len(ts) == 6 for ts in traj.tuples)
 
 
-def test_rollout_observes_each_agent_once_per_report(tiny_system, observe_calls):
+def test_rollout_observes_each_agent_once_per_report(tiny_system, calls_to):
     # the opening report and the one after each of the 12 steps, 6 agents each
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
+    observed = calls_to("observe")
     rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
-    assert len(observe_calls) == 6 * (12 + 1)
+    assert len(observed) == 6 * (12 + 1)
 
 
 def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
