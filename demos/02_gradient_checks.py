@@ -46,7 +46,8 @@ def main():
         return float(((out - target) ** 2).sum())
 
     out, cache = dense_forward(layer, x)
-    grads, _ = dense_backward(layer, cache, 2 * (out - target))
+    grads = {name: np.zeros_like(param) for name, param in layer.params().items()}
+    dense_backward(layer, cache, 2 * (out - target), grads)
     for name, param in layer.params().items():
         err = rel_err(grads[name], finite_difference(dense_loss, param))
         print(f"  {name}: relative error {err:.2e}")
@@ -63,7 +64,8 @@ def main():
 
     hs, caches = gru_sequence_forward(cell, xs, h0)
     dhs = [2 * (h - t) for h, t in zip(hs, targets)]
-    grads, _, _ = gru_sequence_backward(cell, caches, dhs)
+    grads = {name: np.zeros_like(param) for name, param in cell.params().items()}
+    gru_sequence_backward(cell, caches, dhs, grads)
     for name, param in cell.params().items():
         err = rel_err(grads[name], finite_difference(gru_loss, param))
         print(f"  {name}: relative error {err:.2e}")

@@ -2,8 +2,10 @@
 
 Everything operates on float64 vectors; parameters live in small dataclasses
 so training code can walk them generically. A dense layer may stack copies
-along a leading axis. Backward passes return exact analytic gradients and are
-verified against central finite differences in the test suite.
+along a leading axis, and its backward may run all steps of an episode at
+once along another. Backward passes add exact analytic gradients into the
+accumulators they are given and are verified against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -82,15 +84,24 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
     return out, (x, pre, out)
 
 
-def dense_backward(layer: DenseLayer, cache, dout: np.ndarray):
-    """Returns ({'W': dW, 'b': db}, dx); a shared input gets one dx per copy."""
+def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Adds the parameter gradients into ``grads`` (shaped like ``params()``); returns dx.
+
+    A shared input gets one dx per copy. The cache and ``dout`` may carry a
+    leading step axis, one axis more than the layer's bias: dx then keeps it,
+    and the steps are folded into ``grads`` one by one in step order, so the
+    sums equal those of one call per step. A stack of per-step products
+    summed along the step axis would not: numpy sums a contiguous axis
+    pairwise.
+    """
     x, pre, out = cache
     if dout.shape != out.shape:
         raise ValueError(f"upstream grad shape {dout.shape} != output shape {out.shape}")
     dpre = dout * _activate_grad(pre, out, layer.activation)
-    grads = {"W": dpre[..., :, None] * x[..., None, :], "b": dpre.copy()}
-    dx = (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
-    return grads, dx
+    for x_t, dpre_t in zip(x, dpre) if dpre.ndim > layer.bias.ndim else [(x, dpre)]:
+        grads["W"] += dpre_t[..., :, None] * x_t[..., None, :]
+        grads["b"] += dpre_t
+    return (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
 
 
 def stack_forward(layers: list[DenseLayer], x: np.ndarray):
@@ -102,12 +113,18 @@ def stack_forward(layers: list[DenseLayer], x: np.ndarray):
     return x, caches
 
 
-def stack_backward(layers: list[DenseLayer], caches, dout: np.ndarray):
-    """Backward through ``stack_forward``; returns (per-layer grads, dx)."""
-    grads = [None] * len(layers)
+def stack_backward(layers: list[DenseLayer], caches, dout: np.ndarray, grads: list[dict[str, np.ndarray]]) -> np.ndarray:
+    """Backward through ``stack_forward``, adding into per-layer ``grads``; returns dx."""
     for j in range(len(layers) - 1, -1, -1):
-        grads[j], dout = dense_backward(layers[j], caches[j], dout)
-    return grads, dout
+        dout = dense_backward(layers[j], caches[j], dout, grads[j])
+    return dout
+
+
+def stack_steps(caches: list):
+    """Per-step caches of one layer, or of a layer stack, stacked along a new leading step axis."""
+    if isinstance(caches[0], list):
+        return [stack_steps(list(layer)) for layer in zip(*caches)]
+    return tuple(np.stack(parts) for parts in zip(*caches))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +182,8 @@ def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):
     return h_new, cache
 
 
-def gru_backward(cell: GruCell, cache, dh_new: np.ndarray):
-    """Backward through one step. Returns (param grads, dx, dh)."""
+def gru_backward(cell: GruCell, cache, dh_new: np.ndarray, grads: dict[str, np.ndarray]):
+    """Backward through one step, adding the parameter gradients into ``grads``. Returns (dx, dh)."""
     x, h, a, z, r, a_n, n = cache
     in_dim = x.shape[0]
 
@@ -175,28 +192,26 @@ def gru_backward(cell: GruCell, cache, dh_new: np.ndarray):
     dh = dh_new * (1.0 - z)
 
     dn_pre = dn * (1.0 - n * n)
-    dWn = np.outer(dn_pre, a_n)
-    dbn = dn_pre.copy()
+    grads["Wn"] += dn_pre[:, None] * a_n
+    grads["bn"] += dn_pre
     da_n = cell.Wn.T @ dn_pre
-    dx = da_n[:in_dim].copy()
     drh = da_n[in_dim:]
     dr = drh * h
     dh += drh * r
 
     dz_pre = dz * z * (1.0 - z)
-    dWz = np.outer(dz_pre, a)
-    dbz = dz_pre.copy()
+    grads["Wz"] += dz_pre[:, None] * a
+    grads["bz"] += dz_pre
     da = cell.Wz.T @ dz_pre
 
     dr_pre = dr * r * (1.0 - r)
-    dWr = np.outer(dr_pre, a)
-    dbr = dr_pre.copy()
+    grads["Wr"] += dr_pre[:, None] * a
+    grads["br"] += dr_pre
     da += cell.Wr.T @ dr_pre
 
-    dx += da[:in_dim]
+    dx = da_n[:in_dim] + da[:in_dim]
     dh += da[in_dim:]
-    grads = {"Wz": dWz, "Wr": dWr, "Wn": dWn, "bz": dbz, "br": dbr, "bn": dbn}
-    return grads, dx, dh
+    return dx, dh
 
 
 def gru_sequence_forward(cell: GruCell, xs: list[np.ndarray], h0: np.ndarray):
@@ -210,21 +225,17 @@ def gru_sequence_forward(cell: GruCell, xs: list[np.ndarray], h0: np.ndarray):
     return hs, caches
 
 
-def gru_sequence_backward(cell: GruCell, caches, dhs: list[np.ndarray]):
+def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: dict[str, np.ndarray]):
     """BPTT over a sequence given per-step upstream grads on each hidden state.
 
-    Returns (accumulated param grads, per-step input grads, dh0).
+    Adds the parameter gradients into ``grads``, latest step first. Returns
+    ([steps, in] input grads, dh0).
     """
-    grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
-    dxs = [None] * len(caches)
+    dxs = np.empty((len(caches), cell.Wz.shape[1] - cell.hidden_size))
     carry = np.zeros(cell.hidden_size)
     for t in range(len(caches) - 1, -1, -1):
-        step_grads, dx, carry_prev = gru_backward(cell, caches[t], dhs[t] + carry)
-        for k in grads:
-            grads[k] += step_grads[k]
-        dxs[t] = dx
-        carry = carry_prev
-    return grads, dxs, carry
+        dxs[t], carry = gru_backward(cell, caches[t], dhs[t] + carry, grads)
+    return dxs, carry
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +243,32 @@ def gru_sequence_backward(cell: GruCell, caches, dhs: list[np.ndarray]):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax along the last axis; each row equals the 1-D call on that row."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax along the last axis; each row equals the 1-D call on that row."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw a category by inverse CDF; returns (index, exact log-probability)."""
+def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one category per row by inverse CDF; returns (indices, exact log-probabilities).
+
+    Rows draw their uniforms in row order, from one ``rng.random`` call, as
+    one ``rng.random()`` per row would. A row's index is the count of its
+    cumulative probabilities at or below its uniform, which is
+    ``searchsorted(side="right")`` on that nondecreasing sum, capped at the
+    last category.
+    """
     _check_finite("logits", logits)
-    probs = softmax(logits)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    return idx, float(log_softmax(logits)[idx])
+    u = rng.random(logits.shape[:-1])
+    below = np.cumsum(softmax(logits), axis=-1) <= u[..., None]
+    idx = np.minimum(below.sum(axis=-1), logits.shape[-1] - 1)
+    return idx, np.take_along_axis(log_softmax(logits), idx[..., None], axis=-1)[..., 0]
 
 
 @dataclass

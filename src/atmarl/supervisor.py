@@ -50,6 +50,7 @@ from .nn import (
     softmax_sample,
     stack_backward,
     stack_forward,
+    stack_steps,
 )
 from .slice_sim import KpiKind, KpiReport, ServiceSpec
 
@@ -253,19 +254,14 @@ def act(
 ) -> tuple[GoalAssignment, np.ndarray, ActorHidden, StepForward]:
     """One supervisor decision; returns goals, per-head log-probs, new hidden."""
     fwd = forward_step(policy, gammas, tuples, targets_norm, hidden)
-    levels = []
-    log_probs = np.zeros(policy.n_heads)
-    for i, logits in enumerate(fwd.logits):
-        if explore:
-            idx, lp = softmax_sample(logits, rng)
-        else:
-            if not np.all(np.isfinite(logits)):
-                raise FloatingPointError("non-finite actor logits")
-            idx = int(np.argmax(logits))
-            lp = float(log_softmax(logits)[idx])
-        levels.append(idx + 1)
-        log_probs[i] = lp
-    assignment = assignment_from_levels(policy, config, levels)
+    if explore:
+        idx, log_probs = softmax_sample(fwd.logits, rng)
+    else:
+        if not np.all(np.isfinite(fwd.logits)):
+            raise FloatingPointError("non-finite actor logits")
+        idx = fwd.logits.argmax(axis=1)
+        log_probs = np.take_along_axis(log_softmax(fwd.logits), idx[:, None], axis=1)[:, 0]
+    assignment = assignment_from_levels(policy, config, (idx + 1).tolist())
     return assignment, log_probs, fwd.hidden, fwd
 
 
@@ -366,12 +362,6 @@ def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
     return out
 
 
-def _accumulate(layers: list[DenseLayer], grads: list[dict[str, np.ndarray]]):
-    for layer, g in zip(layers, grads):
-        layer.weights += g["W"]
-        layer.bias += g["b"]
-
-
 def episode_gradients(
     policy: SupervisorPolicy,
     traj: EpisodeTrajectory,
@@ -381,61 +371,71 @@ def episode_gradients(
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """Backpropagate the A2C loss through the episode.
 
-    Advantages are treated as constants. Returns (gradients, loss terms),
-    the gradients under the names of ``named_params``.
+    Advantages are treated as constants. Every layer but the GRU runs its
+    backward once over all steps; only the recurrence loops over time.
+    Returns (gradients, loss terms), the gradients under the names of
+    ``named_params``.
     """
     acc = copy.deepcopy(policy)  # gradient accumulators in the policy's own layout
     grads = acc.named_params()
     for g in grads.values():
         g[...] = 0.0
-    dh2_list = []
-    dc_direct = []
+    forwards = traj.forwards
+
+    # actor heads over [steps, heads, levels]; the loss totals sum in (step, head) order
+    logits = np.stack([fwd.logits for fwd in forwards])
+    probs = softmax(logits)
+    logp = log_softmax(logits)
+    entropy = -(probs * logp).sum(axis=-1)
+    chosen = np.array(traj.sampled_levels)[..., None] - 1
+    chosen_logp = np.take_along_axis(logp, chosen, axis=-1)[..., 0]
     actor_loss = 0.0
     entropy_total = 0.0
+    for adv, logp_t, entropy_t in zip(advantages.tolist(), chosen_logp.tolist(), entropy.tolist()):
+        for lp, ent in zip(logp_t, entropy_t):
+            actor_loss += -adv * lp - cfg.entropy_coef * ent
+            entropy_total += ent
+    onehot = np.zeros_like(probs)
+    np.put_along_axis(onehot, chosen, 1.0, axis=-1)
+    dlogits = advantages[:, None, None] * (probs - onehot)
+    dlogits += cfg.entropy_coef * probs * (logp + entropy[..., None])
+    dh = dense_backward(policy.heads, stack_steps([fwd.head_cache for fwd in forwards]), dlogits, acc.heads.params())
+    dh2 = dh.sum(axis=1)  # [steps, gru]: each step's heads summed in head order
+
+    # critic: 0.5-weighted squared error on the context value
+    err = np.array([fwd.value for fwd in forwards]) - returns
     critic_loss = 0.0
-
-    for t, fwd in enumerate(traj.forwards):
-        dlogits = np.empty_like(fwd.logits)
-        for i, logits in enumerate(fwd.logits):
-            probs = softmax(logits)
-            logp = log_softmax(logits)
-            chosen = traj.sampled_levels[t][i] - 1
-            onehot = np.zeros_like(probs)
-            onehot[chosen] = 1.0
-            entropy = float(-(probs * logp).sum())
-            actor_loss += -advantages[t] * float(logp[chosen]) - cfg.entropy_coef * entropy
-            entropy_total += entropy
-            dlogits[i] = advantages[t] * (probs - onehot)
-            dlogits[i] += cfg.entropy_coef * probs * (logp + entropy)
-        head_grads, dh = dense_backward(policy.heads, fwd.head_cache, dlogits)
-        _accumulate([acc.heads], [head_grads])
-        dh2_list.append(dh.sum(axis=0))
-
-        # critic: 0.5-weighted squared error on the context value
-        err = fwd.value - returns[t]
-        critic_loss += cfg.critic_coef * err * err
-        crit_grads, dv = stack_backward(policy.critic, fwd.crit_caches, np.array([2.0 * cfg.critic_coef * err]))
-        _accumulate(acc.critic, crit_grads)
-        dc_direct.append(dv)
+    for e in err.tolist():
+        critic_loss += cfg.critic_coef * e * e
+    dc_direct = stack_backward(
+        policy.critic,
+        stack_steps([fwd.crit_caches for fwd in forwards]),
+        (2.0 * cfg.critic_coef * err)[:, None],
+        [layer.params() for layer in acc.critic],
+    )
 
     # BPTT through the two stacked GRU cells, top cell first, down to the context
-    dcontext_list = dh2_list
+    dcontext = dh2
     for j in (1, 0):
-        caches = [fwd.gru_caches[j] for fwd in traj.forwards]
-        cell_grads, dcontext_list, _ = gru_sequence_backward(policy.gru[j], caches, dcontext_list)
-        for name, g in cell_grads.items():
-            grads[f"gru_l{j}.{name}"] += g
+        caches = [fwd.gru_caches[j] for fwd in forwards]
+        dcontext, _ = gru_sequence_backward(policy.gru[j], caches, dcontext, acc.gru[j].params())
 
-    # fusion, then all agents' mergers and encoders at once, per step
+    # fusion, then all agents' mergers and encoders
+    dx = stack_backward(
+        policy.fusion,
+        stack_steps([fwd.fus_caches for fwd in forwards]),
+        dc_direct + dcontext,
+        [layer.params() for layer in acc.fusion],
+    )
     n_agents = len(policy.agents)
-    for t, fwd in enumerate(traj.forwards):
-        fus_grads, dx = stack_backward(policy.fusion, fwd.fus_caches, dc_direct[t] + dcontext_list[t])
-        _accumulate(acc.fusion, fus_grads)
-        dm = dx[: n_agents * policy.dims.merger].reshape(n_agents, policy.dims.merger)
-        mrg_grads, dmx = dense_backward(policy.merger, fwd.mrg_cache, dm)
-        _accumulate([acc.merger], [mrg_grads])
-        enc_grads, _ = stack_backward(policy.encoders, fwd.enc_caches, dmx[:, : policy.dims.encoder])
-        _accumulate(acc.encoders, enc_grads)
+    dm = dx[:, : n_agents * policy.dims.merger].reshape(len(forwards), n_agents, policy.dims.merger)
+    dmx = dense_backward(policy.merger, stack_steps([fwd.mrg_cache for fwd in forwards]), dm, acc.merger.params())
+    stack_backward(
+        policy.encoders,
+        stack_steps([fwd.enc_caches for fwd in forwards]),
+        dmx[..., : policy.dims.encoder],
+        [layer.params() for layer in acc.encoders],
+    )
 
     losses = {
         "actor": float(actor_loss),

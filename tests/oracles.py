@@ -5,6 +5,8 @@ These deliberately avoid the production code paths they check.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from atmarl.slice_sim import N_GNODEBS, QOE_RANGE, KpiKind, compute_packet_loss, compute_qoe
@@ -114,3 +116,144 @@ def scalar_kpis(state, offered) -> tuple[np.ndarray, np.ndarray]:
             per_gnb = np.array([compute_packet_loss(offered[i, g], served[i, g]) for g in range(N_GNODEBS)])
         kpi[i] = float(per_gnb @ weights)
     return served, kpi
+
+
+# ---------------------------------------------------------------------------
+# supervisor training, one step and one head at a time
+
+
+def _softmax_1d(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _log_softmax_1d(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def per_head_act(logits: np.ndarray, rng: np.random.Generator, explore: bool) -> tuple[list[int], np.ndarray]:
+    """Goal levels and log-probs of ``[heads, levels]`` logits, head by head.
+
+    Exploring, each head checks its logits, draws one ``rng.random()`` and
+    takes ``searchsorted(side="right")`` on its cumulative probabilities;
+    greedy, it takes the first maximum. ``supervisor.act`` must equal it bit
+    for bit, and leave ``rng`` in the same state.
+    """
+    levels, log_probs = [], np.zeros(len(logits))
+    for i, row in enumerate(logits):
+        if not np.all(np.isfinite(row)):
+            raise FloatingPointError("non-finite logits")
+        if explore:
+            probs = _softmax_1d(row)
+            idx = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(probs) - 1)
+        else:
+            idx = int(np.argmax(row))
+        levels.append(idx + 1)
+        log_probs[i] = float(_log_softmax_1d(row)[idx])
+    return levels, log_probs
+
+
+def _dense_step_backward(layer, cache, dout: np.ndarray):
+    """One step of one (possibly stacked) dense layer: (dW, db, dx)."""
+    x, pre, out = cache
+    dpre = dout * (1.0 - out * out if layer.activation == "tanh" else np.ones_like(pre))
+    dx = (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
+    return dpre[..., :, None] * x[..., None, :], dpre.copy(), dx
+
+
+def _stack_step_backward(layers, acc_layers, caches, dout: np.ndarray) -> np.ndarray:
+    for j in range(len(layers) - 1, -1, -1):
+        dw, db, dout = _dense_step_backward(layers[j], caches[j], dout)
+        acc_layers[j].weights += dw
+        acc_layers[j].bias += db
+    return dout
+
+
+def per_step_gru_sequence_backward(cell, caches, dhs):
+    """BPTT one step at a time, each step's gradients built whole and then added.
+
+    Returns (param grads, per-step input grads, dh0); ``nn.gru_sequence_backward``
+    must equal it bit for bit.
+    """
+    grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
+    dxs = [None] * len(caches)
+    carry = np.zeros(cell.hidden_size)
+    for t in range(len(caches) - 1, -1, -1):
+        x, h, a, z, r, a_n, n = caches[t]
+        in_dim = x.shape[0]
+        dh_new = dhs[t] + carry
+        dz = dh_new * (n - h)
+        dn = dh_new * z
+        dh = dh_new * (1.0 - z)
+        dn_pre = dn * (1.0 - n * n)
+        step = {"Wn": np.outer(dn_pre, a_n), "bn": dn_pre.copy()}
+        da_n = cell.Wn.T @ dn_pre
+        dx = da_n[:in_dim].copy()
+        drh = da_n[in_dim:]
+        dr = drh * h
+        dh += drh * r
+        dz_pre = dz * z * (1.0 - z)
+        step["Wz"], step["bz"] = np.outer(dz_pre, a), dz_pre.copy()
+        da = cell.Wz.T @ dz_pre
+        dr_pre = dr * r * (1.0 - r)
+        step["Wr"], step["br"] = np.outer(dr_pre, a), dr_pre.copy()
+        da += cell.Wr.T @ dr_pre
+        dx += da[:in_dim]
+        dh += da[in_dim:]
+        for k in grads:
+            grads[k] += step[k]
+        dxs[t] = dx
+        carry = dh
+    return grads, dxs, carry
+
+
+def per_step_episode_gradients(policy, traj, advantages, returns, cfg):
+    """The A2C episode gradients one step and one head at a time.
+
+    Per step: each head's softmax, entropy and loss terms, then every dense
+    layer's gradients built whole and added into its accumulator, the GRU
+    through ``per_step_gru_sequence_backward``. ``supervisor.episode_gradients``
+    must equal its gradients and loss terms bit for bit.
+    """
+    acc = copy.deepcopy(policy)
+    grads = acc.named_params()
+    for g in grads.values():
+        g[...] = 0.0
+    dh2, dc_direct = [], []
+    actor_loss = entropy_total = critic_loss = 0.0
+    for t, fwd in enumerate(traj.forwards):
+        dlogits = np.empty_like(fwd.logits)
+        for i, logits in enumerate(fwd.logits):
+            probs = _softmax_1d(logits)
+            logp = _log_softmax_1d(logits)
+            chosen = traj.sampled_levels[t][i] - 1
+            onehot = np.zeros_like(probs)
+            onehot[chosen] = 1.0
+            entropy = float(-(probs * logp).sum())
+            actor_loss += -advantages[t] * float(logp[chosen]) - cfg.entropy_coef * entropy
+            entropy_total += entropy
+            dlogits[i] = advantages[t] * (probs - onehot)
+            dlogits[i] += cfg.entropy_coef * probs * (logp + entropy)
+        dh = _stack_step_backward([policy.heads], [acc.heads], [fwd.head_cache], dlogits)
+        dh2.append(dh.sum(axis=0))
+        err = fwd.value - returns[t]
+        critic_loss += cfg.critic_coef * err * err
+        dc_direct.append(_stack_step_backward(policy.critic, acc.critic, fwd.crit_caches, np.array([2.0 * cfg.critic_coef * err])))
+
+    dcontext = dh2
+    for j in (1, 0):
+        cell_grads, dcontext, _ = per_step_gru_sequence_backward(
+            policy.gru[j], [fwd.gru_caches[j] for fwd in traj.forwards], dcontext
+        )
+        for name, g in cell_grads.items():
+            grads[f"gru_l{j}.{name}"] += g
+
+    n_agents, width = len(policy.agents), policy.dims.merger
+    for t, fwd in enumerate(traj.forwards):
+        dx = _stack_step_backward(policy.fusion, acc.fusion, fwd.fus_caches, dc_direct[t] + dcontext[t])
+        dmx = _stack_step_backward([policy.merger], [acc.merger], [fwd.mrg_cache], dx[: n_agents * width].reshape(n_agents, width))
+        _stack_step_backward(policy.encoders, acc.encoders, fwd.enc_caches, dmx[:, : policy.dims.encoder])
+    losses = {"actor": float(actor_loss), "critic": float(critic_loss), "entropy": float(entropy_total)}
+    return grads, losses

@@ -297,7 +297,8 @@ def pretrained():
     cfg = default_scenario()
     rng = np.random.default_rng(123)
     priority = pretrain_system(SystemKind.PRIORITY, cfg, rng, FAST_PRETRAIN)
-    mbr = pretrain_system(SystemKind.MBR, cfg, rng, FAST_PRETRAIN)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        mbr = pretrain_system(SystemKind.MBR, cfg, rng, FAST_PRETRAIN)
     return cfg, priority, mbr
 
 
@@ -347,7 +348,8 @@ def test_pretrain_other_system_knobs_frozen():
     # starts from defaults and only priority knobs are actuated
     cfg = default_scenario()
     rng = np.random.default_rng(5)
-    res = pretrain_system(SystemKind.PRIORITY, cfg, rng, PretrainConfig(episodes=3, episode_length=5))
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        res = pretrain_system(SystemKind.PRIORITY, cfg, rng, PretrainConfig(episodes=3, episode_length=5))
     assert set(res.qtables) == {"priority_0", "priority_1", "priority_2"}
 
 
@@ -371,8 +373,10 @@ def test_pretrain_bins_each_agent_twice_per_step(calls_to):
 def test_pretrain_deterministic():
     cfg = default_scenario()
     quick = PretrainConfig(episodes=5, episode_length=5)
-    a = pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), quick)
-    b = pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), quick)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        a = pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), quick)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        b = pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), quick)
     for key in a.qtables:
         assert a.qtables[key].values.tobytes() == b.qtables[key].values.tobytes()
 

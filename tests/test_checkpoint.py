@@ -65,3 +65,14 @@ def test_wrong_shape_named_in_error(tmp_path):
     _, arrays = load_checkpoint(path)
     with pytest.raises(ShapeMismatchError, match="w"):
         take_block(arrays, "w", (3, 2))
+
+
+def test_special_values_pinned_text_and_bit_exact(tmp_path):
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0**60])
+    path = tmp_path / "specials.ckpt"
+    save_checkpoint(path, {"s": specials})
+    assert path.read_text() == (
+        "ATMARL-CKPT v1\nblock s 1 6\n-0 inf -inf nan 4.9406564584124654e-324 1.152921504606847e+18\n"
+    )
+    _, loaded = load_checkpoint(path)
+    assert loaded["s"].tobytes() == specials.tobytes()

@@ -49,7 +49,8 @@ def test_cli_evaluate_without_checkpoint_fails_with_stage_code(scenario_file, tm
 
 def test_cli_pretrain_then_evaluate_baseline(scenario_file, tmp_path, quick_pretrain):
     out = tmp_path / "out"
-    rc = run_cli("pretrain", "--scenario", scenario_file, "--out", out)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        rc = run_cli("pretrain", "--scenario", scenario_file, "--out", out)
     assert rc == EXIT_OK
     assert (out / "pretrain.ckpt").exists()
     assert (out / "pretrain_log.csv").exists()
@@ -65,7 +66,8 @@ def test_cli_pretrain_then_evaluate_baseline(scenario_file, tmp_path, quick_pret
 
 def test_cli_shift_flag_parsing(scenario_file, tmp_path, quick_pretrain):
     out = tmp_path / "out"
-    assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
     rc = run_cli(
         "evaluate", "--scenario", scenario_file, "--out", out, "--approach", "NaiveParallel",
         "--seed", 2, "--episode-length", 20, "--shift", "5:gaussian,12:gamma",

@@ -9,6 +9,7 @@ purpose updates ``PINNED`` and says why in CHANGES.md.
 import hashlib
 
 import numpy as np
+import pytest
 
 from atmarl.agents import PretrainConfig
 from atmarl.config import default_scenario
@@ -44,7 +45,8 @@ def run_digest(out) -> str:
 
 
 def test_tiny_plan_outputs_match_pinned_hash(tmp_path):
-    run_pipeline(golden_plan(), tmp_path, reuse=False)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        run_pipeline(golden_plan(), tmp_path, reuse=False)
     written = sorted(p.name for p in tmp_path.iterdir() if p.suffix in (".ckpt", ".csv"))
     assert len(written) == 3 + 8 + 2, written  # 3 checkpoints, 4 approaches x 2 seeds, log and summary
     got = run_digest(tmp_path)

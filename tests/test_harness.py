@@ -37,11 +37,17 @@ def quick_plan(**kwargs):
     return ExperimentPlan(**defaults)
 
 
+def run_quick(plan, out):
+    """``run_pipeline`` under the quick pre-training, which misses its reward floor."""
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        return run_pipeline(plan, out, reuse=False)
+
+
 @pytest.fixture(scope="module")
 def pipeline_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipe")
     plan = quick_plan(approaches=(Approach.ATMARL, Approach.RULE_BASED))
-    return plan, run_pipeline(plan, out, reuse=False)
+    return plan, run_quick(plan, out)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +159,7 @@ def test_shift_visible_in_trace(tmp_path):
             (9, DistributionSpec.of(DistributionKind.GAMMA)),
         ),
     )
-    result = run_pipeline(plan, tmp_path, reuse=False)
+    result = run_quick(plan, tmp_path)
     trace = result.traces[0]
     kinds = [row[trace.columns.index("dist_kind")] for row in trace.rows]
     assert kinds[4] == "Uniform"
@@ -204,8 +210,8 @@ def test_trace_csv_files_written(pipeline_result):
 
 def test_pipeline_byte_identical_reruns(tmp_path):
     plan = quick_plan(approaches=(Approach.ATMARL, Approach.RULE_BASED))
-    res_a = run_pipeline(plan, tmp_path / "a", reuse=False)
-    res_b = run_pipeline(plan, tmp_path / "b", reuse=False)
+    res_a = run_quick(plan, tmp_path / "a")
+    res_b = run_quick(plan, tmp_path / "b")
     for name in ["summary.csv"] + [
         f"trace_{a.value}_seed{s}.csv" for a in plan.approaches for s in plan.seeds
     ]:
@@ -242,7 +248,7 @@ def test_evaluation_matches_greedy_training_rollout(pipeline_result):
 
 def test_evaluation_does_not_mutate_checkpoints(tmp_path):
     plan = quick_plan(approaches=(Approach.ATMARL,), seeds=(1,))
-    result = run_pipeline(plan, tmp_path, reuse=False)
+    result = run_quick(plan, tmp_path)
     ckpts = sorted(tmp_path.glob("*.ckpt"))
     before = {p.name: p.read_bytes() for p in ckpts}
     artifacts = load_pretrain(plan, tmp_path)
@@ -254,7 +260,7 @@ def test_evaluation_does_not_mutate_checkpoints(tmp_path):
 
 def test_checkpoint_round_trip_reproduces_trace(tmp_path):
     plan = quick_plan(approaches=(Approach.ATMARL,), seeds=(4,))
-    result = run_pipeline(plan, tmp_path, reuse=False)
+    result = run_quick(plan, tmp_path)
     artifacts = load_pretrain(plan, tmp_path)
     load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
     replay = evaluate_episode(plan, artifacts, Approach.ATMARL, seed=4)
@@ -268,7 +274,7 @@ def test_generalization_plan_evaluates_under_other_distribution(tmp_path):
         seeds=(1,),
         eval_distribution=DistributionSpec.of(DistributionKind.GAUSSIAN),
     )
-    result = run_pipeline(plan, tmp_path, reuse=False)
+    result = run_quick(plan, tmp_path)
     trace = result.traces[0]
     kinds = {row[trace.columns.index("dist_kind")] for row in trace.rows}
     assert kinds == {"Gaussian"}

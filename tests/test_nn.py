@@ -14,7 +14,9 @@ from atmarl.nn import (
     log_softmax,
     softmax,
     softmax_sample,
+    stack_steps,
 )
+from oracles import per_step_gru_sequence_backward
 
 FD_H = 1e-5
 
@@ -34,6 +36,10 @@ def finite_difference(fn, arr, h=FD_H):
         grad[idx] = (plus - minus) / (2 * h)
         it.iternext()
     return grad
+
+
+def zero_grads(part):
+    return {k: np.zeros_like(v) for k, v in part.params().items()}
 
 
 def rel_error(a, b):
@@ -56,7 +62,8 @@ def test_dense_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(0)
     layer = DenseLayer.create(rng, 3, 4)
     out, cache = dense_forward(layer, rng.normal(size=3))
-    grads, dx = dense_backward(layer, cache, np.zeros_like(out))
+    grads = zero_grads(layer)
+    dx = dense_backward(layer, cache, np.zeros_like(out), grads)
     assert not grads["W"].any()
     assert not grads["b"].any()
     assert not dx.any()
@@ -82,7 +89,8 @@ def test_dense_gradients_match_finite_differences(activation, trial):
         return float(((out - target) ** 2).sum())
 
     out, cache = dense_forward(layer, x)
-    grads, dx = dense_backward(layer, cache, 2.0 * (out - target))
+    grads = zero_grads(layer)
+    dx = dense_backward(layer, cache, 2.0 * (out - target), grads)
     assert rel_error(grads["W"], finite_difference(loss, layer.weights)) < 1e-4
     assert rel_error(grads["b"], finite_difference(loss, layer.bias)) < 1e-4
     assert rel_error(dx, finite_difference(loss, x)) < 1e-4
@@ -108,13 +116,50 @@ def test_stacked_dense_equals_copies_bit_for_bit(shared_input):
     dout = rng.normal(size=(6, 16))
 
     out, cache = dense_forward(stacked, x)
-    grads, dx = dense_backward(stacked, cache, dout)
+    grads = zero_grads(stacked)
+    dx = dense_backward(stacked, cache, dout, grads)
     for i, layer in enumerate(copies):
         ref_out, ref_dw, ref_db, ref_dx = _copy_reference(layer, x if shared_input else x[i], dout[i])
         assert np.array_equal(out[i], ref_out)
         assert np.array_equal(grads["W"][i], ref_dw)
         assert np.array_equal(grads["b"][i], ref_db)
         assert np.array_equal(dx[i], ref_dx)
+
+
+@pytest.mark.parametrize(
+    "copies, out_dim, shared_input",
+    [(None, 5, False), (None, 1, False), (4, 6, False), (4, 6, True)],
+    ids=["plain", "scalar-output", "stacked", "stacked-shared-input"],
+)
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared_input, activation):
+    # one call over a leading step axis must fold the steps in step order:
+    # a [T, 1] bias gradient summed along T would be summed pairwise
+    rng = np.random.default_rng(21)
+    steps, in_dim = 40, 7
+    if copies is None:
+        layer = DenseLayer.create(rng, in_dim, out_dim, activation)
+        xs = rng.normal(size=(steps, in_dim))
+    else:
+        layer = DenseLayer.stack([DenseLayer.create(rng, in_dim, out_dim, activation) for _ in range(copies)])
+        xs = rng.normal(size=(steps, in_dim) if shared_input else (steps, copies, in_dim))
+    layer.bias += rng.normal(size=layer.bias.shape)
+    per_step = [dense_forward(layer, x)[1] for x in xs]
+    douts = rng.normal(size=(steps, *layer.bias.shape))
+
+    folded = zero_grads(layer)
+    dxs = []
+    for cache, dout in zip(per_step, douts):
+        step_grads = zero_grads(layer)
+        dxs.append(dense_backward(layer, cache, dout, step_grads))
+        folded["W"] += step_grads["W"]
+        folded["b"] += step_grads["b"]
+
+    grads = zero_grads(layer)
+    dx = dense_backward(layer, stack_steps(per_step), douts, grads)
+    assert grads["W"].tobytes() == folded["W"].tobytes()
+    assert grads["b"].tobytes() == folded["b"].tobytes()
+    assert dx.tobytes() == np.stack(dxs).tobytes()
 
 
 def test_stacked_dense_shape_mismatch_raises():
@@ -163,10 +208,12 @@ def test_gru_length_one_bptt_equals_single_step():
     h0 = rng.normal(size=4) * 0.1
     hs, caches = gru_sequence_forward(cell, [x], h0)
     dh = rng.normal(size=4)
-    seq_grads, dxs, dh0 = gru_sequence_backward(cell, caches, [dh])
+    seq_grads = zero_grads(cell)
+    dxs, dh0 = gru_sequence_backward(cell, caches, [dh], seq_grads)
     from atmarl.nn import gru_backward
 
-    step_grads, dx_single, dh_single = gru_backward(cell, caches[0], dh)
+    step_grads = zero_grads(cell)
+    dx_single, dh_single = gru_backward(cell, caches[0], dh, step_grads)
     for key in seq_grads:
         np.testing.assert_allclose(seq_grads[key], step_grads[key])
     np.testing.assert_allclose(dxs[0], dx_single)
@@ -187,14 +234,45 @@ def test_gru_bptt_matches_finite_differences(trial):
 
     hs, caches = gru_sequence_forward(cell, xs, h0)
     dhs = [2.0 * (h - t) for h, t in zip(hs, targets)]
-    grads, _, _ = gru_sequence_backward(cell, caches, dhs)
+    grads = zero_grads(cell)
+    gru_sequence_backward(cell, caches, dhs, grads)
     for name, param in cell.params().items():
         fd = finite_difference(loss, param)
         assert rel_error(grads[name], fd) < 1e-4, f"{name} gradient mismatch"
 
 
+@pytest.mark.parametrize("in_dim, hidden", [(64, 64), (5, 1)])
+@pytest.mark.parametrize("steps", [1, 12, 40])
+def test_gru_bptt_equals_per_step_oracle(in_dim, hidden, steps):
+    # in-place accumulation in step order; a one-unit cell's [T, 1] bias
+    # gradients would come out different if summed along T at the end
+    rng = np.random.default_rng(300 + steps)
+    cell = GruCell.create(rng, in_dim, hidden)
+    for bias in (cell.bz, cell.br, cell.bn):
+        bias += rng.normal(size=hidden) * 0.1
+    _, caches = gru_sequence_forward(cell, list(rng.normal(size=(steps, in_dim))), rng.normal(size=hidden) * 0.1)
+    dhs = rng.normal(size=(steps, hidden))
+
+    grads = zero_grads(cell)
+    dxs, dh0 = gru_sequence_backward(cell, caches, dhs, grads)
+    ref_grads, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, caches, dhs)
+    for key in ref_grads:
+        assert grads[key].tobytes() == ref_grads[key].tobytes(), key
+    assert dxs.tobytes() == np.stack(ref_dxs).tobytes()
+    assert dh0.tobytes() == ref_dh0.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # softmax and Adam
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (40, 6, 8), (5, 3), (4, 17)])
+def test_softmax_rows_equal_one_dimensional_calls(shape):
+    logits = np.random.default_rng(len(shape) * 10 + shape[-1]).normal(size=shape) * 3.0
+    probs, logp = softmax(logits), log_softmax(logits)
+    for index in np.ndindex(shape[:-1]):
+        assert probs[index].tobytes() == softmax(logits[index]).tobytes()
+        assert logp[index].tobytes() == log_softmax(logits[index]).tobytes()
 
 
 def test_softmax_uniform_on_equal_logits():

@@ -6,6 +6,7 @@ from atmarl.agents import GOAL_LEVELS, PretrainConfig, SystemKind, estimate_capa
 from atmarl.config import default_scenario
 from atmarl.nn import log_softmax
 from atmarl.slice_sim import KpiKind
+from oracles import per_head_act, per_step_episode_gradients
 from atmarl.supervisor import (
     ActorHidden,
     EpisodeTrajectory,
@@ -177,6 +178,29 @@ def test_act_joint_log_prob_factorizes():
     assert np.sum(per_head) == pytest.approx(float(log_probs.sum()))
 
 
+@pytest.mark.parametrize("mode", list(GoalMode))
+@pytest.mark.parametrize("explore", [True, False])
+def test_act_equals_per_head_oracle(mode, explore):
+    cfg, policy = toy_policy(seed=15, mode=mode)
+    gammas, tuples, targets = _act_inputs(cfg, policy)
+    hidden = ActorHidden.zeros(TOY_DIMS.gru)
+    key_of_head = [a.key for a in policy.agents[: policy.n_heads]]
+    for tie in (False, True):
+        if tie:
+            # every head ties at its top rungs; greedy takes the first maximum
+            policy.heads.weights[...] = 0.0
+            policy.heads.bias[...] = [0.5, 1.0, 0.2, 1.0, 1.0, -0.3, 1.0, 0.0]
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assignment, log_probs, _, fwd = act(policy, cfg, gammas, tuples, targets, hidden, rng, explore)
+            levels, ref_log_probs = per_head_act(fwd.logits, ref_rng, explore)
+            assert [assignment.levels[key] for key in key_of_head] == levels
+            assert log_probs.tobytes() == ref_log_probs.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if tie and not explore:
+                assert set(levels) == {2}
+
+
 def test_hidden_state_evolves_under_constant_context():
     cfg, policy = toy_policy(seed=13)
     gammas, tuples, targets = _act_inputs(cfg, policy)
@@ -340,6 +364,45 @@ def test_actor_critic_gradients_match_finite_differences():
     assert worst < 1e-3
 
 
+def _random_trajectory(policy, cfg, steps, rng):
+    traj = EpisodeTrajectory(targets=np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in cfg.services]))
+    hidden = ActorHidden.zeros(policy.dims.gru)
+    n = len(policy.agents)
+    for _ in range(steps):
+        gammas = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
+        tuples = rng.uniform(0.0, 1.0, (n, 8))
+        fwd = forward_step(policy, gammas, tuples, traj.targets, hidden)
+        hidden = fwd.hidden
+        traj.gammas.append(gammas)
+        traj.tuples.append(tuples)
+        traj.sampled_levels.append(rng.integers(1, GOAL_LEVELS + 1, policy.n_heads).tolist())
+        traj.rewards.append(float(rng.normal()))
+        traj.forwards.append(fwd)
+    return traj
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+@pytest.mark.parametrize("steps", [1, 7, 12, 40])
+def test_episode_gradients_equal_per_step_oracle(mode, steps):
+    # default dims, as trained; every gradient and loss term bit for bit
+    cfg = default_scenario()
+    rng = np.random.default_rng(400 + steps)
+    policy = create_policy(rng, cfg, mode=mode)
+    traj = _random_trajectory(policy, cfg, steps, rng)
+    train_cfg = TrainConfig()
+    returns = discounted_returns(traj.rewards, train_cfg.discount)
+    advantages = returns - np.array([f.value for f in traj.forwards])
+    if steps > 1:
+        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+
+    grads, losses = episode_gradients(policy, traj, advantages, returns, train_cfg)
+    ref_grads, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns, train_cfg)
+    assert list(grads) == list(ref_grads)
+    for name in ref_grads:
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    assert losses == ref_losses
+
+
 # ---------------------------------------------------------------------------
 # training basics
 
@@ -349,8 +412,10 @@ def tiny_system():
     cfg = default_scenario()
     rng = np.random.default_rng(50)
     quick = PretrainConfig(episodes=120, episode_length=12)
-    pri = pretrain_system(SystemKind.PRIORITY, cfg, rng, quick)
-    mbr = pretrain_system(SystemKind.MBR, cfg, rng, quick)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        pri = pretrain_system(SystemKind.PRIORITY, cfg, rng, quick)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        mbr = pretrain_system(SystemKind.MBR, cfg, rng, quick)
     qtables = {**pri.qtables, **mbr.qtables}
     caps = estimate_capabilities(pri.logs + mbr.logs, cfg)
     return cfg, qtables, caps
