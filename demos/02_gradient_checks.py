@@ -10,6 +10,7 @@ from atmarl.nn import (
     dense_forward,
     gru_sequence_backward,
     gru_sequence_forward,
+    stack_steps,
 )
 
 
@@ -47,7 +48,7 @@ def main():
 
     out, cache = dense_forward(layer, x)
     grads = {name: np.zeros_like(param) for name, param in layer.params().items()}
-    dense_backward(layer, cache, 2 * (out - target), grads)
+    dense_backward(layer, stack_steps([cache]), (2 * (out - target))[None], grads)
     for name, param in layer.params().items():
         err = rel_err(grads[name], finite_difference(dense_loss, param))
         print(f"  {name}: relative error {err:.2e}")

@@ -8,9 +8,10 @@ Run from the repository root::
 ``--tree`` names the checkout whose code is measured (default: this one);
 its own ``perfbench/run.py`` runs every workload timed (``--trace 0``) and
 traced (``--trace 1``), and its ``src`` supplies the package for the
-microbenchmarks. The file lands at the root of this checkout. Two records
-made on one host with the same ``--seed`` and ``--seconds`` share their keys
-and compare field by field.
+microbenchmarks. The file lands at the root of this checkout. Every record
+uses the same seed, run length and sample count (``SEED``, ``SECONDS``,
+``REPEATS``, stored under ``settings``), so two records made on one host
+share their keys and compare field by field.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent
 WORKLOADS = ("pretrain", "train", "evaluate")
+SEED = 101
+SECONDS = 30.0  # length of each perfbench run
+REPEATS = 40  # samples per microbenchmark
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(tree: Path, workload: str, trace: int) -> dict:
     """The JSON object on the last line of one perfbench run."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -45,12 +49,14 @@ def quartiles(samples: list[float]) -> dict:
     return {"p25": q1, "p50": q2, "p75": q3, "n": len(samples)}
 
 
-def microbenchmarks(seed: int, repeats: int) -> dict:
+def microbenchmarks(tree: Path) -> dict:
     """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``.
 
     Each sample is also given over the perfbench host-reference kernel's
-    time around it (``*_ref``), as perfbench gates its timings.
+    time around it (``*_ref``), as perfbench gates its timings. Run it in a
+    fresh process: it imports the package from ``tree``.
     """
+    sys.path.insert(0, str(tree / "perfbench"))
     import run as bench  # the measured tree's perfbench/run.py; puts its src on sys.path
 
     from atmarl.agents import PretrainConfig, SystemKind, estimate_capabilities, pretrain_system
@@ -58,7 +64,7 @@ def microbenchmarks(seed: int, repeats: int) -> dict:
     from atmarl.supervisor import TrainConfig, act, create_policy, discounted_returns, episode_gradients, rollout_episode
 
     cfg = default_scenario()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     quick = PretrainConfig(episodes=20, episode_length=20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the quick pre-training misses its floor
@@ -71,7 +77,7 @@ def microbenchmarks(seed: int, repeats: int) -> dict:
     def timed(fn, calls: int = 1) -> tuple[list[float], list[float]]:
         ms, ref = [], []
         before = bench.reference_s(1)
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             for _ in range(calls):
                 fn()
@@ -106,26 +112,15 @@ def microbenchmarks(seed: int, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", help="names the output, BENCH_<label>.json")
+    parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout whose code is measured")
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--seconds", type=float, default=30.0, help="length of each perfbench run")
-    parser.add_argument("--repeats", type=int, default=40, help="samples per microbenchmark")
-    parser.add_argument("--micro-only", action="store_true", help="print the microbenchmarks of --tree as JSON and exit")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
 
-    if args.micro_only:
-        sys.path.insert(0, str(tree / "perfbench"))
-        print(json.dumps(microbenchmarks(args.seed, args.repeats)))
-        return 0
-    if not args.label:
-        parser.error("--label is required")
-
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    micro_cmd = [sys.executable, str(Path(__file__).resolve()), "--micro-only", "--tree", str(tree),
-                 "--seed", str(args.seed), "--repeats", str(args.repeats)]
-    micro = subprocess.run(micro_cmd, env=env, capture_output=True, text=True, check=True)
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT)!r}); import record_bench; "
+            f"print(json.dumps(record_bench.microbenchmarks(record_bench.Path({str(tree)!r}))))")
+    micro = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     record = {
         "label": args.label,
         "environment": {
@@ -133,9 +128,9 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         },
-        "settings": {"seed": args.seed, "seconds": args.seconds, "repeats": args.repeats},
+        "settings": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS},
         "perfbench": {
-            w: {mode: perfbench(tree, w, args.seed, args.seconds, trace) for mode, trace in (("timed", 0), ("traced", 1))}
+            w: {mode: perfbench(tree, w, trace) for mode, trace in (("timed", 0), ("traced", 1))}
             for w in WORKLOADS
         },
         "micro": json.loads(micro.stdout.strip().splitlines()[-1]),

@@ -87,18 +87,20 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
 def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
     """Adds the parameter gradients into ``grads`` (shaped like ``params()``); returns dx.
 
-    A shared input gets one dx per copy. The cache and ``dout`` may carry a
-    leading step axis, one axis more than the layer's bias: dx then keeps it,
-    and the steps are folded into ``grads`` one by one in step order, so the
-    sums equal those of one call per step. A stack of per-step products
-    summed along the step axis would not: numpy sums a contiguous axis
-    pairwise.
+    The cache and ``dout`` carry a leading step axis (``stack_steps`` builds
+    the cache; a single step is a stack of one), and dx keeps it. A shared
+    input gets one dx per copy. The steps are folded into ``grads`` one by
+    one in step order, so the sums equal those of one step at a time. A
+    stack of per-step products summed along the step axis would not: numpy
+    sums a contiguous axis pairwise.
     """
     x, pre, out = cache
     if dout.shape != out.shape:
         raise ValueError(f"upstream grad shape {dout.shape} != output shape {out.shape}")
+    if dout.ndim != layer.bias.ndim + 1:
+        raise ValueError(f"upstream grad shape {dout.shape} lacks a step axis before bias shape {layer.bias.shape}")
     dpre = dout * _activate_grad(pre, out, layer.activation)
-    for x_t, dpre_t in zip(x, dpre) if dpre.ndim > layer.bias.ndim else [(x, dpre)]:
+    for x_t, dpre_t in zip(x, dpre):
         grads["W"] += dpre_t[..., :, None] * x_t[..., None, :]
         grads["b"] += dpre_t
     return (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
@@ -114,7 +116,7 @@ def stack_forward(layers: list[DenseLayer], x: np.ndarray):
 
 
 def stack_backward(layers: list[DenseLayer], caches, dout: np.ndarray, grads: list[dict[str, np.ndarray]]) -> np.ndarray:
-    """Backward through ``stack_forward``, adding into per-layer ``grads``; returns dx."""
+    """Backward through ``stack_forward`` over step-stacked caches, adding into per-layer ``grads``; returns dx."""
     for j in range(len(layers) - 1, -1, -1):
         dout = dense_backward(layers[j], caches[j], dout, grads[j])
     return dout

@@ -47,6 +47,11 @@ def rel_error(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def one_step_backward(layer, cache, dout, grads):
+    """``dense_backward`` over a stack of one step; returns that step's dx."""
+    return dense_backward(layer, stack_steps([cache]), dout[None], grads)[0]
+
+
 # ---------------------------------------------------------------------------
 # dense layers
 
@@ -63,7 +68,7 @@ def test_dense_zero_upstream_gives_zero_grads():
     layer = DenseLayer.create(rng, 3, 4)
     out, cache = dense_forward(layer, rng.normal(size=3))
     grads = zero_grads(layer)
-    dx = dense_backward(layer, cache, np.zeros_like(out), grads)
+    dx = one_step_backward(layer, cache, np.zeros_like(out), grads)
     assert not grads["W"].any()
     assert not grads["b"].any()
     assert not dx.any()
@@ -90,7 +95,7 @@ def test_dense_gradients_match_finite_differences(activation, trial):
 
     out, cache = dense_forward(layer, x)
     grads = zero_grads(layer)
-    dx = dense_backward(layer, cache, 2.0 * (out - target), grads)
+    dx = one_step_backward(layer, cache, 2.0 * (out - target), grads)
     assert rel_error(grads["W"], finite_difference(loss, layer.weights)) < 1e-4
     assert rel_error(grads["b"], finite_difference(loss, layer.bias)) < 1e-4
     assert rel_error(dx, finite_difference(loss, x)) < 1e-4
@@ -117,7 +122,7 @@ def test_stacked_dense_equals_copies_bit_for_bit(shared_input):
 
     out, cache = dense_forward(stacked, x)
     grads = zero_grads(stacked)
-    dx = dense_backward(stacked, cache, dout, grads)
+    dx = one_step_backward(stacked, cache, dout, grads)
     for i, layer in enumerate(copies):
         ref_out, ref_dw, ref_db, ref_dx = _copy_reference(layer, x if shared_input else x[i], dout[i])
         assert np.array_equal(out[i], ref_out)
@@ -151,7 +156,7 @@ def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared
     dxs = []
     for cache, dout in zip(per_step, douts):
         step_grads = zero_grads(layer)
-        dxs.append(dense_backward(layer, cache, dout, step_grads))
+        dxs.append(one_step_backward(layer, cache, dout, step_grads))
         folded["W"] += step_grads["W"]
         folded["b"] += step_grads["b"]
 
@@ -160,6 +165,14 @@ def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared
     assert grads["W"].tobytes() == folded["W"].tobytes()
     assert grads["b"].tobytes() == folded["b"].tobytes()
     assert dx.tobytes() == np.stack(dxs).tobytes()
+
+
+def test_dense_backward_without_step_axis_raises():
+    rng = np.random.default_rng(13)
+    stacked = DenseLayer.stack([DenseLayer.create(rng, 3, 4) for _ in range(2)])
+    out, cache = dense_forward(stacked, rng.normal(size=(2, 3)))
+    with pytest.raises(ValueError):
+        dense_backward(stacked, cache, np.ones_like(out), zero_grads(stacked))
 
 
 def test_stacked_dense_shape_mismatch_raises():
