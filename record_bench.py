@@ -12,6 +12,11 @@ microbenchmarks. The file lands at the root of this checkout. Every record
 uses the same seed, run length and sample count (``SEED``, ``SECONDS``,
 ``REPEATS``, stored under ``settings``), so two records made on one host
 share their keys and compare field by field.
+
+The microbenchmarks call the package's current signatures
+(``episode_gradients`` without a training config, the discount read from
+``supervisor.DISCOUNT``), so ``--tree`` must be a checkout from the change
+that made the learning settings module constants onwards; older trees fail.
 """
 
 from __future__ import annotations
@@ -61,7 +66,9 @@ def microbenchmarks(tree: Path) -> dict:
 
     from atmarl.agents import PretrainConfig, SystemKind, estimate_capabilities, pretrain_system
     from atmarl.config import default_scenario
-    from atmarl.supervisor import TrainConfig, act, create_policy, discounted_returns, episode_gradients, rollout_episode
+    from atmarl.supervisor import (
+        DISCOUNT, TrainConfig, act, create_policy, discounted_returns, episode_gradients, rollout_episode,
+    )
 
     cfg = default_scenario()
     rng = np.random.default_rng(SEED)
@@ -92,7 +99,7 @@ def microbenchmarks(tree: Path) -> dict:
         return rollout_episode(policy, cfg, qtables, caps, rng, train.episode_length, explore=True)
 
     traj = rollout()
-    returns = discounted_returns(traj.rewards, train.discount)
+    returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = returns - np.array([f.value for f in traj.forwards])
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     step = len(traj) // 2
@@ -101,7 +108,7 @@ def microbenchmarks(tree: Path) -> dict:
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
-        ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns, train), 1, 1.0),
+        ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns), 1, 1.0),
         ("act_us", lambda: act(policy, cfg, traj.gammas[step], traj.tuples[step], traj.targets, hidden, rng, True), 200, 1e3),
     ):
         ms, ref = timed(fn, calls)

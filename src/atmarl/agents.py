@@ -297,15 +297,17 @@ def run_episode(
         on_step(t, state, report, current, active, taken, seen)
 
 
+PRETRAIN_LEARNING_RATE = 0.1
+PRETRAIN_DISCOUNT = 0.9
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+PRETRAIN_REWARD_FLOOR = -0.5  # mean final-phase reward below this flags non-convergence
+
+
 @dataclass
 class PretrainConfig:
     episodes: int = 600
     episode_length: int = 20
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    reward_floor: float = -0.5  # mean final-phase reward below this flags non-convergence
 
 
 @dataclass
@@ -341,8 +343,8 @@ def pretrain_system(
     planes = {system}
     for episode in range(params.episodes):
         eps = max(
-            params.epsilon_end,
-            params.epsilon_start + (params.epsilon_end - params.epsilon_start) * episode / max(anneal, 1),
+            EPSILON_END,
+            EPSILON_START + (EPSILON_END - EPSILON_START) * episode / max(anneal, 1),
         )
         state = init_scenario(config)
         kind = spreads[int(rng.integers(len(spreads)))]
@@ -367,8 +369,8 @@ def pretrain_system(
                 index, action = taken[a.key]
                 values = tables[a.key].values
                 sa = index + (int(action),)
-                td = r + params.discount * max(values[discretize(seen[a.key])].tolist()) - values[sa]
-                values[sa] += params.learning_rate * td
+                td = r + PRETRAIN_DISCOUNT * max(values[discretize(seen[a.key])].tolist()) - values[sa]
+                values[sa] += PRETRAIN_LEARNING_RATE * td
                 if hit_step[a.key] is None and goal_achieved(kpi, goal_kpi, svc.kpi_kind):
                     hit_step[a.key] = t + 1
 
@@ -390,13 +392,13 @@ def pretrain_system(
         recent_rewards.append(episode_reward / (params.episode_length * len(agents)))
     tail = recent_rewards[-max(len(recent_rewards) // 5, 1):]
     mean_recent = float(np.mean(tail))
-    converged = mean_recent >= params.reward_floor
+    converged = mean_recent >= PRETRAIN_REWARD_FLOOR
     if not converged:
         import warnings
 
         warnings.warn(
             f"{system.value} pretraining mean reward {mean_recent:.3f} below "
-            f"{params.reward_floor}; agents may be undertrained",
+            f"{PRETRAIN_REWARD_FLOOR}; agents may be undertrained",
             stacklevel=2,
         )
     return PretrainResult(qtables=tables, logs=logs, converged=converged, mean_recent_reward=mean_recent)
@@ -425,7 +427,7 @@ def estimate_capabilities(logs: list[dict], config: ScenarioConfig) -> dict[str,
     attempts = {key: np.zeros(GOAL_LEVELS) for key in vectors}
     successes = {key: np.zeros(GOAL_LEVELS) for key in vectors}
     for row in logs:
-        key = f"{str(row['agent_system']).lower()}_{row['intent_index']}"
+        key = AgentId(SystemKind(row["agent_system"]), int(row["intent_index"])).key
         if key not in vectors:
             continue
         lvl = int(row["goal_level"]) - 1

@@ -5,16 +5,14 @@ from __future__ import annotations
 from .agents import GoalAssignment, SystemKind, agent_roster, nearest_goal_level
 from .config import ScenarioConfig
 
-DEFAULT_SWITCH_PERIOD = 5
+SWITCH_PERIOD = 5
 
 
-def rule_based_select(t: int, period: int = DEFAULT_SWITCH_PERIOD) -> SystemKind:
-    """Alternate control planes every ``period`` steps, Priority first."""
+def rule_based_select(t: int) -> SystemKind:
+    """Alternate control planes every ``SWITCH_PERIOD`` steps, Priority first."""
     if t < 0:
         raise ValueError(f"timestep must be nonnegative, got {t}")
-    if period < 1:
-        raise ValueError(f"switch period must be >= 1, got {period}")
-    return SystemKind.PRIORITY if (t // period) % 2 == 0 else SystemKind.MBR
+    return SystemKind.PRIORITY if (t // SWITCH_PERIOD) % 2 == 0 else SystemKind.MBR
 
 
 def naive_parallel_goals(config: ScenarioConfig) -> GoalAssignment:

@@ -65,7 +65,6 @@ def _plan_from_args(args) -> ExperimentPlan:
     plan = ExperimentPlan(
         scenario=scenario,
         approaches=(approach,),
-        seeds=tuple(args.seed) if args.seed else (1, 2, 3, 4, 5),
         episode_length=args.episode_length,
         shift_schedule=_parse_shift(args.shift) if args.shift else (),
         eval_distribution=(
@@ -74,6 +73,8 @@ def _plan_from_args(args) -> ExperimentPlan:
             else None
         ),
     )
+    if args.seed:
+        plan.seeds = tuple(args.seed)
     if args.episodes:
         plan.train_cfg.episodes = args.episodes
     return plan

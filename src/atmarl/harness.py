@@ -39,7 +39,6 @@ from .agents import (
     write_pretrain_log,
 )
 from .baselines import (
-    DEFAULT_SWITCH_PERIOD,
     goal_halving,
     naive_parallel_goals,
     rule_based_select,
@@ -83,7 +82,6 @@ class ExperimentPlan:
     pretrain_seed: int = 11
     pretrain_cfg: PretrainConfig = field(default_factory=PretrainConfig)
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    switch_period: int = DEFAULT_SWITCH_PERIOD
 
     def __post_init__(self):
         if not self.seeds:
@@ -250,7 +248,7 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
     config = plan.eval_scenario
     targets = naive_parallel_goals(config)
     if approach is Approach.RULE_BASED:
-        return lambda t, *_: (targets, {rule_based_select(t, plan.switch_period)})
+        return lambda t, *_: (targets, {rule_based_select(t)})
     if approach is Approach.NAIVE_PARALLEL:
         return lambda *_: (targets, BOTH_PLANES)
     policy = PolicyGoals(

@@ -273,36 +273,37 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.nda
     return idx, np.take_along_axis(log_softmax(logits), idx[..., None], axis=-1)[..., 0]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moment accumulators over a named parameter collection."""
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: OptimizerState):
-    """In-place Adam update; unknown gradient keys are a contract violation."""
+    """In-place Adam update; the caller checks the gradients are finite, and unknown keys are a contract violation."""
     state.step += 1
     t = state.step
     for key, g in grads.items():
         if key not in params:
             raise KeyError(f"gradient for unknown parameter {key!r}")
-        _check_finite(f"grad[{key}]", g)
         if key not in state.m:
             state.m[key] = np.zeros_like(params[key])
             state.v[key] = np.zeros_like(params[key])
         m = state.m[key]
         v = state.v[key]
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * (g * g)
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        params[key] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        params[key] -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -323,19 +323,21 @@ class CapabilityTracker:
 # episodic A2C training
 
 
+DISCOUNT = 0.95
+ENTROPY_COEF = 0.01
+LEARNING_RATE = 1e-3
+CRITIC_COEF = 0.5
+GRAD_CLIP = 5.0
+# fraction of training episodes that start from randomized knob settings,
+# so the goal policy learns recovery behavior beyond the canonical
+# default-start transient
+EXPLORING_STARTS = 0.5
+
+
 @dataclass
 class TrainConfig:
     episodes: int = 400
     episode_length: int = 40
-    discount: float = 0.95
-    entropy_coef: float = 0.01
-    learning_rate: float = 1e-3
-    critic_coef: float = 0.5
-    grad_clip: float = 5.0
-    # fraction of training episodes that start from randomized knob settings,
-    # so the goal policy learns recovery behavior beyond the canonical
-    # default-start transient
-    exploring_starts: float = 0.5
 
 
 @dataclass
@@ -367,7 +369,6 @@ def episode_gradients(
     traj: EpisodeTrajectory,
     advantages: np.ndarray,
     returns: np.ndarray,
-    cfg: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """Backpropagate the A2C loss through the episode.
 
@@ -393,12 +394,12 @@ def episode_gradients(
     entropy_total = 0.0
     for adv, logp_t, entropy_t in zip(advantages.tolist(), chosen_logp.tolist(), entropy.tolist()):
         for lp, ent in zip(logp_t, entropy_t):
-            actor_loss += -adv * lp - cfg.entropy_coef * ent
+            actor_loss += -adv * lp - ENTROPY_COEF * ent
             entropy_total += ent
     onehot = np.zeros_like(probs)
     np.put_along_axis(onehot, chosen, 1.0, axis=-1)
     dlogits = advantages[:, None, None] * (probs - onehot)
-    dlogits += cfg.entropy_coef * probs * (logp + entropy[..., None])
+    dlogits += ENTROPY_COEF * probs * (logp + entropy[..., None])
     dh = dense_backward(policy.heads, stack_steps([fwd.head_cache for fwd in forwards]), dlogits, acc.heads.params())
     dh2 = dh.sum(axis=1)  # [steps, gru]: each step's heads summed in head order
 
@@ -406,11 +407,11 @@ def episode_gradients(
     err = np.array([fwd.value for fwd in forwards]) - returns
     critic_loss = 0.0
     for e in err.tolist():
-        critic_loss += cfg.critic_coef * e * e
+        critic_loss += CRITIC_COEF * e * e
     dc_direct = stack_backward(
         policy.critic,
         stack_steps([fwd.crit_caches for fwd in forwards]),
-        (2.0 * cfg.critic_coef * err)[:, None],
+        (2.0 * CRITIC_COEF * err)[:, None],
         [layer.params() for layer in acc.critic],
     )
 
@@ -450,7 +451,6 @@ def episode_loss(
     traj: EpisodeTrajectory,
     advantages: np.ndarray,
     returns: np.ndarray,
-    cfg: TrainConfig,
 ) -> float:
     """Recompute the scalar A2C loss from leaf inputs (finite-difference oracle hook)."""
     hidden = ActorHidden.zeros(policy.dims.gru)
@@ -463,19 +463,10 @@ def episode_loss(
             probs = softmax(fwd.logits[i])
             entropy = float(-(probs * logp).sum())
             chosen = traj.sampled_levels[t][i] - 1
-            total += -advantages[t] * float(logp[chosen]) - cfg.entropy_coef * entropy
+            total += -advantages[t] * float(logp[chosen]) - ENTROPY_COEF * entropy
         err = fwd.value - returns[t]
-        total += cfg.critic_coef * err * err
+        total += CRITIC_COEF * err * err
     return float(total)
-
-
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float):
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return total
 
 
 @dataclass
@@ -580,7 +571,7 @@ def train_supervisor(
 ) -> TrainStats:
     """Episodic A2C over the frozen MARL systems; mutates the policy in place."""
     cfg = cfg or TrainConfig()
-    opt = OptimizerState(lr=cfg.learning_rate)
+    opt = OptimizerState(lr=LEARNING_RATE)
     params = policy.named_params()
     tracker = CapabilityTracker(capabilities, config)
     stats = TrainStats(episode_rewards=[], grad_norms=[])
@@ -594,21 +585,27 @@ def train_supervisor(
             cfg.episode_length,
             explore=True,
             tracker=tracker,
-            randomize_start=bool(rng.random() < cfg.exploring_starts),
+            randomize_start=bool(rng.random() < EXPLORING_STARTS),
         )
         tracker.flush()
-        returns = discounted_returns(traj.rewards, cfg.discount)
+        returns = discounted_returns(traj.rewards, DISCOUNT)
         values = np.array([f.value for f in traj.forwards])
         advantages = returns - values
         if len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        grads, losses = episode_gradients(policy, traj, advantages, returns, cfg)
-        if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        grads, losses = episode_gradients(policy, traj, advantages, returns)
+        # the one finiteness check per update: a non-finite gradient, or one
+        # whose square overflows, makes the norm non-finite
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if not np.isfinite(norm):
             raise TrainingDivergence(
                 "non-finite gradients during supervisor training",
                 diagnostics={"episode": episode, "losses": losses},
             )
-        norm = _clip_grads(grads, cfg.grad_clip)
+        if norm > GRAD_CLIP:
+            scale = GRAD_CLIP / norm
+            for g in grads.values():
+                g *= scale
         adam_step(params, grads, opt)
         episode_reward = float(np.sum(traj.rewards))
         if not np.isfinite(episode_reward):

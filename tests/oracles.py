@@ -10,6 +10,7 @@ import copy
 import numpy as np
 
 from atmarl.slice_sim import N_GNODEBS, QOE_RANGE, KpiKind, compute_packet_loss, compute_qoe
+from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF
 
 
 def packet_scheduling_oracle(
@@ -209,7 +210,7 @@ def per_step_gru_sequence_backward(cell, caches, dhs):
     return grads, dxs, carry
 
 
-def per_step_episode_gradients(policy, traj, advantages, returns, cfg):
+def per_step_episode_gradients(policy, traj, advantages, returns):
     """The A2C episode gradients one step and one head at a time.
 
     Per step: each head's softmax, entropy and loss terms, then every dense
@@ -232,15 +233,15 @@ def per_step_episode_gradients(policy, traj, advantages, returns, cfg):
             onehot = np.zeros_like(probs)
             onehot[chosen] = 1.0
             entropy = float(-(probs * logp).sum())
-            actor_loss += -advantages[t] * float(logp[chosen]) - cfg.entropy_coef * entropy
+            actor_loss += -advantages[t] * float(logp[chosen]) - ENTROPY_COEF * entropy
             entropy_total += entropy
             dlogits[i] = advantages[t] * (probs - onehot)
-            dlogits[i] += cfg.entropy_coef * probs * (logp + entropy)
+            dlogits[i] += ENTROPY_COEF * probs * (logp + entropy)
         dh = _stack_step_backward([policy.heads], [acc.heads], [fwd.head_cache], dlogits)
         dh2.append(dh.sum(axis=0))
         err = fwd.value - returns[t]
-        critic_loss += cfg.critic_coef * err * err
-        dc_direct.append(_stack_step_backward(policy.critic, acc.critic, fwd.crit_caches, np.array([2.0 * cfg.critic_coef * err])))
+        critic_loss += CRITIC_COEF * err * err
+        dc_direct.append(_stack_step_backward(policy.critic, acc.critic, fwd.crit_caches, np.array([2.0 * CRITIC_COEF * err])))
 
     dcontext = dh2
     for j in (1, 0):

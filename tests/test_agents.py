@@ -418,6 +418,13 @@ def test_capabilities_missing_pair_gets_prior_and_flag():
     assert not caps["mbr_2"].from_data.any()
 
 
+def test_capabilities_skip_rows_outside_the_roster():
+    # a 5-intent log row (intent 4) fed to the 3-intent scenario
+    caps = estimate_capabilities([_log_row(3, True, intent=4)], default_scenario())
+    assert "priority_4" not in caps
+    assert not any(vec.from_data.any() for vec in caps.values())
+
+
 @given(outcomes=st.lists(st.booleans(), min_size=1, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_capability_ema_stays_in_unit_interval(outcomes):

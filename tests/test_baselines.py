@@ -15,15 +15,9 @@ def test_rule_based_second_window_is_mbr():
     assert rule_based_select(7) is SystemKind.MBR
 
 
-def test_rule_based_period_one_parity():
-    assert rule_based_select(3, period=1) is SystemKind.MBR
-
-
 def test_rule_based_rejects_bad_args():
     with pytest.raises(ValueError):
         rule_based_select(-1)
-    with pytest.raises(ValueError):
-        rule_based_select(0, period=0)
 
 
 def test_naive_parallel_broadcasts_targets():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from atmarl.agents import PretrainConfig, agent_roster, goal_value
+from atmarl.baselines import SWITCH_PERIOD
 from atmarl.config import default_scenario, load_scenario, write_scenario
 from atmarl.errors import ScenarioError
 from atmarl.harness import (
@@ -137,7 +138,7 @@ def test_rule_based_one_system_per_step(pipeline_result):
     am = rb.columns.index("active_mbr")
     for i, row in enumerate(rb.rows):
         assert int(row[ap]) + int(row[am]) == 1
-        expected_priority = ((i // plan.switch_period) % 2) == 0
+        expected_priority = ((i // SWITCH_PERIOD) % 2) == 0
         assert bool(row[ap]) == expected_priority
 
 

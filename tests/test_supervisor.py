@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from atmarl import slice_sim
+from atmarl import slice_sim, supervisor
 from atmarl.agents import GOAL_LEVELS, PretrainConfig, SystemKind, estimate_capabilities, normalize_kpi, pretrain_system
 from atmarl.config import default_scenario
+from atmarl.errors import TrainingDivergence
 from atmarl.nn import log_softmax
 from atmarl.slice_sim import KpiKind
 from oracles import per_head_act, per_step_episode_gradients
 from atmarl.supervisor import (
+    DISCOUNT,
     ActorHidden,
     EpisodeTrajectory,
     GoalMode,
@@ -335,11 +337,10 @@ def test_actor_critic_gradients_match_finite_differences():
         traj.rewards.append(float(rng.normal()))
         traj.forwards.append(fwd)
 
-    cfg_train = TrainConfig(entropy_coef=0.01, critic_coef=0.5)
-    returns = discounted_returns(traj.rewards, cfg_train.discount)
+    returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = np.array([0.7, -1.2, 0.4])  # fixed constants, as in the update rule
 
-    grads, _ = episode_gradients(policy, traj, advantages, returns, cfg_train)
+    grads, _ = episode_gradients(policy, traj, advantages, returns)
 
     params = policy.named_params()
     h = 1e-5
@@ -351,9 +352,9 @@ def test_actor_critic_gradients_match_finite_differences():
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            plus = episode_loss(policy, traj, advantages, returns, cfg_train)
+            plus = episode_loss(policy, traj, advantages, returns)
             arr[idx] = orig - h
-            minus = episode_loss(policy, traj, advantages, returns, cfg_train)
+            minus = episode_loss(policy, traj, advantages, returns)
             arr[idx] = orig
             fd[idx] = (plus - minus) / (2 * h)
             it.iternext()
@@ -389,14 +390,13 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
     rng = np.random.default_rng(400 + steps)
     policy = create_policy(rng, cfg, mode=mode)
     traj = _random_trajectory(policy, cfg, steps, rng)
-    train_cfg = TrainConfig()
-    returns = discounted_returns(traj.rewards, train_cfg.discount)
+    returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = returns - np.array([f.value for f in traj.forwards])
     if steps > 1:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-    grads, losses = episode_gradients(policy, traj, advantages, returns, train_cfg)
-    ref_grads, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns, train_cfg)
+    grads, losses = episode_gradients(policy, traj, advantages, returns)
+    ref_grads, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns)
     assert list(grads) == list(ref_grads)
     for name in ref_grads:
         assert grads[name].tobytes() == ref_grads[name].tobytes(), name
@@ -473,3 +473,25 @@ def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
     )
     assert len(stats.episode_rewards) == 6
     assert all(np.isfinite(r) for r in stats.episode_rewards)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_raises_before_any_update(tiny_system, monkeypatch, bad):
+    cfg, qtables, caps = tiny_system
+    rng = np.random.default_rng(4)
+    policy = create_policy(rng, cfg, dims=TOY_DIMS)
+    before = {k: v.tobytes() for k, v in policy.named_params().items()}
+    real = supervisor.episode_gradients
+
+    def poisoned(*args):
+        grads, losses = real(*args)
+        grads["fus_l1.W"].flat[0] = bad
+        return grads, losses
+
+    monkeypatch.setattr(supervisor, "episode_gradients", poisoned)
+    with pytest.raises(TrainingDivergence, match="non-finite gradients"):
+        train_supervisor(
+            policy, cfg, qtables, {k: _copy_cap(v) for k, v in caps.items()}, rng,
+            TrainConfig(episodes=1, episode_length=6),
+        )
+    assert {k: v.tobytes() for k, v in policy.named_params().items()} == before
