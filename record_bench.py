@@ -1,4 +1,4 @@
-"""Record a ``BENCH_<label>.json``: perfbench runs plus untraced supervisor microbenchmarks.
+"""Record a ``BENCH_<label>.json``: perfbench runs plus untraced supervisor and simulator microbenchmarks.
 
 Run from the repository root::
 
@@ -55,7 +55,8 @@ def quartiles(samples: list[float]) -> dict:
 
 
 def microbenchmarks(tree: Path) -> dict:
-    """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``.
+    """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``,
+    per ``slice_sim.step`` and per ``allocate_capacity`` call.
 
     Each sample is also given over the perfbench host-reference kernel's
     time around it (``*_ref``), as perfbench gates its timings. Run it in a
@@ -64,6 +65,7 @@ def microbenchmarks(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "perfbench"))
     import run as bench  # the measured tree's perfbench/run.py; puts its src on sys.path
 
+    from atmarl import slice_sim
     from atmarl.agents import PretrainConfig, SystemKind, estimate_capabilities, pretrain_system
     from atmarl.config import default_scenario
     from atmarl.supervisor import (
@@ -104,12 +106,19 @@ def microbenchmarks(tree: Path) -> dict:
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     step = len(traj) // 2
     hidden = traj.forwards[step - 1].hidden
+    # the opening state of every episode: neutral knobs on the contended default slice
+    state = slice_sim.init_scenario(cfg)
+    offered = slice_sim.offered_loads(state, rng)
+    controls = state.controls
 
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
         ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns), 1, 1.0),
         ("act_us", lambda: act(policy, cfg, traj.gammas[step], traj.tuples[step], traj.targets, hidden, rng, True), 200, 1e3),
+        ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
+        ("allocate_capacity_us",
+         lambda: slice_sim.allocate_capacity(offered, controls.priority, controls.mbr, state.airlink_bandwidth), 200, 1e3),
     ):
         ms, ref = timed(fn, calls)
         out[name] = quartiles([x * scale for x in ms])

@@ -175,14 +175,13 @@ def observe(state: NetworkState, report: KpiReport, agent: AgentId, goal_kpi: fl
     )
 
 
+def _bin_unit(x: float) -> int:
+    return min(int(_clamp(x, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
+
+
 def discretize(obs: AgentObservation) -> tuple[int, int, int, int]:
     """Table index of an observation; a NaN field raises ValueError."""
-
-    def bin_unit(x: float) -> int:
-        return min(int(_clamp(x, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
-
-    cong = bin_unit(obs.congestion / CONGESTION_MAX)
-    return (bin_unit(obs.kpi), bin_unit(obs.knob), bin_unit(obs.goal), cong)
+    return (_bin_unit(obs.kpi), _bin_unit(obs.knob), _bin_unit(obs.goal), _bin_unit(obs.congestion / CONGESTION_MAX))
 
 
 def select_action(table: QTable, index: tuple[int, int, int, int], epsilon: float, rng: np.random.Generator) -> KnobAction:
@@ -267,6 +266,9 @@ def run_episode(
     the network, observes the new report and hands the outcome to
     ``on_step(t, state, report, current, active, taken, seen)``, where
     ``taken`` maps agent key to the (table index, action) acted on.
+    ``on_step`` may return the table indices it computed for observations
+    in ``seen`` (agent key to index); next step an agent whose goal is
+    unchanged acts on that index instead of binning its observation again.
     """
     roster = [a for a in agent_roster(config) if a.key in qtables]
     shifts = dict(shift_schedule)
@@ -274,6 +276,7 @@ def run_episode(
     aimed = {a.key: config.services[a.intent_index].kpi_target for a in roster}
     seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
     last_action = {a.key: KnobAction.HOLD for a in roster}
+    binned = {}
     for t in range(episode_length):
         if t in shifts:
             state = slice_sim.set_distribution(state, shifts[t])
@@ -282,11 +285,13 @@ def run_episode(
         for a in roster:
             if a.system not in active:
                 continue
-            obs = seen[a.key]
             goal = current.values[a.key]
             if goal != aimed[a.key]:
-                obs = obs._replace(goal=normalize_kpi(config.services[a.intent_index].kpi_kind, goal))
-            index = discretize(obs)
+                index = discretize(seen[a.key]._replace(goal=normalize_kpi(config.services[a.intent_index].kpi_kind, goal)))
+            elif a.key in binned:
+                index = binned[a.key]
+            else:
+                index = discretize(seen[a.key])
             action = select_action(qtables[a.key], index, epsilon, rng)
             apply_action(state, a, action)
             last_action[a.key] = action
@@ -294,7 +299,7 @@ def run_episode(
         state, report = sim_step(state, rng)
         aimed = current.values
         seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
-        on_step(t, state, report, current, active, taken, seen)
+        binned = on_step(t, state, report, current, active, taken, seen) or {}
 
 
 PRETRAIN_LEARNING_RATE = 0.1
@@ -360,6 +365,7 @@ def pretrain_system(
 
         def learn(t, state, report, current, active, taken, seen):
             nonlocal episode_reward
+            binned = {}  # the goal is fixed, so the engine acts on these indices next step
             for a in agents:
                 svc = config.services[a.intent_index]
                 goal_kpi = current.values[a.key]
@@ -369,10 +375,12 @@ def pretrain_system(
                 index, action = taken[a.key]
                 values = tables[a.key].values
                 sa = index + (int(action),)
-                td = r + PRETRAIN_DISCOUNT * max(values[discretize(seen[a.key])].tolist()) - values[sa]
+                binned[a.key] = discretize(seen[a.key])
+                td = r + PRETRAIN_DISCOUNT * max(values[binned[a.key]].tolist()) - values[sa]
                 values[sa] += PRETRAIN_LEARNING_RATE * td
                 if hit_step[a.key] is None and goal_achieved(kpi, goal_kpi, svc.kpi_kind):
                     hit_step[a.key] = t + 1
+            return binned
 
         run_episode(
             state, config, tables, lambda *_: (goals, planes), rng, params.episode_length, learn, epsilon=eps

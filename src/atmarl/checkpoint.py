@@ -29,6 +29,7 @@ from .errors import (
 
 HEADER = "ATMARL-CKPT v1"
 _PER_LINE = 8
+_LINE = " ".join(["%.17g"] * _PER_LINE)
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict[str, str] | None = None):
@@ -39,10 +40,12 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict[
         arr = np.asarray(arrays[name], dtype=np.float64)
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"block {name} {arr.ndim} {dims}".rstrip())
-        # Python floats format faster than numpy scalars, to the same text
+        # one % over the whole block: lines of _PER_LINE values, the last one shorter
         flat = arr.ravel().tolist()
-        for start in range(0, len(flat), _PER_LINE):
-            lines.append(" ".join(f"{x:.17g}" for x in flat[start : start + _PER_LINE]))
+        full, rest = divmod(len(flat), _PER_LINE)
+        block = [_LINE] * full + ([" ".join(["%.17g"] * rest)] if rest else [])
+        if block:
+            lines.append("\n".join(block) % tuple(flat))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

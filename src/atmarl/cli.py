@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--episodes", type=int, default=None, help="supervisor training episodes")
         p.add_argument("--checkpoint", default=None, help="checkpoint directory override")
         p.add_argument("--shift", default=None, help="distribution shifts, e.g. 20:gaussian,30:gamma")
-        p.add_argument("--episode-length", type=int, default=40)
+        p.add_argument("--episode-length", type=int, default=None, help="evaluation episode length")
         p.add_argument("--eval-distribution", default=None, help="evaluate under this distribution")
     return parser
 
@@ -62,16 +62,18 @@ def _plan_from_args(args) -> ExperimentPlan:
         approach = Approach(args.approach)
     except ValueError:
         raise ScenarioError(f"unknown approach {args.approach!r}") from None
+    # unset options keep ExperimentPlan's defaults, which the canonical plans share
+    length = {} if args.episode_length is None else {"episode_length": args.episode_length}
     plan = ExperimentPlan(
         scenario=scenario,
         approaches=(approach,),
-        episode_length=args.episode_length,
         shift_schedule=_parse_shift(args.shift) if args.shift else (),
         eval_distribution=(
             DistributionSpec.of(DistributionKind(args.eval_distribution.capitalize()))
             if args.eval_distribution
             else None
         ),
+        **length,
     )
     if args.seed:
         plan.seeds = tuple(args.seed)

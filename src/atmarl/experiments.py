@@ -12,7 +12,7 @@ from .harness import Approach, ExperimentPlan
 from .slice_sim import DistributionKind, DistributionSpec
 from .supervisor import TrainConfig
 
-SUPERVISOR_EPISODES = 500
+SUPERVISOR_EPISODES = TrainConfig.episodes
 
 
 def uniform_comparison_plan(episodes: int = SUPERVISOR_EPISODES) -> ExperimentPlan:

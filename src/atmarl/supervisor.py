@@ -97,6 +97,20 @@ class SupervisorPolicy:
     def n_heads(self) -> int:
         return len(self.heads.weights)
 
+    def layer_params(self) -> dict[str, np.ndarray]:
+        """Every parameter array once, by layer; a stacked layer is one array over its copies."""
+        out: dict[str, np.ndarray] = {}
+        parts = [(f"enc_l{j}", layer) for j, layer in enumerate(self.encoders)]
+        parts += [("mrg", self.merger)]
+        parts += [(f"fus_l{j}", layer) for j, layer in enumerate(self.fusion)]
+        parts += [(f"gru_l{j}", cell) for j, cell in enumerate(self.gru)]
+        parts += [("head", self.heads)]
+        parts += [(f"crit_l{j}", layer) for j, layer in enumerate(self.critic)]
+        for prefix, part in parts:
+            for name, arr in part.params().items():
+                out[f"{prefix}.{name}"] = arr
+        return out
+
     def named_params(self) -> dict[str, np.ndarray]:
         """Every parameter by checkpoint name; stacked copies appear as views, one per agent or head."""
         out: dict[str, np.ndarray] = {}
@@ -336,7 +350,7 @@ EXPLORING_STARTS = 0.5
 
 @dataclass
 class TrainConfig:
-    episodes: int = 400
+    episodes: int = 500  # the canonical campaign's budget, experiments.SUPERVISOR_EPISODES
     episode_length: int = 40
 
 
@@ -374,12 +388,11 @@ def episode_gradients(
 
     Advantages are treated as constants. Every layer but the GRU runs its
     backward once over all steps; only the recurrence loops over time.
-    Returns (gradients, loss terms), the gradients under the names of
-    ``named_params``.
+    Returns (gradients, loss terms), the gradients as a policy of the same
+    layout whose parameters hold them.
     """
     acc = copy.deepcopy(policy)  # gradient accumulators in the policy's own layout
-    grads = acc.named_params()
-    for g in grads.values():
+    for g in acc.layer_params().values():
         g[...] = 0.0
     forwards = traj.forwards
 
@@ -443,7 +456,7 @@ def episode_gradients(
         "critic": float(critic_loss),
         "entropy": float(entropy_total),
     }
-    return grads, losses
+    return acc, losses
 
 
 def episode_loss(
@@ -572,7 +585,7 @@ def train_supervisor(
     """Episodic A2C over the frozen MARL systems; mutates the policy in place."""
     cfg = cfg or TrainConfig()
     opt = OptimizerState(lr=LEARNING_RATE)
-    params = policy.named_params()
+    params = policy.layer_params()
     tracker = CapabilityTracker(capabilities, config)
     stats = TrainStats(episode_rewards=[], grad_norms=[])
     for episode in range(cfg.episodes):
@@ -593,15 +606,18 @@ def train_supervisor(
         advantages = returns - values
         if len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        grads, losses = episode_gradients(policy, traj, advantages, returns)
+        acc, losses = episode_gradients(policy, traj, advantages, returns)
         # the one finiteness check per update: a non-finite gradient, or one
-        # whose square overflows, makes the norm non-finite
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        # whose square overflows, makes the norm non-finite. The norm sums
+        # per agent and per head in checkpoint order; the scaling and Adam
+        # are elementwise, so they run on the stacked arrays
+        norm = np.sqrt(sum(float((g * g).sum()) for g in acc.named_params().values()))
         if not np.isfinite(norm):
             raise TrainingDivergence(
                 "non-finite gradients during supervisor training",
                 diagnostics={"episode": episode, "losses": losses},
             )
+        grads = acc.layer_params()
         if norm > GRAD_CLIP:
             scale = GRAD_CLIP / norm
             for g in grads.values():

@@ -119,6 +119,25 @@ def scalar_kpis(state, offered) -> tuple[np.ndarray, np.ndarray]:
     return served, kpi
 
 
+def numpy_offered_loads(state, rng: np.random.Generator | None) -> np.ndarray:
+    """Offered loads as whole-array numpy expressions.
+
+    ``offered_loads`` must equal it bit for bit and leave ``rng`` in the same
+    state.
+    """
+    weights = np.asarray(state.distribution.weights)
+    base = np.array([s.total_demand for s in state.services])[:, None] * weights[None, :]
+    if rng is None or state.noise_pct <= 0:
+        return base
+    eps = rng.uniform(-state.noise_pct / 100.0, state.noise_pct / 100.0, size=base.shape)
+    return base * (1.0 + eps)
+
+
+def numpy_congestion(state, offered: np.ndarray) -> float:
+    """Slice offered load over slice bandwidth, summed per service by numpy; ``evaluate_kpis`` must equal it bit for bit."""
+    return float(offered.sum(axis=1).sum() / (state.airlink_bandwidth * N_GNODEBS))
+
+
 # ---------------------------------------------------------------------------
 # supervisor training, one step and one head at a time
 

@@ -361,13 +361,15 @@ def test_pretrain_observes_each_agent_once_per_report(calls_to):
     assert len(observed) == 4 * cfg.intent_count * (5 + 1)
 
 
-def test_pretrain_bins_each_agent_twice_per_step(calls_to):
-    # per agent-step: the observation acted on, and the next one for the TD
-    # target; greedy and exploring steps alike (epsilon anneals from 1 here)
+def test_pretrain_bins_each_observation_once(calls_to):
+    # per agent and episode: the opening observation, acted on against the
+    # new goal, and each step's next observation, binned for the TD target
+    # and acted on from that index the step after; greedy and exploring
+    # steps alike (epsilon anneals from 1 here)
     cfg = default_scenario()
     binned = calls_to("discretize")
     pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), PretrainConfig(episodes=4, episode_length=5))
-    assert len(binned) == 4 * 2 * cfg.intent_count * 5
+    assert len(binned) == 4 * cfg.intent_count * (5 + 1)
 
 
 def test_pretrain_deterministic():

@@ -76,3 +76,30 @@ def test_special_values_pinned_text_and_bit_exact(tmp_path):
     )
     _, loaded = load_checkpoint(path)
     assert loaded["s"].tobytes() == specials.tobytes()
+
+
+def _per_value_text(arrays):
+    """The checkpoint text with each value formatted on its own."""
+    lines = ["ATMARL-CKPT v1"]
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        lines.append(f"block {name} {arr.ndim} {' '.join(str(d) for d in arr.shape)}".rstrip())
+        flat = arr.ravel().tolist()
+        for start in range(0, len(flat), 8):
+            lines.append(" ".join(f"{x:.17g}" for x in flat[start : start + 8]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 15, 16, 23])
+def test_block_text_equals_per_value_formatting(tmp_path, size):
+    rng = np.random.default_rng(size)
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 2.0**60, 1e-5, 0.1, 123456789.0]
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    values[: min(size, len(specials))] = rng.permutation(specials)[:size]
+    arrays = {"v": values, "m": values[: size - size % 4].reshape(-1, 4), "one": np.float64(size / 7.0)}
+    path = tmp_path / "text.ckpt"
+    save_checkpoint(path, arrays)
+    assert path.read_text() == _per_value_text(arrays)
+    _, loaded = load_checkpoint(path)
+    for key, arr in arrays.items():
+        assert loaded[key].tobytes() == np.asarray(arr).tobytes(), key

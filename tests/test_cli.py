@@ -6,6 +6,7 @@ from atmarl import cli
 from atmarl.agents import PretrainConfig
 from atmarl.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from atmarl.config import default_scenario, write_scenario
+from atmarl.experiments import SUPERVISOR_EPISODES, uniform_comparison_plan
 
 
 @pytest.fixture()
@@ -25,6 +26,25 @@ def quick_pretrain(monkeypatch):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def test_cli_default_plan_trains_the_canonical_budget(scenario_file, tmp_path):
+    args = cli.build_parser().parse_args(["full", "--scenario", str(scenario_file), "--out", str(tmp_path)])
+    plan = cli._plan_from_args(args)
+    canonical = uniform_comparison_plan()
+    assert plan.train_cfg == canonical.train_cfg
+    assert plan.train_cfg.episodes == SUPERVISOR_EPISODES
+    assert plan.episode_length == canonical.episode_length
+    assert plan.seeds == canonical.seeds
+
+
+def test_cli_options_override_the_plan_defaults(scenario_file, tmp_path):
+    args = cli.build_parser().parse_args(
+        ["full", "--scenario", str(scenario_file), "--out", str(tmp_path), "--episodes", "7",
+         "--episode-length", "50", "--shift", "45:gamma", "--seed", "4"]
+    )
+    plan = cli._plan_from_args(args)
+    assert (plan.train_cfg.episodes, plan.episode_length, plan.seeds) == (7, 50, (4,))
 
 
 def test_cli_rejects_unknown_approach(scenario_file, tmp_path):

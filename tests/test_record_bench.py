@@ -24,5 +24,9 @@ def test_microbenchmarks_run_on_this_checkout():
         "episode_gradients_ref",
         "act_us",
         "act_ref",
+        "sim_step_us",
+        "sim_step_ref",
+        "allocate_capacity_us",
+        "allocate_capacity_ref",
     }
     assert all(stats["n"] == 2 for stats in micro.values())

@@ -23,7 +23,13 @@ from atmarl.slice_sim import (
     step,
 )
 
-from oracles import packet_scheduling_oracle, scalar_allocate_capacity, scalar_kpis
+from oracles import (
+    numpy_congestion,
+    numpy_offered_loads,
+    packet_scheduling_oracle,
+    scalar_allocate_capacity,
+    scalar_kpis,
+)
 
 
 def make_state(distribution=DistributionKind.UNIFORM):
@@ -252,6 +258,51 @@ def test_evaluate_kpis_equals_scalar_per_lane(case, spread):
     report = evaluate_kpis(state, offered)
     assert_same_bits(report.served_per_gnb, served)
     assert_same_bits(report.kpi, kpi)
+    assert_same_bits(np.float64(report.congestion), np.float64(numpy_congestion(state, offered)))
+
+
+def test_allocate_nan_load_is_never_served():
+    # a NaN load or cap gives a NaN demand, which no pass serves and no sum
+    # sees; pinned to the values the masked numpy passes gave
+    nan = float("nan")
+    offered = np.array([[nan, 8.0, 8.0, 9.0], [6.0, nan, 6.0, 5.0], [5.0, 5.0, nan, 12.0]])
+    priorities, mbrs = np.array([3, 5, 1]), np.array([10.0, 10.0, 6.0])
+    expected = np.array(
+        [
+            [0.0, 8.0, 4.444444444444445, 4.655172413793103],
+            [6.0, 0.0, 5.555555555555555, 4.310344827586207],
+            [4.0, 2.0, 0.0, 1.0344827586206897],
+        ]
+    )
+    assert_same_bits(allocate_capacity(offered, priorities, mbrs, 10.0), expected)
+    assert_same_bits(allocate_capacity(offered[:, 1], priorities, mbrs, 10.0), expected[:, 1])
+    capped = allocate_capacity(np.array([8.0, 6.0, 5.0]), priorities, np.array([10.0, nan, 6.0]), 10.0)
+    assert_same_bits(capped, np.array([8.0, 0.0, 2.0]))
+
+
+@st.composite
+def load_states(draw):
+    """3 or 5 services under any stock or drawn UE spread, with or without noise."""
+    five = draw(st.booleans())
+    kind = draw(st.sampled_from(list(DistributionKind)))
+    state = init_scenario(default_scenario(distribution=kind, five_intents=five))
+    spread = draw(st.none() | st.lists(st.integers(0, 20), min_size=N_GNODEBS, max_size=N_GNODEBS).filter(any))
+    if spread is not None:
+        state = set_distribution(state, DistributionSpec(kind, tuple(w / sum(spread) for w in spread)))
+    state.noise_pct = draw(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 60.0))
+    state.airlink_bandwidth = draw(st.sampled_from([10.0, 4.0]) | st.floats(0.5, 40.0))
+    return state
+
+
+@given(state=load_states(), seed=st.integers(0, 2**32 - 1), nominal=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_offered_loads_and_congestion_equal_numpy_oracle(state, seed, nominal):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    offered = offered_loads(state, None if nominal else rng)
+    assert_same_bits(offered, numpy_offered_loads(state, None if nominal else oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    report = evaluate_kpis(state, offered)
+    assert_same_bits(np.float64(report.congestion), np.float64(numpy_congestion(state, offered)))
 
 
 # ---------------------------------------------------------------------------

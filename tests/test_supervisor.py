@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ from atmarl import slice_sim, supervisor
 from atmarl.agents import GOAL_LEVELS, PretrainConfig, SystemKind, estimate_capabilities, normalize_kpi, pretrain_system
 from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
-from atmarl.nn import log_softmax
+from atmarl.nn import OptimizerState, adam_step, log_softmax
 from atmarl.slice_sim import KpiKind
 from oracles import per_head_act, per_step_episode_gradients
 from atmarl.supervisor import (
     DISCOUNT,
+    LEARNING_RATE,
     ActorHidden,
     EpisodeTrajectory,
     GoalMode,
@@ -285,6 +288,43 @@ def test_named_params_write_through_to_forward(name):
     assert not np.array_equal(before.logits, after.logits)
 
 
+@pytest.mark.parametrize("mode", list(GoalMode))
+def test_layer_params_hold_every_parameter_once(mode):
+    cfg, policy = toy_policy(mode=mode)
+    layers = policy.layer_params()
+    views = policy.named_params()
+    assert len(layers) == 30
+    assert sum(arr.size for arr in layers.values()) == sum(arr.size for arr in views.values())
+    for name, view in views.items():
+        owners = [key for key, arr in layers.items() if np.shares_memory(arr, view)]
+        assert len(owners) == 1, name
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+def test_stacked_update_equals_per_view_update(mode):
+    # the clip scaling and Adam are elementwise: updating each stacked layer
+    # array gives the bits of updating each agent's and head's view
+    cfg, policy = toy_policy(seed=21, mode=mode)
+    rng = np.random.default_rng(22)
+    by_view, by_layer = copy.deepcopy(policy), copy.deepcopy(policy)
+    view_opt, layer_opt = OptimizerState(lr=LEARNING_RATE), OptimizerState(lr=LEARNING_RATE)
+    for scale in (0.37, 1.0, 2e-3):
+        grads = copy.deepcopy(policy)
+        for g in grads.layer_params().values():
+            g[...] = rng.normal(scale=rng.uniform(1e-3, 10.0), size=g.shape)
+        per_view = copy.deepcopy(grads).named_params()
+        stacked = grads.layer_params()
+        for g in per_view.values():
+            g *= scale
+        for g in stacked.values():
+            g *= scale
+        adam_step(by_view.named_params(), per_view, view_opt)
+        adam_step(by_layer.layer_params(), stacked, layer_opt)
+    after_views = {k: v.tobytes() for k, v in by_view.named_params().items()}
+    assert after_views == {k: v.tobytes() for k, v in by_layer.named_params().items()}
+    assert after_views != {k: v.tobytes() for k, v in policy.named_params().items()}
+
+
 # ---------------------------------------------------------------------------
 # supervisor reward
 
@@ -340,7 +380,7 @@ def test_actor_critic_gradients_match_finite_differences():
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = np.array([0.7, -1.2, 0.4])  # fixed constants, as in the update rule
 
-    grads, _ = episode_gradients(policy, traj, advantages, returns)
+    grads = episode_gradients(policy, traj, advantages, returns)[0].named_params()
 
     params = policy.named_params()
     h = 1e-5
@@ -395,7 +435,8 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
     if steps > 1:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-    grads, losses = episode_gradients(policy, traj, advantages, returns)
+    acc, losses = episode_gradients(policy, traj, advantages, returns)
+    grads = acc.named_params()
     ref_grads, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns)
     assert list(grads) == list(ref_grads)
     for name in ref_grads:
@@ -484,9 +525,9 @@ def test_non_finite_gradient_raises_before_any_update(tiny_system, monkeypatch, 
     real = supervisor.episode_gradients
 
     def poisoned(*args):
-        grads, losses = real(*args)
-        grads["fus_l1.W"].flat[0] = bad
-        return grads, losses
+        acc, losses = real(*args)
+        acc.named_params()["fus_l1.W"].flat[0] = bad
+        return acc, losses
 
     monkeypatch.setattr(supervisor, "episode_gradients", poisoned)
     with pytest.raises(TrainingDivergence, match="non-finite gradients"):
