@@ -65,10 +65,10 @@ def main():
 
     hs, caches = gru_sequence_forward(cell, xs, h0)
     dhs = [2 * (h - t) for h, t in zip(hs, targets)]
-    grads = {name: np.zeros_like(param) for name, param in cell.params().items()}
+    grads = cell.zeros_like()  # the backward adds into an accumulator cell
     gru_sequence_backward(cell, caches, dhs, grads)
     for name, param in cell.params().items():
-        err = rel_err(grads[name], finite_difference(gru_loss, param))
+        err = rel_err(grads.params()[name], finite_difference(gru_loss, param))
         print(f"  {name}: relative error {err:.2e}")
 
     print("All gradients agree with finite differences.")

@@ -1,4 +1,4 @@
-"""Record a ``BENCH_<label>.json``: perfbench runs plus untraced supervisor and simulator microbenchmarks.
+"""Record a ``BENCH_<label>.json``: perfbench runs plus untraced supervisor, agent and simulator microbenchmarks.
 
 Run from the repository root::
 
@@ -8,7 +8,9 @@ Run from the repository root::
 ``--tree`` names the checkout whose code is measured (default: this one);
 its own ``perfbench/run.py`` runs every workload timed (``--trace 0``) and
 traced (``--trace 1``), and its ``src`` supplies the package for the
-microbenchmarks. The file lands at the root of this checkout. Every record
+microbenchmarks. Each run keeps its ``digest sha256:`` line, so two records
+of trees meant to be byte-identical show whether their outputs are. The
+file lands at the root of this checkout. Every record
 uses the same seed, run length and sample count (``SEED``, ``SECONDS``,
 ``REPEATS``, stored under ``settings``), so two records made on one host
 share their keys and compare field by field.
@@ -42,11 +44,19 @@ REPEATS = 40  # samples per microbenchmark
 
 
 def perfbench(tree: Path, workload: str, trace: int) -> dict:
-    """The JSON object on the last line of one perfbench run."""
+    """The JSON object on the last line of one perfbench run, with the run's output digest line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return parse_perfbench(done.stdout)
+
+
+def parse_perfbench(stdout: str) -> dict:
+    """The last line's JSON object, plus the ``digest sha256:`` line under ``digest``."""
+    lines = stdout.strip().splitlines()
+    run = json.loads(lines[-1])
+    run["digest"] = next(line for line in lines if line.startswith("digest sha256:"))
+    return run
 
 
 def quartiles(samples: list[float]) -> dict:
@@ -55,8 +65,10 @@ def quartiles(samples: list[float]) -> dict:
 
 
 def microbenchmarks(tree: Path) -> dict:
-    """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``,
-    per ``slice_sim.step`` and per ``allocate_capacity`` call.
+    """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``, per
+    ``forward_step``, per agent step (one agent's observe, discretize, greedy
+    select_action and apply_action), per ``slice_sim.step`` and per
+    ``allocate_capacity`` call.
 
     Each sample is also given over the perfbench host-reference kernel's
     time around it (``*_ref``), as perfbench gates its timings. Run it in a
@@ -66,10 +78,14 @@ def microbenchmarks(tree: Path) -> dict:
     import run as bench  # the measured tree's perfbench/run.py; puts its src on sys.path
 
     from atmarl import slice_sim
-    from atmarl.agents import PretrainConfig, SystemKind, estimate_capabilities, pretrain_system
+    from atmarl.agents import (
+        PretrainConfig, SystemKind, agent_roster, apply_action, discretize, estimate_capabilities, observe,
+        pretrain_system, select_action,
+    )
     from atmarl.config import default_scenario
     from atmarl.supervisor import (
-        DISCOUNT, TrainConfig, act, create_policy, discounted_returns, episode_gradients, rollout_episode,
+        DISCOUNT, TrainConfig, act, create_policy, discounted_returns, episode_gradients, forward_step,
+        rollout_episode,
     )
 
     cfg = default_scenario()
@@ -110,12 +126,25 @@ def microbenchmarks(tree: Path) -> dict:
     state = slice_sim.init_scenario(cfg)
     offered = slice_sim.offered_loads(state, rng)
     controls = state.controls
+    # one priority agent on its own opening state, its knob put back after each step
+    agent = agent_roster(cfg)[0]
+    agent_state = slice_sim.init_scenario(cfg)
+    report = slice_sim.evaluate_kpis(agent_state, offered)
+    goal = cfg.services[agent.intent_index].kpi_target
+    knob = agent_state.controls.priority[agent.intent_index]
+
+    def agent_step():
+        index = discretize(observe(agent_state, report, agent, goal))
+        apply_action(agent_state, agent, select_action(qtables[agent.key], index, 0.0, rng))
+        agent_state.controls.priority[agent.intent_index] = knob
 
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
         ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns), 1, 1.0),
         ("act_us", lambda: act(policy, cfg, traj.gammas[step], traj.tuples[step], traj.targets, hidden, rng, True), 200, 1e3),
+        ("forward_step_us", lambda: forward_step(policy, traj.gammas[step], traj.tuples[step], traj.targets, hidden), 200, 1e3),
+        ("agent_step_us", agent_step, 200, 1e3),
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
         ("allocate_capacity_us",
          lambda: slice_sim.allocate_capacity(offered, controls.priority, controls.mbr, state.airlink_bandwidth), 200, 1e3),

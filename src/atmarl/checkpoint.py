@@ -66,15 +66,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, str], dict[str, np.ndar
         if not line:
             continue
         if line.startswith("meta "):
-            _, key, value = line.split(" ", 2)
-            meta[key] = value
+            parts = line.split(" ", 2)
+            if len(parts) != 3:
+                raise CheckpointError(f"meta line without a value: {line[:60]!r}")
+            meta[parts[1]] = parts[2]
             continue
         if not line.startswith("block "):
             raise TruncatedCheckpointError(f"unexpected line in checkpoint: {line[:60]!r}")
         parts = line.split()
         name = parts[1]
-        ndim = int(parts[2])
-        shape = tuple(int(d) for d in parts[3 : 3 + ndim])
+        try:
+            ndim = int(parts[2])
+            shape = tuple(int(d) for d in parts[3 : 3 + ndim])
+        except (IndexError, ValueError):
+            ndim, shape = -1, ()
+        if ndim < 0 or min(shape, default=0) < 0:
+            raise CheckpointError(f"block {name}: garbled shape declaration {line[:60]!r}")
         if len(shape) != ndim:
             raise TruncatedCheckpointError(f"block {name}: incomplete shape declaration")
         count = int(np.prod(shape)) if shape else 1
@@ -84,7 +91,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, str], dict[str, np.ndar
                 raise TruncatedCheckpointError(
                     f"block {name}: expected {count} values, got {len(values)}"
                 )
-            values.extend(float(tok) for tok in text[i].split())
+            try:
+                values.extend(float(tok) for tok in text[i].split())
+            except ValueError as exc:
+                raise CheckpointError(f"block {name}: garbled value on line {i + 1}: {exc}") from None
             i += 1
         if len(values) != count:
             raise TruncatedCheckpointError(

@@ -25,6 +25,7 @@ from .harness import (
     _POLICY_FILES,
 )
 from .slice_sim import DistributionKind, DistributionSpec
+from .supervisor import TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,8 +64,14 @@ def _plan_from_args(args) -> ExperimentPlan:
     except ValueError:
         raise ScenarioError(f"unknown approach {args.approach!r}") from None
     # unset options keep ExperimentPlan's defaults, which the canonical plans share
-    length = {} if args.episode_length is None else {"episode_length": args.episode_length}
-    plan = ExperimentPlan(
+    given = {}
+    if args.episode_length is not None:
+        given["episode_length"] = args.episode_length
+    if args.seed:
+        given["seeds"] = tuple(args.seed)
+    if args.episodes is not None:
+        given["train_cfg"] = TrainConfig(episodes=args.episodes)
+    return ExperimentPlan(
         scenario=scenario,
         approaches=(approach,),
         shift_schedule=_parse_shift(args.shift) if args.shift else (),
@@ -73,13 +80,8 @@ def _plan_from_args(args) -> ExperimentPlan:
             if args.eval_distribution
             else None
         ),
-        **length,
+        **given,
     )
-    if args.seed:
-        plan.seeds = tuple(args.seed)
-    if args.episodes:
-        plan.train_cfg.episodes = args.episodes
-    return plan
 
 
 def main(argv=None) -> int:

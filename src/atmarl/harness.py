@@ -86,6 +86,13 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.seeds:
             raise ScenarioError("plan needs at least one seed")
+        if self.episode_length < 1:
+            raise ScenarioError(f"evaluation episode length must be positive, got {self.episode_length}")
+        for stage, cfg in (("pre-training", self.pretrain_cfg), ("supervisor training", self.train_cfg)):
+            if cfg.episodes < 1 or cfg.episode_length < 1:
+                raise ScenarioError(
+                    f"{stage} needs a positive episode count and length, got {cfg.episodes} and {cfg.episode_length}"
+                )
         times = [t for t, _ in self.shift_schedule]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError("shift timesteps must be strictly increasing")

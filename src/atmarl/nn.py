@@ -48,6 +48,10 @@ class DenseLayer:
             activation=layers[0].activation,
         )
 
+    def zeros_like(self) -> DenseLayer:
+        """A layer of the same shape and activation with every parameter zero, e.g. a gradient accumulator."""
+        return DenseLayer(weights=np.zeros_like(self.weights), bias=np.zeros_like(self.bias), activation=self.activation)
+
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.weights, "b": self.bias}
 
@@ -133,20 +137,29 @@ def stack_steps(caches: list):
 # GRU cell
 
 
-@dataclass
 class GruCell:
-    """Single GRU cell; gate weights act on concat(input, hidden)."""
+    """Single GRU cell; gate weights act on concat(input, hidden).
 
-    Wz: np.ndarray
-    Wr: np.ndarray
-    Wn: np.ndarray
-    bz: np.ndarray
-    br: np.ndarray
-    bn: np.ndarray
+    The update (z) and reset (r) gates share one [2, hidden, in+hidden]
+    weight and one [2, hidden] bias, z first, so one call computes both.
+    ``Wz``, ``Wr``, ``bz`` and ``br`` are views of them, and a deep copy
+    keeps them so.
+    """
+
+    def __init__(self, Wz: np.ndarray, Wr: np.ndarray, Wn: np.ndarray, bz: np.ndarray, br: np.ndarray, bn: np.ndarray):
+        self.Wzr = np.stack([Wz, Wr])
+        self.bzr = np.stack([bz, br])
+        self.Wn = Wn
+        self.bn = bn
+
+    Wz = property(lambda self: self.Wzr[0])
+    Wr = property(lambda self: self.Wzr[1])
+    bz = property(lambda self: self.bzr[0])
+    br = property(lambda self: self.bzr[1])
 
     @property
     def hidden_size(self) -> int:
-        return self.Wz.shape[0]
+        return self.Wn.shape[0]
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_dim: int, hidden: int):
@@ -160,7 +173,12 @@ class GruCell:
             bn=np.zeros(hidden),
         )
 
+    def zeros_like(self) -> GruCell:
+        """A cell of the same shape with every parameter zero, e.g. a gradient accumulator."""
+        return GruCell(**{name: np.zeros_like(arr) for name, arr in self.params().items()})
+
     def params(self) -> dict[str, np.ndarray]:
+        """Every parameter by name, one array per gate."""
         return {"Wz": self.Wz, "Wr": self.Wr, "Wn": self.Wn, "bz": self.bz, "br": self.br, "bn": self.bn}
 
 
@@ -169,47 +187,52 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):
-    """One recurrence step: h' = (1-z)*h + z*tanh-candidate. Returns (h', cache)."""
+    """One recurrence step: h' = (1-z)*h + z*tanh-candidate. Returns (h', cache).
+
+    Both gates run as one stacked matmul, each gate its own matrix-vector
+    product: a flat [2*hidden, in] matvec sums in another order unless
+    hidden is a multiple of the BLAS kernel's row block.
+    """
     if h.shape[0] != cell.hidden_size:
         raise ValueError(f"hidden size {h.shape[0]} != cell size {cell.hidden_size}")
-    if x.shape[0] + h.shape[0] != cell.Wz.shape[1]:
-        raise ValueError(f"input size {x.shape[0]} incompatible with gate shape {cell.Wz.shape}")
+    if x.shape[0] + h.shape[0] != cell.Wn.shape[1]:
+        raise ValueError(f"input size {x.shape[0]} incompatible with gate shape {cell.Wn.shape}")
     a = np.concatenate([x, h])
-    z = _sigmoid(cell.Wz @ a + cell.bz)
-    r = _sigmoid(cell.Wr @ a + cell.br)
+    zr = _sigmoid((cell.Wzr @ a[:, None])[..., 0] + cell.bzr)
+    z, r = zr
     a_n = np.concatenate([x, r * h])
     n = np.tanh(cell.Wn @ a_n + cell.bn)
     h_new = (1.0 - z) * h + z * n
-    cache = (x, h, a, z, r, a_n, n)
+    cache = (x, h, a, zr, a_n, n)
     return h_new, cache
 
 
-def gru_backward(cell: GruCell, cache, dh_new: np.ndarray, grads: dict[str, np.ndarray]):
-    """Backward through one step, adding the parameter gradients into ``grads``. Returns (dx, dh)."""
-    x, h, a, z, r, a_n, n = cache
+def gru_backward(cell: GruCell, cache, dh_new: np.ndarray, grads: GruCell):
+    """Backward through one step, adding the parameter gradients into the accumulator cell ``grads``. Returns (dx, dh)."""
+    x, h, a, zr, a_n, n = cache
     in_dim = x.shape[0]
+    z, r = zr
 
-    dz = dh_new * (n - h)
     dn = dh_new * z
     dh = dh_new * (1.0 - z)
 
     dn_pre = dn * (1.0 - n * n)
-    grads["Wn"] += dn_pre[:, None] * a_n
-    grads["bn"] += dn_pre
+    grads.Wn += dn_pre[:, None] * a_n
+    grads.bn += dn_pre
     da_n = cell.Wn.T @ dn_pre
     drh = da_n[in_dim:]
-    dr = drh * h
     dh += drh * r
 
-    dz_pre = dz * z * (1.0 - z)
-    grads["Wz"] += dz_pre[:, None] * a
-    grads["bz"] += dz_pre
-    da = cell.Wz.T @ dz_pre
-
-    dr_pre = dr * r * (1.0 - r)
-    grads["Wr"] += dr_pre[:, None] * a
-    grads["br"] += dr_pre
-    da += cell.Wr.T @ dr_pre
+    dzr_pre = np.empty_like(zr)
+    np.multiply(dh_new, n - h, out=dzr_pre[0])
+    np.multiply(drh, h, out=dzr_pre[1])
+    dzr_pre *= zr
+    dzr_pre *= 1.0 - zr
+    grads.Wzr += dzr_pre[..., None] * a
+    grads.bzr += dzr_pre
+    # two matvecs: one over both gates would sum the 2*hidden terms in another order
+    da = cell.Wz.T @ dzr_pre[0]
+    da += cell.Wr.T @ dzr_pre[1]
 
     dx = da_n[:in_dim] + da[:in_dim]
     dh += da[in_dim:]
@@ -227,13 +250,13 @@ def gru_sequence_forward(cell: GruCell, xs: list[np.ndarray], h0: np.ndarray):
     return hs, caches
 
 
-def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: dict[str, np.ndarray]):
+def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: GruCell):
     """BPTT over a sequence given per-step upstream grads on each hidden state.
 
-    Adds the parameter gradients into ``grads``, latest step first. Returns
-    ([steps, in] input grads, dh0).
+    Adds the parameter gradients into the accumulator cell ``grads``, latest
+    step first. Returns ([steps, in] input grads, dh0).
     """
-    dxs = np.empty((len(caches), cell.Wz.shape[1] - cell.hidden_size))
+    dxs = np.empty((len(caches), cell.Wn.shape[1] - cell.hidden_size))
     carry = np.zeros(cell.hidden_size)
     for t in range(len(caches) - 1, -1, -1):
         dxs[t], carry = gru_backward(cell, caches[t], dhs[t] + carry, grads)
@@ -264,13 +287,19 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.nda
     one ``rng.random()`` per row would. A row's index is the count of its
     cumulative probabilities at or below its uniform, which is
     ``searchsorted(side="right")`` on that nondecreasing sum, capped at the
-    last category.
+    last category. The probabilities and log-probabilities come from one
+    pass of shifted logits, with the bits of ``softmax`` and ``log_softmax``.
     """
     _check_finite("logits", logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
     u = rng.random(logits.shape[:-1])
-    below = np.cumsum(softmax(logits), axis=-1) <= u[..., None]
+    below = np.cumsum(e / total, axis=-1) <= u[..., None]
     idx = np.minimum(below.sum(axis=-1), logits.shape[-1] - 1)
-    return idx, np.take_along_axis(log_softmax(logits), idx[..., None], axis=-1)[..., 0]
+    rows = shifted.reshape(-1, shifted.shape[-1])
+    chosen = rows[np.arange(len(rows)), idx.ravel()].reshape(idx.shape)
+    return idx, chosen - np.log(total[..., 0])
 
 
 ADAM_BETA1 = 0.9
@@ -280,30 +309,44 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators over a named parameter collection."""
+    """Adam moment accumulators over a named parameter collection, with two scratch arrays per parameter."""
 
     lr: float = 3e-4
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: OptimizerState):
-    """In-place Adam update; the caller checks the gradients are finite, and unknown keys are a contract violation."""
+    """In-place Adam update; the caller checks the gradients are finite, and unknown keys are a contract violation.
+
+    Per parameter it computes m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), each operation
+    in that order, into scratch arrays kept between steps.
+    """
     state.step += 1
     t = state.step
+    m_scale = 1 - ADAM_BETA1**t
+    v_scale = 1 - ADAM_BETA2**t
     for key, g in grads.items():
         if key not in params:
             raise KeyError(f"gradient for unknown parameter {key!r}")
         if key not in state.m:
             state.m[key] = np.zeros_like(params[key])
             state.v[key] = np.zeros_like(params[key])
+            state.scratch[key] = (np.empty_like(params[key]), np.empty_like(params[key]))
         m = state.m[key]
         v = state.v[key]
+        step, denom = state.scratch[key]
         m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
+        m += np.multiply(1 - ADAM_BETA1, g, out=step)
         v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * (g * g)
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        params[key] -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.multiply(g, g, out=step)
+        v += np.multiply(1 - ADAM_BETA2, step, out=step)
+        np.divide(m, m_scale, out=step)
+        np.multiply(state.lr, step, out=step)
+        np.divide(v, v_scale, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        params[key] -= np.divide(step, denom, out=step)

@@ -13,8 +13,7 @@ backpropagation through the whole episode.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -61,6 +60,12 @@ TUPLE_DIM = 4 + N_ACTION_ONEHOT + 1  # observation, one-hot action, normalized g
 class GoalMode(str, Enum):
     AGENT_LEVEL = "agent"  # one head per agent (2K heads)
     SERVICE_LEVEL = "service"  # one head per intent, broadcast to both planes
+
+
+# members read on every step, bound once: on Python 3.11 reading an enum
+# member off its class costs about 180 ns
+_AGENT_LEVEL = GoalMode.AGENT_LEVEL
+_QOE = KpiKind.QOE
 
 
 @dataclass
@@ -111,28 +116,44 @@ class SupervisorPolicy:
                 out[f"{prefix}.{name}"] = arr
         return out
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        """Every parameter by checkpoint name; stacked copies appear as views, one per agent or head."""
-        out: dict[str, np.ndarray] = {}
+    def view_keys(self) -> list[tuple[str, str, int | None]]:
+        """Each checkpoint name, in checkpoint order, with the ``layer_params`` key and the copy index it views."""
+        out = []
 
-        def put(prefix: str, part: DenseLayer | GruCell, index: int | None = None):
-            for name, arr in part.params().items():
-                out[f"{prefix}.{name}"] = arr if index is None else arr[index]
+        def put(prefix: str, layer_key: str, part: DenseLayer | GruCell, index: int | None = None):
+            out.extend((f"{prefix}.{name}", f"{layer_key}.{name}", index) for name in part.params())
 
         for i in range(len(self.agents)):
             for j, layer in enumerate(self.encoders):
-                put(f"enc{i}_l{j}", layer, i)
+                put(f"enc{i}_l{j}", f"enc_l{j}", layer, i)
         for i in range(len(self.agents)):
-            put(f"mrg{i}", self.merger, i)
+            put(f"mrg{i}", "mrg", self.merger, i)
         for j, layer in enumerate(self.fusion):
-            put(f"fus_l{j}", layer)
+            put(f"fus_l{j}", f"fus_l{j}", layer)
         for j, cell in enumerate(self.gru):
-            put(f"gru_l{j}", cell)
+            put(f"gru_l{j}", f"gru_l{j}", cell)
         for i in range(self.n_heads):
-            put(f"head{i}", self.heads, i)
+            put(f"head{i}", "head", self.heads, i)
         for j, layer in enumerate(self.critic):
-            put(f"crit_l{j}", layer)
+            put(f"crit_l{j}", f"crit_l{j}", layer)
         return out
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        """Every parameter by checkpoint name; stacked copies appear as views, one per agent or head."""
+        layers = self.layer_params()
+        return {name: layers[key] if index is None else layers[key][index] for name, key, index in self.view_keys()}
+
+    def zeros_like(self) -> SupervisorPolicy:
+        """A policy of the same layout, and the same roster, with every parameter zero: a gradient accumulator."""
+        return replace(
+            self,
+            encoders=[layer.zeros_like() for layer in self.encoders],
+            merger=self.merger.zeros_like(),
+            fusion=[layer.zeros_like() for layer in self.fusion],
+            gru=[cell.zeros_like() for cell in self.gru],
+            heads=self.heads.zeros_like(),
+            critic=[layer.zeros_like() for layer in self.critic],
+        )
 
 
 def create_policy(
@@ -248,8 +269,9 @@ def assignment_from_levels(policy: SupervisorPolicy, config: ScenarioConfig, lev
     """Map head outputs to per-agent goals: head i drives agent i, or in service mode the intent's head drives both planes."""
     lvl_map: dict[str, int] = {}
     val_map: dict[str, float] = {}
+    per_agent = policy.mode is _AGENT_LEVEL
     for i, agent in enumerate(policy.agents):
-        level = levels[i if policy.mode is GoalMode.AGENT_LEVEL else agent.intent_index]
+        level = levels[i if per_agent else agent.intent_index]
         kind = config.services[agent.intent_index].kpi_kind
         lvl_map[agent.key] = level
         val_map[agent.key] = goal_value(kind, level)
@@ -274,7 +296,7 @@ def act(
         if not np.all(np.isfinite(fwd.logits)):
             raise FloatingPointError("non-finite actor logits")
         idx = fwd.logits.argmax(axis=1)
-        log_probs = np.take_along_axis(log_softmax(fwd.logits), idx[:, None], axis=1)[:, 0]
+        log_probs = log_softmax(fwd.logits)[np.arange(len(idx)), idx]
     assignment = assignment_from_levels(policy, config, (idx + 1).tolist())
     return assignment, log_probs, fwd.hidden, fwd
 
@@ -284,7 +306,7 @@ def supervisor_reward(report: KpiReport, services: list[ServiceSpec]) -> float:
     total_dev = 0.0
     for k, svc in enumerate(services):
         kpi = float(report.kpi[k])
-        if svc.kpi_kind is KpiKind.QOE:
+        if svc.kpi_kind is _QOE:
             dev = max(0.0, (svc.kpi_target - kpi) / svc.kpi_target)
         else:
             dev = max(0.0, (kpi - svc.kpi_target) / svc.kpi_target)
@@ -391,9 +413,7 @@ def episode_gradients(
     Returns (gradients, loss terms), the gradients as a policy of the same
     layout whose parameters hold them.
     """
-    acc = copy.deepcopy(policy)  # gradient accumulators in the policy's own layout
-    for g in acc.layer_params().values():
-        g[...] = 0.0
+    acc = policy.zeros_like()
     forwards = traj.forwards
 
     # actor heads over [steps, heads, levels]; the loss totals sum in (step, head) order
@@ -432,7 +452,7 @@ def episode_gradients(
     dcontext = dh2
     for j in (1, 0):
         caches = [fwd.gru_caches[j] for fwd in forwards]
-        dcontext, _ = gru_sequence_backward(policy.gru[j], caches, dcontext, acc.gru[j].params())
+        dcontext, _ = gru_sequence_backward(policy.gru[j], caches, dcontext, acc.gru[j])
 
     # fusion, then all agents' mergers and encoders
     dx = stack_backward(
@@ -480,6 +500,23 @@ def episode_loss(
         err = fwd.value - returns[t]
         total += CRITIC_COEF * err * err
     return float(total)
+
+
+def gradient_norm(grads: SupervisorPolicy) -> float:
+    """The global L2 norm of a gradient policy, summed per checkpoint view.
+
+    Each stacked array's squares are summed per agent or head copy (a
+    contiguous row sum, bit-equal to that copy's own ``.sum()``), and the
+    totals are added in checkpoint order, as over ``named_params``.
+    """
+    layers = grads.layer_params()
+    keys = grads.view_keys()
+    stacked = {key for _, key, index in keys if index is not None}
+    totals = {}
+    for key, g in layers.items():
+        sq = g * g
+        totals[key] = sq.reshape(len(sq), -1).sum(axis=1).tolist() if key in stacked else float(sq.sum())
+    return np.sqrt(sum(totals[key] if index is None else totals[key][index] for _, key, index in keys))
 
 
 @dataclass
@@ -608,10 +645,9 @@ def train_supervisor(
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         acc, losses = episode_gradients(policy, traj, advantages, returns)
         # the one finiteness check per update: a non-finite gradient, or one
-        # whose square overflows, makes the norm non-finite. The norm sums
-        # per agent and per head in checkpoint order; the scaling and Adam
-        # are elementwise, so they run on the stacked arrays
-        norm = np.sqrt(sum(float((g * g).sum()) for g in acc.named_params().values()))
+        # whose square overflows, makes the norm non-finite. The scaling and
+        # Adam are elementwise, so they run on the stacked arrays
+        norm = gradient_norm(acc)
         if not np.isfinite(norm):
             raise TrainingDivergence(
                 "non-finite gradients during supervisor training",

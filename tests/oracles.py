@@ -9,6 +9,7 @@ import copy
 
 import numpy as np
 
+from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from atmarl.slice_sim import N_GNODEBS, QOE_RANGE, KpiKind, compute_packet_loss, compute_qoe
 from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF
 
@@ -191,12 +192,33 @@ def _stack_step_backward(layers, acc_layers, caches, dout: np.ndarray) -> np.nda
     return dout
 
 
-def per_step_gru_sequence_backward(cell, caches, dhs):
-    """BPTT one step at a time, each step's gradients built whole and then added.
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
-    Returns (param grads, per-step input grads, dh0); ``nn.gru_sequence_backward``
-    must equal it bit for bit.
+
+def unfused_gru_forward(cell, x: np.ndarray, h: np.ndarray):
+    """One GRU step with each gate's own weight copy and matrix-vector product.
+
+    Returns (h', cache). ``nn.gru_forward``, which runs both gates in one
+    call, must equal it bit for bit.
     """
+    Wz, Wr = np.array(cell.Wz), np.array(cell.Wr)
+    a = np.concatenate([x, h])
+    z = _sigmoid(Wz @ a + np.array(cell.bz))
+    r = _sigmoid(Wr @ a + np.array(cell.br))
+    a_n = np.concatenate([x, r * h])
+    n = np.tanh(cell.Wn @ a_n + cell.bn)
+    return (1.0 - z) * h + z * n, (x, h, a, z, r, a_n, n)
+
+
+def per_step_gru_sequence_backward(cell, caches, dhs):
+    """BPTT one step and one gate at a time, each step's gradients built whole and then added.
+
+    ``caches`` are those of ``unfused_gru_forward``. Returns (param grads by
+    ``cell.params()`` name, per-step input grads, dh0);
+    ``nn.gru_sequence_backward`` must equal it bit for bit.
+    """
+    Wz, Wr = np.array(cell.Wz), np.array(cell.Wr)
     grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
     dxs = [None] * len(caches)
     carry = np.zeros(cell.hidden_size)
@@ -216,10 +238,10 @@ def per_step_gru_sequence_backward(cell, caches, dhs):
         dh += drh * r
         dz_pre = dz * z * (1.0 - z)
         step["Wz"], step["bz"] = np.outer(dz_pre, a), dz_pre.copy()
-        da = cell.Wz.T @ dz_pre
+        da = Wz.T @ dz_pre
         dr_pre = dr * r * (1.0 - r)
         step["Wr"], step["br"] = np.outer(dr_pre, a), dr_pre.copy()
-        da += cell.Wr.T @ dr_pre
+        da += Wr.T @ dr_pre
         dx += da[:in_dim]
         dh += da[in_dim:]
         for k in grads:
@@ -264,9 +286,9 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
 
     dcontext = dh2
     for j in (1, 0):
-        cell_grads, dcontext, _ = per_step_gru_sequence_backward(
-            policy.gru[j], [fwd.gru_caches[j] for fwd in traj.forwards], dcontext
-        )
+        # the step's input and previous hidden state lead each production cache
+        caches = [unfused_gru_forward(policy.gru[j], *fwd.gru_caches[j][:2])[1] for fwd in traj.forwards]
+        cell_grads, dcontext, _ = per_step_gru_sequence_backward(policy.gru[j], caches, dcontext)
         for name, g in cell_grads.items():
             grads[f"gru_l{j}.{name}"] += g
 
@@ -277,3 +299,44 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
         _stack_step_backward(policy.encoders, acc.encoders, fwd.enc_caches, dmx[:, : policy.dims.encoder])
     losses = {"actor": float(actor_loss), "critic": float(critic_loss), "entropy": float(entropy_total)}
     return grads, losses
+
+
+def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF sampling per row with softmax and log-softmax each computed in a pass of its own.
+
+    ``nn.softmax_sample``, which shifts and exponentiates once, must equal
+    its indices and log-probabilities bit for bit and leave ``rng`` in the
+    same state.
+    """
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits")
+    u = rng.random(logits.shape[:-1])
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    idx = np.minimum((np.cumsum(probs, axis=-1) <= u[..., None]).sum(axis=-1), logits.shape[-1] - 1)
+    return idx, np.take_along_axis(logp, idx[..., None], axis=-1)[..., 0]
+
+
+def per_view_gradient_norm(grads) -> float:
+    """Global L2 norm of a gradient policy, each checkpoint view's squares summed on their own, in checkpoint order.
+
+    ``supervisor.gradient_norm`` must equal it bit for bit.
+    """
+    return np.sqrt(sum(float((g * g).sum()) for g in grads.named_params().values()))
+
+
+def per_key_adam(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float):
+    """One Adam step per key with whole-expression temporaries; ``nn.adam_step`` must equal it bit for bit."""
+    for key, g in grads.items():
+        m.setdefault(key, np.zeros_like(params[key]))
+        v.setdefault(key, np.zeros_like(params[key]))
+        m[key] *= ADAM_BETA1
+        m[key] += (1 - ADAM_BETA1) * g
+        v[key] *= ADAM_BETA2
+        v[key] += (1 - ADAM_BETA2) * (g * g)
+        m_hat = m[key] / (1 - ADAM_BETA1**t)
+        v_hat = v[key] / (1 - ADAM_BETA2**t)
+        params[key] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from atmarl.checkpoint import load_checkpoint, save_checkpoint, take_block
-from atmarl.errors import ShapeMismatchError, TruncatedCheckpointError, VersionMismatchError
+from atmarl.errors import CheckpointError, ShapeMismatchError, TruncatedCheckpointError, VersionMismatchError
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -48,6 +48,24 @@ def test_truncated_block_detected(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(TruncatedCheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("block w 1 2\n0.5 zz\n", "block w: garbled value"),
+        ("block w 1 2x\n0.5 1.0\n", "block w: garbled shape"),
+        ("block w 1 -2\n", "block w: garbled shape"),
+        ("block w\n0.5\n", "block w: garbled shape"),
+        ("meta mode\nblock w 1 1\n0.5\n", "meta line without a value"),
+    ],
+    ids=["value", "shape", "negative-shape", "no-shape", "meta"],
+)
+def test_garbled_checkpoint_raises_typed_error(tmp_path, body, match):
+    path = tmp_path / "garbled.ckpt"
+    path.write_text("ATMARL-CKPT v1\n" + body)
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 

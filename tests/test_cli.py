@@ -95,3 +95,54 @@ def test_cli_shift_flag_parsing(scenario_file, tmp_path, quick_pretrain):
     assert rc == EXIT_OK
     text = (out / "trace_NaiveParallel_seed2.csv").read_text()
     assert "Gaussian" in text and "Gamma" in text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("train-supervisor", "--episodes", -3),
+        ("train-supervisor", "--episodes", 0),
+        ("evaluate", "--episode-length", 0),
+        ("full", "--episode-length", -2),
+    ],
+    ids=["negative-episodes", "zero-episodes", "zero-length", "negative-length"],
+)
+def test_cli_rejects_non_positive_counts(scenario_file, tmp_path, capsys, args):
+    verb, *option = args
+    rc = run_cli(verb, "--scenario", scenario_file, "--out", tmp_path / "out", *option)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def _garble_value(lines):
+    first = next(i for i, line in enumerate(lines) if line.startswith("block ")) + 1
+    lines[first] = "zz " + lines[first].split(" ", 1)[1]
+    return lines
+
+
+def _garble_shape(lines):
+    first = next(i for i, line in enumerate(lines) if line.startswith("block "))
+    lines[first] = lines[first].rsplit(" ", 1)[0] + " 8x"
+    return lines
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_garble_value, _garble_shape, lambda lines: lines[:-1]],
+    ids=["garbled-value", "garbled-shape", "truncated-block"],
+)
+def test_cli_evaluate_on_corrupted_pretrain_checkpoint_exits_with_stage_code(
+    scenario_file, tmp_path, quick_pretrain, capsys, corrupt
+):
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
+    ckpt = out / "pretrain.ckpt"
+    ckpt.write_text("\n".join(corrupt(ckpt.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--scenario", scenario_file, "--out", out, "--approach", "RuleBased", "--seed", 1)
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "block " in err[0]

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atmarl.agents import PretrainConfig, agent_roster, goal_value
+from atmarl.agents import GOAL_LEVELS, PretrainConfig, agent_roster, goal_value
+from atmarl.checkpoint import load_checkpoint
 from atmarl.baselines import SWITCH_PERIOD
 from atmarl.config import default_scenario, load_scenario, write_scenario
 from atmarl.errors import ScenarioError
@@ -19,7 +20,7 @@ from atmarl.harness import (
     summarize,
 )
 from atmarl.slice_sim import DistributionKind, DistributionSpec
-from atmarl.supervisor import TrainConfig, rollout_episode
+from atmarl.supervisor import TUPLE_DIM, ActorHidden, TrainConfig, create_policy, forward_step, rollout_episode
 
 QUICK_PRETRAIN = PretrainConfig(episodes=120, episode_length=12)
 QUICK_TRAIN = TrainConfig(episodes=8, episode_length=12)
@@ -58,6 +59,22 @@ def pipeline_result(tmp_path_factory):
 def test_plan_rejects_empty_seeds():
     with pytest.raises(ScenarioError):
         quick_plan(seeds=())
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"episode_length": 0},
+        {"train_cfg": TrainConfig(episodes=0)},
+        {"train_cfg": TrainConfig(episodes=-3)},
+        {"train_cfg": TrainConfig(episodes=2, episode_length=0)},
+        {"pretrain_cfg": PretrainConfig(episodes=0)},
+    ],
+    ids=["eval-length", "train-episodes", "negative-train-episodes", "train-length", "pretrain-episodes"],
+)
+def test_plan_rejects_non_positive_counts(bad):
+    with pytest.raises(ScenarioError, match="positive"):
+        quick_plan(**bad)
 
 
 def test_plan_rejects_nonincreasing_shifts():
@@ -257,6 +274,27 @@ def test_evaluation_does_not_mutate_checkpoints(tmp_path):
     evaluate_episode(plan, artifacts, Approach.ATMARL, seed=3)
     after = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("*.ckpt"))}
     assert before == after
+
+
+def test_load_policy_sets_what_forward_step_reads(pipeline_result):
+    plan, result = pipeline_result
+    artifacts = load_pretrain(plan, result.out_dir)
+    load_policy(plan, artifacts, Approach.ATMARL, result.out_dir)
+    loaded = artifacts.policies[Approach.ATMARL.value]
+    _, arrays = load_checkpoint(result.out_dir / "supervisor_atmarl.ckpt")
+    for j, cell in enumerate(loaded.gru):
+        # the fused z/r gate arrays the forward reads hold the checkpoint's per-gate blocks
+        for gate, fused in (("Wz", cell.Wzr[0]), ("Wr", cell.Wzr[1]), ("bz", cell.bzr[0]), ("br", cell.bzr[1])):
+            assert fused.tobytes() == arrays[f"policy.gru_l{j}.{gate}"].tobytes(), (j, gate)
+    n = len(loaded.agents)
+    inputs = (np.full((n, GOAL_LEVELS), 0.5), np.full((n, TUPLE_DIM), 0.25), np.array([0.75, 0.25, 0.25]))
+    hidden = ActorHidden(h1=np.full(loaded.dims.gru, 0.3), h2=np.full(loaded.dims.gru, -0.2))
+    # load_policy starts from this initialisation and overwrites every block
+    fresh = create_policy(np.random.default_rng(0), plan.scenario)
+    before = forward_step(fresh, *inputs, hidden)
+    after = forward_step(loaded, *inputs, hidden)
+    assert not np.array_equal(before.logits, after.logits)
+    assert not np.array_equal(before.hidden.h2, after.hidden.h2)
 
 
 def test_checkpoint_round_trip_reproduces_trace(tmp_path):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from atmarl.nn import (
     softmax_sample,
     stack_steps,
 )
-from oracles import per_step_gru_sequence_backward
+from oracles import per_key_adam, per_step_gru_sequence_backward, two_pass_softmax_sample, unfused_gru_forward
 
 FD_H = 1e-5
 
@@ -221,14 +223,14 @@ def test_gru_length_one_bptt_equals_single_step():
     h0 = rng.normal(size=4) * 0.1
     hs, caches = gru_sequence_forward(cell, [x], h0)
     dh = rng.normal(size=4)
-    seq_grads = zero_grads(cell)
+    seq_grads = cell.zeros_like()
     dxs, dh0 = gru_sequence_backward(cell, caches, [dh], seq_grads)
     from atmarl.nn import gru_backward
 
-    step_grads = zero_grads(cell)
+    step_grads = cell.zeros_like()
     dx_single, dh_single = gru_backward(cell, caches[0], dh, step_grads)
-    for key in seq_grads:
-        np.testing.assert_allclose(seq_grads[key], step_grads[key])
+    for key, grad in seq_grads.params().items():
+        np.testing.assert_allclose(grad, step_grads.params()[key])
     np.testing.assert_allclose(dxs[0], dx_single)
     np.testing.assert_allclose(dh0, dh_single)
 
@@ -247,32 +249,54 @@ def test_gru_bptt_matches_finite_differences(trial):
 
     hs, caches = gru_sequence_forward(cell, xs, h0)
     dhs = [2.0 * (h - t) for h, t in zip(hs, targets)]
-    grads = zero_grads(cell)
+    grads = cell.zeros_like()
     gru_sequence_backward(cell, caches, dhs, grads)
     for name, param in cell.params().items():
         fd = finite_difference(loss, param)
-        assert rel_error(grads[name], fd) < 1e-4, f"{name} gradient mismatch"
+        assert rel_error(grads.params()[name], fd) < 1e-4, f"{name} gradient mismatch"
 
 
 @pytest.mark.parametrize("in_dim, hidden", [(64, 64), (5, 1)])
 @pytest.mark.parametrize("steps", [1, 12, 40])
 def test_gru_bptt_equals_per_step_oracle(in_dim, hidden, steps):
-    # in-place accumulation in step order; a one-unit cell's [T, 1] bias
-    # gradients would come out different if summed along T at the end
+    # the fused z/r gates against each gate alone, forward and backward; the
+    # backward accumulates in place in step order: a one-unit cell's [T, 1]
+    # bias gradients would come out different if summed along T at the end
     rng = np.random.default_rng(300 + steps)
     cell = GruCell.create(rng, in_dim, hidden)
     for bias in (cell.bz, cell.br, cell.bn):
         bias += rng.normal(size=hidden) * 0.1
-    _, caches = gru_sequence_forward(cell, list(rng.normal(size=(steps, in_dim))), rng.normal(size=hidden) * 0.1)
+    xs, h = rng.normal(size=(steps, in_dim)), rng.normal(size=hidden) * 0.1
+    hs, caches = gru_sequence_forward(cell, list(xs), h)
+    ref_caches = []
+    for x, h_new in zip(xs, hs):
+        h, cache = unfused_gru_forward(cell, x, h)
+        assert h_new.tobytes() == h.tobytes()
+        ref_caches.append(cache)
     dhs = rng.normal(size=(steps, hidden))
 
-    grads = zero_grads(cell)
+    grads = cell.zeros_like()
     dxs, dh0 = gru_sequence_backward(cell, caches, dhs, grads)
-    ref_grads, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, caches, dhs)
-    for key in ref_grads:
-        assert grads[key].tobytes() == ref_grads[key].tobytes(), key
+    ref_grads, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, ref_caches, dhs)
+    for key, grad in grads.params().items():
+        assert grad.tobytes() == ref_grads[key].tobytes(), key
     assert dxs.tobytes() == np.stack(ref_dxs).tobytes()
     assert dh0.tobytes() == ref_dh0.tobytes()
+
+
+def test_gru_gate_views_alias_the_fused_arrays():
+    rng = np.random.default_rng(17)
+    cell = GruCell.create(rng, 3, 4)
+    for copied in (cell, copy.deepcopy(cell)):
+        for name in ("Wz", "Wr", "bz", "br"):
+            view = copied.params()[name]
+            fused = copied.Wzr if name.startswith("W") else copied.bzr
+            assert np.shares_memory(view, fused), name
+    x, h = rng.normal(size=3), rng.normal(size=4)
+    before, _ = gru_forward(cell, x, h)
+    cell.params()["Wr"][...] += 0.5
+    after, _ = gru_forward(cell, x, h)
+    assert not np.array_equal(before, after)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +347,40 @@ def test_softmax_rejects_nan():
         softmax_sample(np.array([np.nan, 0.0]), np.random.default_rng(0))
 
 
+def _sampling_cases():
+    rng = np.random.default_rng(31)
+    yield rng.normal(size=(6, 8)) * 3.0
+    yield rng.normal(size=(40, 6, 8))
+    yield rng.normal(size=8)
+    ties = np.zeros((6, 8))
+    ties[:, [1, 3, 4, 6]] = 1.0  # four-way ties at the top
+    yield ties
+    yield np.zeros((3, 8))
+    yield rng.normal(size=(6, 8)) * 1e300  # every probability but the top one underflows to 0
+    yield np.array([[1e308, -1e307, 0.0], [-1e308, -1e308, 1e307], [1e308, 1e308, -1e307], [5e-324, 0.0, -5e-324]])
+    yield rng.normal(size=(6, 8)) * 1e-12 + 7e5
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_softmax_sample_equals_two_pass_oracle(case):
+    logits = list(_sampling_cases())[case]
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx, logp = softmax_sample(logits, rng)
+        ref_idx, ref_logp = two_pass_softmax_sample(logits, ref_rng)
+        assert np.asarray(idx).tobytes() == np.asarray(ref_idx).tobytes()
+        assert np.asarray(logp).tobytes() == np.asarray(ref_logp).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_sample_rejects_any_non_finite_logit(bad):
+    logits = np.zeros((6, 8))
+    logits[4, 2] = bad
+    with pytest.raises(FloatingPointError):
+        softmax_sample(logits, np.random.default_rng(0))
+
+
 def test_adam_zero_gradient_keeps_params():
     rng = np.random.default_rng(1)
     params = {"w": rng.normal(size=(3, 3))}
@@ -338,6 +396,25 @@ def test_adam_descends_quadratic():
     for _ in range(200):
         adam_step(params, {"w": 2.0 * params["w"]}, state)
     assert abs(params["w"][0]) < 1.0
+
+
+def test_adam_equals_per_key_oracle():
+    # the scratch-array update runs the same operations in the same order
+    rng = np.random.default_rng(41)
+    shapes = {"w": (6, 32, 8), "b": (6, 32), "v": (64, 195), "s": (1,)}
+    params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    ref_params = {k: p.copy() for k, p in params.items()}
+    state, ref_m, ref_v = OptimizerState(lr=1e-3), {}, {}
+    for t in range(1, 8):
+        grads = {k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for k, shape in shapes.items()}
+        if t == 3:
+            grads["w"][...] = 0.0
+        adam_step(params, grads, state)
+        per_key_adam(ref_params, grads, ref_m, ref_v, t, 1e-3)
+        for key in shapes:
+            assert params[key].tobytes() == ref_params[key].tobytes(), (t, key)
+            assert state.m[key].tobytes() == ref_m[key].tobytes(), (t, key)
+            assert state.v[key].tobytes() == ref_v[key].tobytes(), (t, key)
 
 
 def test_adam_rejects_unknown_key():

@@ -5,6 +5,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+import record_bench  # noqa: E402
 
 
 def test_microbenchmarks_run_on_this_checkout():
@@ -24,9 +27,23 @@ def test_microbenchmarks_run_on_this_checkout():
         "episode_gradients_ref",
         "act_us",
         "act_ref",
+        "forward_step_us",
+        "forward_step_ref",
+        "agent_step_us",
+        "agent_step_ref",
         "sim_step_us",
         "sim_step_ref",
         "allocate_capacity_us",
         "allocate_capacity_ref",
     }
     assert all(stats["n"] == 2 for stats in micro.values())
+
+
+def test_perfbench_record_keeps_the_digest_line():
+    stdout = "\n".join([
+        "perfbench workload=train seed=101 trace=0",
+        "digest sha256:ab12 (set-up sha256:cd34)",
+        json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {}}),
+    ])
+    run = record_bench.parse_perfbench(stdout + "\n")
+    assert run == {"correct": True, "attempted": 2, "failed": 0, "metrics": {}, "digest": "digest sha256:ab12 (set-up sha256:cd34)"}

@@ -9,7 +9,7 @@ from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
 from atmarl.nn import OptimizerState, adam_step, log_softmax
 from atmarl.slice_sim import KpiKind
-from oracles import per_head_act, per_step_episode_gradients
+from oracles import per_head_act, per_step_episode_gradients, per_view_gradient_norm
 from atmarl.supervisor import (
     DISCOUNT,
     LEARNING_RATE,
@@ -26,6 +26,7 @@ from atmarl.supervisor import (
     episode_loss,
     forward_step,
     fuse,
+    gradient_norm,
     merge,
     rollout_episode,
     supervisor_reward,
@@ -277,11 +278,16 @@ def test_named_params_names_order_and_shapes(mode, n_heads):
         assert params[name].shape == shape, name
 
 
-@pytest.mark.parametrize("name", ["enc3_l0.W", "enc3_l1.b", "mrg3.W", "mrg3.b", "head3.W", "head3.b", "fus_l0.W"])
+@pytest.mark.parametrize(
+    "name",
+    ["enc3_l0.W", "enc3_l1.b", "mrg3.W", "mrg3.b", "head3.W", "head3.b", "fus_l0.W"]
+    + [f"gru_l{j}.{gate}" for j in range(2) for gate in ("Wz", "Wr", "bz", "br")],
+)
 def test_named_params_write_through_to_forward(name):
     cfg, policy = toy_policy(seed=15)
     gammas, tuples, targets = _act_inputs(cfg, policy)
-    hidden = ActorHidden.zeros(TOY_DIMS.gru)
+    # a nonzero hidden state, or the reset gate would multiply zeros
+    hidden = ActorHidden(h1=np.full(TOY_DIMS.gru, 0.3), h2=np.full(TOY_DIMS.gru, -0.2))
     before = forward_step(policy, gammas, tuples, targets, hidden)
     policy.named_params()[name][...] += 0.5
     after = forward_step(policy, gammas, tuples, targets, hidden)
@@ -298,6 +304,35 @@ def test_layer_params_hold_every_parameter_once(mode):
     for name, view in views.items():
         owners = [key for key, arr in layers.items() if np.shares_memory(arr, view)]
         assert len(owners) == 1, name
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+def test_gradient_norm_equals_per_view_oracle(mode):
+    # default dims, as trained: each view's squares summed alone, added in checkpoint order
+    cfg = default_scenario()
+    rng = np.random.default_rng(23)
+    policy = create_policy(rng, cfg, mode=mode)
+    for _ in range(5):
+        grads = policy.zeros_like()
+        for g in grads.layer_params().values():
+            g[...] = rng.normal(scale=rng.uniform(1e-4, 10.0), size=g.shape)
+        assert gradient_norm(grads).tobytes() == per_view_gradient_norm(grads).tobytes()
+    traj = _random_trajectory(policy, cfg, 12, rng)
+    returns = discounted_returns(traj.rewards, DISCOUNT)
+    acc, _ = episode_gradients(policy, traj, returns - np.array([f.value for f in traj.forwards]), returns)
+    assert gradient_norm(acc).tobytes() == per_view_gradient_norm(acc).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+def test_zeros_like_keeps_the_layout_and_shares_nothing(mode):
+    cfg, policy = toy_policy(seed=24, mode=mode)
+    zeros = policy.zeros_like()
+    assert zeros.agents == policy.agents and zeros.mode is policy.mode
+    got, want = zeros.named_params(), policy.named_params()
+    assert list(got) == list(want)
+    for name, arr in got.items():
+        assert arr.shape == want[name].shape and not arr.any(), name
+        assert not np.shares_memory(arr, want[name]), name
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
@@ -442,6 +477,23 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
     for name in ref_grads:
         assert grads[name].tobytes() == ref_grads[name].tobytes(), name
     assert losses == ref_losses
+
+
+def test_episode_gradients_called_twice_return_the_same_gradients():
+    # each call starts from fresh zeroed accumulators; nothing carries over
+    cfg = default_scenario()
+    rng = np.random.default_rng(410)
+    policy = create_policy(rng, cfg)
+    traj = _random_trajectory(policy, cfg, 12, rng)
+    returns = discounted_returns(traj.rewards, DISCOUNT)
+    advantages = returns - np.array([f.value for f in traj.forwards])
+    first, first_losses = episode_gradients(policy, traj, advantages, returns)
+    second, second_losses = episode_gradients(policy, traj, advantages, returns)
+    assert first_losses == second_losses
+    after = second.named_params()
+    for name, grad in first.named_params().items():
+        assert grad.tobytes() == after[name].tobytes(), name
+        assert not np.shares_memory(grad, after[name]), name
 
 
 # ---------------------------------------------------------------------------
