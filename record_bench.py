@@ -1,4 +1,4 @@
-"""Record a ``BENCH_<label>.json``: perfbench runs plus untraced supervisor, agent and simulator microbenchmarks.
+"""Record a ``BENCH_<label>.json``: perfbench runs plus untraced supervisor, agent, simulator and checkpoint microbenchmarks.
 
 Run from the repository root::
 
@@ -29,6 +29,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -68,7 +69,9 @@ def microbenchmarks(tree: Path) -> dict:
     """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``, per
     ``forward_step``, per agent step (one agent's observe, discretize, greedy
     select_action and apply_action), per ``slice_sim.step`` and per
-    ``allocate_capacity`` call.
+    ``allocate_capacity`` call; ms per ``save_checkpoint`` and per
+    ``load_checkpoint`` of the blocks ``stage_train_supervisor`` writes for a
+    default-dims policy.
 
     Each sample is also given over the perfbench host-reference kernel's
     time around it (``*_ref``), as perfbench gates its timings. Run it in a
@@ -82,7 +85,9 @@ def microbenchmarks(tree: Path) -> dict:
         PretrainConfig, SystemKind, agent_roster, apply_action, discretize, estimate_capabilities, observe,
         pretrain_system, select_action,
     )
+    from atmarl.checkpoint import load_checkpoint, save_checkpoint
     from atmarl.config import default_scenario
+    from atmarl.harness import _capability_blocks
     from atmarl.supervisor import (
         DISCOUNT, TrainConfig, act, create_policy, discounted_returns, episode_gradients, forward_step,
         rollout_episode,
@@ -138,6 +143,16 @@ def microbenchmarks(tree: Path) -> dict:
         apply_action(agent_state, agent, select_action(qtables[agent.key], index, 0.0, rng))
         agent_state.controls.priority[agent.intent_index] = knob
 
+    # what stage_train_supervisor saves: the policy's parameters and its capability vectors
+    blocks = {f"policy.{k}": v for k, v in policy.named_params().items()}
+    blocks.update(_capability_blocks(caps))
+    tmp = tempfile.TemporaryDirectory()
+    ckpt = Path(tmp.name) / "supervisor_atmarl.ckpt"
+
+    def save():
+        save_checkpoint(ckpt, blocks, meta={"mode": "agent", "intents": str(cfg.intent_count)})
+
+    save()
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
@@ -148,10 +163,13 @@ def microbenchmarks(tree: Path) -> dict:
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
         ("allocate_capacity_us",
          lambda: slice_sim.allocate_capacity(offered, controls.priority, controls.mbr, state.airlink_bandwidth), 200, 1e3),
+        ("save_checkpoint_ms", save, 1, 1.0),
+        ("load_checkpoint_ms", lambda: load_checkpoint(ckpt), 1, 1.0),
     ):
         ms, ref = timed(fn, calls)
         out[name] = quartiles([x * scale for x in ms])
         out[name.rsplit("_", 1)[0] + "_ref"] = quartiles(ref)
+    tmp.cleanup()
     return out
 
 

@@ -115,34 +115,45 @@ def test_cli_rejects_non_positive_counts(scenario_file, tmp_path, capsys, args):
     assert not list((tmp_path / "out").glob("*"))
 
 
-def _garble_value(lines):
-    first = next(i for i, line in enumerate(lines) if line.startswith("block ")) + 1
-    lines[first] = "zz " + lines[first].split(" ", 1)[1]
-    return lines
+def _first_block_line_end(data):
+    start = data.index(b"\nblock ") + 1
+    return start, data.index(b"\n", start)
 
 
-def _garble_shape(lines):
-    first = next(i for i, line in enumerate(lines) if line.startswith("block "))
-    lines[first] = lines[first].rsplit(" ", 1)[0] + " 8x"
-    return lines
+def _garble_value(data):
+    _, end = _first_block_line_end(data)
+    body = bytearray(data)
+    body[end + 5] ^= 0x01  # one bit of the first block's first value
+    return bytes(body)
+
+
+def _garble_shape(data):
+    start, end = _first_block_line_end(data)
+    fields = data[start:end].split(b" ")
+    fields[3] = b"8x"
+    return data[:start] + b" ".join(fields) + data[end:]
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [_garble_value, _garble_shape, lambda lines: lines[:-1]],
+    "corrupt, message",
+    [
+        (_garble_value, "checksum mismatch"),
+        (_garble_shape, "garbled shape declaration"),
+        (lambda data: data[:-100], "value bytes and a newline"),
+    ],
     ids=["garbled-value", "garbled-shape", "truncated-block"],
 )
 def test_cli_evaluate_on_corrupted_pretrain_checkpoint_exits_with_stage_code(
-    scenario_file, tmp_path, quick_pretrain, capsys, corrupt
+    scenario_file, tmp_path, quick_pretrain, capsys, corrupt, message
 ):
     out = tmp_path / "out"
     with pytest.warns(UserWarning, match="pretraining mean reward"):
         assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
     ckpt = out / "pretrain.ckpt"
-    ckpt.write_text("\n".join(corrupt(ckpt.read_text().splitlines())) + "\n")
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
     capsys.readouterr()
     rc = run_cli("evaluate", "--scenario", scenario_file, "--out", out, "--approach", "RuleBased", "--seed", 1)
     assert rc == EXIT_STAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
-    assert "block " in err[0]
+    assert "block " in err[0] and message in err[0], err

@@ -17,7 +17,7 @@ from atmarl.harness import Approach, ExperimentPlan, run_pipeline
 from atmarl.slice_sim import DistributionKind, DistributionSpec
 from atmarl.supervisor import TrainConfig
 
-PINNED = "8f4c8519beefd11fa1a71bbab3425ab42e186ecead2d91beb52919eb1f680b31"
+PINNED = "e5c8aea2cfb286bcd11895a753c85d113a5b21e589b3821e57f12a9ec2500feb"
 PINNED_NUMPY = "2.4.6"
 
 

@@ -35,6 +35,10 @@ def test_microbenchmarks_run_on_this_checkout():
         "sim_step_ref",
         "allocate_capacity_us",
         "allocate_capacity_ref",
+        "save_checkpoint_ms",
+        "save_checkpoint_ref",
+        "load_checkpoint_ms",
+        "load_checkpoint_ref",
     }
     assert all(stats["n"] == 2 for stats in micro.values())
 
