@@ -19,6 +19,8 @@ The microbenchmarks call the package's current signatures
 (``episode_gradients`` without a training config, the discount read from
 ``supervisor.DISCOUNT``), so ``--tree`` must be a checkout from the change
 that made the learning settings module constants onwards; older trees fail.
+The critic values come from the trajectory where the tree's rollout stores
+them there, and from each step's forward where it does not.
 """
 
 from __future__ import annotations
@@ -123,7 +125,9 @@ def microbenchmarks(tree: Path) -> dict:
 
     traj = rollout()
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    advantages = returns - np.array([f.value for f in traj.forwards])
+    # trees that run the critic once per episode keep its values on the trajectory; older trees on each forward
+    values = traj.values if hasattr(traj, "values") else np.array([f.value for f in traj.forwards])
+    advantages = returns - values
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     step = len(traj) // 2
     hidden = traj.forwards[step - 1].hidden

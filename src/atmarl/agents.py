@@ -179,13 +179,26 @@ def observe(state: NetworkState, report: KpiReport, agent: AgentId, goal_kpi: fl
     )
 
 
-def _bin_unit(x: float) -> int:
-    return min(int(_clamp(x, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
+_LAST_BIN = OBS_BINS - 1
 
 
 def discretize(obs: AgentObservation) -> tuple[int, int, int, int]:
-    """Table index of an observation; a NaN field raises ValueError."""
-    return (_bin_unit(obs.kpi), _bin_unit(obs.knob), _bin_unit(obs.goal), _bin_unit(obs.congestion / CONGESTION_MAX))
+    """Table index of an observation; a NaN field raises ValueError.
+
+    Each field (the congestion over ``CONGESTION_MAX``) is clamped to [0, 1]
+    and cut into ``OBS_BINS`` equal bins, 1 falling into the last. The four
+    are binned inline, without a call per field. ``OBS_BINS`` is a power of
+    two, so ``x * OBS_BINS`` is exact and below ``OBS_BINS`` for every x
+    below 1; a NaN fails both comparisons and ``int`` raises on it.
+    """
+    kpi, knob, goal, congestion = obs
+    congestion = congestion / CONGESTION_MAX
+    return (
+        0 if kpi < 0.0 else _LAST_BIN if kpi >= 1.0 else int(kpi * OBS_BINS),
+        0 if knob < 0.0 else _LAST_BIN if knob >= 1.0 else int(knob * OBS_BINS),
+        0 if goal < 0.0 else _LAST_BIN if goal >= 1.0 else int(goal * OBS_BINS),
+        0 if congestion < 0.0 else _LAST_BIN if congestion >= 1.0 else int(congestion * OBS_BINS),
+    )
 
 
 def select_action(table: QTable, index: tuple[int, int, int, int], epsilon: float, rng: np.random.Generator) -> KnobAction:

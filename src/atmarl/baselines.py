@@ -26,15 +26,20 @@ def naive_parallel_goals(config: ScenarioConfig) -> GoalAssignment:
     return GoalAssignment(levels=levels, values=values)
 
 
+# a memo of the roster's agent keys by intent count, which alone fixes the roster
+_ROSTER_KEYS: dict[int, tuple[str, ...]] = {}
+
+
 def goal_halving(intermediate: GoalAssignment, config: ScenarioConfig) -> GoalAssignment:
     """Split each intent's intermediate goal equally between the two planes.
 
     The halved values are generally off the goal ladder, so only KPI-space
     values are produced; the halving rule applies verbatim to packet-loss
-    goals as well.
+    goals as well. It runs every evaluation step, so the roster's keys are
+    built once per intent count.
     """
-    values = {}
-    for agent in agent_roster(config):
-        source = intermediate.values[agent.key]
-        values[agent.key] = source / 2.0
-    return GoalAssignment(levels={}, values=values)
+    keys = _ROSTER_KEYS.get(config.intent_count)
+    if keys is None:
+        keys = _ROSTER_KEYS[config.intent_count] = tuple(a.key for a in agent_roster(config))
+    source = intermediate.values
+    return GoalAssignment(levels={}, values={key: source[key] / 2.0 for key in keys})

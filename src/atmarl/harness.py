@@ -123,17 +123,17 @@ class EpisodeTrace:
         return out
 
     def to_csv(self, path: str | Path):
+        """The header, then one line per row: floats as ``%.8g``, anything else as ``str``.
+
+        Every row is built alike, so the first row's types fix one
+        ``%``-template for the trace. The lines end in ``\r\n``, as
+        ``csv.writer`` ends them; no value of a trace needs quoting.
+        """
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.8g}"
-    return str(value)
+            csv.writer(fh).writerow(self.columns)
+            if self.rows:
+                line = ",".join("%.8g" if isinstance(v, float) else "%s" for v in self.rows[0]) + "\r\n"
+                fh.write("".join(line % tuple(row) for row in self.rows))
 
 
 @dataclass
@@ -187,8 +187,20 @@ def stage_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     return Artifacts(qtables=qtables, capabilities=capabilities)
 
 
+def _check_intents(path: Path, meta: dict[str, str], scenario: ScenarioConfig):
+    """Refuse a checkpoint made for another intent count: its blocks belong to another roster."""
+    made = meta.get("intents")
+    if made != str(scenario.intent_count):
+        raise CheckpointError(
+            f"{path.name} was made for {made or 'an unrecorded number of'} intents, "
+            f"the plan's scenario has {scenario.intent_count}"
+        )
+
+
 def load_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
-    meta, arrays = load_checkpoint(out_dir / "pretrain.ckpt")
+    path = out_dir / "pretrain.ckpt"
+    meta, arrays = load_checkpoint(path)
+    _check_intents(path, meta, plan.scenario)
     table_shape = (OBS_BINS,) * 4 + (N_ACTIONS,)
     qtables = {
         a.key: QTable(values=take_block(arrays, f"qtable.{a.key}", table_shape)) for a in agent_roster(plan.scenario)
@@ -238,6 +250,7 @@ def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, 
         raise CheckpointError(f"missing checkpoint {path} for evaluate-only mode")
     meta, arrays = load_checkpoint(path)
     scenario = _policy_scenario(plan, approach)
+    _check_intents(path, meta, scenario)
     mode = GoalMode(meta.get("mode", "agent"))
     policy = create_policy(np.random.default_rng(0), scenario, mode=mode)
     for key, param in policy.named_params().items():
@@ -292,7 +305,7 @@ def evaluate_episode(
     def record(t, state, report, current, active, taken, seen):
         rows.append(
             [t]
-            + [float(report.kpi[k]) for k in range(len(config.services))]
+            + report.kpi.tolist()
             + [float(current.values[a.key]) for a in roster]
             + [
                 float(state.controls.priority[a.intent_index])

@@ -8,7 +8,9 @@ head per goal slot emits goal rungs, and a 2-layer dense critic scores the
 context. The per-agent encoder and merger weights and the per-slot head
 weights are each stacked into one layer, [copies, out, in], so all agents or
 heads run in one call. Training is episodic advantage actor-critic with
-backpropagation through the whole episode.
+backpropagation through the whole episode. The critic is only the update's
+baseline: acting never runs it, and training scores an episode's contexts
+in one call once the episode is over.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .slice_sim import KpiKind, KpiReport, ServiceSpec
 
 N_ACTION_ONEHOT = 3
 TUPLE_DIM = 4 + N_ACTION_ONEHOT + 1  # observation, one-hot action, normalized goal
+_ONEHOT = tuple(tuple(float(i == j) for j in range(N_ACTION_ONEHOT)) for i in range(N_ACTION_ONEHOT))
 
 
 class GoalMode(str, Enum):
@@ -224,9 +227,8 @@ def fuse(policy: SupervisorPolicy, embeddings: np.ndarray, targets_norm: np.ndar
 
 @dataclass
 class StepForward:
-    """All intermediate values of one supervisor forward step."""
+    """All intermediate values of one supervisor forward step; the context is ``fus_caches[-1]``'s output."""
 
-    value: float
     logits: np.ndarray  # [heads, levels]
     hidden: ActorHidden
     enc_caches: list
@@ -234,7 +236,6 @@ class StepForward:
     fus_caches: list
     gru_caches: tuple
     head_cache: tuple
-    crit_caches: list
 
 
 def forward_step(
@@ -244,16 +245,14 @@ def forward_step(
     targets_norm: np.ndarray,
     hidden: ActorHidden,
 ) -> StepForward:
-    """One decision's forward pass from [agents, levels] capabilities and [agents, TUPLE_DIM] tuples."""
+    """One decision's actor forward pass from [agents, levels] capabilities and [agents, TUPLE_DIM] tuples."""
     latents, enc_caches = encode_capabilities(policy, gammas)
     embeddings, mrg_cache = merge(policy, latents, tuples)
     context, fus_caches = fuse(policy, embeddings, targets_norm)
     h1, cache1 = gru_forward(policy.gru[0], context, hidden.h1)
     h2, cache2 = gru_forward(policy.gru[1], h1, hidden.h2)
     logits, head_cache = dense_forward(policy.heads, h2)
-    v, crit_caches = stack_forward(policy.critic, context)
     return StepForward(
-        value=float(v[0]),
         logits=logits,
         hidden=ActorHidden(h1=h1, h2=h2),
         enc_caches=enc_caches,
@@ -261,7 +260,6 @@ def forward_step(
         fus_caches=fus_caches,
         gru_caches=(cache1, cache2),
         head_cache=head_cache,
-        crit_caches=crit_caches,
     )
 
 
@@ -386,9 +384,22 @@ class EpisodeTrajectory:
     sampled_levels: list[list[int]] = field(default_factory=list)  # [t][head]
     rewards: list[float] = field(default_factory=list)
     forwards: list[StepForward] = field(default_factory=list)
+    values: np.ndarray | None = None  # [t], set by score_contexts
+    crit_caches: list | None = None  # the critic's caches, step-stacked
 
     def __len__(self) -> int:
         return len(self.rewards)
+
+
+def score_contexts(policy: SupervisorPolicy, traj: EpisodeTrajectory) -> None:
+    """Run the critic once over the episode's [steps, fusion] contexts; sets ``traj.values`` and ``traj.crit_caches``.
+
+    Each step's row is its own matrix-vector product in the stacked matmul,
+    bit-equal to scoring that step's context alone.
+    """
+    contexts = np.stack([fwd.fus_caches[-1][2] for fwd in traj.forwards])
+    v, traj.crit_caches = stack_forward(policy.critic, contexts)
+    traj.values = v[:, 0]
 
 
 def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
@@ -406,7 +417,7 @@ def episode_gradients(
     advantages: np.ndarray,
     returns: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Backpropagate the A2C loss through the episode.
+    """Backpropagate the A2C loss through the episode, whose contexts ``score_contexts`` has scored.
 
     Advantages are treated as constants. Every layer but the GRU runs its
     backward once over all steps; only the recurrence loops over time.
@@ -437,13 +448,13 @@ def episode_gradients(
     dh2 = dh.sum(axis=1)  # [steps, gru]: each step's heads summed in head order
 
     # critic: 0.5-weighted squared error on the context value
-    err = np.array([fwd.value for fwd in forwards]) - returns
+    err = traj.values - returns
     critic_loss = 0.0
     for e in err.tolist():
         critic_loss += CRITIC_COEF * e * e
     dc_direct = stack_backward(
         policy.critic,
-        stack_steps([fwd.crit_caches for fwd in forwards]),
+        traj.crit_caches,
         (2.0 * CRITIC_COEF * err)[:, None],
         [layer.params() for layer in acc.critic],
     )
@@ -477,29 +488,6 @@ def episode_gradients(
         "entropy": float(entropy_total),
     }
     return acc, losses
-
-
-def episode_loss(
-    policy: SupervisorPolicy,
-    traj: EpisodeTrajectory,
-    advantages: np.ndarray,
-    returns: np.ndarray,
-) -> float:
-    """Recompute the scalar A2C loss from leaf inputs (finite-difference oracle hook)."""
-    hidden = ActorHidden.zeros(policy.dims.gru)
-    total = 0.0
-    for t in range(len(traj)):
-        fwd = forward_step(policy, traj.gammas[t], traj.tuples[t], traj.targets, hidden)
-        hidden = fwd.hidden
-        for i in range(policy.n_heads):
-            logp = log_softmax(fwd.logits[i])
-            probs = softmax(fwd.logits[i])
-            entropy = float(-(probs * logp).sum())
-            chosen = traj.sampled_levels[t][i] - 1
-            total += -advantages[t] * float(logp[chosen]) - ENTROPY_COEF * entropy
-        err = fwd.value - returns[t]
-        total += CRITIC_COEF * err * err
-    return float(total)
 
 
 def gradient_norm(grads: SupervisorPolicy) -> float:
@@ -564,12 +552,9 @@ class PolicyGoals:
         self.gammas = np.array([self.capabilities[a.key].rho for a in roster])
         # per agent: observation, one-hot last action, normalized goal (the
         # observation's own goal field)
-        self.tuples = np.zeros((len(roster), TUPLE_DIM))
-        for i, a in enumerate(roster):
-            obs = seen[a.key]
-            self.tuples[i, :4] = obs
-            self.tuples[i, 4 + int(last_action[a.key])] = 1.0
-            self.tuples[i, -1] = obs.goal
+        self.tuples = np.array(
+            [(*seen[a.key], *_ONEHOT[last_action[a.key]], seen[a.key].goal) for a in roster], dtype=np.float64
+        )
         assignment, _, self.hidden, self.forward = act(
             self.policy, self.config, self.gammas, self.tuples, self.targets, self.hidden, self.rng, self.explore
         )
@@ -587,7 +572,7 @@ def rollout_episode(
     tracker: CapabilityTracker | None = None,
     randomize_start: bool = False,
 ) -> EpisodeTrajectory:
-    """Run one closed-loop episode with the frozen agents in the loop."""
+    """Run one closed-loop episode with the frozen agents in the loop, then score its contexts."""
     state = slice_sim.init_scenario(config)
     if randomize_start:
         n = len(config.services)
@@ -608,6 +593,7 @@ def rollout_episode(
         traj.forwards.append(goals.forward)
 
     run_episode(state, config, qtables, goals, rng, episode_length, record)
+    score_contexts(policy, traj)
     return traj
 
 
@@ -639,8 +625,7 @@ def train_supervisor(
         )
         tracker.flush()
         returns = discounted_returns(traj.rewards, DISCOUNT)
-        values = np.array([f.value for f in traj.forwards])
-        advantages = returns - values
+        advantages = returns - traj.values
         if len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         acc, losses = episode_gradients(policy, traj, advantages, returns)

@@ -6,12 +6,14 @@ These deliberately avoid the production code paths they check.
 from __future__ import annotations
 
 import copy
+import csv
 
 import numpy as np
 
+from atmarl.agents import CONGESTION_MAX, OBS_BINS
 from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from atmarl.slice_sim import N_GNODEBS, QOE_RANGE, KpiKind, compute_packet_loss, compute_qoe
-from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF
+from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF, ActorHidden, forward_step
 
 
 def packet_scheduling_oracle(
@@ -140,6 +142,39 @@ def numpy_congestion(state, offered: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# agents and evaluation traces
+
+
+def bin_unit(x: float) -> int:
+    """One observation field's bin: clamped to [0, 1] by ``np.clip``, scaled by ``OBS_BINS``, capped at the last bin.
+
+    ``agents.discretize`` must equal it on every field; a NaN raises ``ValueError``.
+    """
+    return min(int(float(np.clip(x, 0.0, 1.0)) * OBS_BINS), OBS_BINS - 1)
+
+
+def per_field_discretize(obs) -> tuple[int, int, int, int]:
+    """The table index of an observation, one ``bin_unit`` call per field."""
+    return (bin_unit(obs.kpi), bin_unit(obs.knob), bin_unit(obs.goal), bin_unit(obs.congestion / CONGESTION_MAX))
+
+
+def csv_writer_trace(trace, path):
+    """A trace file as ``csv.writer`` writes it, each value formatted on its own: floats ``.8g``, the rest ``str``.
+
+    ``EpisodeTrace.to_csv`` must write the same bytes.
+    """
+
+    def fmt(value) -> str:
+        return f"{value:.8g}" if isinstance(value, float) else str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trace.columns)
+        for row in trace.rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+# ---------------------------------------------------------------------------
 # supervisor training, one step and one head at a time
 
 
@@ -174,6 +209,44 @@ def per_head_act(logits: np.ndarray, rng: np.random.Generator, explore: bool) ->
         levels.append(idx + 1)
         log_probs[i] = float(_log_softmax_1d(row)[idx])
     return levels, log_probs
+
+
+def critic_step(policy, context: np.ndarray) -> tuple[float, list]:
+    """The critic on one step's [fusion] context, each layer one ``W @ x`` matrix-vector product.
+
+    Returns (value, per-layer (x, pre, out) caches). ``supervisor.score_contexts``,
+    which scores every step in one call, must equal it step by step, bit for bit.
+    """
+    x, caches = context, []
+    for layer in policy.critic:
+        pre = layer.weights @ x + layer.bias
+        out = np.tanh(pre) if layer.activation == "tanh" else pre
+        caches.append((x, pre, out))
+        x = out
+    return float(x[0]), caches
+
+
+def episode_loss(policy, traj, advantages, returns) -> float:
+    """The scalar A2C loss recomputed from the trajectory's leaf inputs: the finite-difference target.
+
+    Each step reruns the actor forward from its capabilities and tuples,
+    scores the step's context (the fusion output) with ``critic_step`` and
+    adds every head's actor and entropy terms and the critic's squared error.
+    """
+    hidden = ActorHidden.zeros(policy.dims.gru)
+    total = 0.0
+    for t in range(len(traj)):
+        fwd = forward_step(policy, traj.gammas[t], traj.tuples[t], traj.targets, hidden)
+        hidden = fwd.hidden
+        for i in range(policy.n_heads):
+            logp = _log_softmax_1d(fwd.logits[i])
+            probs = _softmax_1d(fwd.logits[i])
+            entropy = float(-(probs * logp).sum())
+            chosen = traj.sampled_levels[t][i] - 1
+            total += -advantages[t] * float(logp[chosen]) - ENTROPY_COEF * entropy
+        err = critic_step(policy, fwd.fus_caches[-1][2])[0] - returns[t]
+        total += CRITIC_COEF * err * err
+    return float(total)
 
 
 def _dense_step_backward(layer, cache, dout: np.ndarray):
@@ -254,9 +327,11 @@ def per_step_gru_sequence_backward(cell, caches, dhs):
 def per_step_episode_gradients(policy, traj, advantages, returns):
     """The A2C episode gradients one step and one head at a time.
 
-    Per step: each head's softmax, entropy and loss terms, then every dense
-    layer's gradients built whole and added into its accumulator, the GRU
-    through ``per_step_gru_sequence_backward``. ``supervisor.episode_gradients``
+    Per step: each head's softmax, entropy and loss terms, the critic run
+    on the step's context by ``critic_step``, then every dense layer's
+    gradients built whole and added into its accumulator, the GRU through
+    ``per_step_gru_sequence_backward``. ``supervisor.episode_gradients``,
+    which reads the critic ``score_contexts`` ran over all steps at once,
     must equal its gradients and loss terms bit for bit.
     """
     acc = copy.deepcopy(policy)
@@ -280,9 +355,10 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
             dlogits[i] += ENTROPY_COEF * probs * (logp + entropy)
         dh = _stack_step_backward([policy.heads], [acc.heads], [fwd.head_cache], dlogits)
         dh2.append(dh.sum(axis=0))
-        err = fwd.value - returns[t]
+        value, crit_caches = critic_step(policy, fwd.fus_caches[-1][2])
+        err = value - returns[t]
         critic_loss += CRITIC_COEF * err * err
-        dc_direct.append(_stack_step_backward(policy.critic, acc.critic, fwd.crit_caches, np.array([2.0 * CRITIC_COEF * err])))
+        dc_direct.append(_stack_step_backward(policy.critic, acc.critic, crit_caches, np.array([2.0 * CRITIC_COEF * err])))
 
     dcontext = dh2
     for j in (1, 0):

@@ -31,6 +31,7 @@ from atmarl.agents import (
 from atmarl.config import default_scenario
 from atmarl.errors import ScenarioError
 from atmarl.slice_sim import KpiKind, MBR_LEVELS, PRIORITY_LEVELS, init_scenario
+from oracles import bin_unit, per_field_discretize
 
 FAST_PRETRAIN = PretrainConfig(episodes=150, episode_length=15)
 
@@ -97,24 +98,37 @@ def test_observation_fields_bounded():
 # discretize
 
 
-def numpy_bin(x):
-    """The table bin of a unit-scaled field, as defined with ``np.clip``."""
-    return min(int(np.clip(x, 0.0, 1.0) * OBS_BINS), OBS_BINS - 1)
+def _bin_probes():
+    """0, 1, every k/OBS_BINS edge and its two float neighbours, signed zeros, tiny, negative and above-1 values."""
+    edges = [k / OBS_BINS for k in range(OBS_BINS + 1)]
+    probes = [-np.inf, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.5, 7.0, np.inf]
+    for e in edges:
+        probes += [float(np.nextafter(e, -np.inf)), e, float(np.nextafter(e, np.inf))]
+    return edges, probes
 
 
 def test_discretize_bins_edges_and_out_of_range_values():
-    edges = [k / OBS_BINS for k in range(OBS_BINS + 1)]
-    probes = [-np.inf, -1.0, -1e-300, 1.5, 7.0, np.inf]
-    for e in edges:
-        probes += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+    edges, probes = _bin_probes()
     for k, e in enumerate(edges):
-        assert numpy_bin(e) == min(k, OBS_BINS - 1)
+        assert bin_unit(e) == min(k, OBS_BINS - 1)
     for x in probes:
         obs = AgentObservation(kpi=x, knob=x, goal=x, congestion=x * CONGESTION_MAX)
-        expected = (numpy_bin(x), numpy_bin(x), numpy_bin(x), numpy_bin(x * CONGESTION_MAX / CONGESTION_MAX))
+        expected = (bin_unit(x), bin_unit(x), bin_unit(x), bin_unit(x * CONGESTION_MAX / CONGESTION_MAX))
         assert discretize(obs) == expected, x
     assert discretize(AgentObservation(-0.5, -0.5, -0.5, -0.5)) == (0, 0, 0, 0)
     assert discretize(AgentObservation(1.2, 1.2, 1.2, 2.0)) == (OBS_BINS - 1,) * 4
+
+
+def test_discretize_equals_per_field_reference():
+    # each field drawn on its own; congestion also on CONGESTION_MAX's scale, where its edges sit
+    _, probes = _bin_probes()
+    congestion = probes + [x * CONGESTION_MAX for x in probes]
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        obs = AgentObservation(*(probes[i] for i in rng.integers(len(probes), size=3)), congestion[rng.integers(len(congestion))])
+        index = discretize(obs)
+        assert index == per_field_discretize(obs), obs
+        assert all(type(i) is int for i in index), obs
 
 
 @pytest.mark.parametrize("field", ["kpi", "knob", "goal", "congestion"])
@@ -122,6 +136,8 @@ def test_discretize_rejects_nan(field):
     fields = {"kpi": 0.5, "knob": 0.5, "goal": 0.5, "congestion": 0.5, field: float("nan")}
     with pytest.raises(ValueError):
         discretize(AgentObservation(**fields))
+    with pytest.raises(ValueError):
+        per_field_discretize(AgentObservation(**fields))
 
 
 # ---------------------------------------------------------------------------

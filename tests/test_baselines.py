@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
-from atmarl.agents import SystemKind, agent_roster
+from atmarl.agents import GOAL_LEVELS, SystemKind, agent_roster
 from atmarl.baselines import goal_halving, naive_parallel_goals, rule_based_select
 from atmarl.config import default_scenario
-from atmarl.supervisor import GoalAssignment
+from atmarl.supervisor import GoalAssignment, GoalMode, PolicyDims, assignment_from_levels, create_policy
 
 
 def test_rule_based_first_window_is_priority():
@@ -69,3 +70,34 @@ def test_goal_halving_pair_sums_to_intermediate():
         mbr = halved.values[f"mbr_{k}"]
         assert pri == mbr
         assert pri + mbr == pytest.approx(intermediate.values[f"priority_{k}"])
+
+
+def roster_goal_halving(intermediate, config):
+    """Goal halving that walks a freshly built roster; ``goal_halving`` must give the same values, keys in the same order."""
+    return {agent.key: intermediate.values[agent.key] / 2.0 for agent in agent_roster(config)}
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+@pytest.mark.parametrize("five", [False, True])
+def test_goal_halving_equals_roster_reference(mode, five):
+    # the supervisor's assignments in either goal mode, as evaluation halves them
+    cfg = default_scenario(five_intents=five)
+    rng = np.random.default_rng(31)
+    policy = create_policy(rng, cfg, mode=mode, dims=PolicyDims(encoder=2, merger=2, fusion=2, gru=2))
+    for _ in range(20):
+        levels = rng.integers(1, GOAL_LEVELS + 1, policy.n_heads).tolist()
+        intermediate = assignment_from_levels(policy, cfg, levels)
+        halved = goal_halving(intermediate, cfg)
+        expected = roster_goal_halving(intermediate, cfg)
+        assert list(halved.values.items()) == list(expected.items())
+        assert halved.levels == {}
+
+
+def test_goal_halving_follows_the_intent_count():
+    # keys are kept per intent count: a 3-intent call does not fix the keys of a 5-intent one
+    three, five = default_scenario(), default_scenario(five_intents=True)
+    for cfg in (three, five, three):
+        intermediate = GoalAssignment(levels={}, values={a.key: 3.0 for a in agent_roster(cfg)})
+        assert list(goal_halving(intermediate, cfg).values) == [a.key for a in agent_roster(cfg)]
+    with pytest.raises(KeyError):
+        goal_halving(GoalAssignment(levels={}, values={a.key: 3.0 for a in agent_roster(three)}), five)

@@ -157,3 +157,18 @@ def test_cli_evaluate_on_corrupted_pretrain_checkpoint_exits_with_stage_code(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "block " in err[0] and message in err[0], err
+
+
+def test_cli_evaluate_on_another_intent_count_exits_with_stage_code(scenario_file, tmp_path, quick_pretrain, capsys):
+    five = tmp_path / "five.ini"
+    write_scenario(default_scenario(five_intents=True), five)
+    out = tmp_path / "out"
+    # the uncontended five-intent slice clears the pre-training reward floor
+    assert run_cli("pretrain", "--scenario", five, "--out", out) == EXIT_OK
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--scenario", scenario_file, "--out", out, "--approach", "RuleBased", "--seed", 1)
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "made for 5 intents, the plan's scenario has 3" in err[0], err
+    assert not list(out.glob("trace_*.csv"))

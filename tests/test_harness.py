@@ -1,4 +1,5 @@
 import csv
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,19 +9,31 @@ from atmarl.agents import GOAL_LEVELS, PretrainConfig, agent_roster, goal_value
 from atmarl.checkpoint import load_checkpoint
 from atmarl.baselines import SWITCH_PERIOD
 from atmarl.config import default_scenario, load_scenario, write_scenario
-from atmarl.errors import ScenarioError
+from atmarl.errors import CheckpointError, ScenarioError, StageFailure
 from atmarl.harness import (
     Approach,
+    Artifacts,
+    EpisodeTrace,
     ExperimentPlan,
     evaluate_episode,
     load_policy,
     load_pretrain,
     run_pipeline,
     stage_pretrain,
+    stage_train_supervisor,
     summarize,
 )
 from atmarl.slice_sim import DistributionKind, DistributionSpec
-from atmarl.supervisor import TUPLE_DIM, ActorHidden, TrainConfig, create_policy, forward_step, rollout_episode
+from atmarl.supervisor import (
+    TUPLE_DIM,
+    ActorHidden,
+    GoalMode,
+    TrainConfig,
+    create_policy,
+    forward_step,
+    rollout_episode,
+)
+from oracles import csv_writer_trace
 
 QUICK_PRETRAIN = PretrainConfig(episodes=120, episode_length=12)
 QUICK_TRAIN = TrainConfig(episodes=8, episode_length=12)
@@ -317,3 +330,108 @@ def test_generalization_plan_evaluates_under_other_distribution(tmp_path):
     trace = result.traces[0]
     kinds = {row[trace.columns.index("dist_kind")] for row in trace.rows}
     assert kinds == {"Gaussian"}
+
+
+# ---------------------------------------------------------------------------
+# evaluation without training-only work
+
+
+def test_greedy_evaluation_never_reads_the_critic(pipeline_result):
+    plan, result = pipeline_result
+    artifacts = load_pretrain(plan, result.out_dir)
+    rng = np.random.default_rng(60)
+    for approach, mode in ((Approach.ATMARL, GoalMode.AGENT_LEVEL), (Approach.GOAL_HALVING, GoalMode.SERVICE_LEVEL)):
+        artifacts.policies[approach.value] = create_policy(rng, plan.scenario, mode=mode)
+        artifacts.policy_capabilities[approach.value] = artifacts.capabilities
+    approaches = (Approach.ATMARL, Approach.GOAL_HALVING)
+    before = {(a, s): evaluate_episode(plan, artifacts, a, s).rows for a in approaches for s in plan.seeds}
+    for approach in approaches:
+        for layer in artifacts.policies[approach.value].critic:
+            layer.weights[...] = np.nan
+            layer.bias[...] = np.nan
+    after = {(a, s): evaluate_episode(plan, artifacts, a, s).rows for a in approaches for s in plan.seeds}
+    assert after == before
+
+    class Unreadable(list):
+        def __iter__(self):
+            raise AssertionError("the critic was read")
+
+    for approach in approaches:
+        artifacts.policies[approach.value].critic = Unreadable()
+    assert {(a, s): evaluate_episode(plan, artifacts, a, s).rows for a in approaches for s in plan.seeds} == before
+
+
+def _trace_of(rows):
+    columns = ["t", "kpi_a", "kpi_b", "reward", "active", "dist_kind"]
+    return EpisodeTrace(columns=columns, rows=rows, approach=Approach.ATMARL, seed=1)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [
+            [0, float("nan"), float("inf"), -0.0, 1, "Uniform"],
+            [1, float("-inf"), 1e-300, 123456789.0, 0, "Gaussian"],
+            [2, 0.1 + 0.2, -1e300, 5e-324, 1, "Gamma"],
+            [3, 4.0, 2.0, -1.0, 0, "Uniform"],
+        ],
+        [],
+    ],
+    ids=["special-values", "no-rows"],
+)
+def test_trace_csv_equals_per_value_csv_writer(tmp_path, rows):
+    trace = _trace_of(rows)
+    trace.to_csv(tmp_path / "got.csv")
+    csv_writer_trace(trace, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_emitted_traces_equal_per_value_csv_writer(pipeline_result, tmp_path):
+    plan, result = pipeline_result
+    for trace in result.traces:
+        name = f"trace_{trace.approach.value}_seed{trace.seed}.csv"
+        csv_writer_trace(trace, tmp_path / name)
+        assert (result.out_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# checkpoints made for another intent count
+
+
+@pytest.fixture(scope="module")
+def five_intent_checkpoints(tmp_path_factory):
+    """``pretrain.ckpt`` and ``supervisor_atmarl.ckpt`` of a tiny five-intent plan."""
+    out = tmp_path_factory.mktemp("five")
+    plan = quick_plan(
+        scenario=default_scenario(five_intents=True),
+        pretrain_cfg=PretrainConfig(episodes=2, episode_length=2),
+        train_cfg=TrainConfig(episodes=1, episode_length=2),
+    )
+    artifacts = stage_pretrain(plan, out)  # the uncontended five-intent slice clears the reward floor
+    stage_train_supervisor(plan, artifacts, Approach.ATMARL, out)
+    return out
+
+
+def test_load_pretrain_rejects_another_intent_count(five_intent_checkpoints):
+    with pytest.raises(CheckpointError, match="pretrain.ckpt was made for 5 intents, the plan's scenario has 3"):
+        load_pretrain(quick_plan(), five_intent_checkpoints)
+
+
+def test_load_policy_rejects_another_intent_count(five_intent_checkpoints):
+    artifacts = Artifacts(qtables={}, capabilities={})
+    with pytest.raises(CheckpointError, match="supervisor_atmarl.ckpt was made for 5 intents, the plan's scenario has 3"):
+        load_policy(quick_plan(), artifacts, Approach.ATMARL, five_intent_checkpoints)
+    assert artifacts.policies == {}
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "train-supervisor"])
+def test_pipeline_reuse_rejects_another_intent_count(five_intent_checkpoints, pipeline_result, tmp_path, stage):
+    # the five-intent policy beside a matching three-intent pre-training fails the policy stage
+    plan, result = pipeline_result
+    shutil.copy(five_intent_checkpoints / "supervisor_atmarl.ckpt", tmp_path)
+    source = five_intent_checkpoints if stage == "pretrain" else result.out_dir
+    shutil.copy(source / "pretrain.ckpt", tmp_path)
+    with pytest.raises(StageFailure, match="made for 5 intents") as err:
+        run_pipeline(plan, tmp_path, reuse=True)
+    assert err.value.stage == stage
+    assert not list(tmp_path.glob("*.csv"))

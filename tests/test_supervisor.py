@@ -7,9 +7,9 @@ from atmarl import slice_sim, supervisor
 from atmarl.agents import GOAL_LEVELS, PretrainConfig, SystemKind, estimate_capabilities, normalize_kpi, pretrain_system
 from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
-from atmarl.nn import OptimizerState, adam_step, log_softmax
+from atmarl.nn import OptimizerState, adam_step, log_softmax, stack_forward
 from atmarl.slice_sim import KpiKind
-from oracles import per_head_act, per_step_episode_gradients, per_view_gradient_norm
+from oracles import critic_step, episode_loss, per_head_act, per_step_episode_gradients, per_view_gradient_norm
 from atmarl.supervisor import (
     DISCOUNT,
     LEARNING_RATE,
@@ -23,12 +23,12 @@ from atmarl.supervisor import (
     discounted_returns,
     encode_capabilities,
     episode_gradients,
-    episode_loss,
     forward_step,
     fuse,
     gradient_norm,
     merge,
     rollout_episode,
+    score_contexts,
     supervisor_reward,
     train_supervisor,
 )
@@ -319,7 +319,7 @@ def test_gradient_norm_equals_per_view_oracle(mode):
         assert gradient_norm(grads).tobytes() == per_view_gradient_norm(grads).tobytes()
     traj = _random_trajectory(policy, cfg, 12, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    acc, _ = episode_gradients(policy, traj, returns - np.array([f.value for f in traj.forwards]), returns)
+    acc, _ = episode_gradients(policy, traj, returns - traj.values, returns)
     assert gradient_norm(acc).tobytes() == per_view_gradient_norm(acc).tobytes()
 
 
@@ -411,6 +411,7 @@ def test_actor_critic_gradients_match_finite_differences():
         traj.sampled_levels.append([int(rng.integers(1, GOAL_LEVELS + 1)) for _ in range(2)])
         traj.rewards.append(float(rng.normal()))
         traj.forwards.append(fwd)
+    score_contexts(policy, traj)
 
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = np.array([0.7, -1.2, 0.4])  # fixed constants, as in the update rule
@@ -454,7 +455,27 @@ def _random_trajectory(policy, cfg, steps, rng):
         traj.sampled_levels.append(rng.integers(1, GOAL_LEVELS + 1, policy.n_heads).tolist())
         traj.rewards.append(float(rng.normal()))
         traj.forwards.append(fwd)
+    score_contexts(policy, traj)
     return traj
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+@pytest.mark.parametrize("steps", [1, 7, 40])
+def test_batched_critic_equals_per_step_critic(mode, steps):
+    # default dims; the critic over all contexts at once, bit for bit against one context at a time
+    cfg = default_scenario()
+    rng = np.random.default_rng(300 + steps)
+    policy = create_policy(rng, cfg, mode=mode)
+    traj = _random_trajectory(policy, cfg, steps, rng)
+    assert traj.values.shape == (steps,)
+    for t, fwd in enumerate(traj.forwards):
+        context = fwd.fus_caches[-1][2]
+        v, caches = stack_forward(policy.critic, context)
+        assert traj.values[t].tobytes() == v[0].tobytes(), t
+        assert float(traj.values[t]) == critic_step(policy, context)[0], t
+        for j, cache in enumerate(caches):
+            for part, batched in zip(cache, traj.crit_caches[j]):
+                assert batched[t].tobytes() == part.tobytes(), (t, j)
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
@@ -466,7 +487,7 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
     policy = create_policy(rng, cfg, mode=mode)
     traj = _random_trajectory(policy, cfg, steps, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    advantages = returns - np.array([f.value for f in traj.forwards])
+    advantages = returns - traj.values
     if steps > 1:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
@@ -486,7 +507,7 @@ def test_episode_gradients_called_twice_return_the_same_gradients():
     policy = create_policy(rng, cfg)
     traj = _random_trajectory(policy, cfg, 12, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    advantages = returns - np.array([f.value for f in traj.forwards])
+    advantages = returns - traj.values
     first, first_losses = episode_gradients(policy, traj, advantages, returns)
     second, second_losses = episode_gradients(policy, traj, advantages, returns)
     assert first_losses == second_losses
