@@ -9,15 +9,7 @@ caps shed CV traffic to protect the loss-sensitive services.
 import numpy as np
 
 from atmarl.config import default_scenario
-from atmarl.slice_sim import (
-    allocate_capacity,
-    compute_packet_loss,
-    compute_qoe,
-    evaluate_kpis,
-    init_scenario,
-    offered_loads,
-    step,
-)
+from atmarl.slice_sim import DEFAULT_MBR, DEFAULT_PRIORITY, evaluate_kpis, init_scenario, offered_loads, step
 
 
 def main():
@@ -32,20 +24,27 @@ def main():
     print("\nAt neutral controls (priority 3, MBR 10) the slice is overloaded:")
     print(f"  KPIs: QoE {report.kpi[0]:.2f}, PL {report.kpi[1]:.1f}% / {report.kpi[2]:.1f}%")
 
+    # under the uniform spread every gNodeB is offered the same loads, so the
+    # slice's KPIs are those of any one contended gNodeB
+    offered = offered_loads(state, None)
+    controls = state.controls
+
+    def sweep_kpis(priorities, mbrs):
+        controls.priority[:] = priorities
+        controls.mbr[:] = mbrs
+        return evaluate_kpis(state, offered).kpi
+
     print("\nPriority sweep for CV (others fixed), one contended gNodeB:")
-    offered = offered_loads(state, None)[:, 0]
     for p_cv in range(1, 6):
-        served = allocate_capacity(offered, np.array([p_cv, 3, 3]), np.full(3, 10.0), 10.0)
-        qoe = compute_qoe(served[0], offered[0])
-        pl = compute_packet_loss(offered[1], served[1])
-        print(f"  priority {p_cv}: QoE(CV) {qoe:.2f}  PL(URLLC) {pl:5.2f}%")
+        kpi = sweep_kpis([p_cv, 3, 3], 10.0)
+        print(f"  priority {p_cv}: QoE(CV) {kpi[0]:.2f}  PL(URLLC) {kpi[1]:5.2f}%")
 
     print("\nMBR sweep for CV (priorities equal): shedding CV protects the others:")
     for cap in (10.0, 8.0, 6.0, 4.0, 2.0):
-        served = allocate_capacity(offered, np.array([3, 3, 3]), np.array([cap, 10.0, 10.0]), 10.0)
-        qoe = compute_qoe(served[0], offered[0])
-        pl = compute_packet_loss(offered[1], served[1])
-        print(f"  mbr {cap:4.1f}: QoE(CV) {qoe:.2f}  PL(URLLC) {pl:5.2f}%")
+        kpi = sweep_kpis(3, [cap, 10.0, 10.0])
+        print(f"  mbr {cap:4.1f}: QoE(CV) {kpi[0]:.2f}  PL(URLLC) {kpi[1]:5.2f}%")
+    controls.priority[:] = DEFAULT_PRIORITY
+    controls.mbr[:] = DEFAULT_MBR
 
     print("\nTen noisy steps at a protective configuration (priorities 2/5/5):")
     state.controls.priority[:] = [2, 5, 5]

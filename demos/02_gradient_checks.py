@@ -8,8 +8,8 @@ from atmarl.nn import (
     GruCell,
     dense_backward,
     dense_forward,
+    gru_forward,
     gru_sequence_backward,
-    gru_sequence_forward,
     stack_steps,
 )
 
@@ -59,11 +59,19 @@ def main():
     targets = [rng.normal(size=4) for _ in range(5)]
     h0 = np.zeros(4)
 
+    def gru_run():
+        h, hs, caches = h0, [], []
+        for x in xs:
+            h, cache = gru_forward(cell, x, h)
+            hs.append(h)
+            caches.append(cache)
+        return hs, caches
+
     def gru_loss():
-        hs, _ = gru_sequence_forward(cell, xs, h0)
+        hs, _ = gru_run()
         return float(sum(((h - t) ** 2).sum() for h, t in zip(hs, targets)))
 
-    hs, caches = gru_sequence_forward(cell, xs, h0)
+    hs, caches = gru_run()
     dhs = [2 * (h - t) for h, t in zip(hs, targets)]
     grads = cell.zeros_like()  # the backward adds into an accumulator cell
     gru_sequence_backward(cell, caches, dhs, grads)

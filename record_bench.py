@@ -15,12 +15,11 @@ uses the same seed, run length and sample count (``SEED``, ``SECONDS``,
 ``REPEATS``, stored under ``settings``), so two records made on one host
 share their keys and compare field by field.
 
-The microbenchmarks call the package's current signatures
-(``episode_gradients`` without a training config, the discount read from
-``supervisor.DISCOUNT``), so ``--tree`` must be a checkout from the change
-that made the learning settings module constants onwards; older trees fail.
-The critic values come from the trajectory where the tree's rollout stores
-them there, and from each step's forward where it does not.
+The microbenchmarks call the package's current signatures: ``act``
+without the scenario, returning each head's rung and the forward, and the
+critic values read off the trajectory. So ``--tree`` must be a checkout
+from the change that made goal sources hand the engine per-agent goal
+dicts (and ``act`` drop its log-probabilities) onwards; older trees fail.
 """
 
 from __future__ import annotations
@@ -125,9 +124,7 @@ def microbenchmarks(tree: Path) -> dict:
 
     traj = rollout()
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    # trees that run the critic once per episode keep its values on the trajectory; older trees on each forward
-    values = traj.values if hasattr(traj, "values") else np.array([f.value for f in traj.forwards])
-    advantages = returns - values
+    advantages = returns - traj.values
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     step = len(traj) // 2
     hidden = traj.forwards[step - 1].hidden
@@ -161,7 +158,7 @@ def microbenchmarks(tree: Path) -> dict:
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
         ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns), 1, 1.0),
-        ("act_us", lambda: act(policy, cfg, traj.gammas[step], traj.tuples[step], traj.targets, hidden, rng, True), 200, 1e3),
+        ("act_us", lambda: act(policy, traj.gammas[step], traj.tuples[step], traj.targets, hidden, rng, True), 200, 1e3),
         ("forward_step_us", lambda: forward_step(policy, traj.gammas[step], traj.tuples[step], traj.targets, hidden), 200, 1e3),
         ("agent_step_us", agent_step, 200, 1e3),
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),

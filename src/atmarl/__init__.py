@@ -27,14 +27,11 @@ from .slice_sim import (
     ServiceKind,
     ServiceSpec,
     allocate_capacity,
-    compute_packet_loss,
-    compute_qoe,
     init_scenario,
     set_distribution,
     step,
 )
 from .supervisor import (
-    GoalAssignment,
     GoalMode,
     SupervisorPolicy,
     create_policy,

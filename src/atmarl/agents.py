@@ -133,14 +133,6 @@ def _clamp(x, lo, hi):
     return lo if x < lo else hi if x > hi else x
 
 
-def nearest_goal_level(kpi_kind: KpiKind, value: float) -> int:
-    if kpi_kind is _QOE:
-        level = round((value - 1.0) / QOE_BIN)
-    else:
-        level = round(value)
-    return int(_clamp(level, 1, GOAL_LEVELS))
-
-
 def normalize_kpi(kpi_kind: KpiKind, value: float) -> float:
     """A KPI reading or a goal in KPI space, on the observation's scale."""
     if kpi_kind is _QOE:
@@ -243,17 +235,6 @@ def goal_achieved(kpi: float, goal_kpi: float, kpi_kind: KpiKind) -> bool:
     return kpi <= goal_kpi
 
 
-@dataclass
-class GoalAssignment:
-    """Per-agent goal, as a ladder rung where applicable plus its KPI value."""
-
-    levels: dict[str, int]
-    values: dict[str, float]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 BOTH_PLANES = frozenset(SystemKind)
 
 
@@ -276,15 +257,15 @@ def run_episode(
     observed against each intent's target; every later report against the
     goal the agent was last assigned. Each step applies the UE redistribution
     scheduled for it, asks ``goals(t, seen, last_action)`` for this step's
-    assignment and active planes, and lets every agent of an active plane act
-    on its observation, with the goal field replaced where its assigned goal
-    changed, and move its knob. Each acting agent bins that observation once
-    and picks its action epsilon-greedily with probability ``epsilon`` of a
-    uniform random action (0 acts greedily and draws nothing). It then steps
-    the network, observes the new report and hands the outcome to
-    ``on_step(t, state, report, current, active, taken, seen)``, where
-    ``taken`` maps agent key to the (table index, action) acted on.
-    ``on_step`` may return the table indices it computed for observations
+    goals (agent key to KPI-space goal) and active planes, and lets every
+    agent of an active plane act on its observation, with the goal field
+    replaced where its assigned goal changed, and move its knob. Each acting
+    agent bins that observation once and picks its action epsilon-greedily
+    with probability ``epsilon`` of a uniform random action (0 acts greedily
+    and draws nothing). It then steps the network, observes the new report
+    and hands the outcome to ``on_step(t, state, report, current, active,
+    taken, seen)``, where ``current`` is this step's goals and ``taken`` maps
+    agent key to the (table index, action) acted on. ``on_step`` may return the table indices it computed for observations
     in ``seen`` (agent key to index); next step an agent whose goal is
     unchanged acts on that index instead of binning its observation again.
     """
@@ -303,7 +284,7 @@ def run_episode(
         for a in roster:
             if a.system not in active:
                 continue
-            goal = current.values[a.key]
+            goal = current[a.key]
             if goal != aimed[a.key]:
                 index = discretize(seen[a.key]._replace(goal=normalize_kpi(config.services[a.intent_index].kpi_kind, goal)))
             elif a.key in binned:
@@ -315,7 +296,7 @@ def run_episode(
             last_action[a.key] = action
             taken[a.key] = (index, action)
         state, report = sim_step(state, rng)
-        aimed = current.values
+        aimed = current
         seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
         binned = on_step(t, state, report, current, active, taken, seen) or {}
 
@@ -374,10 +355,7 @@ def pretrain_system(
         if kind is not config.distribution.kind:
             state = slice_sim.set_distribution(state, slice_sim.DistributionSpec.of(kind))
         levels = {a.key: int(rng.integers(1, GOAL_LEVELS + 1)) for a in agents}
-        goals = GoalAssignment(
-            levels=levels,
-            values={a.key: goal_value(config.services[a.intent_index].kpi_kind, levels[a.key]) for a in agents},
-        )
+        goals = {a.key: goal_value(config.services[a.intent_index].kpi_kind, levels[a.key]) for a in agents}
         hit_step = {a.key: None for a in agents}
         episode_reward = 0.0
 
@@ -386,7 +364,7 @@ def pretrain_system(
             binned = {}  # the goal is fixed, so the engine acts on these indices next step
             for a in agents:
                 svc = config.services[a.intent_index]
-                goal_kpi = current.values[a.key]
+                goal_kpi = current[a.key]
                 kpi = float(report.kpi[a.intent_index])
                 r = agent_reward(kpi, goal_kpi, svc.kpi_kind)
                 episode_reward += r

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .agents import GoalAssignment, SystemKind, agent_roster, nearest_goal_level
+from .agents import SystemKind, agent_roster
 from .config import ScenarioConfig
 
 SWITCH_PERIOD = 5
@@ -15,31 +15,23 @@ def rule_based_select(t: int) -> SystemKind:
     return SystemKind.PRIORITY if (t // SWITCH_PERIOD) % 2 == 0 else SystemKind.MBR
 
 
-def naive_parallel_goals(config: ScenarioConfig) -> GoalAssignment:
+def naive_parallel_goals(config: ScenarioConfig) -> dict[str, float]:
     """Broadcast every intent's global target to both of its agents, unchanged."""
-    levels = {}
-    values = {}
-    for agent in agent_roster(config):
-        svc = config.services[agent.intent_index]
-        levels[agent.key] = nearest_goal_level(svc.kpi_kind, svc.kpi_target)
-        values[agent.key] = svc.kpi_target
-    return GoalAssignment(levels=levels, values=values)
+    return {agent.key: config.services[agent.intent_index].kpi_target for agent in agent_roster(config)}
 
 
 # a memo of the roster's agent keys by intent count, which alone fixes the roster
 _ROSTER_KEYS: dict[int, tuple[str, ...]] = {}
 
 
-def goal_halving(intermediate: GoalAssignment, config: ScenarioConfig) -> GoalAssignment:
+def goal_halving(intermediate: dict[str, float], config: ScenarioConfig) -> dict[str, float]:
     """Split each intent's intermediate goal equally between the two planes.
 
-    The halved values are generally off the goal ladder, so only KPI-space
-    values are produced; the halving rule applies verbatim to packet-loss
-    goals as well. It runs every evaluation step, so the roster's keys are
-    built once per intent count.
+    The halved goals are generally off the goal ladder; the halving rule
+    applies verbatim to packet-loss goals as well. It runs every evaluation
+    step, so the roster's keys are built once per intent count.
     """
     keys = _ROSTER_KEYS.get(config.intent_count)
     if keys is None:
         keys = _ROSTER_KEYS[config.intent_count] = tuple(a.key for a in agent_roster(config))
-    source = intermediate.values
-    return GoalAssignment(levels={}, values={key: source[key] / 2.0 for key in keys})
+    return {key: intermediate[key] / 2.0 for key in keys}

@@ -18,6 +18,7 @@ settings and one ``[service:<name>]`` section per carried service, e.g.::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,15 @@ class ScenarioConfig:
     bandwidth_mbps: float = DEFAULT_BANDWIDTH_MBPS
     noise_pct: float = 5.0
 
+    def __post_init__(self):
+        if not self.services:
+            raise ScenarioError("scenario must declare at least one service")
+        if not 0 < self.bandwidth_mbps < math.inf:
+            raise ScenarioError(f"bandwidth_mbps must be finite and positive, got {self.bandwidth_mbps}")
+        # at most 100%: the multiplicative load noise 1 + e keeps every offered load nonnegative
+        if not 0 <= self.noise_pct <= 100:
+            raise ScenarioError(f"noise_pct must lie in [0, 100], got {self.noise_pct}")
+
     @property
     def intent_count(self) -> int:
         return len(self.services)
@@ -71,7 +81,7 @@ def _parse_distribution(raw_kind: str, raw_weights: str | None) -> DistributionS
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario file."""
+    """Parse a scenario file; the specs and the scenario validate themselves as they are built."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -88,6 +98,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if not section.startswith("service:"):
             continue
         svc = parser[section]
+        missing = [key for key in ("demand_mbps", "ue_count") if key not in svc]
+        if missing:
+            raise ScenarioError(f"{path}: [{section}] is missing {', '.join(missing)}")
         kind = _parse_kind(svc.get("kind", section.split(":", 1)[1]))
         idx = instance_counters.get(kind, 0)
         instance_counters[kind] = idx + 1
@@ -101,23 +114,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                 kpi_target=svc.getfloat("kpi_target", default_target),
             )
         )
-    config = ScenarioConfig(
+    return ScenarioConfig(
         services=services,
         distribution=distribution,
         bandwidth_mbps=sc.getfloat("bandwidth_mbps", DEFAULT_BANDWIDTH_MBPS),
         noise_pct=sc.getfloat("noise_pct", 5.0),
     )
-    validate_scenario(config)
-    return config
-
-
-def validate_scenario(config: ScenarioConfig):
-    if not config.services:
-        raise ScenarioError("scenario must declare at least one service")
-    if config.bandwidth_mbps <= 0:
-        raise ScenarioError("bandwidth_mbps must be positive")
-    if config.noise_pct < 0:
-        raise ScenarioError("noise_pct must be nonnegative")
 
 
 def default_scenario(

@@ -303,14 +303,14 @@ def evaluate_episode(
     rows = []
 
     def record(t, state, report, current, active, taken, seen):
+        priority = state.controls.priority.tolist()
+        mbr = state.controls.mbr.tolist()
         rows.append(
             [t]
             + report.kpi.tolist()
-            + [float(current.values[a.key]) for a in roster]
+            + [float(current[a.key]) for a in roster]
             + [
-                float(state.controls.priority[a.intent_index])
-                if a.system is SystemKind.PRIORITY
-                else float(state.controls.mbr[a.intent_index])
+                float(priority[a.intent_index]) if a.system is SystemKind.PRIORITY else float(mbr[a.intent_index])
                 for a in roster
             ]
             + [

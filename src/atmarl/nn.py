@@ -239,17 +239,6 @@ def gru_backward(cell: GruCell, cache, dh_new: np.ndarray, grads: GruCell):
     return dx, dh
 
 
-def gru_sequence_forward(cell: GruCell, xs: list[np.ndarray], h0: np.ndarray):
-    """Run a whole sequence; returns (hidden states list, caches list)."""
-    h = h0
-    hs, caches = [], []
-    for x in xs:
-        h, cache = gru_forward(cell, x, h)
-        hs.append(h)
-        caches.append(cache)
-    return hs, caches
-
-
 def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: GruCell):
     """BPTT over a sequence given per-step upstream grads on each hidden state.
 
@@ -280,26 +269,20 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one category per row by inverse CDF; returns (indices, exact log-probabilities).
+def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one category per row by inverse CDF; returns the indices.
 
     Rows draw their uniforms in row order, from one ``rng.random`` call, as
     one ``rng.random()`` per row would. A row's index is the count of its
     cumulative probabilities at or below its uniform, which is
     ``searchsorted(side="right")`` on that nondecreasing sum, capped at the
-    last category. The probabilities and log-probabilities come from one
-    pass of shifted logits, with the bits of ``softmax`` and ``log_softmax``.
+    last category. The probabilities have the bits of ``softmax``.
     """
     _check_finite("logits", logits)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     u = rng.random(logits.shape[:-1])
-    below = np.cumsum(e / total, axis=-1) <= u[..., None]
-    idx = np.minimum(below.sum(axis=-1), logits.shape[-1] - 1)
-    rows = shifted.reshape(-1, shifted.shape[-1])
-    chosen = rows[np.arange(len(rows)), idx.ravel()].reshape(idx.shape)
-    return idx, chosen - np.log(total[..., 0])
+    below = np.cumsum(e / e.sum(axis=-1, keepdims=True), axis=-1) <= u[..., None]
+    return np.minimum(below.sum(axis=-1), logits.shape[-1] - 1)
 
 
 ADAM_BETA1 = 0.9

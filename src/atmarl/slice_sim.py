@@ -10,6 +10,7 @@ is scored as QoE on [1, 5]; URLLC/mIoT are scored as packet-loss percentages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -67,10 +68,12 @@ class ServiceSpec:
     kpi_target: float
 
     def __post_init__(self):
-        if self.demand_per_ue <= 0:
-            raise ScenarioError(f"demand_per_ue must be positive, got {self.demand_per_ue}")
+        if not 0 < self.demand_per_ue < math.inf:
+            raise ScenarioError(f"demand_per_ue must be finite and positive, got {self.demand_per_ue}")
         if self.ue_count < 0:
             raise ScenarioError(f"ue_count must be nonnegative, got {self.ue_count}")
+        if not 0 < self.kpi_target < math.inf:
+            raise ScenarioError(f"kpi_target must be finite and positive, got {self.kpi_target}")
 
     @cached_property
     def kpi_kind(self) -> KpiKind:
@@ -95,9 +98,9 @@ class DistributionSpec:
     def __post_init__(self):
         if len(self.weights) != N_GNODEBS:
             raise ScenarioError(f"expected {N_GNODEBS} distribution weights, got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0 for w in self.weights):
             raise ScenarioError(f"distribution weights must be nonnegative: {self.weights}")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise ScenarioError(f"distribution weights must sum to 1, got {sum(self.weights)}")
 
     @classmethod
@@ -140,13 +143,10 @@ class KpiReport:
 def init_scenario(config) -> NetworkState:
     """Build the timestep-0 state with neutral controls.
 
-    ``config`` is a ScenarioConfig (see :mod:`atmarl.config`). All priorities
-    start at 3 and all MBR caps at 10 Mbps.
+    ``config`` is a ScenarioConfig (see :mod:`atmarl.config`), which
+    validated itself when it was made. All priorities start at 3 and all MBR
+    caps at 10 Mbps.
     """
-    if not config.services:
-        raise ScenarioError("scenario has no services")
-    if config.bandwidth_mbps <= 0:
-        raise ScenarioError(f"bandwidth must be positive, got {config.bandwidth_mbps}")
     n = len(config.services)
     controls = ControlVector(
         priority=np.full(n, DEFAULT_PRIORITY, dtype=np.int64),
@@ -231,20 +231,6 @@ def allocate_capacity(
     return np.array(served).reshape(offered.shape)
 
 
-def compute_qoe(served: float, demand: float) -> float:
-    """Affine throughput-satisfaction score on [1, 5]."""
-    if demand <= 0:
-        raise ScenarioError("QoE undefined for a service with no demand")
-    return float(np.clip(1.0 + 4.0 * (served / demand), *QOE_RANGE))
-
-
-def compute_packet_loss(offered: float, served: float) -> float:
-    """Percentage of offered traffic not delivered; zero when idle."""
-    if offered <= 0:
-        return 0.0
-    return float(np.clip(100.0 * (offered - served) / offered, *PL_RANGE))
-
-
 def offered_loads(state: NetworkState, rng: np.random.Generator | None) -> np.ndarray:
     """Offered Mbps per [service, gNodeB], with multiplicative load noise.
 
@@ -270,8 +256,9 @@ def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     served = allocate_capacity(
         offered, state.controls.priority, state.controls.mbr, state.airlink_bandwidth
     )
-    # compute_qoe and compute_packet_loss on every [service, gNodeB] lane,
-    # clipped as np.clip clips; an idle lane scores full QoE and no loss
+    # per [service, gNodeB] lane: QoE 1 + 4 * served / offered, or packet
+    # loss 100 * (offered - served) / offered percent, clipped to QOE_RANGE or
+    # PL_RANGE as np.clip clips; an idle lane scores full QoE and no loss
     qoe_lo, qoe_hi = QOE_RANGE
     pl_lo, pl_hi = PL_RANGE
     lanes = []

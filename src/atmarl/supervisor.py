@@ -27,7 +27,6 @@ from .agents import (
     AgentId,
     CapabilityVector,
     GOAL_LEVELS,
-    GoalAssignment,
     QTable,
     agent_roster,
     goal_achieved,
@@ -67,7 +66,6 @@ class GoalMode(str, Enum):
 
 # members read on every step, bound once: on Python 3.11 reading an enum
 # member off its class costs about 180 ns
-_AGENT_LEVEL = GoalMode.AGENT_LEVEL
 _QOE = KpiKind.QOE
 
 
@@ -263,40 +261,24 @@ def forward_step(
     )
 
 
-def assignment_from_levels(policy: SupervisorPolicy, config: ScenarioConfig, levels: list[int]) -> GoalAssignment:
-    """Map head outputs to per-agent goals: head i drives agent i, or in service mode the intent's head drives both planes."""
-    lvl_map: dict[str, int] = {}
-    val_map: dict[str, float] = {}
-    per_agent = policy.mode is _AGENT_LEVEL
-    for i, agent in enumerate(policy.agents):
-        level = levels[i if per_agent else agent.intent_index]
-        kind = config.services[agent.intent_index].kpi_kind
-        lvl_map[agent.key] = level
-        val_map[agent.key] = goal_value(kind, level)
-    return GoalAssignment(levels=lvl_map, values=val_map)
-
-
 def act(
     policy: SupervisorPolicy,
-    config: ScenarioConfig,
     gammas: np.ndarray,
     tuples: np.ndarray,
     targets_norm: np.ndarray,
     hidden: ActorHidden,
     rng: np.random.Generator,
     explore: bool,
-) -> tuple[GoalAssignment, np.ndarray, ActorHidden, StepForward]:
-    """One supervisor decision; returns goals, per-head log-probs, new hidden."""
+) -> tuple[list[int], StepForward]:
+    """One supervisor decision: each head's goal rung, sampled or greedy, and the forward, whose ``hidden`` is the new state."""
     fwd = forward_step(policy, gammas, tuples, targets_norm, hidden)
     if explore:
-        idx, log_probs = softmax_sample(fwd.logits, rng)
+        idx = softmax_sample(fwd.logits, rng)
     else:
         if not np.all(np.isfinite(fwd.logits)):
             raise FloatingPointError("non-finite actor logits")
         idx = fwd.logits.argmax(axis=1)
-        log_probs = log_softmax(fwd.logits)[np.arange(len(idx)), idx]
-    assignment = assignment_from_levels(policy, config, (idx + 1).tolist())
-    return assignment, log_probs, fwd.hidden, fwd
+    return (idx + 1).tolist(), fwd
 
 
 def supervisor_reward(report: KpiReport, services: list[ServiceSpec]) -> float:
@@ -324,12 +306,10 @@ class CapabilityTracker:
         self.config = config
         self._active: dict[str, tuple[int, int, bool]] = {}  # key -> (level, steps, achieved)
 
-    def observe_step(self, assignment: GoalAssignment, report: KpiReport, roster: list[AgentId]):
-        for agent in roster:
+    def observe_step(self, levels: list[int], report: KpiReport, roster: list[AgentId]):
+        """Count one step of each roster agent's assigned rung, ``levels`` in roster order."""
+        for agent, level in zip(roster, levels):
             key = agent.key
-            level = assignment.levels.get(key)
-            if level is None:
-                continue
             svc = self.config.services[agent.intent_index]
             kpi = float(report.kpi[agent.intent_index])
             active = self._active.get(key)
@@ -521,10 +501,13 @@ class TrainStats:
 class PolicyGoals:
     """Goal source for ``run_episode``: the supervisor assigns fresh goals every step.
 
-    Each decision reads the engine's observations, which before the first
-    assignment are made against the global targets. The latest decision's
-    leaf inputs and forward caches stay readable as ``gammas``, ``tuples``
-    and ``forward`` until the next step; nothing older is kept.
+    Head i drives agent i, or in service mode the intent's head drives both
+    of its agents; each agent's goal is its head's rung on that agent's goal
+    ladder. Each decision reads the engine's observations, which before the
+    first assignment are made against the global targets. The latest
+    decision stays readable until the next step, nothing older: its leaf
+    inputs ``gammas`` and ``tuples``, its ``forward``, the rung of each head
+    (``levels``) and of each agent in roster order (``agent_levels``).
     """
 
     def __init__(
@@ -536,15 +519,22 @@ class PolicyGoals:
         explore: bool,
     ):
         self.policy = policy
-        self.config = config
         self.capabilities = capabilities
         self.rng = rng
         self.explore = explore
         self.targets = np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services])
         self.hidden = ActorHidden.zeros(policy.dims.gru)
+        per_agent = policy.mode is GoalMode.AGENT_LEVEL
+        self._heads = [i if per_agent else a.intent_index for i, a in enumerate(policy.agents)]
+        self._ladders = [
+            [goal_value(config.services[a.intent_index].kpi_kind, level) for level in range(1, GOAL_LEVELS + 1)]
+            for a in policy.agents
+        ]
         self.gammas = np.zeros((0, GOAL_LEVELS))
         self.tuples = np.zeros((0, TUPLE_DIM))
         self.forward: StepForward | None = None
+        self.levels: list[int] = []
+        self.agent_levels: list[int] = []
 
     def __call__(self, t, seen, last_action):
         roster = self.policy.agents
@@ -555,10 +545,13 @@ class PolicyGoals:
         self.tuples = np.array(
             [(*seen[a.key], *_ONEHOT[last_action[a.key]], seen[a.key].goal) for a in roster], dtype=np.float64
         )
-        assignment, _, self.hidden, self.forward = act(
-            self.policy, self.config, self.gammas, self.tuples, self.targets, self.hidden, self.rng, self.explore
+        self.levels, self.forward = act(
+            self.policy, self.gammas, self.tuples, self.targets, self.hidden, self.rng, self.explore
         )
-        return assignment, BOTH_PLANES
+        self.hidden = self.forward.hidden
+        self.agent_levels = [self.levels[head] for head in self._heads]
+        goals = {a.key: ladder[level - 1] for a, ladder, level in zip(roster, self._ladders, self.agent_levels)}
+        return goals, BOTH_PLANES
 
 
 def rollout_episode(
@@ -580,15 +573,13 @@ def rollout_episode(
         state.controls.mbr[:] = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
     goals = PolicyGoals(policy, config, capabilities, rng, explore)
     traj = EpisodeTrajectory(targets=goals.targets)
-    # in service mode the heads read their rung off the priority agents
-    head_keys = [a.key for a in policy.agents[: policy.n_heads]]
 
     def record(t, state, report, current, active, taken, seen):
         if tracker is not None:
-            tracker.observe_step(current, report, policy.agents)
+            tracker.observe_step(goals.agent_levels, report, policy.agents)
         traj.gammas.append(goals.gammas)
         traj.tuples.append(goals.tuples)
-        traj.sampled_levels.append([current.levels[key] for key in head_keys])
+        traj.sampled_levels.append(goals.levels)
         traj.rewards.append(supervisor_reward(report, config.services))
         traj.forwards.append(goals.forward)
 

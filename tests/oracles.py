@@ -11,9 +11,24 @@ import csv
 import numpy as np
 
 from atmarl.agents import CONGESTION_MAX, OBS_BINS
-from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from atmarl.slice_sim import N_GNODEBS, QOE_RANGE, KpiKind, compute_packet_loss, compute_qoe
+from atmarl.errors import ScenarioError
+from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, gru_forward
+from atmarl.slice_sim import N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind
 from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF, ActorHidden, forward_step
+
+
+def compute_qoe(served: float, demand: float) -> float:
+    """One lane's affine throughput-satisfaction score on [1, 5]."""
+    if demand <= 0:
+        raise ScenarioError("QoE undefined for a service with no demand")
+    return float(np.clip(1.0 + 4.0 * (served / demand), *QOE_RANGE))
+
+
+def compute_packet_loss(offered: float, served: float) -> float:
+    """One lane's percentage of offered traffic not delivered; zero when idle."""
+    if offered <= 0:
+        return 0.0
+    return float(np.clip(100.0 * (offered - served) / offered, *PL_RANGE))
 
 
 def packet_scheduling_oracle(
@@ -189,16 +204,16 @@ def _log_softmax_1d(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def per_head_act(logits: np.ndarray, rng: np.random.Generator, explore: bool) -> tuple[list[int], np.ndarray]:
-    """Goal levels and log-probs of ``[heads, levels]`` logits, head by head.
+def per_head_act(logits: np.ndarray, rng: np.random.Generator, explore: bool) -> list[int]:
+    """Goal levels of ``[heads, levels]`` logits, head by head.
 
     Exploring, each head checks its logits, draws one ``rng.random()`` and
     takes ``searchsorted(side="right")`` on its cumulative probabilities;
     greedy, it takes the first maximum. ``supervisor.act`` must equal it bit
     for bit, and leave ``rng`` in the same state.
     """
-    levels, log_probs = [], np.zeros(len(logits))
-    for i, row in enumerate(logits):
+    levels = []
+    for row in logits:
         if not np.all(np.isfinite(row)):
             raise FloatingPointError("non-finite logits")
         if explore:
@@ -207,8 +222,7 @@ def per_head_act(logits: np.ndarray, rng: np.random.Generator, explore: bool) ->
         else:
             idx = int(np.argmax(row))
         levels.append(idx + 1)
-        log_probs[i] = float(_log_softmax_1d(row)[idx])
-    return levels, log_probs
+    return levels
 
 
 def critic_step(policy, context: np.ndarray) -> tuple[float, list]:
@@ -267,6 +281,17 @@ def _stack_step_backward(layers, acc_layers, caches, dout: np.ndarray) -> np.nda
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def gru_sequence_forward(cell, xs, h0: np.ndarray):
+    """``nn.gru_forward`` over a whole sequence; returns (hidden states list, caches list)."""
+    h = h0
+    hs, caches = [], []
+    for x in xs:
+        h, cache = gru_forward(cell, x, h)
+        hs.append(h)
+        caches.append(cache)
+    return hs, caches
 
 
 def unfused_gru_forward(cell, x: np.ndarray, h: np.ndarray):
@@ -377,12 +402,12 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
     return grads, losses
 
 
-def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF sampling per row with softmax and log-softmax each computed in a pass of its own.
+def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sampling per row: the uniforms first, then the probabilities as ``softmax`` computes them.
 
-    ``nn.softmax_sample``, which shifts and exponentiates once, must equal
-    its indices and log-probabilities bit for bit and leave ``rng`` in the
-    same state.
+    ``nn.softmax_sample``, which exponentiates before it draws and divides
+    by the sums in the same expression, must equal its indices bit for bit
+    and leave ``rng`` in the same state.
     """
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")
@@ -390,10 +415,7 @@ def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tup
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=-1, keepdims=True)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    idx = np.minimum((np.cumsum(probs, axis=-1) <= u[..., None]).sum(axis=-1), logits.shape[-1] - 1)
-    return idx, np.take_along_axis(logp, idx[..., None], axis=-1)[..., 0]
+    return np.minimum((np.cumsum(probs, axis=-1) <= u[..., None]).sum(axis=-1), logits.shape[-1] - 1)
 
 
 def per_view_gradient_norm(grads) -> float:

@@ -12,13 +12,18 @@ from atmarl.nn import (
     dense_forward,
     gru_forward,
     gru_sequence_backward,
-    gru_sequence_forward,
     log_softmax,
     softmax,
     softmax_sample,
     stack_steps,
 )
-from oracles import per_key_adam, per_step_gru_sequence_backward, two_pass_softmax_sample, unfused_gru_forward
+from oracles import (
+    gru_sequence_forward,
+    per_key_adam,
+    per_step_gru_sequence_backward,
+    two_pass_softmax_sample,
+    unfused_gru_forward,
+)
 
 FD_H = 1e-5
 
@@ -320,26 +325,26 @@ def test_softmax_uniform_on_equal_logits():
 
 def test_softmax_saturation():
     logits = np.array([0.0, 1e6, 0.0])
-    idx, logp = softmax_sample(logits, np.random.default_rng(0))
-    assert idx == 1
-    assert logp == pytest.approx(0.0, abs=1e-9)
+    assert softmax_sample(logits, np.random.default_rng(0)) == 1
 
 
 def test_softmax_sample_reproducible():
     logits = np.array([0.1, 0.4, -0.2, 0.0])
     rng = np.random.default_rng(7)
-    draws_a = [softmax_sample(logits, rng)[0] for _ in range(5)]
+    draws_a = [int(softmax_sample(logits, rng)) for _ in range(5)]
     rng = np.random.default_rng(7)
-    draws_b = [softmax_sample(logits, rng)[0] for _ in range(5)]
+    draws_b = [int(softmax_sample(logits, rng)) for _ in range(5)]
     assert draws_a == draws_b
 
 
-def test_softmax_log_prob_is_log_of_probability():
-    logits = np.array([0.3, -1.2, 0.8])
+def test_softmax_sample_frequencies_follow_probabilities():
+    # 4000 rows of the same logits, each row one draw: every category's share
+    # lies within four standard errors of its probability
+    logits = np.array([0.3, -1.2, 0.8, 0.0])
     probs = softmax(logits)
-    for _ in range(10):
-        idx, logp = softmax_sample(logits, np.random.default_rng(_))
-        assert logp == pytest.approx(np.log(probs[idx]))
+    idx = softmax_sample(np.tile(logits, (4000, 1)), np.random.default_rng(5))
+    share = np.bincount(idx, minlength=len(logits)) / len(idx)
+    assert np.all(np.abs(share - probs) < 4 * np.sqrt(probs * (1 - probs) / len(idx)))
 
 
 def test_softmax_rejects_nan():
@@ -366,10 +371,9 @@ def test_softmax_sample_equals_two_pass_oracle(case):
     logits = list(_sampling_cases())[case]
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        idx, logp = softmax_sample(logits, rng)
-        ref_idx, ref_logp = two_pass_softmax_sample(logits, ref_rng)
+        idx = softmax_sample(logits, rng)
+        ref_idx = two_pass_softmax_sample(logits, ref_rng)
         assert np.asarray(idx).tobytes() == np.asarray(ref_idx).tobytes()
-        assert np.asarray(logp).tobytes() == np.asarray(ref_logp).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

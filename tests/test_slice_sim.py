@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,6 @@ from atmarl.slice_sim import (
     ServiceKind,
     ServiceSpec,
     allocate_capacity,
-    compute_packet_loss,
-    compute_qoe,
     evaluate_kpis,
     init_scenario,
     offered_loads,
@@ -24,6 +24,8 @@ from atmarl.slice_sim import (
 )
 
 from oracles import (
+    compute_packet_loss,
+    compute_qoe,
     numpy_congestion,
     numpy_offered_loads,
     packet_scheduling_oracle,
@@ -67,17 +69,14 @@ def test_default_controls():
 
 
 def test_rejects_empty_service_list():
-    cfg = default_scenario()
-    object.__setattr__(cfg, "services", [])
-    with pytest.raises(ScenarioError):
-        init_scenario(cfg)
+    # the scenario checks itself as it is built, before any state exists
+    with pytest.raises(ScenarioError, match="at least one service"):
+        replace(default_scenario(), services=[])
 
 
 def test_rejects_negative_bandwidth():
-    cfg = default_scenario()
-    object.__setattr__(cfg, "bandwidth_mbps", -1.0)
-    with pytest.raises(ScenarioError):
-        init_scenario(cfg)
+    with pytest.raises(ScenarioError, match="bandwidth_mbps"):
+        replace(default_scenario(), bandwidth_mbps=-1.0)
 
 
 # ---------------------------------------------------------------------------

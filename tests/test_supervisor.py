@@ -4,10 +4,22 @@ import numpy as np
 import pytest
 
 from atmarl import slice_sim, supervisor
-from atmarl.agents import GOAL_LEVELS, PretrainConfig, SystemKind, estimate_capabilities, normalize_kpi, pretrain_system
+from atmarl.agents import (
+    BOTH_PLANES,
+    GOAL_LEVELS,
+    CapabilityVector,
+    KnobAction,
+    PretrainConfig,
+    SystemKind,
+    estimate_capabilities,
+    goal_value,
+    normalize_kpi,
+    observe,
+    pretrain_system,
+)
 from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
-from atmarl.nn import OptimizerState, adam_step, log_softmax, stack_forward
+from atmarl.nn import OptimizerState, adam_step, stack_forward
 from atmarl.slice_sim import KpiKind
 from oracles import critic_step, episode_loss, per_head_act, per_step_episode_gradients, per_view_gradient_norm
 from atmarl.supervisor import (
@@ -17,6 +29,7 @@ from atmarl.supervisor import (
     EpisodeTrajectory,
     GoalMode,
     PolicyDims,
+    PolicyGoals,
     TrainConfig,
     act,
     create_policy,
@@ -146,42 +159,24 @@ def _act_inputs(cfg, policy):
 def test_act_emits_six_goals_for_three_intents():
     cfg, policy = toy_policy(seed=9)
     gammas, tuples, targets = _act_inputs(cfg, policy)
-    assignment, log_probs, hidden, _ = act(
-        policy, cfg, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), True
-    )
-    assert len(assignment) == 6
-    assert log_probs.shape == (6,)
+    levels, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), True)
+    assert len(levels) == 6
+    assert all(isinstance(level, int) and 1 <= level <= GOAL_LEVELS for level in levels)
 
 
 def test_act_emits_ten_goals_for_five_intents():
     cfg, policy = toy_policy(seed=10, five=True)
     gammas, tuples, targets = _act_inputs(cfg, policy)
-    assignment, log_probs, _, _ = act(
-        policy, cfg, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), True
-    )
-    assert len(assignment) == 10
-    assert log_probs.shape == (10,)
+    levels, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), True)
+    assert len(levels) == 10
 
 
 def test_act_deterministic_under_seed():
     cfg, policy = toy_policy(seed=11)
     gammas, tuples, targets = _act_inputs(cfg, policy)
-    a, _, _, _ = act(policy, cfg, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(3), True)
-    b, _, _, _ = act(policy, cfg, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(3), True)
-    assert a.levels == b.levels
-
-
-def test_act_joint_log_prob_factorizes():
-    cfg, policy = toy_policy(seed=12)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
-    assignment, log_probs, _, fwd = act(
-        policy, cfg, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(1), True
-    )
-    per_head = [
-        float(log_softmax(fwd.logits[i])[assignment.levels[policy.agents[i].key] - 1])
-        for i in range(policy.n_heads)
-    ]
-    assert np.sum(per_head) == pytest.approx(float(log_probs.sum()))
+    a, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(3), True)
+    b, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(3), True)
+    assert a == b
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
@@ -190,7 +185,6 @@ def test_act_equals_per_head_oracle(mode, explore):
     cfg, policy = toy_policy(seed=15, mode=mode)
     gammas, tuples, targets = _act_inputs(cfg, policy)
     hidden = ActorHidden.zeros(TOY_DIMS.gru)
-    key_of_head = [a.key for a in policy.agents[: policy.n_heads]]
     for tie in (False, True):
         if tie:
             # every head ties at its top rungs; greedy takes the first maximum
@@ -198,13 +192,19 @@ def test_act_equals_per_head_oracle(mode, explore):
             policy.heads.bias[...] = [0.5, 1.0, 0.2, 1.0, 1.0, -0.3, 1.0, 0.0]
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assignment, log_probs, _, fwd = act(policy, cfg, gammas, tuples, targets, hidden, rng, explore)
-            levels, ref_log_probs = per_head_act(fwd.logits, ref_rng, explore)
-            assert [assignment.levels[key] for key in key_of_head] == levels
-            assert log_probs.tobytes() == ref_log_probs.tobytes()
+            levels, fwd = act(policy, gammas, tuples, targets, hidden, rng, explore)
+            assert levels == per_head_act(fwd.logits, ref_rng, explore)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if tie and not explore:
                 assert set(levels) == {2}
+
+
+def test_act_greedy_rejects_non_finite_logits():
+    cfg, policy = toy_policy(seed=16)
+    gammas, tuples, targets = _act_inputs(cfg, policy)
+    policy.heads.bias[2, 5] = np.nan
+    with pytest.raises(FloatingPointError):
+        act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), False)
 
 
 def test_hidden_state_evolves_under_constant_context():
@@ -219,16 +219,47 @@ def test_hidden_state_evolves_under_constant_context():
         hidden = fwd.hidden
 
 
+def _policy_goals(cfg, policy, explore, seed=2):
+    """A ``PolicyGoals`` and the engine's opening observations for it."""
+    caps = {a.key: CapabilityVector.prior() for a in policy.agents}
+    source = PolicyGoals(policy, cfg, caps, np.random.default_rng(seed), explore)
+    state = slice_sim.init_scenario(cfg)
+    report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
+    seen = {a.key: observe(state, report, a, cfg.services[a.intent_index].kpi_target) for a in policy.agents}
+    return source, seen, {key: KnobAction.HOLD for key in seen}
+
+
 def test_service_mode_broadcasts_one_level_per_intent():
     cfg, policy = toy_policy(seed=14, mode=GoalMode.SERVICE_LEVEL)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
-    assignment, log_probs, _, _ = act(
-        policy, cfg, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(2), True
-    )
-    assert log_probs.shape == (3,)
-    assert len(assignment) == 6
-    for k in range(3):
-        assert assignment.levels[f"priority_{k}"] == assignment.levels[f"mbr_{k}"]
+    source, seen, last_action = _policy_goals(cfg, policy, explore=True)
+    for t in range(10):
+        goals, _ = source(t, seen, last_action)
+        assert len(source.levels) == 3
+        assert len(goals) == 6
+        assert source.agent_levels == source.levels + source.levels
+        for k in range(3):
+            assert goals[f"priority_{k}"] == goals[f"mbr_{k}"]
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+@pytest.mark.parametrize("five", [False, True])
+@pytest.mark.parametrize("explore", [True, False])
+def test_policy_goals_are_the_goal_values_of_each_agents_head(mode, five, explore):
+    cfg, policy = toy_policy(seed=17, mode=mode, five=five)
+    source, seen, last_action = _policy_goals(cfg, policy, explore)
+    k = cfg.intent_count
+    for t in range(10):
+        goals, planes = source(t, seen, last_action)
+        assert planes == BOTH_PLANES
+        levels = source.levels
+        assert len(levels) == policy.n_heads
+        # head i drives agent i, or in service mode the intent's head drives both planes
+        heads = list(range(2 * k)) if mode is GoalMode.AGENT_LEVEL else list(range(k)) * 2
+        assert source.agent_levels == [levels[h] for h in heads]
+        assert list(goals) == [a.key for a in policy.agents]
+        for agent, level in zip(policy.agents, source.agent_levels):
+            value = goal_value(cfg.services[agent.intent_index].kpi_kind, level)
+            assert goals[agent.key] == value and type(goals[agent.key]) is float
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +578,6 @@ def test_train_supervisor_freezes_qtables(tiny_system):
 
 
 def _copy_cap(vec):
-    from atmarl.agents import CapabilityVector
-
     return CapabilityVector(rho=vec.rho.copy(), from_data=vec.from_data.copy())
 
 
