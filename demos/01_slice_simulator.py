@@ -9,7 +9,7 @@ caps shed CV traffic to protect the loss-sensitive services.
 import numpy as np
 
 from atmarl.config import default_scenario
-from atmarl.slice_sim import DEFAULT_MBR, DEFAULT_PRIORITY, evaluate_kpis, init_scenario, offered_loads, step
+from atmarl.slice_sim import evaluate_kpis, init_scenario, offered_loads, step
 
 
 def main():
@@ -27,27 +27,25 @@ def main():
     # under the uniform spread every gNodeB is offered the same loads, so the
     # slice's KPIs are those of any one contended gNodeB
     offered = offered_loads(state, None)
-    controls = state.controls
 
     def sweep_kpis(priorities, mbrs):
-        controls.priority[:] = priorities
-        controls.mbr[:] = mbrs
+        state.priority = priorities
+        state.mbr = mbrs
         return evaluate_kpis(state, offered).kpi
 
     print("\nPriority sweep for CV (others fixed), one contended gNodeB:")
     for p_cv in range(1, 6):
-        kpi = sweep_kpis([p_cv, 3, 3], 10.0)
+        kpi = sweep_kpis([p_cv, 3, 3], [10.0] * 3)
         print(f"  priority {p_cv}: QoE(CV) {kpi[0]:.2f}  PL(URLLC) {kpi[1]:5.2f}%")
 
     print("\nMBR sweep for CV (priorities equal): shedding CV protects the others:")
     for cap in (10.0, 8.0, 6.0, 4.0, 2.0):
-        kpi = sweep_kpis(3, [cap, 10.0, 10.0])
+        kpi = sweep_kpis([3] * 3, [cap, 10.0, 10.0])
         print(f"  mbr {cap:4.1f}: QoE(CV) {kpi[0]:.2f}  PL(URLLC) {kpi[1]:5.2f}%")
-    controls.priority[:] = DEFAULT_PRIORITY
-    controls.mbr[:] = DEFAULT_MBR
 
     print("\nTen noisy steps at a protective configuration (priorities 2/5/5):")
-    state.controls.priority[:] = [2, 5, 5]
+    state = init_scenario(cfg)
+    state.priority = [2, 5, 5]
     rng = np.random.default_rng(7)
     for t in range(10):
         state, report = step(state, rng)

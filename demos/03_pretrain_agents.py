@@ -11,13 +11,11 @@ import numpy as np
 from atmarl.agents import PretrainConfig, SystemKind, estimate_capabilities, pretrain_system
 from atmarl.config import default_scenario
 
-EPISODES = 300  # reduced for a quick demo; the full campaign uses 600
-
 
 def main():
     cfg = default_scenario()
     rng = np.random.default_rng(1001)
-    params = PretrainConfig(episodes=EPISODES)
+    params = PretrainConfig()  # the campaign's 600 episodes: with fewer the MBR plane misses the reward floor
 
     logs = []
     for system in (SystemKind.PRIORITY, SystemKind.MBR):

@@ -16,10 +16,12 @@ uses the same seed, run length and sample count (``SEED``, ``SECONDS``,
 share their keys and compare field by field.
 
 The microbenchmarks call the package's current signatures: ``act``
-without the scenario, returning each head's rung and the forward, and the
-critic values read off the trajectory. So ``--tree`` must be a checkout
-from the change that made goal sources hand the engine per-agent goal
-dicts (and ``act`` drop its log-probabilities) onwards; older trees fail.
+without the scenario, returning each head's rung and the forward, the
+critic values read off the trajectory, and the simulator state's knobs as
+the two plain lists ``state.priority`` and ``state.mbr`` beside its
+``state.scenario``. So ``--tree`` must be a checkout from the change that
+made the simulator state hold its ``ScenarioConfig`` (and drop
+``ControlVector``) onwards; older trees fail.
 """
 
 from __future__ import annotations
@@ -131,18 +133,17 @@ def microbenchmarks(tree: Path) -> dict:
     # the opening state of every episode: neutral knobs on the contended default slice
     state = slice_sim.init_scenario(cfg)
     offered = slice_sim.offered_loads(state, rng)
-    controls = state.controls
     # one priority agent on its own opening state, its knob put back after each step
     agent = agent_roster(cfg)[0]
     agent_state = slice_sim.init_scenario(cfg)
     report = slice_sim.evaluate_kpis(agent_state, offered)
     goal = cfg.services[agent.intent_index].kpi_target
-    knob = agent_state.controls.priority[agent.intent_index]
+    knob = agent_state.priority[agent.intent_index]
 
     def agent_step():
         index = discretize(observe(agent_state, report, agent, goal))
         apply_action(agent_state, agent, select_action(qtables[agent.key], index, 0.0, rng))
-        agent_state.controls.priority[agent.intent_index] = knob
+        agent_state.priority[agent.intent_index] = knob
 
     # what stage_train_supervisor saves: the policy's parameters and its capability vectors
     blocks = {f"policy.{k}": v for k, v in policy.named_params().items()}
@@ -163,7 +164,7 @@ def microbenchmarks(tree: Path) -> dict:
         ("agent_step_us", agent_step, 200, 1e3),
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
         ("allocate_capacity_us",
-         lambda: slice_sim.allocate_capacity(offered, controls.priority, controls.mbr, state.airlink_bandwidth), 200, 1e3),
+         lambda: slice_sim.allocate_capacity(offered, state.priority, state.mbr, state.scenario.bandwidth_mbps), 200, 1e3),
         ("save_checkpoint_ms", save, 1, 1.0),
         ("load_checkpoint_ms", lambda: load_checkpoint(ckpt), 1, 1.0),
     ):

@@ -18,7 +18,6 @@ from .config import ScenarioConfig, default_scenario, load_scenario, write_scena
 from .harness import Approach, ExperimentPlan, evaluate_episode, run_pipeline
 from .metrics import Direction, KpiSeries, convergence_time, iae, oscillation_amplitude
 from .slice_sim import (
-    ControlVector,
     DistributionKind,
     DistributionSpec,
     KpiKind,

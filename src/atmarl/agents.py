@@ -143,8 +143,8 @@ def normalize_kpi(kpi_kind: KpiKind, value: float) -> float:
 def normalize_knob(agent: AgentId, state: NetworkState) -> float:
     k = agent.intent_index
     if agent.system is _PRIORITY:
-        return (float(state.controls.priority[k]) - 1.0) / 4.0
-    return _mbr_index(state.controls.mbr[k]) / (len(MBR_LEVELS) - 1)
+        return (state.priority[k] - 1.0) / 4.0
+    return _mbr_index(state.mbr[k]) / (len(MBR_LEVELS) - 1)
 
 
 _MBR_INDEX = {lvl: i for i, lvl in enumerate(MBR_LEVELS)}
@@ -160,9 +160,10 @@ def _mbr_index(value: float) -> int:
 
 def observe(state: NetworkState, report: KpiReport, agent: AgentId, goal_kpi: float) -> AgentObservation:
     """Build one agent's normalized observation; excludes the other plane's knobs."""
-    if agent.intent_index >= len(state.services):
+    services = state.scenario.services
+    if agent.intent_index >= len(services):
         raise ScenarioError(f"agent {agent} references a missing intent")
-    svc = state.services[agent.intent_index]
+    svc = services[agent.intent_index]
     return AgentObservation(
         kpi=normalize_kpi(svc.kpi_kind, float(report.kpi[agent.intent_index])),
         knob=normalize_knob(agent, state),
@@ -213,11 +214,9 @@ def apply_action(state: NetworkState, agent: AgentId, action: KnobAction):
     k = agent.intent_index
     delta = action - 1  # DECREMENT, HOLD, INCREMENT move the knob -1, 0, +1 rung
     if agent.system is _PRIORITY:
-        level = int(state.controls.priority[k]) + delta
-        state.controls.priority[k] = _clamp(level, PRIORITY_LEVELS[0], PRIORITY_LEVELS[-1])
+        state.priority[k] = _clamp(state.priority[k] + delta, PRIORITY_LEVELS[0], PRIORITY_LEVELS[-1])
     else:
-        idx = _clamp(_mbr_index(state.controls.mbr[k]) + delta, 0, len(MBR_LEVELS) - 1)
-        state.controls.mbr[k] = MBR_LEVELS[idx]
+        state.mbr[k] = MBR_LEVELS[_clamp(_mbr_index(state.mbr[k]) + delta, 0, len(MBR_LEVELS) - 1)]
 
 
 def agent_reward(kpi: float, goal_kpi: float, kpi_kind: KpiKind) -> float:
@@ -240,7 +239,6 @@ BOTH_PLANES = frozenset(SystemKind)
 
 def run_episode(
     state: NetworkState,
-    config: ScenarioConfig,
     qtables: dict[str, QTable],
     goals: Callable,
     rng: np.random.Generator,
@@ -251,9 +249,10 @@ def run_episode(
 ) -> None:
     """The closed loop shared by pre-training, supervisor training and evaluation.
 
-    The agents are those of the roster that have a Q-table. The engine is the
-    only caller of ``observe``: it observes every agent once per report, into
-    ``seen`` (agent key to observation). The noise-free opening report is
+    The scenario is ``state.scenario``; the agents are those of its roster
+    that have a Q-table. The engine is the only caller of ``observe``: it
+    observes every agent once per report, into ``seen`` (agent key to
+    observation). The noise-free opening report is
     observed against each intent's target; every later report against the
     goal the agent was last assigned. Each step applies the UE redistribution
     scheduled for it, asks ``goals(t, seen, last_action)`` for this step's
@@ -269,6 +268,7 @@ def run_episode(
     in ``seen`` (agent key to index); next step an agent whose goal is
     unchanged acts on that index instead of binning its observation again.
     """
+    config = state.scenario
     roster = [a for a in agent_roster(config) if a.key in qtables]
     shifts = dict(shift_schedule)
     report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
@@ -378,9 +378,7 @@ def pretrain_system(
                     hit_step[a.key] = t + 1
             return binned
 
-        run_episode(
-            state, config, tables, lambda *_: (goals, planes), rng, params.episode_length, learn, epsilon=eps
-        )
+        run_episode(state, tables, lambda *_: (goals, planes), rng, params.episode_length, learn, epsilon=eps)
         for a in agents:
             steps = hit_step[a.key]
             logs.append(

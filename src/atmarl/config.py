@@ -43,12 +43,13 @@ _KIND_ALIASES = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    services: list[ServiceSpec]
+    services: tuple[ServiceSpec, ...]  # any sequence given is stored as a tuple
     distribution: DistributionSpec
     bandwidth_mbps: float = DEFAULT_BANDWIDTH_MBPS
     noise_pct: float = 5.0
 
     def __post_init__(self):
+        object.__setattr__(self, "services", tuple(self.services))
         if not self.services:
             raise ScenarioError("scenario must declare at least one service")
         if not 0 < self.bandwidth_mbps < math.inf:
@@ -135,19 +136,19 @@ def default_scenario(
     4.8 + 2 x 0.85 + 2 x 0.65 = 7.8 Mbps, which fits the airlink.
     """
     if five_intents:
-        services = [
+        services = (
             ServiceSpec(ServiceKind.CV, 0, 0.4, 48, DEFAULT_QOE_TARGET),
             ServiceSpec(ServiceKind.URLLC, 0, 0.2, 17, DEFAULT_PL_TARGET),
             ServiceSpec(ServiceKind.URLLC, 1, 0.2, 17, DEFAULT_PL_TARGET),
             ServiceSpec(ServiceKind.MIOT, 0, 0.1, 26, DEFAULT_PL_TARGET),
             ServiceSpec(ServiceKind.MIOT, 1, 0.1, 26, DEFAULT_PL_TARGET),
-        ]
+        )
     else:
-        services = [
+        services = (
             ServiceSpec(ServiceKind.CV, 0, 0.4, 52, DEFAULT_QOE_TARGET),
             ServiceSpec(ServiceKind.URLLC, 0, 0.2, 68, DEFAULT_PL_TARGET),
             ServiceSpec(ServiceKind.MIOT, 0, 0.1, 104, DEFAULT_PL_TARGET),
-        ]
+        )
     return ScenarioConfig(services=services, distribution=DistributionSpec.of(distribution))
 
 

@@ -96,8 +96,8 @@ class ExperimentPlan:
         times = [t for t, _ in self.shift_schedule]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError("shift timesteps must be strictly increasing")
-        if any(t >= self.episode_length for t in times):
-            raise ScenarioError("shift timesteps must fall inside the episode")
+        if any(not 0 <= t < self.episode_length for t in times):
+            raise ScenarioError(f"shift timesteps must fall inside the episode [0, {self.episode_length}), got {times}")
 
     @property
     def eval_scenario(self) -> ScenarioConfig:
@@ -303,14 +303,12 @@ def evaluate_episode(
     rows = []
 
     def record(t, state, report, current, active, taken, seen):
-        priority = state.controls.priority.tolist()
-        mbr = state.controls.mbr.tolist()
         rows.append(
             [t]
             + report.kpi.tolist()
             + [float(current[a.key]) for a in roster]
             + [
-                float(priority[a.intent_index]) if a.system is SystemKind.PRIORITY else float(mbr[a.intent_index])
+                float(state.priority[a.intent_index]) if a.system is SystemKind.PRIORITY else state.mbr[a.intent_index]
                 for a in roster
             ]
             + [
@@ -323,7 +321,7 @@ def evaluate_episode(
 
     goals = _goal_source(plan, artifacts, approach, rng)
     state = slice_sim.init_scenario(config)
-    run_episode(state, config, artifacts.qtables, goals, rng, plan.episode_length, record, plan.shift_schedule)
+    run_episode(state, artifacts.qtables, goals, rng, plan.episode_length, record, plan.shift_schedule)
     return EpisodeTrace(columns=columns, rows=rows, approach=approach, seed=seed)
 
 

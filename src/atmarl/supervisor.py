@@ -568,9 +568,9 @@ def rollout_episode(
     """Run one closed-loop episode with the frozen agents in the loop, then score its contexts."""
     state = slice_sim.init_scenario(config)
     if randomize_start:
-        n = len(config.services)
-        state.controls.priority[:] = rng.integers(1, 6, size=n)
-        state.controls.mbr[:] = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
+        n = config.intent_count
+        state.priority = rng.integers(1, 6, size=n).tolist()
+        state.mbr = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
     goals = PolicyGoals(policy, config, capabilities, rng, explore)
     traj = EpisodeTrajectory(targets=goals.targets)
 
@@ -583,7 +583,7 @@ def rollout_episode(
         traj.rewards.append(supervisor_reward(report, config.services))
         traj.forwards.append(goals.forward)
 
-    run_episode(state, config, qtables, goals, rng, episode_length, record)
+    run_episode(state, qtables, goals, rng, episode_length, record)
     score_contexts(policy, traj)
     return traj
 

@@ -119,11 +119,12 @@ def scalar_kpis(state, offered) -> tuple[np.ndarray, np.ndarray]:
     served = np.zeros_like(offered)
     for g in range(N_GNODEBS):
         served[:, g] = scalar_allocate_capacity(
-            offered[:, g], state.controls.priority, state.controls.mbr, state.airlink_bandwidth
+            offered[:, g], np.asarray(state.priority), np.asarray(state.mbr), state.scenario.bandwidth_mbps
         )
     weights = np.asarray(state.distribution.weights)
-    kpi = np.zeros(len(state.services))
-    for i, svc in enumerate(state.services):
+    services = state.scenario.services
+    kpi = np.zeros(len(services))
+    for i, svc in enumerate(services):
         if svc.kpi_kind is KpiKind.QOE:
             per_gnb = np.array(
                 [
@@ -144,16 +145,17 @@ def numpy_offered_loads(state, rng: np.random.Generator | None) -> np.ndarray:
     state.
     """
     weights = np.asarray(state.distribution.weights)
-    base = np.array([s.total_demand for s in state.services])[:, None] * weights[None, :]
-    if rng is None or state.noise_pct <= 0:
+    base = np.array([s.total_demand for s in state.scenario.services])[:, None] * weights[None, :]
+    noise_pct = state.scenario.noise_pct
+    if rng is None or noise_pct <= 0:
         return base
-    eps = rng.uniform(-state.noise_pct / 100.0, state.noise_pct / 100.0, size=base.shape)
+    eps = rng.uniform(-noise_pct / 100.0, noise_pct / 100.0, size=base.shape)
     return base * (1.0 + eps)
 
 
 def numpy_congestion(state, offered: np.ndarray) -> float:
     """Slice offered load over slice bandwidth, summed per service by numpy; ``evaluate_kpis`` must equal it bit for bit."""
-    return float(offered.sum(axis=1).sum() / (state.airlink_bandwidth * N_GNODEBS))
+    return float(offered.sum(axis=1).sum() / (state.scenario.bandwidth_mbps * N_GNODEBS))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_observation_excludes_other_system_knob():
     cfg, state, report = fresh_state()
     probe = AgentId(SystemKind.PRIORITY, 0)
     before = observe(state, report, probe, goal_kpi=4.0)
-    state.controls.mbr[0] = 0.5  # other plane's knob
+    state.mbr[0] = 0.5  # other plane's knob
     after = observe(state, report, probe, goal_kpi=4.0)
     assert before == after
 
@@ -235,12 +235,12 @@ def test_select_action_greedy_tie_rules(q, expected):
 )
 def test_apply_action_saturates_at_both_ladder_ends(system, start, action):
     cfg, state, _ = fresh_state()
-    knobs = state.controls.priority if system is SystemKind.PRIORITY else state.controls.mbr
+    knobs = state.priority if system is SystemKind.PRIORITY else state.mbr
     knobs[1] = start
     apply_action(state, AgentId(system, 1), action)
     assert knobs[1] == start
-    assert state.controls.priority.dtype == np.int64
-    assert state.controls.mbr.dtype == np.float64
+    assert all(type(level) is int for level in state.priority)
+    assert all(type(cap) is float for cap in state.mbr)
 
 
 @pytest.mark.parametrize(
@@ -250,14 +250,14 @@ def test_apply_action_saturates_at_both_ladder_ends(system, start, action):
 def test_off_ladder_mbr_resolves_to_first_nearest_rung(value, rung):
     cfg, state, _ = fresh_state()
     agent = AgentId(SystemKind.MBR, 0)
-    state.controls.mbr[0] = value
+    state.mbr[0] = value
     assert normalize_knob(agent, state) == rung / (len(MBR_LEVELS) - 1)
     apply_action(state, agent, KnobAction.HOLD)
-    assert state.controls.mbr[0] == MBR_LEVELS[rung]
-    state.controls.mbr[0] = value
+    assert state.mbr[0] == MBR_LEVELS[rung]
+    state.mbr[0] = value
     apply_action(state, agent, KnobAction.INCREMENT)
-    assert state.controls.mbr[0] == MBR_LEVELS[min(rung + 1, len(MBR_LEVELS) - 1)]
-    assert state.controls.mbr.dtype == np.float64
+    assert state.mbr[0] == MBR_LEVELS[min(rung + 1, len(MBR_LEVELS) - 1)]
+    assert type(state.mbr[0]) is float
 
 
 def test_apply_action_saturates_priority_ladder():
@@ -265,10 +265,10 @@ def test_apply_action_saturates_priority_ladder():
     agent = AgentId(SystemKind.PRIORITY, 0)
     for _ in range(10):
         apply_action(state, agent, KnobAction.INCREMENT)
-    assert state.controls.priority[0] == PRIORITY_LEVELS[-1]
+    assert state.priority[0] == PRIORITY_LEVELS[-1]
     for _ in range(10):
         apply_action(state, agent, KnobAction.DECREMENT)
-    assert state.controls.priority[0] == PRIORITY_LEVELS[0]
+    assert state.priority[0] == PRIORITY_LEVELS[0]
 
 
 @given(moves=st.lists(st.sampled_from([0, 1, 2]), max_size=60))
@@ -280,8 +280,8 @@ def test_apply_action_never_leaves_ladders(moves):
     for m in moves:
         apply_action(state, pri, KnobAction(m))
         apply_action(state, mbr, KnobAction(m))
-        assert int(state.controls.priority[1]) in PRIORITY_LEVELS
-        assert any(abs(state.controls.mbr[2] - lvl) < 1e-12 for lvl in MBR_LEVELS)
+        assert state.priority[1] in PRIORITY_LEVELS
+        assert any(abs(state.mbr[2] - lvl) < 1e-12 for lvl in MBR_LEVELS)
 
 
 # ---------------------------------------------------------------------------

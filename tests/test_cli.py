@@ -59,6 +59,14 @@ def test_cli_rejects_bad_scenario(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_cli_rejects_negative_shift(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("pretrain", "--scenario", scenario_file, "--out", out, "--shift=-3:gamma")
+    assert rc == EXIT_CONFIG
+    assert "config error: shift timesteps must fall inside the episode" in capsys.readouterr().err
+    assert not (out / "pretrain.ckpt").exists()
+
+
 def test_cli_evaluate_without_checkpoint_fails_with_stage_code(scenario_file, tmp_path):
     rc = run_cli(
         "evaluate", "--scenario", scenario_file, "--out", tmp_path / "out",

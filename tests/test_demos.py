@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_DEMOS = ("01_slice_simulator", "02_gradient_checks", "03_pretrain_agents")  # about 3 s together
+QUICK_DEMOS = ("01_slice_simulator", "02_gradient_checks", "03_pretrain_agents")  # about 4 s together
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)
@@ -21,4 +21,5 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr, done.stderr
+    assert "Warning" not in done.stderr, done.stderr
     assert done.stdout.strip()

@@ -102,6 +102,13 @@ def test_plan_rejects_shift_beyond_episode():
         quick_plan(shift_schedule=((20, gauss),), episode_length=12)
 
 
+def test_plan_rejects_negative_shift():
+    # the engine counts steps from 0, so a shift at t < 0 would never apply
+    gamma = DistributionSpec.of(DistributionKind.GAMMA)
+    with pytest.raises(ScenarioError, match="inside the episode"):
+        quick_plan(shift_schedule=((-3, gamma),))
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 

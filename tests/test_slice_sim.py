@@ -49,14 +49,14 @@ def test_uniform_weights():
 
 def test_default_bandwidth_is_ten():
     state = make_state()
-    assert state.airlink_bandwidth == 10.0
+    assert state.scenario.bandwidth_mbps == 10.0
 
 
 def test_five_intents_give_five_kpi_slots():
     state = init_scenario(default_scenario(five_intents=True))
     report = evaluate_kpis(state, offered_loads(state, None))
     assert report.kpi.shape == (5,)
-    kinds = [s.kind for s in state.services]
+    kinds = [s.kind for s in state.scenario.services]
     assert kinds.count(ServiceKind.CV) == 1
     assert kinds.count(ServiceKind.URLLC) == 2
     assert kinds.count(ServiceKind.MIOT) == 2
@@ -64,8 +64,31 @@ def test_five_intents_give_five_kpi_slots():
 
 def test_default_controls():
     state = make_state()
-    assert (state.controls.priority == 3).all()
-    assert (state.controls.mbr == 10.0).all()
+    assert state.priority == [3, 3, 3]
+    assert state.mbr == [10.0, 10.0, 10.0]
+
+
+def test_state_shares_its_scenario():
+    cfg = default_scenario()
+    state = init_scenario(cfg)
+    assert state.scenario is cfg
+    assert state.distribution is cfg.distribution
+
+
+def test_scenario_stores_services_as_tuple():
+    services = list(default_scenario().services)
+    cfg = replace(default_scenario(), services=services)
+    assert type(cfg.services) is tuple
+    assert cfg.services == tuple(services)
+    services.clear()  # the caller's list no longer reaches the scenario
+    assert cfg.intent_count == 3
+    with pytest.raises(AttributeError):  # nor can the scenario's own be emptied
+        cfg.services.clear()
+
+
+def test_scenario_is_hashable():
+    assert hash(default_scenario()) == hash(default_scenario())
+    assert len({default_scenario(), default_scenario(five_intents=True)}) == 2
 
 
 def test_rejects_empty_service_list():
@@ -246,10 +269,9 @@ def test_allocate_all_gnodebs_equals_scalar_per_gnodeb(case):
 @settings(max_examples=300, deadline=None)
 def test_evaluate_kpis_equals_scalar_per_lane(case, spread):
     offered, priorities, mbrs, bandwidth = case
-    state = init_scenario(default_scenario(five_intents=len(offered) == 5))
-    state.controls.priority[:] = priorities
-    state.controls.mbr[:] = mbrs
-    state.airlink_bandwidth = bandwidth
+    state = init_scenario(replace(default_scenario(five_intents=len(offered) == 5), bandwidth_mbps=bandwidth))
+    state.priority = priorities.tolist()
+    state.mbr = mbrs.tolist()
     if sum(spread) > 0:
         weights = tuple(w / sum(spread) for w in spread)
         state = set_distribution(state, DistributionSpec(DistributionKind.UNIFORM, weights))
@@ -284,12 +306,15 @@ def load_states(draw):
     """3 or 5 services under any stock or drawn UE spread, with or without noise."""
     five = draw(st.booleans())
     kind = draw(st.sampled_from(list(DistributionKind)))
-    state = init_scenario(default_scenario(distribution=kind, five_intents=five))
     spread = draw(st.none() | st.lists(st.integers(0, 20), min_size=N_GNODEBS, max_size=N_GNODEBS).filter(any))
+    cfg = replace(
+        default_scenario(distribution=kind, five_intents=five),
+        noise_pct=draw(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 60.0)),
+        bandwidth_mbps=draw(st.sampled_from([10.0, 4.0]) | st.floats(0.5, 40.0)),
+    )
+    state = init_scenario(cfg)
     if spread is not None:
         state = set_distribution(state, DistributionSpec(kind, tuple(w / sum(spread) for w in spread)))
-    state.noise_pct = draw(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 60.0))
-    state.airlink_bandwidth = draw(st.sampled_from([10.0, 4.0]) | st.floats(0.5, 40.0))
     return state
 
 
@@ -347,8 +372,7 @@ def test_step_under_load_perfect_kpis():
         ServiceSpec(s.kind, s.instance_id, s.demand_per_ue / 4.0, s.ue_count, s.kpi_target)
         for s in cfg.services
     ]
-    object.__setattr__(cfg, "services", light)
-    state = init_scenario(cfg)
+    state = init_scenario(replace(cfg, services=light))
     report = evaluate_kpis(state, offered_loads(state, None))
     assert report.kpi[0] == pytest.approx(5.0)
     assert report.kpi[1] == pytest.approx(0.0)
@@ -382,10 +406,15 @@ def test_step_contended_matches_hand_allocation():
     assert report.kpi[2] == pytest.approx(expected_pl, rel=1e-9)
 
 
-def test_step_increments_timestep():
+def test_step_returns_the_state_it_was_given():
     state = make_state()
+    state.priority[1] = 5
+    state.mbr[2] = 4.0
+    priority, mbr = state.priority, state.mbr
     nxt, _ = step(state, np.random.default_rng(0))
-    assert nxt.timestep == state.timestep + 1
+    assert nxt is state
+    assert nxt.priority is priority and nxt.priority == [3, 5, 3]
+    assert nxt.mbr is mbr and nxt.mbr == [10.0, 10.0, 4.0]
 
 
 def test_step_conservation_over_episode():
@@ -394,8 +423,8 @@ def test_step_conservation_over_episode():
     for _ in range(40):
         state, report = step(state, rng)
         per_gnb = report.served_per_gnb
-        assert (per_gnb.sum(axis=0) <= state.airlink_bandwidth + 1e-9).all()
-        clipped = np.minimum(report.offered_per_gnb, state.controls.mbr[:, None])
+        assert (per_gnb.sum(axis=0) <= state.scenario.bandwidth_mbps + 1e-9).all()
+        clipped = np.minimum(report.offered_per_gnb, np.array(state.mbr)[:, None])
         assert (per_gnb <= clipped + 1e-9).all()
 
 
@@ -409,7 +438,8 @@ def test_set_distribution_gaussian_weights():
     shifted = set_distribution(state, spec)
     assert shifted.distribution.weights == (0.15, 0.35, 0.35, 0.15)
     assert sum(shifted.distribution.weights) == pytest.approx(1.0)
-    assert shifted.controls.priority.tobytes() == state.controls.priority.tobytes()
+    assert shifted.priority == state.priority and shifted.mbr == state.mbr
+    assert shifted.scenario is state.scenario
 
 
 def test_set_distribution_gamma_weights():

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -424,7 +425,7 @@ def test_reward_sums_deviations():
 def test_actor_critic_gradients_match_finite_differences():
     # 1 intent -> 2 agents, 3-step episode, tiny dims
     cfg = default_scenario()
-    object.__setattr__(cfg, "services", cfg.services[:1])
+    cfg = replace(cfg, services=cfg.services[:1])
     rng = np.random.default_rng(42)
     dims = PolicyDims(encoder=3, merger=3, fusion=4, gru=4)
     policy = create_policy(rng, cfg, dims=dims)
@@ -585,9 +586,6 @@ def test_rollout_both_systems_act_each_step(tiny_system):
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
-    state = slice_sim.init_scenario(cfg)
-    start_pri = state.controls.priority.copy()
-    start_mbr = state.controls.mbr.copy()
     traj = rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
     assert len(traj) == 12
     # greedy tabular agents acting from the default state must have moved

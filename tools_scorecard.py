@@ -2,6 +2,7 @@
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,12 @@ from atmarl.supervisor import TrainConfig
 
 
 def scenario_variant(c, u, m):
-    cfg = default_scenario()
-    services = [
+    services = (
         ServiceSpec(ServiceKind.CV, 0, c / 13.0, 52, 4.0),
         ServiceSpec(ServiceKind.URLLC, 0, u / 17.0, 68, 2.0),
         ServiceSpec(ServiceKind.MIOT, 0, m / 26.0, 104, 2.0),
-    ]
-    object.__setattr__(cfg, "services", services)
-    return cfg
+    )
+    return replace(default_scenario(), services=services)
 
 
 def score(out_dir, cfg, episodes=350, pre_episodes=800, seeds=(1, 2, 3, 4, 5)):
