@@ -7,7 +7,8 @@ Stage outputs land in one output directory:
 * ``supervisor_atmarl.ckpt`` / ``supervisor_case1.ckpt`` /
   ``supervisor_oracle.ckpt`` -- trained goal policies (case1 is the
   service-level variant that feeds goal halving; oracle is retrained on the
-  evaluation distribution with the agents fixed).
+  evaluation distribution with the agents fixed), each beside its
+  ``train_log_<approach>.csv``, one row of ``TrainStats`` per episode.
 * ``trace_<approach>_seed<n>.csv`` -- one row per timestep.
 * ``summary.csv`` + ``plot_kpis.py`` -- aggregated metrics and a standalone
   plotting script over the trace files.
@@ -232,7 +233,8 @@ def stage_train_supervisor(plan: ExperimentPlan, artifacts: Artifacts, approach:
     rng = np.random.default_rng(plan.train_seed + {"ATMARL": 0, "GoalHalving": 1, "Oracle": 2}[approach.value])
     policy = create_policy(rng, scenario, mode=mode)
     capabilities = {k: CapabilityVector(rho=v.rho.copy(), from_data=v.from_data.copy()) for k, v in artifacts.capabilities.items()}
-    train_supervisor(policy, scenario, artifacts.qtables, capabilities, rng, plan.train_cfg)
+    stats = train_supervisor(policy, scenario, artifacts.qtables, capabilities, rng, plan.train_cfg)
+    stats.to_csv(out_dir / f"train_log_{approach.value}.csv")
     arrays = {f"policy.{k}": v for k, v in policy.named_params().items()}
     arrays.update(_capability_blocks(capabilities))
     save_checkpoint(

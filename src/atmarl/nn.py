@@ -2,10 +2,19 @@
 
 Everything operates on float64 vectors; parameters live in small dataclasses
 so training code can walk them generically. A dense layer may stack copies
-along a leading axis, and its backward may run all steps of an episode at
-once along another. Backward passes add exact analytic gradients into the
+along a leading axis, and its backward runs all steps of an episode at once
+along another. Backward passes add exact analytic gradients into the
 accumulators they are given and are verified against central finite
 differences in the test suite.
+
+Numerics of a backward over T steps: every activation and input gradient
+has the bits of running the steps one at a time, while each parameter
+gradient is one matrix product (or sum) over the step axis. That sums the
+T per-step terms in BLAS order, so it is within 2*gamma_T*sum_t|p_t| of the
+step-ordered sum, gamma_T = T*u/(1-T*u) with u = 2**-53, element by element.
+A product large enough for the BLAS to split across its threads can round
+differently under another thread count; the supervisor's products at its
+40-step training episodes are not that large.
 """
 
 from __future__ import annotations
@@ -93,10 +102,11 @@ def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, 
 
     The cache and ``dout`` carry a leading step axis (``stack_steps`` builds
     the cache; a single step is a stack of one), and dx keeps it. A shared
-    input gets one dx per copy. The steps are folded into ``grads`` one by
-    one in step order, so the sums equal those of one step at a time. A
-    stack of per-step products summed along the step axis would not: numpy
-    sums a contiguous axis pairwise.
+    input gets one dx per copy. dx has the bits of one step at a time. The
+    weight gradient is one matmul over the step axis, per copy for a stacked
+    layer (on each copy's input, or on the input the copies share), and the
+    bias gradient one sum along it: each within the module's bound of the
+    step-ordered sums.
     """
     x, pre, out = cache
     if dout.shape != out.shape:
@@ -104,9 +114,9 @@ def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, 
     if dout.ndim != layer.bias.ndim + 1:
         raise ValueError(f"upstream grad shape {dout.shape} lacks a step axis before bias shape {layer.bias.shape}")
     dpre = dout * _activate_grad(pre, out, layer.activation)
-    for x_t, dpre_t in zip(x, dpre):
-        grads["W"] += dpre_t[..., :, None] * x_t[..., None, :]
-        grads["b"] += dpre_t
+    # [..., out, steps] @ [..., steps, in]; a shared [steps, in] input broadcasts over the copies
+    grads["W"] += np.moveaxis(dpre, 0, -1) @ np.moveaxis(x, 0, -2)
+    grads["b"] += dpre.sum(axis=0)
     return (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
 
 
@@ -207,48 +217,53 @@ def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):
     return h_new, cache
 
 
-def gru_backward(cell: GruCell, cache, dh_new: np.ndarray, grads: GruCell):
-    """Backward through one step, adding the parameter gradients into the accumulator cell ``grads``. Returns (dx, dh)."""
-    x, h, a, zr, a_n, n = cache
-    in_dim = x.shape[0]
-    z, r = zr
-
-    dn = dh_new * z
-    dh = dh_new * (1.0 - z)
-
-    dn_pre = dn * (1.0 - n * n)
-    grads.Wn += dn_pre[:, None] * a_n
-    grads.bn += dn_pre
-    da_n = cell.Wn.T @ dn_pre
-    drh = da_n[in_dim:]
-    dh += drh * r
-
-    dzr_pre = np.empty_like(zr)
-    np.multiply(dh_new, n - h, out=dzr_pre[0])
-    np.multiply(drh, h, out=dzr_pre[1])
-    dzr_pre *= zr
-    dzr_pre *= 1.0 - zr
-    grads.Wzr += dzr_pre[..., None] * a
-    grads.bzr += dzr_pre
-    # two matvecs: one over both gates would sum the 2*hidden terms in another order
-    da = cell.Wz.T @ dzr_pre[0]
-    da += cell.Wr.T @ dzr_pre[1]
-
-    dx = da_n[:in_dim] + da[:in_dim]
-    dh += da[in_dim:]
-    return dx, dh
-
-
 def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: GruCell):
     """BPTT over a sequence given per-step upstream grads on each hidden state.
 
-    Adds the parameter gradients into the accumulator cell ``grads``, latest
-    step first. Returns ([steps, in] input grads, dh0).
+    Returns ([steps, in] input grads, dh0), which have the bits of one step
+    at a time, latest step first. The loop keeps only the recurrence: it
+    stores each step's pre-activation grads, and after it each parameter
+    of the accumulator cell ``grads`` gets one matmul (or sum) over the
+    steps, within the module's bound of the step-ordered sums.
     """
-    dxs = np.empty((len(caches), cell.Wn.shape[1] - cell.hidden_size))
-    carry = np.zeros(cell.hidden_size)
-    for t in range(len(caches) - 1, -1, -1):
-        dxs[t], carry = gru_backward(cell, caches[t], dhs[t] + carry, grads)
+    steps, hidden = len(caches), cell.hidden_size
+    in_dim = cell.Wn.shape[1] - hidden
+    dxs = np.empty((steps, in_dim))
+    dn_pres = np.empty((steps, hidden))
+    dzr_pres = np.empty((steps, 2, hidden))
+    carry = np.zeros(hidden)
+    for t in range(steps - 1, -1, -1):
+        _, h, _, zr, _, n = caches[t]
+        z, r = zr
+        dh_new = dhs[t] + carry
+
+        dn = dh_new * z
+        dh = dh_new * (1.0 - z)
+        dn_pre = dn * (1.0 - n * n)
+        dn_pres[t] = dn_pre
+        da_n = cell.Wn.T @ dn_pre
+        drh = da_n[in_dim:]
+        dh += drh * r
+
+        dzr_pre = np.empty_like(zr)
+        np.multiply(dh_new, n - h, out=dzr_pre[0])
+        np.multiply(drh, h, out=dzr_pre[1])
+        dzr_pre *= zr
+        dzr_pre *= 1.0 - zr
+        dzr_pres[t] = dzr_pre
+        # two matvecs: one over both gates would sum the 2*hidden terms in another order
+        da = cell.Wz.T @ dzr_pre[0]
+        da += cell.Wr.T @ dzr_pre[1]
+
+        dxs[t] = da_n[:in_dim] + da[:in_dim]
+        dh += da[in_dim:]
+        carry = dh
+
+    # [hidden, steps] @ [steps, in+hidden] for the candidate, and one such product per gate for z and r
+    grads.Wn += dn_pres.T @ np.stack([a_n for *_, a_n, _ in caches])
+    grads.bn += dn_pres.sum(axis=0)
+    grads.Wzr += np.moveaxis(dzr_pres, 0, -1) @ np.stack([a for _, _, a, *_ in caches])
+    grads.bzr += dzr_pres.sum(axis=0)
     return dxs, carry
 
 

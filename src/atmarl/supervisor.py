@@ -15,6 +15,7 @@ in one call once the episode is over.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -489,13 +490,40 @@ def gradient_norm(grads: SupervisorPolicy) -> float:
 
 @dataclass
 class TrainStats:
-    episode_rewards: list[float]
-    grad_norms: list[float]
+    """Per-episode training telemetry in episode order.
+
+    Each episode's summed reward, its gradient norm before clipping, and the
+    loss terms of ``episode_gradients``: the actor loss (entropy bonus
+    included), the critic loss and the policy entropy, each summed over the
+    episode's steps (and heads).
+    """
+
+    episode_rewards: list[float] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
+    actor_losses: list[float] = field(default_factory=list)
+    critic_losses: list[float] = field(default_factory=list)
+    entropies: list[float] = field(default_factory=list)
 
     @property
     def final_mean_reward(self) -> float:
         tail = self.episode_rewards[-max(len(self.episode_rewards) // 5, 1):]
         return float(np.mean(tail))
+
+    def to_csv(self, path) -> None:
+        """One row per episode, each float as its shortest round-trip ``repr``."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["episode", "reward", "grad_norm", "actor_loss", "critic_loss", "entropy"])
+            writer.writerows(
+                zip(
+                    range(len(self.episode_rewards)),
+                    self.episode_rewards,
+                    self.grad_norms,
+                    self.actor_losses,
+                    self.critic_losses,
+                    self.entropies,
+                )
+            )
 
 
 class PolicyGoals:
@@ -601,7 +629,7 @@ def train_supervisor(
     opt = OptimizerState(lr=LEARNING_RATE)
     params = policy.layer_params()
     tracker = CapabilityTracker(capabilities, config)
-    stats = TrainStats(episode_rewards=[], grad_norms=[])
+    stats = TrainStats()
     for episode in range(cfg.episodes):
         traj = rollout_episode(
             policy,
@@ -642,4 +670,7 @@ def train_supervisor(
             )
         stats.episode_rewards.append(episode_reward)
         stats.grad_norms.append(float(norm))
+        stats.actor_losses.append(losses["actor"])
+        stats.critic_losses.append(losses["critic"])
+        stats.entropies.append(losses["entropy"])
     return stats

@@ -265,19 +265,48 @@ def episode_loss(policy, traj, advantages, returns) -> float:
     return float(total)
 
 
-def _dense_step_backward(layer, cache, dout: np.ndarray):
-    """One step of one (possibly stacked) dense layer: (dW, db, dx)."""
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n*u/(1 - n*u), with u the float64 unit roundoff.
+
+    A float64 sum of n terms, or a dot product of length n, computed in any
+    order lies within gamma_n * sum|terms| of the exact value (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    """
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def assert_reordered_sum(got: np.ndarray, ref: np.ndarray, abs_sum: np.ndarray, terms: int, label: str = ""):
+    """Element by element, ``got`` and ``ref`` are sums of the same ``terms`` float64 terms in two orders.
+
+    Each lies within gamma_terms * sum_t|p_t| of the exact sum, so the two
+    lie within twice that of each other; ``abs_sum`` is sum_t|p_t|.
+    """
+    assert got.shape == ref.shape == abs_sum.shape, label
+    excess = np.abs(got - ref) - 2.0 * gamma(terms) * abs_sum
+    assert np.all(excess <= 0.0), (
+        f"{label}: {np.count_nonzero(~(excess <= 0.0))} entries beyond 2*gamma_{terms}*sum|p_t|, worst by {np.nanmax(excess):.3g}"
+    )
+
+
+def dense_step_backward(layer, cache, dout: np.ndarray):
+    """One step of one (possibly stacked) dense layer, whole-array formulas: (dW, db, dx)."""
     x, pre, out = cache
     dpre = dout * (1.0 - out * out if layer.activation == "tanh" else np.ones_like(pre))
     dx = (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
     return dpre[..., :, None] * x[..., None, :], dpre.copy(), dx
 
 
-def _stack_step_backward(layers, acc_layers, caches, dout: np.ndarray) -> np.ndarray:
+def _stack_step_backward(layers, acc_layers, abs_layers, caches, dout: np.ndarray) -> np.ndarray:
+    """One step back through a layer stack, adding each layer's terms into ``acc_layers`` and their magnitudes into ``abs_layers``."""
     for j in range(len(layers) - 1, -1, -1):
-        dw, db, dout = _dense_step_backward(layers[j], caches[j], dout)
+        dw, db, dout = dense_step_backward(layers[j], caches[j], dout)
         acc_layers[j].weights += dw
         acc_layers[j].bias += db
+        abs_layers[j].weights += np.abs(dw)
+        abs_layers[j].bias += np.abs(db)
     return dout
 
 
@@ -312,14 +341,17 @@ def unfused_gru_forward(cell, x: np.ndarray, h: np.ndarray):
 
 
 def per_step_gru_sequence_backward(cell, caches, dhs):
-    """BPTT one step and one gate at a time, each step's gradients built whole and then added.
+    """BPTT one step and one gate at a time, each step's gradients built whole and then added in step order.
 
     ``caches`` are those of ``unfused_gru_forward``. Returns (param grads by
-    ``cell.params()`` name, per-step input grads, dh0);
-    ``nn.gru_sequence_backward`` must equal it bit for bit.
+    ``cell.params()`` name, their sum_t|p_t| by the same names, per-step
+    input grads, dh0). ``nn.gru_sequence_backward`` must equal the input
+    grads and dh0 bit for bit, and each param grad within
+    ``assert_reordered_sum``'s bound.
     """
     Wz, Wr = np.array(cell.Wz), np.array(cell.Wr)
     grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
+    abs_sums = {k: np.zeros_like(v) for k, v in cell.params().items()}
     dxs = [None] * len(caches)
     carry = np.zeros(cell.hidden_size)
     for t in range(len(caches) - 1, -1, -1):
@@ -346,9 +378,19 @@ def per_step_gru_sequence_backward(cell, caches, dhs):
         dh += da[in_dim:]
         for k in grads:
             grads[k] += step[k]
+            abs_sums[k] += np.abs(step[k])
         dxs[t] = dx
         carry = dh
-    return grads, dxs, carry
+    return grads, abs_sums, dxs, carry
+
+
+def _zeroed(policy):
+    """A deep copy of ``policy`` with every parameter zero, and its parameters by checkpoint name."""
+    acc = copy.deepcopy(policy)
+    named = acc.named_params()
+    for g in named.values():
+        g[...] = 0.0
+    return acc, named
 
 
 def per_step_episode_gradients(policy, traj, advantages, returns):
@@ -357,14 +399,14 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
     Per step: each head's softmax, entropy and loss terms, the critic run
     on the step's context by ``critic_step``, then every dense layer's
     gradients built whole and added into its accumulator, the GRU through
-    ``per_step_gru_sequence_backward``. ``supervisor.episode_gradients``,
-    which reads the critic ``score_contexts`` ran over all steps at once,
-    must equal its gradients and loss terms bit for bit.
+    ``per_step_gru_sequence_backward``. Returns (gradients by checkpoint
+    name, their sum_t|p_t| by the same names, loss terms).
+    ``supervisor.episode_gradients``, which reads the critic
+    ``score_contexts`` ran over all steps at once, must equal the loss terms
+    bit for bit, and each gradient within ``assert_reordered_sum``'s bound.
     """
-    acc = copy.deepcopy(policy)
-    grads = acc.named_params()
-    for g in grads.values():
-        g[...] = 0.0
+    acc, grads = _zeroed(policy)
+    abs_acc, abs_sums = _zeroed(policy)
     dh2, dc_direct = [], []
     actor_loss = entropy_total = critic_loss = 0.0
     for t, fwd in enumerate(traj.forwards):
@@ -380,28 +422,32 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
             entropy_total += entropy
             dlogits[i] = advantages[t] * (probs - onehot)
             dlogits[i] += ENTROPY_COEF * probs * (logp + entropy)
-        dh = _stack_step_backward([policy.heads], [acc.heads], [fwd.head_cache], dlogits)
+        dh = _stack_step_backward([policy.heads], [acc.heads], [abs_acc.heads], [fwd.head_cache], dlogits)
         dh2.append(dh.sum(axis=0))
         value, crit_caches = critic_step(policy, fwd.fus_caches[-1][2])
         err = value - returns[t]
         critic_loss += CRITIC_COEF * err * err
-        dc_direct.append(_stack_step_backward(policy.critic, acc.critic, crit_caches, np.array([2.0 * CRITIC_COEF * err])))
+        dc_direct.append(
+            _stack_step_backward(policy.critic, acc.critic, abs_acc.critic, crit_caches, np.array([2.0 * CRITIC_COEF * err]))
+        )
 
     dcontext = dh2
     for j in (1, 0):
         # the step's input and previous hidden state lead each production cache
         caches = [unfused_gru_forward(policy.gru[j], *fwd.gru_caches[j][:2])[1] for fwd in traj.forwards]
-        cell_grads, dcontext, _ = per_step_gru_sequence_backward(policy.gru[j], caches, dcontext)
+        cell_grads, cell_abs, dcontext, _ = per_step_gru_sequence_backward(policy.gru[j], caches, dcontext)
         for name, g in cell_grads.items():
             grads[f"gru_l{j}.{name}"] += g
+            abs_sums[f"gru_l{j}.{name}"] += cell_abs[name]
 
     n_agents, width = len(policy.agents), policy.dims.merger
     for t, fwd in enumerate(traj.forwards):
-        dx = _stack_step_backward(policy.fusion, acc.fusion, fwd.fus_caches, dc_direct[t] + dcontext[t])
-        dmx = _stack_step_backward([policy.merger], [acc.merger], [fwd.mrg_cache], dx[: n_agents * width].reshape(n_agents, width))
-        _stack_step_backward(policy.encoders, acc.encoders, fwd.enc_caches, dmx[:, : policy.dims.encoder])
+        dx = _stack_step_backward(policy.fusion, acc.fusion, abs_acc.fusion, fwd.fus_caches, dc_direct[t] + dcontext[t])
+        dm = dx[: n_agents * width].reshape(n_agents, width)
+        dmx = _stack_step_backward([policy.merger], [acc.merger], [abs_acc.merger], [fwd.mrg_cache], dm)
+        _stack_step_backward(policy.encoders, acc.encoders, abs_acc.encoders, fwd.enc_caches, dmx[:, : policy.dims.encoder])
     losses = {"actor": float(actor_loss), "critic": float(critic_loss), "entropy": float(entropy_total)}
-    return grads, losses
+    return grads, abs_sums, losses
 
 
 def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:

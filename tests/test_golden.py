@@ -17,7 +17,7 @@ from atmarl.harness import Approach, ExperimentPlan, run_pipeline
 from atmarl.slice_sim import DistributionKind, DistributionSpec
 from atmarl.supervisor import TrainConfig
 
-PINNED = "e5c8aea2cfb286bcd11895a753c85d113a5b21e589b3821e57f12a9ec2500feb"
+PINNED = "4fdd1eb9651e14a32469b69f3ee0a9396f6897fdffda79b7b104d6f5d16bd9b4"
 PINNED_NUMPY = "2.4.6"
 
 
@@ -35,10 +35,10 @@ def golden_plan() -> ExperimentPlan:
 
 
 def run_digest(out) -> str:
-    """sha256 over the checkpoints, pre-training log, traces and summary, by file name."""
+    """sha256 over the checkpoints, pre-training and training logs, traces and summary, by file name."""
     h = hashlib.sha256()
     for path in sorted(out.iterdir()):
-        if path.suffix == ".ckpt" or path.name in ("pretrain_log.csv", "summary.csv") or path.name.startswith("trace_"):
+        if path.suffix == ".ckpt" or path.name in ("pretrain_log.csv", "summary.csv") or path.name.startswith(("trace_", "train_log_")):
             h.update(path.name.encode() + b"\0")
             h.update(path.read_bytes())
     return h.hexdigest()
@@ -48,7 +48,8 @@ def test_tiny_plan_outputs_match_pinned_hash(tmp_path):
     with pytest.warns(UserWarning, match="pretraining mean reward"):
         run_pipeline(golden_plan(), tmp_path, reuse=False)
     written = sorted(p.name for p in tmp_path.iterdir() if p.suffix in (".ckpt", ".csv"))
-    assert len(written) == 3 + 8 + 2, written  # 3 checkpoints, 4 approaches x 2 seeds, log and summary
+    # 3 checkpoints, 2 training logs, 4 approaches x 2 seeds, the pre-training log and the summary
+    assert len(written) == 3 + 2 + 8 + 2, written
     got = run_digest(tmp_path)
     assert got == PINNED, (
         f"outputs changed: sha256 {got}, pinned {PINNED} under numpy {PINNED_NUMPY} "

@@ -1,10 +1,14 @@
 import csv
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from atmarl import harness, supervisor
 from atmarl.agents import GOAL_LEVELS, PretrainConfig, agent_roster, goal_value
 from atmarl.checkpoint import load_checkpoint
 from atmarl.baselines import SWITCH_PERIOD
@@ -242,8 +246,77 @@ def test_trace_csv_files_written(pipeline_result):
             assert (result.out_dir / f"trace_{approach.value}_seed{seed}.csv").exists()
 
 
+def test_train_log_holds_each_episodes_stats_and_losses(tmp_path, monkeypatch):
+    # every row of train_log_<approach>.csv is one episode's TrainStats entry,
+    # whose losses are those episode_gradients returned for that episode
+    plan = quick_plan(approaches=(Approach.GOAL_HALVING,))
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        artifacts = stage_pretrain(plan, tmp_path)
+    returned, losses = [], []
+    real_train, real_gradients = harness.train_supervisor, supervisor.episode_gradients
+
+    def train(*args):
+        returned.append(real_train(*args))
+        return returned[-1]
+
+    def gradients(*args):
+        acc, terms = real_gradients(*args)
+        losses.append(terms)
+        return acc, terms
+
+    monkeypatch.setattr(harness, "train_supervisor", train)
+    monkeypatch.setattr(supervisor, "episode_gradients", gradients)
+    stage_train_supervisor(plan, artifacts, Approach.GOAL_HALVING, tmp_path)
+    stats = returned[0]
+    with open(tmp_path / "train_log_GoalHalving.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["episode", "reward", "grad_norm", "actor_loss", "critic_loss", "entropy"]
+    assert [int(row[0]) for row in rows[1:]] == list(range(QUICK_TRAIN.episodes))
+    columns = [[float(row[j]) for row in rows[1:]] for j in range(1, 6)]
+    assert columns == [stats.episode_rewards, stats.grad_norms, stats.actor_losses, stats.critic_losses, stats.entropies]
+    assert stats.actor_losses == [terms["actor"] for terms in losses]
+    assert stats.critic_losses == [terms["critic"] for terms in losses]
+    assert stats.entropies == [terms["entropy"] for terms in losses]
+
+
 # ---------------------------------------------------------------------------
 # determinism and checkpoint hygiene
+
+
+def five_intent_training_plan():
+    """Two training episodes of the default 40 steps on the five-intent slice."""
+    return quick_plan(
+        scenario=default_scenario(five_intents=True),
+        approaches=(Approach.ATMARL,),
+        train_cfg=TrainConfig(episodes=2, episode_length=40),
+    )
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the five-intent fusion layer 0's weight gradient, 64 x 40 x 325, is the
+    # largest product canonical training runs; what training writes must keep
+    # its bits whatever the BLAS pool size. (OpenBLAS keeps a product of this
+    # size on one thread; at 200 steps it splits it and the bits move.)
+    plan = five_intent_training_plan()
+    stage_pretrain(plan, tmp_path)
+    tests = Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]; "
+        "from pathlib import Path; from test_harness import five_intent_training_plan; "
+        "from atmarl.harness import Approach, load_pretrain, stage_train_supervisor; "
+        f"plan = five_intent_training_plan(); pre = Path({str(tmp_path)!r}); "
+        "stage_train_supervisor(plan, load_pretrain(plan, pre), Approach.ATMARL, Path(sys.argv[1]))"
+    )
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(written["1"]) == ["supervisor_atmarl.ckpt", "train_log_ATMARL.csv"]
+    assert written["1"] == written["2"]
 
 
 def test_pipeline_byte_identical_reruns(tmp_path):

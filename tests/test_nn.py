@@ -18,6 +18,8 @@ from atmarl.nn import (
     stack_steps,
 )
 from oracles import (
+    assert_reordered_sum,
+    dense_step_backward,
     gru_sequence_forward,
     per_key_adam,
     per_step_gru_sequence_backward,
@@ -145,8 +147,9 @@ def test_stacked_dense_equals_copies_bit_for_bit(shared_input):
 )
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
 def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared_input, activation):
-    # one call over a leading step axis must fold the steps in step order:
-    # a [T, 1] bias gradient summed along T would be summed pairwise
+    # one call over a leading step axis against one step at a time: dx bit
+    # for bit; W and b, which sum the steps in one matmul or sum, within the
+    # bound of a reordered 40-term sum
     rng = np.random.default_rng(21)
     steps, in_dim = 40, 7
     if copies is None:
@@ -159,18 +162,19 @@ def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared
     per_step = [dense_forward(layer, x)[1] for x in xs]
     douts = rng.normal(size=(steps, *layer.bias.shape))
 
-    folded = zero_grads(layer)
+    folded, magnitude = zero_grads(layer), zero_grads(layer)
     dxs = []
     for cache, dout in zip(per_step, douts):
-        step_grads = zero_grads(layer)
-        dxs.append(one_step_backward(layer, cache, dout, step_grads))
-        folded["W"] += step_grads["W"]
-        folded["b"] += step_grads["b"]
+        dw, db, dx_t = dense_step_backward(layer, cache, dout)
+        dxs.append(dx_t)
+        for key, term in (("W", dw), ("b", db)):
+            folded[key] += term
+            magnitude[key] += np.abs(term)
 
     grads = zero_grads(layer)
     dx = dense_backward(layer, stack_steps(per_step), douts, grads)
-    assert grads["W"].tobytes() == folded["W"].tobytes()
-    assert grads["b"].tobytes() == folded["b"].tobytes()
+    for key in ("W", "b"):
+        assert_reordered_sum(grads[key], folded[key], magnitude[key], steps, key)
     assert dx.tobytes() == np.stack(dxs).tobytes()
 
 
@@ -222,22 +226,20 @@ def test_gru_hidden_stays_in_open_unit_interval():
 
 
 def test_gru_length_one_bptt_equals_single_step():
+    # one step leaves no sum to reorder: every gradient has the oracle's bits
     rng = np.random.default_rng(11)
     cell = GruCell.create(rng, 3, 4)
     x = rng.normal(size=3)
     h0 = rng.normal(size=4) * 0.1
-    hs, caches = gru_sequence_forward(cell, [x], h0)
+    _, caches = gru_sequence_forward(cell, [x], h0)
     dh = rng.normal(size=4)
     seq_grads = cell.zeros_like()
     dxs, dh0 = gru_sequence_backward(cell, caches, [dh], seq_grads)
-    from atmarl.nn import gru_backward
-
-    step_grads = cell.zeros_like()
-    dx_single, dh_single = gru_backward(cell, caches[0], dh, step_grads)
+    ref_grads, _, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, [unfused_gru_forward(cell, x, h0)[1]], [dh])
     for key, grad in seq_grads.params().items():
-        np.testing.assert_allclose(grad, step_grads.params()[key])
-    np.testing.assert_allclose(dxs[0], dx_single)
-    np.testing.assert_allclose(dh0, dh_single)
+        assert grad.tobytes() == ref_grads[key].tobytes(), key
+    assert dxs[0].tobytes() == ref_dxs[0].tobytes()
+    assert dh0.tobytes() == ref_dh0.tobytes()
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -264,9 +266,9 @@ def test_gru_bptt_matches_finite_differences(trial):
 @pytest.mark.parametrize("in_dim, hidden", [(64, 64), (5, 1)])
 @pytest.mark.parametrize("steps", [1, 12, 40])
 def test_gru_bptt_equals_per_step_oracle(in_dim, hidden, steps):
-    # the fused z/r gates against each gate alone, forward and backward; the
-    # backward accumulates in place in step order: a one-unit cell's [T, 1]
-    # bias gradients would come out different if summed along T at the end
+    # the fused z/r gates against each gate alone, forward and backward: the
+    # hidden states, input grads and dh0 bit for bit, each parameter grad
+    # (one matmul or sum over the steps) within the bound of a reordered sum
     rng = np.random.default_rng(300 + steps)
     cell = GruCell.create(rng, in_dim, hidden)
     for bias in (cell.bz, cell.br, cell.bn):
@@ -282,9 +284,9 @@ def test_gru_bptt_equals_per_step_oracle(in_dim, hidden, steps):
 
     grads = cell.zeros_like()
     dxs, dh0 = gru_sequence_backward(cell, caches, dhs, grads)
-    ref_grads, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, ref_caches, dhs)
+    ref_grads, ref_abs, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, ref_caches, dhs)
     for key, grad in grads.params().items():
-        assert grad.tobytes() == ref_grads[key].tobytes(), key
+        assert_reordered_sum(grad, ref_grads[key], ref_abs[key], steps, key)
     assert dxs.tobytes() == np.stack(ref_dxs).tobytes()
     assert dh0.tobytes() == ref_dh0.tobytes()
 

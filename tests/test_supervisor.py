@@ -22,7 +22,14 @@ from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
 from atmarl.nn import OptimizerState, adam_step, stack_forward
 from atmarl.slice_sim import KpiKind
-from oracles import critic_step, episode_loss, per_head_act, per_step_episode_gradients, per_view_gradient_norm
+from oracles import (
+    assert_reordered_sum,
+    critic_step,
+    episode_loss,
+    per_head_act,
+    per_step_episode_gradients,
+    per_view_gradient_norm,
+)
 from atmarl.supervisor import (
     DISCOUNT,
     LEARNING_RATE,
@@ -513,7 +520,8 @@ def test_batched_critic_equals_per_step_critic(mode, steps):
 @pytest.mark.parametrize("mode", list(GoalMode))
 @pytest.mark.parametrize("steps", [1, 7, 12, 40])
 def test_episode_gradients_equal_per_step_oracle(mode, steps):
-    # default dims, as trained; every gradient and loss term bit for bit
+    # default dims, as trained; the loss terms bit for bit, each gradient
+    # (a sum over the steps) within the bound of a reordered sum
     cfg = default_scenario()
     rng = np.random.default_rng(400 + steps)
     policy = create_policy(rng, cfg, mode=mode)
@@ -525,10 +533,10 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
 
     acc, losses = episode_gradients(policy, traj, advantages, returns)
     grads = acc.named_params()
-    ref_grads, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns)
+    ref_grads, ref_abs, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns)
     assert list(grads) == list(ref_grads)
     for name in ref_grads:
-        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        assert_reordered_sum(grads[name], ref_grads[name], ref_abs[name], steps, name)
     assert losses == ref_losses
 
 
