@@ -7,10 +7,11 @@ from atmarl.nn import (
     DenseLayer,
     GruCell,
     dense_backward,
-    dense_forward,
+    gru_caches,
     gru_forward,
     gru_sequence_backward,
-    stack_steps,
+    stack_caches,
+    stack_forward,
 )
 
 
@@ -42,13 +43,18 @@ def main():
     x = rng.normal(size=3)
     target = rng.normal(size=4)
 
-    def dense_loss():
-        out, _ = dense_forward(layer, x)
-        return float(((out - target) ** 2).sum())
+    def dense_run():
+        # buffers of one step: the forward fills row 0, the backward reads the step axis
+        (cache,) = stack_caches([layer], x[None])
+        stack_forward([layer], [cache])
+        return cache
 
-    out, cache = dense_forward(layer, x)
+    def dense_loss():
+        return float(((dense_run()[2] - target) ** 2).sum())
+
+    cache = dense_run()
     grads = {name: np.zeros_like(param) for name, param in layer.params().items()}
-    dense_backward(layer, stack_steps([cache]), (2 * (out - target))[None], grads)
+    dense_backward(layer, cache, 2 * (cache[2] - target), grads)
     for name, param in layer.params().items():
         err = rel_err(grads[name], finite_difference(dense_loss, param))
         print(f"  {name}: relative error {err:.2e}")
@@ -60,12 +66,13 @@ def main():
     h0 = np.zeros(4)
 
     def gru_run():
-        h, hs, caches = h0, [], []
-        for x in xs:
-            h, cache = gru_forward(cell, x, h)
-            hs.append(h)
-            caches.append(cache)
-        return hs, caches
+        # row t of ``a`` holds step t's input and the hidden state it starts from
+        a, zr, a_n, n = gru_caches(cell, len(xs))
+        a[0, 3:] = h0
+        for t, x in enumerate(xs):
+            a[t, :3] = x
+            gru_forward(cell, a[t], zr[t], a_n[t], n[t], a[t + 1, 3:])
+        return a[1:, 3:], (a[:-1], zr, a_n, n)
 
     def gru_loss():
         hs, _ = gru_run()

@@ -15,13 +15,15 @@ uses the same seed, run length and sample count (``SEED``, ``SECONDS``,
 ``REPEATS``, stored under ``settings``), so two records made on one host
 share their keys and compare field by field.
 
-The microbenchmarks call the package's current signatures: ``act``
-without the scenario, returning each head's rung and the forward, the
+The microbenchmarks call the package's current signatures: ``act`` and
+``forward_step`` on a row of an ``EpisodeTape`` (``act`` returning each
+head's rung), trajectories that keep their leaf inputs on that tape,
+``episode_gradients`` refilling one accumulator as training does, the
 critic values read off the trajectory, and the simulator state's knobs as
 the two plain lists ``state.priority`` and ``state.mbr`` beside its
 ``state.scenario``. So ``--tree`` must be a checkout from the change that
-made the simulator state hold its ``ScenarioConfig`` (and drop
-``ControlVector``) onwards; older trees fail.
+put the supervisor on the episode tape onwards; older trees fail. Measure
+an older tree with that tree's own ``record_bench.py``.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ def microbenchmarks(tree: Path) -> dict:
     from atmarl.config import default_scenario
     from atmarl.harness import _capability_blocks
     from atmarl.supervisor import (
-        DISCOUNT, TrainConfig, act, create_policy, discounted_returns, episode_gradients, forward_step,
-        rollout_episode,
+        DISCOUNT, EpisodeTape, TrainConfig, act, create_policy, discounted_returns, episode_gradients,
+        forward_step, rollout_episode,
     )
 
     cfg = default_scenario()
@@ -121,15 +123,20 @@ def microbenchmarks(tree: Path) -> dict:
             before = after
         return ms, ref
 
-    def rollout():
-        return rollout_episode(policy, cfg, qtables, caps, rng, train.episode_length, explore=True)
+    # as training runs: one tape for the timed rollouts, another kept for the
+    # trajectory the other supervisor microbenchmarks read, and one accumulator
+    rollout_tape = EpisodeTape(policy, train.episode_length)
+    acc = policy.zeros_like()
 
-    traj = rollout()
+    def rollout():
+        return rollout_episode(policy, cfg, qtables, caps, rng, train.episode_length, explore=True, tape=rollout_tape)
+
+    traj = rollout_episode(policy, cfg, qtables, caps, rng, train.episode_length, explore=True)
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = returns - traj.values
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    # rerunning a middle step rewrites its own rows with the same bits
     step = len(traj) // 2
-    hidden = traj.forwards[step - 1].hidden
     # the opening state of every episode: neutral knobs on the contended default slice
     state = slice_sim.init_scenario(cfg)
     offered = slice_sim.offered_loads(state, rng)
@@ -158,9 +165,9 @@ def microbenchmarks(tree: Path) -> dict:
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
-        ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns), 1, 1.0),
-        ("act_us", lambda: act(policy, traj.gammas[step], traj.tuples[step], traj.targets, hidden, rng, True), 200, 1e3),
-        ("forward_step_us", lambda: forward_step(policy, traj.gammas[step], traj.tuples[step], traj.targets, hidden), 200, 1e3),
+        ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns, acc), 1, 1.0),
+        ("act_us", lambda: act(policy, traj.tape, step, rng, True), 200, 1e3),
+        ("forward_step_us", lambda: forward_step(policy, traj.tape, step), 200, 1e3),
         ("agent_step_us", agent_step, 200, 1e3),
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
         ("allocate_capacity_us",

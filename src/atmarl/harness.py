@@ -50,6 +50,7 @@ from .errors import CheckpointError, ScenarioError, StageFailure
 from .metrics import Direction, KpiSeries, convergence_time, iae, oscillation_amplitude
 from .slice_sim import DistributionSpec, KpiKind
 from .supervisor import (
+    EpisodeTape,
     GoalMode,
     PolicyGoals,
     SupervisorPolicy,
@@ -273,12 +274,16 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
         return lambda t, *_: (targets, {rule_based_select(t)})
     if approach is Approach.NAIVE_PARALLEL:
         return lambda *_: (targets, BOTH_PLANES)
+    supervisor = artifacts.policies[approach.value]
+    # evaluation never updates the capabilities, so they are encoded once per episode
     policy = PolicyGoals(
-        artifacts.policies[approach.value],
+        supervisor,
         config,
         artifacts.policy_capabilities[approach.value],
         rng,
         explore=False,
+        tape=EpisodeTape(supervisor, plan.episode_length),
+        encode_once=True,
     )
     if approach is Approach.GOAL_HALVING:
         return lambda *step: (goal_halving(policy(*step)[0], config), BOTH_PLANES)

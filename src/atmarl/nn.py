@@ -1,11 +1,13 @@
 """Minimal dense/GRU substrate with hand-written gradients.
 
-Everything operates on float64 vectors; parameters live in small dataclasses
+Everything operates on float64 arrays; parameters live in small dataclasses
 so training code can walk them generically. A dense layer may stack copies
-along a leading axis, and its backward runs all steps of an episode at once
-along another. Backward passes add exact analytic gradients into the
-accumulators they are given and are verified against central finite
-differences in the test suite.
+along a leading axis. Forwards write into preallocated step buffers, a tape
+with a leading step axis: ``stack_caches`` and ``gru_caches`` allocate them,
+and ``dense_forward`` and ``gru_forward`` fill the rows they are given.
+Backward passes read every step of an episode at once from slices of those
+buffers, add exact analytic gradients into the accumulators they are given,
+and are verified against central finite differences in the test suite.
 
 Numerics of a backward over T steps: every activation and input gradient
 has the bits of running the steps one at a time, while each parameter
@@ -22,11 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _check_finite(name: str, arr: np.ndarray):
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {name}")
 
 
 def init_matrix(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -65,12 +62,14 @@ class DenseLayer:
         return {"W": self.weights, "b": self.bias}
 
 
-def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
+def _activate(pre: np.ndarray, kind: str, out: np.ndarray):
     if kind == "tanh":
-        return np.tanh(pre)
-    if kind == "identity":
-        return pre
-    raise ValueError(f"unknown activation {kind!r}")
+        np.tanh(pre, out=out)
+    elif kind == "identity":
+        if out is not pre:
+            np.copyto(out, pre)
+    else:
+        raise ValueError(f"unknown activation {kind!r}")
 
 
 def _activate_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
@@ -81,32 +80,36 @@ def _activate_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Affine map plus activation; returns (output, cache).
+def dense_forward(layer: DenseLayer, x: np.ndarray, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Affine map of ``x`` into ``pre``, then the activation into ``out``; returns ``out``.
 
     ``x`` is [in], or [copies, in] for a stacked layer, which shares an [in]
-    input among its copies. np.matmul runs each copy as its own matrix-vector
-    product, bit-equal to the copy alone; np.einsum sums in another order.
+    input among its copies; ``pre`` and ``out`` are shaped like the bias.
+    An unstacked layer also takes [steps, in] rows at once. An identity
+    layer may be given ``pre`` as ``out``. np.matmul runs each copy (and
+    step) as its own matrix-vector product, bit-equal to the copy alone;
+    np.einsum sums in another order.
     """
     if x.shape[-1] != layer.weights.shape[-1]:
         raise ValueError(
             f"dense input size {x.shape[-1]} does not match weights {layer.weights.shape}"
         )
-    pre = (layer.weights @ x[..., None])[..., 0] + layer.bias
-    out = _activate(pre, layer.activation)
-    return out, (x, pre, out)
+    np.matmul(layer.weights, x[..., None], out=pre[..., None])
+    pre += layer.bias
+    _activate(pre, layer.activation, out)
+    return out
 
 
 def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
     """Adds the parameter gradients into ``grads`` (shaped like ``params()``); returns dx.
 
-    The cache and ``dout`` carry a leading step axis (``stack_steps`` builds
-    the cache; a single step is a stack of one), and dx keeps it. A shared
-    input gets one dx per copy. dx has the bits of one step at a time. The
-    weight gradient is one matmul over the step axis, per copy for a stacked
-    layer (on each copy's input, or on the input the copies share), and the
-    bias gradient one sum along it: each within the module's bound of the
-    step-ordered sums.
+    The cache, (x, pre, out), and ``dout`` carry a leading step axis (the
+    step rows of a tape; a single step is a stack of one), and dx keeps it.
+    A shared input gets one dx per copy. dx has the bits of one step at a
+    time. The weight gradient is one matmul over the step axis, per copy for
+    a stacked layer (on each copy's input, or on the input the copies
+    share), and the bias gradient one sum along it: each within the
+    module's bound of the step-ordered sums.
     """
     x, pre, out = cache
     if dout.shape != out.shape:
@@ -120,27 +123,38 @@ def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, 
     return (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
 
 
-def stack_forward(layers: list[DenseLayer], x: np.ndarray):
-    """Run ``x`` through a sequence of layers; returns (output, per-layer caches)."""
+def stack_caches(layers: list[DenseLayer], x: np.ndarray, out: np.ndarray | None = None) -> list[tuple]:
+    """Step buffers (x, pre, out) of a layer stack over ``x``'s leading step axis.
+
+    Each layer's output buffer is the next layer's input; the last layer
+    writes into ``out`` when given (e.g. a view into the input of what
+    follows), else into a buffer of its own. An identity layer other than
+    the last outputs its pre-activation.
+    """
     caches = []
-    for layer in layers:
-        x, cache = dense_forward(layer, x)
-        caches.append(cache)
-    return x, caches
+    for j, layer in enumerate(layers):
+        pre = np.empty((len(x), *layer.bias.shape))
+        if j == len(layers) - 1 and out is not None:
+            y = out
+        else:
+            y = pre if layer.activation == "identity" else np.empty_like(pre)
+        caches.append((x, pre, y))
+        x = y
+    return caches
+
+
+def stack_forward(layers: list[DenseLayer], caches: list[tuple], index=...):
+    """Run row ``index`` (all rows by default) of ``stack_caches`` buffers through the layers; returns the last output."""
+    for layer, (x, pre, out) in zip(layers, caches):
+        y = dense_forward(layer, x[index], pre[index], out[index])
+    return y
 
 
 def stack_backward(layers: list[DenseLayer], caches, dout: np.ndarray, grads: list[dict[str, np.ndarray]]) -> np.ndarray:
-    """Backward through ``stack_forward`` over step-stacked caches, adding into per-layer ``grads``; returns dx."""
+    """Backward through a layer stack over step-stacked caches, adding into per-layer ``grads``; returns dx."""
     for j in range(len(layers) - 1, -1, -1):
         dout = dense_backward(layers[j], caches[j], dout, grads[j])
     return dout
-
-
-def stack_steps(caches: list):
-    """Per-step caches of one layer, or of a layer stack, stacked along a new leading step axis."""
-    if isinstance(caches[0], list):
-        return [stack_steps(list(layer)) for layer in zip(*caches)]
-    return tuple(np.stack(parts) for parts in zip(*caches))
 
 
 # ---------------------------------------------------------------------------
@@ -192,77 +206,103 @@ class GruCell:
         return {"Wz": self.Wz, "Wr": self.Wr, "Wn": self.Wn, "bz": self.bz, "br": self.br, "bn": self.bn}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def gru_caches(cell: GruCell, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step buffers (a, zr, a_n, n) of one cell over ``steps`` steps; ``a`` has one row more.
 
-
-def gru_forward(cell: GruCell, x: np.ndarray, h: np.ndarray):
-    """One recurrence step: h' = (1-z)*h + z*tanh-candidate. Returns (h', cache).
-
-    Both gates run as one stacked matmul, each gate its own matrix-vector
-    product: a flat [2*hidden, in] matvec sums in another order unless
-    hidden is a multiple of the BLAS kernel's row block.
+    Row t of ``a`` is step t's input followed by the hidden state it starts
+    from, and step t writes its new hidden state into the hidden half of row
+    t+1, so the last row ends with the final state. ``zr`` holds both gates,
+    ``a_n`` the candidate's input (input, r*h) and ``n`` the candidate.
     """
-    if h.shape[0] != cell.hidden_size:
-        raise ValueError(f"hidden size {h.shape[0]} != cell size {cell.hidden_size}")
-    if x.shape[0] + h.shape[0] != cell.Wn.shape[1]:
-        raise ValueError(f"input size {x.shape[0]} incompatible with gate shape {cell.Wn.shape}")
-    a = np.concatenate([x, h])
-    zr = _sigmoid((cell.Wzr @ a[:, None])[..., 0] + cell.bzr)
+    hidden, width = cell.hidden_size, cell.Wn.shape[1]
+    return np.empty((steps + 1, width)), np.empty((steps, 2, hidden)), np.empty((steps, width)), np.empty((steps, hidden))
+
+
+def gru_forward(cell: GruCell, a: np.ndarray, zr: np.ndarray, a_n: np.ndarray, n: np.ndarray, h_new: np.ndarray) -> np.ndarray:
+    """One recurrence step h' = (1-z)*h + z*tanh-candidate into the rows it is given; returns ``h_new``.
+
+    ``a`` is one row of ``gru_caches``' (input, h); the step fills the rows
+    ``zr``, ``a_n`` and ``n`` and writes h' into ``h_new``. Both gates run as
+    one stacked matmul, each gate its own matrix-vector product: a flat
+    [2*hidden, in] matvec sums in another order unless hidden is a multiple
+    of the BLAS kernel's row block.
+    """
+    if a.shape[-1] != cell.Wn.shape[1]:
+        raise ValueError(f"input and hidden size {a.shape[-1]} incompatible with gate shape {cell.Wn.shape}")
+    in_dim = a.shape[-1] - cell.hidden_size
+    h = a[in_dim:]
+    np.matmul(cell.Wzr, a[:, None], out=zr[..., None])
+    zr += cell.bzr
+    # the sigmoid 1 / (1 + exp(-x)), in place
+    np.negative(zr, out=zr)
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.divide(1.0, zr, out=zr)
     z, r = zr
-    a_n = np.concatenate([x, r * h])
-    n = np.tanh(cell.Wn @ a_n + cell.bn)
-    h_new = (1.0 - z) * h + z * n
-    cache = (x, h, a, zr, a_n, n)
-    return h_new, cache
+    a_n[:in_dim] = a[:in_dim]
+    np.multiply(r, h, out=a_n[in_dim:])
+    np.matmul(cell.Wn, a_n, out=n)
+    n += cell.bn
+    np.tanh(n, out=n)
+    np.subtract(1.0, z, out=h_new)
+    h_new *= h
+    h_new += z * n
+    return h_new
 
 
 def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: GruCell):
     """BPTT over a sequence given per-step upstream grads on each hidden state.
 
-    Returns ([steps, in] input grads, dh0), which have the bits of one step
-    at a time, latest step first. The loop keeps only the recurrence: it
-    stores each step's pre-activation grads, and after it each parameter
-    of the accumulator cell ``grads`` gets one matmul (or sum) over the
-    steps, within the module's bound of the step-ordered sums.
+    ``caches`` are the step rows (a, zr, a_n, n) of ``gru_caches``, ``a``
+    cut to the steps. Returns ([steps, in] input grads, dh0), which have the
+    bits of one step at a time, latest step first. The factors that do not
+    depend on the carry are computed for all steps before the loop, which
+    keeps only the recurrence: it stores each step's pre-activation grads and
+    the two halves of its input grad, added after it. Then each parameter of
+    the accumulator cell ``grads`` gets one matmul (or sum) over the steps,
+    within the module's bound of the step-ordered sums.
     """
-    steps, hidden = len(caches), cell.hidden_size
-    in_dim = cell.Wn.shape[1] - hidden
-    dxs = np.empty((steps, in_dim))
+    a, zr, a_n, n = caches
+    steps, hidden = len(zr), cell.hidden_size
+    in_dim = a.shape[1] - hidden
+    h = a[:, in_dim:]
+    z, r = zr[:, 0], zr[:, 1]
+    one_minus_z = 1.0 - z
+    one_minus_nn = 1.0 - n * n
+    n_minus_h = n - h
+    one_minus_zr = 1.0 - zr
+    Wn_T, Wz_T, Wr_T = cell.Wn.T, cell.Wz.T, cell.Wr.T
     dn_pres = np.empty((steps, hidden))
     dzr_pres = np.empty((steps, 2, hidden))
+    da_ns = np.empty((steps, in_dim + hidden))
+    das = np.empty((steps, in_dim + hidden))
+    dh_new = np.empty(hidden)
     carry = np.zeros(hidden)
     for t in range(steps - 1, -1, -1):
-        _, h, _, zr, _, n = caches[t]
-        z, r = zr
-        dh_new = dhs[t] + carry
+        np.add(dhs[t], carry, out=dh_new)
 
-        dn = dh_new * z
-        dh = dh_new * (1.0 - z)
-        dn_pre = dn * (1.0 - n * n)
-        dn_pres[t] = dn_pre
-        da_n = cell.Wn.T @ dn_pre
-        drh = da_n[in_dim:]
-        dh += drh * r
+        dn_pre = np.multiply(dh_new, z[t], out=dn_pres[t])
+        dn_pre *= one_minus_nn[t]
+        drh = np.matmul(Wn_T, dn_pre, out=da_ns[t])[in_dim:]
 
-        dzr_pre = np.empty_like(zr)
-        np.multiply(dh_new, n - h, out=dzr_pre[0])
-        np.multiply(drh, h, out=dzr_pre[1])
-        dzr_pre *= zr
-        dzr_pre *= 1.0 - zr
-        dzr_pres[t] = dzr_pre
+        dzr_pre = dzr_pres[t]
+        np.multiply(dh_new, n_minus_h[t], out=dzr_pre[0])
+        np.multiply(drh, h[t], out=dzr_pre[1])
+        dzr_pre *= zr[t]
+        dzr_pre *= one_minus_zr[t]
         # two matvecs: one over both gates would sum the 2*hidden terms in another order
-        da = cell.Wz.T @ dzr_pre[0]
-        da += cell.Wr.T @ dzr_pre[1]
+        da = np.matmul(Wz_T, dzr_pre[0], out=das[t])
+        da += Wr_T @ dzr_pre[1]
 
-        dxs[t] = da_n[:in_dim] + da[:in_dim]
-        dh += da[in_dim:]
-        carry = dh
+        np.multiply(dh_new, one_minus_z[t], out=carry)
+        carry += drh * r[t]
+        carry += da[in_dim:]
+    dxs = da_ns[:, :in_dim] + das[:, :in_dim]
 
     # [hidden, steps] @ [steps, in+hidden] for the candidate, and one such product per gate for z and r
-    grads.Wn += dn_pres.T @ np.stack([a_n for *_, a_n, _ in caches])
+    grads.Wn += dn_pres.T @ a_n
     grads.bn += dn_pres.sum(axis=0)
-    grads.Wzr += np.moveaxis(dzr_pres, 0, -1) @ np.stack([a for _, _, a, *_ in caches])
+    grads.Wzr += np.moveaxis(dzr_pres, 0, -1) @ a
     grads.bzr += dzr_pres.sum(axis=0)
     return dxs, carry
 
@@ -291,13 +331,17 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     one ``rng.random()`` per row would. A row's index is the count of its
     cumulative probabilities at or below its uniform, which is
     ``searchsorted(side="right")`` on that nondecreasing sum, capped at the
-    last category. The probabilities have the bits of ``softmax``.
+    last category. The probabilities have the bits of ``softmax``; they are
+    exponentiated, normalised and summed in one scratch array.
     """
-    _check_finite("logits", logits)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite values in logits")
+    cdf = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(cdf, out=cdf)
+    cdf /= cdf.sum(axis=-1, keepdims=True)
+    np.cumsum(cdf, axis=-1, out=cdf)
     u = rng.random(logits.shape[:-1])
-    below = np.cumsum(e / e.sum(axis=-1, keepdims=True), axis=-1) <= u[..., None]
-    return np.minimum(below.sum(axis=-1), logits.shape[-1] - 1)
+    return np.minimum((cdf <= u[..., None]).sum(axis=-1), logits.shape[-1] - 1)
 
 
 ADAM_BETA1 = 0.9

@@ -11,6 +11,7 @@ is scored as QoE on [1, 5]; URLLC/mIoT are scored as packet-loss percentages.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -146,15 +147,16 @@ def init_scenario(config: ScenarioConfig) -> NetworkState:
 
 def allocate_capacity(
     offered: np.ndarray,
-    priorities: np.ndarray,
-    mbrs: np.ndarray,
+    priorities: Sequence[int],
+    mbrs: Sequence[float],
     bandwidth: float,
 ) -> np.ndarray:
     """Share each gNodeB's bandwidth across services.
 
     ``offered`` is ``[services]`` for one gNodeB or ``[services, gNodeBs]``
-    for several; ``priorities`` and ``mbrs`` are ``[services]`` and apply to
-    every gNodeB, and the result has the shape of ``offered``. Per gNodeB,
+    for several; ``priorities`` and ``mbrs`` are ``[services]`` sequences
+    (the simulator passes its state's lists; arrays give the same bits) and
+    apply to every gNodeB, and the result has the shape of ``offered``. Per gNodeB,
     each service's demand is its offered load clipped to its MBR cap. The
     bandwidth is split proportionally to priority-weighted demand; services
     whose demand falls below their share are served in full and their surplus
@@ -169,8 +171,6 @@ def allocate_capacity(
     """
     offered = np.asarray(offered, dtype=np.float64)
     rows = offered.reshape(len(offered), -1).tolist()
-    priority_of = np.asarray(priorities).tolist()
-    caps = np.asarray(mbrs).tolist()
     n = len(rows)
     served = [[0.0] * len(row) for row in rows]
     for g, column in enumerate(zip(*rows)):
@@ -179,10 +179,10 @@ def allocate_capacity(
         unsat = []
         for i in range(n):
             o = column[i]
-            m = caps[i]
+            m = mbrs[i]
             d = o if o < m or o != o else m  # np.minimum: a NaN load or cap gives a NaN demand
             demand.append(d)
-            weights.append(priority_of[i] * d)
+            weights.append(priorities[i] * d)
             if d > 0:
                 unsat.append(i)
         budget = bandwidth

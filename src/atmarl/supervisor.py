@@ -10,7 +10,9 @@ weights are each stacked into one layer, [copies, out, in], so all agents or
 heads run in one call. Training is episodic advantage actor-critic with
 backpropagation through the whole episode. The critic is only the update's
 baseline: acting never runs it, and training scores an episode's contexts
-in one call once the episode is over.
+in one call once the episode is over. Every actor value of an episode lives
+on one preallocated ``EpisodeTape``: the forward writes step t into row t,
+and the backward reads the rows of all steps at once.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ from .nn import (
     adam_step,
     dense_backward,
     dense_forward,
+    gru_caches,
     gru_forward,
     gru_sequence_backward,
     log_softmax,
     softmax,
     softmax_sample,
     stack_backward,
+    stack_caches,
     stack_forward,
-    stack_steps,
 )
 from .slice_sim import KpiKind, KpiReport, ServiceSpec
 
@@ -68,16 +71,6 @@ class GoalMode(str, Enum):
 # members read on every step, bound once: on Python 3.11 reading an enum
 # member off its class costs about 180 ns
 _QOE = KpiKind.QOE
-
-
-@dataclass
-class ActorHidden:
-    h1: np.ndarray
-    h2: np.ndarray
-
-    @classmethod
-    def zeros(cls, size: int) -> "ActorHidden":
-        return cls(h1=np.zeros(size), h2=np.zeros(size))
 
 
 @dataclass
@@ -204,82 +197,96 @@ def create_policy(
 
 
 # ---------------------------------------------------------------------------
-# forward pieces
+# the episode tape and the forward
 
 
-def encode_capabilities(policy: SupervisorPolicy, gammas: np.ndarray):
-    """Project each agent's capability vector, [agents, levels], through its private encoder."""
-    return stack_forward(policy.encoders, gammas)
+class EpisodeTape:
+    """Preallocated float64 [steps, …] rows of one policy's actor over up to ``steps`` decisions.
+
+    Each dense part has (x, pre, out) buffers from ``nn.stack_caches``:
+    ``enc`` (two layers), ``mrg``, ``fus`` (three layers) and ``head``; each
+    GRU cell has (a, zr, a_n, n) from ``nn.gru_caches`` in ``gru``. Step t
+    reads and writes row t. A part's output rows are views into the input of
+    the next, so nothing is concatenated: the encoders write the first
+    columns of the merger input, whose other columns are the step's tuples;
+    the merger writes the fusion input, whose last columns are the targets;
+    the fusion output is the first cell's input; each cell writes its new
+    hidden state into its own next row, and the first cell's is copied into
+    the second cell's input; the heads read the second cell's new state.
+
+    The leaf inputs are written into ``gammas`` and ``tuples`` row by row,
+    and ``start`` sets the targets of every row. The named arrays are views
+    of those buffers. A tape is reused across episodes: ``start`` begins
+    one, and an episode of T steps reads and writes only rows below T.
+    """
+
+    def __init__(self, policy: SupervisorPolicy, steps: int):
+        n_agents, dims = len(policy.agents), policy.dims
+        embedded = n_agents * dims.merger
+        self.gru = [gru_caches(cell, steps) for cell in policy.gru]
+        mrg_x = np.empty((steps, n_agents, dims.encoder + TUPLE_DIM))
+        fus_x = np.empty((steps, policy.fusion[0].weights.shape[1]))
+        self.enc = stack_caches(policy.encoders, np.empty((steps, n_agents, GOAL_LEVELS)), mrg_x[..., : dims.encoder])
+        (self.mrg,) = stack_caches([policy.merger], mrg_x, fus_x[:, :embedded].reshape(steps, n_agents, dims.merger))
+        self.fus = stack_caches(policy.fusion, fus_x, self.gru[0][0][:steps, : dims.fusion])
+        (self.head,) = stack_caches([policy.heads], self.gru[1][0][1:, dims.gru :])
+        self.gammas = self.enc[0][0]  # [steps, agents, levels]
+        self.latents = mrg_x[..., : dims.encoder]  # [steps, agents, encoder]
+        self.tuples = mrg_x[..., dims.encoder :]  # [steps, agents, TUPLE_DIM]
+        self.targets = fus_x[:, embedded:]  # [steps, intents]
+        self.contexts = self.fus[-1][2]  # [steps, fusion]
+        self.logits = self.head[1]  # [steps, heads, levels]
+
+    def start(self, targets: np.ndarray) -> None:
+        """Begin an episode: the normalized targets in every row, and zero hidden states before step 0."""
+        self.targets[...] = targets
+        for h in self.hidden(0):
+            h[...] = 0.0
+
+    def hidden(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of both cells' hidden states before step ``t``, which are those step t-1 left."""
+        return tuple(a[t, a.shape[1] - n.shape[1] :] for a, _, _, n in self.gru)
 
 
-def merge(policy: SupervisorPolicy, latents: np.ndarray, tuples: np.ndarray):
-    """Fold each agent's (state, action, goal) tuple into its capability latent."""
-    return dense_forward(policy.merger, np.concatenate([latents, tuples], axis=1))
+def forward_step(policy: SupervisorPolicy, tape: EpisodeTape, t: int, encode: bool = True) -> np.ndarray:
+    """Step ``t``'s actor forward on the tape, from the leaf inputs in row t; returns the [heads, levels] logits row.
 
-
-def fuse(policy: SupervisorPolicy, embeddings: np.ndarray, targets_norm: np.ndarray):
-    """Concatenate all agent embeddings, [agents, merger] in roster order, with the targets."""
-    if len(embeddings) != len(policy.agents):
-        raise ValueError(f"expected {len(policy.agents)} embeddings, got {len(embeddings)}")
-    return stack_forward(policy.fusion, np.concatenate([embeddings.ravel(), targets_norm]))
-
-
-@dataclass
-class StepForward:
-    """All intermediate values of one supervisor forward step; the context is ``fus_caches[-1]``'s output."""
-
-    logits: np.ndarray  # [heads, levels]
-    hidden: ActorHidden
-    enc_caches: list
-    mrg_cache: tuple
-    fus_caches: list
-    gru_caches: tuple
-    head_cache: tuple
-
-
-def forward_step(
-    policy: SupervisorPolicy,
-    gammas: np.ndarray,
-    tuples: np.ndarray,
-    targets_norm: np.ndarray,
-    hidden: ActorHidden,
-) -> StepForward:
-    """One decision's actor forward pass from [agents, levels] capabilities and [agents, TUPLE_DIM] tuples."""
-    latents, enc_caches = encode_capabilities(policy, gammas)
-    embeddings, mrg_cache = merge(policy, latents, tuples)
-    context, fus_caches = fuse(policy, embeddings, targets_norm)
-    h1, cache1 = gru_forward(policy.gru[0], context, hidden.h1)
-    h2, cache2 = gru_forward(policy.gru[1], h1, hidden.h2)
-    logits, head_cache = dense_forward(policy.heads, h2)
-    return StepForward(
-        logits=logits,
-        hidden=ActorHidden(h1=h1, h2=h2),
-        enc_caches=enc_caches,
-        mrg_cache=mrg_cache,
-        fus_caches=fus_caches,
-        gru_caches=(cache1, cache2),
-        head_cache=head_cache,
-    )
+    Without ``encode`` the step reuses step t-1's capability latents, for
+    capabilities that did not change; its encoder rows stay unwritten, so
+    that tape is for acting only, not for a backward.
+    """
+    if encode:
+        stack_forward(policy.encoders, tape.enc, t)
+    else:
+        tape.latents[t] = tape.latents[t - 1]
+    x, pre, out = tape.mrg
+    dense_forward(policy.merger, x[t], pre[t], out[t])
+    stack_forward(policy.fusion, tape.fus, t)
+    (a1, zr1, a_n1, n1), (a2, zr2, a_n2, n2) = tape.gru
+    fusion, gru = policy.dims.fusion, policy.dims.gru
+    a2[t, :gru] = gru_forward(policy.gru[0], a1[t], zr1[t], a_n1[t], n1[t], a1[t + 1, fusion:])
+    h2 = gru_forward(policy.gru[1], a2[t], zr2[t], a_n2[t], n2[t], a2[t + 1, gru:])
+    logits = tape.logits[t]
+    return dense_forward(policy.heads, h2, logits, logits)
 
 
 def act(
     policy: SupervisorPolicy,
-    gammas: np.ndarray,
-    tuples: np.ndarray,
-    targets_norm: np.ndarray,
-    hidden: ActorHidden,
+    tape: EpisodeTape,
+    t: int,
     rng: np.random.Generator,
     explore: bool,
-) -> tuple[list[int], StepForward]:
-    """One supervisor decision: each head's goal rung, sampled or greedy, and the forward, whose ``hidden`` is the new state."""
-    fwd = forward_step(policy, gammas, tuples, targets_norm, hidden)
+    encode: bool = True,
+) -> list[int]:
+    """One supervisor decision, ``forward_step`` on row ``t``: each head's goal rung, sampled or greedy."""
+    logits = forward_step(policy, tape, t, encode)
     if explore:
-        idx = softmax_sample(fwd.logits, rng)
+        idx = softmax_sample(logits, rng)
     else:
-        if not np.all(np.isfinite(fwd.logits)):
+        if not np.isfinite(logits).all():
             raise FloatingPointError("non-finite actor logits")
-        idx = fwd.logits.argmax(axis=1)
-    return (idx + 1).tolist(), fwd
+        idx = logits.argmax(axis=1)
+    return (idx + 1).tolist()
 
 
 def supervisor_reward(report: KpiReport, services: list[ServiceSpec]) -> float:
@@ -357,30 +364,29 @@ class TrainConfig:
 
 @dataclass
 class EpisodeTrajectory:
-    """Leaf inputs and outcomes of one rollout, enough to replay the forward."""
+    """One rollout's outcomes; rows below ``len(self)`` of its tape hold its leaf inputs and every actor value.
 
-    gammas: list[np.ndarray] = field(default_factory=list)  # [t] -> [agents, levels]
-    tuples: list[np.ndarray] = field(default_factory=list)  # [t] -> [agents, TUPLE_DIM]
-    targets: np.ndarray | None = None
+    The next episode run on the same tape overwrites those rows.
+    """
+
+    tape: EpisodeTape
     sampled_levels: list[list[int]] = field(default_factory=list)  # [t][head]
     rewards: list[float] = field(default_factory=list)
-    forwards: list[StepForward] = field(default_factory=list)
     values: np.ndarray | None = None  # [t], set by score_contexts
-    crit_caches: list | None = None  # the critic's caches, step-stacked
+    crit_caches: list | None = None  # the critic's step-stacked caches
 
     def __len__(self) -> int:
         return len(self.rewards)
 
 
 def score_contexts(policy: SupervisorPolicy, traj: EpisodeTrajectory) -> None:
-    """Run the critic once over the episode's [steps, fusion] contexts; sets ``traj.values`` and ``traj.crit_caches``.
+    """Run the critic once over the episode's [steps, fusion] context rows; sets ``traj.values`` and ``traj.crit_caches``.
 
     Each step's row is its own matrix-vector product in the stacked matmul,
     bit-equal to scoring that step's context alone.
     """
-    contexts = np.stack([fwd.fus_caches[-1][2] for fwd in traj.forwards])
-    v, traj.crit_caches = stack_forward(policy.critic, contexts)
-    traj.values = v[:, 0]
+    traj.crit_caches = stack_caches(policy.critic, traj.tape.contexts[: len(traj)])
+    traj.values = stack_forward(policy.critic, traj.crit_caches)[:, 0]
 
 
 def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
@@ -397,19 +403,29 @@ def episode_gradients(
     traj: EpisodeTrajectory,
     advantages: np.ndarray,
     returns: np.ndarray,
-) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    acc: SupervisorPolicy | None = None,
+) -> tuple[SupervisorPolicy, dict[str, float]]:
     """Backpropagate the A2C loss through the episode, whose contexts ``score_contexts`` has scored.
 
     Advantages are treated as constants. Every layer but the GRU runs its
-    backward once over all steps; only the recurrence loops over time.
-    Returns (gradients, loss terms), the gradients as a policy of the same
-    layout whose parameters hold them.
+    backward once over the tape rows of all steps; only the recurrence loops
+    over time. Returns (gradients, loss terms), the gradients as a policy of
+    the same layout whose parameters hold them: ``acc`` zeroed and refilled
+    when given, else a new one.
     """
-    acc = policy.zeros_like()
-    forwards = traj.forwards
+    if acc is None:
+        acc = policy.zeros_like()
+    else:
+        for g in acc.layer_params().values():
+            g.fill(0.0)
+    steps = len(traj)
+    tape = traj.tape
+
+    def cut(cache):
+        return tuple(arr[:steps] for arr in cache)
 
     # actor heads over [steps, heads, levels]; the loss totals sum in (step, head) order
-    logits = np.stack([fwd.logits for fwd in forwards])
+    logits = tape.logits[:steps]
     probs = softmax(logits)
     logp = log_softmax(logits)
     entropy = -(probs * logp).sum(axis=-1)
@@ -425,7 +441,7 @@ def episode_gradients(
     np.put_along_axis(onehot, chosen, 1.0, axis=-1)
     dlogits = advantages[:, None, None] * (probs - onehot)
     dlogits += ENTROPY_COEF * probs * (logp + entropy[..., None])
-    dh = dense_backward(policy.heads, stack_steps([fwd.head_cache for fwd in forwards]), dlogits, acc.heads.params())
+    dh = dense_backward(policy.heads, cut(tape.head), dlogits, acc.heads.params())
     dh2 = dh.sum(axis=1)  # [steps, gru]: each step's heads summed in head order
 
     # critic: 0.5-weighted squared error on the context value
@@ -443,22 +459,21 @@ def episode_gradients(
     # BPTT through the two stacked GRU cells, top cell first, down to the context
     dcontext = dh2
     for j in (1, 0):
-        caches = [fwd.gru_caches[j] for fwd in forwards]
-        dcontext, _ = gru_sequence_backward(policy.gru[j], caches, dcontext, acc.gru[j])
+        dcontext, _ = gru_sequence_backward(policy.gru[j], cut(tape.gru[j]), dcontext, acc.gru[j])
 
     # fusion, then all agents' mergers and encoders
     dx = stack_backward(
         policy.fusion,
-        stack_steps([fwd.fus_caches for fwd in forwards]),
+        [cut(cache) for cache in tape.fus],
         dc_direct + dcontext,
         [layer.params() for layer in acc.fusion],
     )
     n_agents = len(policy.agents)
-    dm = dx[:, : n_agents * policy.dims.merger].reshape(len(forwards), n_agents, policy.dims.merger)
-    dmx = dense_backward(policy.merger, stack_steps([fwd.mrg_cache for fwd in forwards]), dm, acc.merger.params())
+    dm = dx[:, : n_agents * policy.dims.merger].reshape(steps, n_agents, policy.dims.merger)
+    dmx = dense_backward(policy.merger, cut(tape.mrg), dm, acc.merger.params())
     stack_backward(
         policy.encoders,
-        stack_steps([fwd.enc_caches for fwd in forwards]),
+        [cut(cache) for cache in tape.enc],
         dmx[..., : policy.dims.encoder],
         [layer.params() for layer in acc.encoders],
     )
@@ -531,11 +546,14 @@ class PolicyGoals:
 
     Head i drives agent i, or in service mode the intent's head drives both
     of its agents; each agent's goal is its head's rung on that agent's goal
-    ladder. Each decision reads the engine's observations, which before the
-    first assignment are made against the global targets. The latest
-    decision stays readable until the next step, nothing older: its leaf
-    inputs ``gammas`` and ``tuples``, its ``forward``, the rung of each head
-    (``levels``) and of each agent in roster order (``agent_levels``).
+    ladder. Step t's decision writes its leaf inputs into row t of ``tape``
+    (whose ``start`` it calls): each agent's capability vector, copied, and
+    its tuple of the engine's observation, which before the first assignment
+    is made against the global targets. With ``encode_once``, for
+    capabilities that stay fixed through the episode, only step 0 copies and
+    encodes them. The latest decision's rung of each head (``levels``) and of
+    each agent in roster order (``agent_levels``) stay readable until the
+    next step.
     """
 
     def __init__(
@@ -545,38 +563,36 @@ class PolicyGoals:
         capabilities: dict[str, CapabilityVector],
         rng: np.random.Generator,
         explore: bool,
+        tape: EpisodeTape,
+        encode_once: bool = False,
     ):
         self.policy = policy
         self.capabilities = capabilities
         self.rng = rng
         self.explore = explore
-        self.targets = np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services])
-        self.hidden = ActorHidden.zeros(policy.dims.gru)
+        self.tape = tape
+        self.encode_once = encode_once
+        tape.start(np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services]))
         per_agent = policy.mode is GoalMode.AGENT_LEVEL
         self._heads = [i if per_agent else a.intent_index for i, a in enumerate(policy.agents)]
         self._ladders = [
             [goal_value(config.services[a.intent_index].kpi_kind, level) for level in range(1, GOAL_LEVELS + 1)]
             for a in policy.agents
         ]
-        self.gammas = np.zeros((0, GOAL_LEVELS))
-        self.tuples = np.zeros((0, TUPLE_DIM))
-        self.forward: StepForward | None = None
         self.levels: list[int] = []
         self.agent_levels: list[int] = []
 
     def __call__(self, t, seen, last_action):
         roster = self.policy.agents
-        # a copy: capability tracking updates rho in place during training
-        self.gammas = np.array([self.capabilities[a.key].rho for a in roster])
+        tape = self.tape
+        encode = t == 0 or not self.encode_once
+        if encode:
+            # a copy: capability tracking updates rho in place during training
+            tape.gammas[t] = [self.capabilities[a.key].rho for a in roster]
         # per agent: observation, one-hot last action, normalized goal (the
         # observation's own goal field)
-        self.tuples = np.array(
-            [(*seen[a.key], *_ONEHOT[last_action[a.key]], seen[a.key].goal) for a in roster], dtype=np.float64
-        )
-        self.levels, self.forward = act(
-            self.policy, self.gammas, self.tuples, self.targets, self.hidden, self.rng, self.explore
-        )
-        self.hidden = self.forward.hidden
+        tape.tuples[t] = [(*seen[a.key], *_ONEHOT[last_action[a.key]], seen[a.key].goal) for a in roster]
+        self.levels = act(self.policy, tape, t, self.rng, self.explore, encode)
         self.agent_levels = [self.levels[head] for head in self._heads]
         goals = {a.key: ladder[level - 1] for a, ladder, level in zip(roster, self._ladders, self.agent_levels)}
         return goals, BOTH_PLANES
@@ -592,24 +608,28 @@ def rollout_episode(
     explore: bool,
     tracker: CapabilityTracker | None = None,
     randomize_start: bool = False,
+    tape: EpisodeTape | None = None,
 ) -> EpisodeTrajectory:
-    """Run one closed-loop episode with the frozen agents in the loop, then score its contexts."""
+    """Run one closed-loop episode with the frozen agents in the loop, then score its contexts.
+
+    The episode is written on ``tape`` when given (one of at least
+    ``episode_length`` steps), else on a new one.
+    """
     state = slice_sim.init_scenario(config)
     if randomize_start:
         n = config.intent_count
         state.priority = rng.integers(1, 6, size=n).tolist()
         state.mbr = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
-    goals = PolicyGoals(policy, config, capabilities, rng, explore)
-    traj = EpisodeTrajectory(targets=goals.targets)
+    if tape is None:
+        tape = EpisodeTape(policy, episode_length)
+    goals = PolicyGoals(policy, config, capabilities, rng, explore, tape)
+    traj = EpisodeTrajectory(tape=tape)
 
     def record(t, state, report, current, active, taken, seen):
         if tracker is not None:
             tracker.observe_step(goals.agent_levels, report, policy.agents)
-        traj.gammas.append(goals.gammas)
-        traj.tuples.append(goals.tuples)
         traj.sampled_levels.append(goals.levels)
         traj.rewards.append(supervisor_reward(report, config.services))
-        traj.forwards.append(goals.forward)
 
     run_episode(state, qtables, goals, rng, episode_length, record)
     score_contexts(policy, traj)
@@ -624,11 +644,16 @@ def train_supervisor(
     rng: np.random.Generator,
     cfg: TrainConfig | None = None,
 ) -> TrainStats:
-    """Episodic A2C over the frozen MARL systems; mutates the policy in place."""
+    """Episodic A2C over the frozen MARL systems; mutates the policy in place.
+
+    One episode tape and one gradient accumulator serve every episode.
+    """
     cfg = cfg or TrainConfig()
     opt = OptimizerState(lr=LEARNING_RATE)
     params = policy.layer_params()
     tracker = CapabilityTracker(capabilities, config)
+    tape = EpisodeTape(policy, cfg.episode_length)
+    acc = policy.zeros_like()
     stats = TrainStats()
     for episode in range(cfg.episodes):
         traj = rollout_episode(
@@ -641,13 +666,14 @@ def train_supervisor(
             explore=True,
             tracker=tracker,
             randomize_start=bool(rng.random() < EXPLORING_STARTS),
+            tape=tape,
         )
         tracker.flush()
         returns = discounted_returns(traj.rewards, DISCOUNT)
         advantages = returns - traj.values
         if len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        acc, losses = episode_gradients(policy, traj, advantages, returns)
+        acc, losses = episode_gradients(policy, traj, advantages, returns, acc)
         # the one finiteness check per update: a non-finite gradient, or one
         # whose square overflows, makes the norm non-finite. The scaling and
         # Adam are elementwise, so they run on the stacked arrays

@@ -12,9 +12,9 @@ import numpy as np
 
 from atmarl.agents import CONGESTION_MAX, OBS_BINS
 from atmarl.errors import ScenarioError
-from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, gru_forward
+from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, gru_caches, gru_forward
 from atmarl.slice_sim import N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind
-from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF, ActorHidden, forward_step
+from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF
 
 
 def compute_qoe(served: float, demand: float) -> float:
@@ -227,6 +227,48 @@ def per_head_act(logits: np.ndarray, rng: np.random.Generator, explore: bool) ->
     return levels
 
 
+def dense_step(layer, x: np.ndarray) -> tuple:
+    """One (possibly stacked) dense layer on fresh arrays: its (x, pre, out) cache."""
+    pre = (layer.weights @ x[..., None])[..., 0] + layer.bias
+    return x, pre, np.tanh(pre) if layer.activation == "tanh" else pre
+
+
+def per_step_forward(policy, gammas: np.ndarray, tuples: np.ndarray, targets: np.ndarray, h1: np.ndarray, h2: np.ndarray):
+    """One decision's actor forward on fresh arrays, its inputs concatenated, each GRU gate its own matvec.
+
+    Returns (logits, h1', h2', caches). ``caches`` holds the (x, pre, out)
+    of each dense layer by part ("enc", "fus" as per-layer lists; "mrg",
+    "head") and ``unfused_gru_forward``'s (x, h, a, z, r, a_n, n) of each
+    cell ("gru", a list). ``supervisor.forward_step``, which writes every
+    value into its tape rows, must equal it bit for bit.
+    """
+    caches = {"enc": [], "fus": [], "gru": []}
+    x = gammas
+    for layer in policy.encoders:
+        caches["enc"].append(dense_step(layer, x))
+        x = caches["enc"][-1][2]
+    caches["mrg"] = dense_step(policy.merger, np.concatenate([x, tuples], axis=1))
+    x = np.concatenate([caches["mrg"][2].ravel(), targets])
+    for layer in policy.fusion:
+        caches["fus"].append(dense_step(layer, x))
+        x = caches["fus"][-1][2]
+    h1, cache = unfused_gru_forward(policy.gru[0], x, h1)
+    caches["gru"].append(cache)
+    h2, cache = unfused_gru_forward(policy.gru[1], h1, h2)
+    caches["gru"].append(cache)
+    caches["head"] = dense_step(policy.heads, h2)
+    return caches["head"][2], h1, h2, caches
+
+
+def replay_episode(policy, traj):
+    """``per_step_forward`` over the trajectory's leaf inputs, read off its tape rows, from zero hidden states; yields each step's caches."""
+    tape = traj.tape
+    h1 = h2 = np.zeros(policy.dims.gru)
+    for t in range(len(traj)):
+        _, h1, h2, caches = per_step_forward(policy, tape.gammas[t], tape.tuples[t], tape.targets[t], h1, h2)
+        yield caches
+
+
 def critic_step(policy, context: np.ndarray) -> tuple[float, list]:
     """The critic on one step's [fusion] context, each layer one ``W @ x`` matrix-vector product.
 
@@ -245,22 +287,20 @@ def critic_step(policy, context: np.ndarray) -> tuple[float, list]:
 def episode_loss(policy, traj, advantages, returns) -> float:
     """The scalar A2C loss recomputed from the trajectory's leaf inputs: the finite-difference target.
 
-    Each step reruns the actor forward from its capabilities and tuples,
-    scores the step's context (the fusion output) with ``critic_step`` and
-    adds every head's actor and entropy terms and the critic's squared error.
+    Each step reruns the actor forward with ``per_step_forward``, scores the
+    step's context (the fusion output) with ``critic_step`` and adds every
+    head's actor and entropy terms and the critic's squared error.
     """
-    hidden = ActorHidden.zeros(policy.dims.gru)
     total = 0.0
-    for t in range(len(traj)):
-        fwd = forward_step(policy, traj.gammas[t], traj.tuples[t], traj.targets, hidden)
-        hidden = fwd.hidden
+    for t, caches in enumerate(replay_episode(policy, traj)):
+        logits = caches["head"][2]
         for i in range(policy.n_heads):
-            logp = _log_softmax_1d(fwd.logits[i])
-            probs = _softmax_1d(fwd.logits[i])
+            logp = _log_softmax_1d(logits[i])
+            probs = _softmax_1d(logits[i])
             entropy = float(-(probs * logp).sum())
             chosen = traj.sampled_levels[t][i] - 1
             total += -advantages[t] * float(logp[chosen]) - ENTROPY_COEF * entropy
-        err = critic_step(policy, fwd.fus_caches[-1][2])[0] - returns[t]
+        err = critic_step(policy, caches["fus"][-1][2])[0] - returns[t]
         total += CRITIC_COEF * err * err
     return float(total)
 
@@ -315,14 +355,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gru_sequence_forward(cell, xs, h0: np.ndarray):
-    """``nn.gru_forward`` over a whole sequence; returns (hidden states list, caches list)."""
-    h = h0
-    hs, caches = [], []
-    for x in xs:
-        h, cache = gru_forward(cell, x, h)
-        hs.append(h)
-        caches.append(cache)
-    return hs, caches
+    """``nn.gru_forward`` over a whole sequence on ``nn.gru_caches`` buffers.
+
+    Returns ([steps, hidden] hidden states, the step rows (a, zr, a_n, n)
+    that ``nn.gru_sequence_backward`` takes).
+    """
+    steps, in_dim = len(xs), cell.Wn.shape[1] - cell.hidden_size
+    a, zr, a_n, n = gru_caches(cell, steps)
+    a[0, in_dim:] = h0
+    for t, x in enumerate(xs):
+        a[t, :in_dim] = x
+        gru_forward(cell, a[t], zr[t], a_n[t], n[t], a[t + 1, in_dim:])
+    return a[1:, in_dim:], (a[:steps], zr, a_n, n)
 
 
 def unfused_gru_forward(cell, x: np.ndarray, h: np.ndarray):
@@ -394,24 +438,28 @@ def _zeroed(policy):
 
 
 def per_step_episode_gradients(policy, traj, advantages, returns):
-    """The A2C episode gradients one step and one head at a time.
+    """The A2C episode gradients one step and one head at a time, from the trajectory's leaf inputs.
 
-    Per step: each head's softmax, entropy and loss terms, the critic run
-    on the step's context by ``critic_step``, then every dense layer's
-    gradients built whole and added into its accumulator, the GRU through
-    ``per_step_gru_sequence_backward``. Returns (gradients by checkpoint
-    name, their sum_t|p_t| by the same names, loss terms).
-    ``supervisor.episode_gradients``, which reads the critic
-    ``score_contexts`` ran over all steps at once, must equal the loss terms
-    bit for bit, and each gradient within ``assert_reordered_sum``'s bound.
+    Each step is replayed by ``per_step_forward``; the production caches
+    are never read. Per step: each head's softmax, entropy and loss terms,
+    the critic run on the step's context by ``critic_step``, then every
+    dense layer's gradients built whole and added into its accumulator, the
+    GRU through ``per_step_gru_sequence_backward``. Returns (gradients by
+    checkpoint name, their sum_t|p_t| by the same names, loss terms).
+    ``supervisor.episode_gradients``, which reads the tape rows and the
+    critic ``score_contexts`` ran over all steps at once, must equal the
+    loss terms bit for bit, and each gradient within
+    ``assert_reordered_sum``'s bound.
     """
     acc, grads = _zeroed(policy)
     abs_acc, abs_sums = _zeroed(policy)
+    steps = list(replay_episode(policy, traj))
     dh2, dc_direct = [], []
     actor_loss = entropy_total = critic_loss = 0.0
-    for t, fwd in enumerate(traj.forwards):
-        dlogits = np.empty_like(fwd.logits)
-        for i, logits in enumerate(fwd.logits):
+    for t, caches in enumerate(steps):
+        logits_t = caches["head"][2]
+        dlogits = np.empty_like(logits_t)
+        for i, logits in enumerate(logits_t):
             probs = _softmax_1d(logits)
             logp = _log_softmax_1d(logits)
             chosen = traj.sampled_levels[t][i] - 1
@@ -422,9 +470,9 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
             entropy_total += entropy
             dlogits[i] = advantages[t] * (probs - onehot)
             dlogits[i] += ENTROPY_COEF * probs * (logp + entropy)
-        dh = _stack_step_backward([policy.heads], [acc.heads], [abs_acc.heads], [fwd.head_cache], dlogits)
+        dh = _stack_step_backward([policy.heads], [acc.heads], [abs_acc.heads], [caches["head"]], dlogits)
         dh2.append(dh.sum(axis=0))
-        value, crit_caches = critic_step(policy, fwd.fus_caches[-1][2])
+        value, crit_caches = critic_step(policy, caches["fus"][-1][2])
         err = value - returns[t]
         critic_loss += CRITIC_COEF * err * err
         dc_direct.append(
@@ -433,19 +481,18 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
 
     dcontext = dh2
     for j in (1, 0):
-        # the step's input and previous hidden state lead each production cache
-        caches = [unfused_gru_forward(policy.gru[j], *fwd.gru_caches[j][:2])[1] for fwd in traj.forwards]
-        cell_grads, cell_abs, dcontext, _ = per_step_gru_sequence_backward(policy.gru[j], caches, dcontext)
+        gru_steps = [caches["gru"][j] for caches in steps]
+        cell_grads, cell_abs, dcontext, _ = per_step_gru_sequence_backward(policy.gru[j], gru_steps, dcontext)
         for name, g in cell_grads.items():
             grads[f"gru_l{j}.{name}"] += g
             abs_sums[f"gru_l{j}.{name}"] += cell_abs[name]
 
     n_agents, width = len(policy.agents), policy.dims.merger
-    for t, fwd in enumerate(traj.forwards):
-        dx = _stack_step_backward(policy.fusion, acc.fusion, abs_acc.fusion, fwd.fus_caches, dc_direct[t] + dcontext[t])
+    for t, caches in enumerate(steps):
+        dx = _stack_step_backward(policy.fusion, acc.fusion, abs_acc.fusion, caches["fus"], dc_direct[t] + dcontext[t])
         dm = dx[: n_agents * width].reshape(n_agents, width)
-        dmx = _stack_step_backward([policy.merger], [acc.merger], [abs_acc.merger], [fwd.mrg_cache], dm)
-        _stack_step_backward(policy.encoders, acc.encoders, abs_acc.encoders, fwd.enc_caches, dmx[:, : policy.dims.encoder])
+        dmx = _stack_step_backward([policy.merger], [acc.merger], [abs_acc.merger], [caches["mrg"]], dm)
+        _stack_step_backward(policy.encoders, acc.encoders, abs_acc.encoders, caches["enc"], dmx[:, : policy.dims.encoder])
     losses = {"actor": float(actor_loss), "critic": float(critic_loss), "entropy": float(entropy_total)}
     return grads, abs_sums, losses
 
@@ -453,9 +500,9 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
 def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling per row: the uniforms first, then the probabilities as ``softmax`` computes them.
 
-    ``nn.softmax_sample``, which exponentiates before it draws and divides
-    by the sums in the same expression, must equal its indices bit for bit
-    and leave ``rng`` in the same state.
+    ``nn.softmax_sample``, which exponentiates, normalises and sums in one
+    scratch array before it draws, must equal its indices bit for bit and
+    leave ``rng`` in the same state.
     """
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")

@@ -5,7 +5,7 @@ from atmarl.agents import CapabilityVector, SystemKind, agent_roster, observe
 from atmarl.baselines import goal_halving, naive_parallel_goals, rule_based_select
 from atmarl.config import default_scenario
 from atmarl.slice_sim import evaluate_kpis, init_scenario, offered_loads
-from atmarl.supervisor import GoalMode, PolicyDims, PolicyGoals, create_policy
+from atmarl.supervisor import EpisodeTape, GoalMode, PolicyDims, PolicyGoals, create_policy
 
 
 def test_rule_based_first_window_is_priority():
@@ -80,7 +80,7 @@ def test_goal_halving_equals_roster_reference(mode, five):
     rng = np.random.default_rng(31)
     policy = create_policy(rng, cfg, mode=mode, dims=PolicyDims(encoder=2, merger=2, fusion=2, gru=2))
     caps = {a.key: CapabilityVector.prior() for a in agent_roster(cfg)}
-    source = PolicyGoals(policy, cfg, caps, rng, explore=True)
+    source = PolicyGoals(policy, cfg, caps, rng, explore=True, tape=EpisodeTape(policy, 20))
     state = init_scenario(cfg)
     report = evaluate_kpis(state, offered_loads(state, None))
     seen = {a.key: observe(state, report, a, cfg.services[a.intent_index].kpi_target) for a in agent_roster(cfg)}

@@ -30,7 +30,7 @@ from atmarl.harness import (
 from atmarl.slice_sim import DistributionKind, DistributionSpec
 from atmarl.supervisor import (
     TUPLE_DIM,
-    ActorHidden,
+    EpisodeTape,
     GoalMode,
     TrainConfig,
     create_policy,
@@ -380,14 +380,21 @@ def test_load_policy_sets_what_forward_step_reads(pipeline_result):
         for gate, fused in (("Wz", cell.Wzr[0]), ("Wr", cell.Wzr[1]), ("bz", cell.bzr[0]), ("br", cell.bzr[1])):
             assert fused.tobytes() == arrays[f"policy.gru_l{j}.{gate}"].tobytes(), (j, gate)
     n = len(loaded.agents)
-    inputs = (np.full((n, GOAL_LEVELS), 0.5), np.full((n, TUPLE_DIM), 0.25), np.array([0.75, 0.25, 0.25]))
-    hidden = ActorHidden(h1=np.full(loaded.dims.gru, 0.3), h2=np.full(loaded.dims.gru, -0.2))
     # load_policy starts from this initialisation and overwrites every block
     fresh = create_policy(np.random.default_rng(0), plan.scenario)
-    before = forward_step(fresh, *inputs, hidden)
-    after = forward_step(loaded, *inputs, hidden)
-    assert not np.array_equal(before.logits, after.logits)
-    assert not np.array_equal(before.hidden.h2, after.hidden.h2)
+    rows = []
+    for policy in (fresh, loaded):
+        tape = EpisodeTape(policy, 1)
+        tape.start(np.array([0.75, 0.25, 0.25]))
+        tape.gammas[0] = np.full((n, GOAL_LEVELS), 0.5)
+        tape.tuples[0] = np.full((n, TUPLE_DIM), 0.25)
+        for h, value in zip(tape.hidden(0), (0.3, -0.2)):
+            h[...] = value
+        forward_step(policy, tape, 0)
+        rows.append((tape.logits[0], tape.hidden(1)[1]))
+    (before_logits, before_h2), (after_logits, after_h2) = rows
+    assert not np.array_equal(before_logits, after_logits)
+    assert not np.array_equal(before_h2, after_h2)
 
 
 def test_checkpoint_round_trip_reproduces_trace(tmp_path):

@@ -10,15 +10,16 @@ from atmarl.nn import (
     adam_step,
     dense_backward,
     dense_forward,
-    gru_forward,
     gru_sequence_backward,
     log_softmax,
     softmax,
     softmax_sample,
-    stack_steps,
+    stack_caches,
+    stack_forward,
 )
 from oracles import (
     assert_reordered_sum,
+    dense_step,
     dense_step_backward,
     gru_sequence_forward,
     per_key_adam,
@@ -56,9 +57,16 @@ def rel_error(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def forward(layer, x):
+    """``dense_forward`` into fresh buffers; returns (output, the (x, pre, out) cache)."""
+    pre = np.empty(np.broadcast_shapes(layer.weights.shape[:-2], x.shape[:-1]) + layer.weights.shape[-2:-1])
+    out = dense_forward(layer, x, pre, np.empty_like(pre))
+    return out, (x, pre, out)
+
+
 def one_step_backward(layer, cache, dout, grads):
     """``dense_backward`` over a stack of one step; returns that step's dx."""
-    return dense_backward(layer, stack_steps([cache]), dout[None], grads)[0]
+    return dense_backward(layer, tuple(part[None] for part in cache), dout[None], grads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +76,14 @@ def one_step_backward(layer, cache, dout, grads):
 def test_dense_identity_passthrough():
     layer = DenseLayer(weights=np.eye(3), bias=np.zeros(3), activation="identity")
     x = np.array([0.3, -0.7, 2.0])
-    out, _ = dense_forward(layer, x)
+    out, _ = forward(layer, x)
     np.testing.assert_allclose(out, x)
 
 
 def test_dense_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(0)
     layer = DenseLayer.create(rng, 3, 4)
-    out, cache = dense_forward(layer, rng.normal(size=3))
+    out, cache = forward(layer, rng.normal(size=3))
     grads = zero_grads(layer)
     dx = one_step_backward(layer, cache, np.zeros_like(out), grads)
     assert not grads["W"].any()
@@ -86,7 +94,7 @@ def test_dense_zero_upstream_gives_zero_grads():
 def test_dense_shape_mismatch_raises():
     layer = DenseLayer(weights=np.eye(3), bias=np.zeros(3), activation="identity")
     with pytest.raises(ValueError):
-        dense_forward(layer, np.zeros(5))
+        forward(layer, np.zeros(5))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
@@ -99,10 +107,10 @@ def test_dense_gradients_match_finite_differences(activation, trial):
     target = rng.normal(size=4)
 
     def loss():
-        out, _ = dense_forward(layer, x)
+        out, _ = forward(layer, x)
         return float(((out - target) ** 2).sum())
 
-    out, cache = dense_forward(layer, x)
+    out, cache = forward(layer, x)
     grads = zero_grads(layer)
     dx = one_step_backward(layer, cache, 2.0 * (out - target), grads)
     assert rel_error(grads["W"], finite_difference(loss, layer.weights)) < 1e-4
@@ -129,7 +137,7 @@ def test_stacked_dense_equals_copies_bit_for_bit(shared_input):
     x = rng.normal(size=48) if shared_input else rng.normal(size=(6, 48))
     dout = rng.normal(size=(6, 16))
 
-    out, cache = dense_forward(stacked, x)
+    out, cache = forward(stacked, x)
     grads = zero_grads(stacked)
     dx = one_step_backward(stacked, cache, dout, grads)
     for i, layer in enumerate(copies):
@@ -147,8 +155,9 @@ def test_stacked_dense_equals_copies_bit_for_bit(shared_input):
 )
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
 def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared_input, activation):
-    # one call over a leading step axis against one step at a time: dx bit
-    # for bit; W and b, which sum the steps in one matmul or sum, within the
+    # the forward into step rows against fresh arrays per step, bit for bit;
+    # one backward over those rows against one step at a time: dx bit for
+    # bit, W and b, which sum the steps in one matmul or sum, within the
     # bound of a reordered 40-term sum
     rng = np.random.default_rng(21)
     steps, in_dim = 40, 7
@@ -159,7 +168,12 @@ def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared
         layer = DenseLayer.stack([DenseLayer.create(rng, in_dim, out_dim, activation) for _ in range(copies)])
         xs = rng.normal(size=(steps, in_dim) if shared_input else (steps, copies, in_dim))
     layer.bias += rng.normal(size=layer.bias.shape)
-    per_step = [dense_forward(layer, x)[1] for x in xs]
+    (rows,) = stack_caches([layer], xs)
+    for t in range(steps):
+        stack_forward([layer], [rows], t)
+    per_step = [dense_step(layer, x) for x in xs]
+    for t, (_, pre, out) in enumerate(per_step):
+        assert rows[1][t].tobytes() == pre.tobytes() and rows[2][t].tobytes() == out.tobytes(), t
     douts = rng.normal(size=(steps, *layer.bias.shape))
 
     folded, magnitude = zero_grads(layer), zero_grads(layer)
@@ -172,7 +186,7 @@ def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared
             magnitude[key] += np.abs(term)
 
     grads = zero_grads(layer)
-    dx = dense_backward(layer, stack_steps(per_step), douts, grads)
+    dx = dense_backward(layer, rows, douts, grads)
     for key in ("W", "b"):
         assert_reordered_sum(grads[key], folded[key], magnitude[key], steps, key)
     assert dx.tobytes() == np.stack(dxs).tobytes()
@@ -181,7 +195,7 @@ def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared
 def test_dense_backward_without_step_axis_raises():
     rng = np.random.default_rng(13)
     stacked = DenseLayer.stack([DenseLayer.create(rng, 3, 4) for _ in range(2)])
-    out, cache = dense_forward(stacked, rng.normal(size=(2, 3)))
+    out, cache = forward(stacked, rng.normal(size=(2, 3)))
     with pytest.raises(ValueError):
         dense_backward(stacked, cache, np.ones_like(out), zero_grads(stacked))
 
@@ -190,9 +204,9 @@ def test_stacked_dense_shape_mismatch_raises():
     rng = np.random.default_rng(12)
     stacked = DenseLayer.stack([DenseLayer.create(rng, 3, 4) for _ in range(2)])
     with pytest.raises(ValueError):
-        dense_forward(stacked, np.zeros((2, 5)))
+        forward(stacked, np.zeros((2, 5)))
     with pytest.raises(ValueError):
-        dense_forward(stacked, np.zeros(5))
+        forward(stacked, np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +223,18 @@ def test_gru_zero_parameters_halve_hidden():
         bn=np.zeros(3),
     )
     h = np.array([0.4, -0.8, 0.2])
-    h_new, _ = gru_forward(cell, np.ones(2), h)
+    hs, _ = gru_sequence_forward(cell, [np.ones(2)], h)
     # z = r = sigmoid(0) = 1/2, candidate = tanh(0) = 0, so h' = h/2
-    np.testing.assert_allclose(h_new, h / 2.0)
-    h_zero, _ = gru_forward(cell, np.ones(2), np.zeros(3))
-    np.testing.assert_allclose(h_zero, np.zeros(3))
+    np.testing.assert_allclose(hs[0], h / 2.0)
+    hs, _ = gru_sequence_forward(cell, [np.ones(2)], np.zeros(3))
+    np.testing.assert_allclose(hs[0], np.zeros(3))
 
 
 def test_gru_hidden_stays_in_open_unit_interval():
     rng = np.random.default_rng(3)
     cell = GruCell.create(rng, 4, 6)
-    h = np.zeros(6)
-    for _ in range(50):
-        h, _ = gru_forward(cell, rng.normal(size=4) * 3, h)
-        assert (np.abs(h) < 1.0).all()
+    hs, _ = gru_sequence_forward(cell, rng.normal(size=(50, 4)) * 3, np.zeros(6))
+    assert (np.abs(hs) < 1.0).all()
 
 
 def test_gru_length_one_bptt_equals_single_step():
@@ -300,9 +312,9 @@ def test_gru_gate_views_alias_the_fused_arrays():
             fused = copied.Wzr if name.startswith("W") else copied.bzr
             assert np.shares_memory(view, fused), name
     x, h = rng.normal(size=3), rng.normal(size=4)
-    before, _ = gru_forward(cell, x, h)
+    before, _ = gru_sequence_forward(cell, [x], h)
     cell.params()["Wr"][...] += 0.5
-    after, _ = gru_forward(cell, x, h)
+    after, _ = gru_sequence_forward(cell, [x], h)
     assert not np.array_equal(before, after)
 
 

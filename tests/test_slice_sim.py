@@ -160,6 +160,7 @@ def test_allocate_conservation(offered, priorities, mbr_idx):
     pri = np.array(priorities[:n])
     mbrs = np.array([MBR_LEVELS[i] for i in mbr_idx[:n]])
     served = allocate_capacity(offered, pri, mbrs, 10.0)
+    assert_same_bits(allocate_capacity(offered, pri.tolist(), mbrs.tolist(), 10.0), served)
     assert served.sum() <= 10.0 + 1e-9
     assert (served <= np.minimum(offered, mbrs) + 1e-9).all()
     assert (served >= -1e-12).all()
@@ -260,9 +261,11 @@ def test_allocate_all_gnodebs_equals_scalar_per_gnodeb(case):
     expected = np.stack(
         [scalar_allocate_capacity(offered[:, g], priorities, mbrs, bandwidth) for g in range(N_GNODEBS)], axis=1
     )
-    assert_same_bits(allocate_capacity(offered, priorities, mbrs, bandwidth), expected)
-    for g in range(N_GNODEBS):
-        assert_same_bits(allocate_capacity(offered[:, g], priorities, mbrs, bandwidth), expected[:, g])
+    # the knobs as arrays, and as the plain lists the simulator state holds
+    for knobs in ((priorities, mbrs), (priorities.tolist(), mbrs.tolist())):
+        assert_same_bits(allocate_capacity(offered, *knobs, bandwidth), expected)
+        for g in range(N_GNODEBS):
+            assert_same_bits(allocate_capacity(offered[:, g], *knobs, bandwidth), expected[:, g])
 
 
 @given(case=allocation_inputs(), spread=st.lists(st.integers(0, 20), min_size=N_GNODEBS, max_size=N_GNODEBS))

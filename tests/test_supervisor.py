@@ -20,7 +20,7 @@ from atmarl.agents import (
 )
 from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
-from atmarl.nn import OptimizerState, adam_step, stack_forward
+from atmarl.nn import OptimizerState, adam_step, dense_forward, stack_forward
 from atmarl.slice_sim import KpiKind
 from oracles import (
     assert_reordered_sum,
@@ -28,12 +28,13 @@ from oracles import (
     episode_loss,
     per_head_act,
     per_step_episode_gradients,
+    per_step_forward,
     per_view_gradient_norm,
 )
 from atmarl.supervisor import (
     DISCOUNT,
     LEARNING_RATE,
-    ActorHidden,
+    EpisodeTape,
     EpisodeTrajectory,
     GoalMode,
     PolicyDims,
@@ -42,12 +43,9 @@ from atmarl.supervisor import (
     act,
     create_policy,
     discounted_returns,
-    encode_capabilities,
     episode_gradients,
     forward_step,
-    fuse,
     gradient_norm,
-    merge,
     rollout_episode,
     score_contexts,
     supervisor_reward,
@@ -70,20 +68,46 @@ def zero_policy(policy):
 
 
 # ---------------------------------------------------------------------------
-# encode / merge / fuse
+# encode / merge / fuse, each part run on its rows of a one-step tape
+
+
+def _targets(cfg):
+    return np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in cfg.services])
+
+
+def encode_capabilities(policy, gammas):
+    tape = EpisodeTape(policy, 1)
+    tape.gammas[0] = gammas
+    stack_forward(policy.encoders, tape.enc, 0)
+    return tape.latents[0]
+
+
+def merge(policy, latents, tuples):
+    tape = EpisodeTape(policy, 1)
+    tape.latents[0] = latents
+    tape.tuples[0] = tuples
+    x, pre, out = tape.mrg
+    return dense_forward(policy.merger, x[0], pre[0], out[0])
+
+
+def fuse(policy, embeddings, targets, tape=None):
+    tape = tape or EpisodeTape(policy, 1)
+    tape.start(targets)
+    tape.mrg[2][0] = embeddings  # the merger's output rows are the fusion input
+    return stack_forward(policy.fusion, tape.fus, 0)
 
 
 def test_encode_zero_params_is_bias_path():
     cfg, policy = toy_policy()
     zero_policy(policy)
-    latents, _ = encode_capabilities(policy, np.full((6, GOAL_LEVELS), 0.7))
+    latents = encode_capabilities(policy, np.full((6, GOAL_LEVELS), 0.7))
     np.testing.assert_allclose(latents[0], np.tanh(np.zeros(TOY_DIMS.encoder)))
 
 
 def test_encode_distinct_agents_distinct_latents():
     cfg, policy = toy_policy(seed=3)
     gamma = np.linspace(0.1, 0.9, GOAL_LEVELS)
-    latents, _ = encode_capabilities(policy, np.tile(gamma, (6, 1)))
+    latents = encode_capabilities(policy, np.tile(gamma, (6, 1)))
     assert not np.allclose(latents[0], latents[1])
 
 
@@ -92,15 +116,15 @@ def test_encode_sensitive_to_capability_change():
     gammas = np.full((6, GOAL_LEVELS), 0.5)
     bumped = gammas.copy()
     bumped[0, 3] += 0.1
-    a, _ = encode_capabilities(policy, gammas)
-    b, _ = encode_capabilities(policy, bumped)
+    a = encode_capabilities(policy, gammas)
+    b = encode_capabilities(policy, bumped)
     assert not np.allclose(a[0], b[0])
 
 
 def test_merge_zero_params_closed_form():
     cfg, policy = toy_policy()
     zero_policy(policy)
-    out, _ = merge(policy, np.zeros((6, TOY_DIMS.encoder)), np.zeros((6, 8)))
+    out = merge(policy, np.zeros((6, TOY_DIMS.encoder)), np.zeros((6, 8)))
     np.testing.assert_allclose(out[0], np.zeros(TOY_DIMS.merger))
 
 
@@ -108,15 +132,15 @@ def test_merge_distinct_agents_distinct_outputs():
     cfg, policy = toy_policy(seed=5)
     latents = np.full((6, TOY_DIMS.encoder), 0.2)
     tuples = np.full((6, 8), 0.3)
-    out, _ = merge(policy, latents, tuples)
+    out = merge(policy, latents, tuples)
     assert not np.allclose(out[0], out[1])
 
 
 def test_merge_sensitive_to_tuple():
     cfg, policy = toy_policy(seed=6)
     latents = np.full((6, TOY_DIMS.encoder), 0.2)
-    a, _ = merge(policy, latents, np.zeros((6, 8)))
-    b, _ = merge(policy, latents, np.ones((6, 8)) * 0.5)
+    a = merge(policy, latents, np.zeros((6, 8)))
+    b = merge(policy, latents, np.ones((6, 8)) * 0.5)
     assert not np.allclose(a[0], b[0])
 
 
@@ -126,30 +150,32 @@ def test_fuse_orders_matter():
     m2 = np.full(TOY_DIMS.merger, -0.3)
     rest = [np.zeros(TOY_DIMS.merger) for _ in range(4)]
     targets = np.array([0.75, 0.25, 0.25])
-    a, _ = fuse(policy, np.array([m1, m2] + rest), targets)
-    b, _ = fuse(policy, np.array([m2, m1] + rest), targets)
+    a = fuse(policy, np.array([m1, m2] + rest), targets)
+    b = fuse(policy, np.array([m2, m1] + rest), targets)
     assert not np.allclose(a, b)
 
 
 def test_fuse_zero_closed_form():
     cfg, policy = toy_policy()
     zero_policy(policy)
-    out, _ = fuse(policy, np.zeros((6, TOY_DIMS.merger)), np.zeros(3))
+    out = fuse(policy, np.zeros((6, TOY_DIMS.merger)), np.zeros(3))
     np.testing.assert_allclose(out, np.zeros(TOY_DIMS.fusion))
 
 
 def test_fuse_sensitive_to_global_targets():
     cfg, policy = toy_policy(seed=8)
     ms = np.full((6, TOY_DIMS.merger), 0.1)
-    a, _ = fuse(policy, ms, np.array([0.75, 0.25, 0.25]))
-    b, _ = fuse(policy, ms, np.array([0.9, 0.25, 0.25]))
+    a = fuse(policy, ms, np.array([0.75, 0.25, 0.25]))
+    b = fuse(policy, ms, np.array([0.9, 0.25, 0.25]))
     assert not np.allclose(a, b)
 
 
 def test_fuse_rejects_wrong_embedding_count():
+    # the rows of a one-intent policy's tape hold 2 embeddings and 1 target
     cfg, policy = toy_policy()
+    small = create_policy(np.random.default_rng(0), replace(cfg, services=cfg.services[:1]), dims=TOY_DIMS)
     with pytest.raises(ValueError):
-        fuse(policy, np.zeros((3, TOY_DIMS.merger)), np.zeros(3))
+        fuse(policy, np.zeros((2, TOY_DIMS.merger)), np.zeros(1), tape=EpisodeTape(small, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +186,44 @@ def _act_inputs(cfg, policy):
     n = len(policy.agents)
     gammas = np.full((n, GOAL_LEVELS), 0.5)
     tuples = np.full((n, 8), 0.25)
-    targets = np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in cfg.services])
-    return gammas, tuples, targets
+    return gammas, tuples, _targets(cfg)
+
+
+def _one_step_tape(policy, gammas, tuples, targets, hidden=(0.0, 0.0)):
+    """A one-step tape holding the leaf inputs and the hidden states step 0 starts from."""
+    tape = EpisodeTape(policy, 1)
+    tape.start(targets)
+    for h, value in zip(tape.hidden(0), hidden):
+        h[...] = value
+    tape.gammas[0] = gammas
+    tape.tuples[0] = tuples
+    return tape
+
+
+def _act(policy, gammas, tuples, targets, rng, explore):
+    """``act`` on step 0 of a one-step tape from zero hidden states; returns (levels, tape)."""
+    tape = _one_step_tape(policy, gammas, tuples, targets)
+    return act(policy, tape, 0, rng, explore), tape
 
 
 def test_act_emits_six_goals_for_three_intents():
     cfg, policy = toy_policy(seed=9)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
-    levels, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), True)
+    levels, _ = _act(policy, *_act_inputs(cfg, policy), np.random.default_rng(0), True)
     assert len(levels) == 6
     assert all(isinstance(level, int) and 1 <= level <= GOAL_LEVELS for level in levels)
 
 
 def test_act_emits_ten_goals_for_five_intents():
     cfg, policy = toy_policy(seed=10, five=True)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
-    levels, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), True)
+    levels, _ = _act(policy, *_act_inputs(cfg, policy), np.random.default_rng(0), True)
     assert len(levels) == 10
 
 
 def test_act_deterministic_under_seed():
     cfg, policy = toy_policy(seed=11)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
-    a, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(3), True)
-    b, _ = act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(3), True)
+    inputs = _act_inputs(cfg, policy)
+    a, _ = _act(policy, *inputs, np.random.default_rng(3), True)
+    b, _ = _act(policy, *inputs, np.random.default_rng(3), True)
     assert a == b
 
 
@@ -191,8 +231,7 @@ def test_act_deterministic_under_seed():
 @pytest.mark.parametrize("explore", [True, False])
 def test_act_equals_per_head_oracle(mode, explore):
     cfg, policy = toy_policy(seed=15, mode=mode)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
-    hidden = ActorHidden.zeros(TOY_DIMS.gru)
+    inputs = _act_inputs(cfg, policy)
     for tie in (False, True):
         if tie:
             # every head ties at its top rungs; greedy takes the first maximum
@@ -200,8 +239,8 @@ def test_act_equals_per_head_oracle(mode, explore):
             policy.heads.bias[...] = [0.5, 1.0, 0.2, 1.0, 1.0, -0.3, 1.0, 0.0]
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            levels, fwd = act(policy, gammas, tuples, targets, hidden, rng, explore)
-            assert levels == per_head_act(fwd.logits, ref_rng, explore)
+            levels, tape = _act(policy, *inputs, rng, explore)
+            assert levels == per_head_act(tape.logits[0], ref_rng, explore)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if tie and not explore:
                 assert set(levels) == {2}
@@ -209,28 +248,27 @@ def test_act_equals_per_head_oracle(mode, explore):
 
 def test_act_greedy_rejects_non_finite_logits():
     cfg, policy = toy_policy(seed=16)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
     policy.heads.bias[2, 5] = np.nan
     with pytest.raises(FloatingPointError):
-        act(policy, gammas, tuples, targets, ActorHidden.zeros(TOY_DIMS.gru), np.random.default_rng(0), False)
+        _act(policy, *_act_inputs(cfg, policy), np.random.default_rng(0), False)
 
 
 def test_hidden_state_evolves_under_constant_context():
     cfg, policy = toy_policy(seed=13)
     gammas, tuples, targets = _act_inputs(cfg, policy)
-    hidden = ActorHidden.zeros(TOY_DIMS.gru)
-    previous = hidden.h2.copy()
-    for _ in range(3):
-        fwd = forward_step(policy, gammas, tuples, targets, hidden)
-        assert not np.allclose(fwd.hidden.h2, previous)
-        previous = fwd.hidden.h2.copy()
-        hidden = fwd.hidden
+    tape = EpisodeTape(policy, 3)
+    tape.start(targets)
+    tape.gammas[...] = gammas
+    tape.tuples[...] = tuples
+    for t in range(3):
+        forward_step(policy, tape, t)
+        assert not np.allclose(tape.hidden(t + 1)[1], tape.hidden(t)[1])
 
 
-def _policy_goals(cfg, policy, explore, seed=2):
-    """A ``PolicyGoals`` and the engine's opening observations for it."""
+def _policy_goals(cfg, policy, explore, seed=2, encode_once=False):
+    """A ``PolicyGoals`` on a 10-step tape and the engine's opening observations for it."""
     caps = {a.key: CapabilityVector.prior() for a in policy.agents}
-    source = PolicyGoals(policy, cfg, caps, np.random.default_rng(seed), explore)
+    source = PolicyGoals(policy, cfg, caps, np.random.default_rng(seed), explore, EpisodeTape(policy, 10), encode_once)
     state = slice_sim.init_scenario(cfg)
     report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
     seen = {a.key: observe(state, report, a, cfg.services[a.intent_index].kpi_target) for a in policy.agents}
@@ -324,13 +362,12 @@ def test_named_params_names_order_and_shapes(mode, n_heads):
 )
 def test_named_params_write_through_to_forward(name):
     cfg, policy = toy_policy(seed=15)
-    gammas, tuples, targets = _act_inputs(cfg, policy)
     # a nonzero hidden state, or the reset gate would multiply zeros
-    hidden = ActorHidden(h1=np.full(TOY_DIMS.gru, 0.3), h2=np.full(TOY_DIMS.gru, -0.2))
-    before = forward_step(policy, gammas, tuples, targets, hidden)
+    tape = _one_step_tape(policy, *_act_inputs(cfg, policy), hidden=(0.3, -0.2))
+    before = forward_step(policy, tape, 0).copy()
     policy.named_params()[name][...] += 0.5
-    after = forward_step(policy, gammas, tuples, targets, hidden)
-    assert not np.array_equal(before.logits, after.logits)
+    after = forward_step(policy, tape, 0)
+    assert not np.array_equal(before, after)
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
@@ -438,18 +475,14 @@ def test_actor_critic_gradients_match_finite_differences():
     policy = create_policy(rng, cfg, dims=dims)
 
     T = 3
-    traj = EpisodeTrajectory(targets=np.array([0.75]))
-    hidden = ActorHidden.zeros(dims.gru)
+    traj = EpisodeTrajectory(tape=EpisodeTape(policy, T))
+    traj.tape.start(np.array([0.75]))
     for t in range(T):
-        gammas = np.array([rng.uniform(0.2, 0.8, GOAL_LEVELS) for _ in range(2)])
-        tuples = np.array([rng.uniform(0.0, 1.0, 8) for _ in range(2)])
-        fwd = forward_step(policy, gammas, tuples, traj.targets, hidden)
-        hidden = fwd.hidden
-        traj.gammas.append(gammas)
-        traj.tuples.append(tuples)
+        traj.tape.gammas[t] = [rng.uniform(0.2, 0.8, GOAL_LEVELS) for _ in range(2)]
+        traj.tape.tuples[t] = [rng.uniform(0.0, 1.0, 8) for _ in range(2)]
+        forward_step(policy, traj.tape, t)
         traj.sampled_levels.append([int(rng.integers(1, GOAL_LEVELS + 1)) for _ in range(2)])
         traj.rewards.append(float(rng.normal()))
-        traj.forwards.append(fwd)
     score_contexts(policy, traj)
 
     returns = discounted_returns(traj.rewards, DISCOUNT)
@@ -480,20 +513,17 @@ def test_actor_critic_gradients_match_finite_differences():
     assert worst < 1e-3
 
 
-def _random_trajectory(policy, cfg, steps, rng):
-    traj = EpisodeTrajectory(targets=np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in cfg.services]))
-    hidden = ActorHidden.zeros(policy.dims.gru)
+def _random_trajectory(policy, cfg, steps, rng, tape=None):
+    """A scored trajectory of random leaf inputs, written on ``tape`` (else a new one of ``steps`` rows)."""
+    traj = EpisodeTrajectory(tape=tape or EpisodeTape(policy, steps))
+    traj.tape.start(_targets(cfg))
     n = len(policy.agents)
-    for _ in range(steps):
-        gammas = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
-        tuples = rng.uniform(0.0, 1.0, (n, 8))
-        fwd = forward_step(policy, gammas, tuples, traj.targets, hidden)
-        hidden = fwd.hidden
-        traj.gammas.append(gammas)
-        traj.tuples.append(tuples)
+    for t in range(steps):
+        traj.tape.gammas[t] = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
+        traj.tape.tuples[t] = rng.uniform(0.0, 1.0, (n, 8))
+        forward_step(policy, traj.tape, t)
         traj.sampled_levels.append(rng.integers(1, GOAL_LEVELS + 1, policy.n_heads).tolist())
         traj.rewards.append(float(rng.normal()))
-        traj.forwards.append(fwd)
     score_contexts(policy, traj)
     return traj
 
@@ -507,11 +537,9 @@ def test_batched_critic_equals_per_step_critic(mode, steps):
     policy = create_policy(rng, cfg, mode=mode)
     traj = _random_trajectory(policy, cfg, steps, rng)
     assert traj.values.shape == (steps,)
-    for t, fwd in enumerate(traj.forwards):
-        context = fwd.fus_caches[-1][2]
-        v, caches = stack_forward(policy.critic, context)
-        assert traj.values[t].tobytes() == v[0].tobytes(), t
-        assert float(traj.values[t]) == critic_step(policy, context)[0], t
+    for t in range(steps):
+        value, caches = critic_step(policy, traj.tape.contexts[t])
+        assert traj.values[t].tobytes() == np.float64(value).tobytes(), t
         for j, cache in enumerate(caches):
             for part, batched in zip(cache, traj.crit_caches[j]):
                 assert batched[t].tobytes() == part.tobytes(), (t, j)
@@ -557,6 +585,34 @@ def test_episode_gradients_called_twice_return_the_same_gradients():
         assert not np.shares_memory(grad, after[name]), name
 
 
+def _poisoned_tape(policy, steps):
+    """A tape whose every buffer starts as NaN, so a row read before it is written shows."""
+    tape = EpisodeTape(policy, steps)
+    for cache in [*tape.enc, tape.mrg, *tape.fus, *tape.gru, tape.head]:
+        for arr in cache:
+            arr.fill(np.nan)
+    return tape
+
+
+def test_reused_tape_gives_the_gradients_of_a_fresh_tape():
+    # a 40-step episode, then a 7-step one on the same tape and accumulator:
+    # the second reads no row the first left behind
+    cfg = default_scenario()
+    policy = create_policy(np.random.default_rng(420), cfg)
+    tape, acc = EpisodeTape(policy, 40), policy.zeros_like()
+    traj = _random_trajectory(policy, cfg, 40, np.random.default_rng(421), tape)
+    returns = discounted_returns(traj.rewards, DISCOUNT)
+    episode_gradients(policy, traj, returns - traj.values, returns, acc)
+    results = []
+    for tape_7, acc_7 in ((tape, acc), (_poisoned_tape(policy, 7), None)):
+        traj = _random_trajectory(policy, cfg, 7, np.random.default_rng(422), tape_7)
+        returns = discounted_returns(traj.rewards, DISCOUNT)
+        grads, losses = episode_gradients(policy, traj, returns - traj.values, returns, acc_7)
+        results.append((traj.values.tobytes(), losses, {k: g.tobytes() for k, g in grads.named_params().items()}))
+    assert results[0] == results[1]
+    assert all(np.isfinite(g).all() for g in acc.layer_params().values())
+
+
 # ---------------------------------------------------------------------------
 # training basics
 
@@ -599,7 +655,7 @@ def test_rollout_both_systems_act_each_step(tiny_system):
     # greedy tabular agents acting from the default state must have moved
     # at least one knob in each plane within the first steps of some episode
     # (weak check: the trajectory recorded actions through its tuples)
-    assert all(len(ts) == 6 for ts in traj.tuples)
+    assert traj.tape.tuples[: len(traj)].shape == (12, 6, 8)
 
 
 def test_rollout_observes_each_agent_once_per_report(tiny_system, calls_to):
@@ -610,6 +666,54 @@ def test_rollout_observes_each_agent_once_per_report(tiny_system, calls_to):
     observed = calls_to("observe")
     rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
     assert len(observed) == 6 * (12 + 1)
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+def test_rollout_tape_rows_equal_per_step_oracle(tiny_system, mode):
+    # default dims: every row a rollout wrote against the forward on fresh,
+    # concatenated arrays, with the hidden states each step hands the next
+    cfg, qtables, caps = tiny_system
+    rng = np.random.default_rng(430)
+    policy = create_policy(rng, cfg, mode=mode)
+    traj = rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
+    tape = traj.tape
+    h1 = h2 = np.zeros(policy.dims.gru)
+
+    def same(row, ref, label):
+        assert row.tobytes() == np.ascontiguousarray(ref).tobytes(), label
+
+    for t in range(len(traj)):
+        for h, ref in zip(tape.hidden(t), (h1, h2)):
+            same(h, ref, (t, "hidden"))
+        same(tape.targets[t], _targets(cfg), (t, "targets"))
+        logits, h1, h2, caches = per_step_forward(policy, tape.gammas[t], tape.tuples[t], tape.targets[t], h1, h2)
+        parts = [(f"enc{j}", tape.enc[j], caches["enc"][j]) for j in range(2)]
+        parts += [("mrg", tape.mrg, caches["mrg"]), ("head", tape.head, caches["head"])]
+        parts += [(f"fus{j}", tape.fus[j], caches["fus"][j]) for j in range(3)]
+        for label, rows, ref in parts:
+            for row, part in zip(rows, ref):
+                same(row[t], part, (t, label))
+        for j, (a, zr, a_n, n) in enumerate(tape.gru):
+            _, _, ref_a, z, r, ref_a_n, ref_n = caches["gru"][j]
+            same(a[t], ref_a, (t, j, "a"))
+            same(zr[t], np.stack([z, r]), (t, j, "zr"))
+            same(a_n[t], ref_a_n, (t, j, "a_n"))
+            same(n[t], ref_n, (t, j, "n"))
+        same(tape.logits[t], logits, (t, "logits"))
+    for h, ref in zip(tape.hidden(len(traj)), (h1, h2)):
+        same(h, ref, "final hidden")
+
+
+@pytest.mark.parametrize("explore", [True, False])
+def test_encode_once_gives_the_logits_of_encoding_every_step(explore):
+    # fixed capabilities: step 0's latents serve every later step
+    cfg, policy = toy_policy(seed=18)
+    logits = []
+    for encode_once in (False, True):
+        source, seen, last_action = _policy_goals(cfg, policy, explore, encode_once=encode_once)
+        levels = [source(t, seen, last_action)[0] for t in range(10)]
+        logits.append((levels, source.tape.logits.tobytes(), source.tape.latents.tobytes()))
+    assert logits[0] == logits[1]
 
 
 def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
