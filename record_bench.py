@@ -11,9 +11,10 @@ traced (``--trace 1``), and its ``src`` supplies the package for the
 microbenchmarks. Each run keeps its ``digest sha256:`` line, so two records
 of trees meant to be byte-identical show whether their outputs are. The
 file lands at the root of this checkout. Every record
-uses the same seed, run length and sample count (``SEED``, ``SECONDS``,
-``REPEATS``, stored under ``settings``), so two records made on one host
-share their keys and compare field by field.
+uses the same seed, run length, sample count and reference runs per side
+(``SEED``, ``SECONDS``, ``REPEATS``, ``REFERENCE_RUNS``, stored under
+``settings``), so two records made on one host share their keys and
+compare field by field.
 
 The microbenchmarks call the package's current signatures: ``act`` and
 ``forward_step`` on a row of an ``EpisodeTape`` (``act`` returning each
@@ -47,6 +48,7 @@ WORKLOADS = ("pretrain", "train", "evaluate")
 SEED = 101
 SECONDS = 30.0  # length of each perfbench run
 REPEATS = 40  # samples per microbenchmark
+REFERENCE_RUNS = 5  # host-reference kernel runs whose median gauges the host on each side of a sample
 
 
 def perfbench(tree: Path, workload: str, trace: int) -> dict:
@@ -79,8 +81,10 @@ def microbenchmarks(tree: Path) -> dict:
     default-dims policy.
 
     Each sample is also given over the perfbench host-reference kernel's
-    time around it (``*_ref``), as perfbench gates its timings. Run it in a
-    fresh process: it imports the package from ``tree``.
+    time around it (``*_ref``), as perfbench gates its timings: the mean of
+    the medians of ``REFERENCE_RUNS`` kernel runs just before and just after
+    the sample, since one ~1 ms kernel run jitters as much as a sample does.
+    Run it in a fresh process: it imports the package from ``tree``.
     """
     sys.path.insert(0, str(tree / "perfbench"))
     import run as bench  # the measured tree's perfbench/run.py; puts its src on sys.path
@@ -111,13 +115,13 @@ def microbenchmarks(tree: Path) -> dict:
 
     def timed(fn, calls: int = 1) -> tuple[list[float], list[float]]:
         ms, ref = [], []
-        before = bench.reference_s(1)
+        before = bench.reference_s(REFERENCE_RUNS)
         for _ in range(REPEATS):
             start = time.perf_counter()
             for _ in range(calls):
                 fn()
             elapsed = (time.perf_counter() - start) / calls
-            after = bench.reference_s(1)
+            after = bench.reference_s(REFERENCE_RUNS)
             ms.append(elapsed * 1e3)
             ref.append(elapsed / (0.5 * (before + after)))
             before = after
@@ -200,7 +204,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         },
-        "settings": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS},
+        "settings": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS, "reference_runs": REFERENCE_RUNS},
         "perfbench": {
             w: {mode: perfbench(tree, w, trace) for mode, trace in (("timed", 0), ("traced", 1))}
             for w in WORKLOADS

@@ -189,20 +189,27 @@ def stage_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     return Artifacts(qtables=qtables, capabilities=capabilities)
 
 
-def _check_intents(path: Path, meta: dict[str, str], scenario: ScenarioConfig):
-    """Refuse a checkpoint made for another intent count: its blocks belong to another roster."""
+def _check_meta(path: Path, meta: dict[str, str], scenario: ScenarioConfig, mode: GoalMode | None = None):
+    """Refuse a checkpoint made for another intent count, or a policy of another goal mode when ``mode`` is given.
+
+    Its blocks would belong to another roster, or to another set of heads.
+    """
     made = meta.get("intents")
     if made != str(scenario.intent_count):
         raise CheckpointError(
             f"{path.name} was made for {made or 'an unrecorded number of'} intents, "
             f"the plan's scenario has {scenario.intent_count}"
         )
+    if mode is not None and meta.get("mode") != mode.value:
+        raise CheckpointError(
+            f"{path.name} holds a policy of goal mode {meta.get('mode', 'unrecorded')!r}, the approach needs {mode.value!r}"
+        )
 
 
 def load_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     path = out_dir / "pretrain.ckpt"
     meta, arrays = load_checkpoint(path)
-    _check_intents(path, meta, plan.scenario)
+    _check_meta(path, meta, plan.scenario)
     table_shape = (OBS_BINS,) * 4 + (N_ACTIONS,)
     qtables = {
         a.key: QTable(values=take_block(arrays, f"qtable.{a.key}", table_shape)) for a in agent_roster(plan.scenario)
@@ -253,8 +260,8 @@ def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, 
         raise CheckpointError(f"missing checkpoint {path} for evaluate-only mode")
     meta, arrays = load_checkpoint(path)
     scenario = _policy_scenario(plan, approach)
-    _check_intents(path, meta, scenario)
-    mode = GoalMode(meta.get("mode", "agent"))
+    mode = _policy_mode(approach)
+    _check_meta(path, meta, scenario, mode)
     policy = create_policy(np.random.default_rng(0), scenario, mode=mode)
     for key, param in policy.named_params().items():
         param[...] = take_block(arrays, f"policy.{key}", param.shape)

@@ -97,46 +97,20 @@ class SupervisorPolicy:
     def n_heads(self) -> int:
         return len(self.heads.weights)
 
-    def layer_params(self) -> dict[str, np.ndarray]:
-        """Every parameter array once, by layer; a stacked layer is one array over its copies."""
-        out: dict[str, np.ndarray] = {}
+    def named_params(self) -> dict[str, np.ndarray]:
+        """Every parameter array once, by checkpoint name: a stacked layer is one array over its copies.
+
+        So ``enc_l0.W`` is [agents, out, in] and ``head.b`` [heads, levels];
+        a GRU cell has one array per gate. The names run encoders, merger,
+        fusion, GRU cells, heads, critic.
+        """
         parts = [(f"enc_l{j}", layer) for j, layer in enumerate(self.encoders)]
         parts += [("mrg", self.merger)]
         parts += [(f"fus_l{j}", layer) for j, layer in enumerate(self.fusion)]
         parts += [(f"gru_l{j}", cell) for j, cell in enumerate(self.gru)]
         parts += [("head", self.heads)]
         parts += [(f"crit_l{j}", layer) for j, layer in enumerate(self.critic)]
-        for prefix, part in parts:
-            for name, arr in part.params().items():
-                out[f"{prefix}.{name}"] = arr
-        return out
-
-    def view_keys(self) -> list[tuple[str, str, int | None]]:
-        """Each checkpoint name, in checkpoint order, with the ``layer_params`` key and the copy index it views."""
-        out = []
-
-        def put(prefix: str, layer_key: str, part: DenseLayer | GruCell, index: int | None = None):
-            out.extend((f"{prefix}.{name}", f"{layer_key}.{name}", index) for name in part.params())
-
-        for i in range(len(self.agents)):
-            for j, layer in enumerate(self.encoders):
-                put(f"enc{i}_l{j}", f"enc_l{j}", layer, i)
-        for i in range(len(self.agents)):
-            put(f"mrg{i}", "mrg", self.merger, i)
-        for j, layer in enumerate(self.fusion):
-            put(f"fus_l{j}", f"fus_l{j}", layer)
-        for j, cell in enumerate(self.gru):
-            put(f"gru_l{j}", f"gru_l{j}", cell)
-        for i in range(self.n_heads):
-            put(f"head{i}", "head", self.heads, i)
-        for j, layer in enumerate(self.critic):
-            put(f"crit_l{j}", f"crit_l{j}", layer)
-        return out
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        """Every parameter by checkpoint name; stacked copies appear as views, one per agent or head."""
-        layers = self.layer_params()
-        return {name: layers[key] if index is None else layers[key][index] for name, key, index in self.view_keys()}
+        return {f"{prefix}.{name}": arr for prefix, part in parts for name, arr in part.params().items()}
 
     def zeros_like(self) -> SupervisorPolicy:
         """A policy of the same layout, and the same roster, with every parameter zero: a gradient accumulator."""
@@ -416,7 +390,7 @@ def episode_gradients(
     if acc is None:
         acc = policy.zeros_like()
     else:
-        for g in acc.layer_params().values():
+        for g in acc.named_params().values():
             g.fill(0.0)
     steps = len(traj)
     tape = traj.tape
@@ -487,20 +461,25 @@ def episode_gradients(
 
 
 def gradient_norm(grads: SupervisorPolicy) -> float:
-    """The global L2 norm of a gradient policy, summed per checkpoint view.
+    """The global L2 norm of a gradient policy, summed per agent or head copy.
 
-    Each stacked array's squares are summed per agent or head copy (a
-    contiguous row sum, bit-equal to that copy's own ``.sum()``), and the
-    totals are added in checkpoint order, as over ``named_params``.
+    Each stacked array's squares are summed per copy (a contiguous row sum,
+    bit-equal to that copy's own ``.sum()``), every other array's whole. The
+    totals are added copy-major within the encoders, the merger and the
+    heads (agent 0's ``l0.W, l0.b, l1.W, l1.b``, then agent 1's), in this
+    order: encoders, merger, fusion, GRU cells, heads, critic.
     """
-    layers = grads.layer_params()
-    keys = grads.view_keys()
-    stacked = {key for _, key, index in keys if index is not None}
-    totals = {}
-    for key, g in layers.items():
-        sq = g * g
-        totals[key] = sq.reshape(len(sq), -1).sum(axis=1).tolist() if key in stacked else float(sq.sum())
-    return np.sqrt(sum(totals[key] if index is None else totals[key][index] for _, key, index in keys))
+    params = grads.named_params()
+
+    def copy_major(prefix: str) -> list[float]:
+        squares = [g * g for key, g in params.items() if key.startswith(prefix)]
+        per_array = [sq.reshape(len(sq), -1).sum(axis=1).tolist() for sq in squares]
+        return [total for copy in zip(*per_array) for total in copy]
+
+    def whole(*prefixes: str) -> list[float]:
+        return [float((g * g).sum()) for key, g in params.items() if key.startswith(prefixes)]
+
+    return np.sqrt(sum(copy_major("enc_") + copy_major("mrg.") + whole("fus_", "gru_") + copy_major("head.") + whole("crit_")))
 
 
 @dataclass
@@ -650,7 +629,7 @@ def train_supervisor(
     """
     cfg = cfg or TrainConfig()
     opt = OptimizerState(lr=LEARNING_RATE)
-    params = policy.layer_params()
+    params = policy.named_params()
     tracker = CapabilityTracker(capabilities, config)
     tape = EpisodeTape(policy, cfg.episode_length)
     acc = policy.zeros_like()
@@ -675,15 +654,14 @@ def train_supervisor(
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         acc, losses = episode_gradients(policy, traj, advantages, returns, acc)
         # the one finiteness check per update: a non-finite gradient, or one
-        # whose square overflows, makes the norm non-finite. The scaling and
-        # Adam are elementwise, so they run on the stacked arrays
+        # whose square overflows, makes the norm non-finite
         norm = gradient_norm(acc)
         if not np.isfinite(norm):
             raise TrainingDivergence(
                 "non-finite gradients during supervisor training",
                 diagnostics={"episode": episode, "losses": losses},
             )
-        grads = acc.layer_params()
+        grads = acc.named_params()
         if norm > GRAD_CLIP:
             scale = GRAD_CLIP / norm
             for g in grads.values():

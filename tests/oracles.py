@@ -514,11 +514,33 @@ def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.
 
 
 def per_view_gradient_norm(grads) -> float:
-    """Global L2 norm of a gradient policy, each checkpoint view's squares summed on their own, in checkpoint order.
+    """Global L2 norm of a gradient policy, each per-agent or per-head view's squares summed on their own.
 
+    The views are sliced here out of the stacked arrays and added in this
+    order: per agent its encoder layers, per agent its merger, the fusion
+    layers, the GRU cells' gates, per head its layer, the critic layers.
     ``supervisor.gradient_norm`` must equal it bit for bit.
     """
-    return np.sqrt(sum(float((g * g).sum()) for g in grads.named_params().values()))
+    named = grads.named_params()
+
+    def layer(prefix, index=None):
+        return [named[f"{prefix}.{n}"] if index is None else named[f"{prefix}.{n}"][index] for n in ("W", "b")]
+
+    views = []
+    for i in range(len(grads.agents)):
+        for j in range(len(grads.encoders)):
+            views += layer(f"enc_l{j}", i)
+    for i in range(len(grads.agents)):
+        views += layer("mrg", i)
+    for j in range(len(grads.fusion)):
+        views += layer(f"fus_l{j}")
+    views += [named[f"gru_l{j}.{n}"] for j in range(len(grads.gru)) for n in ("Wz", "Wr", "Wn", "bz", "br", "bn")]
+    for i in range(grads.n_heads):
+        views += layer("head", i)
+    for j in range(len(grads.critic)):
+        views += layer(f"crit_l{j}")
+    assert sum(v.size for v in views) == sum(g.size for g in named.values())
+    return np.sqrt(sum(float((g * g).sum()) for g in views))
 
 
 def per_key_adam(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float):

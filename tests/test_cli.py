@@ -180,3 +180,34 @@ def test_cli_evaluate_on_another_intent_count_exits_with_stage_code(scenario_fil
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "made for 5 intents, the plan's scenario has 3" in err[0], err
     assert not list(out.glob("trace_*.csv"))
+
+
+def _mislabel_mode(out):
+    ckpt = out / "supervisor_atmarl.ckpt"
+    data = ckpt.read_bytes()
+    assert b"\nmeta mode agent\n" in data
+    ckpt.write_bytes(data.replace(b"\nmeta mode agent\n", b"\nmeta mode bogus\n"))
+    return "ATMARL", "supervisor_atmarl.ckpt holds a policy of goal mode 'bogus', the approach needs 'agent'"
+
+
+def _agent_policy_for_goal_halving(out):
+    (out / "supervisor_case1.ckpt").write_bytes((out / "supervisor_atmarl.ckpt").read_bytes())
+    return "GoalHalving", "supervisor_case1.ckpt holds a policy of goal mode 'agent', the approach needs 'service'"
+
+
+@pytest.mark.parametrize("mislabel", [_mislabel_mode, _agent_policy_for_goal_halving], ids=["unknown-mode", "other-mode"])
+def test_cli_evaluate_on_a_policy_of_another_goal_mode_exits_with_stage_code(
+    scenario_file, tmp_path, quick_pretrain, capsys, mislabel
+):
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
+    assert run_cli("train-supervisor", "--scenario", scenario_file, "--out", out, "--episodes", 1) == EXIT_OK
+    approach, message = mislabel(out)
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--scenario", scenario_file, "--out", out, "--approach", approach, "--seed", 1)
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert message in err[0], err
+    assert not list(out.glob("trace_*.csv"))

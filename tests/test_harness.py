@@ -10,10 +10,10 @@ import pytest
 
 from atmarl import harness, supervisor
 from atmarl.agents import GOAL_LEVELS, PretrainConfig, agent_roster, goal_value
-from atmarl.checkpoint import load_checkpoint
+from atmarl.checkpoint import load_checkpoint, save_checkpoint
 from atmarl.baselines import SWITCH_PERIOD
 from atmarl.config import default_scenario, load_scenario, write_scenario
-from atmarl.errors import CheckpointError, ScenarioError, StageFailure
+from atmarl.errors import CheckpointError, ScenarioError, ShapeMismatchError, StageFailure
 from atmarl.harness import (
     Approach,
     Artifacts,
@@ -521,4 +521,39 @@ def test_pipeline_reuse_rejects_another_intent_count(five_intent_checkpoints, pi
     with pytest.raises(StageFailure, match="made for 5 intents") as err:
         run_pipeline(plan, tmp_path, reuse=True)
     assert err.value.stage == stage
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
+# checkpoints of the per-agent and per-head layout
+
+
+def _per_copy_blocks(arrays):
+    """The blocks of the layout before stacked blocks: one per agent or head copy, as ``policy.enc3_l0.W``."""
+    out = {}
+    for name, arr in arrays.items():
+        layer, _, param = name.removeprefix("policy.").partition(".")
+        if layer.startswith("enc_"):
+            out.update({f"policy.enc{i}{layer[3:]}.{param}": a for i, a in enumerate(arr)})
+        elif layer in ("mrg", "head"):
+            out.update({f"policy.{layer}{i}.{param}": a for i, a in enumerate(arr)})
+        else:
+            out[name] = arr
+    return out
+
+
+def test_per_copy_layout_checkpoint_is_refused(pipeline_result, tmp_path):
+    plan, result = pipeline_result
+    shutil.copy(result.out_dir / "pretrain.ckpt", tmp_path)
+    meta, arrays = load_checkpoint(result.out_dir / "supervisor_atmarl.ckpt")
+    old = _per_copy_blocks(arrays)
+    assert "policy.enc5_l1.b" in old and "policy.head5.W" in old and "policy.enc_l0.W" not in old
+    save_checkpoint(tmp_path / "supervisor_atmarl.ckpt", old, meta=meta)
+    artifacts = load_pretrain(plan, tmp_path)
+    with pytest.raises(ShapeMismatchError, match="policy.enc_l0.W"):
+        load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
+    assert artifacts.policies == {}
+    with pytest.raises(StageFailure, match="policy.enc_l0.W") as err:
+        run_pipeline(plan, tmp_path, reuse=True)
+    assert err.value.stage == "train-supervisor"
     assert not list(tmp_path.glob("*.csv"))
