@@ -20,18 +20,12 @@ def naive_parallel_goals(config: ScenarioConfig) -> dict[str, float]:
     return {agent.key: config.services[agent.intent_index].kpi_target for agent in agent_roster(config)}
 
 
-# a memo of the roster's agent keys by intent count, which alone fixes the roster
-_ROSTER_KEYS: dict[int, tuple[str, ...]] = {}
-
-
-def goal_halving(intermediate: dict[str, float], config: ScenarioConfig) -> dict[str, float]:
+def goal_halving(intermediate: dict[str, float]) -> dict[str, float]:
     """Split each intent's intermediate goal equally between the two planes.
 
-    The halved goals are generally off the goal ladder; the halving rule
-    applies verbatim to packet-loss goals as well. It runs every evaluation
-    step, so the roster's keys are built once per intent count.
+    ``intermediate`` holds one goal per roster agent, as the supervisor
+    gives them, so each entry is halved. The halved goals are generally off
+    the goal ladder; the halving rule applies verbatim to packet-loss goals
+    as well.
     """
-    keys = _ROSTER_KEYS.get(config.intent_count)
-    if keys is None:
-        keys = _ROSTER_KEYS[config.intent_count] = tuple(a.key for a in agent_roster(config))
-    return {key: intermediate[key] / 2.0 for key in keys}
+    return {key: goal / 2.0 for key, goal in intermediate.items()}

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_scenario
@@ -40,48 +39,63 @@ def _parse_shift(raw: str):
     return tuple(out)
 
 
+# every option but --scenario and --out, which all verbs take
+_OPTIONS = {
+    "--approach": dict(default="ATMARL", help="approach name"),
+    "--seed": dict(type=int, action="append", help="evaluation seed (repeatable)"),
+    "--episodes": dict(type=int, help="supervisor training episodes"),
+    "--checkpoint": dict(help="directory to read checkpoints from (default: --out)"),
+    "--shift": dict(help="distribution shifts, e.g. 20:gaussian,30:gamma"),
+    "--episode-length": dict(type=int, help="evaluation episode length"),
+    "--eval-distribution": dict(help="evaluate under this distribution"),
+}
+# the options each verb reads; argparse refuses any other (exit 2)
+_VERB_OPTIONS = {
+    "pretrain": (),
+    # the Oracle trains on the evaluation distribution
+    "train-supervisor": ("--approach", "--episodes", "--checkpoint", "--eval-distribution"),
+    "evaluate": ("--approach", "--seed", "--checkpoint", "--shift", "--episode-length", "--eval-distribution"),
+    "full": ("--seed", "--episodes", "--shift", "--episode-length", "--eval-distribution"),
+}
+_FULL_APPROACHES = (Approach.ATMARL, Approach.RULE_BASED, Approach.NAIVE_PARALLEL, Approach.GOAL_HALVING)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="atmarl", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("pretrain", "train-supervisor", "evaluate", "full"):
+    for verb, options in _VERB_OPTIONS.items():
         p = sub.add_parser(verb)
         p.add_argument("--scenario", required=True, help="scenario config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--approach", default="ATMARL", help="approach name")
-        p.add_argument("--seed", type=int, action="append", help="evaluation seed (repeatable)")
-        p.add_argument("--episodes", type=int, default=None, help="supervisor training episodes")
-        p.add_argument("--checkpoint", default=None, help="checkpoint directory override")
-        p.add_argument("--shift", default=None, help="distribution shifts, e.g. 20:gaussian,30:gamma")
-        p.add_argument("--episode-length", type=int, default=None, help="evaluation episode length")
-        p.add_argument("--eval-distribution", default=None, help="evaluate under this distribution")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def _plan_from_args(args) -> ExperimentPlan:
-    scenario = load_scenario(args.scenario)
-    try:
-        approach = Approach(args.approach)
-    except ValueError:
-        raise ScenarioError(f"unknown approach {args.approach!r}") from None
+    """The plan of the parsed options; an option the verb does not take is absent from ``args``."""
+    opts = vars(args)
+    scenario = load_scenario(opts["scenario"])
     # unset options keep ExperimentPlan's defaults, which the canonical plans share
     given = {}
-    if args.episode_length is not None:
-        given["episode_length"] = args.episode_length
-    if args.seed:
-        given["seeds"] = tuple(args.seed)
-    if args.episodes is not None:
-        given["train_cfg"] = TrainConfig(episodes=args.episodes)
-    return ExperimentPlan(
-        scenario=scenario,
-        approaches=(approach,),
-        shift_schedule=_parse_shift(args.shift) if args.shift else (),
-        eval_distribution=(
-            DistributionSpec.of(DistributionKind(args.eval_distribution.capitalize()))
-            if args.eval_distribution
-            else None
-        ),
-        **given,
-    )
+    if opts["verb"] == "full":
+        given["approaches"] = _FULL_APPROACHES
+    elif "approach" in opts:
+        try:
+            given["approaches"] = (Approach(opts["approach"]),)
+        except ValueError:
+            raise ScenarioError(f"unknown approach {opts['approach']!r}") from None
+    if opts.get("episode_length") is not None:
+        given["episode_length"] = opts["episode_length"]
+    if opts.get("seed"):
+        given["seeds"] = tuple(opts["seed"])
+    if opts.get("episodes") is not None:
+        given["train_cfg"] = TrainConfig(episodes=opts["episodes"])
+    if opts.get("shift"):
+        given["shift_schedule"] = _parse_shift(opts["shift"])
+    if opts.get("eval_distribution"):
+        given["eval_distribution"] = DistributionSpec.of(DistributionKind(opts["eval_distribution"].capitalize()))
+    return ExperimentPlan(scenario=scenario, **given)
 
 
 def main(argv=None) -> int:
@@ -94,7 +108,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = Path(args.checkpoint) if args.checkpoint else out_dir
+    ckpt_dir = Path(vars(args).get("checkpoint") or out_dir)
     try:
         if args.verb == "pretrain":
             stage_pretrain(plan, out_dir)
@@ -112,8 +126,7 @@ def main(argv=None) -> int:
             traces = [evaluate_episode(plan, artifacts, approach, seed) for seed in plan.seeds]
             emit_report(plan, traces, out_dir)
         elif args.verb == "full":
-            approaches = (Approach.ATMARL, Approach.RULE_BASED, Approach.NAIVE_PARALLEL, Approach.GOAL_HALVING)
-            run_pipeline(replace(plan, approaches=approaches), out_dir)
+            run_pipeline(plan, out_dir)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

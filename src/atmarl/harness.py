@@ -88,6 +88,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.seeds:
             raise ScenarioError("plan needs at least one seed")
+        # numpy seeds its generators from non-negative integers only
+        seeds = {"evaluation seed": min(self.seeds), "train_seed": self.train_seed, "pretrain_seed": self.pretrain_seed}
+        for name, seed in seeds.items():
+            if seed < 0:
+                raise ScenarioError(f"{name} must be non-negative, got {seed}")
         if self.episode_length < 1:
             raise ScenarioError(f"evaluation episode length must be positive, got {self.episode_length}")
         for stage, cfg in (("pre-training", self.pretrain_cfg), ("supervisor training", self.train_cfg)):
@@ -293,7 +298,7 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
         encode_once=True,
     )
     if approach is Approach.GOAL_HALVING:
-        return lambda *step: (goal_halving(policy(*step)[0], config), BOTH_PLANES)
+        return lambda *step: (goal_halving(policy(*step)[0]), BOTH_PLANES)
     return policy
 
 
@@ -482,32 +487,17 @@ class PipelineResult:
     summary: list[SummaryRow]
 
 
-def run_pipeline(plan: ExperimentPlan, out_dir: str | Path, reuse: bool = True) -> PipelineResult:
-    """Execute pretrain -> supervisor training -> evaluation -> report."""
+def run_pipeline(plan: ExperimentPlan, out_dir: str | Path) -> PipelineResult:
+    """Execute pretrain -> supervisor training -> evaluation -> report.
+
+    Every stage runs and writes its files, whatever ``out_dir`` already
+    holds; the staged CLI verbs are the way to reuse checkpoints.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        if reuse and (out_dir / "pretrain.ckpt").exists():
-            artifacts = load_pretrain(plan, out_dir)
-        else:
-            artifacts = stage_pretrain(plan, out_dir)
-    except CheckpointError as exc:
-        raise StageFailure("pretrain", str(exc)) from exc
-
-    needed = {a for a in plan.approaches if a in _POLICY_FILES}
-    for approach in sorted(needed, key=lambda a: a.value):
-        try:
-            path = out_dir / _POLICY_FILES[approach]
-            if reuse and path.exists():
-                load_policy(plan, artifacts, approach, out_dir)
-            else:
-                stage_train_supervisor(plan, artifacts, approach, out_dir)
-        except CheckpointError as exc:
-            raise StageFailure("train-supervisor", str(exc)) from exc
-
-    traces = []
-    for approach in plan.approaches:
-        for seed in plan.seeds:
-            traces.append(evaluate_episode(plan, artifacts, approach, seed))
+    artifacts = stage_pretrain(plan, out_dir)
+    for approach in sorted({a for a in plan.approaches if a in _POLICY_FILES}, key=lambda a: a.value):
+        stage_train_supervisor(plan, artifacts, approach, out_dir)
+    traces = [evaluate_episode(plan, artifacts, approach, seed) for approach in plan.approaches for seed in plan.seeds]
     summary = emit_report(plan, traces, out_dir)
     return PipelineResult(out_dir=out_dir, traces=traces, summary=summary)

@@ -1,4 +1,6 @@
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -61,10 +63,77 @@ def test_cli_rejects_bad_scenario(tmp_path):
 
 def test_cli_rejects_negative_shift(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
-    rc = run_cli("pretrain", "--scenario", scenario_file, "--out", out, "--shift=-3:gamma")
+    rc = run_cli("full", "--scenario", scenario_file, "--out", out, "--shift=-3:gamma")
     assert rc == EXIT_CONFIG
     assert "config error: shift timesteps must fall inside the episode" in capsys.readouterr().err
     assert not (out / "pretrain.ckpt").exists()
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "full"])
+def test_cli_rejects_negative_seed_before_any_stage(scenario_file, tmp_path, capsys, verb):
+    # numpy would refuse it only when evaluation starts, after pre-training and training under full
+    out = tmp_path / "out"
+    rc = run_cli(verb, "--scenario", scenario_file, "--out", out, "--seed", 1, "--seed", -1)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: evaluation seed must be non-negative, got -1"], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("full", "--approach", "Oracle"),
+        ("full", "--checkpoint", "d"),
+        ("pretrain", "--episodes", 3),
+        ("evaluate", "--episodes", 3),
+        ("train-supervisor", "--seed", 1),
+    ],
+    ids=["full-approach", "full-checkpoint", "pretrain-episodes", "evaluate-episodes", "train-seed"],
+)
+def test_cli_refuses_an_option_the_verb_does_not_read(scenario_file, tmp_path, capsys, args):
+    verb, *option = args
+    with pytest.raises(SystemExit) as exited:
+        run_cli(verb, "--scenario", scenario_file, "--out", tmp_path / "out", *option)
+    assert exited.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
+
+
+def test_cli_verbs_take_the_documented_options(capsys):
+    values = {
+        "--approach": "ATMARL", "--seed": "1", "--episodes": "1", "--checkpoint": "d", "--shift": "1:gamma",
+        "--episode-length": "2", "--eval-distribution": "gaussian",
+    }
+    parser = cli.build_parser()
+    taken = {}
+    for verb in ("pretrain", "train-supervisor", "evaluate", "full"):
+        taken[verb] = []
+        for option, value in values.items():
+            try:
+                parser.parse_args([verb, "--scenario", "s.ini", "--out", "o", option, value])
+            except SystemExit as exited:
+                assert exited.code == EXIT_CONFIG
+            else:
+                taken[verb].append(option)
+    capsys.readouterr()
+    assert taken == {
+        "pretrain": [],
+        "train-supervisor": ["--approach", "--episodes", "--checkpoint", "--eval-distribution"],
+        "evaluate": ["--approach", "--seed", "--checkpoint", "--shift", "--episode-length", "--eval-distribution"],
+        "full": ["--seed", "--episodes", "--shift", "--episode-length", "--eval-distribution"],
+    }
+
+
+def test_cli_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    examples = block.replace("\\\n", " ").splitlines()
+    assert len(examples) == 5, examples
+    for line in examples:
+        prog, *argv = shlex.split(line)
+        assert prog == "atmarl"
+        cli.build_parser().parse_args(argv)
 
 
 def test_cli_evaluate_without_checkpoint_fails_with_stage_code(scenario_file, tmp_path):

@@ -53,7 +53,7 @@ def run_digest(out, checkpoints: bool = True) -> str:
 
 def test_tiny_plan_outputs_match_pinned_hash(tmp_path):
     with pytest.warns(UserWarning, match="pretraining mean reward"):
-        run_pipeline(golden_plan(), tmp_path, reuse=False)
+        run_pipeline(golden_plan(), tmp_path)
     written = sorted(p.name for p in tmp_path.iterdir() if p.suffix in (".ckpt", ".csv"))
     # 3 checkpoints, 2 training logs, 4 approaches x 2 seeds, the pre-training log and the summary
     assert len(written) == 3 + 2 + 8 + 2, written

@@ -13,7 +13,7 @@ from atmarl.agents import GOAL_LEVELS, PretrainConfig, agent_roster, goal_value
 from atmarl.checkpoint import load_checkpoint, save_checkpoint
 from atmarl.baselines import SWITCH_PERIOD
 from atmarl.config import default_scenario, load_scenario, write_scenario
-from atmarl.errors import CheckpointError, ScenarioError, ShapeMismatchError, StageFailure
+from atmarl.errors import CheckpointError, ScenarioError, ShapeMismatchError
 from atmarl.harness import (
     Approach,
     Artifacts,
@@ -59,7 +59,7 @@ def quick_plan(**kwargs):
 def run_quick(plan, out):
     """``run_pipeline`` under the quick pre-training, which misses its reward floor."""
     with pytest.warns(UserWarning, match="pretraining mean reward"):
-        return run_pipeline(plan, out, reuse=False)
+        return run_pipeline(plan, out)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,17 @@ def test_plan_rejects_empty_seeds():
 )
 def test_plan_rejects_non_positive_counts(bad):
     with pytest.raises(ScenarioError, match="positive"):
+        quick_plan(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [({"seeds": (1, -1)}, "evaluation seed"), ({"train_seed": -1}, "train_seed"), ({"pretrain_seed": -2}, "pretrain_seed")],
+    ids=["eval-seed", "train-seed", "pretrain-seed"],
+)
+def test_plan_rejects_negative_seeds(bad, name):
+    # numpy refuses a negative seed only when the stage that draws from it starts
+    with pytest.raises(ScenarioError, match=f"{name} must be non-negative"):
         quick_plan(**bad)
 
 
@@ -329,6 +340,34 @@ def test_pipeline_byte_identical_reruns(tmp_path):
         assert (res_a.out_dir / name).read_bytes() == (res_b.out_dir / name).read_bytes(), name
 
 
+def test_full_run_into_a_used_directory_equals_a_fresh_run(tmp_path):
+    # a full run reads no checkpoint: another plan's files in its directory are overwritten, never reused
+    def tiny_plan(seed):
+        return quick_plan(
+            scenario=default_scenario(five_intents=True),  # clears the pre-training reward floor
+            approaches=(Approach.ATMARL, Approach.GOAL_HALVING, Approach.RULE_BASED),
+            train_seed=seed,
+            pretrain_seed=seed,
+            pretrain_cfg=PretrainConfig(episodes=2, episode_length=2),
+            train_cfg=TrainConfig(episodes=1, episode_length=2),
+        )
+
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    run_pipeline(tiny_plan(5), used)
+    before = files(used)
+    run_pipeline(tiny_plan(6), used)
+    run_pipeline(tiny_plan(6), fresh)
+    after = files(fresh)
+    assert {"pretrain.ckpt", "supervisor_atmarl.ckpt", "supervisor_case1.ckpt", "summary.csv"} <= set(after)
+    assert files(used) == after
+    assert sorted(before) == sorted(after)
+    # the seeds change every checkpoint, so a reused one would show
+    assert all(before[name] != after[name] for name in after if name.endswith(".ckpt"))
+
+
 def test_evaluation_matches_greedy_training_rollout(pipeline_result):
     # an ATMARL evaluation episode is the supervisor-training rollout run greedily
     plan, result = pipeline_result
@@ -511,19 +550,6 @@ def test_load_policy_rejects_another_intent_count(five_intent_checkpoints):
     assert artifacts.policies == {}
 
 
-@pytest.mark.parametrize("stage", ["pretrain", "train-supervisor"])
-def test_pipeline_reuse_rejects_another_intent_count(five_intent_checkpoints, pipeline_result, tmp_path, stage):
-    # the five-intent policy beside a matching three-intent pre-training fails the policy stage
-    plan, result = pipeline_result
-    shutil.copy(five_intent_checkpoints / "supervisor_atmarl.ckpt", tmp_path)
-    source = five_intent_checkpoints if stage == "pretrain" else result.out_dir
-    shutil.copy(source / "pretrain.ckpt", tmp_path)
-    with pytest.raises(StageFailure, match="made for 5 intents") as err:
-        run_pipeline(plan, tmp_path, reuse=True)
-    assert err.value.stage == stage
-    assert not list(tmp_path.glob("*.csv"))
-
-
 # ---------------------------------------------------------------------------
 # checkpoints of the per-agent and per-head layout
 
@@ -553,7 +579,3 @@ def test_per_copy_layout_checkpoint_is_refused(pipeline_result, tmp_path):
     with pytest.raises(ShapeMismatchError, match="policy.enc_l0.W"):
         load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
     assert artifacts.policies == {}
-    with pytest.raises(StageFailure, match="policy.enc_l0.W") as err:
-        run_pipeline(plan, tmp_path, reuse=True)
-    assert err.value.stage == "train-supervisor"
-    assert not list(tmp_path.glob("*.csv"))

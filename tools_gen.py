@@ -34,7 +34,7 @@ def main():
         pretrain_cfg=PretrainConfig(),
         train_cfg=TrainConfig(episodes=EPISODES),
     )
-    res = run_pipeline(plan, OUT / "gauss", reuse=False)
+    res = run_pipeline(plan, OUT / "gauss")
     tab = {(r.approach, r.kpi): r for r in res.summary}
     for kpi in ("cv0", "urllc0", "miot0"):
         a = tab[("ATMARL", kpi)].iae_mean
@@ -57,7 +57,7 @@ def main():
         pretrain_cfg=PretrainConfig(),
         train_cfg=TrainConfig(episodes=EPISODES),
     )
-    res6 = run_pipeline(plan6, OUT / "shift", reuse=False)
+    res6 = run_pipeline(plan6, OUT / "shift")
     for trace in res6.traces:
         series = trace.kpi_series(cfg)
         recov = []
@@ -78,7 +78,7 @@ def main():
         pretrain_cfg=PretrainConfig(),
         train_cfg=TrainConfig(episodes=EPISODES),
     )
-    res5 = run_pipeline(plan5, OUT / "five", reuse=False)
+    res5 = run_pipeline(plan5, OUT / "five")
     for trace in res5.traces:
         goals_cols = [c for c in trace.columns if c.startswith("goal_")]
         assert len(goals_cols) == 10, goals_cols

@@ -33,7 +33,7 @@ def score(out_dir, cfg, episodes=350, pre_episodes=800, seeds=(1, 2, 3, 4, 5)):
         train_cfg=TrainConfig(episodes=episodes),
     )
     t0 = time.time()
-    result = run_pipeline(plan, out_dir, reuse=False)
+    result = run_pipeline(plan, out_dir)
     elapsed = time.time() - t0
     tab = {}
     for row in result.summary:
