@@ -16,15 +16,16 @@ uses the same seed, run length, sample count and reference runs per side
 ``settings``), so two records made on one host share their keys and
 compare field by field.
 
-The microbenchmarks call the package's current signatures: ``act`` and
-``forward_step`` on a row of an ``EpisodeTape`` (``act`` returning each
-head's rung), trajectories that keep their leaf inputs on that tape,
-``episode_gradients`` refilling one accumulator as training does, the
-critic values read off the trajectory, and the simulator state's knobs as
-the two plain lists ``state.priority`` and ``state.mbr`` beside its
-``state.scenario``. So ``--tree`` must be a checkout from the change that
-put the supervisor on the episode tape onwards; older trees fail. Measure
-an older tree with that tree's own ``record_bench.py``.
+The microbenchmarks call the package's current signatures: ``observe`` as
+one pass over a list of roster members and the report's KPIs as floats,
+``act`` and ``forward_step`` on a row of an ``EpisodeTape`` (``act``
+returning each head's rung), trajectories that keep their leaf inputs on
+that tape, ``episode_gradients`` refilling one accumulator as training
+does, the critic values read off the trajectory, and the simulator state's
+knobs as the two plain lists ``state.priority`` and ``state.mbr`` beside
+its ``state.scenario``. So ``--tree`` must be a checkout from the change
+that made ``observe`` that roster pass onwards; older trees fail. Measure an
+older tree with that tree's own ``record_bench.py``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def quartiles(samples: list[float]) -> dict:
 
 def microbenchmarks(tree: Path) -> dict:
     """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``, per
-    ``forward_step``, per agent step (one agent's observe, discretize, greedy
-    select_action and apply_action), per ``slice_sim.step`` and per
+    ``forward_step``, per agent step (the ``observe`` roster pass over one
+    agent, then its discretize, greedy select_action and apply_action), per
+    ``slice_sim.step`` and per
     ``allocate_capacity`` call; ms per ``save_checkpoint`` and per
     ``load_checkpoint`` of the blocks ``stage_train_supervisor`` writes for a
     default-dims policy.
@@ -91,7 +93,7 @@ def microbenchmarks(tree: Path) -> dict:
 
     from atmarl import slice_sim
     from atmarl.agents import (
-        PretrainConfig, SystemKind, agent_roster, apply_action, discretize, estimate_capabilities, observe,
+        Member, PretrainConfig, SystemKind, agent_roster, apply_action, discretize, estimate_capabilities, observe,
         pretrain_system, select_action,
     )
     from atmarl.checkpoint import load_checkpoint, save_checkpoint
@@ -148,11 +150,13 @@ def microbenchmarks(tree: Path) -> dict:
     agent = agent_roster(cfg)[0]
     agent_state = slice_sim.init_scenario(cfg)
     report = slice_sim.evaluate_kpis(agent_state, offered)
-    goal = cfg.services[agent.intent_index].kpi_target
+    members = [Member.of(agent, cfg, qtables[agent.key])]
+    goal = {agent.key: cfg.services[agent.intent_index].kpi_target}
     knob = agent_state.priority[agent.intent_index]
 
     def agent_step():
-        index = discretize(observe(agent_state, report, agent, goal))
+        seen = observe(agent_state, report.kpi.tolist(), report.congestion, members, goal)
+        index = discretize(seen[agent.key])
         apply_action(agent_state, agent, select_action(qtables[agent.key], index, 0.0, rng))
         agent_state.priority[agent.intent_index] = knob
 

@@ -26,7 +26,6 @@ from .slice_sim import (
     KpiKind,
     MBR_LEVELS,
     NetworkState,
-    KpiReport,
     PRIORITY_LEVELS,
     init_scenario,
     step as sim_step,
@@ -84,6 +83,11 @@ class AgentObservation(NamedTuple):
     congestion: float  # slice offered / slice bandwidth
 
 
+# builds an AgentObservation from a 4-tuple without the Python frame of its
+# generated __new__, which is about half the cost of building one
+_new_tuple = tuple.__new__
+
+
 @dataclass
 class QTable:
     """Dense state-action values over the binned observation space."""
@@ -108,7 +112,7 @@ class CapabilityVector:
 
     def ema_update(self, level: int, achieved: bool):
         i = level - 1
-        self.rho[i] = (1.0 - CAPABILITY_EMA) * self.rho[i] + CAPABILITY_EMA * (1.0 if achieved else 0.0)
+        self.rho[i] = (1.0 - CAPABILITY_EMA) * self.rho.item(i) + CAPABILITY_EMA * (1.0 if achieved else 0.0)
         self.from_data[i] = True
 
 
@@ -126,6 +130,11 @@ def goal_value(kpi_kind: KpiKind, level: int) -> float:
     if kpi_kind is _QOE:
         return 1.0 + QOE_BIN * level
     return float(level)
+
+
+def goal_ladder(kpi_kind: KpiKind) -> list[float]:
+    """The KPI-space goal of every rung, rung 1 first."""
+    return [goal_value(kpi_kind, level) for level in range(1, GOAL_LEVELS + 1)]
 
 
 def _clamp(x, lo, hi):
@@ -158,18 +167,51 @@ def _mbr_index(value: float) -> int:
     return i
 
 
-def observe(state: NetworkState, report: KpiReport, agent: AgentId, goal_kpi: float) -> AgentObservation:
-    """Build one agent's normalized observation; excludes the other plane's knobs."""
-    services = state.scenario.services
-    if agent.intent_index >= len(services):
-        raise ScenarioError(f"agent {agent} references a missing intent")
-    svc = services[agent.intent_index]
-    return AgentObservation(
-        kpi=normalize_kpi(svc.kpi_kind, float(report.kpi[agent.intent_index])),
-        knob=normalize_knob(agent, state),
-        goal=normalize_kpi(svc.kpi_kind, goal_kpi),
-        congestion=min(report.congestion, CONGESTION_MAX),
-    )
+class Member(NamedTuple):
+    """One agent as the engine's per-step roster pass reads it, resolved once per episode."""
+
+    agent: AgentId
+    key: str
+    intent: int  # the agent's intent index, its KPI's position in a report
+    kpi_kind: KpiKind
+    table: QTable | None
+
+    @classmethod
+    def of(cls, agent: AgentId, config: ScenarioConfig, table: QTable | None = None) -> "Member":
+        if not 0 <= agent.intent_index < config.intent_count:
+            raise ScenarioError(f"agent {agent} references a missing intent")
+        return cls(agent, agent.key, agent.intent_index, config.services[agent.intent_index].kpi_kind, table)
+
+
+def roster_members(config: ScenarioConfig, qtables: dict[str, QTable] | None = None) -> list[Member]:
+    """The roster's agents in roster order, each with its Q-table; given ``qtables``, only the agents it holds."""
+    if qtables is None:
+        return [Member.of(a, config) for a in agent_roster(config)]
+    return [Member.of(a, config, qtables[a.key]) for a in agent_roster(config) if a.key in qtables]
+
+
+def observe(
+    state: NetworkState,
+    kpis: list[float],
+    congestion: float,
+    members: list[Member],
+    goals: dict[str, float],
+) -> dict[str, AgentObservation]:
+    """Every member's normalized observation of one KPI report, by agent key.
+
+    ``kpis`` are the report's readings as floats (``report.kpi.tolist()``)
+    and ``congestion`` its congestion; each agent sees its own KPI, its own
+    knob, its goal in ``goals`` (KPI space) and the congestion, never the
+    other plane's knobs.
+    """
+    congestion = min(congestion, CONGESTION_MAX)
+    return {
+        key: _new_tuple(
+            AgentObservation,
+            (normalize_kpi(kind, kpis[k]), normalize_knob(agent, state), normalize_kpi(kind, goals[key]), congestion),
+        )
+        for agent, key, k, kind, _ in members
+    }
 
 
 _LAST_BIN = OBS_BINS - 1
@@ -250,9 +292,10 @@ def run_episode(
     """The closed loop shared by pre-training, supervisor training and evaluation.
 
     The scenario is ``state.scenario``; the agents are those of its roster
-    that have a Q-table. The engine is the only caller of ``observe``: it
-    observes every agent once per report, into ``seen`` (agent key to
-    observation). The noise-free opening report is
+    that have a Q-table, resolved once into ``roster_members``. The engine is
+    the only caller of ``observe``: it reads each report's KPIs once, as the
+    floats ``kpis``, and observes every agent in one ``observe`` pass into
+    ``seen`` (agent key to observation). The noise-free opening report is
     observed against each intent's target; every later report against the
     goal the agent was last assigned. Each step applies the UE redistribution
     scheduled for it, asks ``goals(t, seen, last_action)`` for this step's
@@ -261,44 +304,47 @@ def run_episode(
     replaced where its assigned goal changed, and move its knob. Each acting
     agent bins that observation once and picks its action epsilon-greedily
     with probability ``epsilon`` of a uniform random action (0 acts greedily
-    and draws nothing). It then steps the network, observes the new report
-    and hands the outcome to ``on_step(t, state, report, current, active,
-    taken, seen)``, where ``current`` is this step's goals and ``taken`` maps
-    agent key to the (table index, action) acted on. ``on_step`` may return the table indices it computed for observations
-    in ``seen`` (agent key to index); next step an agent whose goal is
-    unchanged acts on that index instead of binning its observation again.
+    and draws nothing), in roster order. It then steps the network, observes
+    the new report and hands the outcome to ``on_step(t, state, kpis,
+    current, active, taken, seen)``, where ``current`` is this step's goals
+    and ``taken`` maps agent key to the (table index, action) acted on.
+    ``on_step`` may return the table indices it computed for observations in
+    ``seen`` (agent key to index); next step an agent whose goal is unchanged
+    acts on that index instead of binning its observation again.
     """
     config = state.scenario
-    roster = [a for a in agent_roster(config) if a.key in qtables]
+    members = roster_members(config, qtables)
     shifts = dict(shift_schedule)
     report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
-    aimed = {a.key: config.services[a.intent_index].kpi_target for a in roster}
-    seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
-    last_action = {a.key: _HOLD for a in roster}
+    aimed = {key: config.services[k].kpi_target for _, key, k, _, _ in members}
+    seen = observe(state, report.kpi.tolist(), report.congestion, members, aimed)
+    last_action = {key: _HOLD for key in aimed}
     binned = {}
     for t in range(episode_length):
         if t in shifts:
             state = slice_sim.set_distribution(state, shifts[t])
         current, active = goals(t, seen, last_action)
         taken = {}
-        for a in roster:
-            if a.system not in active:
+        for agent, key, _, kind, table in members:
+            if agent.system not in active:
                 continue
-            goal = current[a.key]
-            if goal != aimed[a.key]:
-                index = discretize(seen[a.key]._replace(goal=normalize_kpi(config.services[a.intent_index].kpi_kind, goal)))
-            elif a.key in binned:
-                index = binned[a.key]
+            goal = current[key]
+            if goal != aimed[key]:
+                kpi, knob, _, congestion = seen[key]
+                index = discretize((kpi, knob, normalize_kpi(kind, goal), congestion))
             else:
-                index = discretize(seen[a.key])
-            action = select_action(qtables[a.key], index, epsilon, rng)
-            apply_action(state, a, action)
-            last_action[a.key] = action
-            taken[a.key] = (index, action)
+                index = binned.get(key)
+                if index is None:
+                    index = discretize(seen[key])
+            action = select_action(table, index, epsilon, rng)
+            apply_action(state, agent, action)
+            last_action[key] = action
+            taken[key] = (index, action)
         state, report = sim_step(state, rng)
         aimed = current
-        seen = {a.key: observe(state, report, a, aimed[a.key]) for a in roster}
-        binned = on_step(t, state, report, current, active, taken, seen) or {}
+        kpis = report.kpi.tolist()
+        seen = observe(state, kpis, report.congestion, members, aimed)
+        binned = on_step(t, state, kpis, current, active, taken, seen) or {}
 
 
 PRETRAIN_LEARNING_RATE = 0.1
@@ -338,6 +384,7 @@ def pretrain_system(
     params = params or PretrainConfig()
     agents = [AgentId(system, k) for k in range(config.intent_count)]
     tables = {a.key: QTable.create() for a in agents}
+    members = roster_members(config, tables)
     logs: list[dict] = []
     recent_rewards: list[float] = []
     anneal = params.episodes * 0.7
@@ -355,27 +402,26 @@ def pretrain_system(
         if kind is not config.distribution.kind:
             state = slice_sim.set_distribution(state, slice_sim.DistributionSpec.of(kind))
         levels = {a.key: int(rng.integers(1, GOAL_LEVELS + 1)) for a in agents}
-        goals = {a.key: goal_value(config.services[a.intent_index].kpi_kind, levels[a.key]) for a in agents}
+        goals = {key: goal_value(kpi_kind, levels[key]) for _, key, _, kpi_kind, _ in members}
         hit_step = {a.key: None for a in agents}
         episode_reward = 0.0
 
-        def learn(t, state, report, current, active, taken, seen):
+        def learn(t, state, kpis, current, active, taken, seen):
             nonlocal episode_reward
             binned = {}  # the goal is fixed, so the engine acts on these indices next step
-            for a in agents:
-                svc = config.services[a.intent_index]
-                goal_kpi = current[a.key]
-                kpi = float(report.kpi[a.intent_index])
-                r = agent_reward(kpi, goal_kpi, svc.kpi_kind)
+            for _, key, k, kpi_kind, table in members:
+                goal_kpi = current[key]
+                kpi = kpis[k]
+                r = agent_reward(kpi, goal_kpi, kpi_kind)
                 episode_reward += r
-                index, action = taken[a.key]
-                values = tables[a.key].values
+                index, action = taken[key]
+                values = table.values
                 sa = index + (int(action),)
-                binned[a.key] = discretize(seen[a.key])
-                td = r + PRETRAIN_DISCOUNT * max(values[binned[a.key]].tolist()) - values[sa]
-                values[sa] += PRETRAIN_LEARNING_RATE * td
-                if hit_step[a.key] is None and goal_achieved(kpi, goal_kpi, svc.kpi_kind):
-                    hit_step[a.key] = t + 1
+                binned[key] = after = discretize(seen[key])
+                q = values.item(sa)
+                values[sa] = q + PRETRAIN_LEARNING_RATE * (r + PRETRAIN_DISCOUNT * max(values[after].tolist()) - q)
+                if hit_step[key] is None and goal_achieved(kpi, goal_kpi, kpi_kind):
+                    hit_step[key] = t + 1
             return binned
 
         run_episode(state, tables, lambda *_: (goals, planes), rng, params.episode_length, learn, epsilon=eps)

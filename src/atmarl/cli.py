@@ -82,9 +82,12 @@ def _plan_from_args(args) -> ExperimentPlan:
         given["approaches"] = _FULL_APPROACHES
     elif "approach" in opts:
         try:
-            given["approaches"] = (Approach(opts["approach"]),)
+            approach = Approach(opts["approach"])
         except ValueError:
             raise ScenarioError(f"unknown approach {opts['approach']!r}") from None
+        if opts["verb"] == "train-supervisor" and approach not in _POLICY_FILES:
+            raise ScenarioError(f"approach {approach.value} has no trainable supervisor")
+        given["approaches"] = (approach,)
     if opts.get("episode_length") is not None:
         given["episode_length"] = opts["episode_length"]
     if opts.get("seed"):
@@ -113,11 +116,7 @@ def main(argv=None) -> int:
         if args.verb == "pretrain":
             stage_pretrain(plan, out_dir)
         elif args.verb == "train-supervisor":
-            artifacts = load_pretrain(plan, ckpt_dir)
-            approach = plan.approaches[0]
-            if approach not in _POLICY_FILES:
-                raise ScenarioError(f"approach {approach.value} has no trainable supervisor")
-            stage_train_supervisor(plan, artifacts, approach, out_dir)
+            stage_train_supervisor(plan, load_pretrain(plan, ckpt_dir), plan.approaches[0], out_dir)
         elif args.verb == "evaluate":
             artifacts = load_pretrain(plan, ckpt_dir)
             approach = plan.approaches[0]

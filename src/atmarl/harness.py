@@ -319,19 +319,19 @@ def evaluate_episode(
         + [f"knob_{a.key}" for a in roster]
         + ["reward", "active_priority", "active_mbr", "dist_kind"]
     )
+    keys = [a.key for a in roster]
     rows = []
 
-    def record(t, state, report, current, active, taken, seen):
+    def record(t, state, kpis, current, active, taken, seen):
         rows.append(
             [t]
-            + report.kpi.tolist()
-            + [float(current[a.key]) for a in roster]
+            + kpis
+            + [float(current[key]) for key in keys]
+            # the roster's knobs: every priority by intent, then every MBR cap
+            + [float(level) for level in state.priority]
+            + state.mbr
             + [
-                float(state.priority[a.intent_index]) if a.system is SystemKind.PRIORITY else state.mbr[a.intent_index]
-                for a in roster
-            ]
-            + [
-                supervisor_reward(report, config.services),
+                supervisor_reward(kpis, config.services),
                 int(SystemKind.PRIORITY in active),
                 int(SystemKind.MBR in active),
                 state.distribution.kind.value,

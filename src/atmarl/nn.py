@@ -332,16 +332,18 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cumulative probabilities at or below its uniform, which is
     ``searchsorted(side="right")`` on that nondecreasing sum, capped at the
     last category. The probabilities have the bits of ``softmax``; they are
-    exponentiated, normalised and summed in one scratch array.
+    exponentiated, normalised and summed in one scratch array. The
+    reductions call the ufuncs that ``ndarray.all``, ``max``, ``sum`` and
+    ``np.cumsum`` call, without those wrappers, so the bits are theirs.
     """
-    if not np.isfinite(logits).all():
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
         raise FloatingPointError("non-finite values in logits")
-    cdf = logits - logits.max(axis=-1, keepdims=True)
+    cdf = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(cdf, out=cdf)
-    cdf /= cdf.sum(axis=-1, keepdims=True)
-    np.cumsum(cdf, axis=-1, out=cdf)
+    cdf /= np.add.reduce(cdf, axis=-1, keepdims=True)
+    np.add.accumulate(cdf, axis=-1, out=cdf)
     u = rng.random(logits.shape[:-1])
-    return np.minimum((cdf <= u[..., None]).sum(axis=-1), logits.shape[-1] - 1)
+    return np.minimum(np.add.reduce(cdf <= u[..., None], axis=-1), logits.shape[-1] - 1)
 
 
 ADAM_BETA1 = 0.9

@@ -33,8 +33,9 @@ from .agents import (
     QTable,
     agent_roster,
     goal_achieved,
-    goal_value,
+    goal_ladder,
     normalize_kpi,
+    roster_members,
     run_episode,
 )
 from .config import ScenarioConfig
@@ -56,7 +57,7 @@ from .nn import (
     stack_caches,
     stack_forward,
 )
-from .slice_sim import KpiKind, KpiReport, ServiceSpec
+from .slice_sim import KpiKind, ServiceSpec
 
 N_ACTION_ONEHOT = 3
 TUPLE_DIM = 4 + N_ACTION_ONEHOT + 1  # observation, one-hot action, normalized goal
@@ -263,11 +264,10 @@ def act(
     return (idx + 1).tolist()
 
 
-def supervisor_reward(report: KpiReport, services: list[ServiceSpec]) -> float:
-    """Shortfall-only deviation penalty plus a bonus when every intent is met."""
+def supervisor_reward(kpis: list[float], services: list[ServiceSpec]) -> float:
+    """Shortfall-only deviation penalty plus a bonus when every intent is met; ``kpis`` in service order."""
     total_dev = 0.0
-    for k, svc in enumerate(services):
-        kpi = float(report.kpi[k])
+    for kpi, svc in zip(kpis, services):
         if svc.kpi_kind is _QOE:
             dev = max(0.0, (svc.kpi_target - kpi) / svc.kpi_target)
         else:
@@ -285,15 +285,13 @@ class CapabilityTracker:
 
     def __init__(self, capabilities: dict[str, CapabilityVector], config: ScenarioConfig):
         self.capabilities = capabilities
-        self.config = config
+        # per roster agent: key, intent index, KPI kind and goal ladder
+        self._roster = [(key, k, kind, goal_ladder(kind)) for _, key, k, kind, _ in roster_members(config)]
         self._active: dict[str, tuple[int, int, bool]] = {}  # key -> (level, steps, achieved)
 
-    def observe_step(self, levels: list[int], report: KpiReport, roster: list[AgentId]):
-        """Count one step of each roster agent's assigned rung, ``levels`` in roster order."""
-        for agent, level in zip(roster, levels):
-            key = agent.key
-            svc = self.config.services[agent.intent_index]
-            kpi = float(report.kpi[agent.intent_index])
+    def observe_step(self, levels: list[int], kpis: list[float]):
+        """Count one step of each roster agent's assigned rung, ``levels`` in roster order, against the report's ``kpis``."""
+        for (key, k, kind, ladder), level in zip(self._roster, levels):
             active = self._active.get(key)
             if active is None or active[0] != level:
                 if active is not None:
@@ -301,7 +299,7 @@ class CapabilityTracker:
                 active = (level, 0, False)
             lvl, steps, achieved = active
             steps += 1
-            if steps <= ACHIEVEMENT_HORIZON and goal_achieved(kpi, goal_value(svc.kpi_kind, lvl), svc.kpi_kind):
+            if not achieved and steps <= ACHIEVEMENT_HORIZON and goal_achieved(kpis[k], ladder[lvl - 1], kind):
                 achieved = True
             if steps >= ACHIEVEMENT_HORIZON:
                 self.capabilities[key].ema_update(lvl, achieved)
@@ -553,27 +551,25 @@ class PolicyGoals:
         self.encode_once = encode_once
         tape.start(np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services]))
         per_agent = policy.mode is GoalMode.AGENT_LEVEL
+        self._keys = [a.key for a in policy.agents]
         self._heads = [i if per_agent else a.intent_index for i, a in enumerate(policy.agents)]
-        self._ladders = [
-            [goal_value(config.services[a.intent_index].kpi_kind, level) for level in range(1, GOAL_LEVELS + 1)]
-            for a in policy.agents
-        ]
+        self._ladders = [goal_ladder(config.services[a.intent_index].kpi_kind) for a in policy.agents]
         self.levels: list[int] = []
         self.agent_levels: list[int] = []
 
     def __call__(self, t, seen, last_action):
-        roster = self.policy.agents
+        keys = self._keys
         tape = self.tape
         encode = t == 0 or not self.encode_once
         if encode:
             # a copy: capability tracking updates rho in place during training
-            tape.gammas[t] = [self.capabilities[a.key].rho for a in roster]
+            tape.gammas[t] = [self.capabilities[key].rho for key in keys]
         # per agent: observation, one-hot last action, normalized goal (the
         # observation's own goal field)
-        tape.tuples[t] = [(*seen[a.key], *_ONEHOT[last_action[a.key]], seen[a.key].goal) for a in roster]
+        tape.tuples[t] = [(*seen[key], *_ONEHOT[last_action[key]], seen[key].goal) for key in keys]
         self.levels = act(self.policy, tape, t, self.rng, self.explore, encode)
         self.agent_levels = [self.levels[head] for head in self._heads]
-        goals = {a.key: ladder[level - 1] for a, ladder, level in zip(roster, self._ladders, self.agent_levels)}
+        goals = {key: ladder[level - 1] for key, ladder, level in zip(keys, self._ladders, self.agent_levels)}
         return goals, BOTH_PLANES
 
 
@@ -604,11 +600,11 @@ def rollout_episode(
     goals = PolicyGoals(policy, config, capabilities, rng, explore, tape)
     traj = EpisodeTrajectory(tape=tape)
 
-    def record(t, state, report, current, active, taken, seen):
+    def record(t, state, kpis, current, active, taken, seen):
         if tracker is not None:
-            tracker.observe_step(goals.agent_levels, report, policy.agents)
+            tracker.observe_step(goals.agent_levels, kpis)
         traj.sampled_levels.append(goals.levels)
-        traj.rewards.append(supervisor_reward(report, config.services))
+        traj.rewards.append(supervisor_reward(kpis, config.services))
 
     run_episode(state, qtables, goals, rng, episode_length, record)
     score_contexts(policy, traj)

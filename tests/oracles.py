@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-from atmarl.agents import CONGESTION_MAX, OBS_BINS
+from atmarl.agents import CONGESTION_MAX, OBS_BINS, AgentObservation, normalize_kpi, normalize_knob
 from atmarl.errors import ScenarioError
 from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, gru_caches, gru_forward
 from atmarl.slice_sim import N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind
@@ -173,6 +173,28 @@ def bin_unit(x: float) -> int:
 def per_field_discretize(obs) -> tuple[int, int, int, int]:
     """The table index of an observation, one ``bin_unit`` call per field."""
     return (bin_unit(obs.kpi), bin_unit(obs.knob), bin_unit(obs.goal), bin_unit(obs.congestion / CONGESTION_MAX))
+
+
+def per_agent_observe(state, report, agent, goal_kpi: float):
+    """One agent's observation made on its own, as the engine once made each: its KPI read as a numpy scalar.
+
+    The KPI and the goal go through ``normalize_kpi``, the knob through
+    ``normalize_knob`` and the congestion through ``min`` with
+    ``CONGESTION_MAX``; ``agents.observe`` must give every roster agent
+    these bits.
+    """
+    kind = state.scenario.services[agent.intent_index].kpi_kind
+    return AgentObservation(
+        kpi=normalize_kpi(kind, float(report.kpi[agent.intent_index])),
+        knob=normalize_knob(agent, state),
+        goal=normalize_kpi(kind, goal_kpi),
+        congestion=min(report.congestion, CONGESTION_MAX),
+    )
+
+
+def changed_goal_index(obs, kind, goal_kpi: float) -> tuple[int, int, int, int]:
+    """The table index an agent acts on when assigned ``goal_kpi``: its observation with the goal field replaced, binned."""
+    return per_field_discretize(obs._replace(goal=normalize_kpi(kind, goal_kpi)))
 
 
 def csv_writer_trace(trace, path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from atmarl import slice_sim
 from atmarl.agents import (
     ACHIEVEMENT_HORIZON,
+    BOTH_PLANES,
     CONGESTION_MAX,
     OBS_BINS,
     AgentId,
@@ -13,6 +16,8 @@ from atmarl.agents import (
     CapabilityVector,
     GOAL_LEVELS,
     KnobAction,
+    Member,
+    N_ACTIONS,
     PretrainConfig,
     QTable,
     SystemKind,
@@ -26,12 +31,14 @@ from atmarl.agents import (
     normalize_knob,
     observe,
     pretrain_system,
+    roster_members,
+    run_episode,
     select_action,
 )
 from atmarl.config import default_scenario
 from atmarl.errors import ScenarioError
 from atmarl.slice_sim import KpiKind, MBR_LEVELS, PRIORITY_LEVELS, init_scenario
-from oracles import bin_unit, per_field_discretize
+from oracles import bin_unit, changed_goal_index, per_agent_observe, per_field_discretize
 
 FAST_PRETRAIN = PretrainConfig(episodes=150, episode_length=15)
 
@@ -43,6 +50,12 @@ def fresh_state():
     return cfg, state, report
 
 
+def observe_one(state, report, agent, goal_kpi):
+    """One agent's observation from the roster pass over that agent alone."""
+    members = [Member.of(agent, state.scenario)]
+    return observe(state, report.kpi.tolist(), report.congestion, members, {agent.key: goal_kpi})[agent.key]
+
+
 # ---------------------------------------------------------------------------
 # observe
 
@@ -50,14 +63,14 @@ def fresh_state():
 def test_observe_qoe_endpoint_normalizes_to_one():
     cfg, state, report = fresh_state()
     report.kpi[0] = 5.0
-    obs = observe(state, report, AgentId(SystemKind.PRIORITY, 0), goal_kpi=4.0)
+    obs = observe_one(state, report, AgentId(SystemKind.PRIORITY, 0), goal_kpi=4.0)
     assert obs.kpi == pytest.approx(1.0)
 
 
 def test_observe_zero_packet_loss_normalizes_to_zero():
     cfg, state, report = fresh_state()
     report.kpi[1] = 0.0
-    obs = observe(state, report, AgentId(SystemKind.PRIORITY, 1), goal_kpi=2.0)
+    obs = observe_one(state, report, AgentId(SystemKind.PRIORITY, 1), goal_kpi=2.0)
     assert obs.kpi == pytest.approx(0.0)
 
 
@@ -66,32 +79,113 @@ def test_observe_congestion_ratio():
     # 6 + 3 + 3 = 12 Mbps offered across four 10 Mbps gNodeBs
     loads = np.array([6.0, 3.0, 3.0])[:, None] * np.asarray(state.distribution.weights)[None, :]
     report = slice_sim.evaluate_kpis(state, loads)
-    obs = observe(state, report, AgentId(SystemKind.MBR, 0), goal_kpi=4.0)
+    obs = observe_one(state, report, AgentId(SystemKind.MBR, 0), goal_kpi=4.0)
     assert obs.congestion == pytest.approx(12.0 / 40.0)
 
 
 def test_observe_unknown_agent_rejected():
+    # an agent of a missing intent is refused when the roster pass's members are resolved
     cfg, state, report = fresh_state()
     with pytest.raises(ScenarioError):
-        observe(state, report, AgentId(SystemKind.PRIORITY, 9), goal_kpi=4.0)
+        observe_one(state, report, AgentId(SystemKind.PRIORITY, 9), goal_kpi=4.0)
 
 
 def test_observation_excludes_other_system_knob():
     cfg, state, report = fresh_state()
     probe = AgentId(SystemKind.PRIORITY, 0)
-    before = observe(state, report, probe, goal_kpi=4.0)
+    before = observe_one(state, report, probe, goal_kpi=4.0)
     state.mbr[0] = 0.5  # other plane's knob
-    after = observe(state, report, probe, goal_kpi=4.0)
+    after = observe_one(state, report, probe, goal_kpi=4.0)
     assert before == after
 
 
 def test_observation_fields_bounded():
     cfg, state, report = fresh_state()
     report.kpi[1] = 90.0  # blown packet loss still maps inside the bound
-    for agent in agent_roster(cfg):
-        obs = observe(state, report, agent, goal_kpi=3.0)
+    members = roster_members(cfg)
+    seen = observe(state, report.kpi.tolist(), report.congestion, members, {m.key: 3.0 for m in members})
+    assert list(seen) == [a.key for a in agent_roster(cfg)]
+    for obs in seen.values():
+        assert type(obs) is AgentObservation
         arr = np.array(obs)
         assert (arr >= 0.0).all() and (arr <= 1.5).all()
+
+
+@pytest.mark.parametrize("five", [False, True], ids=["3-intents", "5-intents-congested"])
+def test_roster_pass_equals_per_agent_oracle(five, monkeypatch):
+    # random knobs of both planes, random Q-tables, goals that some agents
+    # keep and others change, random active planes: every seen dict the
+    # engine hands out and every table index it acts on must have the bits
+    # of the agent-by-agent oracle. The 5-intent slice gets a fifth of its
+    # bandwidth, so the congestion and the packet losses pass their caps.
+    cfg = default_scenario(five_intents=five)
+    if five:
+        cfg = replace(cfg, bandwidth_mbps=cfg.bandwidth_mbps / 5)
+    n = cfg.intent_count
+    roster = agent_roster(cfg)
+    kinds = {a.key: cfg.services[a.intent_index].kpi_kind for a in roster}
+    draws = np.random.default_rng(40 + five)
+    reports = []
+
+    def logged_step(state, rng):
+        state, report = slice_sim.step(state, rng)
+        reports.append(report)
+        return state, report
+
+    monkeypatch.setattr("atmarl.agents.sim_step", logged_step)
+    branches = {"changed": 0, "kept": 0}
+    for episode in range(4):
+        qtables = {a.key: QTable(values=draws.standard_normal((OBS_BINS,) * 4 + (N_ACTIONS,))) for a in roster}
+        state = init_scenario(cfg)
+        state.priority = draws.integers(1, 6, size=n).tolist()
+        if episode % 2:
+            state.mbr = [MBR_LEVELS[i] for i in draws.integers(0, len(MBR_LEVELS), size=n)]
+        else:  # off-ladder caps, which the knob's normalization resolves to the nearest rung
+            state.mbr = draws.uniform(0.0, 12.0, size=n).tolist()
+        reports[:] = [slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))]
+        aimed = {a.key: cfg.services[a.intent_index].kpi_target for a in roster}
+        expected = {}
+
+        def check_seen(seen, report):
+            assert list(seen) == [a.key for a in roster]
+            for a in roster:
+                ref = per_agent_observe(state, report, a, aimed[a.key])
+                assert type(seen[a.key]) is AgentObservation
+                assert np.array(seen[a.key]).tobytes() == np.array(ref).tobytes(), (a.key, seen[a.key], ref)
+
+        def goals(t, seen, last_action):
+            if t == 0:
+                check_seen(seen, reports[0])
+            current = {}
+            for a in roster:
+                ref = per_agent_observe(state, reports[t], a, aimed[a.key])
+                goal = aimed[a.key]
+                if draws.random() < 0.7:
+                    goal = goal_value(kinds[a.key], int(draws.integers(1, GOAL_LEVELS + 1)))
+                if goal != aimed[a.key]:
+                    expected[a.key] = changed_goal_index(ref, kinds[a.key], goal)
+                    branches["changed"] += 1
+                else:
+                    expected[a.key] = per_field_discretize(ref)
+                    branches["kept"] += 1
+                current[a.key] = goal
+            planes = [{SystemKind.PRIORITY}, {SystemKind.MBR}, BOTH_PLANES]
+            return current, planes[int(draws.integers(len(planes)))]
+
+        def on_step(t, state_after, kpis, current, active, taken, seen):
+            assert state_after is state
+            assert kpis == reports[t + 1].kpi.tolist()
+            assert list(taken) == [a.key for a in roster if a.system in active]
+            for key, (index, _) in taken.items():
+                assert index == expected[key], key
+            aimed.update(current)
+            check_seen(seen, reports[t + 1])
+
+        run_episode(state, qtables, goals, np.random.default_rng(episode), 12, on_step, epsilon=0.2)
+        assert len(reports) == 12 + 1
+    assert min(branches.values()) > 20, branches
+    if five:
+        assert max(r.congestion for r in reports) > CONGESTION_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +431,7 @@ def test_pretrain_priority_reaches_feasible_qoe_goals(pretrained):
     assert feasible, "no feasible QoE goal levels learned"
     rng = np.random.default_rng(77)
     agents = [AgentId(SystemKind.PRIORITY, k) for k in range(cfg.intent_count)]
+    members = roster_members(cfg, priority.qtables)
     hits = 0
     episodes = 25
     for _ in range(episodes):
@@ -347,9 +442,9 @@ def test_pretrain_priority_reaches_feasible_qoe_goals(pretrained):
         goals = {a.key: goal if a.intent_index == 0 else goal_value(KpiKind.PACKET_LOSS, 2) for a in agents}
         reached = False
         for t in range(10):
+            seen = observe(state, report.kpi.tolist(), report.congestion, members, goals)
             for a in agents:
-                obs = observe(state, report, a, goals[a.key])
-                action = select_action(priority.qtables[a.key], discretize(obs), 0.0, rng)
+                action = select_action(priority.qtables[a.key], discretize(seen[a.key]), 0.0, rng)
                 apply_action(state, a, action)
             state, report = slice_sim.step(state, rng)
             if goal_achieved(float(report.kpi[0]), goal, KpiKind.QOE):
@@ -370,11 +465,13 @@ def test_pretrain_other_system_knobs_frozen():
 
 
 def test_pretrain_observes_each_agent_once_per_report(calls_to):
-    # one plane's agents, at the opening report and after each of the 5 steps
+    # one roster pass over the plane's agents at the opening report and after each of the 5 steps
     cfg = default_scenario()
     observed = calls_to("observe")
     pretrain_system(SystemKind.MBR, cfg, np.random.default_rng(9), PretrainConfig(episodes=4, episode_length=5))
-    assert len(observed) == 4 * cfg.intent_count * (5 + 1)
+    assert len(observed) == 4 * (5 + 1)
+    for args in observed:
+        assert [m.key for m in args[3]] == [f"mbr_{k}" for k in range(cfg.intent_count)]
 
 
 def test_pretrain_bins_each_observation_once(calls_to):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atmarl.agents import CapabilityVector, SystemKind, agent_roster, observe
+from atmarl.agents import CapabilityVector, SystemKind, agent_roster, observe, roster_members
 from atmarl.baselines import goal_halving, naive_parallel_goals, rule_based_select
 from atmarl.config import default_scenario
 from atmarl.slice_sim import evaluate_kpis, init_scenario, offered_loads
@@ -83,7 +83,9 @@ def test_goal_halving_equals_roster_reference(mode, five):
     source = PolicyGoals(policy, cfg, caps, rng, explore=True, tape=EpisodeTape(policy, 20))
     state = init_scenario(cfg)
     report = evaluate_kpis(state, offered_loads(state, None))
-    seen = {a.key: observe(state, report, a, cfg.services[a.intent_index].kpi_target) for a in agent_roster(cfg)}
+    members = roster_members(cfg)
+    targets = {m.key: cfg.services[m.intent].kpi_target for m in members}
+    seen = observe(state, report.kpi.tolist(), report.congestion, members, targets)
     last_action = {key: 1 for key in seen}
     for t in range(20):
         intermediate, _ = source(t, seen, last_action)

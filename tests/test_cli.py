@@ -80,6 +80,17 @@ def test_cli_rejects_negative_seed_before_any_stage(scenario_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("approach", ["RuleBased", "NaiveParallel"])
+def test_cli_train_supervisor_refuses_an_untrainable_approach_before_any_stage(scenario_file, tmp_path, capsys, approach):
+    # the empty directory holds no pretrain.ckpt, whose absence must not win over the configuration error
+    out = tmp_path / "out"
+    rc = run_cli("train-supervisor", "--scenario", scenario_file, "--out", out, "--approach", approach)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: approach {approach} has no trainable supervisor"], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

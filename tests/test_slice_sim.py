@@ -166,21 +166,31 @@ def test_allocate_conservation(offered, priorities, mbr_idx):
     assert (served >= -1e-12).all()
 
 
-@given(
-    base=st.integers(1, 4),
-    seed=st.integers(0, 10_000),
-)
-@settings(max_examples=40, deadline=None)
-def test_priority_monotonicity(base, seed):
-    rng = np.random.default_rng(seed)
-    offered = rng.uniform(3.0, 8.0, size=3)
-    mbrs = np.full(3, 10.0)
-    pri = np.array([base, 3, 3])
-    served_lo = allocate_capacity(offered, pri, mbrs, 10.0)
-    pri_hi = pri.copy()
-    pri_hi[0] += 1
-    served_hi = allocate_capacity(offered, pri_hi, mbrs, 10.0)
-    assert served_hi[0] >= served_lo[0] - 1e-9
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_priority_monotonicity(data):
+    # raising one service's own priority, or its own MBR cap, never lowers
+    # its served rate and never raises another service's, on every gNodeB
+    n = data.draw(st.integers(2, 5), label="services")
+    loads = st.lists(st.floats(0.0, 8.0), min_size=n * N_GNODEBS, max_size=n * N_GNODEBS)
+    offered = np.array(data.draw(loads, label="offered")).reshape(n, N_GNODEBS)
+    priorities = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n), label="priorities")
+    rungs = data.draw(st.lists(st.integers(0, len(MBR_LEVELS) - 1), min_size=n, max_size=n), label="rungs")
+    i = data.draw(st.integers(0, n - 1), label="raised service")
+    mbrs = [MBR_LEVELS[r] for r in rungs]
+    served = allocate_capacity(offered, priorities, mbrs, 10.0)
+
+    higher_priority = list(priorities)
+    higher_priority[i] = data.draw(st.integers(priorities[i], 5), label="raised priority")
+    higher_cap = list(mbrs)
+    higher_cap[i] = MBR_LEVELS[data.draw(st.integers(rungs[i], len(MBR_LEVELS) - 1), label="raised rung")]
+    others = np.arange(n) != i
+    for raised in (
+        allocate_capacity(offered, higher_priority, mbrs, 10.0),
+        allocate_capacity(offered, priorities, higher_cap, 10.0),
+    ):
+        assert (raised[i] >= served[i] - 1e-9).all()
+        assert (raised[others] <= served[others] + 1e-9).all()
 
 
 def test_priority_conflict_pair():

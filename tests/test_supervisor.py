@@ -16,6 +16,7 @@ from atmarl.agents import (
     normalize_kpi,
     observe,
     pretrain_system,
+    roster_members,
 )
 from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
@@ -269,7 +270,9 @@ def _policy_goals(cfg, policy, explore, seed=2, encode_once=False):
     source = PolicyGoals(policy, cfg, caps, np.random.default_rng(seed), explore, EpisodeTape(policy, 10), encode_once)
     state = slice_sim.init_scenario(cfg)
     report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
-    seen = {a.key: observe(state, report, a, cfg.services[a.intent_index].kpi_target) for a in policy.agents}
+    members = roster_members(cfg)
+    targets = {m.key: cfg.services[m.intent].kpi_target for m in members}
+    seen = observe(state, report.kpi.tolist(), report.congestion, members, targets)
     return source, seen, {key: KnobAction.HOLD for key in seen}
 
 
@@ -422,26 +425,16 @@ def test_zeros_like_keeps_the_layout_and_shares_nothing(mode):
 # supervisor reward
 
 
-def _report(kpis):
-    n = len(kpis)
-    return slice_sim.KpiReport(
-        kpi=np.array(kpis, dtype=np.float64),
-        offered_per_gnb=np.zeros((n, 4)),
-        served_per_gnb=np.zeros((n, 4)),
-        congestion=0.0,
-    )
-
-
 def test_reward_bonus_when_all_met():
-    assert supervisor_reward(_report([4.5, 1.0, 0.5]), default_scenario().services) == 1.0
+    assert supervisor_reward([4.5, 1.0, 0.5], default_scenario().services) == 1.0
 
 
 def test_reward_single_qoe_shortfall():
-    assert supervisor_reward(_report([3.6, 1.0, 0.5]), default_scenario().services) == pytest.approx(-0.1)
+    assert supervisor_reward([3.6, 1.0, 0.5], default_scenario().services) == pytest.approx(-0.1)
 
 
 def test_reward_sums_deviations():
-    assert supervisor_reward(_report([2.0, 4.0, 1.0]), default_scenario().services) == pytest.approx(-1.5)
+    assert supervisor_reward([2.0, 4.0, 1.0], default_scenario().services) == pytest.approx(-1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +634,15 @@ def test_rollout_both_systems_act_each_step(tiny_system):
 
 
 def test_rollout_observes_each_agent_once_per_report(tiny_system, calls_to):
-    # the opening report and the one after each of the 12 steps, 6 agents each
+    # one roster pass over the 6 agents at the opening report and after each of the 12 steps
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
     observed = calls_to("observe")
     rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
-    assert len(observed) == 6 * (12 + 1)
+    assert len(observed) == 12 + 1
+    for args in observed:
+        assert [m.key for m in args[3]] == [a.key for a in policy.agents]
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
