@@ -110,7 +110,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        print(f"config error: cannot make output directory {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     ckpt_dir = Path(vars(args).get("checkpoint") or out_dir)
     try:
         if args.verb == "pretrain":

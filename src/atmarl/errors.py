@@ -6,7 +6,7 @@ class ScenarioError(ValueError):
 
 
 class CheckpointError(RuntimeError):
-    """Base class for checkpoint load failures."""
+    """Base class for checkpoint load failures, and the error of a save the file system refuses."""
 
 
 class VersionMismatchError(CheckpointError):

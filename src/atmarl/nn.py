@@ -353,13 +353,13 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators over a named parameter collection, with two scratch arrays per parameter."""
+    """Adam moment accumulators over a named parameter collection, with one scratch pair sized to the largest parameter."""
 
     lr: float = 3e-4
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    scratch: tuple[np.ndarray, np.ndarray] = field(default_factory=lambda: (np.empty(0), np.empty(0)))
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: OptimizerState):
@@ -367,7 +367,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 
     Per parameter it computes m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), each operation
-    in that order, into scratch arrays kept between steps.
+    in that order, into views of the state's scratch pair, which every
+    parameter shares and which grows to the largest parameter seen.
     """
     state.step += 1
     t = state.step
@@ -376,13 +377,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     for key, g in grads.items():
         if key not in params:
             raise KeyError(f"gradient for unknown parameter {key!r}")
+        p = params[key]
         if key not in state.m:
-            state.m[key] = np.zeros_like(params[key])
-            state.v[key] = np.zeros_like(params[key])
-            state.scratch[key] = (np.empty_like(params[key]), np.empty_like(params[key]))
+            state.m[key] = np.zeros_like(p)
+            state.v[key] = np.zeros_like(p)
+            if p.size > state.scratch[0].size:
+                state.scratch = (np.empty(p.size), np.empty(p.size))
         m = state.m[key]
         v = state.v[key]
-        step, denom = state.scratch[key]
+        step = state.scratch[0][: p.size].reshape(p.shape)
+        denom = state.scratch[1][: p.size].reshape(p.shape)
         m *= ADAM_BETA1
         m += np.multiply(1 - ADAM_BETA1, g, out=step)
         v *= ADAM_BETA2
@@ -393,4 +397,4 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         np.divide(v, v_scale, out=denom)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
-        params[key] -= np.divide(step, denom, out=step)
+        p -= np.divide(step, denom, out=step)

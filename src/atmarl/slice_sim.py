@@ -129,13 +129,15 @@ class NetworkState:
     mbr: list[float]  # Mbps caps from MBR_LEVELS, one per service
 
 
-@dataclass
+@dataclass(slots=True)
 class KpiReport:
-    """Per-service KPI readings plus the per-gNodeB rates behind them."""
+    """Per-service KPI readings and the slice's congestion, all a step reports.
+
+    The per-gNodeB rates behind them are ``offered_loads`` and
+    ``allocate_capacity`` of the same inputs; no reader needs them kept.
+    """
 
     kpi: np.ndarray  # QoE on [1,5] or PL percent, per service
-    offered_per_gnb: np.ndarray  # [services, gnodebs]
-    served_per_gnb: np.ndarray  # [services, gnodebs]
     congestion: float  # slice offered / slice bandwidth
 
 
@@ -269,12 +271,7 @@ def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     # @ [gNodeBs] product, or a dot over Python floats, sums in another order
     # and changes the last bits
     kpi = (np.array(lanes).reshape(len(offered), 1, -1) @ weights[:, None]).flatten()
-    return KpiReport(
-        kpi=kpi,
-        offered_per_gnb=offered,
-        served_per_gnb=served,
-        congestion=total / (bandwidth * N_GNODEBS),
-    )
+    return KpiReport(kpi=kpi, congestion=total / (bandwidth * N_GNODEBS))
 
 
 def step(state: NetworkState, rng: np.random.Generator) -> tuple[NetworkState, KpiReport]:

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import copy
 import csv
+import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -577,3 +579,44 @@ def per_key_adam(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float)
         m_hat = m[key] / (1 - ADAM_BETA1**t)
         v_hat = v[key] / (1 - ADAM_BETA2**t)
         params[key] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def per_key_scratch_adam(params: dict, grads: dict, m: dict, v: dict, scratch: dict, t: int, lr: float):
+    """One Adam step with two scratch arrays per key, as ``nn.adam_step`` ran before its scratch pair was shared."""
+    m_scale = 1 - ADAM_BETA1**t
+    v_scale = 1 - ADAM_BETA2**t
+    for key, g in grads.items():
+        if key not in m:
+            m[key] = np.zeros_like(params[key])
+            v[key] = np.zeros_like(params[key])
+            scratch[key] = (np.empty_like(params[key]), np.empty_like(params[key]))
+        step, denom = scratch[key]
+        m[key] *= ADAM_BETA1
+        m[key] += np.multiply(1 - ADAM_BETA1, g, out=step)
+        v[key] *= ADAM_BETA2
+        np.multiply(g, g, out=step)
+        v[key] += np.multiply(1 - ADAM_BETA2, step, out=step)
+        np.divide(m[key], m_scale, out=step)
+        np.multiply(lr, step, out=step)
+        np.divide(v[key], v_scale, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        params[key] -= np.divide(step, denom, out=step)
+
+
+def whole_file_checkpoint(path, arrays: dict, meta: dict | None = None):
+    """Write a v2 checkpoint as one joined byte string, as ``save_checkpoint`` did before it streamed.
+
+    Names are not checked; the streamed writer must give the same bytes.
+    """
+    meta = meta or {}
+    parts = [b"ATMARL-CKPT v2\n"]
+    for key in sorted(meta):
+        parts.append(f"meta {key} {meta[key]}\n".encode())
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype="<f8")
+        raw = arr.tobytes()
+        dims = "".join(f" {d}" for d in arr.shape)
+        parts.append(f"block {name} {arr.ndim}{dims} {zlib.crc32(raw):08x}\n".encode())
+        parts.append(raw + b"\n")
+    Path(path).write_bytes(b"".join(parts))

@@ -1,11 +1,16 @@
+import fnmatch
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from atmarl import checkpoint
 from atmarl.checkpoint import load_checkpoint, save_checkpoint, take_block
 from atmarl.errors import CheckpointError, ShapeMismatchError, TruncatedCheckpointError, VersionMismatchError
+
+from oracles import whole_file_checkpoint
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -183,3 +188,122 @@ def test_block_text_equals_per_value_formatting(tmp_path, size):
     _, loaded = load_checkpoint(path)
     for key, arr in arrays.items():
         assert loaded[key].tobytes() == np.asarray(arr).tobytes(), key
+
+
+_NAN_BITS = np.array([0x7FF8000000000123, 0xFFF8000000000001, 0x7FF0000000000001], dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.float64(-0.0),
+        np.array(2.5),
+        np.zeros(0),
+        np.zeros((0, 2)),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7.0),
+        np.arange(40.0).reshape(5, 8)[::2, 1::3],
+        np.arange(6.0).astype(">f8") / 3.0,
+        (np.arange(5, dtype=np.float32) / 3).reshape(5, 1),
+        np.arange(-3, 3),
+        _NAN_BITS.view(np.float64),
+    ],
+    ids=["0d-scalar", "0d-array", "empty", "empty-2d", "fortran", "strided", "big-endian", "float32", "int", "nan-payloads"],
+)
+def test_streamed_save_equals_whole_file_oracle(tmp_path, block):
+    arrays = {"x": block, "a": np.ones((2, 2))}
+    meta = {"mode": "agent", "intents": "3"}
+    save_checkpoint(tmp_path / "streamed.ckpt", arrays, meta)
+    whole_file_checkpoint(tmp_path / "oracle.ckpt", arrays, meta)
+    assert (tmp_path / "streamed.ckpt").read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
+    _, loaded = load_checkpoint(tmp_path / "streamed.ckpt")
+    expected = np.asarray(block, dtype=np.float64)
+    assert loaded["x"].shape == expected.shape and loaded["x"].tobytes() == expected.tobytes()
+    assert loaded["x"].dtype == np.float64 and loaded["x"].flags.writeable and loaded["x"].flags.c_contiguous
+
+
+def _names(directory):
+    """The sorted names of the files and directories in ``directory``."""
+    return sorted(p.name for p in directory.iterdir())
+
+
+@pytest.mark.parametrize(
+    "arrays, meta",
+    [({"fine": np.ones(2), "two words": np.ones(2)}, None), ({"w": np.ones(2)}, {"note": "a\nb"})],
+    ids=["block-name", "meta-value"],
+)
+def test_rejected_save_opens_no_file(tmp_path, arrays, meta):
+    with pytest.raises(ValueError):
+        save_checkpoint(tmp_path / "bad.ckpt", arrays, meta)
+    assert _names(tmp_path) == []
+
+
+def test_save_into_a_missing_directory_is_a_checkpoint_error(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        save_checkpoint(tmp_path / "absent" / "x.ckpt", {"w": np.ones(2)})
+    assert _names(tmp_path) == []
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)})
+    before = path.read_bytes()
+    moved = []
+
+    def refuse(src, dst):
+        moved.append(src)
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(checkpoint.os, "replace", refuse)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint .*Permission denied"):
+        save_checkpoint(path, {"w": np.zeros(3)})
+    assert path.read_bytes() == before
+    assert _names(tmp_path) == ["x.ckpt"]
+    # the temporary file sat beside the target under a name no output glob matches
+    (tmp,) = moved
+    assert tmp.parent == tmp_path
+    assert not any(fnmatch.fnmatch(tmp.name, pattern) for pattern in ("*.ckpt", "trace_*", "train_log_*"))
+
+
+def test_save_onto_a_directory_is_a_checkpoint_error(tmp_path):
+    (tmp_path / "x.ckpt").mkdir()
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        save_checkpoint(tmp_path / "x.ckpt", {"w": np.ones(2)})
+    assert _names(tmp_path) == ["x.ckpt"] and (tmp_path / "x.ckpt").is_dir()
+
+
+def test_load_of_a_directory_is_a_checkpoint_error(tmp_path):
+    (tmp_path / "x.ckpt").mkdir()
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_header_without_a_newline_is_truncated(tmp_path):
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(b"ATMARL-CKPT v2")
+    with pytest.raises(TruncatedCheckpointError, match="at byte 0"):
+        load_checkpoint(path)
+
+
+def _traced_peak(call) -> tuple[int, object]:
+    """Bytes ``call`` allocated at its peak beyond what was held before it, and its result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - held, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_hold_no_copy_of_the_file(tmp_path):
+    # an 8 MB block: the whole-file writer held three copies of it at once
+    # (tobytes, the block plus its newline, the joined file), and the reader
+    # three (the file, the block's slice, the array)
+    block = np.random.default_rng(0).normal(size=1 << 20)
+    path = tmp_path / "big.ckpt"
+    saved, _ = _traced_peak(lambda: save_checkpoint(path, {"w": block}))
+    assert saved < 0.1 * block.nbytes
+    loaded, (_, arrays) = _traced_peak(lambda: load_checkpoint(path))
+    assert loaded < 1.1 * block.nbytes
+    assert arrays["w"].tobytes() == block.tobytes()

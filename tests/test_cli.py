@@ -291,3 +291,30 @@ def test_cli_evaluate_on_a_policy_of_another_goal_mode_exits_with_stage_code(
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert message in err[0], err
     assert not list(out.glob("trace_*.csv"))
+
+
+def test_cli_evaluate_on_an_unreadable_checkpoint_exits_with_stage_code(scenario_file, tmp_path, capsys):
+    ckpt_dir = tmp_path / "ckpts"
+    (ckpt_dir / "pretrain.ckpt").mkdir(parents=True)
+    out = tmp_path / "out"
+    rc = run_cli(
+        "evaluate", "--scenario", scenario_file, "--out", out, "--checkpoint", ckpt_dir,
+        "--approach", "RuleBased", "--seed", 1,
+    )
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read checkpoint"), err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_cli_out_naming_an_existing_file_is_a_config_error(scenario_file, tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = run_cli("pretrain", "--scenario", scenario_file, "--out", taken / "out" if below else taken)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: cannot make output directory"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert taken.read_text() == "not a directory\n"

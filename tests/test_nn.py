@@ -23,6 +23,7 @@ from oracles import (
     dense_step_backward,
     gru_sequence_forward,
     per_key_adam,
+    per_key_scratch_adam,
     per_step_gru_sequence_backward,
     two_pass_softmax_sample,
     unfused_gru_forward,
@@ -433,6 +434,28 @@ def test_adam_equals_per_key_oracle():
             assert params[key].tobytes() == ref_params[key].tobytes(), (t, key)
             assert state.m[key].tobytes() == ref_m[key].tobytes(), (t, key)
             assert state.v[key].tobytes() == ref_v[key].tobytes(), (t, key)
+
+
+def test_adam_shared_scratch_equals_per_key_scratch_oracle():
+    # each key is larger than the ones before it, so the shared pair grows
+    # three times; a key that appears late grows it once more
+    rng = np.random.default_rng(43)
+    shapes = {"s": (1,), "b": (6, 32), "w": (6, 32, 8), "v": (64, 195)}
+    params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    params["late"] = rng.normal(size=(90, 200))
+    ref_params = {k: p.copy() for k, p in params.items()}
+    state, ref_m, ref_v, ref_scratch = OptimizerState(lr=1e-3), {}, {}, {}
+    for t in range(1, 6):
+        keys = list(shapes) + (["late"] if t >= 4 else [])
+        grads = {k: rng.normal(size=params[k].shape) * 10.0 ** rng.integers(-6, 3) for k in keys}
+        adam_step(params, grads, state)
+        per_key_scratch_adam(ref_params, grads, ref_m, ref_v, ref_scratch, t, 1e-3)
+        for key in keys:
+            assert params[key].tobytes() == ref_params[key].tobytes(), (t, key)
+            assert state.m[key].tobytes() == ref_m[key].tobytes(), (t, key)
+            assert state.v[key].tobytes() == ref_v[key].tobytes(), (t, key)
+        largest = max(params[k].size for k in keys)
+        assert [a.size for a in state.scratch] == [largest, largest], t
 
 
 def test_adam_rejects_unknown_key():

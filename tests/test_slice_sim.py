@@ -290,7 +290,7 @@ def test_evaluate_kpis_equals_scalar_per_lane(case, spread):
         state = set_distribution(state, DistributionSpec(DistributionKind.UNIFORM, weights))
     served, kpi = scalar_kpis(state, offered)
     report = evaluate_kpis(state, offered)
-    assert_same_bits(report.served_per_gnb, served)
+    assert_same_bits(allocate_capacity(offered, state.priority, state.mbr, bandwidth), served)
     assert_same_bits(report.kpi, kpi)
     assert_same_bits(np.float64(report.congestion), np.float64(numpy_congestion(state, offered)))
 
@@ -398,7 +398,11 @@ def test_step_same_seed_identical():
     _, rep_a = step(state_a, np.random.default_rng(42))
     _, rep_b = step(state_b, np.random.default_rng(42))
     assert rep_a.kpi.tobytes() == rep_b.kpi.tobytes()
-    assert rep_a.served_per_gnb.tobytes() == rep_b.served_per_gnb.tobytes()
+    served_a, served_b = (
+        allocate_capacity(offered_loads(s, np.random.default_rng(42)), s.priority, s.mbr, s.scenario.bandwidth_mbps)
+        for s in (state_a, state_b)
+    )
+    assert served_a.tobytes() == served_b.tobytes()
 
 
 def test_step_contended_matches_hand_allocation():
@@ -411,7 +415,8 @@ def test_step_contended_matches_hand_allocation():
     np.testing.assert_allclose(offered, per_gnb, rtol=1e-9)
     report = evaluate_kpis(state, offered)
     scale = 10.0 / 11.2
-    np.testing.assert_allclose(report.served_per_gnb, per_gnb * scale, rtol=1e-9)
+    served = allocate_capacity(offered, state.priority, state.mbr, state.scenario.bandwidth_mbps)
+    np.testing.assert_allclose(served, per_gnb * scale, rtol=1e-9)
     expected_qoe = 1.0 + 4.0 * scale
     expected_pl = 100.0 * (1.0 - scale)
     assert report.kpi[0] == pytest.approx(expected_qoe, rel=1e-9)
@@ -433,11 +438,14 @@ def test_step_returns_the_state_it_was_given():
 def test_step_conservation_over_episode():
     state = make_state()
     rng = np.random.default_rng(5)
+    twin = np.random.default_rng(5)  # draws the loads each step draws
     for _ in range(40):
         state, report = step(state, rng)
-        per_gnb = report.served_per_gnb
+        offered = offered_loads(state, twin)
+        assert report.kpi.tobytes() == evaluate_kpis(state, offered).kpi.tobytes()
+        per_gnb = allocate_capacity(offered, state.priority, state.mbr, state.scenario.bandwidth_mbps)
         assert (per_gnb.sum(axis=0) <= state.scenario.bandwidth_mbps + 1e-9).all()
-        clipped = np.minimum(report.offered_per_gnb, np.array(state.mbr)[:, None])
+        clipped = np.minimum(offered, np.array(state.mbr)[:, None])
         assert (per_gnb <= clipped + 1e-9).all()
 
 
