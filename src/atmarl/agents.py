@@ -452,18 +452,6 @@ def pretrain_system(
     return PretrainResult(qtables=tables, logs=logs, converged=converged, mean_recent_reward=mean_recent)
 
 
-def write_pretrain_log(logs: list[dict], path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["agent_system", "intent_index", "goal_level", "achieved", "episode", "steps_taken"],
-        )
-        writer.writeheader()
-        writer.writerows(logs)
-
-
 def estimate_capabilities(logs: list[dict], config: ScenarioConfig) -> dict[str, CapabilityVector]:
     """Success-frequency capability vectors from pre-training logs.
 

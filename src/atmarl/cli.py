@@ -6,10 +6,11 @@ Exit codes: 0 on success, 2 for configuration errors, 3 for stage failures.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
-from .config import load_scenario
+from .config import load_scenario, parse_distribution
 from .errors import CheckpointError, ScenarioError, StageFailure, TrainingDivergence
 from .harness import (
     Approach,
@@ -23,7 +24,6 @@ from .harness import (
     stage_train_supervisor,
     _POLICY_FILES,
 )
-from .slice_sim import DistributionKind, DistributionSpec
 from .supervisor import TrainConfig
 
 EXIT_OK = 0
@@ -34,8 +34,10 @@ EXIT_STAGE = 3
 def _parse_shift(raw: str):
     out = []
     for token in raw.split(","):
-        t, kind = token.split(":")
-        out.append((int(t), DistributionSpec.of(DistributionKind(kind.strip().capitalize()))))
+        match = re.fullmatch(r"\s*(-?\d+)\s*:(.*)", token)
+        if match is None:
+            raise ScenarioError(f"malformed --shift token {token!r}, expected STEP:DISTRIBUTION")
+        out.append((int(match[1]), parse_distribution(match[2])))
     return tuple(out)
 
 
@@ -97,7 +99,7 @@ def _plan_from_args(args) -> ExperimentPlan:
     if opts.get("shift"):
         given["shift_schedule"] = _parse_shift(opts["shift"])
     if opts.get("eval_distribution"):
-        given["eval_distribution"] = DistributionSpec.of(DistributionKind(opts["eval_distribution"].capitalize()))
+        given["eval_distribution"] = parse_distribution(opts["eval_distribution"])
     return ExperimentPlan(scenario=scenario, **given)
 
 

@@ -70,7 +70,8 @@ def _parse_kind(raw: str) -> ServiceKind:
         raise ScenarioError(f"unknown service kind {raw!r}") from None
 
 
-def _parse_distribution(raw_kind: str, raw_weights: str | None) -> DistributionSpec:
+def parse_distribution(raw_kind: str, raw_weights: str | None = None) -> DistributionSpec:
+    """The spec of a distribution name in any case (``gaussian``), with its optional weights."""
     try:
         kind = DistributionKind(raw_kind.strip().capitalize())
     except ValueError:
@@ -90,7 +91,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "scenario" not in parser:
         raise ScenarioError(f"{path}: missing [scenario] section")
     sc = parser["scenario"]
-    distribution = _parse_distribution(
+    distribution = parse_distribution(
         sc.get("distribution", "uniform"), sc.get("dist_weights", None)
     )
     services = []

@@ -12,13 +12,21 @@ Stage outputs land in one output directory:
 * ``trace_<approach>_seed<n>.csv`` -- one row per timestep.
 * ``summary.csv`` + ``plot_kpis.py`` -- aggregated metrics and a standalone
   plotting script over the trace files.
+
+The harness writes every one of them. The text files are written in place
+through one opener, which turns a write the file system refuses into a
+``StageFailure`` naming the file; a stage saves its checkpoint, atomically,
+only after its log.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +45,6 @@ from .agents import (
     estimate_capabilities,
     pretrain_system,
     run_episode,
-    write_pretrain_log,
 )
 from .baselines import (
     goal_halving,
@@ -113,6 +120,24 @@ class ExperimentPlan:
         return replace(self.scenario, distribution=self.eval_distribution)
 
 
+@contextmanager
+def _open_output(path: Path, stage: str):
+    """``path`` opened in place for text; a write the file system refuses is a ``StageFailure`` of ``stage``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise StageFailure(stage, f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_csv(path: Path, stage: str, columns, rows):
+    """A header line, then one line per row, each value as ``csv.writer`` formats it (floats by ``repr``)."""
+    with _open_output(path, stage) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 @dataclass
 class EpisodeTrace:
     columns: list[str]
@@ -136,7 +161,7 @@ class EpisodeTrace:
         ``%``-template for the trace. The lines end in ``\r\n``, as
         ``csv.writer`` ends them; no value of a trace needs quoting.
         """
-        with open(path, "w", newline="") as fh:
+        with _open_output(path, "report") as fh:
             csv.writer(fh).writerow(self.columns)
             if self.rows:
                 line = ",".join("%.8g" if isinstance(v, float) else "%s" for v in self.rows[0]) + "\r\n"
@@ -187,7 +212,8 @@ def stage_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
         logs.extend(res.logs)
     qtables = {**results[SystemKind.PRIORITY].qtables, **results[SystemKind.MBR].qtables}
     capabilities = estimate_capabilities(logs, plan.scenario)
-    write_pretrain_log(logs, out_dir / "pretrain_log.csv")
+    columns = ("agent_system", "intent_index", "goal_level", "achieved", "episode", "steps_taken")
+    _write_csv(out_dir / "pretrain_log.csv", "pretrain", columns, map(itemgetter(*columns), logs))
     arrays = {f"qtable.{key}": table.values for key, table in qtables.items()}
     arrays.update(_capability_blocks(capabilities))
     save_checkpoint(out_dir / "pretrain.ckpt", arrays, meta={"intents": str(plan.scenario.intent_count)})
@@ -247,7 +273,9 @@ def stage_train_supervisor(plan: ExperimentPlan, artifacts: Artifacts, approach:
     policy = create_policy(rng, scenario, mode=mode)
     capabilities = {k: CapabilityVector(rho=v.rho.copy(), from_data=v.from_data.copy()) for k, v in artifacts.capabilities.items()}
     stats = train_supervisor(policy, scenario, artifacts.qtables, capabilities, rng, plan.train_cfg)
-    stats.to_csv(out_dir / f"train_log_{approach.value}.csv")
+    columns = ("episode", "reward", "grad_norm", "actor_loss", "critic_loss", "entropy")
+    per_episode = (stats.episode_rewards, stats.grad_norms, stats.actor_losses, stats.critic_losses, stats.entropies)
+    _write_csv(out_dir / f"train_log_{approach.value}.csv", "train-supervisor", columns, zip(count(), *per_episode))
     arrays = {f"policy.{k}": v for k, v in policy.named_params().items()}
     arrays.update(_capability_blocks(capabilities))
     save_checkpoint(
@@ -261,8 +289,6 @@ def stage_train_supervisor(plan: ExperimentPlan, artifacts: Artifacts, approach:
 
 def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, out_dir: Path):
     path = out_dir / _POLICY_FILES[approach]
-    if not path.exists():
-        raise CheckpointError(f"missing checkpoint {path} for evaluate-only mode")
     meta, arrays = load_checkpoint(path)
     scenario = _policy_scenario(plan, approach)
     mode = _policy_mode(approach)
@@ -396,26 +422,20 @@ def summarize(plan: ExperimentPlan, traces: list[EpisodeTrace]) -> list[SummaryR
     return rows
 
 
+def _summary_cell(value: str | float | None) -> str:
+    if value is None:
+        return "nyr"  # no seed reached the band
+    return value if isinstance(value, str) else f"{value:.6g}"
+
+
 def emit_report(plan: ExperimentPlan, traces: list[EpisodeTrace], out_dir: Path) -> list[SummaryRow]:
     if not traces:
         raise StageFailure("report", "no completed traces to report on")
     for trace in traces:
         trace.to_csv(out_dir / f"trace_{trace.approach.value}_seed{trace.seed}.csv")
     rows = summarize(plan, traces)
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["approach", "kpi", "iae_mean", "iae_std", "conv_time_mean", "oscillation_mean"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.approach,
-                    row.kpi,
-                    "nyr" if row.iae_mean is None else f"{row.iae_mean:.6g}",
-                    "nyr" if row.iae_std is None else f"{row.iae_std:.6g}",
-                    f"{row.conv_time_mean:.6g}",
-                    f"{row.oscillation_mean:.6g}",
-                ]
-            )
+    cells = ([_summary_cell(value) for value in astuple(row)] for row in rows)
+    _write_csv(out_dir / "summary.csv", "report", [f.name for f in fields(SummaryRow)], cells)
     _write_plot_script(plan, traces, out_dir)
     return rows
 
@@ -473,7 +493,8 @@ def main():
 if __name__ == "__main__":
     main()
 '''
-    (out_dir / "plot_kpis.py").write_text(script)
+    with _open_output(out_dir / "plot_kpis.py", "report") as fh:
+        fh.write(script)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ and the backward reads the rows of all steps at once.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -500,22 +499,6 @@ class TrainStats:
     def final_mean_reward(self) -> float:
         tail = self.episode_rewards[-max(len(self.episode_rewards) // 5, 1):]
         return float(np.mean(tail))
-
-    def to_csv(self, path) -> None:
-        """One row per episode, each float as its shortest round-trip ``repr``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "reward", "grad_norm", "actor_loss", "critic_loss", "entropy"])
-            writer.writerows(
-                zip(
-                    range(len(self.episode_rewards)),
-                    self.episode_rewards,
-                    self.grad_norms,
-                    self.actor_losses,
-                    self.critic_losses,
-                    self.entropies,
-                )
-            )
 
 
 class PolicyGoals:

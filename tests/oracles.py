@@ -215,6 +215,40 @@ def csv_writer_trace(trace, path):
             writer.writerow([fmt(v) for v in row])
 
 
+def write_pretrain_log(logs: list[dict], path) -> None:
+    """``pretrain_log.csv`` as ``csv.DictWriter`` writes the pre-training log dicts.
+
+    ``stage_pretrain`` must write the same bytes.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(
+            fh,
+            fieldnames=["agent_system", "intent_index", "goal_level", "achieved", "episode", "steps_taken"],
+        )
+        writer.writeheader()
+        writer.writerows(logs)
+
+
+def train_stats_csv(stats, path) -> None:
+    """``train_log_<approach>.csv``: one row per episode of ``TrainStats``, each float as its shortest round-trip ``repr``.
+
+    ``stage_train_supervisor`` must write the same bytes.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["episode", "reward", "grad_norm", "actor_loss", "critic_loss", "entropy"])
+        writer.writerows(
+            zip(
+                range(len(stats.episode_rewards)),
+                stats.episode_rewards,
+                stats.grad_norms,
+                stats.actor_losses,
+                stats.critic_losses,
+                stats.entropies,
+            )
+        )
+
+
 # ---------------------------------------------------------------------------
 # supervisor training, one step and one head at a time
 

@@ -1,4 +1,5 @@
 import shlex
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -153,6 +154,68 @@ def test_cli_evaluate_without_checkpoint_fails_with_stage_code(scenario_file, tm
         "--approach", "ATMARL", "--seed", 1,
     )
     assert rc == EXIT_STAGE
+
+
+def test_cli_evaluate_without_the_policy_checkpoint_names_it(scenario_file, tmp_path, quick_pretrain, capsys):
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--scenario", scenario_file, "--out", out, "--approach", "ATMARL", "--seed", 1)
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: missing checkpoint {out / 'supervisor_atmarl.ckpt'}"], err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (("--eval-distribution", "foo"), "config error: unknown distribution 'foo'"),
+        (("--shift", "20"), "config error: malformed --shift token '20', expected STEP:DISTRIBUTION"),
+        (("--shift", "5:gamma,x:gaussian"), "config error: malformed --shift token 'x:gaussian', expected STEP:DISTRIBUTION"),
+        (("--shift", "5:foo"), "config error: unknown distribution 'foo'"),
+    ],
+    ids=["eval-distribution", "shift-without-kind", "shift-without-step", "shift-unknown-kind"],
+)
+def test_cli_rejects_a_malformed_distribution_option(scenario_file, tmp_path, capsys, option, message):
+    out = tmp_path / "out"
+    rc = run_cli("full", "--scenario", scenario_file, "--out", out, *option)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [message], err
+    assert not out.exists()
+
+
+EVALUATE_RULE_BASED = ("evaluate", "--approach", "RuleBased", "--seed", 1, "--episode-length", 12)
+
+
+@pytest.mark.parametrize(
+    "args, refused, checkpoint",
+    [
+        (("pretrain",), "pretrain_log.csv", "pretrain.ckpt"),
+        (("train-supervisor", "--approach", "ATMARL", "--episodes", 1), "train_log_ATMARL.csv", "supervisor_atmarl.ckpt"),
+        (EVALUATE_RULE_BASED, "summary.csv", None),
+        (EVALUATE_RULE_BASED, "trace_RuleBased_seed1.csv", None),
+    ],
+    ids=["pretrain-log", "train-log", "summary", "trace"],
+)
+def test_cli_run_file_the_file_system_refuses_exits_with_stage_code(
+    scenario_file, tmp_path, quick_pretrain, capsys, args, refused, checkpoint
+):
+    verb, *options = args
+    out = tmp_path / "out"
+    if verb != "pretrain":
+        with pytest.warns(UserWarning, match="pretraining mean reward"):
+            assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
+    (out / refused).mkdir(parents=True)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="pretraining mean reward") if verb == "pretrain" else nullcontext():
+        rc = run_cli(verb, "--scenario", scenario_file, "--out", out, *options)
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(out / refused) in err[0], err
+    if checkpoint is not None:
+        assert not (out / checkpoint).exists()
 
 
 def test_cli_pretrain_then_evaluate_baseline(scenario_file, tmp_path, quick_pretrain):

@@ -19,6 +19,8 @@ from atmarl.harness import (
     Artifacts,
     EpisodeTrace,
     ExperimentPlan,
+    SummaryRow,
+    emit_report,
     evaluate_episode,
     load_policy,
     load_pretrain,
@@ -33,11 +35,12 @@ from atmarl.supervisor import (
     EpisodeTape,
     GoalMode,
     TrainConfig,
+    TrainStats,
     create_policy,
     forward_step,
     rollout_episode,
 )
-from oracles import csv_writer_trace
+from oracles import csv_writer_trace, train_stats_csv, write_pretrain_log
 
 QUICK_PRETRAIN = PretrainConfig(episodes=120, episode_length=12)
 QUICK_TRAIN = TrainConfig(episodes=8, episode_length=12)
@@ -241,6 +244,21 @@ def test_summary_csv_layout(pipeline_result):
         rows = list(csv.reader(fh))
     assert rows[0] == ["approach", "kpi", "iae_mean", "iae_std", "conv_time_mean", "oscillation_mean"]
     assert len(rows) == 1 + len(result.summary)
+
+
+def test_summary_csv_writes_nyr_for_a_kpi_no_seed_reached(pipeline_result, tmp_path, monkeypatch):
+    plan, result = pipeline_result
+    rows = [
+        SummaryRow("ATMARL", "cv0", None, None, 12.0, 0.123456789),
+        SummaryRow("RuleBased", "cv0", 0.1 + 0.2, 0.0, 3.0, 1e-7),
+    ]
+    monkeypatch.setattr(harness, "summarize", lambda *args: rows)
+    assert emit_report(plan, result.traces, tmp_path) == rows
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"approach,kpi,iae_mean,iae_std,conv_time_mean,oscillation_mean\r\n"
+        b"ATMARL,cv0,nyr,nyr,12,0.123457\r\n"
+        b"RuleBased,cv0,0.3,0,3,1e-07\r\n"
+    )
 
 
 def test_plot_script_emitted(pipeline_result):
@@ -518,6 +536,38 @@ def test_emitted_traces_equal_per_value_csv_writer(pipeline_result, tmp_path):
         name = f"trace_{trace.approach.value}_seed{trace.seed}.csv"
         csv_writer_trace(trace, tmp_path / name)
         assert (result.out_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_pretrain_log_equals_dict_writer_oracle(tmp_path, monkeypatch):
+    results = []
+    real_pretrain = harness.pretrain_system
+
+    def pretrain(*args):
+        results.append(real_pretrain(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "pretrain_system", pretrain)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        stage_pretrain(quick_plan(), tmp_path)
+    logs = [row for result in results for row in result.logs]
+    assert {row["agent_system"] for row in logs} == {"Priority", "MBR"}
+    write_pretrain_log(logs, tmp_path / "want.csv")
+    assert (tmp_path / "pretrain_log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_train_log_equals_csv_writer_oracle(tmp_path, monkeypatch):
+    nan, inf = float("nan"), float("inf")
+    stats = TrainStats(
+        episode_rewards=[nan, -0.0, 0.1 + 0.2, 5e-324],
+        grad_norms=[inf, 2.2250738585072014e-309, 1.0000000000000002, 0.0],
+        actor_losses=[-inf, -1.2345678901234567e-300, 1 / 3, 1e16],
+        critic_losses=[0.30000000000000004, nan, -0.0, 123456789.01234567],
+        entropies=[1.7976931348623157e308, -5e-324, inf, 2.0],
+    )
+    monkeypatch.setattr(harness, "train_supervisor", lambda *args: stats)
+    stage_train_supervisor(quick_plan(), Artifacts(qtables={}, capabilities={}), Approach.ATMARL, tmp_path)
+    train_stats_csv(stats, tmp_path / "want.csv")
+    assert (tmp_path / "train_log_ATMARL.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
