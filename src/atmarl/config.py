@@ -78,8 +78,22 @@ def parse_distribution(raw_kind: str, raw_weights: str | None = None) -> Distrib
         raise ScenarioError(f"unknown distribution {raw_kind!r}") from None
     weights = None
     if raw_weights:
-        weights = [float(tok) for tok in raw_weights.replace(",", " ").split()]
+        try:
+            weights = [float(tok) for tok in raw_weights.replace(",", " ").split()]
+        except ValueError:
+            raise ScenarioError(f"distribution weights {raw_weights!r} are not all numbers") from None
     return DistributionSpec.of(kind, weights)
+
+
+def _number(path, section: configparser.SectionProxy, key: str, kind: type, default=None):
+    """``section[key]`` as ``kind`` (int or float), or ``default`` when absent; a malformed value names the file, section and key."""
+    raw = section.get(key)
+    if raw is None:
+        return default
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ScenarioError(f"{path}: [{section.name}] {key} = {raw!r} is not {'an integer' if kind is int else 'a number'}") from None
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -91,9 +105,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "scenario" not in parser:
         raise ScenarioError(f"{path}: missing [scenario] section")
     sc = parser["scenario"]
-    distribution = parse_distribution(
-        sc.get("distribution", "uniform"), sc.get("dist_weights", None)
-    )
+    raw_kind, raw_weights = sc.get("distribution", "uniform"), sc.get("dist_weights", None)
+    try:
+        distribution = parse_distribution(raw_kind, raw_weights)
+    except ScenarioError as exc:
+        keys = f"distribution = {raw_kind!r}" + ("" if raw_weights is None else f", dist_weights = {raw_weights!r}")
+        raise ScenarioError(f"{path}: [scenario] {keys}: {exc}") from None
     services = []
     instance_counters: dict[ServiceKind, int] = {}
     for section in parser.sections():
@@ -111,16 +128,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             ServiceSpec(
                 kind=kind,
                 instance_id=idx,
-                demand_per_ue=svc.getfloat("demand_mbps"),
-                ue_count=svc.getint("ue_count"),
-                kpi_target=svc.getfloat("kpi_target", default_target),
+                demand_per_ue=_number(path, svc, "demand_mbps", float),
+                ue_count=_number(path, svc, "ue_count", int),
+                kpi_target=_number(path, svc, "kpi_target", float, default_target),
             )
         )
     return ScenarioConfig(
         services=services,
         distribution=distribution,
-        bandwidth_mbps=sc.getfloat("bandwidth_mbps", DEFAULT_BANDWIDTH_MBPS),
-        noise_pct=sc.getfloat("noise_pct", 5.0),
+        bandwidth_mbps=_number(path, sc, "bandwidth_mbps", float, DEFAULT_BANDWIDTH_MBPS),
+        noise_pct=_number(path, sc, "noise_pct", float, 5.0),
     )
 
 

@@ -170,12 +170,19 @@ class EpisodeTrace:
 
 @dataclass
 class Artifacts:
-    """Everything the evaluation stage needs, keyed by approach."""
+    """Everything the evaluation stage needs, keyed by approach.
+
+    ``tape`` keeps the episode tape of the policy evaluated last, so its
+    prebuilt calls serve each of its seeds that runs next. Evaluating any
+    other approach releases it, so at most one tape is kept, and only
+    while its policy is the one being evaluated.
+    """
 
     qtables: dict[str, QTable]
     capabilities: dict[str, CapabilityVector]
     policies: dict[str, SupervisorPolicy] = field(default_factory=dict)
     policy_capabilities: dict[str, dict[str, CapabilityVector]] = field(default_factory=dict)
+    tape: EpisodeTape | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +315,17 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
     """The ``run_episode`` goal source that drives ``approach`` greedily."""
     config = plan.eval_scenario
     targets = naive_parallel_goals(config)
-    if approach is Approach.RULE_BASED:
-        return lambda t, *_: (targets, {rule_based_select(t)})
-    if approach is Approach.NAIVE_PARALLEL:
+    if approach in (Approach.RULE_BASED, Approach.NAIVE_PARALLEL):
+        artifacts.tape = None  # no policy runs, so the last one's tape goes
+        if approach is Approach.RULE_BASED:
+            return lambda t, *_: (targets, {rule_based_select(t)})
         return lambda *_: (targets, BOTH_PLANES)
     supervisor = artifacts.policies[approach.value]
+    # a tape belongs to one policy object: a loaded policy is a new object, and gets a new tape
+    kept = artifacts.tape
+    if not (kept and kept.policy is supervisor and kept.length >= plan.episode_length):
+        kept = artifacts.tape = None  # the last policy's tape goes before this one is built
+        artifacts.tape = EpisodeTape(supervisor, plan.episode_length)
     # evaluation never updates the capabilities, so they are encoded once per episode
     policy = PolicyGoals(
         supervisor,
@@ -320,7 +333,7 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
         artifacts.policy_capabilities[approach.value],
         rng,
         explore=False,
-        tape=EpisodeTape(supervisor, plan.episode_length),
+        tape=artifacts.tape,
         encode_once=True,
     )
     if approach is Approach.GOAL_HALVING:

@@ -5,6 +5,12 @@ so training code can walk them generically. A dense layer may stack copies
 along a leading axis. Forwards write into preallocated step buffers, a tape
 with a leading step axis: ``stack_caches`` and ``gru_caches`` allocate them,
 and ``dense_forward`` and ``gru_forward`` fill the rows they are given.
+Each forward is a short list of numpy calls, each a (function, arguments)
+pair with its argument views already sliced: ``dense_calls`` and
+``gru_calls`` build them, and a caller that runs the same rows many times,
+such as an episode tape, builds them once and runs them with ``run``.
+``GruBackward`` and ``SoftmaxSampler`` do the same for the recurrence of the
+GRU backward and for softmax sampling.
 Backward passes read every step of an episode at once from slices of those
 buffers, add exact analytic gradients into the accumulators they are given,
 and are verified against central finite differences in the test suite.
@@ -16,7 +22,9 @@ T per-step terms in BLAS order, so it is within 2*gamma_T*sum_t|p_t| of the
 step-ordered sum, gamma_T = T*u/(1-T*u) with u = 2**-53, element by element.
 A product large enough for the BLAS to split across its threads can round
 differently under another thread count; the supervisor's products at its
-40-step training episodes are not that large.
+40-step training episodes are not that large. A matrix-vector product of a
+2-D weight (or its transpose) runs as ``np.dot``, the same BLAS call as
+``np.matmul`` with the same bits.
 """
 
 from __future__ import annotations
@@ -62,14 +70,63 @@ class DenseLayer:
         return {"W": self.weights, "b": self.bias}
 
 
-def _activate(pre: np.ndarray, kind: str, out: np.ndarray):
-    if kind == "tanh":
-        np.tanh(pre, out=out)
-    elif kind == "identity":
-        if out is not pre:
-            np.copyto(out, pre)
+def run(calls) -> None:
+    """Make each (function, arguments) call of ``calls`` in order."""
+    for f, args in calls:
+        f(*args)
+
+
+class RowCalls:
+    """The same sequence of numpy calls over each of many rows, built once, kept lean.
+
+    ``rows`` holds one list of (function, arguments) calls per row, every
+    row calling the same functions in the same order; one tuple of those
+    functions serves them all, beside each row's tuple of arguments.
+    """
+
+    def __init__(self, rows: list[list[tuple]]):
+        self.functions = None
+        self.args = []
+        for calls in rows:
+            functions, args = zip(*calls)
+            if self.functions is None:
+                self.functions = functions
+            elif functions != self.functions:
+                raise ValueError("every row must make the same calls")
+            self.args.append(args)
+
+    def run(self, t: int) -> None:
+        """Make row ``t``'s calls in order."""
+        for f, args in zip(self.functions, self.args[t]):
+            f(*args)
+
+
+def dense_calls(layer: DenseLayer, x: np.ndarray, pre: np.ndarray, out: np.ndarray) -> list[tuple]:
+    """The numpy calls of ``dense_forward`` on these buffers, as ``run`` takes them.
+
+    A 2-D layer on one [in] row is one ``np.dot``; a stacked layer, or an
+    unstacked one on [steps, in] rows, is one ``np.matmul`` that runs each
+    copy (and step) as its own matrix-vector product, bit-equal to the copy
+    alone; np.einsum sums in another order. The bias is added in place, and
+    the activation writes ``out``: an identity layer given ``pre`` as
+    ``out`` needs no call for it.
+    """
+    if x.shape[-1] != layer.weights.shape[-1]:
+        raise ValueError(
+            f"dense input size {x.shape[-1]} does not match weights {layer.weights.shape}"
+        )
+    if layer.weights.ndim == 2 and x.ndim == 1:
+        calls = [(np.dot, (layer.weights, x, pre))]
     else:
-        raise ValueError(f"unknown activation {kind!r}")
+        calls = [(np.matmul, (layer.weights, x[..., None], pre[..., None]))]
+    calls.append((np.add, (pre, layer.bias, pre)))
+    if layer.activation == "tanh":
+        calls.append((np.tanh, (pre, out)))
+    elif layer.activation != "identity":
+        raise ValueError(f"unknown activation {layer.activation!r}")
+    elif out is not pre:
+        calls.append((np.copyto, (out, pre)))
+    return calls
 
 
 def _activate_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
@@ -86,17 +143,9 @@ def dense_forward(layer: DenseLayer, x: np.ndarray, pre: np.ndarray, out: np.nda
     ``x`` is [in], or [copies, in] for a stacked layer, which shares an [in]
     input among its copies; ``pre`` and ``out`` are shaped like the bias.
     An unstacked layer also takes [steps, in] rows at once. An identity
-    layer may be given ``pre`` as ``out``. np.matmul runs each copy (and
-    step) as its own matrix-vector product, bit-equal to the copy alone;
-    np.einsum sums in another order.
+    layer may be given ``pre`` as ``out``. It builds ``dense_calls`` and runs them.
     """
-    if x.shape[-1] != layer.weights.shape[-1]:
-        raise ValueError(
-            f"dense input size {x.shape[-1]} does not match weights {layer.weights.shape}"
-        )
-    np.matmul(layer.weights, x[..., None], out=pre[..., None])
-    pre += layer.bias
-    _activate(pre, layer.activation, out)
+    run(dense_calls(layer, x, pre, out))
     return out
 
 
@@ -141,6 +190,27 @@ def stack_caches(layers: list[DenseLayer], x: np.ndarray, out: np.ndarray | None
         caches.append((x, pre, y))
         x = y
     return caches
+
+
+def stack_calls(layers: list[DenseLayer], caches: list[tuple], index, out: np.ndarray | None = None) -> list[tuple]:
+    """The ``dense_calls`` of row ``index`` of ``stack_caches`` buffers, layer after layer.
+
+    A layer's output row is the next layer's input row, one view serving
+    both, and an identity layer that outputs its pre-activation writes it
+    once. ``out`` may be given as a view of the last layer's output row
+    that the caller already holds.
+    """
+    calls = []
+    x = caches[0][0][index]
+    for j, (layer, (_, pre_rows, out_rows)) in enumerate(zip(layers, caches)):
+        pre = pre_rows[index]
+        if j == len(layers) - 1 and out is not None:
+            y = out
+        else:
+            y = pre if out_rows is pre_rows else out_rows[index]
+        calls += dense_calls(layer, x, pre, y)
+        x = y
+    return calls
 
 
 def stack_forward(layers: list[DenseLayer], caches: list[tuple], index=...):
@@ -218,93 +288,171 @@ def gru_caches(cell: GruCell, steps: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.empty((steps + 1, width)), np.empty((steps, 2, hidden)), np.empty((steps, width)), np.empty((steps, hidden))
 
 
-def gru_forward(cell: GruCell, a: np.ndarray, zr: np.ndarray, a_n: np.ndarray, n: np.ndarray, h_new: np.ndarray) -> np.ndarray:
-    """One recurrence step h' = (1-z)*h + z*tanh-candidate into the rows it is given; returns ``h_new``.
+def gru_calls(
+    cell: GruCell,
+    a: np.ndarray,
+    zr: np.ndarray,
+    a_n: np.ndarray,
+    n: np.ndarray,
+    h_new: np.ndarray,
+    scratch: np.ndarray,
+    x: np.ndarray | None = None,
+    h: np.ndarray | None = None,
+) -> list[tuple]:
+    """The numpy calls of ``gru_forward`` on these rows, as ``run`` takes them; ``scratch`` is a [hidden] buffer for z*n.
 
-    ``a`` is one row of ``gru_caches``' (input, h); the step fills the rows
-    ``zr``, ``a_n`` and ``n`` and writes h' into ``h_new``. Both gates run as
-    one stacked matmul, each gate its own matrix-vector product: a flat
-    [2*hidden, in] matvec sums in another order unless hidden is a multiple
-    of the BLAS kernel's row block.
+    ``x`` and ``h`` may be given as views of ``a``'s input and hidden parts
+    that the caller already holds. Both gates run as one stacked matmul,
+    each gate its own matrix-vector product: a flat [2*hidden, in] matvec
+    sums in another order unless hidden is a multiple of the BLAS kernel's
+    row block.
     """
     if a.shape[-1] != cell.Wn.shape[1]:
         raise ValueError(f"input and hidden size {a.shape[-1]} incompatible with gate shape {cell.Wn.shape}")
     in_dim = a.shape[-1] - cell.hidden_size
-    h = a[in_dim:]
-    np.matmul(cell.Wzr, a[:, None], out=zr[..., None])
-    zr += cell.bzr
-    # the sigmoid 1 / (1 + exp(-x)), in place
-    np.negative(zr, out=zr)
-    np.exp(zr, out=zr)
-    zr += 1.0
-    np.divide(1.0, zr, out=zr)
+    x = a[:in_dim] if x is None else x
+    h = a[in_dim:] if h is None else h
     z, r = zr
-    a_n[:in_dim] = a[:in_dim]
-    np.multiply(r, h, out=a_n[in_dim:])
-    np.matmul(cell.Wn, a_n, out=n)
-    n += cell.bn
-    np.tanh(n, out=n)
-    np.subtract(1.0, z, out=h_new)
-    h_new *= h
-    h_new += z * n
+    return [
+        (np.matmul, (cell.Wzr, a[:, None], zr[..., None])),
+        (np.add, (zr, cell.bzr, zr)),
+        # the sigmoid 1 / (1 + exp(-x)), in place
+        (np.negative, (zr, zr)),
+        (np.exp, (zr, zr)),
+        (np.add, (zr, 1.0, zr)),
+        (np.divide, (1.0, zr, zr)),
+        (np.copyto, (a_n[:in_dim], x)),
+        (np.multiply, (r, h, a_n[in_dim:])),
+        (np.dot, (cell.Wn, a_n, n)),
+        (np.add, (n, cell.bn, n)),
+        (np.tanh, (n, n)),
+        (np.subtract, (1.0, z, h_new)),
+        (np.multiply, (h_new, h, h_new)),
+        (np.multiply, (z, n, scratch)),
+        (np.add, (h_new, scratch, h_new)),
+    ]
+
+
+def gru_forward(cell: GruCell, a: np.ndarray, zr: np.ndarray, a_n: np.ndarray, n: np.ndarray, h_new: np.ndarray) -> np.ndarray:
+    """One recurrence step h' = (1-z)*h + z*tanh-candidate into the rows it is given; returns ``h_new``.
+
+    ``a`` is one row of ``gru_caches``' (input, h); the step fills the rows
+    ``zr``, ``a_n`` and ``n`` and writes h' into ``h_new``. It builds
+    ``gru_calls`` and runs them.
+    """
+    run(gru_calls(cell, a, zr, a_n, n, h_new, np.empty(cell.hidden_size)))
     return h_new
 
 
-def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: GruCell):
+class GruBackward:
+    """The buffers of ``gru_sequence_backward`` over one cell's ``gru_caches`` rows, and the numpy calls of each step of its recurrence.
+
+    Built once for buffers that run many episodes, it leaves the recurrence
+    a flat list of calls per step, with no slicing or temporaries. It holds
+    the cell's gate weights (transposed views), so an update must write
+    them in place, as ``adam_step`` does. Row t's calls read the carry and
+    the step's upstream grad and factors, and write its pre-activation
+    grads, the two halves of its input grad and the carry it hands step t-1.
+    Its working buffers are those of ``share`` when that is a program over
+    rows of the same shape, for cells whose backwards run one after the other.
+    """
+
+    def __init__(self, cell: GruCell, caches, share: GruBackward | None = None):
+        a, zr, a_n, n = caches
+        steps, hidden = len(zr), cell.hidden_size
+        width = a.shape[1]
+        in_dim = width - hidden
+        self.cell, self.zr = cell, zr
+        self.shape = (steps, hidden, width)
+        if share is not None and share.shape == self.shape:
+            self.buffers = share.buffers
+        else:
+            self.buffers = _GruBackwardBuffers(steps, hidden, width)
+        b = self.buffers
+        Wn_T, Wz_T, Wr_T = cell.Wn.T, cell.Wz.T, cell.Wr.T
+        carry, dh_new, narrow, wide = b.carry, b.dh_new, b.narrow, b.wide
+        rows = []
+        for t in range(steps):
+            dn_pre, da_n, dzr, da = b.dn_pres[t], b.da_ns[t], b.dzr_pres[t], b.das[t]
+            drh = da_n[in_dim:]
+            dz, dr = dzr
+            rows.append([
+                (np.add, (b.dhs[t], carry, dh_new)),
+                (np.multiply, (dh_new, zr[t, 0], dn_pre)),
+                (np.multiply, (dn_pre, b.one_minus_nn[t], dn_pre)),
+                (np.dot, (Wn_T, dn_pre, da_n)),
+                (np.multiply, (dh_new, b.n_minus_h[t], dz)),
+                (np.multiply, (drh, a[t, in_dim:], dr)),
+                (np.multiply, (dzr, zr[t], dzr)),
+                (np.multiply, (dzr, b.one_minus_zr[t], dzr)),
+                # two matvecs: one over both gates would sum the 2*hidden terms in another order
+                (np.dot, (Wz_T, dz, da)),
+                (np.dot, (Wr_T, dr, wide)),
+                (np.add, (da, wide, da)),
+                (np.multiply, (dh_new, b.one_minus_z[t], carry)),
+                (np.multiply, (drh, zr[t, 1], narrow)),
+                (np.add, (carry, narrow, carry)),
+                (np.add, (carry, da[in_dim:], carry)),
+            ])
+        self.rows = RowCalls(rows)
+
+
+class _GruBackwardBuffers:
+    """Working buffers of one ``GruBackward`` over ``steps`` rows."""
+
+    def __init__(self, steps: int, hidden: int, width: int):
+        # the upstream grads and the factors that do not depend on the carry, set per episode
+        self.one_minus_z, self.one_minus_nn, self.n_minus_h, self.dhs = np.empty((4, steps, hidden))
+        self.one_minus_zr = np.empty((steps, 2, hidden))
+        # what each step writes
+        self.dn_pres = np.empty((steps, hidden))
+        self.dzr_pres = np.empty((steps, 2, hidden))
+        self.da_ns = np.empty((steps, width))
+        self.das = np.empty((steps, width))
+        self.carry, self.dh_new, self.narrow = np.empty((3, hidden))
+        self.wide = np.empty(width)
+
+
+def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: GruCell, program: GruBackward | None = None):
     """BPTT over a sequence given per-step upstream grads on each hidden state.
 
     ``caches`` are the step rows (a, zr, a_n, n) of ``gru_caches``, ``a``
     cut to the steps. Returns ([steps, in] input grads, dh0), which have the
     bits of one step at a time, latest step first. The factors that do not
     depend on the carry are computed for all steps before the loop, which
-    keeps only the recurrence: it stores each step's pre-activation grads and
-    the two halves of its input grad, added after it. Then each parameter of
-    the accumulator cell ``grads`` gets one matmul (or sum) over the steps,
-    within the module's bound of the step-ordered sums.
+    keeps only the recurrence, the calls of ``program``: a ``GruBackward``
+    built on these rows or on the uncut buffers they were cut from, else one
+    built here. Then each parameter of the accumulator cell ``grads`` gets
+    one matmul (or sum) over the steps, within the module's bound of the
+    step-ordered sums.
     """
     a, zr, a_n, n = caches
-    steps, hidden = len(zr), cell.hidden_size
-    in_dim = a.shape[1] - hidden
-    h = a[:, in_dim:]
-    z, r = zr[:, 0], zr[:, 1]
-    one_minus_z = 1.0 - z
-    one_minus_nn = 1.0 - n * n
-    n_minus_h = n - h
-    one_minus_zr = 1.0 - zr
-    Wn_T, Wz_T, Wr_T = cell.Wn.T, cell.Wz.T, cell.Wr.T
-    dn_pres = np.empty((steps, hidden))
-    dzr_pres = np.empty((steps, 2, hidden))
-    da_ns = np.empty((steps, in_dim + hidden))
-    das = np.empty((steps, in_dim + hidden))
-    dh_new = np.empty(hidden)
-    carry = np.zeros(hidden)
+    if program is None:
+        program = GruBackward(cell, caches)
+    elif program.cell is not cell or (program.zr is not zr and program.zr is not zr.base):
+        raise ValueError("the GRU backward program was built for another cell or other buffers")
+    b = program.buffers
+    steps = len(zr)
+    in_dim = a.shape[1] - cell.hidden_size
+    np.subtract(1.0, zr[:, 0], out=b.one_minus_z[:steps])
+    one_minus_nn = np.multiply(n, n, out=b.one_minus_nn[:steps])
+    np.subtract(1.0, one_minus_nn, out=one_minus_nn)
+    np.subtract(n, a[:, in_dim:], out=b.n_minus_h[:steps])
+    np.subtract(1.0, zr, out=b.one_minus_zr[:steps])
+    b.dhs[:steps] = dhs
+    b.carry.fill(0.0)
+    run_row = program.rows.run
     for t in range(steps - 1, -1, -1):
-        np.add(dhs[t], carry, out=dh_new)
-
-        dn_pre = np.multiply(dh_new, z[t], out=dn_pres[t])
-        dn_pre *= one_minus_nn[t]
-        drh = np.matmul(Wn_T, dn_pre, out=da_ns[t])[in_dim:]
-
-        dzr_pre = dzr_pres[t]
-        np.multiply(dh_new, n_minus_h[t], out=dzr_pre[0])
-        np.multiply(drh, h[t], out=dzr_pre[1])
-        dzr_pre *= zr[t]
-        dzr_pre *= one_minus_zr[t]
-        # two matvecs: one over both gates would sum the 2*hidden terms in another order
-        da = np.matmul(Wz_T, dzr_pre[0], out=das[t])
-        da += Wr_T @ dzr_pre[1]
-
-        np.multiply(dh_new, one_minus_z[t], out=carry)
-        carry += drh * r[t]
-        carry += da[in_dim:]
-    dxs = da_ns[:, :in_dim] + das[:, :in_dim]
+        run_row(t)
+    dxs = b.da_ns[:steps, :in_dim] + b.das[:steps, :in_dim]
 
     # [hidden, steps] @ [steps, in+hidden] for the candidate, and one such product per gate for z and r
+    dn_pres, dzr_pres = b.dn_pres[:steps], b.dzr_pres[:steps]
     grads.Wn += dn_pres.T @ a_n
     grads.bn += dn_pres.sum(axis=0)
     grads.Wzr += np.moveaxis(dzr_pres, 0, -1) @ a
     grads.bzr += dzr_pres.sum(axis=0)
-    return dxs, carry
+    return dxs, b.carry.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +472,71 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one category per row by inverse CDF; returns the indices.
+class SoftmaxSampler:
+    """``softmax_sample``'s scratch over logits rows of one shape, [..., categories], and its numpy calls per row, built once.
 
-    Rows draw their uniforms in row order, from one ``rng.random`` call, as
-    one ``rng.random()`` per row would. A row's index is the count of its
-    cumulative probabilities at or below its uniform, which is
-    ``searchsorted(side="right")`` on that nondecreasing sum, capped at the
-    last category. The probabilities have the bits of ``softmax``; they are
-    exponentiated, normalised and summed in one scratch array. The
-    reductions call the ufuncs that ``ndarray.all``, ``max``, ``sum`` and
-    ``np.cumsum`` call, without those wrappers, so the bits are theirs.
+    ``sample(i, rng)`` draws one category per row of ``rows[i]`` (the rows
+    of its leading axes), and ``greedy(i)`` takes each one's first maximum;
+    both refuse a non-finite logit with ``FloatingPointError`` before they
+    draw. Each returns the index array it reuses, so a caller reads it
+    before the next call.
+
+    A row's index is the count of its cumulative probabilities at or below
+    its uniform, which is ``searchsorted(side="right")`` on that
+    nondecreasing sum, capped at the last category. The rows draw their
+    uniforms in row order, from one ``rng.random`` call, as one
+    ``rng.random()`` per row would. The probabilities have the bits of
+    ``softmax``; they are exponentiated, normalised and summed in one
+    scratch array. The reductions call the ufuncs that ``ndarray.all``,
+    ``max``, ``sum`` and ``np.cumsum`` call, without those wrappers, so the
+    bits are theirs.
     """
-    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
-        raise FloatingPointError("non-finite values in logits")
-    cdf = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    np.exp(cdf, out=cdf)
-    cdf /= np.add.reduce(cdf, axis=-1, keepdims=True)
-    np.add.accumulate(cdf, axis=-1, out=cdf)
-    u = rng.random(logits.shape[:-1])
-    return np.minimum(np.add.reduce(cdf <= u[..., None], axis=-1), logits.shape[-1] - 1)
+
+    def __init__(self, rows):
+        shape = rows[0].shape
+        lead = shape[:-1]
+        finite, self.finite = np.empty(shape, dtype=bool), np.empty((), dtype=bool)
+        top, total = np.empty((*lead, 1)), np.empty((*lead, 1))
+        cdf, below = np.empty(shape), np.empty(shape, dtype=bool)
+        count = np.empty(lead, dtype=np.intp)
+        self.u, self.idx = np.empty(lead), np.empty(lead, dtype=np.intp)
+        normalise = (
+            (np.exp, (cdf, cdf)),
+            (np.add.reduce, (cdf, -1, None, total, True)),
+            (np.divide, (cdf, total, cdf)),
+            (np.add.accumulate, (cdf, -1, None, cdf)),
+        )
+        self._check = RowCalls([[(np.isfinite, (row, finite)), (np.logical_and.reduce, (finite, None, None, self.finite))] for row in rows])
+        self._cdf = RowCalls([[(np.maximum.reduce, (row, -1, None, top, True)), (np.subtract, (row, top, cdf)), *normalise] for row in rows])
+        self._greedy = RowCalls([[(np.argmax, (row, -1, self.idx))] for row in rows])
+        self._pick = (
+            (np.less_equal, (cdf, self.u[..., None], below)),
+            (np.add.reduce, (below, -1, None, count)),
+            # fmin is minimum on integers, and takes its output positionally
+            (np.fmin, (count, shape[-1] - 1, self.idx)),
+        )
+
+    def _refuse_non_finite(self, i: int):
+        self._check.run(i)
+        if not self.finite:
+            raise FloatingPointError("non-finite values in logits")
+
+    def sample(self, i: int, rng: np.random.Generator) -> np.ndarray:
+        self._refuse_non_finite(i)
+        self._cdf.run(i)
+        rng.random(out=self.u)
+        run(self._pick)
+        return self.idx
+
+    def greedy(self, i: int) -> np.ndarray:
+        self._refuse_non_finite(i)
+        self._greedy.run(i)
+        return self.idx
+
+
+def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one category per row of ``logits`` by inverse CDF; returns the indices. See ``SoftmaxSampler``."""
+    return SoftmaxSampler([logits]).sample(0, rng)
 
 
 ADAM_BETA1 = 0.9

@@ -47,6 +47,10 @@ class KpiKind(str, Enum):
     PACKET_LOSS = "PacketLoss"
 
 
+# read for every service of every step, bound once: on Python 3.11 reading an
+# enum member off its class costs about 180 ns
+_QOE = KpiKind.QOE
+
 class DistributionKind(str, Enum):
     UNIFORM = "Uniform"
     GAUSSIAN = "Gaussian"
@@ -108,6 +112,11 @@ class DistributionSpec:
         if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise ScenarioError(f"distribution weights must sum to 1, got {sum(self.weights)}")
 
+    @cached_property
+    def weight_column(self) -> np.ndarray:
+        """The weights as a [gNodeBs, 1] column, the right operand of the KPI product."""
+        return np.asarray(self.weights)[:, None]
+
     @classmethod
     def of(cls, kind: DistributionKind, weights=None) -> "DistributionSpec":
         if weights is None:
@@ -167,12 +176,18 @@ def allocate_capacity(
     so at most one round per service is needed. The result never exceeds
     demand and sums to at most ``bandwidth`` per gNodeB.
 
-    The water-filling runs on Python floats, one gNodeB at a time, since on a
-    handful of services numpy's per-call cost outweighs the arithmetic. Its
-    sums run left to right over the services in roster order.
+    The water-filling, ``_water_fill``, runs on Python floats, one gNodeB at
+    a time, since on a handful of services numpy's per-call cost outweighs
+    the arithmetic. Its sums run left to right over the services in roster
+    order.
     """
     offered = np.asarray(offered, dtype=np.float64)
-    rows = offered.reshape(len(offered), -1).tolist()
+    served = _water_fill(offered.reshape(len(offered), -1).tolist(), priorities, mbrs, bandwidth)
+    return np.array(served).reshape(offered.shape)
+
+
+def _water_fill(rows: list[list[float]], priorities: Sequence[int], mbrs: Sequence[float], bandwidth: float) -> list[list[float]]:
+    """``allocate_capacity`` on [services][gNodeBs] rows of Python floats; returns the served rows alike."""
     n = len(rows)
     served = [[0.0] * len(row) for row in rows]
     for g, column in enumerate(zip(*rows)):
@@ -212,7 +227,7 @@ def allocate_capacity(
                 break
             budget = budget - spent
             unsat = [i for i, _ in short]
-    return np.array(served).reshape(offered.shape)
+    return served
 
 
 def offered_loads(state: NetworkState, rng: np.random.Generator | None) -> np.ndarray:
@@ -222,24 +237,36 @@ def offered_loads(state: NetworkState, rng: np.random.Generator | None) -> np.nd
     first observation of an episode). The noise is one ``rng.uniform`` draw
     of shape ``[services, gNodeBs]``.
     """
+    return np.array(_load_rows(state, rng))
+
+
+def _load_rows(state: NetworkState, rng: np.random.Generator | None) -> list[list[float]]:
+    """``offered_loads`` as [services][gNodeBs] rows of Python floats, from the same draw."""
     weights = state.distribution.weights
     services = state.scenario.services
     noise_pct = state.scenario.noise_pct
     if rng is None or noise_pct <= 0:
-        return np.array([[svc.total_demand * w for w in weights] for svc in services])
-    noise = rng.uniform(-noise_pct / 100.0, noise_pct / 100.0, size=(len(services), len(weights)))
-    loads = []
-    for svc, eps in zip(services, noise.tolist()):
+        return [[svc.total_demand * w for w in weights] for svc in services]
+    noise = rng.uniform(-noise_pct / 100.0, noise_pct / 100.0, size=(len(services), len(weights))).tolist()
+    rows = []
+    for svc, eps in zip(services, noise):
         demand = svc.total_demand
-        for w, e in zip(weights, eps):
-            loads.append(demand * w * (1.0 + e))
-    return np.array(loads).reshape(noise.shape)
+        rows.append([demand * w * (1.0 + e) for w, e in zip(weights, eps)])
+    return rows
 
 
 def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     """Run the allocator on every gNodeB and aggregate KPIs by UE share."""
+    return _kpi_report(state, np.asarray(offered, dtype=np.float64).tolist())
+
+
+def _kpi_report(state: NetworkState, offered: list[list[float]]) -> KpiReport:
+    """``evaluate_kpis`` on [services][gNodeBs] rows of Python floats: one water-filling and one KPI pass over lists.
+
+    Only the per-service product of the lane KPIs and the UE weights runs in numpy.
+    """
     bandwidth = state.scenario.bandwidth_mbps
-    served = allocate_capacity(offered, state.priority, state.mbr, bandwidth)
+    served = _water_fill(offered, state.priority, state.mbr, bandwidth)
     # per [service, gNodeB] lane: QoE 1 + 4 * served / offered, or packet
     # loss 100 * (offered - served) / offered percent, clipped to QOE_RANGE or
     # PL_RANGE as np.clip clips; an idle lane scores full QoE and no loss
@@ -247,9 +274,9 @@ def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     pl_lo, pl_hi = PL_RANGE
     lanes = []
     total = 0.0  # slice offered load: left to right per service, then over services
-    for svc, row, got in zip(state.scenario.services, offered.tolist(), served.tolist()):
+    for svc, row, got in zip(state.scenario.services, offered, served):
         row_total = 0.0
-        if svc.kpi_kind is KpiKind.QOE:
+        if svc.kpi_kind is _QOE:
             for o, s in zip(row, got):
                 row_total += o
                 if o > 0:
@@ -266,22 +293,23 @@ def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
                 else:
                     lanes.append(0.0)
         total += row_total
-    weights = np.asarray(state.distribution.weights)
     # one row-times-weights product per service: a plain [services, gNodeBs]
     # @ [gNodeBs] product, or a dot over Python floats, sums in another order
     # and changes the last bits
-    kpi = (np.array(lanes).reshape(len(offered), 1, -1) @ weights[:, None]).flatten()
+    kpi = (np.array(lanes).reshape(len(offered), 1, -1) @ state.distribution.weight_column).flatten()
     return KpiReport(kpi=kpi, congestion=total / (bandwidth * N_GNODEBS))
 
 
 def step(state: NetworkState, rng: np.random.Generator) -> tuple[NetworkState, KpiReport]:
     """Advance the slice one control interval and report KPIs.
 
-    The step changes no state: it returns the very ``state`` it was given
-    beside the report. The pair stays because perfbench's ``StepLog`` wraps
-    this function and reads the report as its second item.
+    It draws the loads, fills and scores on Python lists, as
+    ``evaluate_kpis(state, offered_loads(state, rng))`` does, with no array
+    in between. The step changes no state: it returns the very ``state`` it
+    was given beside the report. The pair stays because perfbench's
+    ``StepLog`` wraps this function and reads the report as its second item.
     """
-    return state, evaluate_kpis(state, offered_loads(state, rng))
+    return state, _kpi_report(state, _load_rows(state, rng))
 
 
 def set_distribution(state: NetworkState, spec: DistributionSpec) -> NetworkState:

@@ -12,7 +12,9 @@ backpropagation through the whole episode. The critic is only the update's
 baseline: acting never runs it, and training scores an episode's contexts
 in one call once the episode is over. Every actor value of an episode lives
 on one preallocated ``EpisodeTape``: the forward writes step t into row t,
-and the backward reads the rows of all steps at once.
+and the backward reads the rows of all steps at once. The tape builds the
+numpy calls of each row's forward, of its sampling and of the GRU
+recurrence's backward once, so a step runs flat lists of calls.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .agents import (
     GOAL_LEVELS,
     QTable,
     agent_roster,
+    capability_matrix,
     goal_achieved,
     goal_ladder,
     normalize_kpi,
@@ -38,22 +41,25 @@ from .agents import (
     run_episode,
 )
 from .config import ScenarioConfig
-from .errors import TrainingDivergence
+from .errors import TapeError, TrainingDivergence
 from .nn import (
     DenseLayer,
+    GruBackward,
     GruCell,
     OptimizerState,
+    RowCalls,
+    SoftmaxSampler,
     adam_step,
     dense_backward,
-    dense_forward,
+    dense_calls,
     gru_caches,
-    gru_forward,
+    gru_calls,
     gru_sequence_backward,
     log_softmax,
     softmax,
-    softmax_sample,
     stack_backward,
     stack_caches,
+    stack_calls,
     stack_forward,
 )
 from .slice_sim import KpiKind, ServiceSpec
@@ -175,7 +181,7 @@ def create_policy(
 
 
 class EpisodeTape:
-    """Preallocated float64 [steps, …] rows of one policy's actor over up to ``steps`` decisions.
+    """Preallocated float64 [steps, …] rows of one policy's actor over up to ``steps`` decisions, and the numpy calls that fill them.
 
     Each dense part has (x, pre, out) buffers from ``nn.stack_caches``:
     ``enc`` (two layers), ``mrg``, ``fus`` (three layers) and ``head``; each
@@ -192,11 +198,21 @@ class EpisodeTape:
     and ``start`` sets the targets of every row. The named arrays are views
     of those buffers. A tape is reused across episodes: ``start`` begins
     one, and an episode of T steps reads and writes only rows below T.
+
+    The tape belongs to ``policy``: each row's forward is one flat list of
+    the ``nn.dense_calls`` and ``nn.gru_calls`` of its parts, built here
+    with their row views, which hold the policy's parameter arrays, so an
+    update must write them in place (Adam and ``load_policy`` do).
+    ``sampler`` samples or picks each row's logits, and ``gru_backward``
+    gives each cell's BPTT calls, built on first use, since an acting-only
+    tape never needs them.
     """
 
     def __init__(self, policy: SupervisorPolicy, steps: int):
         n_agents, dims = len(policy.agents), policy.dims
         embedded = n_agents * dims.merger
+        self.policy = policy
+        self.length = steps
         self.gru = [gru_caches(cell, steps) for cell in policy.gru]
         mrg_x = np.empty((steps, n_agents, dims.encoder + TUPLE_DIM))
         fus_x = np.empty((steps, policy.fusion[0].weights.shape[1]))
@@ -210,6 +226,32 @@ class EpisodeTape:
         self.targets = fus_x[:, embedded:]  # [steps, intents]
         self.contexts = self.fus[-1][2]  # [steps, fusion]
         self.logits = self.head[1]  # [steps, heads, levels]
+        self.logit_rows = list(self.logits)
+        self.sampler = SoftmaxSampler(self.logit_rows)
+        self._gru_backward = [None] * len(policy.gru)
+
+        cell1, cell2 = policy.gru
+        scratch1, scratch2 = np.empty(dims.gru), np.empty(dims.gru)
+        (a1, zr1, a_n1, n1), (a2, zr2, a_n2, n2) = self.gru
+        # one view per row of each buffer, made at once; a view serves every
+        # call on its memory, so the hidden state a step writes is the view
+        # the next step reads
+        rows = [list(arr) for arr in (*self.mrg, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, self.latents)]
+        x, pre, out, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, latents = rows
+        x1, h1 = list(self.gru[0][0][:, : dims.fusion]), list(self.gru[0][0][:, dims.fusion :])
+        x2, h2 = list(self.gru[1][0][:, : dims.gru]), list(self.gru[1][0][:, dims.gru :])
+        encode, reuse = [], []
+        for t in range(steps):
+            # the fusion output is the first cell's input
+            calls = dense_calls(policy.merger, x[t], pre[t], out[t]) + stack_calls(policy.fusion, self.fus, t, x1[t])
+            calls += gru_calls(cell1, a1[t], zr1[t], a_n1[t], n1[t], h1[t + 1], scratch1, x1[t], h1[t])
+            calls.append((np.copyto, (x2[t], h1[t + 1])))
+            calls += gru_calls(cell2, a2[t], zr2[t], a_n2[t], n2[t], h2[t + 1], scratch2, x2[t], h2[t])
+            calls += dense_calls(policy.heads, h2[t + 1], self.logit_rows[t], self.logit_rows[t])
+            encode.append(stack_calls(policy.encoders, self.enc, t) + calls)
+            # without encoding, step t reuses step t-1's capability latents
+            reuse.append([(np.copyto, (latents[t], latents[t - 1]))] + calls)
+        self.encode_calls, self.reuse_calls = RowCalls(encode), RowCalls(reuse)
 
     def start(self, targets: np.ndarray) -> None:
         """Begin an episode: the normalized targets in every row, and zero hidden states before step 0."""
@@ -221,27 +263,30 @@ class EpisodeTape:
         """Views of both cells' hidden states before step ``t``, which are those step t-1 left."""
         return tuple(a[t, a.shape[1] - n.shape[1] :] for a, _, _, n in self.gru)
 
+    def gru_backward(self, j: int) -> GruBackward:
+        """Cell ``j``'s ``nn.GruBackward`` over this tape's rows, built on first use.
+
+        The cells' backwards run one after the other, so they share working
+        buffers where their shapes agree.
+        """
+        if self._gru_backward[j] is None:
+            built = [program for program in self._gru_backward if program is not None]
+            self._gru_backward[j] = GruBackward(self.policy.gru[j], self.gru[j], *built)
+        return self._gru_backward[j]
+
 
 def forward_step(policy: SupervisorPolicy, tape: EpisodeTape, t: int, encode: bool = True) -> np.ndarray:
     """Step ``t``'s actor forward on the tape, from the leaf inputs in row t; returns the [heads, levels] logits row.
 
-    Without ``encode`` the step reuses step t-1's capability latents, for
-    capabilities that did not change; its encoder rows stay unwritten, so
-    that tape is for acting only, not for a backward.
+    It runs the row's prebuilt calls, so ``policy`` must be the tape's own
+    (``TapeError`` otherwise). Without ``encode`` the step reuses step t-1's
+    capability latents, for capabilities that did not change; its encoder
+    rows stay unwritten, so that tape is for acting only, not for a backward.
     """
-    if encode:
-        stack_forward(policy.encoders, tape.enc, t)
-    else:
-        tape.latents[t] = tape.latents[t - 1]
-    x, pre, out = tape.mrg
-    dense_forward(policy.merger, x[t], pre[t], out[t])
-    stack_forward(policy.fusion, tape.fus, t)
-    (a1, zr1, a_n1, n1), (a2, zr2, a_n2, n2) = tape.gru
-    fusion, gru = policy.dims.fusion, policy.dims.gru
-    a2[t, :gru] = gru_forward(policy.gru[0], a1[t], zr1[t], a_n1[t], n1[t], a1[t + 1, fusion:])
-    h2 = gru_forward(policy.gru[1], a2[t], zr2[t], a_n2[t], n2[t], a2[t + 1, gru:])
-    logits = tape.logits[t]
-    return dense_forward(policy.heads, h2, logits, logits)
+    if policy is not tape.policy:
+        raise TapeError("the episode tape was built for another policy")
+    (tape.encode_calls if encode else tape.reuse_calls).run(t)
+    return tape.logit_rows[t]
 
 
 def act(
@@ -253,14 +298,9 @@ def act(
     encode: bool = True,
 ) -> list[int]:
     """One supervisor decision, ``forward_step`` on row ``t``: each head's goal rung, sampled or greedy."""
-    logits = forward_step(policy, tape, t, encode)
-    if explore:
-        idx = softmax_sample(logits, rng)
-    else:
-        if not np.isfinite(logits).all():
-            raise FloatingPointError("non-finite actor logits")
-        idx = logits.argmax(axis=1)
-    return (idx + 1).tolist()
+    forward_step(policy, tape, t, encode)
+    idx = tape.sampler.sample(t, rng) if explore else tape.sampler.greedy(t)
+    return [i + 1 for i in idx.tolist()]
 
 
 def supervisor_reward(kpis: list[float], services: list[ServiceSpec]) -> float:
@@ -430,7 +470,7 @@ def episode_gradients(
     # BPTT through the two stacked GRU cells, top cell first, down to the context
     dcontext = dh2
     for j in (1, 0):
-        dcontext, _ = gru_sequence_backward(policy.gru[j], cut(tape.gru[j]), dcontext, acc.gru[j])
+        dcontext, _ = gru_sequence_backward(policy.gru[j], cut(tape.gru[j]), dcontext, acc.gru[j], tape.gru_backward(j))
 
     # fusion, then all agents' mergers and encoders
     dx = stack_backward(
@@ -507,9 +547,11 @@ class PolicyGoals:
     Head i drives agent i, or in service mode the intent's head drives both
     of its agents; each agent's goal is its head's rung on that agent's goal
     ladder. Step t's decision writes its leaf inputs into row t of ``tape``
-    (whose ``start`` it calls): each agent's capability vector, copied, and
-    its tuple of the engine's observation, which before the first assignment
-    is made against the global targets. With ``encode_once``, for
+    (whose ``start`` it calls): each agent's capability vector, copied in one
+    call from ``agents.capability_matrix``, whose rows the vectors become,
+    and its tuple of the engine's observation, written from one flat list,
+    which before the first assignment is made against the global targets.
+    With ``encode_once``, for
     capabilities that stay fixed through the episode, only step 0 copies and
     encodes them. The latest decision's rung of each head (``levels``) and of
     each agent in roster order (``agent_levels``) stay readable until the
@@ -527,7 +569,6 @@ class PolicyGoals:
         encode_once: bool = False,
     ):
         self.policy = policy
-        self.capabilities = capabilities
         self.rng = rng
         self.explore = explore
         self.tape = tape
@@ -535,6 +576,7 @@ class PolicyGoals:
         tape.start(np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services]))
         per_agent = policy.mode is GoalMode.AGENT_LEVEL
         self._keys = [a.key for a in policy.agents]
+        self._gammas = capability_matrix(capabilities, self._keys)
         self._heads = [i if per_agent else a.intent_index for i, a in enumerate(policy.agents)]
         self._ladders = [goal_ladder(config.services[a.intent_index].kpi_kind) for a in policy.agents]
         self.levels: list[int] = []
@@ -545,11 +587,17 @@ class PolicyGoals:
         tape = self.tape
         encode = t == 0 or not self.encode_once
         if encode:
-            # a copy: capability tracking updates rho in place during training
-            tape.gammas[t] = [self.capabilities[key].rho for key in keys]
+            # a copy: capability tracking updates the matrix in place during training
+            tape.gammas[t] = self._gammas
         # per agent: observation, one-hot last action, normalized goal (the
         # observation's own goal field)
-        tape.tuples[t] = [(*seen[key], *_ONEHOT[last_action[key]], seen[key].goal) for key in keys]
+        flat = []
+        for key in keys:
+            obs = seen[key]
+            flat += obs
+            flat += _ONEHOT[last_action[key]]
+            flat.append(obs.goal)
+        tape.tuples[t].flat = flat
         self.levels = act(self.policy, tape, t, self.rng, self.explore, encode)
         self.agent_levels = [self.levels[head] for head in self._heads]
         goals = {key: ladder[level - 1] for key, ladder, level in zip(keys, self._ladders, self.agent_levels)}

@@ -131,3 +131,28 @@ def test_cli_exits_with_the_config_code_on_a_bad_scenario_file(tmp_path, capsys,
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and named in err[0], err
+
+
+@pytest.mark.parametrize(
+    "edit, section, key",
+    [
+        (("ue_count = 52", "ue_count = many"), "[service:cv0]", "ue_count"),
+        (("dist_weights = 0.25 0.25 0.25 0.25", "dist_weights = 0.2 x 0.3 0.3"), "[scenario]", "dist_weights"),
+        (("bandwidth_mbps = 10.0", "bandwidth_mbps = fast"), "[scenario]", "bandwidth_mbps"),
+    ],
+    ids=["ue-count", "dist-weights", "bandwidth"],
+)
+def test_a_malformed_number_names_the_file_section_and_key(tmp_path, capsys, edit, section, key):
+    path = tmp_path / "bad.ini"
+    text = scenario_text()
+    assert edit[0] in text
+    path.write_text(text.replace(edit[0], edit[1], 1))
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(path)
+    for named in (str(path), section, key):
+        assert named in str(raised.value), (named, str(raised.value))
+    rc = cli.main(["pretrain", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"config error: {raised.value}", err
+    assert not (tmp_path / "out").exists()

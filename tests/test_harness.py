@@ -629,3 +629,27 @@ def test_per_copy_layout_checkpoint_is_refused(pipeline_result, tmp_path):
     with pytest.raises(ShapeMismatchError, match="policy.enc_l0.W"):
         load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
     assert artifacts.policies == {}
+
+
+def test_evaluation_on_a_reused_tape_writes_the_traces_of_a_fresh_tape(pipeline_result, tmp_path):
+    # one tape serves every seed of a policy, seeds and approaches interleaved;
+    # each trace's file bytes against a fresh tape per episode
+    plan, result = pipeline_result
+    artifacts = load_pretrain(plan, result.out_dir)
+    load_policy(plan, artifacts, Approach.ATMARL, result.out_dir)
+    order = [(Approach.ATMARL, seed) for seed in (3, 1, 2)] + [(Approach.RULE_BASED, 1), (Approach.ATMARL, 4)]
+    files = []
+    for fresh in (False, True):
+        traces = []
+        for approach, seed in order:
+            if fresh:
+                artifacts.tape = None
+            traces.append(evaluate_episode(plan, artifacts, approach, seed))
+            if approach is Approach.ATMARL:
+                assert artifacts.tape.policy is artifacts.policies[Approach.ATMARL.value]
+        out = tmp_path / ("fresh" if fresh else "reused")
+        out.mkdir()
+        for i, trace in enumerate(traces):
+            trace.to_csv(out / f"{i}.csv")
+        files.append([(out / f"{i}.csv").read_bytes() for i in range(len(traces))])
+    assert files[0] == files[1]

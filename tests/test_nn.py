@@ -5,11 +5,15 @@ import pytest
 
 from atmarl.nn import (
     DenseLayer,
+    GruBackward,
     GruCell,
+    SoftmaxSampler,
     OptimizerState,
     adam_step,
     dense_backward,
     dense_forward,
+    gru_caches,
+    gru_forward,
     gru_sequence_backward,
     log_softmax,
     softmax,
@@ -304,6 +308,38 @@ def test_gru_bptt_equals_per_step_oracle(in_dim, hidden, steps):
     assert dh0.tobytes() == ref_dh0.tobytes()
 
 
+@pytest.mark.parametrize("steps", [1, 12, 40])
+def test_prebuilt_gru_backward_equals_per_step_oracle(steps):
+    # one GruBackward built on 40-row buffers and run twice on their first
+    # `steps` rows: input grads and dh0 bit for bit against the oracle both
+    # times, each parameter grad within the bound of a reordered sum
+    rng = np.random.default_rng(320 + steps)
+    cell = GruCell.create(rng, 64, 64)
+    for bias in (cell.bz, cell.br, cell.bn):
+        bias += rng.normal(size=64) * 0.1
+    xs, h = rng.normal(size=(steps, 64)), rng.normal(size=64) * 0.1
+    a, zr, a_n, n = gru_caches(cell, 40)
+    a[0, 64:] = h
+    ref_caches = []
+    for t, x in enumerate(xs):
+        a[t, :64] = x
+        gru_forward(cell, a[t], zr[t], a_n[t], n[t], a[t + 1, 64:])
+        h, cache = unfused_gru_forward(cell, x, h)
+        ref_caches.append(cache)
+    dhs = rng.normal(size=(steps, 64))
+    ref_grads, ref_abs, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, ref_caches, dhs)
+    program = GruBackward(cell, (a, zr, a_n, n))
+    for _ in range(2):
+        grads = cell.zeros_like()
+        dxs, dh0 = gru_sequence_backward(cell, (a[:steps], zr[:steps], a_n[:steps], n[:steps]), dhs, grads, program)
+        for key, grad in grads.params().items():
+            assert_reordered_sum(grad, ref_grads[key], ref_abs[key], steps, key)
+        assert dxs.tobytes() == np.stack(ref_dxs).tobytes()
+        assert dh0.tobytes() == ref_dh0.tobytes()
+    with pytest.raises(ValueError):
+        gru_sequence_backward(GruCell.create(rng, 64, 64), (a, zr, a_n, n), dhs, cell.zeros_like(), program)
+
+
 def test_gru_gate_views_alias_the_fused_arrays():
     rng = np.random.default_rng(17)
     cell = GruCell.create(rng, 3, 4)
@@ -390,6 +426,30 @@ def test_softmax_sample_equals_two_pass_oracle(case):
         ref_idx = two_pass_softmax_sample(logits, ref_rng)
         assert np.asarray(idx).tobytes() == np.asarray(ref_idx).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sampler_over_tape_rows_equals_two_pass_oracle():
+    # one sampler over the step rows of a [steps, heads, levels] buffer, as a
+    # tape holds it, rows rewritten between calls: each draw bit for bit and
+    # the generator left in the oracle's state, each greedy pick the first maximum
+    rng = np.random.default_rng(33)
+    rows = np.empty((5, 6, 8))
+    sampler = SoftmaxSampler(list(rows))
+    cases = [case for case in _sampling_cases() if case.shape == (6, 8)]
+    draw, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for k in range(20):
+        for t in range(len(rows)):
+            rows[t] = cases[(k + t) % len(cases)] if k % 2 else rng.normal(size=(6, 8)) * 4.0
+            idx = sampler.sample(t, draw)
+            assert idx.tobytes() == two_pass_softmax_sample(rows[t], ref).tobytes(), (k, t)
+            assert draw.bit_generator.state == ref.bit_generator.state
+            assert sampler.greedy(t).tolist() == rows[t].argmax(axis=1).tolist()
+    rows[2, 1, 3] = np.nan
+    with pytest.raises(FloatingPointError):
+        sampler.greedy(2)
+    with pytest.raises(FloatingPointError):
+        sampler.sample(2, draw)
+    assert draw.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -482,3 +482,26 @@ def test_set_distribution_identity_keeps_dynamics():
 def test_set_distribution_rejects_unnormalized():
     with pytest.raises(ScenarioError):
         DistributionSpec(DistributionKind.GAUSSIAN, (0.5, 0.5, 0.5, 0.5))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_step_equals_evaluate_kpis_of_offered_loads(data):
+    # step fills and scores on lists without the arrays in between: its report,
+    # bit for bit, and its draw are those of the array path on a twin generator
+    five = data.draw(st.booleans(), label="five intents")
+    kind = data.draw(st.sampled_from(list(DistributionKind)), label="spread")
+    noise = data.draw(st.sampled_from([0.0, 5.0, 100.0]) | st.floats(0.0, 100.0), label="noise_pct")
+    config = replace(default_scenario(distribution=kind, five_intents=five), noise_pct=noise)
+    n = config.intent_count
+    state = init_scenario(config)
+    state.priority = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n), label="priorities")
+    state.mbr = [MBR_LEVELS[i] for i in data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n), label="rungs")]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        _, report = step(state, rng)
+        expected = evaluate_kpis(state, offered_loads(state, twin))
+        assert report.kpi.tobytes() == expected.kpi.tobytes()
+        assert np.float64(report.congestion).tobytes() == np.float64(expected.congestion).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state

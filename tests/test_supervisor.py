@@ -19,7 +19,7 @@ from atmarl.agents import (
     roster_members,
 )
 from atmarl.config import default_scenario
-from atmarl.errors import TrainingDivergence
+from atmarl.errors import TapeError, TrainingDivergence
 from atmarl.nn import dense_forward, stack_forward
 from atmarl.slice_sim import KpiKind
 from oracles import (
@@ -38,6 +38,7 @@ from atmarl.supervisor import (
     GoalMode,
     PolicyDims,
     PolicyGoals,
+    TUPLE_DIM,
     TrainConfig,
     act,
     create_policy,
@@ -262,6 +263,66 @@ def test_hidden_state_evolves_under_constant_context():
     for t in range(3):
         forward_step(policy, tape, t)
         assert not np.allclose(tape.hidden(t + 1)[1], tape.hidden(t)[1])
+
+
+@pytest.mark.parametrize("encode", [True, False], ids=["encode", "reuse-latents"])
+@pytest.mark.parametrize("five", [False, True], ids=["3-intents", "5-intents"])
+def test_prebuilt_forward_equals_per_step_oracle(five, encode):
+    # default dims: forward_step's prebuilt calls against the forward on fresh,
+    # concatenated arrays, every written row bit for bit; without encode,
+    # every step after the first reuses step 0's latents of fixed capabilities
+    # and reads no capability row (they stay NaN)
+    cfg = default_scenario(five_intents=five)
+    rng = np.random.default_rng(440 + five)
+    policy = create_policy(rng, cfg)
+    n, steps = len(policy.agents), 12
+    tape = EpisodeTape(policy, steps)
+    tape.gammas[...] = np.nan
+    tape.start(_targets(cfg))
+    gammas = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
+    h1 = h2 = np.zeros(policy.dims.gru)
+    for t in range(steps):
+        step_encodes = encode or t == 0
+        if step_encodes:
+            tape.gammas[t] = gammas
+        tape.tuples[t] = rng.uniform(0.0, 1.0, (n, TUPLE_DIM))
+        logits = forward_step(policy, tape, t, step_encodes)
+        ref, h1, h2, caches = per_step_forward(policy, gammas, tape.tuples[t], tape.targets[t], h1, h2)
+        assert logits.tobytes() == ref.tobytes(), t
+        assert tape.latents[t].tobytes() == caches["enc"][-1][2].tobytes(), t
+        assert tape.contexts[t].tobytes() == caches["fus"][-1][2].tobytes(), t
+        for h, ref_h in zip(tape.hidden(t + 1), (h1, h2)):
+            assert h.tobytes() == ref_h.tobytes(), t
+    assert np.isnan(tape.gammas[1:]).all() != encode
+
+
+def test_forward_step_refuses_a_policy_other_than_its_tapes():
+    # the prebuilt calls hold the tape's own policy's arrays: an equal policy is still another policy
+    cfg, policy = toy_policy(seed=19)
+    _, twin = toy_policy(seed=19)
+    tape = _one_step_tape(policy, *_act_inputs(cfg, policy))
+    for call in (lambda: forward_step(twin, tape, 0), lambda: act(twin, tape, 0, np.random.default_rng(0), True)):
+        with pytest.raises(TapeError):
+            call()
+    assert isinstance(TapeError("x"), ValueError)
+
+
+@pytest.mark.parametrize("five", [False, True], ids=["3-intents", "5-intents"])
+def test_dot_equals_matmul_on_every_2d_weight_the_calls_use(five):
+    # the prebuilt calls run each 2-D matrix-vector product through np.dot, where
+    # the per-step code ran np.matmul: the fusion layers and each cell's
+    # candidate weight forward, each cell's transposed gate weights in BPTT
+    cfg = default_scenario(five_intents=five)
+    rng = np.random.default_rng(450 + five)
+    policy = create_policy(rng, cfg)
+    weights = [layer.weights for layer in policy.fusion] + [cell.Wn for cell in policy.gru]
+    weights += [w.T for cell in policy.gru for w in (cell.Wn, cell.Wz, cell.Wr)]
+    for w in weights:
+        for _ in range(50):
+            x = rng.normal(scale=rng.uniform(1e-3, 10.0), size=w.shape[1])
+            out = np.empty(w.shape[0])
+            np.dot(w, x, out)
+            assert out.tobytes() == np.matmul(w, x).tobytes() == np.matmul(w, x[:, None])[:, 0].tobytes()
 
 
 def _policy_goals(cfg, policy, explore, seed=2, encode_once=False):
