@@ -113,9 +113,9 @@ class DistributionSpec:
             raise ScenarioError(f"distribution weights must sum to 1, got {sum(self.weights)}")
 
     @cached_property
-    def weight_column(self) -> np.ndarray:
-        """The weights as a [gNodeBs, 1] column, the right operand of the KPI product."""
-        return np.asarray(self.weights)[:, None]
+    def weight_vector(self) -> np.ndarray:
+        """The weights as one [gNodeBs] array, the right operand of the KPI product."""
+        return np.asarray(self.weights)
 
     @classmethod
     def of(cls, kind: DistributionKind, weights=None) -> "DistributionSpec":
@@ -234,24 +234,34 @@ def offered_loads(state: NetworkState, rng: np.random.Generator | None) -> np.nd
     """Offered Mbps per [service, gNodeB], with multiplicative load noise.
 
     Passing ``rng=None`` gives the noise-free nominal loads (used to seed the
-    first observation of an episode). The noise is one ``rng.uniform`` draw
-    of shape ``[services, gNodeBs]``.
+    first observation of an episode). The noise is one ``rng.random`` draw of
+    services × gNodeBs doubles, each mapped to [-noise, noise) as
+    ``rng.uniform`` maps it, so the loads and the generator's state are those
+    of one ``rng.uniform`` draw of shape ``[services, gNodeBs]``.
     """
     return np.array(_load_rows(state, rng))
 
 
 def _load_rows(state: NetworkState, rng: np.random.Generator | None) -> list[list[float]]:
-    """``offered_loads`` as [services][gNodeBs] rows of Python floats, from the same draw."""
+    """``offered_loads`` as [services][gNodeBs] rows of Python floats, from the same draw.
+
+    ``Generator.uniform(lo, hi)`` returns ``lo + (hi - lo) * x`` for each
+    double ``x`` that ``Generator.random`` returns; the map runs here on the
+    raw doubles, in row-major order, without the wrapper's argument handling.
+    """
     weights = state.distribution.weights
     services = state.scenario.services
     noise_pct = state.scenario.noise_pct
     if rng is None or noise_pct <= 0:
         return [[svc.total_demand * w for w in weights] for svc in services]
-    noise = rng.uniform(-noise_pct / 100.0, noise_pct / 100.0, size=(len(services), len(weights))).tolist()
+    lo = -noise_pct / 100.0
+    scale = noise_pct / 100.0 - lo
+    draws = iter(rng.random(len(services) * len(weights)).tolist())
     rows = []
-    for svc, eps in zip(services, noise):
+    for svc in services:
         demand = svc.total_demand
-        rows.append([demand * w * (1.0 + e) for w, e in zip(weights, eps)])
+        # zip stops on the weights before it takes a draw past the row
+        rows.append([demand * w * (1.0 + (lo + scale * x)) for w, x in zip(weights, draws)])
     return rows
 
 
@@ -263,7 +273,8 @@ def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
 def _kpi_report(state: NetworkState, offered: list[list[float]]) -> KpiReport:
     """``evaluate_kpis`` on [services][gNodeBs] rows of Python floats: one water-filling and one KPI pass over lists.
 
-    Only the per-service product of the lane KPIs and the UE weights runs in numpy.
+    Only the per-service product of the lane KPIs and the UE weights runs in
+    numpy, as one ``np.vecdot`` call.
     """
     bandwidth = state.scenario.bandwidth_mbps
     served = _water_fill(offered, state.priority, state.mbr, bandwidth)
@@ -293,21 +304,25 @@ def _kpi_report(state: NetworkState, offered: list[list[float]]) -> KpiReport:
                 else:
                     lanes.append(0.0)
         total += row_total
-    # one row-times-weights product per service: a plain [services, gNodeBs]
-    # @ [gNodeBs] product, or a dot over Python floats, sums in another order
-    # and changes the last bits
-    kpi = (np.array(lanes).reshape(len(offered), 1, -1) @ state.distribution.weight_column).flatten()
+    # one row-times-weights dot per service: vecdot runs each row through the
+    # same double dot (cblas_ddot) as a stacked [1, gNodeBs] @ [gNodeBs, 1]
+    # matmul, so the bits are that product's. The 2-D [services, gNodeBs] @
+    # [gNodeBs] product runs one gemv, which sums in another order and changes
+    # the last bits of most reports, as a dot over Python floats does.
+    kpi = np.vecdot(np.array(lanes).reshape(len(offered), -1), state.distribution.weight_vector)
     return KpiReport(kpi=kpi, congestion=total / (bandwidth * N_GNODEBS))
 
 
 def step(state: NetworkState, rng: np.random.Generator) -> tuple[NetworkState, KpiReport]:
     """Advance the slice one control interval and report KPIs.
 
-    It draws the loads, fills and scores on Python lists, as
+    It draws the loads (one ``rng.random`` call, mapped as ``rng.uniform``
+    maps it), fills and scores on Python lists, as
     ``evaluate_kpis(state, offered_loads(state, rng))`` does, with no array
-    in between. The step changes no state: it returns the very ``state`` it
-    was given beside the report. The pair stays because perfbench's
-    ``StepLog`` wraps this function and reads the report as its second item.
+    in between; the one numpy product left is the KPIs' ``np.vecdot``. The
+    step changes no state: it returns the very ``state`` it was given beside
+    the report. The pair stays because perfbench's ``StepLog`` wraps this
+    function and reads the report as its second item.
     """
     return state, _kpi_report(state, _load_rows(state, rng))
 

@@ -282,9 +282,12 @@ def forward_step(policy: SupervisorPolicy, tape: EpisodeTape, t: int, encode: bo
     (``TapeError`` otherwise). Without ``encode`` the step reuses step t-1's
     capability latents, for capabilities that did not change; its encoder
     rows stay unwritten, so that tape is for acting only, not for a backward.
+    Step 0 has no step before it, so it must encode (``TapeError`` otherwise).
     """
     if policy is not tape.policy:
         raise TapeError("the episode tape was built for another policy")
+    if not encode and t == 0:
+        raise TapeError("step 0 has no earlier capability latents to reuse; it must encode")
     (tape.encode_calls if encode else tape.reuse_calls).run(t)
     return tape.logit_rows[t]
 

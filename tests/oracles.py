@@ -15,7 +15,7 @@ import numpy as np
 from atmarl.agents import CONGESTION_MAX, OBS_BINS, AgentObservation, normalize_kpi, normalize_knob
 from atmarl.errors import ScenarioError
 from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, gru_caches, gru_forward
-from atmarl.slice_sim import N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind
+from atmarl.slice_sim import N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind, KpiReport, allocate_capacity
 from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF
 
 
@@ -153,6 +153,36 @@ def numpy_offered_loads(state, rng: np.random.Generator | None) -> np.ndarray:
         return base
     eps = rng.uniform(-noise_pct / 100.0, noise_pct / 100.0, size=base.shape)
     return base * (1.0 + eps)
+
+
+def reference_step(state, rng: np.random.Generator) -> KpiReport:
+    """The simulator step as it ran before the raw-uniform draw and the vecdot product.
+
+    The loads are ``numpy_offered_loads``'s (one ``rng.uniform`` draw of
+    shape [services, gNodeBs]), the lanes are scored on lists, and each
+    service's KPI is the stacked [1, gNodeBs] @ [gNodeBs, 1] matmul of its
+    lanes and the UE weights. ``slice_sim.step`` must equal it bit for bit
+    and leave ``rng`` in the same state.
+    """
+    offered = numpy_offered_loads(state, rng).tolist()
+    bandwidth = state.scenario.bandwidth_mbps
+    served = allocate_capacity(np.array(offered), state.priority, state.mbr, bandwidth).tolist()
+    lanes = []
+    total = 0.0
+    for svc, row, got in zip(state.scenario.services, offered, served):
+        row_total = 0.0
+        for o, s in zip(row, got):
+            row_total += o
+            if svc.kpi_kind is KpiKind.QOE:
+                x = 1.0 + 4.0 * (s / o) if o > 0 else QOE_RANGE[1]
+                lanes.append(QOE_RANGE[0] if x < QOE_RANGE[0] else QOE_RANGE[1] if x > QOE_RANGE[1] else x)
+            else:
+                x = 100.0 * (o - s) / o if o > 0 else 0.0
+                lanes.append(PL_RANGE[0] if x < PL_RANGE[0] else PL_RANGE[1] if x > PL_RANGE[1] else x)
+        total += row_total
+    column = np.asarray(state.distribution.weights)[:, None]
+    kpi = (np.array(lanes).reshape(len(offered), 1, -1) @ column).flatten()
+    return KpiReport(kpi=kpi, congestion=total / (bandwidth * N_GNODEBS))
 
 
 def numpy_congestion(state, offered: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from atmarl.errors import ScenarioError
 from atmarl.slice_sim import (
     MBR_LEVELS,
     N_GNODEBS,
+    PRIORITY_LEVELS,
     DistributionKind,
     DistributionSpec,
     KpiKind,
@@ -29,6 +30,7 @@ from oracles import (
     numpy_congestion,
     numpy_offered_loads,
     packet_scheduling_oracle,
+    reference_step,
     scalar_allocate_capacity,
     scalar_kpis,
 )
@@ -322,7 +324,8 @@ def load_states(draw):
     spread = draw(st.none() | st.lists(st.integers(0, 20), min_size=N_GNODEBS, max_size=N_GNODEBS).filter(any))
     cfg = replace(
         default_scenario(distribution=kind, five_intents=five),
-        noise_pct=draw(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 60.0)),
+        # at 100 the noise reaches -1, where a lane's load 1 + e can be 0
+        noise_pct=draw(st.sampled_from([0.0, 5.0, 100.0]) | st.floats(0.0, 100.0)),
         bandwidth_mbps=draw(st.sampled_from([10.0, 4.0]) | st.floats(0.5, 40.0)),
     )
     state = init_scenario(cfg)
@@ -504,4 +507,26 @@ def test_step_equals_evaluate_kpis_of_offered_loads(data):
         expected = evaluate_kpis(state, offered_loads(state, twin))
         assert report.kpi.tobytes() == expected.kpi.tobytes()
         assert np.float64(report.congestion).tobytes() == np.float64(expected.congestion).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@given(state=load_states(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_step_equals_the_reference_step(state, data):
+    # the raw-uniform draw and the vecdot product keep every bit of the
+    # rng.uniform draw and the stacked matmul, and the generator's state
+    n = state.scenario.intent_count
+    state.priority = data.draw(st.lists(st.sampled_from(PRIORITY_LEVELS), min_size=n, max_size=n), label="priorities")
+    state.mbr = data.draw(st.lists(st.sampled_from(MBR_LEVELS), min_size=n, max_size=n), label="mbrs")
+    shift = data.draw(st.lists(st.integers(0, 20), min_size=N_GNODEBS, max_size=N_GNODEBS).filter(any), label="shift")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for t in range(4):
+        if t == 2:
+            spec = DistributionSpec(state.distribution.kind, tuple(w / sum(shift) for w in shift))
+            state = set_distribution(state, spec)
+        _, report = step(state, rng)
+        expected = reference_step(state, twin)
+        assert_same_bits(report.kpi, expected.kpi)
+        assert_same_bits(np.float64(report.congestion), np.float64(expected.congestion))
         assert rng.bit_generator.state == twin.bit_generator.state

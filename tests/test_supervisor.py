@@ -307,6 +307,29 @@ def test_forward_step_refuses_a_policy_other_than_its_tapes():
     assert isinstance(TapeError("x"), ValueError)
 
 
+def test_forward_step_refuses_to_reuse_latents_at_step_0():
+    # reusing at step 0 would copy the last row's latents, another episode's,
+    # into row 0: it is refused before any of the row's calls runs
+    cfg, policy = toy_policy(seed=23)
+    tape = EpisodeTape(policy, 3)
+    tape.start(_targets(cfg))
+    for t in range(3):
+        tape.gammas[t], tape.tuples[t] = _act_inputs(cfg, policy)[:2]
+        forward_step(policy, tape, t)
+    written = {name: rows for name, rows in vars(tape).items() if isinstance(rows, np.ndarray)}
+    written.update((f"hidden{i}", h) for i, h in enumerate(tape.hidden(1)))
+    before = {name: np.copy(rows) for name, rows in written.items()}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for call in (lambda: forward_step(policy, tape, 0, False), lambda: act(policy, tape, 0, rng, True, False)):
+        with pytest.raises(TapeError, match="step 0"):
+            call()
+    for name, rows in before.items():
+        assert written[name].tobytes() == rows.tobytes(), name
+    assert rng.bit_generator.state == state
+    forward_step(policy, tape, 1, False)  # a later step still reuses
+
+
 @pytest.mark.parametrize("five", [False, True], ids=["3-intents", "5-intents"])
 def test_dot_equals_matmul_on_every_2d_weight_the_calls_use(five):
     # the prebuilt calls run each 2-D matrix-vector product through np.dot, where
