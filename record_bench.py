@@ -6,13 +6,18 @@ Run from the repository root::
     python3 record_bench.py --label batched_backward
 
 ``--tree`` names the checkout whose code is measured (default: this one);
-its own ``perfbench/run.py`` runs every workload timed (``--trace 0``) and
-traced (``--trace 1``), and its ``src`` supplies the package for the
-microbenchmarks. Each run keeps its ``digest sha256:`` line, so two records
-of trees meant to be byte-identical show whether their outputs are. The
-file lands at the root of this checkout. Every record
-uses the same seed, run length, sample count and reference runs per side
-(``SEED``, ``SECONDS``, ``REPEATS``, ``REFERENCE_RUNS``, stored under
+its own ``perfbench/run.py`` runs every workload timed (``--trace 0``) once
+and traced (``--trace 1``) ``TRACED_RUNS`` times, and its ``src`` supplies
+the package for the microbenchmarks. The traced runs are merged into one
+entry with the keys of one run: the median of each layer metric, and every
+run's ``digest sha256:`` line, with a mismatch between them written into
+the entry. One traced run per side cannot show a per-layer change of about
+10%: layers a change does not touch move that much between two runs. Each
+run keeps its digest line, so two records of trees meant to be
+byte-identical show whether their outputs are. The file lands at the root
+of this checkout. Every record uses the same seed, run length, sample
+count, reference runs and traced runs per side (``SEED``, ``SECONDS``,
+``REPEATS``, ``REFERENCE_RUNS``, ``TRACED_RUNS``, stored under
 ``settings``), so two records made on one host share their keys and
 compare field by field.
 
@@ -40,7 +45,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from statistics import quantiles
+from statistics import median, quantiles
 
 import numpy as np
 
@@ -50,6 +55,7 @@ SEED = 101
 SECONDS = 30.0  # length of each perfbench run
 REPEATS = 40  # samples per microbenchmark
 REFERENCE_RUNS = 5  # host-reference kernel runs whose median gauges the host on each side of a sample
+TRACED_RUNS = 3  # traced perfbench runs per workload, merged by their median
 
 
 def perfbench(tree: Path, workload: str, trace: int) -> dict:
@@ -66,6 +72,35 @@ def parse_perfbench(stdout: str) -> dict:
     run = json.loads(lines[-1])
     run["digest"] = next(line for line in lines if line.startswith("digest sha256:"))
     return run
+
+
+def merge_traced(runs: list[dict]) -> dict:
+    """One entry for several traced runs of a workload, with the keys of one run.
+
+    Each metric is the median of its values over the runs, in its unit;
+    ``correct`` holds if it holds for every run, and ``attempted`` and
+    ``failed`` are the runs' totals. ``digests`` lists every run's digest
+    line. ``digest`` is that line when all runs agree, and otherwise starts
+    with ``digest mismatch:`` and lists the distinct lines, so a record
+    never hides runs of one tree that wrote different outputs.
+    """
+    names = set(runs[0]["metrics"])
+    for run in runs[1:]:
+        if set(run["metrics"]) != names:
+            raise ValueError(f"traced runs disagree on their metrics: {sorted(names ^ set(run['metrics']))}")
+    digests = [run["digest"] for run in runs]
+    distinct = list(dict.fromkeys(digests))
+    return {
+        "correct": all(run["correct"] for run in runs),
+        "attempted": sum(run["attempted"] for run in runs),
+        "failed": sum(run["failed"] for run in runs),
+        "metrics": {
+            name: {"unit": runs[0]["metrics"][name]["unit"], "value": median(run["metrics"][name]["value"] for run in runs)}
+            for name in sorted(names)
+        },
+        "digest": distinct[0] if len(distinct) == 1 else "digest mismatch: " + " | ".join(distinct),
+        "digests": digests,
+    }
 
 
 def quartiles(samples: list[float]) -> dict:
@@ -208,9 +243,18 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         },
-        "settings": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS, "reference_runs": REFERENCE_RUNS},
+        "settings": {
+            "seed": SEED,
+            "seconds": SECONDS,
+            "repeats": REPEATS,
+            "reference_runs": REFERENCE_RUNS,
+            "traced_runs": TRACED_RUNS,
+        },
         "perfbench": {
-            w: {mode: perfbench(tree, w, trace) for mode, trace in (("timed", 0), ("traced", 1))}
+            w: {
+                "timed": perfbench(tree, w, 0),
+                "traced": merge_traced([perfbench(tree, w, 1) for _ in range(TRACED_RUNS)]),
+            }
             for w in WORKLOADS
         },
         "micro": json.loads(micro.stdout.strip().splitlines()[-1]),

@@ -12,9 +12,8 @@ and evaluation all run.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,10 +69,12 @@ _ACTIONS = tuple(KnobAction)  # by value
 class AgentId:
     system: SystemKind
     intent_index: int
+    # set once as the id is made: every episode's roster makes fresh ids, and
+    # on Python 3.11 the first read of a cached_property takes a lock
+    key: str = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def key(self) -> str:
-        return f"{self.system.value.lower()}_{self.intent_index}"
+    def __post_init__(self):
+        object.__setattr__(self, "key", f"{self.system.value.lower()}_{self.intent_index}")
 
 
 class AgentObservation(NamedTuple):
@@ -167,14 +168,9 @@ def normalize_kpi(kpi_kind: KpiKind, value: float) -> float:
     return min(value / PL_SCALE, CONGESTION_MAX)
 
 
-def normalize_knob(agent: AgentId, state: NetworkState) -> float:
-    k = agent.intent_index
-    if agent.system is _PRIORITY:
-        return (state.priority[k] - 1.0) / 4.0
-    return _mbr_index(state.mbr[k]) / (len(MBR_LEVELS) - 1)
-
-
 _MBR_INDEX = {lvl: i for i, lvl in enumerate(MBR_LEVELS)}
+# an MBR cap's knob on the observation's scale: its rung over the top rung
+_MBR_KNOB = {lvl: i / (len(MBR_LEVELS) - 1) for lvl, i in _MBR_INDEX.items()}
 
 
 def _mbr_index(value: float) -> int:
@@ -220,16 +216,37 @@ def observe(
     ``kpis`` are the report's readings as floats (``report.kpi.tolist()``)
     and ``congestion`` its congestion; each agent sees its own KPI, its own
     knob, its goal in ``goals`` (KPI space) and the congestion, never the
-    other plane's knobs.
+    other plane's knobs. The KPI and the goal are normalized inline by
+    ``normalize_kpi``'s formulas (``min(x, CONGESTION_MAX)`` written as the
+    comparison ``min`` makes); a Priority knob is ``(level - 1) / 4`` and an
+    MBR cap's is its rung over the top rung, the nearest rung for a cap off
+    the ladder.
     """
-    congestion = min(congestion, CONGESTION_MAX)
-    return {
-        key: _new_tuple(
-            AgentObservation,
-            (normalize_kpi(kind, kpis[k]), normalize_knob(agent, state), normalize_kpi(kind, goals[key]), congestion),
-        )
-        for agent, key, k, kind, _ in members
-    }
+    congestion = CONGESTION_MAX if CONGESTION_MAX < congestion else congestion
+    priority = state.priority
+    mbr = state.mbr
+    seen = {}
+    for agent, key, k, kind, _ in members:
+        kpi = kpis[k]
+        goal = goals[key]
+        if kind is _QOE:
+            kpi = (kpi - 1.0) / 4.0
+            goal = (goal - 1.0) / 4.0
+        else:
+            kpi = kpi / PL_SCALE
+            if CONGESTION_MAX < kpi:
+                kpi = CONGESTION_MAX
+            goal = goal / PL_SCALE
+            if CONGESTION_MAX < goal:
+                goal = CONGESTION_MAX
+        if agent.system is _PRIORITY:
+            knob = (priority[k] - 1.0) / 4.0
+        else:
+            knob = _MBR_KNOB.get(mbr[k])
+            if knob is None:
+                knob = _mbr_index(mbr[k]) / (len(MBR_LEVELS) - 1)
+        seen[key] = _new_tuple(AgentObservation, (kpi, knob, goal, congestion))
+    return seen
 
 
 _LAST_BIN = OBS_BINS - 1
@@ -313,13 +330,14 @@ def run_episode(
     that have a Q-table, resolved once into ``roster_members``. The engine is
     the only caller of ``observe``: it reads each report's KPIs once, as the
     floats ``kpis``, and observes every agent in one ``observe`` pass into
-    ``seen`` (agent key to observation). The noise-free opening report is
-    observed against each intent's target; every later report against the
+    ``seen`` (agent key to observation). The noise-free opening report
+    (``slice_sim.nominal_report``) is observed against each intent's target; every later report against the
     goal the agent was last assigned. Each step applies the UE redistribution
     scheduled for it, asks ``goals(t, seen, last_action)`` for this step's
     goals (agent key to KPI-space goal) and active planes, and lets every
     agent of an active plane act on its observation, with the goal field
-    replaced where its assigned goal changed, and move its knob. Each acting
+    replaced where its assigned goal changed, and move its knob; the acting
+    members are resolved once per distinct set of active planes. Each acting
     agent bins that observation once and picks its action epsilon-greedily
     with probability ``epsilon`` of a uniform random action (0 acts greedily
     and draws nothing), in roster order. It then steps the network, observes
@@ -333,19 +351,22 @@ def run_episode(
     config = state.scenario
     members = roster_members(config, qtables)
     shifts = dict(shift_schedule)
-    report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
+    report = slice_sim.nominal_report(state)
     aimed = {key: config.services[k].kpi_target for _, key, k, _, _ in members}
     seen = observe(state, report.kpi.tolist(), report.congestion, members, aimed)
     last_action = {key: _HOLD for key in aimed}
     binned = {}
+    acting_by_planes: dict[frozenset, list[Member]] = {}  # the members of each distinct active set
     for t in range(episode_length):
         if t in shifts:
             state = slice_sim.set_distribution(state, shifts[t])
         current, active = goals(t, seen, last_action)
+        planes = frozenset(active)
+        acting = acting_by_planes.get(planes)
+        if acting is None:
+            acting = acting_by_planes[planes] = [m for m in members if m.agent.system in planes]
         taken = {}
-        for agent, key, _, kind, table in members:
-            if agent.system not in active:
-                continue
+        for agent, key, _, kind, table in acting:
             goal = current[key]
             if goal != aimed[key]:
                 kpi, knob, _, congestion = seen[key]
@@ -408,17 +429,17 @@ def pretrain_system(
     anneal = params.episodes * 0.7
     # UE spreads sampled per episode; agents arrive robust to the radio
     # environment, so the generalization experiments probe the supervisor
-    spreads = list(slice_sim.DistributionKind)
-    planes = {system}
+    spreads = [slice_sim.DistributionSpec.of(kind) for kind in slice_sim.DistributionKind]
+    planes = frozenset({system})
     for episode in range(params.episodes):
         eps = max(
             EPSILON_END,
             EPSILON_START + (EPSILON_END - EPSILON_START) * episode / max(anneal, 1),
         )
         state = init_scenario(config)
-        kind = spreads[int(rng.integers(len(spreads)))]
-        if kind is not config.distribution.kind:
-            state = slice_sim.set_distribution(state, slice_sim.DistributionSpec.of(kind))
+        spread = spreads[int(rng.integers(len(spreads)))]
+        if spread.kind is not config.distribution.kind:
+            state = slice_sim.set_distribution(state, spread)
         levels = {a.key: int(rng.integers(1, GOAL_LEVELS + 1)) for a in agents}
         goals = {key: goal_value(kpi_kind, levels[key]) for _, key, _, kpi_kind, _ in members}
         hit_step = {a.key: None for a in agents}

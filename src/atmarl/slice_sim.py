@@ -176,26 +176,28 @@ def allocate_capacity(
     so at most one round per service is needed. The result never exceeds
     demand and sums to at most ``bandwidth`` per gNodeB.
 
-    The water-filling, ``_water_fill``, runs on Python floats, one gNodeB at
-    a time, since on a handful of services numpy's per-call cost outweighs
-    the arithmetic. Its sums run left to right over the services in roster
-    order.
+    The water-filling, ``_water_fill``, runs on the raveled loads as one flat
+    list of Python floats, one gNodeB at a time, since on a handful of
+    services numpy's per-call cost outweighs the arithmetic. Its sums run
+    left to right over the services in roster order.
     """
     offered = np.asarray(offered, dtype=np.float64)
-    served = _water_fill(offered.reshape(len(offered), -1).tolist(), priorities, mbrs, bandwidth)
+    served = _water_fill(offered.ravel().tolist(), len(offered), priorities, mbrs, bandwidth)
     return np.array(served).reshape(offered.shape)
 
 
-def _water_fill(rows: list[list[float]], priorities: Sequence[int], mbrs: Sequence[float], bandwidth: float) -> list[list[float]]:
-    """``allocate_capacity`` on [services][gNodeBs] rows of Python floats; returns the served rows alike."""
-    n = len(rows)
-    served = [[0.0] * len(row) for row in rows]
-    for g, column in enumerate(zip(*rows)):
+def _water_fill(
+    offered: list[float], services: int, priorities: Sequence[int], mbrs: Sequence[float], bandwidth: float
+) -> list[float]:
+    """``allocate_capacity`` on one flat, service-major [services × gNodeBs] list of floats; returns the served list alike."""
+    gnbs = len(offered) // services
+    served = [0.0] * len(offered)
+    for g in range(gnbs):
         demand = []
         weights = []
         unsat = []
-        for i in range(n):
-            o = column[i]
+        # the gNodeB's column: service i's lane sits at i * gnbs + g
+        for i, o in enumerate(offered[g::gnbs]):
             m = mbrs[i]
             d = o if o < m or o != o else m  # np.minimum: a NaN load or cap gives a NaN demand
             demand.append(d)
@@ -203,7 +205,7 @@ def _water_fill(rows: list[list[float]], priorities: Sequence[int], mbrs: Sequen
             if d > 0:
                 unsat.append(i)
         budget = bandwidth
-        for _ in range(n):
+        for _ in range(services):
             if not unsat or not budget > 1e-12:
                 break
             total = 0.0
@@ -216,15 +218,17 @@ def _water_fill(rows: list[list[float]], priorities: Sequence[int], mbrs: Sequen
             for i in unsat:
                 share = budget * weights[i] / total
                 if demand[i] <= share + 1e-12:
-                    served[i][g] = demand[i]
+                    served[i * gnbs + g] = demand[i]
                     spent += demand[i]
                 else:
                     short.append((i, share))
             if len(short) == len(unsat):
                 # no service saturates: the gNodeB hands out its shares and is done
                 for i, share in short:
-                    served[i][g] = share
+                    served[i * gnbs + g] = share
                 break
+            if not short:
+                break  # every service is served in full
             budget = budget - spent
             unsat = [i for i, _ in short]
     return served
@@ -239,11 +243,11 @@ def offered_loads(state: NetworkState, rng: np.random.Generator | None) -> np.nd
     ``rng.uniform`` maps it, so the loads and the generator's state are those
     of one ``rng.uniform`` draw of shape ``[services, gNodeBs]``.
     """
-    return np.array(_load_rows(state, rng))
+    return np.array(_loads(state, rng)).reshape(state.scenario.intent_count, -1)
 
 
-def _load_rows(state: NetworkState, rng: np.random.Generator | None) -> list[list[float]]:
-    """``offered_loads`` as [services][gNodeBs] rows of Python floats, from the same draw.
+def _loads(state: NetworkState, rng: np.random.Generator | None) -> list[float]:
+    """``offered_loads`` as one flat, service-major list of Python floats, from the same draw.
 
     ``Generator.uniform(lo, hi)`` returns ``lo + (hi - lo) * x`` for each
     double ``x`` that ``Generator.random`` returns; the map runs here on the
@@ -253,42 +257,52 @@ def _load_rows(state: NetworkState, rng: np.random.Generator | None) -> list[lis
     services = state.scenario.services
     noise_pct = state.scenario.noise_pct
     if rng is None or noise_pct <= 0:
-        return [[svc.total_demand * w for w in weights] for svc in services]
+        return [svc.total_demand * w for svc in services for w in weights]
     lo = -noise_pct / 100.0
     scale = noise_pct / 100.0 - lo
     draws = iter(rng.random(len(services) * len(weights)).tolist())
-    rows = []
-    for svc in services:
-        demand = svc.total_demand
-        # zip stops on the weights before it takes a draw past the row
-        rows.append([demand * w * (1.0 + (lo + scale * x)) for w, x in zip(weights, draws)])
-    return rows
+    # zip stops on the weights before it takes a draw past the service's lanes
+    return [svc.total_demand * w * (1.0 + (lo + scale * x)) for svc in services for w, x in zip(weights, draws)]
 
 
 def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
     """Run the allocator on every gNodeB and aggregate KPIs by UE share."""
-    return _kpi_report(state, np.asarray(offered, dtype=np.float64).tolist())
+    return _kpi_report(state, np.asarray(offered, dtype=np.float64).ravel().tolist())
 
 
-def _kpi_report(state: NetworkState, offered: list[list[float]]) -> KpiReport:
-    """``evaluate_kpis`` on [services][gNodeBs] rows of Python floats: one water-filling and one KPI pass over lists.
+def nominal_report(state: NetworkState) -> KpiReport:
+    """The noise-free report of ``state``: ``evaluate_kpis(state, offered_loads(state, None))`` with no array in between.
+
+    It is the opening observation of an episode.
+    """
+    return _kpi_report(state, _loads(state, None))
+
+
+def _kpi_report(state: NetworkState, offered: list[float]) -> KpiReport:
+    """``evaluate_kpis`` on one flat, service-major list of floats: one water-filling and one KPI pass.
 
     Only the per-service product of the lane KPIs and the UE weights runs in
     numpy, as one ``np.vecdot`` call.
     """
     bandwidth = state.scenario.bandwidth_mbps
-    served = _water_fill(offered, state.priority, state.mbr, bandwidth)
+    services = state.scenario.services
+    served = _water_fill(offered, len(services), state.priority, state.mbr, bandwidth)
     # per [service, gNodeB] lane: QoE 1 + 4 * served / offered, or packet
     # loss 100 * (offered - served) / offered percent, clipped to QOE_RANGE or
     # PL_RANGE as np.clip clips; an idle lane scores full QoE and no loss
     qoe_lo, qoe_hi = QOE_RANGE
     pl_lo, pl_hi = PL_RANGE
+    gnodebs = range(len(offered) // len(services))
     lanes = []
     total = 0.0  # slice offered load: left to right per service, then over services
-    for svc, row, got in zip(state.scenario.services, offered, served):
+    # one pass over both lists: zip stops on ``gnodebs`` before it takes a
+    # lane of the next service
+    offered_lanes = iter(offered)
+    served_lanes = iter(served)
+    for svc in services:
         row_total = 0.0
         if svc.kpi_kind is _QOE:
-            for o, s in zip(row, got):
+            for _, o, s in zip(gnodebs, offered_lanes, served_lanes):
                 row_total += o
                 if o > 0:
                     x = 1.0 + 4.0 * (s / o)
@@ -296,7 +310,7 @@ def _kpi_report(state: NetworkState, offered: list[list[float]]) -> KpiReport:
                 else:
                     lanes.append(qoe_hi)
         else:
-            for o, s in zip(row, got):
+            for _, o, s in zip(gnodebs, offered_lanes, served_lanes):
                 row_total += o
                 if o > 0:
                     x = 100.0 * (o - s) / o
@@ -309,7 +323,7 @@ def _kpi_report(state: NetworkState, offered: list[list[float]]) -> KpiReport:
     # matmul, so the bits are that product's. The 2-D [services, gNodeBs] @
     # [gNodeBs] product runs one gemv, which sums in another order and changes
     # the last bits of most reports, as a dot over Python floats does.
-    kpi = np.vecdot(np.array(lanes).reshape(len(offered), -1), state.distribution.weight_vector)
+    kpi = np.vecdot(np.array(lanes).reshape(len(services), -1), state.distribution.weight_vector)
     return KpiReport(kpi=kpi, congestion=total / (bandwidth * N_GNODEBS))
 
 
@@ -317,14 +331,14 @@ def step(state: NetworkState, rng: np.random.Generator) -> tuple[NetworkState, K
     """Advance the slice one control interval and report KPIs.
 
     It draws the loads (one ``rng.random`` call, mapped as ``rng.uniform``
-    maps it), fills and scores on Python lists, as
+    maps it), fills and scores on one flat list, as
     ``evaluate_kpis(state, offered_loads(state, rng))`` does, with no array
     in between; the one numpy product left is the KPIs' ``np.vecdot``. The
     step changes no state: it returns the very ``state`` it was given beside
     the report. The pair stays because perfbench's ``StepLog`` wraps this
     function and reads the report as its second item.
     """
-    return state, _kpi_report(state, _load_rows(state, rng))
+    return state, _kpi_report(state, _loads(state, rng))
 
 
 def set_distribution(state: NetworkState, spec: DistributionSpec) -> NetworkState:

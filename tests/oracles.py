@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from atmarl.agents import CONGESTION_MAX, OBS_BINS, AgentObservation, normalize_kpi, normalize_knob
+from atmarl.agents import CONGESTION_MAX, OBS_BINS, AgentObservation, SystemKind, normalize_kpi
 from atmarl.errors import ScenarioError
 from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, gru_caches, gru_forward
-from atmarl.slice_sim import N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind, KpiReport, allocate_capacity
+from atmarl.slice_sim import MBR_LEVELS, N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind, KpiReport, allocate_capacity
 from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF
 
 
@@ -205,6 +205,19 @@ def bin_unit(x: float) -> int:
 def per_field_discretize(obs) -> tuple[int, int, int, int]:
     """The table index of an observation, one ``bin_unit`` call per field."""
     return (bin_unit(obs.kpi), bin_unit(obs.knob), bin_unit(obs.goal), bin_unit(obs.congestion / CONGESTION_MAX))
+
+
+def normalize_knob(agent, state) -> float:
+    """One agent's knob on the observation's scale: a Priority level as ``(level - 1) / 4``, an MBR cap as its rung over the top rung.
+
+    A cap off the ladder counts as its nearest rung, the lower of two at a
+    tie (``min`` keeps the first of equal distances).
+    """
+    k = agent.intent_index
+    if agent.system is SystemKind.PRIORITY:
+        return (state.priority[k] - 1.0) / 4.0
+    rung = min(range(len(MBR_LEVELS)), key=lambda j: abs(MBR_LEVELS[j] - state.mbr[k]))
+    return rung / (len(MBR_LEVELS) - 1)
 
 
 def per_agent_observe(state, report, agent, goal_kpi: float):

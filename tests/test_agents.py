@@ -28,7 +28,6 @@ from atmarl.agents import (
     estimate_capabilities,
     goal_achieved,
     goal_value,
-    normalize_knob,
     observe,
     pretrain_system,
     roster_members,
@@ -38,7 +37,7 @@ from atmarl.agents import (
 from atmarl.config import default_scenario
 from atmarl.errors import ScenarioError
 from atmarl.slice_sim import KpiKind, MBR_LEVELS, PRIORITY_LEVELS, init_scenario
-from oracles import bin_unit, changed_goal_index, per_agent_observe, per_field_discretize
+from oracles import bin_unit, changed_goal_index, normalize_knob, per_agent_observe, per_field_discretize
 
 FAST_PRETRAIN = PretrainConfig(episodes=150, episode_length=15)
 
@@ -54,6 +53,30 @@ def observe_one(state, report, agent, goal_kpi):
     """One agent's observation from the roster pass over that agent alone."""
     members = [Member.of(agent, state.scenario)]
     return observe(state, report.kpi.tolist(), report.congestion, members, {agent.key: goal_kpi})[agent.key]
+
+
+# ---------------------------------------------------------------------------
+# agent ids
+
+
+def test_agent_key_is_set_once_and_stays_outside_equality_and_hash():
+    keys = [a.key for a in agent_roster(default_scenario(five_intents=True))]
+    assert keys == [f"priority_{k}" for k in range(5)] + [f"mbr_{k}" for k in range(5)]
+    agent = AgentId(SystemKind.MBR, 2)
+    assert agent.key == "mbr_2" and "key" in vars(agent)  # a plain field, not computed on read
+    assert "key" not in repr(agent)
+    # equality and hash read (system, intent_index) alone, whatever the key holds
+    twin = AgentId(SystemKind.MBR, 2)
+    object.__setattr__(twin, "key", "renamed")
+    assert twin == agent and hash(twin) == hash(agent) == hash((SystemKind.MBR, 2))
+    assert agent != AgentId(SystemKind.MBR, 1) and agent != AgentId(SystemKind.PRIORITY, 2)
+    # a replaced id recomputes its key; the key is never an argument
+    assert replace(agent, intent_index=4).key == "mbr_4"
+    assert replace(agent, system=SystemKind.PRIORITY).key == "priority_2"
+    with pytest.raises(TypeError):
+        AgentId(SystemKind.MBR, 2, key="mbr_2")
+    with pytest.raises(ValueError):
+        replace(agent, key="mbr_9")
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +365,10 @@ def test_apply_action_saturates_at_both_ladder_ends(system, start, action):
     [(3.0, 2), (5.0, 3), (7.0, 4), (0.75, 0), (2.9, 2), (3.1, 3), (0.0, 0), (12.0, 6)],
 )
 def test_off_ladder_mbr_resolves_to_first_nearest_rung(value, rung):
-    cfg, state, _ = fresh_state()
+    cfg, state, report = fresh_state()
     agent = AgentId(SystemKind.MBR, 0)
     state.mbr[0] = value
-    assert normalize_knob(agent, state) == rung / (len(MBR_LEVELS) - 1)
+    assert observe_one(state, report, agent, 4.0).knob == normalize_knob(agent, state) == rung / (len(MBR_LEVELS) - 1)
     apply_action(state, agent, KnobAction.HOLD)
     assert state.mbr[0] == MBR_LEVELS[rung]
     state.mbr[0] = value
