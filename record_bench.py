@@ -23,14 +23,15 @@ compare field by field.
 
 The microbenchmarks call the package's current signatures: ``observe`` as
 one pass over a list of roster members and the report's KPIs as floats,
-``act`` and ``forward_step`` on a row of an ``EpisodeTape`` (``act``
-returning each head's rung), trajectories that keep their leaf inputs on
-that tape, ``episode_gradients`` refilling one accumulator as training
-does, the critic values read off the trajectory, and the simulator state's
-knobs as the two plain lists ``state.priority`` and ``state.mbr`` beside
-its ``state.scenario``. So ``--tree`` must be a checkout from the change
-that made ``observe`` that roster pass onwards; older trees fail. Measure an
-older tree with that tree's own ``record_bench.py``.
+``act`` and ``forward_step`` on a row of an ``EpisodeTape`` that carries
+its policy (``act`` returning each head's rung), ``rollout_episode`` on a
+given tape and ``episode_gradients`` on its trajectory, refilling one
+accumulator as training does, the critic values read off the trajectory,
+and the simulator state's knobs as the two plain lists ``state.priority``
+and ``state.mbr`` beside its ``state.scenario``. So ``--tree`` must be a
+checkout from the change that made the tape carry its policy onwards;
+older trees fail. Measure an older tree with that tree's own
+``record_bench.py``.
 """
 
 from __future__ import annotations
@@ -170,9 +171,9 @@ def microbenchmarks(tree: Path) -> dict:
     acc = policy.zeros_like()
 
     def rollout():
-        return rollout_episode(policy, cfg, qtables, caps, rng, train.episode_length, explore=True, tape=rollout_tape)
+        return rollout_episode(rollout_tape, cfg, qtables, caps, rng, explore=True)
 
-    traj = rollout_episode(policy, cfg, qtables, caps, rng, train.episode_length, explore=True)
+    traj = rollout_episode(EpisodeTape(policy, train.episode_length), cfg, qtables, caps, rng, explore=True)
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = returns - traj.values
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
@@ -208,9 +209,9 @@ def microbenchmarks(tree: Path) -> dict:
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
-        ("episode_gradients_ms", lambda: episode_gradients(policy, traj, advantages, returns, acc), 1, 1.0),
-        ("act_us", lambda: act(policy, traj.tape, step, rng, True), 200, 1e3),
-        ("forward_step_us", lambda: forward_step(policy, traj.tape, step), 200, 1e3),
+        ("episode_gradients_ms", lambda: episode_gradients(traj, advantages, returns, acc), 1, 1.0),
+        ("act_us", lambda: act(traj.tape, step, rng, True), 200, 1e3),
+        ("forward_step_us", lambda: forward_step(traj.tape, step), 200, 1e3),
         ("agent_step_us", agent_step, 200, 1e3),
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
         ("allocate_capacity_us",

@@ -35,7 +35,3 @@ class StageFailure(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}' failed: {message}")
         self.stage = stage
-
-
-class TapeError(ValueError):
-    """An episode tape was used with a policy other than the one its calls were built for."""

@@ -326,16 +326,10 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
     if not (kept and kept.policy is supervisor and kept.length >= plan.episode_length):
         kept = artifacts.tape = None  # the last policy's tape goes before this one is built
         artifacts.tape = EpisodeTape(supervisor, plan.episode_length)
-    # evaluation never updates the capabilities, so they are encoded once per episode
-    policy = PolicyGoals(
-        supervisor,
-        config,
-        artifacts.policy_capabilities[approach.value],
-        rng,
-        explore=False,
-        tape=artifacts.tape,
-        encode_once=True,
-    )
+    # greedy decisions encode the capabilities at step 0 only and reuse those
+    # latents; evaluation never updates the capabilities, so every step acts on
+    # the ones it was given
+    policy = PolicyGoals(artifacts.tape, config, artifacts.policy_capabilities[approach.value], rng, explore=False)
     if approach is Approach.GOAL_HALVING:
         return lambda *step: (goal_halving(policy(*step)[0]), BOTH_PLANES)
     return policy

@@ -41,7 +41,7 @@ from .agents import (
     run_episode,
 )
 from .config import ScenarioConfig
-from .errors import TapeError, TrainingDivergence
+from .errors import TrainingDivergence
 from .nn import (
     DenseLayer,
     GruBackward,
@@ -199,13 +199,18 @@ class EpisodeTape:
     of those buffers. A tape is reused across episodes: ``start`` begins
     one, and an episode of T steps reads and writes only rows below T.
 
-    The tape belongs to ``policy``: each row's forward is one flat list of
-    the ``nn.dense_calls`` and ``nn.gru_calls`` of its parts, built here
-    with their row views, which hold the policy's parameter arrays, so an
-    update must write them in place (Adam and ``load_policy`` do).
-    ``sampler`` samples or picks each row's logits, and ``gru_backward``
-    gives each cell's BPTT calls, built on first use, since an acting-only
-    tape never needs them.
+    The tape carries its ``policy``, and is the one handle on an episode of
+    it: ``forward_step``, ``act``, ``PolicyGoals`` and ``rollout_episode``
+    take the tape, ``score_contexts`` and ``episode_gradients`` its
+    trajectory, and each reads the policy from here. Each row has two
+    prebuilt call lists, made of the ``nn.dense_calls`` and
+    ``nn.gru_calls`` of its parts with their row views, which hold the
+    policy's parameter arrays, so an update must write them in place (Adam
+    and ``load_policy`` do): ``encode_calls`` runs the encoders and the
+    rest of the actor, and ``reuse_calls`` copies the row before's
+    capability latents and runs the rest. ``sampler`` samples or picks each
+    row's logits, and ``gru_backward`` gives each cell's BPTT calls, built
+    on first use, since an acting-only tape never needs them.
     """
 
     def __init__(self, policy: SupervisorPolicy, steps: int):
@@ -275,33 +280,29 @@ class EpisodeTape:
         return self._gru_backward[j]
 
 
-def forward_step(policy: SupervisorPolicy, tape: EpisodeTape, t: int, encode: bool = True) -> np.ndarray:
-    """Step ``t``'s actor forward on the tape, from the leaf inputs in row t; returns the [heads, levels] logits row.
+def forward_step(tape: EpisodeTape, t: int, encode: bool = True) -> np.ndarray:
+    """Step ``t``'s forward of the tape's actor, from the leaf inputs in row t; returns the [heads, levels] logits row.
 
-    It runs the row's prebuilt calls, so ``policy`` must be the tape's own
-    (``TapeError`` otherwise). Without ``encode`` the step reuses step t-1's
-    capability latents, for capabilities that did not change; its encoder
-    rows stay unwritten, so that tape is for acting only, not for a backward.
-    Step 0 has no step before it, so it must encode (``TapeError`` otherwise).
+    It runs one of the row's two prebuilt call lists. Without ``encode`` the
+    step reuses step t-1's capability latents, for capabilities that did not
+    change; its encoder rows stay unwritten, so that tape is for acting
+    only, not for a backward. Step 0 has no step before it, so it encodes
+    row 0's capabilities whatever ``encode`` says.
     """
-    if policy is not tape.policy:
-        raise TapeError("the episode tape was built for another policy")
-    if not encode and t == 0:
-        raise TapeError("step 0 has no earlier capability latents to reuse; it must encode")
-    (tape.encode_calls if encode else tape.reuse_calls).run(t)
+    (tape.encode_calls if encode or not t else tape.reuse_calls).run(t)
     return tape.logit_rows[t]
 
 
-def act(
-    policy: SupervisorPolicy,
-    tape: EpisodeTape,
-    t: int,
-    rng: np.random.Generator,
-    explore: bool,
-    encode: bool = True,
-) -> list[int]:
-    """One supervisor decision, ``forward_step`` on row ``t``: each head's goal rung, sampled or greedy."""
-    forward_step(policy, tape, t, encode)
+def act(tape: EpisodeTape, t: int, rng: np.random.Generator, explore: bool) -> list[int]:
+    """One supervisor decision, ``forward_step`` on row ``t``: each head's goal rung, sampled or greedy.
+
+    An exploring decision encodes its row's capabilities: training's rows
+    feed the backward, and its tracker moves the capabilities between
+    steps. A greedy decision reuses the latents of the step before, so
+    after step 0 it reads no capability row: only evaluation decides
+    greedily, and its capabilities stay fixed.
+    """
+    forward_step(tape, t, explore)
     idx = tape.sampler.sample(t, rng) if explore else tape.sampler.greedy(t)
     return [i + 1 for i in idx.tolist()]
 
@@ -393,14 +394,15 @@ class EpisodeTrajectory:
         return len(self.rewards)
 
 
-def score_contexts(policy: SupervisorPolicy, traj: EpisodeTrajectory) -> None:
-    """Run the critic once over the episode's [steps, fusion] context rows; sets ``traj.values`` and ``traj.crit_caches``.
+def score_contexts(traj: EpisodeTrajectory) -> None:
+    """Run the tape's critic once over the episode's [steps, fusion] context rows; sets ``traj.values`` and ``traj.crit_caches``.
 
     Each step's row is its own matrix-vector product in the stacked matmul,
     bit-equal to scoring that step's context alone.
     """
-    traj.crit_caches = stack_caches(policy.critic, traj.tape.contexts[: len(traj)])
-    traj.values = stack_forward(policy.critic, traj.crit_caches)[:, 0]
+    critic = traj.tape.policy.critic
+    traj.crit_caches = stack_caches(critic, traj.tape.contexts[: len(traj)])
+    traj.values = stack_forward(critic, traj.crit_caches)[:, 0]
 
 
 def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
@@ -413,13 +415,12 @@ def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
 
 
 def episode_gradients(
-    policy: SupervisorPolicy,
     traj: EpisodeTrajectory,
     advantages: np.ndarray,
     returns: np.ndarray,
     acc: SupervisorPolicy | None = None,
 ) -> tuple[SupervisorPolicy, dict[str, float]]:
-    """Backpropagate the A2C loss through the episode, whose contexts ``score_contexts`` has scored.
+    """Backpropagate the A2C loss of the tape's policy through the episode, whose contexts ``score_contexts`` has scored.
 
     Advantages are treated as constants. Every layer but the GRU runs its
     backward once over the tape rows of all steps; only the recurrence loops
@@ -427,13 +428,14 @@ def episode_gradients(
     the same layout whose parameters hold them: ``acc`` zeroed and refilled
     when given, else a new one.
     """
+    steps = len(traj)
+    tape = traj.tape
+    policy = tape.policy
     if acc is None:
         acc = policy.zeros_like()
     else:
         for g in acc.named_params().values():
             g.fill(0.0)
-    steps = len(traj)
-    tape = traj.tape
 
     def cut(cache):
         return tuple(arr[:steps] for arr in cache)
@@ -549,33 +551,30 @@ class PolicyGoals:
 
     Head i drives agent i, or in service mode the intent's head drives both
     of its agents; each agent's goal is its head's rung on that agent's goal
-    ladder. Step t's decision writes its leaf inputs into row t of ``tape``
-    (whose ``start`` it calls): each agent's capability vector, copied in one
-    call from ``agents.capability_matrix``, whose rows the vectors become,
-    and its tuple of the engine's observation, written from one flat list,
-    which before the first assignment is made against the global targets.
-    With ``encode_once``, for
-    capabilities that stay fixed through the episode, only step 0 copies and
-    encodes them. The latest decision's rung of each head (``levels``) and of
-    each agent in roster order (``agent_levels``) stay readable until the
-    next step.
+    ladder. Step t's decision, an ``act`` of ``tape``'s policy, writes its
+    leaf inputs into row t of ``tape`` (whose ``start`` it calls): each
+    agent's tuple of the engine's observation, written from one flat list,
+    which before the first assignment is made against the global targets,
+    and the capability vectors the step encodes, copied in one call from
+    ``agents.capability_matrix``, whose rows the vectors become. An
+    exploring source copies and encodes them at every step; a greedy one
+    only at step 0, and later steps reuse those latents (see ``act``). The
+    latest decision's rung of each head (``levels``) and of each agent in
+    roster order (``agent_levels``) stay readable until the next step.
     """
 
     def __init__(
         self,
-        policy: SupervisorPolicy,
+        tape: EpisodeTape,
         config: ScenarioConfig,
         capabilities: dict[str, CapabilityVector],
         rng: np.random.Generator,
         explore: bool,
-        tape: EpisodeTape,
-        encode_once: bool = False,
     ):
-        self.policy = policy
+        policy = tape.policy
         self.rng = rng
         self.explore = explore
         self.tape = tape
-        self.encode_once = encode_once
         tape.start(np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services]))
         per_agent = policy.mode is GoalMode.AGENT_LEVEL
         self._keys = [a.key for a in policy.agents]
@@ -588,8 +587,7 @@ class PolicyGoals:
     def __call__(self, t, seen, last_action):
         keys = self._keys
         tape = self.tape
-        encode = t == 0 or not self.encode_once
-        if encode:
+        if self.explore or not t:
             # a copy: capability tracking updates the matrix in place during training
             tape.gammas[t] = self._gammas
         # per agent: observation, one-hot last action, normalized goal (the
@@ -601,37 +599,33 @@ class PolicyGoals:
             flat += _ONEHOT[last_action[key]]
             flat.append(obs.goal)
         tape.tuples[t].flat = flat
-        self.levels = act(self.policy, tape, t, self.rng, self.explore, encode)
+        self.levels = act(tape, t, self.rng, self.explore)
         self.agent_levels = [self.levels[head] for head in self._heads]
         goals = {key: ladder[level - 1] for key, ladder, level in zip(keys, self._ladders, self.agent_levels)}
         return goals, BOTH_PLANES
 
 
 def rollout_episode(
-    policy: SupervisorPolicy,
+    tape: EpisodeTape,
     config: ScenarioConfig,
     qtables: dict[str, QTable],
     capabilities: dict[str, CapabilityVector],
     rng: np.random.Generator,
-    episode_length: int,
     explore: bool,
     tracker: CapabilityTracker | None = None,
     randomize_start: bool = False,
-    tape: EpisodeTape | None = None,
 ) -> EpisodeTrajectory:
-    """Run one closed-loop episode with the frozen agents in the loop, then score its contexts.
+    """Run one closed-loop episode of ``tape.length`` steps on the tape, the frozen agents in the loop, then score its contexts.
 
-    The episode is written on ``tape`` when given (one of at least
-    ``episode_length`` steps), else on a new one.
+    A greedy rollout encodes the capabilities at step 0 only (see ``act``),
+    so with a ``tracker`` it would act on the latents of its start.
     """
     state = slice_sim.init_scenario(config)
     if randomize_start:
         n = config.intent_count
         state.priority = rng.integers(1, 6, size=n).tolist()
         state.mbr = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
-    if tape is None:
-        tape = EpisodeTape(policy, episode_length)
-    goals = PolicyGoals(policy, config, capabilities, rng, explore, tape)
+    goals = PolicyGoals(tape, config, capabilities, rng, explore)
     traj = EpisodeTrajectory(tape=tape)
 
     def record(t, state, kpis, current, active, taken, seen):
@@ -640,8 +634,8 @@ def rollout_episode(
         traj.sampled_levels.append(goals.levels)
         traj.rewards.append(supervisor_reward(kpis, config.services))
 
-    run_episode(state, qtables, goals, rng, episode_length, record)
-    score_contexts(policy, traj)
+    run_episode(state, qtables, goals, rng, tape.length, record)
+    score_contexts(traj)
     return traj
 
 
@@ -666,23 +660,21 @@ def train_supervisor(
     stats = TrainStats()
     for episode in range(cfg.episodes):
         traj = rollout_episode(
-            policy,
+            tape,
             config,
             qtables,
             capabilities,
             rng,
-            cfg.episode_length,
             explore=True,
             tracker=tracker,
             randomize_start=bool(rng.random() < EXPLORING_STARTS),
-            tape=tape,
         )
         tracker.flush()
         returns = discounted_returns(traj.rewards, DISCOUNT)
         advantages = returns - traj.values
         if len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        acc, losses = episode_gradients(policy, traj, advantages, returns, acc)
+        acc, losses = episode_gradients(traj, advantages, returns, acc)
         # the one finiteness check per update: a non-finite gradient, or one
         # whose square overflows, makes the norm non-finite
         norm = gradient_norm(acc)

@@ -80,7 +80,7 @@ def test_goal_halving_equals_roster_reference(mode, five):
     rng = np.random.default_rng(31)
     policy = create_policy(rng, cfg, mode=mode, dims=PolicyDims(encoder=2, merger=2, fusion=2, gru=2))
     caps = {a.key: CapabilityVector.prior() for a in agent_roster(cfg)}
-    source = PolicyGoals(policy, cfg, caps, rng, explore=True, tape=EpisodeTape(policy, 20))
+    source = PolicyGoals(EpisodeTape(policy, 20), cfg, caps, rng, explore=True)
     state = init_scenario(cfg)
     report = evaluate_kpis(state, offered_loads(state, None))
     members = roster_members(cfg)

@@ -395,12 +395,11 @@ def test_evaluation_matches_greedy_training_rollout(pipeline_result):
     trace = evaluate_episode(plan, artifacts, Approach.ATMARL, seed)
     config = plan.eval_scenario
     traj = rollout_episode(
-        artifacts.policies[Approach.ATMARL.value],
+        EpisodeTape(artifacts.policies[Approach.ATMARL.value], plan.episode_length),
         config,
         artifacts.qtables,
         artifacts.policy_capabilities[Approach.ATMARL.value],
         np.random.default_rng(seed),
-        plan.episode_length,
         explore=False,
     )
     reward = trace.columns.index("reward")
@@ -447,7 +446,7 @@ def test_load_policy_sets_what_forward_step_reads(pipeline_result):
         tape.tuples[0] = np.full((n, TUPLE_DIM), 0.25)
         for h, value in zip(tape.hidden(0), (0.3, -0.2)):
             h[...] = value
-        forward_step(policy, tape, 0)
+        forward_step(tape, 0)
         rows.append((tape.logits[0], tape.hidden(1)[1]))
     (before_logits, before_h2), (after_logits, after_h2) = rows
     assert not np.array_equal(before_logits, after_logits)

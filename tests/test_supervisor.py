@@ -19,7 +19,7 @@ from atmarl.agents import (
     roster_members,
 )
 from atmarl.config import default_scenario
-from atmarl.errors import TapeError, TrainingDivergence
+from atmarl.errors import TrainingDivergence
 from atmarl.nn import dense_forward, stack_forward
 from atmarl.slice_sim import KpiKind
 from oracles import (
@@ -203,7 +203,7 @@ def _one_step_tape(policy, gammas, tuples, targets, hidden=(0.0, 0.0)):
 def _act(policy, gammas, tuples, targets, rng, explore):
     """``act`` on step 0 of a one-step tape from zero hidden states; returns (levels, tape)."""
     tape = _one_step_tape(policy, gammas, tuples, targets)
-    return act(policy, tape, 0, rng, explore), tape
+    return act(tape, 0, rng, explore), tape
 
 
 def test_act_emits_six_goals_for_three_intents():
@@ -261,7 +261,7 @@ def test_hidden_state_evolves_under_constant_context():
     tape.gammas[...] = gammas
     tape.tuples[...] = tuples
     for t in range(3):
-        forward_step(policy, tape, t)
+        forward_step(tape, t)
         assert not np.allclose(tape.hidden(t + 1)[1], tape.hidden(t)[1])
 
 
@@ -286,7 +286,7 @@ def test_prebuilt_forward_equals_per_step_oracle(five, encode):
         if step_encodes:
             tape.gammas[t] = gammas
         tape.tuples[t] = rng.uniform(0.0, 1.0, (n, TUPLE_DIM))
-        logits = forward_step(policy, tape, t, step_encodes)
+        logits = forward_step(tape, t, step_encodes)
         ref, h1, h2, caches = per_step_forward(policy, gammas, tape.tuples[t], tape.targets[t], h1, h2)
         assert logits.tobytes() == ref.tobytes(), t
         assert tape.latents[t].tobytes() == caches["enc"][-1][2].tobytes(), t
@@ -296,38 +296,29 @@ def test_prebuilt_forward_equals_per_step_oracle(five, encode):
     assert np.isnan(tape.gammas[1:]).all() != encode
 
 
-def test_forward_step_refuses_a_policy_other_than_its_tapes():
-    # the prebuilt calls hold the tape's own policy's arrays: an equal policy is still another policy
-    cfg, policy = toy_policy(seed=19)
-    _, twin = toy_policy(seed=19)
-    tape = _one_step_tape(policy, *_act_inputs(cfg, policy))
-    for call in (lambda: forward_step(twin, tape, 0), lambda: act(twin, tape, 0, np.random.default_rng(0), True)):
-        with pytest.raises(TapeError):
-            call()
-    assert isinstance(TapeError("x"), ValueError)
-
-
-def test_forward_step_refuses_to_reuse_latents_at_step_0():
-    # reusing at step 0 would copy the last row's latents, another episode's,
-    # into row 0: it is refused before any of the row's calls runs
+def test_step_0_encodes_its_own_capabilities_even_without_encode():
+    # the last row holds another episode's latents: step 0 reads row 0's
+    # capabilities, never copies them, and writes the bytes of encoding
     cfg, policy = toy_policy(seed=23)
-    tape = EpisodeTape(policy, 3)
-    tape.start(_targets(cfg))
+    gammas, tuples, targets = _act_inputs(cfg, policy)
+    used = EpisodeTape(policy, 3)
+    used.start(targets)
     for t in range(3):
-        tape.gammas[t], tape.tuples[t] = _act_inputs(cfg, policy)[:2]
-        forward_step(policy, tape, t)
-    written = {name: rows for name, rows in vars(tape).items() if isinstance(rows, np.ndarray)}
-    written.update((f"hidden{i}", h) for i, h in enumerate(tape.hidden(1)))
-    before = {name: np.copy(rows) for name, rows in written.items()}
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    for call in (lambda: forward_step(policy, tape, 0, False), lambda: act(policy, tape, 0, rng, True, False)):
-        with pytest.raises(TapeError, match="step 0"):
-            call()
-    for name, rows in before.items():
-        assert written[name].tobytes() == rows.tobytes(), name
-    assert rng.bit_generator.state == state
-    forward_step(policy, tape, 1, False)  # a later step still reuses
+        used.gammas[t], used.tuples[t] = gammas + 0.25, tuples
+        forward_step(used, t)
+    fresh = EpisodeTape(policy, 3)
+    for tape in (used, fresh):
+        tape.start(targets)
+        tape.gammas[0], tape.tuples[0] = gammas, tuples
+    forward_step(used, 0, False)
+    forward_step(fresh, 0)
+    assert used.latents[0].tobytes() != used.latents[-1].tobytes()
+
+    def row_0(tape):
+        return [tape.logits[0], tape.contexts[0], *tape.hidden(1), *(arr[0] for cache in tape.enc for arr in cache)]
+
+    for got, want in zip(row_0(used), row_0(fresh)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("five", [False, True], ids=["3-intents", "5-intents"])
@@ -348,10 +339,10 @@ def test_dot_equals_matmul_on_every_2d_weight_the_calls_use(five):
             assert out.tobytes() == np.matmul(w, x).tobytes() == np.matmul(w, x[:, None])[:, 0].tobytes()
 
 
-def _policy_goals(cfg, policy, explore, seed=2, encode_once=False):
+def _policy_goals(cfg, policy, explore, seed=2):
     """A ``PolicyGoals`` on a 10-step tape and the engine's opening observations for it."""
     caps = {a.key: CapabilityVector.prior() for a in policy.agents}
-    source = PolicyGoals(policy, cfg, caps, np.random.default_rng(seed), explore, EpisodeTape(policy, 10), encode_once)
+    source = PolicyGoals(EpisodeTape(policy, 10), cfg, caps, np.random.default_rng(seed), explore)
     state = slice_sim.init_scenario(cfg)
     report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
     members = roster_members(cfg)
@@ -452,10 +443,10 @@ def test_named_params_write_through_to_forward(name):
     cfg, policy = toy_policy(seed=15)
     # a nonzero hidden state, or the reset gate would multiply zeros
     tape = _one_step_tape(policy, *_act_inputs(cfg, policy), hidden=(0.3, -0.2))
-    before = forward_step(policy, tape, 0).copy()
+    before = forward_step(tape, 0).copy()
     key, index = _WRITE_THROUGH[name]
     policy.named_params()[key][index] += 0.5
-    after = forward_step(policy, tape, 0)
+    after = forward_step(tape, 0)
     assert not np.array_equal(before, after)
 
 
@@ -489,7 +480,7 @@ def test_gradient_norm_equals_per_view_oracle(mode):
         assert gradient_norm(grads).tobytes() == per_view_gradient_norm(grads).tobytes()
     traj = _random_trajectory(policy, cfg, 12, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    acc, _ = episode_gradients(policy, traj, returns - traj.values, returns)
+    acc, _ = episode_gradients(traj, returns - traj.values, returns)
     assert gradient_norm(acc).tobytes() == per_view_gradient_norm(acc).tobytes()
 
 
@@ -539,15 +530,15 @@ def test_actor_critic_gradients_match_finite_differences():
     for t in range(T):
         traj.tape.gammas[t] = [rng.uniform(0.2, 0.8, GOAL_LEVELS) for _ in range(2)]
         traj.tape.tuples[t] = [rng.uniform(0.0, 1.0, 8) for _ in range(2)]
-        forward_step(policy, traj.tape, t)
+        forward_step(traj.tape, t)
         traj.sampled_levels.append([int(rng.integers(1, GOAL_LEVELS + 1)) for _ in range(2)])
         traj.rewards.append(float(rng.normal()))
-    score_contexts(policy, traj)
+    score_contexts(traj)
 
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = np.array([0.7, -1.2, 0.4])  # fixed constants, as in the update rule
 
-    grads = episode_gradients(policy, traj, advantages, returns)[0].named_params()
+    grads = episode_gradients(traj, advantages, returns)[0].named_params()
 
     params = policy.named_params()
     h = 1e-5
@@ -580,10 +571,10 @@ def _random_trajectory(policy, cfg, steps, rng, tape=None):
     for t in range(steps):
         traj.tape.gammas[t] = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
         traj.tape.tuples[t] = rng.uniform(0.0, 1.0, (n, 8))
-        forward_step(policy, traj.tape, t)
+        forward_step(traj.tape, t)
         traj.sampled_levels.append(rng.integers(1, GOAL_LEVELS + 1, policy.n_heads).tolist())
         traj.rewards.append(float(rng.normal()))
-    score_contexts(policy, traj)
+    score_contexts(traj)
     return traj
 
 
@@ -618,7 +609,7 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
     if steps > 1:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-    acc, losses = episode_gradients(policy, traj, advantages, returns)
+    acc, losses = episode_gradients(traj, advantages, returns)
     grads = acc.named_params()
     ref_grads, ref_abs, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns)
     assert list(grads) == list(ref_grads)
@@ -635,8 +626,8 @@ def test_episode_gradients_called_twice_return_the_same_gradients():
     traj = _random_trajectory(policy, cfg, 12, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = returns - traj.values
-    first, first_losses = episode_gradients(policy, traj, advantages, returns)
-    second, second_losses = episode_gradients(policy, traj, advantages, returns)
+    first, first_losses = episode_gradients(traj, advantages, returns)
+    second, second_losses = episode_gradients(traj, advantages, returns)
     assert first_losses == second_losses
     after = second.named_params()
     for name, grad in first.named_params().items():
@@ -661,12 +652,12 @@ def test_reused_tape_gives_the_gradients_of_a_fresh_tape():
     tape, acc = EpisodeTape(policy, 40), policy.zeros_like()
     traj = _random_trajectory(policy, cfg, 40, np.random.default_rng(421), tape)
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    episode_gradients(policy, traj, returns - traj.values, returns, acc)
+    episode_gradients(traj, returns - traj.values, returns, acc)
     results = []
     for tape_7, acc_7 in ((tape, acc), (_poisoned_tape(policy, 7), None)):
         traj = _random_trajectory(policy, cfg, 7, np.random.default_rng(422), tape_7)
         returns = discounted_returns(traj.rewards, DISCOUNT)
-        grads, losses = episode_gradients(policy, traj, returns - traj.values, returns, acc_7)
+        grads, losses = episode_gradients(traj, returns - traj.values, returns, acc_7)
         results.append((traj.values.tobytes(), losses, {k: g.tobytes() for k, g in grads.named_params().items()}))
     assert results[0] == results[1]
     assert all(np.isfinite(g).all() for g in acc.named_params().values())
@@ -709,7 +700,7 @@ def test_rollout_both_systems_act_each_step(tiny_system):
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
-    traj = rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
+    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, caps, rng, explore=True)
     assert len(traj) == 12
     # greedy tabular agents acting from the default state must have moved
     # at least one knob in each plane within the first steps of some episode
@@ -723,7 +714,7 @@ def test_rollout_observes_each_agent_once_per_report(tiny_system, calls_to):
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
     observed = calls_to("observe")
-    rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
+    rollout_episode(EpisodeTape(policy, 12), cfg, qtables, caps, rng, explore=True)
     assert len(observed) == 12 + 1
     for args in observed:
         assert [m.key for m in args[3]] == [a.key for a in policy.agents]
@@ -736,7 +727,7 @@ def test_rollout_tape_rows_equal_per_step_oracle(tiny_system, mode):
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(430)
     policy = create_policy(rng, cfg, mode=mode)
-    traj = rollout_episode(policy, cfg, qtables, caps, rng, episode_length=12, explore=True)
+    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, caps, rng, explore=True)
     tape = traj.tape
     h1 = h2 = np.zeros(policy.dims.gru)
 
@@ -765,16 +756,28 @@ def test_rollout_tape_rows_equal_per_step_oracle(tiny_system, mode):
         same(h, ref, "final hidden")
 
 
-@pytest.mark.parametrize("explore", [True, False])
-def test_encode_once_gives_the_logits_of_encoding_every_step(explore):
-    # fixed capabilities: step 0's latents serve every later step
-    cfg, policy = toy_policy(seed=18)
-    logits = []
-    for encode_once in (False, True):
-        source, seen, last_action = _policy_goals(cfg, policy, explore, encode_once=encode_once)
-        levels = [source(t, seen, last_action)[0] for t in range(10)]
-        logits.append((levels, source.tape.logits.tobytes(), source.tape.latents.tobytes()))
-    assert logits[0] == logits[1]
+@pytest.mark.parametrize("mode", list(GoalMode))
+def test_greedy_policy_goals_encode_step_0_only_with_the_same_logits(mode):
+    # fixed capabilities: a greedy source copies them into row 0 only, and its
+    # rungs and logits are those of encoding every step's own copy
+    cfg, policy = toy_policy(seed=18, mode=mode)
+    source, seen, last_action = _policy_goals(cfg, policy, explore=False)
+    tape = source.tape
+    tape.gammas[...] = np.nan
+    levels = []
+    for t in range(10):
+        source(t, seen, last_action)
+        levels.append(source.levels)
+    assert not np.isnan(tape.gammas[0]).any() and np.isnan(tape.gammas[1:]).all()
+    ref = EpisodeTape(policy, 10)
+    ref.start(tape.targets[0])
+    ref.gammas[...] = tape.gammas[0]
+    ref.tuples[...] = tape.tuples
+    for t in range(10):
+        forward_step(ref, t)
+        assert [i + 1 for i in ref.sampler.greedy(t).tolist()] == levels[t], t
+    assert ref.logits.tobytes() == tape.logits.tobytes()
+    assert ref.latents.tobytes() == tape.latents.tobytes()
 
 
 def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
