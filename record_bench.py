@@ -37,6 +37,7 @@ older trees fail. Measure an older tree with that tree's own
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -57,6 +58,7 @@ SECONDS = 30.0  # length of each perfbench run
 REPEATS = 40  # samples per microbenchmark
 REFERENCE_RUNS = 5  # host-reference kernel runs whose median gauges the host on each side of a sample
 TRACED_RUNS = 3  # traced perfbench runs per workload, merged by their median
+MIXED_STATES = 64  # knob states in the cycle of the mixed simulator-step microbenchmark
 
 
 def perfbench(tree: Path, workload: str, trace: int) -> dict:
@@ -113,7 +115,10 @@ def microbenchmarks(tree: Path) -> dict:
     """Untraced ms per 40-step rollout and per ``episode_gradients``, and µs per ``act``, per
     ``forward_step``, per agent step (the ``observe`` roster pass over one
     agent, then its discretize, greedy select_action and apply_action), per
-    ``slice_sim.step`` and per
+    ``slice_sim.step`` at the opening state (``sim_step``) and over a fixed
+    cycle of ``MIXED_STATES`` knob states, each with random priorities, MBR
+    rungs and one of the three UE spreads, drawn once from ``SEED``
+    (``sim_step_mixed``), and per
     ``allocate_capacity`` call; ms per ``save_checkpoint`` and per
     ``load_checkpoint`` of the blocks ``stage_train_supervisor`` writes for a
     default-dims policy.
@@ -181,6 +186,18 @@ def microbenchmarks(tree: Path) -> dict:
     step = len(traj) // 2
     # the opening state of every episode: neutral knobs on the contended default slice
     state = slice_sim.init_scenario(cfg)
+    # a fixed cycle of random knob states drawn once from SEED: at the opening
+    # state every gNodeB's fill ends in its first round with every service
+    # short, while most of the closed loop's fills do not
+    knobs = np.random.default_rng(SEED)
+    spreads = [slice_sim.DistributionSpec.of(kind) for kind in slice_sim.DistributionKind]
+    mixed_states = []
+    for _ in range(MIXED_STATES):
+        mixed = slice_sim.init_scenario(cfg)
+        mixed.priority = [int(p) for p in knobs.choice(slice_sim.PRIORITY_LEVELS, cfg.intent_count)]
+        mixed.mbr = [float(m) for m in knobs.choice(slice_sim.MBR_LEVELS, cfg.intent_count)]
+        mixed_states.append(slice_sim.set_distribution(mixed, spreads[knobs.integers(len(spreads))]))
+    mixed_cycle = itertools.cycle(mixed_states)
     offered = slice_sim.offered_loads(state, rng)
     # one priority agent on its own opening state, its knob put back after each step
     agent = agent_roster(cfg)[0]
@@ -214,6 +231,8 @@ def microbenchmarks(tree: Path) -> dict:
         ("forward_step_us", lambda: forward_step(traj.tape, step), 200, 1e3),
         ("agent_step_us", agent_step, 200, 1e3),
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
+        # each sample runs the whole cycle three times
+        ("sim_step_mixed_us", lambda: slice_sim.step(next(mixed_cycle), rng), 3 * MIXED_STATES, 1e3),
         ("allocate_capacity_us",
          lambda: slice_sim.allocate_capacity(offered, state.priority, state.mbr, state.scenario.bandwidth_mbps), 200, 1e3),
         ("save_checkpoint_ms", save, 1, 1.0),

@@ -99,7 +99,12 @@ def _number(path, section: configparser.SectionProxy, key: str, kind: type, defa
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a scenario file; the specs and the scenario validate themselves as they are built."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # a missing section header, a repeated section or key, a line without
+        # "=": configparser's messages span lines, so they are joined into one
+        raise ScenarioError(f"{path}: malformed scenario file: {' '.join(str(exc).split())}") from None
     if not read:
         raise ScenarioError(f"cannot read scenario file {path}")
     if "scenario" not in parser:

@@ -189,48 +189,56 @@ def allocate_capacity(
 def _water_fill(
     offered: list[float], services: int, priorities: Sequence[int], mbrs: Sequence[float], bandwidth: float
 ) -> list[float]:
-    """``allocate_capacity`` on one flat, service-major [services × gNodeBs] list of floats; returns the served list alike."""
+    """``allocate_capacity`` on one flat, service-major [services × gNodeBs] list of floats; returns the served list alike.
+
+    Service ``i``'s lane on gNodeB ``g`` sits at ``i * gNodeBs + g``. Per
+    gNodeB, one pass by lane index lists ``(lane, demand, weight)`` for each
+    service with demand, in roster order. Each round then sums the listed
+    weights, serves every lane its share covers (up to the ``1e-12`` slack)
+    in place, and keeps the short lanes with their shares. The gNodeB is done
+    when every listed lane is short (each gets its share), when none is, or
+    when the budget left is at or below ``1e-12`` or the weights sum to at
+    most 0 (the lanes left stay at 0). A round that goes on serves at least
+    one lane, so at most one round per service runs.
+    """
     gnbs = len(offered) // services
     served = [0.0] * len(offered)
     for g in range(gnbs):
-        demand = []
-        weights = []
-        unsat = []
-        # the gNodeB's column: service i's lane sits at i * gnbs + g
-        for i, o in enumerate(offered[g::gnbs]):
+        lanes = []  # (lane, demand, weight) of each service with demand
+        lane = g
+        for i in range(services):
+            o = offered[lane]
             m = mbrs[i]
             d = o if o < m or o != o else m  # np.minimum: a NaN load or cap gives a NaN demand
-            demand.append(d)
-            weights.append(priorities[i] * d)
             if d > 0:
-                unsat.append(i)
+                lanes.append((lane, d, priorities[i] * d))
+            lane += gnbs
         budget = bandwidth
-        for _ in range(services):
-            if not unsat or not budget > 1e-12:
-                break
+        while lanes and budget > 1e-12:
             total = 0.0
-            for i in unsat:
-                total += weights[i]
+            for _, _, w in lanes:
+                total += w
             if total <= 0:
                 break
             spent = 0.0
-            short = []  # (service, share) of each service its share does not fill
-            for i in unsat:
-                share = budget * weights[i] / total
-                if demand[i] <= share + 1e-12:
-                    served[i * gnbs + g] = demand[i]
-                    spent += demand[i]
+            short = []  # the lanes their shares do not fill
+            shares = []
+            for entry in lanes:
+                lane, d, w = entry
+                share = budget * w / total
+                if d <= share + 1e-12:
+                    served[lane] = d
+                    spent += d
                 else:
-                    short.append((i, share))
-            if len(short) == len(unsat):
-                # no service saturates: the gNodeB hands out its shares and is done
-                for i, share in short:
-                    served[i * gnbs + g] = share
+                    short.append(entry)
+                    shares.append(share)
+            if len(short) == len(lanes):
+                # no lane saturates: the gNodeB hands out its shares and is done
+                for (lane, _, _), share in zip(short, shares):
+                    served[lane] = share
                 break
-            if not short:
-                break  # every service is served in full
             budget = budget - spent
-            unsat = [i for i, _ in short]
+            lanes = short  # empty when every lane is served in full
     return served
 
 
@@ -251,7 +259,9 @@ def _loads(state: NetworkState, rng: np.random.Generator | None) -> list[float]:
 
     ``Generator.uniform(lo, hi)`` returns ``lo + (hi - lo) * x`` for each
     double ``x`` that ``Generator.random`` returns; the map runs here on the
-    raw doubles, in row-major order, without the wrapper's argument handling.
+    raw doubles, without the wrapper's argument handling. Nested loops over
+    the services and the UE weights overwrite each draw, indexed by its
+    lane, with that lane's load, so the list of draws is the list returned.
     """
     weights = state.distribution.weights
     services = state.scenario.services
@@ -260,9 +270,14 @@ def _loads(state: NetworkState, rng: np.random.Generator | None) -> list[float]:
         return [svc.total_demand * w for svc in services for w in weights]
     lo = -noise_pct / 100.0
     scale = noise_pct / 100.0 - lo
-    draws = iter(rng.random(len(services) * len(weights)).tolist())
-    # zip stops on the weights before it takes a draw past the service's lanes
-    return [svc.total_demand * w * (1.0 + (lo + scale * x)) for svc in services for w, x in zip(weights, draws)]
+    loads = rng.random(len(services) * len(weights)).tolist()
+    lane = 0
+    for svc in services:
+        demand = svc.total_demand
+        for w in weights:
+            loads[lane] = demand * w * (1.0 + (lo + scale * loads[lane]))
+            lane += 1
+    return loads
 
 
 def evaluate_kpis(state: NetworkState, offered: np.ndarray) -> KpiReport:
@@ -281,43 +296,46 @@ def nominal_report(state: NetworkState) -> KpiReport:
 def _kpi_report(state: NetworkState, offered: list[float]) -> KpiReport:
     """``evaluate_kpis`` on one flat, service-major list of floats: one water-filling and one KPI pass.
 
-    Only the per-service product of the lane KPIs and the UE weights runs in
-    numpy, as one ``np.vecdot`` call.
+    The KPI pass reads ``offered`` and the served list by lane index and
+    writes each lane's KPI over its served rate, so the served list becomes
+    the list of lane KPIs. Only the per-service product of the lane KPIs and
+    the UE weights runs in numpy, as one ``np.vecdot`` call.
     """
     bandwidth = state.scenario.bandwidth_mbps
     services = state.scenario.services
-    served = _water_fill(offered, len(services), state.priority, state.mbr, bandwidth)
+    # the served rate per lane, each overwritten below by the lane's KPI
+    lanes = _water_fill(offered, len(services), state.priority, state.mbr, bandwidth)
     # per [service, gNodeB] lane: QoE 1 + 4 * served / offered, or packet
     # loss 100 * (offered - served) / offered percent, clipped to QOE_RANGE or
     # PL_RANGE as np.clip clips; an idle lane scores full QoE and no loss
     qoe_lo, qoe_hi = QOE_RANGE
     pl_lo, pl_hi = PL_RANGE
-    gnodebs = range(len(offered) // len(services))
-    lanes = []
+    gnbs = len(offered) // len(services)
     total = 0.0  # slice offered load: left to right per service, then over services
-    # one pass over both lists: zip stops on ``gnodebs`` before it takes a
-    # lane of the next service
-    offered_lanes = iter(offered)
-    served_lanes = iter(served)
+    start = 0
     for svc in services:
         row_total = 0.0
+        stop = start + gnbs
         if svc.kpi_kind is _QOE:
-            for _, o, s in zip(gnodebs, offered_lanes, served_lanes):
+            for lane in range(start, stop):
+                o = offered[lane]
                 row_total += o
                 if o > 0:
-                    x = 1.0 + 4.0 * (s / o)
-                    lanes.append(qoe_lo if x < qoe_lo else qoe_hi if x > qoe_hi else x)
+                    x = 1.0 + 4.0 * (lanes[lane] / o)
+                    lanes[lane] = qoe_lo if x < qoe_lo else qoe_hi if x > qoe_hi else x
                 else:
-                    lanes.append(qoe_hi)
+                    lanes[lane] = qoe_hi
         else:
-            for _, o, s in zip(gnodebs, offered_lanes, served_lanes):
+            for lane in range(start, stop):
+                o = offered[lane]
                 row_total += o
                 if o > 0:
-                    x = 100.0 * (o - s) / o
-                    lanes.append(pl_lo if x < pl_lo else pl_hi if x > pl_hi else x)
+                    x = 100.0 * (o - lanes[lane]) / o
+                    lanes[lane] = pl_lo if x < pl_lo else pl_hi if x > pl_hi else x
                 else:
-                    lanes.append(0.0)
+                    lanes[lane] = 0.0
         total += row_total
+        start = stop
     # one row-times-weights dot per service: vecdot runs each row through the
     # same double dot (cblas_ddot) as a stacked [1, gNodeBs] @ [gNodeBs, 1]
     # matmul, so the bits are that product's. The 2-D [services, gNodeBs] @

@@ -15,7 +15,7 @@ import numpy as np
 from atmarl.agents import CONGESTION_MAX, OBS_BINS, AgentObservation, SystemKind, normalize_kpi
 from atmarl.errors import ScenarioError
 from atmarl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, gru_caches, gru_forward
-from atmarl.slice_sim import MBR_LEVELS, N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind, KpiReport, allocate_capacity
+from atmarl.slice_sim import MBR_LEVELS, N_GNODEBS, PL_RANGE, QOE_RANGE, KpiKind, KpiReport
 from atmarl.supervisor import CRITIC_COEF, ENTROPY_COEF
 
 
@@ -159,14 +159,17 @@ def reference_step(state, rng: np.random.Generator) -> KpiReport:
     """The simulator step as it ran before the raw-uniform draw and the vecdot product.
 
     The loads are ``numpy_offered_loads``'s (one ``rng.uniform`` draw of
-    shape [services, gNodeBs]), the lanes are scored on lists, and each
+    shape [services, gNodeBs]), each gNodeB column is filled by
+    ``scalar_allocate_capacity`` through ``scalar_kpis`` (so the reference
+    shares no code with the package's water-filling), the lanes are scored
+    on lists, and each
     service's KPI is the stacked [1, gNodeBs] @ [gNodeBs, 1] matmul of its
     lanes and the UE weights. ``slice_sim.step`` must equal it bit for bit
     and leave ``rng`` in the same state.
     """
-    offered = numpy_offered_loads(state, rng).tolist()
+    loads = numpy_offered_loads(state, rng)
     bandwidth = state.scenario.bandwidth_mbps
-    served = allocate_capacity(np.array(offered), state.priority, state.mbr, bandwidth).tolist()
+    offered, served = loads.tolist(), scalar_kpis(state, loads)[0].tolist()
     lanes = []
     total = 0.0
     for svc, row, got in zip(state.scenario.services, offered, served):

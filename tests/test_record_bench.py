@@ -35,6 +35,8 @@ def test_microbenchmarks_run_on_this_checkout():
         "agent_step_ref",
         "sim_step_us",
         "sim_step_ref",
+        "sim_step_mixed_us",
+        "sim_step_mixed_ref",
         "allocate_capacity_us",
         "allocate_capacity_ref",
         "save_checkpoint_ms",
