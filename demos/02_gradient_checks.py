@@ -5,6 +5,7 @@ import numpy as np
 
 from atmarl.nn import (
     DenseLayer,
+    GruBackward,
     GruCell,
     dense_backward,
     gru_caches,
@@ -81,7 +82,8 @@ def main():
     hs, caches = gru_run()
     dhs = [2 * (h - t) for h, t in zip(hs, targets)]
     grads = cell.zeros_like()  # the backward adds into an accumulator cell
-    gru_sequence_backward(cell, caches, dhs, grads)
+    # the backward runs a program built over the cell's rows
+    gru_sequence_backward(GruBackward(cell, caches), len(xs), dhs, grads)
     for name, param in cell.params().items():
         err = rel_err(grads.params()[name], finite_difference(gru_loss, param))
         print(f"  {name}: relative error {err:.2e}")

@@ -411,7 +411,7 @@ def pretrain_system(
     system: SystemKind,
     config: ScenarioConfig,
     rng: np.random.Generator,
-    params: PretrainConfig | None = None,
+    params: PretrainConfig,
 ) -> PretrainResult:
     """Independently Q-train all agents of one plane against random goals.
 
@@ -420,7 +420,6 @@ def pretrain_system(
     per agent; the log records whether each agent reached its rung within
     the achievement horizon.
     """
-    params = params or PretrainConfig()
     agents = [AgentId(system, k) for k in range(config.intent_count)]
     tables = {a.key: QTable.create() for a in agents}
     members = roster_members(config, tables)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,20 +86,32 @@ def parse_distribution(raw_kind: str, raw_weights: str | None = None) -> Distrib
     return DistributionSpec.of(kind, weights)
 
 
-def _number(path, section: configparser.SectionProxy, key: str, kind: type, default=None):
-    """``section[key]`` as ``kind`` (int or float), or ``default`` when absent; a malformed value names the file, section and key."""
+def _number(section: configparser.SectionProxy, key: str, kind: type, default=None):
+    """``section[key]`` as ``kind`` (int or float), or ``default`` when absent; a malformed value names the key."""
     raw = section.get(key)
     if raw is None:
         return default
     try:
         return kind(raw)
     except ValueError:
-        raise ScenarioError(f"{path}: [{section.name}] {key} = {raw!r} is not {'an integer' if kind is int else 'a number'}") from None
+        raise ScenarioError(f"{key} = {raw!r} is not {'an integer' if kind is int else 'a number'}") from None
+
+
+@contextmanager
+def _reading(path, section: str):
+    """Prefix a ``ScenarioError`` raised inside with the file and the section being read."""
+    try:
+        yield
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: [{section}] {exc}") from None
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse a scenario file; the specs and the scenario validate themselves as they are built."""
-    parser = configparser.ConfigParser()
+    """Parse a scenario file, its values as written (no ``%`` interpolation); every error names the file and section.
+
+    The specs and the scenario validate themselves as they are built.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -110,40 +123,34 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "scenario" not in parser:
         raise ScenarioError(f"{path}: missing [scenario] section")
     sc = parser["scenario"]
-    raw_kind, raw_weights = sc.get("distribution", "uniform"), sc.get("dist_weights", None)
-    try:
-        distribution = parse_distribution(raw_kind, raw_weights)
-    except ScenarioError as exc:
-        keys = f"distribution = {raw_kind!r}" + ("" if raw_weights is None else f", dist_weights = {raw_weights!r}")
-        raise ScenarioError(f"{path}: [scenario] {keys}: {exc}") from None
+    with _reading(path, "scenario"):
+        raw_kind, raw_weights = sc.get("distribution", "uniform"), sc.get("dist_weights", None)
+        try:
+            distribution = parse_distribution(raw_kind, raw_weights)
+        except ScenarioError as exc:
+            keys = f"distribution = {raw_kind!r}" + ("" if raw_weights is None else f", dist_weights = {raw_weights!r}")
+            raise ScenarioError(f"{keys}: {exc}") from None
+        bandwidth = _number(sc, "bandwidth_mbps", float, DEFAULT_BANDWIDTH_MBPS)
+        noise_pct = _number(sc, "noise_pct", float, 5.0)
     services = []
     instance_counters: dict[ServiceKind, int] = {}
     for section in parser.sections():
         if not section.startswith("service:"):
             continue
         svc = parser[section]
-        missing = [key for key in ("demand_mbps", "ue_count") if key not in svc]
-        if missing:
-            raise ScenarioError(f"{path}: [{section}] is missing {', '.join(missing)}")
-        kind = _parse_kind(svc.get("kind", section.split(":", 1)[1]))
-        idx = instance_counters.get(kind, 0)
-        instance_counters[kind] = idx + 1
-        default_target = DEFAULT_QOE_TARGET if kind is ServiceKind.CV else DEFAULT_PL_TARGET
-        services.append(
-            ServiceSpec(
-                kind=kind,
-                instance_id=idx,
-                demand_per_ue=_number(path, svc, "demand_mbps", float),
-                ue_count=_number(path, svc, "ue_count", int),
-                kpi_target=_number(path, svc, "kpi_target", float, default_target),
-            )
-        )
-    return ScenarioConfig(
-        services=services,
-        distribution=distribution,
-        bandwidth_mbps=_number(path, sc, "bandwidth_mbps", float, DEFAULT_BANDWIDTH_MBPS),
-        noise_pct=_number(path, sc, "noise_pct", float, 5.0),
-    )
+        with _reading(path, section):
+            missing = [key for key in ("demand_mbps", "ue_count") if key not in svc]
+            if missing:
+                raise ScenarioError(f"is missing {', '.join(missing)}")
+            kind = _parse_kind(svc.get("kind", section.split(":", 1)[1]))
+            idx = instance_counters.get(kind, 0)
+            instance_counters[kind] = idx + 1
+            default_target = DEFAULT_QOE_TARGET if kind is ServiceKind.CV else DEFAULT_PL_TARGET
+            demand, ue_count = _number(svc, "demand_mbps", float), _number(svc, "ue_count", int)
+            target = _number(svc, "kpi_target", float, default_target)
+            services.append(ServiceSpec(kind, idx, demand, ue_count, target))
+    with _reading(path, "scenario"):
+        return ScenarioConfig(services=services, distribution=distribution, bandwidth_mbps=bandwidth, noise_pct=noise_pct)
 
 
 def default_scenario(

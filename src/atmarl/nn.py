@@ -10,7 +10,8 @@ pair with its argument views already sliced: ``dense_calls`` and
 ``gru_calls`` build them, and a caller that runs the same rows many times,
 such as an episode tape, builds them once and runs them with ``run``.
 ``GruBackward`` and ``SoftmaxSampler`` do the same for the recurrence of the
-GRU backward and for softmax sampling.
+GRU backward and for softmax sampling: a ``GruBackward`` holds its cell and
+rows, and ``gru_sequence_backward`` runs it over their first steps.
 Backward passes read every step of an episode at once from slices of those
 buffers, add exact analytic gradients into the accumulators they are given,
 and are verified against central finite differences in the test suite.
@@ -345,16 +346,17 @@ def gru_forward(cell: GruCell, a: np.ndarray, zr: np.ndarray, a_n: np.ndarray, n
 
 
 class GruBackward:
-    """The buffers of ``gru_sequence_backward`` over one cell's ``gru_caches`` rows, and the numpy calls of each step of its recurrence.
+    """One cell's ``gru_caches`` rows and the buffers and per-step numpy calls of ``gru_sequence_backward`` over them.
 
-    Built once for buffers that run many episodes, it leaves the recurrence
-    a flat list of calls per step, with no slicing or temporaries. It holds
-    the cell's gate weights (transposed views), so an update must write
-    them in place, as ``adam_step`` does. Row t's calls read the carry and
-    the step's upstream grad and factors, and write its pre-activation
-    grads, the two halves of its input grad and the carry it hands step t-1.
-    Its working buffers are those of ``share`` when that is a program over
-    rows of the same shape, for cells whose backwards run one after the other.
+    Built once for rows that run many episodes, it holds the cell and its
+    uncut rows (``caches``), and leaves the recurrence a flat list of calls
+    per step, with no slicing or temporaries. The calls hold the cell's gate
+    weights (transposed views), so an update must write them in place, as
+    ``adam_step`` does. Row t's calls read the carry and the step's upstream
+    grad and factors, and write its pre-activation grads, the two halves of
+    its input grad and the carry it hands step t-1. Its working buffers are
+    those of ``share`` when that is a program over rows of the same shape,
+    for cells whose backwards run one after the other.
     """
 
     def __init__(self, cell: GruCell, caches, share: GruBackward | None = None):
@@ -362,7 +364,7 @@ class GruBackward:
         steps, hidden = len(zr), cell.hidden_size
         width = a.shape[1]
         in_dim = width - hidden
-        self.cell, self.zr = cell, zr
+        self.cell, self.caches = cell, caches
         self.shape = (steps, hidden, width)
         if share is not None and share.shape == self.shape:
             self.buffers = share.buffers
@@ -413,27 +415,19 @@ class _GruBackwardBuffers:
         self.wide = np.empty(width)
 
 
-def gru_sequence_backward(cell: GruCell, caches, dhs: np.ndarray, grads: GruCell, program: GruBackward | None = None):
-    """BPTT over a sequence given per-step upstream grads on each hidden state.
+def gru_sequence_backward(program: GruBackward, steps: int, dhs: np.ndarray, grads: GruCell):
+    """BPTT over the first ``steps`` rows of a ``GruBackward``'s cell and rows, given per-step upstream grads on each hidden state.
 
-    ``caches`` are the step rows (a, zr, a_n, n) of ``gru_caches``, ``a``
-    cut to the steps. Returns ([steps, in] input grads, dh0), which have the
-    bits of one step at a time, latest step first. The factors that do not
-    depend on the carry are computed for all steps before the loop, which
-    keeps only the recurrence, the calls of ``program``: a ``GruBackward``
-    built on these rows or on the uncut buffers they were cut from, else one
-    built here. Then each parameter of the accumulator cell ``grads`` gets
-    one matmul (or sum) over the steps, within the module's bound of the
-    step-ordered sums.
+    Returns ([steps, in] input grads, dh0), which have the bits of one step
+    at a time, latest step first. The factors that do not depend on the
+    carry are computed for all steps before the loop, which keeps only the
+    recurrence, the program's calls. Then each parameter of the accumulator
+    cell ``grads`` gets one matmul (or sum) over the steps, within the
+    module's bound of the step-ordered sums.
     """
-    a, zr, a_n, n = caches
-    if program is None:
-        program = GruBackward(cell, caches)
-    elif program.cell is not cell or (program.zr is not zr and program.zr is not zr.base):
-        raise ValueError("the GRU backward program was built for another cell or other buffers")
+    a, zr, a_n, n = (arr[:steps] for arr in program.caches)
     b = program.buffers
-    steps = len(zr)
-    in_dim = a.shape[1] - cell.hidden_size
+    in_dim = a.shape[1] - program.cell.hidden_size
     np.subtract(1.0, zr[:, 0], out=b.one_minus_z[:steps])
     one_minus_nn = np.multiply(n, n, out=b.one_minus_nn[:steps])
     np.subtract(1.0, one_minus_nn, out=one_minus_nn)
@@ -473,7 +467,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class SoftmaxSampler:
-    """``softmax_sample``'s scratch over logits rows of one shape, [..., categories], and its numpy calls per row, built once.
+    """Softmax sampling's scratch over logits rows of one shape, [..., categories], and its numpy calls per row, built once.
 
     ``sample(i, rng)`` draws one category per row of ``rows[i]`` (the rows
     of its leading axes), and ``greedy(i)`` takes each one's first maximum;
@@ -534,11 +528,6 @@ class SoftmaxSampler:
         return self.idx
 
 
-def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one category per row of ``logits`` by inverse CDF; returns the indices. See ``SoftmaxSampler``."""
-    return SoftmaxSampler([logits]).sample(0, rng)
-
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -548,7 +537,7 @@ ADAM_EPS = 1e-8
 class OptimizerState:
     """Adam moment accumulators over a named parameter collection, with one scratch pair sized to the largest parameter."""
 
-    lr: float = 3e-4
+    lr: float
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)

@@ -10,11 +10,12 @@ weights are each stacked into one layer, [copies, out, in], so all agents or
 heads run in one call. Training is episodic advantage actor-critic with
 backpropagation through the whole episode. The critic is only the update's
 baseline: acting never runs it, and training scores an episode's contexts
-in one call once the episode is over. Every actor value of an episode lives
-on one preallocated ``EpisodeTape``: the forward writes step t into row t,
-and the backward reads the rows of all steps at once. The tape builds the
-numpy calls of each row's forward, of its sampling and of the GRU
-recurrence's backward once, so a step runs flat lists of calls.
+in one call once the episode is over. One preallocated ``EpisodeTape`` owns
+every buffer of an episode: the forward writes step t into row t, the
+backward reads the rows of all steps at once, and only training builds the
+critic's rows and the GRU backward's programs. The tape builds the numpy
+calls of each row's forward, of its sampling and of the GRU recurrence's
+backward once, so a step runs flat lists of calls.
 """
 
 from __future__ import annotations
@@ -209,8 +210,10 @@ class EpisodeTape:
     and ``load_policy`` do): ``encode_calls`` runs the encoders and the
     rest of the actor, and ``reuse_calls`` copies the row before's
     capability latents and runs the rest. ``sampler`` samples or picks each
-    row's logits, and ``gru_backward`` gives each cell's BPTT calls, built
-    on first use, since an acting-only tape never needs them.
+    row's logits. ``prepare_training`` builds what only training reads,
+    ``crit``, the critic's (x, pre, out) rows over ``contexts``, and
+    ``gru_backward``, each cell's ``nn.GruBackward``; an acting-only tape,
+    as in evaluation, never builds them.
     """
 
     def __init__(self, policy: SupervisorPolicy, steps: int):
@@ -233,7 +236,8 @@ class EpisodeTape:
         self.logits = self.head[1]  # [steps, heads, levels]
         self.logit_rows = list(self.logits)
         self.sampler = SoftmaxSampler(self.logit_rows)
-        self._gru_backward = [None] * len(policy.gru)
+        self.crit: list[tuple] | None = None
+        self.gru_backward: tuple[GruBackward, ...] | None = None
 
         cell1, cell2 = policy.gru
         scratch1, scratch2 = np.empty(dims.gru), np.empty(dims.gru)
@@ -268,16 +272,17 @@ class EpisodeTape:
         """Views of both cells' hidden states before step ``t``, which are those step t-1 left."""
         return tuple(a[t, a.shape[1] - n.shape[1] :] for a, _, _, n in self.gru)
 
-    def gru_backward(self, j: int) -> GruBackward:
-        """Cell ``j``'s ``nn.GruBackward`` over this tape's rows, built on first use.
+    def prepare_training(self) -> None:
+        """Build ``crit`` and ``gru_backward`` on first use; later calls keep them.
 
-        The cells' backwards run one after the other, so they share working
-        buffers where their shapes agree.
+        The cells' backwards run top cell first, one after the other, so the
+        first cell's program shares the top one's buffers where shapes agree.
         """
-        if self._gru_backward[j] is None:
-            built = [program for program in self._gru_backward if program is not None]
-            self._gru_backward[j] = GruBackward(self.policy.gru[j], self.gru[j], *built)
-        return self._gru_backward[j]
+        if self.crit is None:
+            policy = self.policy
+            self.crit = stack_caches(policy.critic, self.contexts)
+            top = GruBackward(policy.gru[1], self.gru[1])
+            self.gru_backward = (GruBackward(policy.gru[0], self.gru[0], top), top)
 
 
 def forward_step(tape: EpisodeTape, t: int, encode: bool = True) -> np.ndarray:
@@ -379,30 +384,29 @@ class TrainConfig:
 
 @dataclass
 class EpisodeTrajectory:
-    """One rollout's outcomes; rows below ``len(self)`` of its tape hold its leaf inputs and every actor value.
+    """One rollout's outcomes; rows below ``len(self)`` of its tape hold its leaf inputs and every actor and critic value.
 
-    The next episode run on the same tape overwrites those rows.
+    The next episode run on the same tape overwrites those rows, ``values`` among them.
     """
 
     tape: EpisodeTape
     sampled_levels: list[list[int]] = field(default_factory=list)  # [t][head]
     rewards: list[float] = field(default_factory=list)
-    values: np.ndarray | None = None  # [t], set by score_contexts
-    crit_caches: list | None = None  # the critic's step-stacked caches
+    values: np.ndarray | None = None  # [t], set by score_contexts: a view of the tape's critic rows
 
     def __len__(self) -> int:
         return len(self.rewards)
 
 
 def score_contexts(traj: EpisodeTrajectory) -> None:
-    """Run the tape's critic once over the episode's [steps, fusion] context rows; sets ``traj.values`` and ``traj.crit_caches``.
+    """Run the critic once over the episode's [steps, fusion] context rows, into the tape's critic rows; sets ``traj.values``.
 
     Each step's row is its own matrix-vector product in the stacked matmul,
     bit-equal to scoring that step's context alone.
     """
-    critic = traj.tape.policy.critic
-    traj.crit_caches = stack_caches(critic, traj.tape.contexts[: len(traj)])
-    traj.values = stack_forward(critic, traj.crit_caches)[:, 0]
+    tape = traj.tape
+    tape.prepare_training()
+    traj.values = stack_forward(tape.policy.critic, tape.crit, slice(len(traj)))[:, 0]
 
 
 def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
@@ -418,24 +422,20 @@ def episode_gradients(
     traj: EpisodeTrajectory,
     advantages: np.ndarray,
     returns: np.ndarray,
-    acc: SupervisorPolicy | None = None,
+    acc: SupervisorPolicy,
 ) -> tuple[SupervisorPolicy, dict[str, float]]:
     """Backpropagate the A2C loss of the tape's policy through the episode, whose contexts ``score_contexts`` has scored.
 
     Advantages are treated as constants. Every layer but the GRU runs its
     backward once over the tape rows of all steps; only the recurrence loops
-    over time. Returns (gradients, loss terms), the gradients as a policy of
-    the same layout whose parameters hold them: ``acc`` zeroed and refilled
-    when given, else a new one.
+    over time. Returns (gradients, loss terms), the gradients in ``acc``, a
+    policy of the same layout, zeroed and refilled.
     """
     steps = len(traj)
     tape = traj.tape
     policy = tape.policy
-    if acc is None:
-        acc = policy.zeros_like()
-    else:
-        for g in acc.named_params().values():
-            g.fill(0.0)
+    for g in acc.named_params().values():
+        g.fill(0.0)
 
     def cut(cache):
         return tuple(arr[:steps] for arr in cache)
@@ -467,7 +467,7 @@ def episode_gradients(
         critic_loss += CRITIC_COEF * e * e
     dc_direct = stack_backward(
         policy.critic,
-        traj.crit_caches,
+        [cut(cache) for cache in tape.crit],
         (2.0 * CRITIC_COEF * err)[:, None],
         [layer.params() for layer in acc.critic],
     )
@@ -475,7 +475,7 @@ def episode_gradients(
     # BPTT through the two stacked GRU cells, top cell first, down to the context
     dcontext = dh2
     for j in (1, 0):
-        dcontext, _ = gru_sequence_backward(policy.gru[j], cut(tape.gru[j]), dcontext, acc.gru[j], tape.gru_backward(j))
+        dcontext, _ = gru_sequence_backward(tape.gru_backward[j], steps, dcontext, acc.gru[j])
 
     # fusion, then all agents' mergers and encoders
     dx = stack_backward(
@@ -645,13 +645,12 @@ def train_supervisor(
     qtables: dict[str, QTable],
     capabilities: dict[str, CapabilityVector],
     rng: np.random.Generator,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig,
 ) -> TrainStats:
     """Episodic A2C over the frozen MARL systems; mutates the policy in place.
 
     One episode tape and one gradient accumulator serve every episode.
     """
-    cfg = cfg or TrainConfig()
     opt = OptimizerState(lr=LEARNING_RATE)
     params = policy.named_params()
     tracker = CapabilityTracker(capabilities, config)

@@ -462,7 +462,7 @@ def gru_sequence_forward(cell, xs, h0: np.ndarray):
     """``nn.gru_forward`` over a whole sequence on ``nn.gru_caches`` buffers.
 
     Returns ([steps, hidden] hidden states, the step rows (a, zr, a_n, n)
-    that ``nn.gru_sequence_backward`` takes).
+    that an ``nn.GruBackward`` is built on).
     """
     steps, in_dim = len(xs), cell.Wn.shape[1] - cell.hidden_size
     a, zr, a_n, n = gru_caches(cell, steps)
@@ -604,9 +604,9 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
 def two_pass_softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling per row: the uniforms first, then the probabilities as ``softmax`` computes them.
 
-    ``nn.softmax_sample``, which exponentiates, normalises and sums in one
-    scratch array before it draws, must equal its indices bit for bit and
-    leave ``rng`` in the same state.
+    ``nn.SoftmaxSampler.sample``, which exponentiates, normalises and sums
+    in one scratch array before it draws, must equal its indices bit for
+    bit and leave ``rng`` in the same state.
     """
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits")

@@ -119,14 +119,20 @@ def test_rejects_distribution_weights_that_are_negative_or_nan(tmp_path, weights
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (("noise_pct = 5.0", "noise_pct = 150.0"), "noise_pct"),
+        (("noise_pct = 5.0", "noise_pct = 150.0"), "[scenario] noise_pct"),
+        (("kpi_target = 4.0", "kpi_target = 0"), "[service:cv0] kpi_target"),
+        # read as written: a "%" is no interpolation, so this is not a number
+        (("noise_pct = 5.0", "noise_pct = 5%"), "[scenario] noise_pct = '5%'"),
         (("demand_mbps = 0.4\n", ""), "demand_mbps"),
         # configparser's own errors: the file as a whole does not parse
         (("[scenario]\n", ""), "no section headers"),
         (("noise_pct = 5.0", "noise_pct = 5.0\nnoise_pct = 5.0"), "noise_pct"),
         (("[service:urllc0]", "[service:cv0]"), "service:cv0"),
     ],
-    ids=["150-percent-noise", "no-demand", "no-section-header", "duplicate-option", "duplicate-section"],
+    ids=[
+        "150-percent-noise", "zero-kpi-target", "percent-sign", "no-demand", "no-section-header",
+        "duplicate-option", "duplicate-section",
+    ],
 )
 def test_cli_exits_with_the_config_code_on_a_bad_scenario_file(tmp_path, capsys, edit, named):
     path = tmp_path / "bad.ini"
@@ -138,6 +144,7 @@ def test_cli_exits_with_the_config_code_on_a_bad_scenario_file(tmp_path, capsys,
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and named in err[0], err
+    assert str(path) in err[0], err
     assert not (tmp_path / "out").exists()
 
 

@@ -17,7 +17,6 @@ from atmarl.nn import (
     gru_sequence_backward,
     log_softmax,
     softmax,
-    softmax_sample,
     stack_caches,
     stack_forward,
 )
@@ -251,7 +250,7 @@ def test_gru_length_one_bptt_equals_single_step():
     _, caches = gru_sequence_forward(cell, [x], h0)
     dh = rng.normal(size=4)
     seq_grads = cell.zeros_like()
-    dxs, dh0 = gru_sequence_backward(cell, caches, [dh], seq_grads)
+    dxs, dh0 = gru_sequence_backward(GruBackward(cell, caches), 1, [dh], seq_grads)
     ref_grads, _, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, [unfused_gru_forward(cell, x, h0)[1]], [dh])
     for key, grad in seq_grads.params().items():
         assert grad.tobytes() == ref_grads[key].tobytes(), key
@@ -274,7 +273,7 @@ def test_gru_bptt_matches_finite_differences(trial):
     hs, caches = gru_sequence_forward(cell, xs, h0)
     dhs = [2.0 * (h - t) for h, t in zip(hs, targets)]
     grads = cell.zeros_like()
-    gru_sequence_backward(cell, caches, dhs, grads)
+    gru_sequence_backward(GruBackward(cell, caches), len(xs), dhs, grads)
     for name, param in cell.params().items():
         fd = finite_difference(loss, param)
         assert rel_error(grads.params()[name], fd) < 1e-4, f"{name} gradient mismatch"
@@ -300,7 +299,7 @@ def test_gru_bptt_equals_per_step_oracle(in_dim, hidden, steps):
     dhs = rng.normal(size=(steps, hidden))
 
     grads = cell.zeros_like()
-    dxs, dh0 = gru_sequence_backward(cell, caches, dhs, grads)
+    dxs, dh0 = gru_sequence_backward(GruBackward(cell, caches), steps, dhs, grads)
     ref_grads, ref_abs, ref_dxs, ref_dh0 = per_step_gru_sequence_backward(cell, ref_caches, dhs)
     for key, grad in grads.params().items():
         assert_reordered_sum(grad, ref_grads[key], ref_abs[key], steps, key)
@@ -331,13 +330,11 @@ def test_prebuilt_gru_backward_equals_per_step_oracle(steps):
     program = GruBackward(cell, (a, zr, a_n, n))
     for _ in range(2):
         grads = cell.zeros_like()
-        dxs, dh0 = gru_sequence_backward(cell, (a[:steps], zr[:steps], a_n[:steps], n[:steps]), dhs, grads, program)
+        dxs, dh0 = gru_sequence_backward(program, steps, dhs, grads)
         for key, grad in grads.params().items():
             assert_reordered_sum(grad, ref_grads[key], ref_abs[key], steps, key)
         assert dxs.tobytes() == np.stack(ref_dxs).tobytes()
         assert dh0.tobytes() == ref_dh0.tobytes()
-    with pytest.raises(ValueError):
-        gru_sequence_backward(GruCell.create(rng, 64, 64), (a, zr, a_n, n), dhs, cell.zeros_like(), program)
 
 
 def test_gru_gate_views_alias_the_fused_arrays():
@@ -376,15 +373,15 @@ def test_softmax_uniform_on_equal_logits():
 
 def test_softmax_saturation():
     logits = np.array([0.0, 1e6, 0.0])
-    assert softmax_sample(logits, np.random.default_rng(0)) == 1
+    assert SoftmaxSampler([logits]).sample(0, np.random.default_rng(0)) == 1
 
 
 def test_softmax_sample_reproducible():
     logits = np.array([0.1, 0.4, -0.2, 0.0])
     rng = np.random.default_rng(7)
-    draws_a = [int(softmax_sample(logits, rng)) for _ in range(5)]
+    draws_a = [int(SoftmaxSampler([logits]).sample(0, rng)) for _ in range(5)]
     rng = np.random.default_rng(7)
-    draws_b = [int(softmax_sample(logits, rng)) for _ in range(5)]
+    draws_b = [int(SoftmaxSampler([logits]).sample(0, rng)) for _ in range(5)]
     assert draws_a == draws_b
 
 
@@ -393,14 +390,14 @@ def test_softmax_sample_frequencies_follow_probabilities():
     # lies within four standard errors of its probability
     logits = np.array([0.3, -1.2, 0.8, 0.0])
     probs = softmax(logits)
-    idx = softmax_sample(np.tile(logits, (4000, 1)), np.random.default_rng(5))
+    idx = SoftmaxSampler([np.tile(logits, (4000, 1))]).sample(0, np.random.default_rng(5))
     share = np.bincount(idx, minlength=len(logits)) / len(idx)
     assert np.all(np.abs(share - probs) < 4 * np.sqrt(probs * (1 - probs) / len(idx)))
 
 
 def test_softmax_rejects_nan():
     with pytest.raises(FloatingPointError):
-        softmax_sample(np.array([np.nan, 0.0]), np.random.default_rng(0))
+        SoftmaxSampler([np.array([np.nan, 0.0])]).sample(0, np.random.default_rng(0))
 
 
 def _sampling_cases():
@@ -422,7 +419,7 @@ def test_softmax_sample_equals_two_pass_oracle(case):
     logits = list(_sampling_cases())[case]
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        idx = softmax_sample(logits, rng)
+        idx = SoftmaxSampler([logits]).sample(0, rng)
         ref_idx = two_pass_softmax_sample(logits, ref_rng)
         assert np.asarray(idx).tobytes() == np.asarray(ref_idx).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -457,7 +454,7 @@ def test_softmax_sample_rejects_any_non_finite_logit(bad):
     logits = np.zeros((6, 8))
     logits[4, 2] = bad
     with pytest.raises(FloatingPointError):
-        softmax_sample(logits, np.random.default_rng(0))
+        SoftmaxSampler([logits]).sample(0, np.random.default_rng(0))
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -520,4 +517,4 @@ def test_adam_shared_scratch_equals_per_key_scratch_oracle():
 
 def test_adam_rejects_unknown_key():
     with pytest.raises(KeyError):
-        adam_step({"a": np.zeros(1)}, {"b": np.zeros(1)}, OptimizerState())
+        adam_step({"a": np.zeros(1)}, {"b": np.zeros(1)}, OptimizerState(lr=1e-3))

@@ -480,7 +480,7 @@ def test_gradient_norm_equals_per_view_oracle(mode):
         assert gradient_norm(grads).tobytes() == per_view_gradient_norm(grads).tobytes()
     traj = _random_trajectory(policy, cfg, 12, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
-    acc, _ = episode_gradients(traj, returns - traj.values, returns)
+    acc, _ = episode_gradients(traj, returns - traj.values, returns, policy.zeros_like())
     assert gradient_norm(acc).tobytes() == per_view_gradient_norm(acc).tobytes()
 
 
@@ -538,7 +538,7 @@ def test_actor_critic_gradients_match_finite_differences():
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = np.array([0.7, -1.2, 0.4])  # fixed constants, as in the update rule
 
-    grads = episode_gradients(traj, advantages, returns)[0].named_params()
+    grads = episode_gradients(traj, advantages, returns, policy.zeros_like())[0].named_params()
 
     params = policy.named_params()
     h = 1e-5
@@ -581,7 +581,8 @@ def _random_trajectory(policy, cfg, steps, rng, tape=None):
 @pytest.mark.parametrize("mode", list(GoalMode))
 @pytest.mark.parametrize("steps", [1, 7, 40])
 def test_batched_critic_equals_per_step_critic(mode, steps):
-    # default dims; the critic over all contexts at once, bit for bit against one context at a time
+    # default dims; the critic over all contexts at once, into the tape's
+    # critic rows, bit for bit against one context at a time
     cfg = default_scenario()
     rng = np.random.default_rng(300 + steps)
     policy = create_policy(rng, cfg, mode=mode)
@@ -591,7 +592,7 @@ def test_batched_critic_equals_per_step_critic(mode, steps):
         value, caches = critic_step(policy, traj.tape.contexts[t])
         assert traj.values[t].tobytes() == np.float64(value).tobytes(), t
         for j, cache in enumerate(caches):
-            for part, batched in zip(cache, traj.crit_caches[j]):
+            for part, batched in zip(cache, traj.tape.crit[j]):
                 assert batched[t].tobytes() == part.tobytes(), (t, j)
 
 
@@ -609,7 +610,7 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
     if steps > 1:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-    acc, losses = episode_gradients(traj, advantages, returns)
+    acc, losses = episode_gradients(traj, advantages, returns, policy.zeros_like())
     grads = acc.named_params()
     ref_grads, ref_abs, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns)
     assert list(grads) == list(ref_grads)
@@ -619,34 +620,38 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
 
 
 def test_episode_gradients_called_twice_return_the_same_gradients():
-    # each call starts from fresh zeroed accumulators; nothing carries over
+    # each call zeroes the accumulator it is given; nothing carries over
     cfg = default_scenario()
     rng = np.random.default_rng(410)
     policy = create_policy(rng, cfg)
     traj = _random_trajectory(policy, cfg, 12, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = returns - traj.values
-    first, first_losses = episode_gradients(traj, advantages, returns)
-    second, second_losses = episode_gradients(traj, advantages, returns)
+    acc = policy.zeros_like()
+    first, first_losses = episode_gradients(traj, advantages, returns, acc)
+    first = {name: grad.tobytes() for name, grad in first.named_params().items()}
+    second, second_losses = episode_gradients(traj, advantages, returns, acc)
     assert first_losses == second_losses
-    after = second.named_params()
-    for name, grad in first.named_params().items():
-        assert grad.tobytes() == after[name].tobytes(), name
-        assert not np.shares_memory(grad, after[name]), name
+    assert {name: grad.tobytes() for name, grad in second.named_params().items()} == first
 
 
 def _poisoned_tape(policy, steps):
-    """A tape whose every buffer starts as NaN, so a row read before it is written shows."""
+    """A tape whose every buffer, its training ones built first, starts as NaN, so a row read before it is written shows."""
     tape = EpisodeTape(policy, steps)
-    for cache in [*tape.enc, tape.mrg, *tape.fus, *tape.gru, tape.head]:
+    tape.prepare_training()
+    for cache in [*tape.enc, tape.mrg, *tape.fus, *tape.gru, tape.head, *tape.crit]:
         for arr in cache:
+            arr.fill(np.nan)
+    for program in tape.gru_backward:
+        for arr in vars(program.buffers).values():
             arr.fill(np.nan)
     return tape
 
 
 def test_reused_tape_gives_the_gradients_of_a_fresh_tape():
     # a 40-step episode, then a 7-step one on the same tape and accumulator:
-    # the second reads no row the first left behind
+    # the second reads no actor or critic row, and no GRU backward buffer,
+    # that the first left behind
     cfg = default_scenario()
     policy = create_policy(np.random.default_rng(420), cfg)
     tape, acc = EpisodeTape(policy, 40), policy.zeros_like()
@@ -654,7 +659,7 @@ def test_reused_tape_gives_the_gradients_of_a_fresh_tape():
     returns = discounted_returns(traj.rewards, DISCOUNT)
     episode_gradients(traj, returns - traj.values, returns, acc)
     results = []
-    for tape_7, acc_7 in ((tape, acc), (_poisoned_tape(policy, 7), None)):
+    for tape_7, acc_7 in ((tape, acc), (_poisoned_tape(policy, 7), policy.zeros_like())):
         traj = _random_trajectory(policy, cfg, 7, np.random.default_rng(422), tape_7)
         returns = discounted_returns(traj.rewards, DISCOUNT)
         grads, losses = episode_gradients(traj, returns - traj.values, returns, acc_7)
