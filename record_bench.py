@@ -4,11 +4,17 @@ Run from the repository root::
 
     python3 record_bench.py --label baseline --tree /path/to/parent/checkout
     python3 record_bench.py --label batched_backward
+    python3 record_bench.py --label frozen_agents --parent /path/to/parent/checkout --parent-label before_frozen_agents
 
 ``--tree`` names the checkout whose code is measured (default: this one);
 its own ``perfbench/run.py`` runs every workload timed (``--trace 0``) once
 and traced (``--trace 1``) ``TRACED_RUNS`` times, and its ``src`` supplies
-the package for the microbenchmarks. The traced runs are merged into one
+the package for the microbenchmarks. ``--parent`` names a second checkout
+to record in the same invocation, as ``BENCH_<parent-label>.json``: the
+two trees' perfbench runs then alternate workload by workload, each timed
+and each traced run of one tree beside the same run of the other, the
+first of each pair alternating too (``perfbench_records``), so a host that
+slows during the recording moves both records alike. The traced runs are merged into one
 entry with the keys of one run: the median of each layer metric, and every
 run's ``digest sha256:`` line, with a mismatch between them written into
 the entry. One traced run per side cannot show a per-layer change of about
@@ -106,6 +112,28 @@ def merge_traced(runs: list[dict]) -> dict:
     }
 
 
+def perfbench_records(trees: list[Path]) -> list[dict]:
+    """Each tree's ``perfbench`` entry: per workload its timed run and its ``TRACED_RUNS`` traced runs merged.
+
+    The trees take turns workload by workload: the timed runs of every tree,
+    then each round of traced runs, and every other round runs the trees in
+    reverse order, so that no tree always goes first.
+    """
+    records = [{} for _ in trees]
+    for workload in WORKLOADS:
+        runs = [{"timed": None, "traced": []} for _ in trees]
+        for round_ in range(1 + TRACED_RUNS):
+            order = range(len(trees)) if round_ % 2 == 0 else reversed(range(len(trees)))
+            for k in order:
+                if round_ == 0:
+                    runs[k]["timed"] = perfbench(trees[k], workload, 0)
+                else:
+                    runs[k]["traced"].append(perfbench(trees[k], workload, 1))
+        for record, run in zip(records, runs):
+            record[workload] = {"timed": run["timed"], "traced": merge_traced(run["traced"])}
+    return records
+
+
 def quartiles(samples: list[float]) -> dict:
     q1, q2, q3 = quantiles(samples, n=4, method="inclusive")
     return {"p25": q1, "p50": q2, "p75": q3, "n": len(samples)}
@@ -121,7 +149,10 @@ def microbenchmarks(tree: Path) -> dict:
     (``sim_step_mixed``), and per
     ``allocate_capacity`` call; ms per ``save_checkpoint`` and per
     ``load_checkpoint`` of the blocks ``stage_train_supervisor`` writes for a
-    default-dims policy.
+    default-dims policy; ms per ``evaluate_episode``, one greedy ATMARL
+    episode of perfbench's shift plan (48 steps) on the checkpoints of
+    perfbench's ``evaluate`` set-up, loaded as the ``evaluate`` verb loads
+    them, its tape kept from one episode to the next as for a policy's seeds.
 
     Each sample is also given over the perfbench host-reference kernel's
     time around it (``*_ref``), as perfbench gates its timings: the mean of
@@ -139,7 +170,9 @@ def microbenchmarks(tree: Path) -> dict:
     )
     from atmarl.checkpoint import load_checkpoint, save_checkpoint
     from atmarl.config import default_scenario
-    from atmarl.harness import _capability_blocks
+    from atmarl.harness import (
+        Approach, _capability_blocks, evaluate_episode, load_policy, load_pretrain, stage_pretrain, stage_train_supervisor,
+    )
     from atmarl.supervisor import (
         DISCOUNT, EpisodeTape, TrainConfig, act, create_policy, discounted_returns, episode_gradients,
         forward_step, rollout_episode,
@@ -223,6 +256,14 @@ def microbenchmarks(tree: Path) -> dict:
         save_checkpoint(ckpt, blocks, meta={"mode": "agent", "intents": str(cfg.intent_count)})
 
     save()
+    # the checkpoints of perfbench's evaluate set-up, from this seed, reloaded
+    plan = bench.make_plan(SEED, bench.SIZES, bench.SIZES.setup_pretrain_episodes, bench.SIZES.setup_train_episodes)
+    run_dir = Path(tmp.name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the set-up's short pre-training misses its floor
+        stage_train_supervisor(plan, stage_pretrain(plan, run_dir), Approach.ATMARL, run_dir)
+    artifacts = load_pretrain(plan, run_dir)
+    load_policy(plan, artifacts, Approach.ATMARL, run_dir)
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
@@ -237,6 +278,7 @@ def microbenchmarks(tree: Path) -> dict:
          lambda: slice_sim.allocate_capacity(offered, state.priority, state.mbr, state.scenario.bandwidth_mbps), 200, 1e3),
         ("save_checkpoint_ms", save, 1, 1.0),
         ("load_checkpoint_ms", lambda: load_checkpoint(ckpt), 1, 1.0),
+        ("evaluate_episode_ms", lambda: evaluate_episode(plan, artifacts, Approach.ATMARL, plan.seeds[0]), 1, 1.0),
     ):
         ms, ref = timed(fn, calls)
         out[name] = quartiles([x * scale for x in ms])
@@ -245,43 +287,51 @@ def microbenchmarks(tree: Path) -> dict:
     return out
 
 
+def microbenchmarks_of(tree: Path) -> dict:
+    """``microbenchmarks(tree)`` run in a fresh process with one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT)!r}); import record_bench; "
+            f"print(json.dumps(record_bench.microbenchmarks(record_bench.Path({str(tree)!r}))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout whose code is measured")
+    parser.add_argument("--parent", type=Path, help="a second checkout, recorded alongside with its runs alternating")
+    parser.add_argument("--parent-label", help="names the second checkout's output, BENCH_<parent-label>.json")
     args = parser.parse_args(argv)
-    tree = args.tree.resolve()
+    if (args.parent is None) != (args.parent_label is None):
+        parser.error("--parent and --parent-label go together")
+    labels, trees = [args.label], [args.tree.resolve()]
+    if args.parent is not None:
+        labels.insert(0, args.parent_label)
+        trees.insert(0, args.parent.resolve())
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = (f"import json, sys; sys.path.insert(0, {str(ROOT)!r}); import record_bench; "
-            f"print(json.dumps(record_bench.microbenchmarks(record_bench.Path({str(tree)!r}))))")
-    micro = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    record = {
-        "label": args.label,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        },
-        "settings": {
-            "seed": SEED,
-            "seconds": SECONDS,
-            "repeats": REPEATS,
-            "reference_runs": REFERENCE_RUNS,
-            "traced_runs": TRACED_RUNS,
-        },
-        "perfbench": {
-            w: {
-                "timed": perfbench(tree, w, 0),
-                "traced": merge_traced([perfbench(tree, w, 1) for _ in range(TRACED_RUNS)]),
-            }
-            for w in WORKLOADS
-        },
-        "micro": json.loads(micro.stdout.strip().splitlines()[-1]),
-    }
-    path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(path)
+    micro = [microbenchmarks_of(tree) for tree in trees]
+    for label, entry, micro_entry in zip(labels, perfbench_records(trees), micro):
+        record = {
+            "label": label,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            },
+            "settings": {
+                "seed": SEED,
+                "seconds": SECONDS,
+                "repeats": REPEATS,
+                "reference_runs": REFERENCE_RUNS,
+                "traced_runs": TRACED_RUNS,
+            },
+            "perfbench": entry,
+            "micro": micro_entry,
+        }
+        path = ROOT / f"BENCH_{label}.json"
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(path)
     return 0
 
 

@@ -91,13 +91,53 @@ _new_tuple = tuple.__new__
 
 @dataclass
 class QTable:
-    """Dense state-action values over the binned observation space."""
+    """Dense state-action values over the binned observation space.
+
+    Pre-training writes the values; once it is over the table is frozen
+    (``freeze``), and a frozen table acts greedily from ``greedy_actions``.
+    """
 
     values: np.ndarray  # [OBS_BINS]*4 + [N_ACTIONS]
+    # (the read-only values it was built from, the greedy action table)
+    _greedy: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls) -> "QTable":
         return cls(values=np.zeros((OBS_BINS,) * 4 + (N_ACTIONS,)))
+
+    @property
+    def frozen(self) -> bool:
+        return not self.values.flags.writeable
+
+    def freeze(self) -> None:
+        """Make ``values`` read-only: a view of the array, itself made read-only, so neither can be made writeable again."""
+        self.values.flags.writeable = False
+        self.values = self.values.view()
+
+    def greedy_actions(self) -> list:
+        """The greedy action of every state of a frozen table, as nested lists indexed ``[kpi][knob][goal][congestion]``.
+
+        Each is the action ``select_action(self, index, 0.0, rng)`` picks: an
+        exact tie goes to HOLD, then the first maximum wins; a state whose
+        row holds a NaN is decided by ``select_action`` itself. Built on
+        first use and kept beside the read-only array it was built from,
+        which cannot change; a new ``values`` array gets a new table.
+        """
+        values = self.values
+        if values.flags.writeable:
+            raise ValueError("only a frozen Q-table has a greedy action table")
+        if self._greedy is None or self._greedy[0] is not values:
+            # by columns, as reductions over rows of three are slow; without a NaN
+            # HOLD holds a maximum, else DECREMENT does unless INCREMENT is larger
+            down, hold, up = (values[..., a] for a in range(N_ACTIONS))
+            codes = np.where((hold >= down) & (hold >= up), ACTION_HOLD, np.where(down >= up, 0, 2))
+            actions = np.array(_ACTIONS, dtype=object)[codes]
+            # each state holding a NaN once; np.unique would import numpy.ma
+            for flat in dict.fromkeys((np.flatnonzero(np.isnan(values)) // N_ACTIONS).tolist()):
+                index = tuple(int(i) for i in np.unravel_index(flat, actions.shape))
+                actions[index] = select_action(self, index, 0.0, None)
+            self._greedy = (values, actions.tolist())
+        return self._greedy[1]
 
 
 @dataclass
@@ -340,10 +380,13 @@ def run_episode(
     members are resolved once per distinct set of active planes. Each acting
     agent bins that observation once and picks its action epsilon-greedily
     with probability ``epsilon`` of a uniform random action (0 acts greedily
-    and draws nothing), in roster order. It then steps the network, observes
-    the new report and hands the outcome to ``on_step(t, state, kpis,
-    current, active, taken, seen)``, where ``current`` is this step's goals
-    and ``taken`` maps agent key to the (table index, action) acted on.
+    and draws nothing), in roster order; at ``epsilon`` 0 an agent whose
+    table is frozen reads the action ``select_action`` would pick off the
+    table's ``greedy_actions``, without reading its Q-row. It then steps
+    the network, observes the new report and hands the outcome to
+    ``on_step(t, state, kpis, current, active, taken, seen)``, where
+    ``current`` is this step's goals and ``taken`` maps agent key to the
+    (table index, action) acted on.
     ``on_step`` may return the table indices it computed for observations in
     ``seen`` (agent key to index); next step an agent whose goal is unchanged
     acts on that index instead of binning its observation again.
@@ -356,7 +399,10 @@ def run_episode(
     seen = observe(state, report.kpi.tolist(), report.congestion, members, aimed)
     last_action = {key: _HOLD for key in aimed}
     binned = {}
-    acting_by_planes: dict[frozenset, list[Member]] = {}  # the members of each distinct active set
+    # select_action acts greedily unless epsilon > 0
+    greedy = {} if epsilon > 0 else {m.key: m.table.greedy_actions() for m in members if m.table.frozen}
+    # per distinct active set, its members' (agent, key, KPI kind, table, greedy action table or None)
+    acting_by_planes: dict[frozenset, list[tuple]] = {}
     for t in range(episode_length):
         if t in shifts:
             state = slice_sim.set_distribution(state, shifts[t])
@@ -364,9 +410,11 @@ def run_episode(
         planes = frozenset(active)
         acting = acting_by_planes.get(planes)
         if acting is None:
-            acting = acting_by_planes[planes] = [m for m in members if m.agent.system in planes]
+            acting = acting_by_planes[planes] = [
+                (m.agent, m.key, m.kpi_kind, m.table, greedy.get(m.key)) for m in members if m.agent.system in planes
+            ]
         taken = {}
-        for agent, key, _, kind, table in acting:
+        for agent, key, kind, table, actions in acting:
             goal = current[key]
             if goal != aimed[key]:
                 kpi, knob, _, congestion = seen[key]
@@ -375,7 +423,11 @@ def run_episode(
                 index = binned.get(key)
                 if index is None:
                     index = discretize(seen[key])
-            action = select_action(table, index, epsilon, rng)
+            if actions is None:
+                action = select_action(table, index, epsilon, rng)
+            else:
+                kpi_bin, knob_bin, goal_bin, congestion_bin = index
+                action = actions[kpi_bin][knob_bin][goal_bin][congestion_bin]
             apply_action(state, agent, action)
             last_action[key] = action
             taken[key] = (index, action)
@@ -418,7 +470,8 @@ def pretrain_system(
     The other plane's knobs stay at scenario defaults throughout. Each
     episode starts from a fresh default state and a fresh random goal rung
     per agent; the log records whether each agent reached its rung within
-    the achievement horizon.
+    the achievement horizon. The tables are returned frozen, after their
+    last update.
     """
     agents = [AgentId(system, k) for k in range(config.intent_count)]
     tables = {a.key: QTable.create() for a in agents}
@@ -476,6 +529,8 @@ def pretrain_system(
                 }
             )
         recent_rewards.append(episode_reward / (params.episode_length * len(agents)))
+    for table in tables.values():
+        table.freeze()
     tail = recent_rewards[-max(len(recent_rewards) // 5, 1):]
     mean_recent = float(np.mean(tail))
     converged = mean_recent >= PRETRAIN_REWARD_FLOOR

@@ -68,6 +68,11 @@ from .supervisor import (
 )
 
 
+# members read on every trace row, bound once
+_PRIORITY = SystemKind.PRIORITY
+_MBR = SystemKind.MBR
+
+
 class Approach(str, Enum):
     ATMARL = "ATMARL"
     RULE_BASED = "RuleBased"
@@ -172,10 +177,12 @@ class EpisodeTrace:
 class Artifacts:
     """Everything the evaluation stage needs, keyed by approach.
 
-    ``tape`` keeps the episode tape of the policy evaluated last, so its
-    prebuilt calls serve each of its seeds that runs next. Evaluating any
-    other approach releases it, so at most one tape is kept, and only
-    while its policy is the one being evaluated.
+    ``qtables`` are frozen, so the agents act from their greedy action
+    tables. ``tape`` keeps the acting tape (two rows used as a ring, see
+    ``EpisodeTape``) of the policy evaluated last, so its prebuilt calls
+    serve each of its seeds that runs next. Evaluating any other approach
+    releases it, so at most one tape is kept, and only while its policy is
+    the one being evaluated.
     """
 
     qtables: dict[str, QTable]
@@ -252,6 +259,8 @@ def load_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     qtables = {
         a.key: QTable(values=take_block(arrays, f"qtable.{a.key}", table_shape)) for a in agent_roster(plan.scenario)
     }
+    for table in qtables.values():
+        table.freeze()  # the agents stay as pre-training left them
     return Artifacts(qtables=qtables, capabilities=_read_capabilities(arrays, plan.scenario))
 
 
@@ -325,7 +334,7 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
     kept = artifacts.tape
     if not (kept and kept.policy is supervisor and kept.length >= plan.episode_length):
         kept = artifacts.tape = None  # the last policy's tape goes before this one is built
-        artifacts.tape = EpisodeTape(supervisor, plan.episode_length)
+        artifacts.tape = EpisodeTape(supervisor, plan.episode_length, acting=True)
     # greedy decisions encode the capabilities at step 0 only and reuse those
     # latents; evaluation never updates the capabilities, so every step acts on
     # the ones it was given
@@ -352,21 +361,22 @@ def evaluate_episode(
         + [f"knob_{a.key}" for a in roster]
         + ["reward", "active_priority", "active_mbr", "dist_kind"]
     )
-    keys = [a.key for a in roster]
+    goals_of = itemgetter(*[a.key for a in roster])  # a tuple: a roster holds both planes' agents
+    services = config.services
     rows = []
 
     def record(t, state, kpis, current, active, taken, seen):
         rows.append(
-            [t]
-            + kpis
-            + [float(current[key]) for key in keys]
-            # the roster's knobs: every priority by intent, then every MBR cap
-            + [float(level) for level in state.priority]
-            + state.mbr
-            + [
-                supervisor_reward(kpis, config.services),
-                int(SystemKind.PRIORITY in active),
-                int(SystemKind.MBR in active),
+            [
+                t,
+                *kpis,
+                *map(float, goals_of(current)),
+                # the roster's knobs: every priority by intent, then every MBR cap
+                *map(float, state.priority),
+                *state.mbr,
+                supervisor_reward(kpis, services),
+                1 if _PRIORITY in active else 0,
+                1 if _MBR in active else 0,
                 state.distribution.kind.value,
             ]
         )

@@ -13,9 +13,10 @@ baseline: acting never runs it, and training scores an episode's contexts
 in one call once the episode is over. One preallocated ``EpisodeTape`` owns
 every buffer of an episode: the forward writes step t into row t, the
 backward reads the rows of all steps at once, and only training builds the
-critic's rows and the GRU backward's programs. The tape builds the numpy
-calls of each row's forward, of its sampling and of the GRU recurrence's
-backward once, so a step runs flat lists of calls.
+critic's rows and the GRU backward's programs; evaluation acts on a tape of
+two rows used as a ring. The tape builds the numpy calls of each row's
+forward, of its sampling and of the GRU recurrence's backward once, so a
+step runs flat lists of calls.
 """
 
 from __future__ import annotations
@@ -182,23 +183,32 @@ def create_policy(
 
 
 class EpisodeTape:
-    """Preallocated float64 [steps, …] rows of one policy's actor over up to ``steps`` decisions, and the numpy calls that fill them.
+    """Preallocated float64 rows of one policy's actor over up to ``steps`` decisions, and the numpy calls that fill them.
+
+    A training tape has one row per step, [steps, …]: step t reads and
+    writes row t, and the backward reads the rows of all steps. An
+    ``acting`` tape, evaluation's, keeps only two rows used as a ring:
+    step t runs on row t % 2, and each cell hands its new state to the
+    other row. Its step lists (``logit_rows``, ``gamma_rows``,
+    ``tuple_rows`` and the call lists) alias those two rows, so a step
+    indexes either tape by t; ``prepare_training`` refuses it.
 
     Each dense part has (x, pre, out) buffers from ``nn.stack_caches``:
     ``enc`` (two layers), ``mrg``, ``fus`` (three layers) and ``head``; each
-    GRU cell has (a, zr, a_n, n) from ``nn.gru_caches`` in ``gru``. Step t
-    reads and writes row t. A part's output rows are views into the input of
-    the next, so nothing is concatenated: the encoders write the first
-    columns of the merger input, whose other columns are the step's tuples;
-    the merger writes the fusion input, whose last columns are the targets;
-    the fusion output is the first cell's input; each cell writes its new
-    hidden state into its own next row, and the first cell's is copied into
-    the second cell's input; the heads read the second cell's new state.
+    GRU cell has (a, zr, a_n, n) from ``nn.gru_caches`` in ``gru``. A part's
+    output rows are views into the input of the next, so nothing is
+    concatenated: the encoders write the first columns of the merger input,
+    whose other columns are the step's tuples; the merger writes the fusion
+    input, whose last columns are the targets; the fusion output is the
+    first cell's input; each cell writes its new hidden state into its own
+    next row, and the first cell's is copied into the second cell's input;
+    the heads read the second cell's new state.
 
-    The leaf inputs are written into ``gammas`` and ``tuples`` row by row,
-    and ``start`` sets the targets of every row. The named arrays are views
-    of those buffers. A tape is reused across episodes: ``start`` begins
-    one, and an episode of T steps reads and writes only rows below T.
+    The leaf inputs are written into a step's ``gamma_rows`` and
+    ``tuple_rows``, and ``start`` sets the targets of every row. The named
+    arrays are views of those buffers. A tape is reused across episodes:
+    ``start`` begins one, and an episode of T steps on a training tape
+    reads and writes only rows below T.
 
     The tape carries its ``policy``, and is the one handle on an episode of
     it: ``forward_step``, ``act``, ``PolicyGoals`` and ``rollout_episode``
@@ -210,32 +220,36 @@ class EpisodeTape:
     and ``load_policy`` do): ``encode_calls`` runs the encoders and the
     rest of the actor, and ``reuse_calls`` copies the row before's
     capability latents and runs the rest. ``sampler`` samples or picks each
-    row's logits. ``prepare_training`` builds what only training reads,
+    step's logits. ``prepare_training`` builds what only training reads,
     ``crit``, the critic's (x, pre, out) rows over ``contexts``, and
-    ``gru_backward``, each cell's ``nn.GruBackward``; an acting-only tape,
-    as in evaluation, never builds them.
+    ``gru_backward``, each cell's ``nn.GruBackward``.
     """
 
-    def __init__(self, policy: SupervisorPolicy, steps: int):
+    def __init__(self, policy: SupervisorPolicy, steps: int, acting: bool = False):
         n_agents, dims = len(policy.agents), policy.dims
         embedded = n_agents * dims.merger
         self.policy = policy
         self.length = steps
-        self.gru = [gru_caches(cell, steps) for cell in policy.gru]
-        mrg_x = np.empty((steps, n_agents, dims.encoder + TUPLE_DIM))
-        fus_x = np.empty((steps, policy.fusion[0].weights.shape[1]))
-        self.enc = stack_caches(policy.encoders, np.empty((steps, n_agents, GOAL_LEVELS)), mrg_x[..., : dims.encoder])
-        (self.mrg,) = stack_caches([policy.merger], mrg_x, fus_x[:, :embedded].reshape(steps, n_agents, dims.merger))
-        self.fus = stack_caches(policy.fusion, fus_x, self.gru[0][0][:steps, : dims.fusion])
-        (self.head,) = stack_caches([policy.heads], self.gru[1][0][1:, dims.gru :])
-        self.gammas = self.enc[0][0]  # [steps, agents, levels]
-        self.latents = mrg_x[..., : dims.encoder]  # [steps, agents, encoder]
-        self.tuples = mrg_x[..., dims.encoder :]  # [steps, agents, TUPLE_DIM]
-        self.targets = fus_x[:, embedded:]  # [steps, intents]
-        self.contexts = self.fus[-1][2]  # [steps, fusion]
-        self.logits = self.head[1]  # [steps, heads, levels]
-        self.logit_rows = list(self.logits)
-        self.sampler = SoftmaxSampler(self.logit_rows)
+        self.acting = acting
+        rows = 2 if acting else steps
+        self.gru = [gru_caches(cell, rows) for cell in policy.gru]
+        if acting:
+            # a ring: each cell writes its new state into the other row
+            self.gru = [(a[:2], zr, a_n, n) for a, zr, a_n, n in self.gru]
+        # row r's new state of the second cell, which the heads read
+        top = self.gru[1][0][::-1] if acting else self.gru[1][0][1:]
+        mrg_x = np.empty((rows, n_agents, dims.encoder + TUPLE_DIM))
+        fus_x = np.empty((rows, policy.fusion[0].weights.shape[1]))
+        self.enc = stack_caches(policy.encoders, np.empty((rows, n_agents, GOAL_LEVELS)), mrg_x[..., : dims.encoder])
+        (self.mrg,) = stack_caches([policy.merger], mrg_x, fus_x[:, :embedded].reshape(rows, n_agents, dims.merger))
+        self.fus = stack_caches(policy.fusion, fus_x, self.gru[0][0][:rows, : dims.fusion])
+        (self.head,) = stack_caches([policy.heads], top[:, dims.gru :])
+        self.gammas = self.enc[0][0]  # [rows, agents, levels]
+        self.latents = mrg_x[..., : dims.encoder]  # [rows, agents, encoder]
+        self.tuples = mrg_x[..., dims.encoder :]  # [rows, agents, TUPLE_DIM]
+        self.targets = fus_x[:, embedded:]  # [rows, intents]
+        self.contexts = self.fus[-1][2]  # [rows, fusion]
+        self.logits = self.head[1]  # [rows, heads, levels]
         self.crit: list[tuple] | None = None
         self.gru_backward: tuple[GruBackward, ...] | None = None
 
@@ -245,22 +259,31 @@ class EpisodeTape:
         # one view per row of each buffer, made at once; a view serves every
         # call on its memory, so the hidden state a step writes is the view
         # the next step reads
-        rows = [list(arr) for arr in (*self.mrg, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, self.latents)]
-        x, pre, out, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, latents = rows
+        views = [list(arr) for arr in (*self.mrg, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, self.latents, self.logits)]
+        x, pre, out, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, latents, logits = views
         x1, h1 = list(self.gru[0][0][:, : dims.fusion]), list(self.gru[0][0][:, dims.fusion :])
         x2, h2 = list(self.gru[1][0][:, : dims.gru]), list(self.gru[1][0][:, dims.gru :])
         encode, reuse = [], []
-        for t in range(steps):
+        for r in range(rows):
+            after = (r + 1) % len(h1)  # the next row of a cell's steps + 1 rows, or the ring's other row
             # the fusion output is the first cell's input
-            calls = dense_calls(policy.merger, x[t], pre[t], out[t]) + stack_calls(policy.fusion, self.fus, t, x1[t])
-            calls += gru_calls(cell1, a1[t], zr1[t], a_n1[t], n1[t], h1[t + 1], scratch1, x1[t], h1[t])
-            calls.append((np.copyto, (x2[t], h1[t + 1])))
-            calls += gru_calls(cell2, a2[t], zr2[t], a_n2[t], n2[t], h2[t + 1], scratch2, x2[t], h2[t])
-            calls += dense_calls(policy.heads, h2[t + 1], self.logit_rows[t], self.logit_rows[t])
-            encode.append(stack_calls(policy.encoders, self.enc, t) + calls)
-            # without encoding, step t reuses step t-1's capability latents
-            reuse.append([(np.copyto, (latents[t], latents[t - 1]))] + calls)
-        self.encode_calls, self.reuse_calls = RowCalls(encode), RowCalls(reuse)
+            calls = dense_calls(policy.merger, x[r], pre[r], out[r]) + stack_calls(policy.fusion, self.fus, r, x1[r])
+            calls += gru_calls(cell1, a1[r], zr1[r], a_n1[r], n1[r], h1[after], scratch1, x1[r], h1[r])
+            calls.append((np.copyto, (x2[r], h1[after])))
+            calls += gru_calls(cell2, a2[r], zr2[r], a_n2[r], n2[r], h2[after], scratch2, x2[r], h2[r])
+            calls += dense_calls(policy.heads, h2[after], logits[r], logits[r])
+            encode.append(stack_calls(policy.encoders, self.enc, r) + calls)
+            # without encoding, row r reuses the row before's capability latents
+            reuse.append([(np.copyto, (latents[r], latents[r - 1]))] + calls)
+        # step t runs on row t % rows, so a ring's step lists alias its two rows
+        ring = [t % rows for t in range(steps)]
+        gammas, tuples = list(self.gammas), list(self.tuples)
+        self.logit_rows = [logits[r] for r in ring]
+        self.gamma_rows = [gammas[r] for r in ring]
+        self.tuple_rows = [tuples[r] for r in ring]
+        self.sampler = SoftmaxSampler(self.logit_rows)
+        self.encode_calls = RowCalls([encode[r] for r in ring])
+        self.reuse_calls = RowCalls([reuse[r] for r in ring])
 
     def start(self, targets: np.ndarray) -> None:
         """Begin an episode: the normalized targets in every row, and zero hidden states before step 0."""
@@ -270,14 +293,16 @@ class EpisodeTape:
 
     def hidden(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of both cells' hidden states before step ``t``, which are those step t-1 left."""
-        return tuple(a[t, a.shape[1] - n.shape[1] :] for a, _, _, n in self.gru)
+        return tuple(a[t % len(a), a.shape[1] - n.shape[1] :] for a, _, _, n in self.gru)
 
     def prepare_training(self) -> None:
-        """Build ``crit`` and ``gru_backward`` on first use; later calls keep them.
+        """Build ``crit`` and ``gru_backward`` on first use; later calls keep them. An acting tape is refused.
 
         The cells' backwards run top cell first, one after the other, so the
         first cell's program shares the top one's buffers where shapes agree.
         """
+        if self.acting:
+            raise ValueError("an acting tape keeps two rows, not an episode's rows to train on")
         if self.crit is None:
             policy = self.policy
             self.crit = stack_caches(policy.critic, self.contexts)
@@ -288,11 +313,12 @@ class EpisodeTape:
 def forward_step(tape: EpisodeTape, t: int, encode: bool = True) -> np.ndarray:
     """Step ``t``'s forward of the tape's actor, from the leaf inputs in row t; returns the [heads, levels] logits row.
 
-    It runs one of the row's two prebuilt call lists. Without ``encode`` the
-    step reuses step t-1's capability latents, for capabilities that did not
-    change; its encoder rows stay unwritten, so that tape is for acting
-    only, not for a backward. Step 0 has no step before it, so it encodes
-    row 0's capabilities whatever ``encode`` says.
+    It runs one of the row's two prebuilt call lists; on an acting tape,
+    row t is row t % 2. Without ``encode`` the step reuses step t-1's
+    capability latents, for capabilities that did not change; its encoder
+    rows stay unwritten, so that tape is for acting only, not for a
+    backward. Step 0 has no step before it, so it encodes row 0's
+    capabilities whatever ``encode`` says.
     """
     (tape.encode_calls if encode or not t else tape.reuse_calls).run(t)
     return tape.logit_rows[t]
@@ -303,9 +329,10 @@ def act(tape: EpisodeTape, t: int, rng: np.random.Generator, explore: bool) -> l
 
     An exploring decision encodes its row's capabilities: training's rows
     feed the backward, and its tracker moves the capabilities between
-    steps. A greedy decision reuses the latents of the step before, so
-    after step 0 it reads no capability row: only evaluation decides
-    greedily, and its capabilities stay fixed.
+    steps. A greedy decision reuses the latents of the step before (on an
+    acting tape, of the ring's other row), so after step 0 it reads no
+    capability row: only evaluation decides greedily, and its capabilities
+    stay fixed.
     """
     forward_step(tape, t, explore)
     idx = tape.sampler.sample(t, rng) if explore else tape.sampler.greedy(t)
@@ -316,11 +343,11 @@ def supervisor_reward(kpis: list[float], services: list[ServiceSpec]) -> float:
     """Shortfall-only deviation penalty plus a bonus when every intent is met; ``kpis`` in service order."""
     total_dev = 0.0
     for kpi, svc in zip(kpis, services):
-        if svc.kpi_kind is _QOE:
-            dev = max(0.0, (svc.kpi_target - kpi) / svc.kpi_target)
-        else:
-            dev = max(0.0, (kpi - svc.kpi_target) / svc.kpi_target)
-        total_dev += dev
+        target = svc.kpi_target
+        dev = (target - kpi) / target if svc.kpi_kind is _QOE else (kpi - target) / target
+        # only a shortfall counts: a NaN, 0.0 or -0.0 deviation adds nothing, as max(0.0, dev) adds 0.0
+        if dev > 0.0:
+            total_dev += dev
     return -total_dev + (1.0 if total_dev == 0.0 else 0.0)
 
 
@@ -402,7 +429,8 @@ def score_contexts(traj: EpisodeTrajectory) -> None:
     """Run the critic once over the episode's [steps, fusion] context rows, into the tape's critic rows; sets ``traj.values``.
 
     Each step's row is its own matrix-vector product in the stacked matmul,
-    bit-equal to scoring that step's context alone.
+    bit-equal to scoring that step's context alone. An acting tape keeps no
+    episode's contexts, and is refused (``prepare_training``).
     """
     tape = traj.tape
     tape.prepare_training()
@@ -589,7 +617,7 @@ class PolicyGoals:
         tape = self.tape
         if self.explore or not t:
             # a copy: capability tracking updates the matrix in place during training
-            tape.gammas[t] = self._gammas
+            tape.gamma_rows[t][...] = self._gammas
         # per agent: observation, one-hot last action, normalized goal (the
         # observation's own goal field)
         flat = []
@@ -598,7 +626,7 @@ class PolicyGoals:
             flat += obs
             flat += _ONEHOT[last_action[key]]
             flat.append(obs.goal)
-        tape.tuples[t].flat = flat
+        tape.tuple_rows[t].flat = flat
         self.levels = act(tape, t, self.rng, self.explore)
         self.agent_levels = [self.levels[head] for head in self._heads]
         goals = {key: ladder[level - 1] for key, ladder, level in zip(keys, self._ladders, self.agent_levels)}

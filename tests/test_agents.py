@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atmarl import agents as agents_module
 from atmarl import slice_sim
 from atmarl.agents import (
     ACHIEVEMENT_HORIZON,
@@ -335,6 +336,95 @@ def test_select_action_greedy_tie_rules(q, expected):
     index = discretize(AgentObservation(0.3, 0.6, 0.9, 0.4))
     table.values[index] = q
     assert select_action(table, index, 0.0, np.random.default_rng(0)) is expected
+
+
+# ---------------------------------------------------------------------------
+# frozen tables and their greedy action tables
+
+
+def _frozen_table(rng, *choices):
+    """A frozen table whose values are drawn from ``choices``: exact ties, signed zeros and NaN rows."""
+    table = QTable.create()
+    table.values[...] = rng.choice(np.array(choices), size=table.values.shape)
+    table.freeze()
+    return table
+
+
+@pytest.mark.parametrize(
+    "choices",
+    [
+        (0.0, -0.0, 1.0, -1.0),
+        (0.0, -0.0, 0.5, np.nan),
+        (0.0, 1.0, np.nan, np.inf, -np.inf, -0.0),
+    ],
+    ids=["ties-and-signed-zeros", "nan-rows", "infinities"],
+)
+def test_greedy_table_equals_select_action_on_every_state(choices):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        table = _frozen_table(rng, *choices)
+        actions = table.greedy_actions()
+        for index in np.ndindex((OBS_BINS,) * 4):
+            want = select_action(table, index, 0.0, rng)
+            got = actions[index[0]][index[1]][index[2]][index[3]]
+            assert type(got) is KnobAction and got is want, (index, table.values[index])
+
+
+def test_greedy_table_is_built_once_per_read_only_array():
+    table = _frozen_table(np.random.default_rng(3), 0.0, 1.0)
+    assert table.greedy_actions() is table.greedy_actions()
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0, 0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        table.values.flags.writeable = True  # a frozen table stays frozen
+    new = QTable(values=np.zeros_like(table.values))
+    with pytest.raises(ValueError, match="frozen"):
+        new.greedy_actions()
+    new.freeze()
+    assert new.frozen
+    assert all(a is KnobAction.HOLD for plane in new.greedy_actions() for row in plane for cell in row for a in cell)
+
+
+def test_pretrained_tables_are_frozen_after_the_updates_landed(monkeypatch):
+    # every episode runs on writeable tables, and they come back read-only
+    # holding what the updates wrote
+    cfg = default_scenario()
+    real = agents_module.run_episode
+    writeable = []
+
+    def watched(state, qtables, *args, **kwargs):
+        writeable.append(all(not t.frozen for t in qtables.values()))
+        return real(state, qtables, *args, **kwargs)
+
+    monkeypatch.setattr(agents_module, "run_episode", watched)
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        res = pretrain_system(SystemKind.PRIORITY, cfg, np.random.default_rng(5), PretrainConfig(episodes=6, episode_length=5))
+    assert writeable == [True] * 6
+    for table in res.qtables.values():
+        assert table.frozen
+        assert np.count_nonzero(table.values) > 0
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[...] = 0.0
+
+
+def test_greedy_episode_on_frozen_tables_reads_no_q_row(pretrained, calls_to):
+    # the same knobs, actions and reports from the greedy action tables as from select_action
+    cfg, priority, mbr = pretrained
+    frozen = {**priority.qtables, **mbr.qtables}
+    writeable = {key: QTable(values=table.values.copy()) for key, table in frozen.items()}
+    goals = {a.key: cfg.services[a.intent_index].kpi_target / 2.0 for a in agent_roster(cfg)}
+    picked = calls_to("select_action")
+    runs = []
+    for tables in (frozen, writeable):
+        seen = []
+        state = init_scenario(cfg)
+        on_step = lambda t, state, kpis, current, active, taken, _: seen.append((kpis, dict(taken), state.priority[:], state.mbr[:]))
+        run_episode(state, tables, lambda *_: (goals, BOTH_PLANES), np.random.default_rng(8), 12, on_step)
+        runs.append(seen)
+        if tables is frozen:
+            assert picked == []
+    assert len(picked) == 12 * len(writeable)
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

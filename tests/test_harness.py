@@ -631,24 +631,55 @@ def test_per_copy_layout_checkpoint_is_refused(pipeline_result, tmp_path):
 
 
 def test_evaluation_on_a_reused_tape_writes_the_traces_of_a_fresh_tape(pipeline_result, tmp_path):
-    # one tape serves every seed of a policy, seeds and approaches interleaved;
-    # each trace's file bytes against a fresh tape per episode
+    # one acting tape serves every seed of a policy, seeds and approaches
+    # interleaved; each trace's file bytes against a fresh training tape,
+    # one row per step, for every episode
     plan, result = pipeline_result
     artifacts = load_pretrain(plan, result.out_dir)
     load_policy(plan, artifacts, Approach.ATMARL, result.out_dir)
-    order = [(Approach.ATMARL, seed) for seed in (3, 1, 2)] + [(Approach.RULE_BASED, 1), (Approach.ATMARL, 4)]
+    artifacts.policies[Approach.GOAL_HALVING.value] = create_policy(
+        np.random.default_rng(61), plan.scenario, mode=GoalMode.SERVICE_LEVEL
+    )
+    artifacts.policy_capabilities[Approach.GOAL_HALVING.value] = artifacts.capabilities
+    order = [(Approach.ATMARL, seed) for seed in (3, 1)] + [
+        (Approach.GOAL_HALVING, 2),
+        (Approach.ATMARL, 2),
+        (Approach.GOAL_HALVING, 1),
+        (Approach.GOAL_HALVING, 3),
+        (Approach.RULE_BASED, 1),
+        (Approach.ATMARL, 4),
+    ]
     files = []
     for fresh in (False, True):
         traces = []
         for approach, seed in order:
-            if fresh:
-                artifacts.tape = None
+            policy = artifacts.policies.get(approach.value)
+            if fresh and policy is not None:
+                artifacts.tape = EpisodeTape(policy, plan.episode_length)
             traces.append(evaluate_episode(plan, artifacts, approach, seed))
-            if approach is Approach.ATMARL:
-                assert artifacts.tape.policy is artifacts.policies[Approach.ATMARL.value]
+            if policy is not None:
+                assert artifacts.tape.policy is policy
+                assert artifacts.tape.acting is not fresh
+                assert len(artifacts.tape.logits) == (plan.episode_length if fresh else 2)
         out = tmp_path / ("fresh" if fresh else "reused")
         out.mkdir()
         for i, trace in enumerate(traces):
             trace.to_csv(out / f"{i}.csv")
         files.append([(out / f"{i}.csv").read_bytes() for i in range(len(traces))])
     assert files[0] == files[1]
+
+
+def test_loaded_and_pretrained_tables_refuse_writes(pipeline_result, tmp_path):
+    plan, result = pipeline_result
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        pretrained = stage_pretrain(plan, tmp_path)  # the pipeline's pre-training, rerun
+    loaded = load_pretrain(plan, result.out_dir)
+    for artifacts in (pretrained, loaded):
+        assert set(artifacts.qtables) == {a.key for a in agent_roster(plan.scenario)}
+        for table in artifacts.qtables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table.values[0, 0, 0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                table.values.flags.writeable = True
+    for key, table in loaded.qtables.items():
+        assert table.values.tobytes() == pretrained.qtables[key].values.tobytes()

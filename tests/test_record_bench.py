@@ -43,6 +43,8 @@ def test_microbenchmarks_run_on_this_checkout():
         "save_checkpoint_ref",
         "load_checkpoint_ms",
         "load_checkpoint_ref",
+        "evaluate_episode_ms",
+        "evaluate_episode_ref",
     }
     assert all(stats["n"] == 2 for stats in micro.values())
 
@@ -100,3 +102,40 @@ def test_traced_runs_that_disagree_are_written_into_the_record():
     del runs[1]["metrics"]["agents.observe.self_ms"]
     with pytest.raises(ValueError, match="agents.observe.self_ms"):
         record_bench.merge_traced(runs)
+
+
+def test_two_trees_take_turns_workload_by_workload(monkeypatch):
+    calls = []
+
+    def fake_perfbench(tree, workload, trace):
+        calls.append((tree.name, workload, trace))
+        return canned_traced_run(f"{tree.name}{len(calls)}", float(len(calls)), 1.0)
+
+    monkeypatch.setattr(record_bench, "perfbench", fake_perfbench)
+    monkeypatch.setattr(record_bench, "TRACED_RUNS", 3)
+    parent, change = record_bench.perfbench_records([Path("parent"), Path("change")])
+    expected = []
+    for workload in record_bench.WORKLOADS:
+        expected += [
+            ("parent", workload, 0), ("change", workload, 0),
+            ("change", workload, 1), ("parent", workload, 1),
+            ("parent", workload, 1), ("change", workload, 1),
+            ("change", workload, 1), ("parent", workload, 1),
+        ]
+    assert calls == expected
+    for record, name in ((parent, "parent"), (change, "change")):
+        assert set(record) == set(record_bench.WORKLOADS)
+        for workload, entry in record.items():
+            assert entry["timed"]["digest"].startswith(f"digest sha256:{name}")
+            assert [line.split()[1][7:].rstrip("0123456789") for line in entry["traced"]["digests"]] == [name] * 3
+            assert entry["traced"]["attempted"] == 3 * 2400
+    # the record of one tree alone runs in the order of the single-tree recording
+    calls.clear()
+    (alone,) = record_bench.perfbench_records([Path("change")])
+    assert calls == [("change", w, trace) for w in record_bench.WORKLOADS for trace in (0, 1, 1, 1)]
+    assert set(alone) == set(record_bench.WORKLOADS)
+
+
+def test_parent_needs_its_label():
+    with pytest.raises(SystemExit):
+        record_bench.main(["--label", "x", "--parent", "elsewhere"])

@@ -512,6 +512,36 @@ def test_reward_sums_deviations():
     assert supervisor_reward([2.0, 4.0, 1.0], default_scenario().services) == pytest.approx(-1.5)
 
 
+def _max_reward(kpis, services):
+    """The reward as ``max(0.0, deviation)`` summed, per service."""
+    total = 0.0
+    for kpi, svc in zip(kpis, services):
+        if svc.kpi_kind is KpiKind.QOE:
+            total += max(0.0, (svc.kpi_target - kpi) / svc.kpi_target)
+        else:
+            total += max(0.0, (kpi - svc.kpi_target) / svc.kpi_target)
+    return -total + (1.0 if total == 0.0 else 0.0)
+
+
+@pytest.mark.parametrize(
+    "kpis",
+    [
+        [np.nan, np.nan, np.nan],
+        [4.0, 2.0, 2.0],  # every KPI on its target: zero deviations
+        [4.0, -0.0, 0.0],
+        [np.inf, -np.inf, np.nan],
+        [-np.inf, np.inf, 2.0],
+        [4.0 - 1e-15, 2.0 + 1e-15, np.nextafter(2.0, 3.0)],
+        [2.0, np.nan, 1.0],
+    ],
+)
+def test_reward_counts_only_positive_deviations_with_the_bits_of_max(kpis):
+    services = default_scenario().services
+    assert [svc.kpi_target for svc in services] == [4.0, 2.0, 2.0]
+    got = supervisor_reward(kpis, services)
+    assert np.float64(got).tobytes() == np.float64(_max_reward(kpis, services)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # end-to-end gradient check (toy episode)
 
@@ -783,6 +813,45 @@ def test_greedy_policy_goals_encode_step_0_only_with_the_same_logits(mode):
         assert [i + 1 for i in ref.sampler.greedy(t).tolist()] == levels[t], t
     assert ref.logits.tobytes() == tape.logits.tobytes()
     assert ref.latents.tobytes() == tape.latents.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(GoalMode))
+def test_acting_tape_decides_as_a_tape_of_one_row_per_step(mode):
+    # two rows used as a ring give every step the rungs, logits and hidden
+    # states of a training tape's own row, over an episode longer than the ring
+    cfg, policy = toy_policy(seed=21, mode=mode)
+    state = slice_sim.init_scenario(cfg)
+    members = roster_members(cfg)
+    targets = {m.key: cfg.services[m.intent].kpi_target for m in members}
+    caps = {a.key: CapabilityVector.prior() for a in policy.agents}
+    runs = []
+    for acting in (True, False):
+        tape = EpisodeTape(policy, 9, acting=acting)
+        assert len(tape.logits) == (2 if acting else 9)
+        source = PolicyGoals(tape, cfg, caps, np.random.default_rng(4), explore=False)
+        rng = np.random.default_rng(5)
+        steps = []
+        last_action = {m.key: KnobAction.HOLD for m in members}
+        for t in range(9):
+            report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, rng))
+            seen = observe(state, report.kpi.tolist(), report.congestion, members, targets)
+            last_action = {key: KnobAction(t % 3) for key in last_action}
+            source(t, seen, last_action)
+            hidden = tape.hidden(t + 1)
+            steps.append((source.levels, tape.logit_rows[t].tobytes(), hidden[0].tobytes(), hidden[1].tobytes()))
+        runs.append(steps)
+    assert runs[0] == runs[1]
+
+
+def test_acting_tape_refuses_training():
+    cfg, policy = toy_policy(seed=22)
+    tape = EpisodeTape(policy, 4, acting=True)
+    with pytest.raises(ValueError, match="acting tape"):
+        tape.prepare_training()
+    traj = EpisodeTrajectory(tape=tape, rewards=[0.0] * 4)
+    with pytest.raises(ValueError, match="acting tape"):
+        score_contexts(traj)
+    assert tape.crit is None and tape.gru_backward is None and traj.values is None
 
 
 def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
