@@ -31,13 +31,14 @@ The microbenchmarks call the package's current signatures: ``observe`` as
 one pass over a list of roster members and the report's KPIs as floats,
 ``act`` and ``forward_step`` on a row of an ``EpisodeTape`` that carries
 its policy (``act`` returning each head's rung), ``rollout_episode`` on a
-given tape and ``episode_gradients`` on its trajectory, refilling one
-accumulator as training does, the critic values read off the trajectory,
-and the simulator state's knobs as the two plain lists ``state.priority``
-and ``state.mbr`` beside its ``state.scenario``. So ``--tree`` must be a
-checkout from the change that made the tape carry its policy onwards;
-older trees fail. Measure an older tree with that tree's own
-``record_bench.py``.
+given tape with a ``CapabilityTracker``, drawing its exploring start
+itself, as ``train_supervisor`` runs it, and ``episode_gradients`` on its
+trajectory, refilling one accumulator as training does, the critic values
+read off the trajectory, and the simulator state's knobs as the two plain
+lists ``state.priority`` and ``state.mbr`` beside its ``state.scenario``.
+So ``--tree`` must be a checkout from the change that made
+``rollout_episode`` one exploring training episode onwards; older trees
+fail. Measure an older tree with that tree's own ``record_bench.py``.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ def microbenchmarks(tree: Path) -> dict:
         Approach, _capability_blocks, evaluate_episode, load_policy, load_pretrain, stage_pretrain, stage_train_supervisor,
     )
     from atmarl.supervisor import (
-        DISCOUNT, EpisodeTape, TrainConfig, act, create_policy, discounted_returns, episode_gradients,
-        forward_step, rollout_episode,
+        DISCOUNT, CapabilityTracker, EpisodeTape, TrainConfig, act, create_policy, discounted_returns,
+        episode_gradients, forward_step, rollout_episode,
     )
 
     cfg = default_scenario()
@@ -203,15 +204,17 @@ def microbenchmarks(tree: Path) -> dict:
             before = after
         return ms, ref
 
-    # as training runs: one tape for the timed rollouts, another kept for the
-    # trajectory the other supervisor microbenchmarks read, and one accumulator
+    # as training runs: one tracker, one tape for the timed rollouts, another
+    # kept for the trajectory the other supervisor microbenchmarks read, and
+    # one accumulator
+    tracker = CapabilityTracker(caps, cfg)
     rollout_tape = EpisodeTape(policy, train.episode_length)
     acc = policy.zeros_like()
 
     def rollout():
-        return rollout_episode(rollout_tape, cfg, qtables, caps, rng, explore=True)
+        return rollout_episode(rollout_tape, cfg, qtables, tracker, rng)
 
-    traj = rollout_episode(EpisodeTape(policy, train.episode_length), cfg, qtables, caps, rng, explore=True)
+    traj = rollout_episode(EpisodeTape(policy, train.episode_length), cfg, qtables, tracker, rng)
     returns = discounted_returns(traj.rewards, DISCOUNT)
     advantages = returns - traj.values
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)

@@ -100,6 +100,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.seeds:
             raise ScenarioError("plan needs at least one seed")
+        # a repeated seed would be run and summarized twice, its trace file written over
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+        if repeated:
+            raise ScenarioError(f"evaluation seeds must be distinct, got {repeated} more than once")
         # numpy seeds its generators from non-negative integers only
         seeds = {"evaluation seed": min(self.seeds), "train_seed": self.train_seed, "pretrain_seed": self.pretrain_seed}
         for name, seed in seeds.items():
@@ -335,9 +339,9 @@ def _goal_source(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach,
     if not (kept and kept.policy is supervisor and kept.length >= plan.episode_length):
         kept = artifacts.tape = None  # the last policy's tape goes before this one is built
         artifacts.tape = EpisodeTape(supervisor, plan.episode_length, acting=True)
-    # greedy decisions encode the capabilities at step 0 only and reuse those
-    # latents; evaluation never updates the capabilities, so every step acts on
-    # the ones it was given
+    # the acting tape encodes the capabilities at steps 0 and 1 only, one per
+    # ring row, and later steps reuse those latents; evaluation never updates
+    # the capabilities, so every step acts on the ones it was given
     policy = PolicyGoals(artifacts.tape, config, artifacts.policy_capabilities[approach.value], rng, explore=False)
     if approach is Approach.GOAL_HALVING:
         return lambda *step: (goal_halving(policy(*step)[0]), BOTH_PLANES)

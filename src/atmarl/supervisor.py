@@ -14,9 +14,12 @@ in one call once the episode is over. One preallocated ``EpisodeTape`` owns
 every buffer of an episode: the forward writes step t into row t, the
 backward reads the rows of all steps at once, and only training builds the
 critic's rows and the GRU backward's programs; evaluation acts on a tape of
-two rows used as a ring. The tape builds the numpy calls of each row's
-forward, of its sampling and of the GRU recurrence's backward once, so a
-step runs flat lists of calls.
+two rows used as a ring. A step encodes its row's capabilities exactly
+when the episode has not used that row yet: every step of a training
+tape, and the ring's first two; later ring steps reuse the latents their
+row holds. The tape builds the numpy calls of each row's forward, of its
+sampling and of the GRU recurrence's backward once, so a step runs flat
+lists of calls.
 """
 
 from __future__ import annotations
@@ -185,13 +188,14 @@ def create_policy(
 class EpisodeTape:
     """Preallocated float64 rows of one policy's actor over up to ``steps`` decisions, and the numpy calls that fill them.
 
-    A training tape has one row per step, [steps, …]: step t reads and
-    writes row t, and the backward reads the rows of all steps. An
-    ``acting`` tape, evaluation's, keeps only two rows used as a ring:
-    step t runs on row t % 2, and each cell hands its new state to the
-    other row. Its step lists (``logit_rows``, ``gamma_rows``,
-    ``tuple_rows`` and the call lists) alias those two rows, so a step
-    indexes either tape by t; ``prepare_training`` refuses it.
+    A training tape has one row per step, [steps, …] (``rows`` is
+    ``steps``): step t reads and writes row t, and the backward reads the
+    rows of all steps. An ``acting`` tape, evaluation's, keeps only two
+    rows used as a ring: step t runs on row t % 2, and each cell hands its
+    new state to the other row. Its step lists (``logit_rows``,
+    ``gamma_rows``, ``tuple_rows`` and ``step_calls``) alias those two
+    rows, so a step indexes either tape by t; ``prepare_training`` refuses
+    it.
 
     Each dense part has (x, pre, out) buffers from ``nn.stack_caches``:
     ``enc`` (two layers), ``mrg``, ``fus`` (three layers) and ``head``; each
@@ -217,12 +221,12 @@ class EpisodeTape:
     prebuilt call lists, made of the ``nn.dense_calls`` and
     ``nn.gru_calls`` of its parts with their row views, which hold the
     policy's parameter arrays, so an update must write them in place (Adam
-    and ``load_policy`` do): ``encode_calls`` runs the encoders and the
-    rest of the actor, and ``reuse_calls`` copies the row before's
-    capability latents and runs the rest. ``sampler`` samples or picks each
-    step's logits. ``prepare_training`` builds what only training reads,
-    ``crit``, the critic's (x, pre, out) rows over ``contexts``, and
-    ``gru_backward``, each cell's ``nn.GruBackward``.
+    and ``load_policy`` do): ``encode_calls`` runs the encoders, only on a
+    step below ``rows``, and ``step_calls`` the rest of the actor.
+    ``sampler`` samples or picks each step's logits. ``prepare_training``
+    builds what only training reads, ``crit``, the critic's (x, pre, out)
+    rows over ``contexts``, and ``gru_backward``, each cell's
+    ``nn.GruBackward``.
     """
 
     def __init__(self, policy: SupervisorPolicy, steps: int, acting: bool = False):
@@ -231,7 +235,7 @@ class EpisodeTape:
         self.policy = policy
         self.length = steps
         self.acting = acting
-        rows = 2 if acting else steps
+        self.rows = rows = 2 if acting else steps
         self.gru = [gru_caches(cell, rows) for cell in policy.gru]
         if acting:
             # a ring: each cell writes its new state into the other row
@@ -259,11 +263,11 @@ class EpisodeTape:
         # one view per row of each buffer, made at once; a view serves every
         # call on its memory, so the hidden state a step writes is the view
         # the next step reads
-        views = [list(arr) for arr in (*self.mrg, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, self.latents, self.logits)]
-        x, pre, out, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, latents, logits = views
+        views = [list(arr) for arr in (*self.mrg, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, self.logits)]
+        x, pre, out, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, logits = views
         x1, h1 = list(self.gru[0][0][:, : dims.fusion]), list(self.gru[0][0][:, dims.fusion :])
         x2, h2 = list(self.gru[1][0][:, : dims.gru]), list(self.gru[1][0][:, dims.gru :])
-        encode, reuse = [], []
+        encode, rest = [], []
         for r in range(rows):
             after = (r + 1) % len(h1)  # the next row of a cell's steps + 1 rows, or the ring's other row
             # the fusion output is the first cell's input
@@ -272,9 +276,8 @@ class EpisodeTape:
             calls.append((np.copyto, (x2[r], h1[after])))
             calls += gru_calls(cell2, a2[r], zr2[r], a_n2[r], n2[r], h2[after], scratch2, x2[r], h2[r])
             calls += dense_calls(policy.heads, h2[after], logits[r], logits[r])
-            encode.append(stack_calls(policy.encoders, self.enc, r) + calls)
-            # without encoding, row r reuses the row before's capability latents
-            reuse.append([(np.copyto, (latents[r], latents[r - 1]))] + calls)
+            encode.append(stack_calls(policy.encoders, self.enc, r))
+            rest.append(calls)
         # step t runs on row t % rows, so a ring's step lists alias its two rows
         ring = [t % rows for t in range(steps)]
         gammas, tuples = list(self.gammas), list(self.tuples)
@@ -282,8 +285,8 @@ class EpisodeTape:
         self.gamma_rows = [gammas[r] for r in ring]
         self.tuple_rows = [tuples[r] for r in ring]
         self.sampler = SoftmaxSampler(self.logit_rows)
-        self.encode_calls = RowCalls([encode[r] for r in ring])
-        self.reuse_calls = RowCalls([reuse[r] for r in ring])
+        self.encode_calls = RowCalls(encode)  # step t < rows runs on row t
+        self.step_calls = RowCalls([rest[r] for r in ring])
 
     def start(self, targets: np.ndarray) -> None:
         """Begin an episode: the normalized targets in every row, and zero hidden states before step 0."""
@@ -310,31 +313,23 @@ class EpisodeTape:
             self.gru_backward = (GruBackward(policy.gru[0], self.gru[0], top), top)
 
 
-def forward_step(tape: EpisodeTape, t: int, encode: bool = True) -> np.ndarray:
+def forward_step(tape: EpisodeTape, t: int) -> np.ndarray:
     """Step ``t``'s forward of the tape's actor, from the leaf inputs in row t; returns the [heads, levels] logits row.
 
-    It runs one of the row's two prebuilt call lists; on an acting tape,
-    row t is row t % 2. Without ``encode`` the step reuses step t-1's
-    capability latents, for capabilities that did not change; its encoder
-    rows stay unwritten, so that tape is for acting only, not for a
-    backward. Step 0 has no step before it, so it encodes row 0's
-    capabilities whatever ``encode`` says.
+    On an acting tape, row t is row t % 2. The step encodes its row's
+    capabilities when the episode has not used that row yet (``t <
+    tape.rows``); a later step of the ring reuses the latents its row
+    already holds, so it reads no capability row.
     """
-    (tape.encode_calls if encode or not t else tape.reuse_calls).run(t)
+    if t < tape.rows:
+        tape.encode_calls.run(t)
+    tape.step_calls.run(t)
     return tape.logit_rows[t]
 
 
 def act(tape: EpisodeTape, t: int, rng: np.random.Generator, explore: bool) -> list[int]:
-    """One supervisor decision, ``forward_step`` on row ``t``: each head's goal rung, sampled or greedy.
-
-    An exploring decision encodes its row's capabilities: training's rows
-    feed the backward, and its tracker moves the capabilities between
-    steps. A greedy decision reuses the latents of the step before (on an
-    acting tape, of the ring's other row), so after step 0 it reads no
-    capability row: only evaluation decides greedily, and its capabilities
-    stay fixed.
-    """
-    forward_step(tape, t, explore)
+    """One supervisor decision, ``forward_step`` on row ``t``: each head's goal rung, sampled or greedy."""
+    forward_step(tape, t)
     idx = tape.sampler.sample(t, rng) if explore else tape.sampler.greedy(t)
     return [i + 1 for i in idx.tolist()]
 
@@ -583,12 +578,15 @@ class PolicyGoals:
     leaf inputs into row t of ``tape`` (whose ``start`` it calls): each
     agent's tuple of the engine's observation, written from one flat list,
     which before the first assignment is made against the global targets,
-    and the capability vectors the step encodes, copied in one call from
-    ``agents.capability_matrix``, whose rows the vectors become. An
-    exploring source copies and encodes them at every step; a greedy one
-    only at step 0, and later steps reuse those latents (see ``act``). The
-    latest decision's rung of each head (``levels``) and of each agent in
-    roster order (``agent_levels``) stay readable until the next step.
+    and the capability vectors, copied in one call from
+    ``agents.capability_matrix``, whose rows the vectors become, at each
+    step that encodes them (see ``forward_step``): every step of a
+    training tape, so a tracker's updates reach the next step, and the
+    first two of an acting tape, whose capabilities stay fixed. An
+    exploring source samples its rungs, a greedy one takes each head's
+    first maximum. The latest decision's rung of each head (``levels``)
+    and of each agent in roster order (``agent_levels``) stay readable
+    until the next step.
     """
 
     def __init__(
@@ -615,7 +613,7 @@ class PolicyGoals:
     def __call__(self, t, seen, last_action):
         keys = self._keys
         tape = self.tape
-        if self.explore or not t:
+        if t < tape.rows:
             # a copy: capability tracking updates the matrix in place during training
             tape.gamma_rows[t][...] = self._gammas
         # per agent: observation, one-hot last action, normalized goal (the
@@ -637,32 +635,33 @@ def rollout_episode(
     tape: EpisodeTape,
     config: ScenarioConfig,
     qtables: dict[str, QTable],
-    capabilities: dict[str, CapabilityVector],
+    tracker: CapabilityTracker,
     rng: np.random.Generator,
-    explore: bool,
-    tracker: CapabilityTracker | None = None,
-    randomize_start: bool = False,
 ) -> EpisodeTrajectory:
-    """Run one closed-loop episode of ``tape.length`` steps on the tape, the frozen agents in the loop, then score its contexts.
+    """Run one exploring training episode of ``tape.length`` steps on the tape, the frozen agents in the loop, then score its contexts.
 
-    A greedy rollout encodes the capabilities at step 0 only (see ``act``),
-    so with a ``tracker`` it would act on the latents of its start.
+    An acting tape is refused before anything is drawn or tracked. The
+    rollout's first draw picks an exploring start (``EXPLORING_STARTS``):
+    random priorities and MBR caps instead of the scenario's defaults. The
+    supervisor samples its goals from ``tracker.capabilities``, the tracker
+    counts every step's rungs against its KPIs, and it is flushed at the end.
     """
+    tape.prepare_training()
     state = slice_sim.init_scenario(config)
-    if randomize_start:
+    if rng.random() < EXPLORING_STARTS:
         n = config.intent_count
         state.priority = rng.integers(1, 6, size=n).tolist()
         state.mbr = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
-    goals = PolicyGoals(tape, config, capabilities, rng, explore)
+    goals = PolicyGoals(tape, config, tracker.capabilities, rng, explore=True)
     traj = EpisodeTrajectory(tape=tape)
 
     def record(t, state, kpis, current, active, taken, seen):
-        if tracker is not None:
-            tracker.observe_step(goals.agent_levels, kpis)
+        tracker.observe_step(goals.agent_levels, kpis)
         traj.sampled_levels.append(goals.levels)
         traj.rewards.append(supervisor_reward(kpis, config.services))
 
     run_episode(state, qtables, goals, rng, tape.length, record)
+    tracker.flush()
     score_contexts(traj)
     return traj
 
@@ -677,7 +676,8 @@ def train_supervisor(
 ) -> TrainStats:
     """Episodic A2C over the frozen MARL systems; mutates the policy in place.
 
-    One episode tape and one gradient accumulator serve every episode.
+    One episode tape, one capability tracker and one gradient accumulator
+    serve every episode.
     """
     opt = OptimizerState(lr=LEARNING_RATE)
     params = policy.named_params()
@@ -686,17 +686,7 @@ def train_supervisor(
     acc = policy.zeros_like()
     stats = TrainStats()
     for episode in range(cfg.episodes):
-        traj = rollout_episode(
-            tape,
-            config,
-            qtables,
-            capabilities,
-            rng,
-            explore=True,
-            tracker=tracker,
-            randomize_start=bool(rng.random() < EXPLORING_STARTS),
-        )
-        tracker.flush()
+        traj = rollout_episode(tape, config, qtables, tracker, rng)
         returns = discounted_returns(traj.rewards, DISCOUNT)
         advantages = returns - traj.values
         if len(advantages) > 1:

@@ -55,6 +55,18 @@ def test_cli_rejects_unknown_approach(scenario_file, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_cli_evaluate_refuses_a_repeated_seed_before_reading_a_checkpoint(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli(
+        "evaluate", "--scenario", scenario_file, "--out", out, "--checkpoint", tmp_path / "none",
+        "--approach", "RuleBased", "--seed", 1, "--seed", 1,
+    )
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: evaluation seeds must be distinct, got [1] more than once"], err
+    assert not out.exists()
+
+
 def test_cli_rejects_bad_scenario(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nbandwidth_mbps = -3\n\n[service:cv0]\nkind = CV\ndemand_mbps = 1\nue_count = 1\n")

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atmarl import harness, supervisor
-from atmarl.agents import GOAL_LEVELS, PretrainConfig, agent_roster, goal_value
+from atmarl import harness, slice_sim, supervisor
+from atmarl.agents import GOAL_LEVELS, PretrainConfig, agent_roster, goal_value, run_episode
 from atmarl.checkpoint import load_checkpoint, save_checkpoint
 from atmarl.baselines import SWITCH_PERIOD
 from atmarl.config import default_scenario, load_scenario, write_scenario
@@ -35,10 +35,11 @@ from atmarl.supervisor import (
     EpisodeTape,
     GoalMode,
     TrainConfig,
+    PolicyGoals,
     TrainStats,
     create_policy,
     forward_step,
-    rollout_episode,
+    supervisor_reward,
 )
 from oracles import csv_writer_trace, train_stats_csv, write_pretrain_log
 
@@ -106,6 +107,12 @@ def test_plan_rejects_negative_seeds(bad, name):
     # numpy refuses a negative seed only when the stage that draws from it starts
     with pytest.raises(ScenarioError, match=f"{name} must be non-negative"):
         quick_plan(**bad)
+
+
+def test_plan_rejects_repeated_evaluation_seeds():
+    # seed 1 would be run and summarized twice, its second trace written over the first
+    with pytest.raises(ScenarioError, match=r"distinct, got \[1\] more than once"):
+        quick_plan(seeds=(1, 1, 2))
 
 
 def test_plan_rejects_nonincreasing_shifts():
@@ -387,28 +394,31 @@ def test_full_run_into_a_used_directory_equals_a_fresh_run(tmp_path):
 
 
 def test_evaluation_matches_greedy_training_rollout(pipeline_result):
-    # an ATMARL evaluation episode is the supervisor-training rollout run greedily
+    # an ATMARL evaluation episode, on its acting tape, is the supervisor's
+    # closed loop run greedily on a training tape of one row per step
     plan, result = pipeline_result
     artifacts = load_pretrain(plan, result.out_dir)
     load_policy(plan, artifacts, Approach.ATMARL, result.out_dir)
     seed = plan.seeds[0]
     trace = evaluate_episode(plan, artifacts, Approach.ATMARL, seed)
     config = plan.eval_scenario
-    traj = rollout_episode(
-        EpisodeTape(artifacts.policies[Approach.ATMARL.value], plan.episode_length),
-        config,
-        artifacts.qtables,
-        artifacts.policy_capabilities[Approach.ATMARL.value],
-        np.random.default_rng(seed),
-        explore=False,
-    )
+    rng = np.random.default_rng(seed)
+    tape = EpisodeTape(artifacts.policies[Approach.ATMARL.value], plan.episode_length)
+    goals = PolicyGoals(tape, config, artifacts.policy_capabilities[Approach.ATMARL.value], rng, explore=False)
+    rewards, chosen = [], []
+
+    def record(t, state, kpis, *_):
+        rewards.append(supervisor_reward(kpis, config.services))
+        chosen.append(goals.levels)
+
+    run_episode(slice_sim.init_scenario(config), artifacts.qtables, goals, rng, plan.episode_length, record)
     reward = trace.columns.index("reward")
-    assert [row[reward] for row in trace.rows] == traj.rewards
+    assert [row[reward] for row in trace.rows] == rewards
     roster = agent_roster(config)
     goal_cols = [trace.columns.index(f"goal_{a.key}") for a in roster]
     sampled = [
         [goal_value(config.services[a.intent_index].kpi_kind, level) for a, level in zip(roster, levels)]
-        for levels in traj.sampled_levels
+        for levels in chosen
     ]
     assert [[row[c] for c in goal_cols] for row in trace.rows] == sampled
 

@@ -39,6 +39,7 @@ from atmarl.supervisor import (
     PolicyDims,
     PolicyGoals,
     TUPLE_DIM,
+    CapabilityTracker,
     TrainConfig,
     act,
     create_policy,
@@ -265,59 +266,89 @@ def test_hidden_state_evolves_under_constant_context():
         assert not np.allclose(tape.hidden(t + 1)[1], tape.hidden(t)[1])
 
 
-@pytest.mark.parametrize("encode", [True, False], ids=["encode", "reuse-latents"])
+# a training tape encodes every step; an acting tape's later steps reuse its ring rows' latents
+@pytest.mark.parametrize("acting", [False, True], ids=["encode", "reuse-latents"])
 @pytest.mark.parametrize("five", [False, True], ids=["3-intents", "5-intents"])
-def test_prebuilt_forward_equals_per_step_oracle(five, encode):
+def test_prebuilt_forward_equals_per_step_oracle(five, acting):
     # default dims: forward_step's prebuilt calls against the forward on fresh,
-    # concatenated arrays, every written row bit for bit; without encode,
-    # every step after the first reuses step 0's latents of fixed capabilities
-    # and reads no capability row (they stay NaN)
+    # concatenated arrays, every written row bit for bit; each step writes the
+    # capabilities into a row the episode has not used yet, as PolicyGoals does,
+    # and later steps on the ring reuse its rows' latents of fixed capabilities
     cfg = default_scenario(five_intents=five)
     rng = np.random.default_rng(440 + five)
     policy = create_policy(rng, cfg)
     n, steps = len(policy.agents), 12
-    tape = EpisodeTape(policy, steps)
+    tape = EpisodeTape(policy, steps, acting=acting)
     tape.gammas[...] = np.nan
     tape.start(_targets(cfg))
     gammas = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
     h1 = h2 = np.zeros(policy.dims.gru)
     for t in range(steps):
-        step_encodes = encode or t == 0
-        if step_encodes:
-            tape.gammas[t] = gammas
-        tape.tuples[t] = rng.uniform(0.0, 1.0, (n, TUPLE_DIM))
-        logits = forward_step(tape, t, step_encodes)
-        ref, h1, h2, caches = per_step_forward(policy, gammas, tape.tuples[t], tape.targets[t], h1, h2)
+        r = t % tape.rows
+        if t < tape.rows:
+            tape.gamma_rows[t][...] = gammas
+        tape.tuple_rows[t][...] = rng.uniform(0.0, 1.0, (n, TUPLE_DIM))
+        logits = forward_step(tape, t)
+        ref, h1, h2, caches = per_step_forward(policy, gammas, tape.tuples[r], tape.targets[r], h1, h2)
         assert logits.tobytes() == ref.tobytes(), t
-        assert tape.latents[t].tobytes() == caches["enc"][-1][2].tobytes(), t
-        assert tape.contexts[t].tobytes() == caches["fus"][-1][2].tobytes(), t
+        assert tape.latents[r].tobytes() == caches["enc"][-1][2].tobytes(), t
+        assert tape.contexts[r].tobytes() == caches["fus"][-1][2].tobytes(), t
         for h, ref_h in zip(tape.hidden(t + 1), (h1, h2)):
             assert h.tobytes() == ref_h.tobytes(), t
-    assert np.isnan(tape.gammas[1:]).all() != encode
+    assert not np.isnan(tape.gammas).any()
 
 
-def test_step_0_encodes_its_own_capabilities_even_without_encode():
-    # the last row holds another episode's latents: step 0 reads row 0's
-    # capabilities, never copies them, and writes the bytes of encoding
+@pytest.mark.parametrize("mode", list(GoalMode))
+@pytest.mark.parametrize("five", [False, True], ids=["3-intents", "5-intents"])
+def test_acting_tape_encodes_each_ring_row_once(mode, five):
+    # after step 1 both ring rows' capabilities are NaN: a later step that read
+    # them would give NaN logits, yet every step's logits are a training
+    # tape's, which encodes every step's own copy
+    cfg = default_scenario(five_intents=five)
+    rng = np.random.default_rng(460 + five)
+    policy = create_policy(rng, cfg, mode=mode)
+    n, steps = len(policy.agents), 10
+    gammas = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
+    acting, training = EpisodeTape(policy, steps, acting=True), EpisodeTape(policy, steps)
+    for tape in (acting, training):
+        tape.start(_targets(cfg))
+    for t in range(steps):
+        if t == 2:
+            acting.gammas[...] = np.nan
+        tuples = rng.uniform(0.0, 1.0, (n, TUPLE_DIM))
+        for tape in (acting, training):
+            if t < tape.rows:
+                tape.gamma_rows[t][...] = gammas
+            tape.tuple_rows[t][...] = tuples
+        assert forward_step(acting, t).tobytes() == forward_step(training, t).tobytes(), t
+    assert np.isnan(acting.gammas).all()
+
+
+def test_reused_acting_tape_opens_with_the_bytes_of_a_fresh_one():
+    # the ring's rows hold another episode's latents: steps 0 and 1 read their
+    # own rows' capabilities and write the bytes of a fresh tape
     cfg, policy = toy_policy(seed=23)
     gammas, tuples, targets = _act_inputs(cfg, policy)
-    used = EpisodeTape(policy, 3)
+    used = EpisodeTape(policy, 5, acting=True)
     used.start(targets)
-    for t in range(3):
-        used.gammas[t], used.tuples[t] = gammas + 0.25, tuples
+    for t in range(5):
+        if t < used.rows:
+            used.gamma_rows[t][...] = gammas + 0.25
+        used.tuple_rows[t][...] = tuples
         forward_step(used, t)
-    fresh = EpisodeTape(policy, 3)
+    fresh = EpisodeTape(policy, 5, acting=True)
+    old_latents = used.latents.copy()
     for tape in (used, fresh):
         tape.start(targets)
-        tape.gammas[0], tape.tuples[0] = gammas, tuples
-    forward_step(used, 0, False)
-    forward_step(fresh, 0)
-    assert used.latents[0].tobytes() != used.latents[-1].tobytes()
+        for t in range(2):
+            tape.gamma_rows[t][...], tape.tuple_rows[t][...] = gammas, tuples
+            forward_step(tape, t)
+    assert used.latents.tobytes() != old_latents.tobytes()
 
-    def row_0(tape):
-        return [tape.logits[0], tape.contexts[0], *tape.hidden(1), *(arr[0] for cache in tape.enc for arr in cache)]
+    def rows(tape):
+        return [arr for cache in (*tape.enc, tape.mrg, *tape.fus, *tape.gru, tape.head) for arr in cache]
 
-    for got, want in zip(row_0(used), row_0(fresh)):
+    for got, want in zip(rows(used), rows(fresh)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -339,10 +370,10 @@ def test_dot_equals_matmul_on_every_2d_weight_the_calls_use(five):
             assert out.tobytes() == np.matmul(w, x).tobytes() == np.matmul(w, x[:, None])[:, 0].tobytes()
 
 
-def _policy_goals(cfg, policy, explore, seed=2):
-    """A ``PolicyGoals`` on a 10-step tape and the engine's opening observations for it."""
+def _policy_goals(cfg, policy, explore, seed=2, tape=None):
+    """A ``PolicyGoals`` of prior capabilities on ``tape`` (else a 10-step one) and the engine's opening observations for it."""
     caps = {a.key: CapabilityVector.prior() for a in policy.agents}
-    source = PolicyGoals(EpisodeTape(policy, 10), cfg, caps, np.random.default_rng(seed), explore)
+    source = PolicyGoals(tape or EpisodeTape(policy, 10), cfg, caps, np.random.default_rng(seed), explore)
     state = slice_sim.init_scenario(cfg)
     report = slice_sim.evaluate_kpis(state, slice_sim.offered_loads(state, None))
     members = roster_members(cfg)
@@ -731,11 +762,16 @@ def _copy_cap(vec):
     return CapabilityVector(rho=vec.rho.copy(), from_data=vec.from_data.copy())
 
 
+def _tracker(caps, cfg):
+    """A tracker over copies of ``caps``, which a rollout then leaves as they are."""
+    return CapabilityTracker({k: _copy_cap(v) for k, v in caps.items()}, cfg)
+
+
 def test_rollout_both_systems_act_each_step(tiny_system):
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
-    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, caps, rng, explore=True)
+    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, _tracker(caps, cfg), rng)
     assert len(traj) == 12
     # greedy tabular agents acting from the default state must have moved
     # at least one knob in each plane within the first steps of some episode
@@ -749,7 +785,7 @@ def test_rollout_observes_each_agent_once_per_report(tiny_system, calls_to):
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
     observed = calls_to("observe")
-    rollout_episode(EpisodeTape(policy, 12), cfg, qtables, caps, rng, explore=True)
+    rollout_episode(EpisodeTape(policy, 12), cfg, qtables, _tracker(caps, cfg), rng)
     assert len(observed) == 12 + 1
     for args in observed:
         assert [m.key for m in args[3]] == [a.key for a in policy.agents]
@@ -762,7 +798,7 @@ def test_rollout_tape_rows_equal_per_step_oracle(tiny_system, mode):
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(430)
     policy = create_policy(rng, cfg, mode=mode)
-    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, caps, rng, explore=True)
+    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, _tracker(caps, cfg), rng)
     tape = traj.tape
     h1 = h2 = np.zeros(policy.dims.gru)
 
@@ -791,28 +827,52 @@ def test_rollout_tape_rows_equal_per_step_oracle(tiny_system, mode):
         same(h, ref, "final hidden")
 
 
+def test_rollout_flushes_its_tracker(tiny_system):
+    # every agent's last assignment is counted into its capabilities by the rollout's end
+    cfg, qtables, caps = tiny_system
+    rng = np.random.default_rng(6)
+    policy = create_policy(rng, cfg, dims=TOY_DIMS)
+    tracker = _tracker(caps, cfg)
+    rollout_episode(EpisodeTape(policy, 7), cfg, qtables, tracker, rng)
+    assert tracker._active == {}
+    assert any(not np.array_equal(tracker.capabilities[k].rho, caps[k].rho) for k in caps)
+
+
+def test_rollout_refuses_an_acting_tape_before_its_first_step(tiny_system):
+    # nothing drawn and no capability moved: the refusal comes first
+    cfg, qtables, caps = tiny_system
+    rng = np.random.default_rng(7)
+    policy = create_policy(rng, cfg, dims=TOY_DIMS)
+    tracker = _tracker(caps, cfg)
+    before = rng.bit_generator.state, {k: (v.rho.tobytes(), v.from_data.tobytes()) for k, v in tracker.capabilities.items()}
+    with pytest.raises(ValueError, match="acting tape"):
+        rollout_episode(EpisodeTape(policy, 12, acting=True), cfg, qtables, tracker, rng)
+    after = rng.bit_generator.state, {k: (v.rho.tobytes(), v.from_data.tobytes()) for k, v in tracker.capabilities.items()}
+    assert after == before
+
+
 @pytest.mark.parametrize("mode", list(GoalMode))
-def test_greedy_policy_goals_encode_step_0_only_with_the_same_logits(mode):
-    # fixed capabilities: a greedy source copies them into row 0 only, and its
-    # rungs and logits are those of encoding every step's own copy
+def test_greedy_policy_goals_write_capabilities_into_unused_rows_only(mode):
+    # fixed capabilities: a source copies them into each row before the step
+    # that first uses it, so rows poisoned after step 1 stay NaN only where a
+    # later step reuses its row, on either tape; its rungs are the greedy
+    # picks of the logits that encoding every step's own copy gives
     cfg, policy = toy_policy(seed=18, mode=mode)
-    source, seen, last_action = _policy_goals(cfg, policy, explore=False)
-    tape = source.tape
-    tape.gammas[...] = np.nan
-    levels = []
-    for t in range(10):
-        source(t, seen, last_action)
-        levels.append(source.levels)
-    assert not np.isnan(tape.gammas[0]).any() and np.isnan(tape.gammas[1:]).all()
-    ref = EpisodeTape(policy, 10)
-    ref.start(tape.targets[0])
-    ref.gammas[...] = tape.gammas[0]
-    ref.tuples[...] = tape.tuples
-    for t in range(10):
-        forward_step(ref, t)
-        assert [i + 1 for i in ref.sampler.greedy(t).tolist()] == levels[t], t
-    assert ref.logits.tobytes() == tape.logits.tobytes()
-    assert ref.latents.tobytes() == tape.latents.tobytes()
+    for acting in (False, True):
+        tape = EpisodeTape(policy, 10, acting=acting)
+        source, seen, last_action = _policy_goals(cfg, policy, explore=False, tape=tape)
+        ref = EpisodeTape(policy, 10)
+        ref.start(tape.targets[0])
+        ref.gammas[...] = CapabilityVector.prior().rho
+        for t in range(10):
+            if t == 2:
+                tape.gammas[...] = np.nan
+            source(t, seen, last_action)
+            ref.tuples[t] = tape.tuple_rows[t]
+            assert forward_step(ref, t).tobytes() == tape.logit_rows[t].tobytes(), (acting, t)
+            assert [i + 1 for i in ref.sampler.greedy(t).tolist()] == source.levels, (acting, t)
+        assert np.isnan(tape.gammas[:2]).all()
+        assert not np.isnan(tape.gammas[2:]).any()
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
