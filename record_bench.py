@@ -31,14 +31,15 @@ The microbenchmarks call the package's current signatures: ``observe`` as
 one pass over a list of roster members and the report's KPIs as floats,
 ``act`` and ``forward_step`` on a row of an ``EpisodeTape`` that carries
 its policy (``act`` returning each head's rung), ``rollout_episode`` on a
-given tape with a ``CapabilityTracker``, drawing its exploring start
-itself, as ``train_supervisor`` runs it, and ``episode_gradients`` on its
-trajectory, refilling one accumulator as training does, the critic values
-read off the trajectory, and the simulator state's knobs as the two plain
-lists ``state.priority`` and ``state.mbr`` beside its ``state.scenario``.
-So ``--tree`` must be a checkout from the change that made
-``rollout_episode`` one exploring training episode onwards; older trees
-fail. Measure an older tree with that tree's own ``record_bench.py``.
+given tape with a ``CapabilityTracker``, drawing its exploring start and
+scoring its contexts itself as ``train_supervisor`` runs it, and returning
+the rewards and critic values; ``episode_gradients`` on the tape that
+episode left, refilling one accumulator as training does; and the
+simulator state's knobs as the two plain lists ``state.priority`` and
+``state.mbr`` beside its ``state.scenario``. So ``--tree`` must be a
+checkout from the change that removed ``EpisodeTrajectory`` onwards; older
+trees fail. Measure an older tree with that tree's own
+``record_bench.py``.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ def microbenchmarks(tree: Path) -> dict:
         return ms, ref
 
     # as training runs: one tracker, one tape for the timed rollouts, another
-    # kept for the trajectory the other supervisor microbenchmarks read, and
-    # one accumulator
+    # kept for the episode the other supervisor microbenchmarks read, and one
+    # accumulator
     tracker = CapabilityTracker(caps, cfg)
     rollout_tape = EpisodeTape(policy, train.episode_length)
     acc = policy.zeros_like()
@@ -214,12 +215,14 @@ def microbenchmarks(tree: Path) -> dict:
     def rollout():
         return rollout_episode(rollout_tape, cfg, qtables, tracker, rng)
 
-    traj = rollout_episode(EpisodeTape(policy, train.episode_length), cfg, qtables, tracker, rng)
-    returns = discounted_returns(traj.rewards, DISCOUNT)
-    advantages = returns - traj.values
+    tape = EpisodeTape(policy, train.episode_length)
+    rewards, values = rollout_episode(tape, cfg, qtables, tracker, rng)
+    returns = discounted_returns(rewards, DISCOUNT)
+    advantages = returns - values
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    # rerunning a middle step rewrites its own rows with the same bits
-    step = len(traj) // 2
+    # rerunning a middle step rewrites its own actor rows with the same bits;
+    # act's draws rewrite that step's sampled rungs, but only after episode_gradients is timed
+    step = len(rewards) // 2
     # the opening state of every episode: neutral knobs on the contended default slice
     state = slice_sim.init_scenario(cfg)
     # a fixed cycle of random knob states drawn once from SEED: at the opening
@@ -270,9 +273,9 @@ def microbenchmarks(tree: Path) -> dict:
     out = {}
     for name, fn, calls, scale in (
         ("rollout_episode_ms", rollout, 1, 1.0),
-        ("episode_gradients_ms", lambda: episode_gradients(traj, advantages, returns, acc), 1, 1.0),
-        ("act_us", lambda: act(traj.tape, step, rng, True), 200, 1e3),
-        ("forward_step_us", lambda: forward_step(traj.tape, step), 200, 1e3),
+        ("episode_gradients_ms", lambda: episode_gradients(tape, advantages, returns, acc), 1, 1.0),
+        ("act_us", lambda: act(tape, step, rng, True), 200, 1e3),
+        ("forward_step_us", lambda: forward_step(tape, step), 200, 1e3),
         ("agent_step_us", agent_step, 200, 1e3),
         ("sim_step_us", lambda: slice_sim.step(state, rng), 200, 1e3),
         # each sample runs the whole cycle three times

@@ -28,6 +28,7 @@ from enum import Enum
 from itertools import count
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,29 +269,35 @@ def load_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     return Artifacts(qtables=qtables, capabilities=_read_capabilities(arrays, plan.scenario))
 
 
-_POLICY_FILES = {
-    Approach.ATMARL: "supervisor_atmarl.ckpt",
-    Approach.GOAL_HALVING: "supervisor_case1.ckpt",
-    Approach.ORACLE: "supervisor_oracle.ckpt",
+class _TrainedPolicy(NamedTuple):
+    file: str  # the checkpoint's name in the output directory
+    seed_offset: int  # added to the plan's train_seed
+    mode: GoalMode
+    scenario: str  # the plan's attribute it trains on
+
+
+# the approaches that train a goal policy
+_TRAINED = {
+    Approach.ATMARL: _TrainedPolicy("supervisor_atmarl.ckpt", 0, GoalMode.AGENT_LEVEL, "scenario"),
+    Approach.GOAL_HALVING: _TrainedPolicy("supervisor_case1.ckpt", 1, GoalMode.SERVICE_LEVEL, "scenario"),
+    Approach.ORACLE: _TrainedPolicy("supervisor_oracle.ckpt", 2, GoalMode.AGENT_LEVEL, "eval_scenario"),
 }
+_POLICY_FILES = {approach: trained.file for approach, trained in _TRAINED.items()}  # read by the CLI and the benchmark
 
 
-def _policy_scenario(plan: ExperimentPlan, approach: Approach) -> ScenarioConfig:
-    if approach is Approach.ORACLE:
-        return plan.eval_scenario
-    return plan.scenario
-
-
-def _policy_mode(approach: Approach) -> GoalMode:
-    return GoalMode.SERVICE_LEVEL if approach is Approach.GOAL_HALVING else GoalMode.AGENT_LEVEL
+def _trained_policy(plan: ExperimentPlan, approach: Approach) -> tuple[_TrainedPolicy, ScenarioConfig]:
+    """``approach``'s row of ``_TRAINED`` and the scenario it trains on; an approach that trains no policy is a ``ScenarioError``."""
+    trained = _TRAINED.get(approach)
+    if trained is None:
+        raise ScenarioError(f"approach {approach.value} has no trainable supervisor")
+    return trained, getattr(plan, trained.scenario)
 
 
 def stage_train_supervisor(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, out_dir: Path):
     """Train (and checkpoint) the goal policy needed by ``approach``."""
-    scenario = _policy_scenario(plan, approach)
-    mode = _policy_mode(approach)
-    rng = np.random.default_rng(plan.train_seed + {"ATMARL": 0, "GoalHalving": 1, "Oracle": 2}[approach.value])
-    policy = create_policy(rng, scenario, mode=mode)
+    trained, scenario = _trained_policy(plan, approach)
+    rng = np.random.default_rng(plan.train_seed + trained.seed_offset)
+    policy = create_policy(rng, scenario, mode=trained.mode)
     capabilities = {k: CapabilityVector(rho=v.rho.copy(), from_data=v.from_data.copy()) for k, v in artifacts.capabilities.items()}
     stats = train_supervisor(policy, scenario, artifacts.qtables, capabilities, rng, plan.train_cfg)
     columns = ("episode", "reward", "grad_norm", "actor_loss", "critic_loss", "entropy")
@@ -299,21 +306,20 @@ def stage_train_supervisor(plan: ExperimentPlan, artifacts: Artifacts, approach:
     arrays = {f"policy.{k}": v for k, v in policy.named_params().items()}
     arrays.update(_capability_blocks(capabilities))
     save_checkpoint(
-        out_dir / _POLICY_FILES[approach],
+        out_dir / trained.file,
         arrays,
-        meta={"mode": mode.value, "intents": str(scenario.intent_count)},
+        meta={"mode": trained.mode.value, "intents": str(scenario.intent_count)},
     )
     artifacts.policies[approach.value] = policy
     artifacts.policy_capabilities[approach.value] = capabilities
 
 
 def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, out_dir: Path):
-    path = out_dir / _POLICY_FILES[approach]
+    trained, scenario = _trained_policy(plan, approach)
+    path = out_dir / trained.file
     meta, arrays = load_checkpoint(path)
-    scenario = _policy_scenario(plan, approach)
-    mode = _policy_mode(approach)
-    _check_meta(path, meta, scenario, mode)
-    policy = create_policy(np.random.default_rng(0), scenario, mode=mode)
+    _check_meta(path, meta, scenario, trained.mode)
+    policy = create_policy(np.random.default_rng(0), scenario, mode=trained.mode)
     for key, param in policy.named_params().items():
         param[...] = take_block(arrays, f"policy.{key}", param.shape)
     artifacts.policies[approach.value] = policy
@@ -538,7 +544,7 @@ def run_pipeline(plan: ExperimentPlan, out_dir: str | Path) -> PipelineResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = stage_pretrain(plan, out_dir)
-    for approach in sorted({a for a in plan.approaches if a in _POLICY_FILES}, key=lambda a: a.value):
+    for approach in sorted({a for a in plan.approaches if a in _TRAINED}, key=lambda a: a.value):
         stage_train_supervisor(plan, artifacts, approach, out_dir)
     traces = [evaluate_episode(plan, artifacts, approach, seed) for approach in plan.approaches for seed in plan.seeds]
     summary = emit_report(plan, traces, out_dir)

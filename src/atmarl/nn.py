@@ -467,13 +467,14 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class SoftmaxSampler:
-    """Softmax sampling's scratch over logits rows of one shape, [..., categories], and its numpy calls per row, built once.
+    """Softmax sampling over logits rows of one shape, [..., categories], each row's pick kept, and its numpy calls per row, built once.
 
     ``sample(i, rng)`` draws one category per row of ``rows[i]`` (the rows
     of its leading axes), and ``greedy(i)`` takes each one's first maximum;
     both refuse a non-finite logit with ``FloatingPointError`` before they
-    draw. Each returns the index array it reuses, so a caller reads it
-    before the next call.
+    draw. Each writes its picks into row i of ``idx``, [len(rows), ...],
+    and returns that row, which keeps them until the next call on i, also
+    where several of ``rows`` share their memory.
 
     A row's index is the count of its cumulative probabilities at or below
     its uniform, which is ``searchsorted(side="right")`` on that
@@ -493,22 +494,21 @@ class SoftmaxSampler:
         top, total = np.empty((*lead, 1)), np.empty((*lead, 1))
         cdf, below = np.empty(shape), np.empty(shape, dtype=bool)
         count = np.empty(lead, dtype=np.intp)
-        self.u, self.idx = np.empty(lead), np.empty(lead, dtype=np.intp)
+        self.u, self.idx = np.empty(lead), np.empty((len(rows), *lead), dtype=np.intp)
+        # one view per row, an array even where the row picks one category
+        self._picks = [self.idx[i, ...] for i in range(len(rows))]
         normalise = (
             (np.exp, (cdf, cdf)),
             (np.add.reduce, (cdf, -1, None, total, True)),
             (np.divide, (cdf, total, cdf)),
             (np.add.accumulate, (cdf, -1, None, cdf)),
         )
+        pick = ((np.less_equal, (cdf, self.u[..., None], below)), (np.add.reduce, (below, -1, None, count)))
         self._check = RowCalls([[(np.isfinite, (row, finite)), (np.logical_and.reduce, (finite, None, None, self.finite))] for row in rows])
         self._cdf = RowCalls([[(np.maximum.reduce, (row, -1, None, top, True)), (np.subtract, (row, top, cdf)), *normalise] for row in rows])
-        self._greedy = RowCalls([[(np.argmax, (row, -1, self.idx))] for row in rows])
-        self._pick = (
-            (np.less_equal, (cdf, self.u[..., None], below)),
-            (np.add.reduce, (below, -1, None, count)),
-            # fmin is minimum on integers, and takes its output positionally
-            (np.fmin, (count, shape[-1] - 1, self.idx)),
-        )
+        self._greedy = RowCalls([[(np.argmax, (row, -1, out))] for row, out in zip(rows, self._picks)])
+        # fmin is minimum on integers, and takes its output positionally
+        self._pick = RowCalls([[*pick, (np.fmin, (count, shape[-1] - 1, out))] for out in self._picks])
 
     def _refuse_non_finite(self, i: int):
         self._check.run(i)
@@ -519,13 +519,13 @@ class SoftmaxSampler:
         self._refuse_non_finite(i)
         self._cdf.run(i)
         rng.random(out=self.u)
-        run(self._pick)
-        return self.idx
+        self._pick.run(i)
+        return self._picks[i]
 
     def greedy(self, i: int) -> np.ndarray:
         self._refuse_non_finite(i)
         self._greedy.run(i)
-        return self.idx
+        return self._picks[i]
 
 
 ADAM_BETA1 = 0.9

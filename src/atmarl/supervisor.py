@@ -6,20 +6,21 @@ shared 3-layer fusion block combines all embeddings with the normalized
 global targets into a context vector; a 2-layer GRU actor with one softmax
 head per goal slot emits goal rungs, and a 2-layer dense critic scores the
 context. The per-agent encoder and merger weights and the per-slot head
-weights are each stacked into one layer, [copies, out, in], so all agents or
-heads run in one call. Training is episodic advantage actor-critic with
+weights are each stacked into one layer, [copies, out, in], so all agents
+or heads run in one call. Training is episodic advantage actor-critic with
 backpropagation through the whole episode. The critic is only the update's
 baseline: acting never runs it, and training scores an episode's contexts
-in one call once the episode is over. One preallocated ``EpisodeTape`` owns
-every buffer of an episode: the forward writes step t into row t, the
-backward reads the rows of all steps at once, and only training builds the
-critic's rows and the GRU backward's programs; evaluation acts on a tape of
-two rows used as a ring. A step encodes its row's capabilities exactly
-when the episode has not used that row yet: every step of a training
-tape, and the ring's first two; later ring steps reuse the latents their
-row holds. The tape builds the numpy calls of each row's forward, of its
-sampling and of the GRU recurrence's backward once, so a step runs flat
-lists of calls.
+in one call once the episode is over. One preallocated ``EpisodeTape``
+owns every buffer of an episode and is the one handle on it: the forward
+writes step t into row t, the tape's sampler keeps step t's rungs in its
+row t, the backward reads the rows of all steps at once, and only training
+builds the critic's rows and the GRU backward's programs; evaluation acts
+on a tape of two rows used as a ring. A step encodes its row's
+capabilities exactly when the episode has not used that row yet: every
+step of a training tape, and the ring's first two; later ring steps reuse
+the latents their row holds. The tape builds the numpy calls of each row's
+forward, of its sampling and of the GRU recurrence's backward once, so a
+step runs flat lists of calls.
 """
 
 from __future__ import annotations
@@ -215,18 +216,19 @@ class EpisodeTape:
     reads and writes only rows below T.
 
     The tape carries its ``policy``, and is the one handle on an episode of
-    it: ``forward_step``, ``act``, ``PolicyGoals`` and ``rollout_episode``
-    take the tape, ``score_contexts`` and ``episode_gradients`` its
-    trajectory, and each reads the policy from here. Each row has two
-    prebuilt call lists, made of the ``nn.dense_calls`` and
-    ``nn.gru_calls`` of its parts with their row views, which hold the
-    policy's parameter arrays, so an update must write them in place (Adam
-    and ``load_policy`` do): ``encode_calls`` runs the encoders, only on a
-    step below ``rows``, and ``step_calls`` the rest of the actor.
-    ``sampler`` samples or picks each step's logits. ``prepare_training``
-    builds what only training reads, ``crit``, the critic's (x, pre, out)
-    rows over ``contexts``, and ``gru_backward``, each cell's
-    ``nn.GruBackward``.
+    it: ``forward_step``, ``act``, ``PolicyGoals``, ``rollout_episode``,
+    ``score_contexts`` and ``episode_gradients`` take the tape, and each
+    reads the policy from here. Each row has two prebuilt call lists, made
+    of the ``nn.dense_calls`` and ``nn.gru_calls`` of its parts with their
+    row views, which hold the policy's parameter arrays, so an update must
+    write them in place (Adam and ``load_policy`` do): ``encode_calls``
+    runs the encoders, only on a step below ``rows``, and ``step_calls``
+    the rest of the actor. ``sampler`` samples or picks each step's logits
+    and keeps step t's rungs, 0-based, in row t of its [steps, heads]
+    ``idx`` on either tape: the one record of an episode's rungs.
+    ``prepare_training`` builds what only training reads, ``crit``, the
+    critic's (x, pre, out) rows over ``contexts``, and ``gru_backward``,
+    each cell's ``nn.GruBackward``.
     """
 
     def __init__(self, policy: SupervisorPolicy, steps: int, acting: bool = False):
@@ -404,32 +406,17 @@ class TrainConfig:
     episode_length: int = 40
 
 
-@dataclass
-class EpisodeTrajectory:
-    """One rollout's outcomes; rows below ``len(self)`` of its tape hold its leaf inputs and every actor and critic value.
+def score_contexts(tape: EpisodeTape, steps: int) -> np.ndarray:
+    """Run the critic once over the first ``steps`` [fusion] context rows, into the tape's critic rows; returns the [steps] values.
 
-    The next episode run on the same tape overwrites those rows, ``values`` among them.
+    The values are a view of the critic's last rows, which the next episode
+    on the tape overwrites. Each step's row is its own matrix-vector product
+    in the stacked matmul, bit-equal to scoring that step's context alone.
+    An acting tape keeps no episode's contexts, and is refused
+    (``prepare_training``).
     """
-
-    tape: EpisodeTape
-    sampled_levels: list[list[int]] = field(default_factory=list)  # [t][head]
-    rewards: list[float] = field(default_factory=list)
-    values: np.ndarray | None = None  # [t], set by score_contexts: a view of the tape's critic rows
-
-    def __len__(self) -> int:
-        return len(self.rewards)
-
-
-def score_contexts(traj: EpisodeTrajectory) -> None:
-    """Run the critic once over the episode's [steps, fusion] context rows, into the tape's critic rows; sets ``traj.values``.
-
-    Each step's row is its own matrix-vector product in the stacked matmul,
-    bit-equal to scoring that step's context alone. An acting tape keeps no
-    episode's contexts, and is refused (``prepare_training``).
-    """
-    tape = traj.tape
     tape.prepare_training()
-    traj.values = stack_forward(tape.policy.critic, tape.crit, slice(len(traj)))[:, 0]
+    return stack_forward(tape.policy.critic, tape.crit, slice(steps))[:, 0]
 
 
 def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
@@ -442,20 +429,21 @@ def discounted_returns(rewards: list[float], gamma: float) -> np.ndarray:
 
 
 def episode_gradients(
-    traj: EpisodeTrajectory,
+    tape: EpisodeTape,
     advantages: np.ndarray,
     returns: np.ndarray,
     acc: SupervisorPolicy,
 ) -> tuple[SupervisorPolicy, dict[str, float]]:
-    """Backpropagate the A2C loss of the tape's policy through the episode, whose contexts ``score_contexts`` has scored.
+    """Backpropagate the A2C loss of the tape's policy through its episode of ``len(returns)`` steps.
 
-    Advantages are treated as constants. Every layer but the GRU runs its
-    backward once over the tape rows of all steps; only the recurrence loops
-    over time. Returns (gradients, loss terms), the gradients in ``acc``, a
-    policy of the same layout, zeroed and refilled.
+    The episode's rows are those its steps left on the tape: the actor's,
+    the rungs its sampler picked, and the critic's, which ``score_contexts``
+    has filled. Advantages are treated as constants. Every layer but the
+    GRU runs its backward once over the tape rows of all steps; only the
+    recurrence loops over time. Returns (gradients, loss terms), the
+    gradients in ``acc``, a policy of the same layout, zeroed and refilled.
     """
-    steps = len(traj)
-    tape = traj.tape
+    steps = len(returns)
     policy = tape.policy
     for g in acc.named_params().values():
         g.fill(0.0)
@@ -468,7 +456,7 @@ def episode_gradients(
     probs = softmax(logits)
     logp = log_softmax(logits)
     entropy = -(probs * logp).sum(axis=-1)
-    chosen = np.array(traj.sampled_levels)[..., None] - 1
+    chosen = tape.sampler.idx[:steps, :, None]
     chosen_logp = np.take_along_axis(logp, chosen, axis=-1)[..., 0]
     actor_loss = 0.0
     entropy_total = 0.0
@@ -484,7 +472,7 @@ def episode_gradients(
     dh2 = dh.sum(axis=1)  # [steps, gru]: each step's heads summed in head order
 
     # critic: 0.5-weighted squared error on the context value
-    err = traj.values - returns
+    err = tape.crit[-1][2][:steps, 0] - returns
     critic_loss = 0.0
     for e in err.tolist():
         critic_loss += CRITIC_COEF * e * e
@@ -637,14 +625,17 @@ def rollout_episode(
     qtables: dict[str, QTable],
     tracker: CapabilityTracker,
     rng: np.random.Generator,
-) -> EpisodeTrajectory:
-    """Run one exploring training episode of ``tape.length`` steps on the tape, the frozen agents in the loop, then score its contexts.
+) -> tuple[list[float], np.ndarray]:
+    """Run one exploring training episode of ``tape.length`` steps on the tape, the frozen agents in the loop; returns (rewards, values).
 
     An acting tape is refused before anything is drawn or tracked. The
     rollout's first draw picks an exploring start (``EXPLORING_STARTS``):
     random priorities and MBR caps instead of the scenario's defaults. The
     supervisor samples its goals from ``tracker.capabilities``, the tracker
     counts every step's rungs against its KPIs, and it is flushed at the end.
+    Then ``score_contexts`` scores the episode: the values are its view of
+    the critic's rows. The episode stays on the tape, its sampled rungs in
+    the sampler's rows, for ``episode_gradients``.
     """
     tape.prepare_training()
     state = slice_sim.init_scenario(config)
@@ -653,17 +644,15 @@ def rollout_episode(
         state.priority = rng.integers(1, 6, size=n).tolist()
         state.mbr = [slice_sim.MBR_LEVELS[i] for i in rng.integers(2, 7, size=n)]
     goals = PolicyGoals(tape, config, tracker.capabilities, rng, explore=True)
-    traj = EpisodeTrajectory(tape=tape)
+    rewards = []
 
     def record(t, state, kpis, current, active, taken, seen):
         tracker.observe_step(goals.agent_levels, kpis)
-        traj.sampled_levels.append(goals.levels)
-        traj.rewards.append(supervisor_reward(kpis, config.services))
+        rewards.append(supervisor_reward(kpis, config.services))
 
     run_episode(state, qtables, goals, rng, tape.length, record)
     tracker.flush()
-    score_contexts(traj)
-    return traj
+    return rewards, score_contexts(tape, len(rewards))
 
 
 def train_supervisor(
@@ -677,7 +666,9 @@ def train_supervisor(
     """Episodic A2C over the frozen MARL systems; mutates the policy in place.
 
     One episode tape, one capability tracker and one gradient accumulator
-    serve every episode.
+    serve every episode: ``rollout_episode`` leaves an episode on the tape
+    and returns its rewards and critic values, and ``episode_gradients``
+    reads its rows there.
     """
     opt = OptimizerState(lr=LEARNING_RATE)
     params = policy.named_params()
@@ -686,12 +677,12 @@ def train_supervisor(
     acc = policy.zeros_like()
     stats = TrainStats()
     for episode in range(cfg.episodes):
-        traj = rollout_episode(tape, config, qtables, tracker, rng)
-        returns = discounted_returns(traj.rewards, DISCOUNT)
-        advantages = returns - traj.values
+        rewards, values = rollout_episode(tape, config, qtables, tracker, rng)
+        returns = discounted_returns(rewards, DISCOUNT)
+        advantages = returns - values
         if len(advantages) > 1:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        acc, losses = episode_gradients(traj, advantages, returns, acc)
+        acc, losses = episode_gradients(tape, advantages, returns, acc)
         # the one finiteness check per update: a non-finite gradient, or one
         # whose square overflows, makes the norm non-finite
         norm = gradient_norm(acc)
@@ -706,7 +697,7 @@ def train_supervisor(
             for g in grads.values():
                 g *= scale
         adam_step(params, grads, opt)
-        episode_reward = float(np.sum(traj.rewards))
+        episode_reward = float(np.sum(rewards))
         if not np.isfinite(episode_reward):
             raise TrainingDivergence(
                 "non-finite episode reward", diagnostics={"episode": episode}

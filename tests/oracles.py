@@ -364,11 +364,10 @@ def per_step_forward(policy, gammas: np.ndarray, tuples: np.ndarray, targets: np
     return caches["head"][2], h1, h2, caches
 
 
-def replay_episode(policy, traj):
-    """``per_step_forward`` over the trajectory's leaf inputs, read off its tape rows, from zero hidden states; yields each step's caches."""
-    tape = traj.tape
+def replay_episode(policy, tape, steps):
+    """``per_step_forward`` over the leaf inputs of the tape's first ``steps`` rows, from zero hidden states; yields each step's caches."""
     h1 = h2 = np.zeros(policy.dims.gru)
-    for t in range(len(traj)):
+    for t in range(steps):
         _, h1, h2, caches = per_step_forward(policy, tape.gammas[t], tape.tuples[t], tape.targets[t], h1, h2)
         yield caches
 
@@ -388,21 +387,22 @@ def critic_step(policy, context: np.ndarray) -> tuple[float, list]:
     return float(x[0]), caches
 
 
-def episode_loss(policy, traj, advantages, returns) -> float:
-    """The scalar A2C loss recomputed from the trajectory's leaf inputs: the finite-difference target.
+def episode_loss(policy, tape, steps, advantages, returns) -> float:
+    """The scalar A2C loss of the tape's first ``steps`` steps recomputed from their leaf inputs: the finite-difference target.
 
     Each step reruns the actor forward with ``per_step_forward``, scores the
     step's context (the fusion output) with ``critic_step`` and adds every
-    head's actor and entropy terms and the critic's squared error.
+    head's actor and entropy terms, for the rungs in the step's sampler
+    row, and the critic's squared error.
     """
     total = 0.0
-    for t, caches in enumerate(replay_episode(policy, traj)):
+    for t, caches in enumerate(replay_episode(policy, tape, steps)):
         logits = caches["head"][2]
         for i in range(policy.n_heads):
             logp = _log_softmax_1d(logits[i])
             probs = _softmax_1d(logits[i])
             entropy = float(-(probs * logp).sum())
-            chosen = traj.sampled_levels[t][i] - 1
+            chosen = int(tape.sampler.idx[t, i])
             total += -advantages[t] * float(logp[chosen]) - ENTROPY_COEF * entropy
         err = critic_step(policy, caches["fus"][-1][2])[0] - returns[t]
         total += CRITIC_COEF * err * err
@@ -541,14 +541,15 @@ def _zeroed(policy):
     return acc, named
 
 
-def per_step_episode_gradients(policy, traj, advantages, returns):
-    """The A2C episode gradients one step and one head at a time, from the trajectory's leaf inputs.
+def per_step_episode_gradients(policy, tape, steps, advantages, returns):
+    """The A2C gradients of the tape's first ``steps`` steps one step and one head at a time, from their leaf inputs.
 
     Each step is replayed by ``per_step_forward``; the production caches
-    are never read. Per step: each head's softmax, entropy and loss terms,
-    the critic run on the step's context by ``critic_step``, then every
-    dense layer's gradients built whole and added into its accumulator, the
-    GRU through ``per_step_gru_sequence_backward``. Returns (gradients by
+    are never read, only the leaf inputs and the rungs in the sampler's
+    rows. Per step: each head's softmax, entropy and loss terms, the critic
+    run on the step's context by ``critic_step``, then every dense layer's
+    gradients built whole and added into its accumulator, the GRU through
+    ``per_step_gru_sequence_backward``. Returns (gradients by
     checkpoint name, their sum_t|p_t| by the same names, loss terms).
     ``supervisor.episode_gradients``, which reads the tape rows and the
     critic ``score_contexts`` ran over all steps at once, must equal the
@@ -557,16 +558,16 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
     """
     acc, grads = _zeroed(policy)
     abs_acc, abs_sums = _zeroed(policy)
-    steps = list(replay_episode(policy, traj))
+    replayed = list(replay_episode(policy, tape, steps))
     dh2, dc_direct = [], []
     actor_loss = entropy_total = critic_loss = 0.0
-    for t, caches in enumerate(steps):
+    for t, caches in enumerate(replayed):
         logits_t = caches["head"][2]
         dlogits = np.empty_like(logits_t)
         for i, logits in enumerate(logits_t):
             probs = _softmax_1d(logits)
             logp = _log_softmax_1d(logits)
-            chosen = traj.sampled_levels[t][i] - 1
+            chosen = int(tape.sampler.idx[t, i])
             onehot = np.zeros_like(probs)
             onehot[chosen] = 1.0
             entropy = float(-(probs * logp).sum())
@@ -585,14 +586,14 @@ def per_step_episode_gradients(policy, traj, advantages, returns):
 
     dcontext = dh2
     for j in (1, 0):
-        gru_steps = [caches["gru"][j] for caches in steps]
+        gru_steps = [caches["gru"][j] for caches in replayed]
         cell_grads, cell_abs, dcontext, _ = per_step_gru_sequence_backward(policy.gru[j], gru_steps, dcontext)
         for name, g in cell_grads.items():
             grads[f"gru_l{j}.{name}"] += g
             abs_sums[f"gru_l{j}.{name}"] += cell_abs[name]
 
     n_agents, width = len(policy.agents), policy.dims.merger
-    for t, caches in enumerate(steps):
+    for t, caches in enumerate(replayed):
         dx = _stack_step_backward(policy.fusion, acc.fusion, abs_acc.fusion, caches["fus"], dc_direct[t] + dcontext[t])
         dm = dx[: n_agents * width].reshape(n_agents, width)
         dmx = _stack_step_backward([policy.merger], [acc.merger], [abs_acc.merger], [caches["mrg"]], dm)

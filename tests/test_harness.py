@@ -134,6 +134,28 @@ def test_plan_rejects_negative_shift():
         quick_plan(shift_schedule=((-3, gamma),))
 
 
+@pytest.mark.parametrize("approach", [Approach.RULE_BASED, Approach.NAIVE_PARALLEL])
+def test_stage_train_supervisor_refuses_an_approach_that_trains_no_policy(approach, tmp_path, monkeypatch):
+    # a typed error naming the approach, before a policy is drawn
+    made = []
+    monkeypatch.setattr(harness, "create_policy", lambda *args, **kwargs: made.append(args))
+    artifacts = Artifacts(qtables={}, capabilities={})
+    with pytest.raises(ScenarioError, match=approach.value):
+        stage_train_supervisor(quick_plan(), artifacts, approach, tmp_path)
+    assert made == [] and artifacts.policies == {} and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("approach", [Approach.RULE_BASED, Approach.NAIVE_PARALLEL])
+def test_load_policy_refuses_an_approach_that_trains_no_policy(approach, tmp_path, monkeypatch):
+    # a typed error naming the approach, before any checkpoint is opened
+    opened = []
+    monkeypatch.setattr(harness, "load_checkpoint", opened.append)
+    artifacts = Artifacts(qtables={}, capabilities={})
+    with pytest.raises(ScenarioError, match=approach.value):
+        load_policy(quick_plan(), artifacts, approach, tmp_path)
+    assert opened == [] and artifacts.policies == {}
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 

@@ -17,6 +17,7 @@ from atmarl.agents import (
     observe,
     pretrain_system,
     roster_members,
+    run_episode,
 )
 from atmarl.config import default_scenario
 from atmarl.errors import TrainingDivergence
@@ -34,7 +35,6 @@ from oracles import (
 from atmarl.supervisor import (
     DISCOUNT,
     EpisodeTape,
-    EpisodeTrajectory,
     GoalMode,
     PolicyDims,
     PolicyGoals,
@@ -509,9 +509,9 @@ def test_gradient_norm_equals_per_view_oracle(mode):
         for g in grads.named_params().values():
             g[...] = rng.normal(scale=rng.uniform(1e-4, 10.0), size=g.shape)
         assert gradient_norm(grads).tobytes() == per_view_gradient_norm(grads).tobytes()
-    traj = _random_trajectory(policy, cfg, 12, rng)
-    returns = discounted_returns(traj.rewards, DISCOUNT)
-    acc, _ = episode_gradients(traj, returns - traj.values, returns, policy.zeros_like())
+    tape, rewards, values = _random_episode(policy, cfg, 12, rng)
+    returns = discounted_returns(rewards, DISCOUNT)
+    acc, _ = episode_gradients(tape, returns - values, returns, policy.zeros_like())
     assert gradient_norm(acc).tobytes() == per_view_gradient_norm(acc).tobytes()
 
 
@@ -586,20 +586,21 @@ def test_actor_critic_gradients_match_finite_differences():
     policy = create_policy(rng, cfg, dims=dims)
 
     T = 3
-    traj = EpisodeTrajectory(tape=EpisodeTape(policy, T))
-    traj.tape.start(np.array([0.75]))
+    tape = EpisodeTape(policy, T)
+    tape.start(np.array([0.75]))
+    rewards = []
     for t in range(T):
-        traj.tape.gammas[t] = [rng.uniform(0.2, 0.8, GOAL_LEVELS) for _ in range(2)]
-        traj.tape.tuples[t] = [rng.uniform(0.0, 1.0, 8) for _ in range(2)]
-        forward_step(traj.tape, t)
-        traj.sampled_levels.append([int(rng.integers(1, GOAL_LEVELS + 1)) for _ in range(2)])
-        traj.rewards.append(float(rng.normal()))
-    score_contexts(traj)
+        tape.gammas[t] = [rng.uniform(0.2, 0.8, GOAL_LEVELS) for _ in range(2)]
+        tape.tuples[t] = [rng.uniform(0.0, 1.0, 8) for _ in range(2)]
+        forward_step(tape, t)
+        tape.sampler.idx[t] = [rng.integers(GOAL_LEVELS) for _ in range(2)]
+        rewards.append(float(rng.normal()))
+    score_contexts(tape, T)
 
-    returns = discounted_returns(traj.rewards, DISCOUNT)
+    returns = discounted_returns(rewards, DISCOUNT)
     advantages = np.array([0.7, -1.2, 0.4])  # fixed constants, as in the update rule
 
-    grads = episode_gradients(traj, advantages, returns, policy.zeros_like())[0].named_params()
+    grads = episode_gradients(tape, advantages, returns, policy.zeros_like())[0].named_params()
 
     params = policy.named_params()
     h = 1e-5
@@ -611,9 +612,9 @@ def test_actor_critic_gradients_match_finite_differences():
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            plus = episode_loss(policy, traj, advantages, returns)
+            plus = episode_loss(policy, tape, T, advantages, returns)
             arr[idx] = orig - h
-            minus = episode_loss(policy, traj, advantages, returns)
+            minus = episode_loss(policy, tape, T, advantages, returns)
             arr[idx] = orig
             fd[idx] = (plus - minus) / (2 * h)
             it.iternext()
@@ -624,19 +625,19 @@ def test_actor_critic_gradients_match_finite_differences():
     assert worst < 1e-3
 
 
-def _random_trajectory(policy, cfg, steps, rng, tape=None):
-    """A scored trajectory of random leaf inputs, written on ``tape`` (else a new one of ``steps`` rows)."""
-    traj = EpisodeTrajectory(tape=tape or EpisodeTape(policy, steps))
-    traj.tape.start(_targets(cfg))
+def _random_episode(policy, cfg, steps, rng, tape=None):
+    """A scored episode of random leaf inputs and rungs on ``tape`` (else a new one of ``steps`` rows): (tape, rewards, values)."""
+    tape = tape or EpisodeTape(policy, steps)
+    tape.start(_targets(cfg))
     n = len(policy.agents)
+    rewards = []
     for t in range(steps):
-        traj.tape.gammas[t] = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
-        traj.tape.tuples[t] = rng.uniform(0.0, 1.0, (n, 8))
-        forward_step(traj.tape, t)
-        traj.sampled_levels.append(rng.integers(1, GOAL_LEVELS + 1, policy.n_heads).tolist())
-        traj.rewards.append(float(rng.normal()))
-    score_contexts(traj)
-    return traj
+        tape.gammas[t] = rng.uniform(0.0, 1.0, (n, GOAL_LEVELS))
+        tape.tuples[t] = rng.uniform(0.0, 1.0, (n, 8))
+        forward_step(tape, t)
+        tape.sampler.idx[t] = rng.integers(0, GOAL_LEVELS, policy.n_heads)
+        rewards.append(float(rng.normal()))
+    return tape, rewards, score_contexts(tape, steps)
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
@@ -647,13 +648,13 @@ def test_batched_critic_equals_per_step_critic(mode, steps):
     cfg = default_scenario()
     rng = np.random.default_rng(300 + steps)
     policy = create_policy(rng, cfg, mode=mode)
-    traj = _random_trajectory(policy, cfg, steps, rng)
-    assert traj.values.shape == (steps,)
+    tape, _, values = _random_episode(policy, cfg, steps, rng)
+    assert values.shape == (steps,)
     for t in range(steps):
-        value, caches = critic_step(policy, traj.tape.contexts[t])
-        assert traj.values[t].tobytes() == np.float64(value).tobytes(), t
+        value, caches = critic_step(policy, tape.contexts[t])
+        assert values[t].tobytes() == np.float64(value).tobytes(), t
         for j, cache in enumerate(caches):
-            for part, batched in zip(cache, traj.tape.crit[j]):
+            for part, batched in zip(cache, tape.crit[j]):
                 assert batched[t].tobytes() == part.tobytes(), (t, j)
 
 
@@ -665,15 +666,15 @@ def test_episode_gradients_equal_per_step_oracle(mode, steps):
     cfg = default_scenario()
     rng = np.random.default_rng(400 + steps)
     policy = create_policy(rng, cfg, mode=mode)
-    traj = _random_trajectory(policy, cfg, steps, rng)
-    returns = discounted_returns(traj.rewards, DISCOUNT)
-    advantages = returns - traj.values
+    tape, rewards, values = _random_episode(policy, cfg, steps, rng)
+    returns = discounted_returns(rewards, DISCOUNT)
+    advantages = returns - values
     if steps > 1:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-    acc, losses = episode_gradients(traj, advantages, returns, policy.zeros_like())
+    acc, losses = episode_gradients(tape, advantages, returns, policy.zeros_like())
     grads = acc.named_params()
-    ref_grads, ref_abs, ref_losses = per_step_episode_gradients(policy, traj, advantages, returns)
+    ref_grads, ref_abs, ref_losses = per_step_episode_gradients(policy, tape, steps, advantages, returns)
     assert list(grads) == list(ref_grads)
     for name in ref_grads:
         assert_reordered_sum(grads[name], ref_grads[name], ref_abs[name], steps, name)
@@ -685,13 +686,13 @@ def test_episode_gradients_called_twice_return_the_same_gradients():
     cfg = default_scenario()
     rng = np.random.default_rng(410)
     policy = create_policy(rng, cfg)
-    traj = _random_trajectory(policy, cfg, 12, rng)
-    returns = discounted_returns(traj.rewards, DISCOUNT)
-    advantages = returns - traj.values
+    tape, rewards, values = _random_episode(policy, cfg, 12, rng)
+    returns = discounted_returns(rewards, DISCOUNT)
+    advantages = returns - values
     acc = policy.zeros_like()
-    first, first_losses = episode_gradients(traj, advantages, returns, acc)
+    first, first_losses = episode_gradients(tape, advantages, returns, acc)
     first = {name: grad.tobytes() for name, grad in first.named_params().items()}
-    second, second_losses = episode_gradients(traj, advantages, returns, acc)
+    second, second_losses = episode_gradients(tape, advantages, returns, acc)
     assert first_losses == second_losses
     assert {name: grad.tobytes() for name, grad in second.named_params().items()} == first
 
@@ -716,15 +717,15 @@ def test_reused_tape_gives_the_gradients_of_a_fresh_tape():
     cfg = default_scenario()
     policy = create_policy(np.random.default_rng(420), cfg)
     tape, acc = EpisodeTape(policy, 40), policy.zeros_like()
-    traj = _random_trajectory(policy, cfg, 40, np.random.default_rng(421), tape)
-    returns = discounted_returns(traj.rewards, DISCOUNT)
-    episode_gradients(traj, returns - traj.values, returns, acc)
+    _, rewards, values = _random_episode(policy, cfg, 40, np.random.default_rng(421), tape)
+    returns = discounted_returns(rewards, DISCOUNT)
+    episode_gradients(tape, returns - values, returns, acc)
     results = []
     for tape_7, acc_7 in ((tape, acc), (_poisoned_tape(policy, 7), policy.zeros_like())):
-        traj = _random_trajectory(policy, cfg, 7, np.random.default_rng(422), tape_7)
-        returns = discounted_returns(traj.rewards, DISCOUNT)
-        grads, losses = episode_gradients(traj, returns - traj.values, returns, acc_7)
-        results.append((traj.values.tobytes(), losses, {k: g.tobytes() for k, g in grads.named_params().items()}))
+        _, rewards, values = _random_episode(policy, cfg, 7, np.random.default_rng(422), tape_7)
+        returns = discounted_returns(rewards, DISCOUNT)
+        grads, losses = episode_gradients(tape_7, returns - values, returns, acc_7)
+        results.append((values.tobytes(), losses, {k: g.tobytes() for k, g in grads.named_params().items()}))
     assert results[0] == results[1]
     assert all(np.isfinite(g).all() for g in acc.named_params().values())
 
@@ -771,12 +772,13 @@ def test_rollout_both_systems_act_each_step(tiny_system):
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(2)
     policy = create_policy(rng, cfg, dims=TOY_DIMS)
-    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, _tracker(caps, cfg), rng)
-    assert len(traj) == 12
+    tape = EpisodeTape(policy, 12)
+    rewards, values = rollout_episode(tape, cfg, qtables, _tracker(caps, cfg), rng)
+    assert len(rewards) == 12 and values.shape == (12,)
     # greedy tabular agents acting from the default state must have moved
     # at least one knob in each plane within the first steps of some episode
-    # (weak check: the trajectory recorded actions through its tuples)
-    assert traj.tape.tuples[: len(traj)].shape == (12, 6, 8)
+    # (weak check: the tape recorded actions through its tuples)
+    assert tape.tuples[: len(rewards)].shape == (12, 6, 8)
 
 
 def test_rollout_observes_each_agent_once_per_report(tiny_system, calls_to):
@@ -798,14 +800,14 @@ def test_rollout_tape_rows_equal_per_step_oracle(tiny_system, mode):
     cfg, qtables, caps = tiny_system
     rng = np.random.default_rng(430)
     policy = create_policy(rng, cfg, mode=mode)
-    traj = rollout_episode(EpisodeTape(policy, 12), cfg, qtables, _tracker(caps, cfg), rng)
-    tape = traj.tape
+    tape = EpisodeTape(policy, 12)
+    rollout_episode(tape, cfg, qtables, _tracker(caps, cfg), rng)
     h1 = h2 = np.zeros(policy.dims.gru)
 
     def same(row, ref, label):
         assert row.tobytes() == np.ascontiguousarray(ref).tobytes(), label
 
-    for t in range(len(traj)):
+    for t in range(12):
         for h, ref in zip(tape.hidden(t), (h1, h2)):
             same(h, ref, (t, "hidden"))
         same(tape.targets[t], _targets(cfg), (t, "targets"))
@@ -823,7 +825,7 @@ def test_rollout_tape_rows_equal_per_step_oracle(tiny_system, mode):
             same(a_n[t], ref_a_n, (t, j, "a_n"))
             same(n[t], ref_n, (t, j, "n"))
         same(tape.logits[t], logits, (t, "logits"))
-    for h, ref in zip(tape.hidden(len(traj)), (h1, h2)):
+    for h, ref in zip(tape.hidden(12), (h1, h2)):
         same(h, ref, "final hidden")
 
 
@@ -849,6 +851,38 @@ def test_rollout_refuses_an_acting_tape_before_its_first_step(tiny_system):
         rollout_episode(EpisodeTape(policy, 12, acting=True), cfg, qtables, tracker, rng)
     after = rng.bit_generator.state, {k: (v.rho.tobytes(), v.from_data.tobytes()) for k, v in tracker.capabilities.items()}
     assert after == before
+
+
+def test_sampler_rows_keep_the_rungs_act_returned_at_every_step(tiny_system, monkeypatch):
+    # a 40-step exploring rollout on a training tape and a 48-step greedy run
+    # on an acting tape: once the run is over, the sampler's row t holds the
+    # 0-based rungs act returned at step t, so on the acting tape the ring's
+    # two logits rows overwrote no earlier step's rungs
+    cfg, qtables, caps = tiny_system
+    policy = create_policy(np.random.default_rng(440), cfg)
+    returned = []
+    real_act = supervisor.act
+
+    def recorded(*args):
+        returned.append(real_act(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(supervisor, "act", recorded)
+    rng = np.random.default_rng(441)
+    tape = EpisodeTape(policy, 40)
+    rollout_episode(tape, cfg, qtables, _tracker(caps, cfg), rng)
+    runs = [(tape, list(returned))]
+    returned.clear()
+    tape = EpisodeTape(policy, 48, acting=True)
+    goals = PolicyGoals(tape, cfg, caps, rng, explore=False)
+    run_episode(slice_sim.init_scenario(cfg), qtables, goals, rng, 48, lambda *_: None)
+    runs.append((tape, returned))
+    for tape, levels in runs:
+        assert tape.sampler.idx.shape == (tape.length, policy.n_heads)
+        assert len(levels) == tape.length
+        assert (tape.sampler.idx + 1).tolist() == levels, tape.acting
+        # rungs that change between steps two apart, which a ring row would lose
+        assert any(levels[t] != levels[t - 2] for t in range(2, tape.length)), tape.acting
 
 
 @pytest.mark.parametrize("mode", list(GoalMode))
@@ -908,10 +942,9 @@ def test_acting_tape_refuses_training():
     tape = EpisodeTape(policy, 4, acting=True)
     with pytest.raises(ValueError, match="acting tape"):
         tape.prepare_training()
-    traj = EpisodeTrajectory(tape=tape, rewards=[0.0] * 4)
     with pytest.raises(ValueError, match="acting tape"):
-        score_contexts(traj)
-    assert tape.crit is None and tape.gru_backward is None and traj.values is None
+        score_contexts(tape, 4)
+    assert tape.crit is None and tape.gru_backward is None
 
 
 def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
