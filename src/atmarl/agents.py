@@ -157,24 +157,6 @@ class CapabilityVector:
         self.from_data[i] = True
 
 
-def capability_matrix(capabilities: dict[str, CapabilityVector], keys: list[str]) -> np.ndarray:
-    """The [agents, GOAL_LEVELS] array whose rows are the ``rho`` of ``keys``' vectors, in that order.
-
-    Vectors that are not yet the rows of one such array move into a new
-    one: each ``rho`` becomes a row view holding its own values, so an EMA
-    update of a vector lands in the array, and ``rho`` reads as before.
-    """
-    vectors = [capabilities[key] for key in keys]
-    base = vectors[0].rho.base
-    if isinstance(base, np.ndarray) and base.shape == (len(vectors), GOAL_LEVELS):
-        if all(v.rho.__array_interface__ == row.__array_interface__ for v, row in zip(vectors, base)):
-            return base
-    matrix = np.array([v.rho for v in vectors], dtype=np.float64)
-    for vec, row in zip(vectors, matrix):
-        vec.rho = row
-    return matrix
-
-
 def agent_roster(config: ScenarioConfig) -> list[AgentId]:
     """Fixed agent ordering: all Priority agents by intent, then all MBR."""
     ids = [AgentId(SystemKind.PRIORITY, k) for k in range(config.intent_count)]

@@ -22,7 +22,7 @@ from .harness import (
     run_pipeline,
     stage_pretrain,
     stage_train_supervisor,
-    _POLICY_FILES,
+    _TRAINED,
 )
 from .supervisor import TrainConfig
 
@@ -87,8 +87,13 @@ def _plan_from_args(args) -> ExperimentPlan:
             approach = Approach(opts["approach"])
         except ValueError:
             raise ScenarioError(f"unknown approach {opts['approach']!r}") from None
-        if opts["verb"] == "train-supervisor" and approach not in _POLICY_FILES:
-            raise ScenarioError(f"approach {approach.value} has no trainable supervisor")
+        if opts["verb"] == "train-supervisor":
+            if approach not in _TRAINED:
+                raise ScenarioError(f"approach {approach.value} has no trainable supervisor")
+            if opts["eval_distribution"] and _TRAINED[approach].scenario == "scenario":
+                raise ScenarioError(
+                    f"--eval-distribution does not apply: {approach.value} trains on the scenario's distribution"
+                )
         given["approaches"] = (approach,)
     if opts.get("episode_length") is not None:
         given["episode_length"] = opts["episode_length"]
@@ -126,7 +131,7 @@ def main(argv=None) -> int:
         elif args.verb == "evaluate":
             artifacts = load_pretrain(plan, ckpt_dir)
             approach = plan.approaches[0]
-            if approach in _POLICY_FILES:
+            if approach in _TRAINED:
                 load_policy(plan, artifacts, approach, ckpt_dir)
             traces = [evaluate_episode(plan, artifacts, approach, seed) for seed in plan.seeds]
             emit_report(plan, traces, out_dir)

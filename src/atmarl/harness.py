@@ -210,15 +210,21 @@ def _capability_blocks(capabilities: dict[str, CapabilityVector]) -> dict[str, n
     return arrays
 
 
-def _read_capabilities(arrays: dict[str, np.ndarray], config: ScenarioConfig) -> dict[str, CapabilityVector]:
-    """The capability vectors of ``config``'s roster from blocks written by ``_capability_blocks``."""
-    return {
-        a.key: CapabilityVector(
-            rho=take_block(arrays, f"capability.{a.key}", (GOAL_LEVELS,)),
-            from_data=take_block(arrays, f"capability_mask.{a.key}", (GOAL_LEVELS,)) > 0.5,
-        )
-        for a in agent_roster(config)
-    }
+def _read_capabilities(path: Path, arrays: dict[str, np.ndarray], config: ScenarioConfig) -> dict[str, CapabilityVector]:
+    """The capability vectors of ``config``'s roster from blocks of ``path`` written by ``_capability_blocks``.
+
+    A value that is not a probability, NaN and infinities included, is a
+    ``CheckpointError`` naming the file and the block.
+    """
+    vectors = {}
+    for a in agent_roster(config):
+        name = f"capability.{a.key}"
+        rho = take_block(arrays, name, (GOAL_LEVELS,))
+        if not ((rho >= 0.0) & (rho <= 1.0)).all():  # a NaN fails both comparisons
+            raise CheckpointError(f"{path.name}: block {name!r} holds a capability that is not a probability")
+        from_data = take_block(arrays, f"capability_mask.{a.key}", (GOAL_LEVELS,)) > 0.5
+        vectors[a.key] = CapabilityVector(rho=rho, from_data=from_data)
+    return vectors
 
 
 def stage_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
@@ -266,7 +272,7 @@ def load_pretrain(plan: ExperimentPlan, out_dir: Path) -> Artifacts:
     }
     for table in qtables.values():
         table.freeze()  # the agents stay as pre-training left them
-    return Artifacts(qtables=qtables, capabilities=_read_capabilities(arrays, plan.scenario))
+    return Artifacts(qtables=qtables, capabilities=_read_capabilities(path, arrays, plan.scenario))
 
 
 class _TrainedPolicy(NamedTuple):
@@ -282,7 +288,7 @@ _TRAINED = {
     Approach.GOAL_HALVING: _TrainedPolicy("supervisor_case1.ckpt", 1, GoalMode.SERVICE_LEVEL, "scenario"),
     Approach.ORACLE: _TrainedPolicy("supervisor_oracle.ckpt", 2, GoalMode.AGENT_LEVEL, "eval_scenario"),
 }
-_POLICY_FILES = {approach: trained.file for approach, trained in _TRAINED.items()}  # read by the CLI and the benchmark
+_POLICY_FILES = {approach: trained.file for approach, trained in _TRAINED.items()}  # read by the benchmark
 
 
 def _trained_policy(plan: ExperimentPlan, approach: Approach) -> tuple[_TrainedPolicy, ScenarioConfig]:
@@ -315,6 +321,12 @@ def stage_train_supervisor(plan: ExperimentPlan, artifacts: Artifacts, approach:
 
 
 def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, out_dir: Path):
+    """Load ``approach``'s trained policy and capabilities into ``artifacts``.
+
+    A policy value that is not finite, or a capability that is not a
+    probability, is a ``CheckpointError`` naming the file and the block,
+    raised before ``artifacts`` changes.
+    """
     trained, scenario = _trained_policy(plan, approach)
     path = out_dir / trained.file
     meta, arrays = load_checkpoint(path)
@@ -322,8 +334,11 @@ def load_policy(plan: ExperimentPlan, artifacts: Artifacts, approach: Approach, 
     policy = create_policy(np.random.default_rng(0), scenario, mode=trained.mode)
     for key, param in policy.named_params().items():
         param[...] = take_block(arrays, f"policy.{key}", param.shape)
+        if not np.isfinite(param).all():
+            raise CheckpointError(f"{path.name}: block 'policy.{key}' holds a value that is not finite")
+    capabilities = _read_capabilities(path, arrays, scenario)
     artifacts.policies[approach.value] = policy
-    artifacts.policy_capabilities[approach.value] = _read_capabilities(arrays, scenario)
+    artifacts.policy_capabilities[approach.value] = capabilities
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ with a leading step axis: ``stack_caches`` and ``gru_caches`` allocate them,
 and ``dense_forward`` and ``gru_forward`` fill the rows they are given.
 Each forward is a short list of numpy calls, each a (function, arguments)
 pair with its argument views already sliced: ``dense_calls`` and
-``gru_calls`` build them, and a caller that runs the same rows many times,
-such as an episode tape, builds them once and runs them with ``run``.
-``GruBackward`` and ``SoftmaxSampler`` do the same for the recurrence of the
-GRU backward and for softmax sampling: a ``GruBackward`` holds its cell and
-rows, and ``gru_sequence_backward`` runs it over their first steps.
+``gru_calls`` build them, and ``run`` makes them. A caller that runs the
+same rows many times, such as an episode tape, builds a program once: a
+plain list holding one such call list per row. ``GruBackward`` and
+``SoftmaxSampler`` hold programs for the recurrence of the GRU backward and
+for softmax sampling: a ``GruBackward`` holds its cell and rows, and
+``gru_sequence_backward`` runs it over their first steps.
 Backward passes read every step of an episode at once from slices of those
 buffers, add exact analytic gradients into the accumulators they are given,
 and are verified against central finite differences in the test suite.
@@ -72,34 +73,9 @@ class DenseLayer:
 
 
 def run(calls) -> None:
-    """Make each (function, arguments) call of ``calls`` in order."""
+    """Make each (function, arguments) call of ``calls`` in order: one row of a prebuilt program, or a list built for one use."""
     for f, args in calls:
         f(*args)
-
-
-class RowCalls:
-    """The same sequence of numpy calls over each of many rows, built once, kept lean.
-
-    ``rows`` holds one list of (function, arguments) calls per row, every
-    row calling the same functions in the same order; one tuple of those
-    functions serves them all, beside each row's tuple of arguments.
-    """
-
-    def __init__(self, rows: list[list[tuple]]):
-        self.functions = None
-        self.args = []
-        for calls in rows:
-            functions, args = zip(*calls)
-            if self.functions is None:
-                self.functions = functions
-            elif functions != self.functions:
-                raise ValueError("every row must make the same calls")
-            self.args.append(args)
-
-    def run(self, t: int) -> None:
-        """Make row ``t``'s calls in order."""
-        for f, args in zip(self.functions, self.args[t]):
-            f(*args)
 
 
 def dense_calls(layer: DenseLayer, x: np.ndarray, pre: np.ndarray, out: np.ndarray) -> list[tuple]:
@@ -350,13 +326,14 @@ class GruBackward:
 
     Built once for rows that run many episodes, it holds the cell and its
     uncut rows (``caches``), and leaves the recurrence a flat list of calls
-    per step, with no slicing or temporaries. The calls hold the cell's gate
-    weights (transposed views), so an update must write them in place, as
-    ``adam_step`` does. Row t's calls read the carry and the step's upstream
-    grad and factors, and write its pre-activation grads, the two halves of
-    its input grad and the carry it hands step t-1. Its working buffers are
-    those of ``share`` when that is a program over rows of the same shape,
-    for cells whose backwards run one after the other.
+    per step, ``rows[t]`` for step t, with no slicing or temporaries. The
+    calls hold the cell's gate weights (transposed views), so an update must
+    write them in place, as ``adam_step`` does. Row t's calls read the carry
+    and the step's upstream grad and factors, and write its pre-activation
+    grads, the two halves of its input grad and the carry it hands step t-1.
+    Its working buffers are those of ``share`` when that is a program over
+    rows of the same shape, for cells whose backwards run one after the
+    other.
     """
 
     def __init__(self, cell: GruCell, caches, share: GruBackward | None = None):
@@ -396,7 +373,7 @@ class GruBackward:
                 (np.add, (carry, narrow, carry)),
                 (np.add, (carry, da[in_dim:], carry)),
             ])
-        self.rows = RowCalls(rows)
+        self.rows = rows
 
 
 class _GruBackwardBuffers:
@@ -435,9 +412,9 @@ def gru_sequence_backward(program: GruBackward, steps: int, dhs: np.ndarray, gra
     np.subtract(1.0, zr, out=b.one_minus_zr[:steps])
     b.dhs[:steps] = dhs
     b.carry.fill(0.0)
-    run_row = program.rows.run
+    rows = program.rows
     for t in range(steps - 1, -1, -1):
-        run_row(t)
+        run(rows[t])
     dxs = b.da_ns[:steps, :in_dim] + b.das[:steps, :in_dim]
 
     # [hidden, steps] @ [steps, in+hidden] for the candidate, and one such product per gate for z and r
@@ -467,7 +444,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class SoftmaxSampler:
-    """Softmax sampling over logits rows of one shape, [..., categories], each row's pick kept, and its numpy calls per row, built once.
+    """Softmax sampling over logits rows of one shape, [..., categories], each row's pick kept, and its numpy call lists per row, built once.
 
     ``sample(i, rng)`` draws one category per row of ``rows[i]`` (the rows
     of its leading axes), and ``greedy(i)`` takes each one's first maximum;
@@ -484,7 +461,9 @@ class SoftmaxSampler:
     ``softmax``; they are exponentiated, normalised and summed in one
     scratch array. The reductions call the ufuncs that ``ndarray.all``,
     ``max``, ``sum`` and ``np.cumsum`` call, without those wrappers, so the
-    bits are theirs.
+    bits are theirs. Each of its four programs (the finiteness check, the
+    cumulative sum, the pick and the greedy pick) holds one call list per
+    row, which ``run`` makes.
     """
 
     def __init__(self, rows):
@@ -504,27 +483,27 @@ class SoftmaxSampler:
             (np.add.accumulate, (cdf, -1, None, cdf)),
         )
         pick = ((np.less_equal, (cdf, self.u[..., None], below)), (np.add.reduce, (below, -1, None, count)))
-        self._check = RowCalls([[(np.isfinite, (row, finite)), (np.logical_and.reduce, (finite, None, None, self.finite))] for row in rows])
-        self._cdf = RowCalls([[(np.maximum.reduce, (row, -1, None, top, True)), (np.subtract, (row, top, cdf)), *normalise] for row in rows])
-        self._greedy = RowCalls([[(np.argmax, (row, -1, out))] for row, out in zip(rows, self._picks)])
+        self._check = [[(np.isfinite, (row, finite)), (np.logical_and.reduce, (finite, None, None, self.finite))] for row in rows]
+        self._cdf = [[(np.maximum.reduce, (row, -1, None, top, True)), (np.subtract, (row, top, cdf)), *normalise] for row in rows]
+        self._greedy = [[(np.argmax, (row, -1, out))] for row, out in zip(rows, self._picks)]
         # fmin is minimum on integers, and takes its output positionally
-        self._pick = RowCalls([[*pick, (np.fmin, (count, shape[-1] - 1, out))] for out in self._picks])
+        self._pick = [[*pick, (np.fmin, (count, shape[-1] - 1, out))] for out in self._picks]
 
     def _refuse_non_finite(self, i: int):
-        self._check.run(i)
+        run(self._check[i])
         if not self.finite:
             raise FloatingPointError("non-finite values in logits")
 
     def sample(self, i: int, rng: np.random.Generator) -> np.ndarray:
         self._refuse_non_finite(i)
-        self._cdf.run(i)
+        run(self._cdf[i])
         rng.random(out=self.u)
-        self._pick.run(i)
+        run(self._pick[i])
         return self._picks[i]
 
     def greedy(self, i: int) -> np.ndarray:
         self._refuse_non_finite(i)
-        self._greedy.run(i)
+        run(self._greedy[i])
         return self._picks[i]
 
 

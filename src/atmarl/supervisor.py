@@ -19,8 +19,10 @@ on a tape of two rows used as a ring. A step encodes its row's
 capabilities exactly when the episode has not used that row yet: every
 step of a training tape, and the ring's first two; later ring steps reuse
 the latents their row holds. The tape builds the numpy calls of each row's
-forward, of its sampling and of the GRU recurrence's backward once, so a
-step runs flat lists of calls.
+forward, of its sampling and of the GRU recurrence's backward once, each
+program a plain list of per-row call lists, so a step runs flat lists of
+calls with ``nn.run``. The capability vectors stay the caller's: a step
+copies their values into its row, and nothing rebinds them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .agents import (
     GOAL_LEVELS,
     QTable,
     agent_roster,
-    capability_matrix,
     goal_achieved,
     goal_ladder,
     normalize_kpi,
@@ -53,7 +54,6 @@ from .nn import (
     GruBackward,
     GruCell,
     OptimizerState,
-    RowCalls,
     SoftmaxSampler,
     adam_step,
     dense_backward,
@@ -62,6 +62,7 @@ from .nn import (
     gru_calls,
     gru_sequence_backward,
     log_softmax,
+    run,
     softmax,
     stack_backward,
     stack_caches,
@@ -221,14 +222,14 @@ class EpisodeTape:
     reads the policy from here. Each row has two prebuilt call lists, made
     of the ``nn.dense_calls`` and ``nn.gru_calls`` of its parts with their
     row views, which hold the policy's parameter arrays, so an update must
-    write them in place (Adam and ``load_policy`` do): ``encode_calls``
-    runs the encoders, only on a step below ``rows``, and ``step_calls``
-    the rest of the actor. ``sampler`` samples or picks each step's logits
-    and keeps step t's rungs, 0-based, in row t of its [steps, heads]
-    ``idx`` on either tape: the one record of an episode's rungs.
-    ``prepare_training`` builds what only training reads, ``crit``, the
-    critic's (x, pre, out) rows over ``contexts``, and ``gru_backward``,
-    each cell's ``nn.GruBackward``.
+    write them in place (Adam and ``load_policy`` do): ``encode_calls[t]``
+    runs the encoders, only on a step below ``rows``, and ``step_calls[t]``
+    the rest of the actor, each run by ``nn.run``. ``sampler`` samples or
+    picks each step's logits and keeps step t's rungs, 0-based, in row t of
+    its [steps, heads] ``idx`` on either tape: the one record of an
+    episode's rungs. ``prepare_training`` builds what only training reads,
+    ``crit``, the critic's (x, pre, out) rows over ``contexts``, and
+    ``gru_backward``, each cell's ``nn.GruBackward``.
     """
 
     def __init__(self, policy: SupervisorPolicy, steps: int, acting: bool = False):
@@ -287,8 +288,8 @@ class EpisodeTape:
         self.gamma_rows = [gammas[r] for r in ring]
         self.tuple_rows = [tuples[r] for r in ring]
         self.sampler = SoftmaxSampler(self.logit_rows)
-        self.encode_calls = RowCalls(encode)  # step t < rows runs on row t
-        self.step_calls = RowCalls([rest[r] for r in ring])
+        self.encode_calls = encode  # step t < rows runs on row t
+        self.step_calls = [rest[r] for r in ring]
 
     def start(self, targets: np.ndarray) -> None:
         """Begin an episode: the normalized targets in every row, and zero hidden states before step 0."""
@@ -324,8 +325,8 @@ def forward_step(tape: EpisodeTape, t: int) -> np.ndarray:
     already holds, so it reads no capability row.
     """
     if t < tape.rows:
-        tape.encode_calls.run(t)
-    tape.step_calls.run(t)
+        run(tape.encode_calls[t])
+    run(tape.step_calls[t])
     return tape.logit_rows[t]
 
 
@@ -566,11 +567,11 @@ class PolicyGoals:
     leaf inputs into row t of ``tape`` (whose ``start`` it calls): each
     agent's tuple of the engine's observation, written from one flat list,
     which before the first assignment is made against the global targets,
-    and the capability vectors, copied in one call from
-    ``agents.capability_matrix``, whose rows the vectors become, at each
-    step that encodes them (see ``forward_step``): every step of a
-    training tape, so a tracker's updates reach the next step, and the
-    first two of an acting tape, whose capabilities stay fixed. An
+    and the ``rho`` of the roster's capability vectors, copied in one
+    assignment at each step that encodes them (see ``forward_step``):
+    every step of a training tape, so a tracker's in-place updates reach
+    the next step, and the first two of an acting tape, whose capabilities
+    stay fixed. The source keeps the vectors and never rebinds them. An
     exploring source samples its rungs, a greedy one takes each head's
     first maximum. The latest decision's rung of each head (``levels``)
     and of each agent in roster order (``agent_levels``) stay readable
@@ -592,7 +593,7 @@ class PolicyGoals:
         tape.start(np.array([normalize_kpi(s.kpi_kind, s.kpi_target) for s in config.services]))
         per_agent = policy.mode is GoalMode.AGENT_LEVEL
         self._keys = [a.key for a in policy.agents]
-        self._gammas = capability_matrix(capabilities, self._keys)
+        self._vectors = [capabilities[key] for key in self._keys]
         self._heads = [i if per_agent else a.intent_index for i, a in enumerate(policy.agents)]
         self._ladders = [goal_ladder(config.services[a.intent_index].kpi_kind) for a in policy.agents]
         self.levels: list[int] = []
@@ -602,8 +603,8 @@ class PolicyGoals:
         keys = self._keys
         tape = self.tape
         if t < tape.rows:
-            # a copy: capability tracking updates the matrix in place during training
-            tape.gamma_rows[t][...] = self._gammas
+            # read at every step that encodes: capability tracking updates each rho in place during training
+            tape.gamma_rows[t][...] = [vec.rho for vec in self._vectors]
         # per agent: observation, one-hot last action, normalized goal (the
         # observation's own goal field)
         flat = []

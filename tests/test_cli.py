@@ -7,6 +7,7 @@ import pytest
 
 from atmarl import cli
 from atmarl.agents import PretrainConfig
+from atmarl.checkpoint import load_checkpoint, save_checkpoint
 from atmarl.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from atmarl.config import default_scenario, write_scenario
 from atmarl.experiments import SUPERVISOR_EPISODES, uniform_comparison_plan
@@ -102,6 +103,29 @@ def test_cli_train_supervisor_refuses_an_untrainable_approach_before_any_stage(s
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config error: approach {approach} has no trainable supervisor"], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("approach", ["ATMARL", "GoalHalving"])
+def test_cli_train_supervisor_refuses_an_eval_distribution_it_would_not_train_on(scenario_file, tmp_path, capsys, approach):
+    # only the Oracle trains on the evaluation distribution; the others train on the scenario's
+    out = tmp_path / "out"
+    rc = run_cli(
+        "train-supervisor", "--scenario", scenario_file, "--out", out, "--approach", approach,
+        "--eval-distribution", "gaussian",
+    )
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: --eval-distribution does not apply: {approach} trains on the scenario's distribution"], err
+    assert not out.exists()
+
+
+def test_cli_train_supervisor_hands_the_oracle_its_eval_distribution(scenario_file, tmp_path):
+    args = cli.build_parser().parse_args(
+        ["train-supervisor", "--scenario", str(scenario_file), "--out", str(tmp_path), "--approach", "Oracle",
+         "--eval-distribution", "gaussian"]
+    )
+    plan = cli._plan_from_args(args)
+    assert plan.eval_scenario.distribution != plan.scenario.distribution
 
 
 @pytest.mark.parametrize(
@@ -393,3 +417,40 @@ def test_cli_out_naming_an_existing_file_is_a_config_error(scenario_file, tmp_pa
     assert len(err) == 1 and err[0].startswith("config error: cannot make output directory"), err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert taken.read_text() == "not a directory\n"
+
+
+def _set_block_value(path, name, value):
+    """Rewrite ``path`` through ``save_checkpoint`` with the first value of block ``name`` set to ``value``: a file with valid checksums."""
+    meta, arrays = load_checkpoint(path)
+    arrays[name].flat[0] = value
+    save_checkpoint(path, arrays, meta=meta)
+
+
+def test_cli_evaluate_on_a_policy_block_that_is_not_finite_exits_with_stage_code(scenario_file, tmp_path, quick_pretrain, capsys):
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
+    assert run_cli("train-supervisor", "--scenario", scenario_file, "--out", out, "--episodes", 1) == EXIT_OK
+    _set_block_value(out / "supervisor_atmarl.ckpt", "policy.head.b", float("nan"))
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--scenario", scenario_file, "--out", out, "--approach", "ATMARL", "--seed", 1)
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: supervisor_atmarl.ckpt: block 'policy.head.b' holds a value that is not finite"], err
+    assert not list(out.glob("trace_*.csv"))
+
+
+def test_cli_train_supervisor_on_a_capability_that_is_not_finite_exits_with_stage_code(
+    scenario_file, tmp_path, quick_pretrain, capsys
+):
+    # the file is named, not the training its value would derail
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="pretraining mean reward"):
+        assert run_cli("pretrain", "--scenario", scenario_file, "--out", out) == EXIT_OK
+    _set_block_value(out / "pretrain.ckpt", "capability.mbr_1", float("inf"))
+    capsys.readouterr()
+    rc = run_cli("train-supervisor", "--scenario", scenario_file, "--out", out, "--episodes", 1)
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: pretrain.ckpt: block 'capability.mbr_1' holds a capability that is not a probability"], err
+    assert not (out / "supervisor_atmarl.ckpt").exists()

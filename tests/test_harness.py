@@ -457,6 +457,43 @@ def test_evaluation_does_not_mutate_checkpoints(tmp_path):
     assert before == after
 
 
+def test_training_and_evaluation_leave_every_capability_array_in_place(pipeline_result, tmp_path, monkeypatch):
+    # no stage rebinds a CapabilityVector's rho: training updates the arrays
+    # it was handed in place, evaluation only reads the loaded ones, and each
+    # owns its values
+    plan, result = pipeline_result
+    handed = []
+    train = harness.train_supervisor
+
+    def train_and_record(policy, config, qtables, capabilities, rng, cfg):
+        handed.append({key: vec.rho for key, vec in capabilities.items()})
+        return train(policy, config, qtables, capabilities, rng, cfg)
+
+    monkeypatch.setattr(harness, "train_supervisor", train_and_record)
+    artifacts = load_pretrain(plan, result.out_dir)
+    load_policy(plan, artifacts, Approach.ATMARL, result.out_dir)
+    pretrained = {key: vec.rho for key, vec in artifacts.capabilities.items()}
+    loaded = {key: vec.rho for key, vec in artifacts.policy_capabilities[Approach.ATMARL.value].items()}
+    as_loaded = [{key: rho.tobytes() for key, rho in held.items()} for held in (pretrained, loaded)]
+    for seed in (1, 2):
+        evaluate_episode(plan, artifacts, Approach.ATMARL, seed)
+    tiny = quick_plan(approaches=(Approach.GOAL_HALVING,), train_cfg=TrainConfig(episodes=2, episode_length=6))
+    stage_train_supervisor(tiny, artifacts, Approach.GOAL_HALVING, tmp_path)
+    trained = artifacts.policy_capabilities[Approach.GOAL_HALVING.value]
+    assert len(handed) == 1
+    assert any(trained[key].rho.tobytes() != pretrained[key].tobytes() for key in trained)
+    for held, vectors in (
+        (pretrained, artifacts.capabilities),
+        (loaded, artifacts.policy_capabilities[Approach.ATMARL.value]),
+        (handed[0], trained),
+    ):
+        assert set(vectors) == set(held)
+        for key, vec in vectors.items():
+            assert vec.rho is held[key] and vec.rho.flags.owndata, key
+    for values, vectors in zip(as_loaded, (artifacts.capabilities, artifacts.policy_capabilities[Approach.ATMARL.value])):
+        assert {key: vec.rho.tobytes() for key, vec in vectors.items()} == values
+
+
 def test_load_policy_sets_what_forward_step_reads(pipeline_result):
     plan, result = pipeline_result
     artifacts = load_pretrain(plan, result.out_dir)
@@ -629,6 +666,57 @@ def test_load_policy_rejects_another_intent_count(five_intent_checkpoints):
     with pytest.raises(CheckpointError, match="supervisor_atmarl.ckpt was made for 5 intents, the plan's scenario has 3"):
         load_policy(quick_plan(), artifacts, Approach.ATMARL, five_intent_checkpoints)
     assert artifacts.policies == {}
+
+
+# ---------------------------------------------------------------------------
+# checkpoints holding values no stage could have written
+
+
+def _rewritten(source, dest, name, value):
+    """``source`` saved to ``dest`` with the first value of block ``name`` set to ``value``; its checksums are valid."""
+    meta, arrays = load_checkpoint(source)
+    arrays[name].flat[0] = value
+    save_checkpoint(dest, arrays, meta=meta)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_policy_refuses_a_policy_block_that_is_not_finite(pipeline_result, tmp_path, value):
+    plan, result = pipeline_result
+    _rewritten(result.out_dir / "supervisor_atmarl.ckpt", tmp_path / "supervisor_atmarl.ckpt", "policy.head.b", value)
+    artifacts = load_pretrain(plan, result.out_dir)
+    with pytest.raises(CheckpointError, match=r"supervisor_atmarl.ckpt: block 'policy.head.b' holds a value that is not finite"):
+        load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
+    assert artifacts.policies == {} and artifacts.policy_capabilities == {}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.25, 1.5])
+@pytest.mark.parametrize("file", ["pretrain.ckpt", "supervisor_atmarl.ckpt"])
+def test_loading_refuses_a_capability_that_is_not_a_probability(pipeline_result, tmp_path, file, value):
+    plan, result = pipeline_result
+    for name in ("pretrain.ckpt", "supervisor_atmarl.ckpt"):
+        shutil.copy(result.out_dir / name, tmp_path)
+    _rewritten(result.out_dir / file, tmp_path / file, "capability.mbr_1", value)
+    match = rf"{file}: block 'capability.mbr_1' holds a capability that is not a probability"
+    if file == "pretrain.ckpt":
+        with pytest.raises(CheckpointError, match=match):
+            load_pretrain(plan, tmp_path)
+    else:
+        artifacts = load_pretrain(plan, tmp_path)
+        with pytest.raises(CheckpointError, match=match):
+            load_policy(plan, artifacts, Approach.ATMARL, tmp_path)
+        assert artifacts.policies == {} and artifacts.policy_capabilities == {}
+
+
+def test_loading_keeps_a_q_table_nan_and_capabilities_at_zero_and_one(pipeline_result, tmp_path):
+    # greedy action tables have a NaN rule, and 0 and 1 are probabilities
+    plan, result = pipeline_result
+    meta, arrays = load_checkpoint(result.out_dir / "pretrain.ckpt")
+    arrays["qtable.priority_0"].flat[0] = np.nan
+    arrays["capability.priority_0"][:2] = (0.0, 1.0)
+    save_checkpoint(tmp_path / "pretrain.ckpt", arrays, meta=meta)
+    artifacts = load_pretrain(plan, tmp_path)
+    assert np.isnan(artifacts.qtables["priority_0"].values.flat[0])
+    assert artifacts.capabilities["priority_0"].rho[:2].tolist() == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

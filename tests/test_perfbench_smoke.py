@@ -27,16 +27,18 @@ def test_perfbench_smoke_check_passes():
 
 
 # builds the harness's and perfbench's capability blocks for drawn vectors,
-# each rho first made a row view of one matrix as training makes it, and
+# for prior ones and for those a one-episode supervisor training leaves, and
 # prints the names of the blocks whose name, dtype, shape or bytes differ
 _CAPABILITY_BLOCKS = """
-import json, sys
+import json, sys, tempfile
+from pathlib import Path
 import numpy as np
 sys.path.insert(0, "perfbench")
 import run as bench
 from atmarl import harness
-from atmarl.agents import GOAL_LEVELS, CapabilityVector, agent_roster, capability_matrix
+from atmarl.agents import GOAL_LEVELS, CapabilityVector, QTable, agent_roster
 from atmarl.config import default_scenario
+from atmarl.supervisor import TrainConfig
 
 rng = np.random.default_rng(71)
 differing, count = [], 0
@@ -44,16 +46,25 @@ for scenario in (default_scenario(), default_scenario(five_intents=True)):
     roster = agent_roster(scenario)
     caps = {a.key: CapabilityVector(rng.uniform(0.0, 1.0, GOAL_LEVELS), rng.random(GOAL_LEVELS) < 0.5) for a in roster}
     caps[roster[0].key] = CapabilityVector.prior()
-    capability_matrix(caps, [a.key for a in roster])
-    ours, theirs = harness._capability_blocks(caps), bench.capability_blocks(caps)
     assert any(not v.from_data.all() and v.from_data.any() for v in caps.values())
-    count += len(ours)
-    for name in sorted(set(ours) | set(theirs)):
-        a, b = ours.get(name), theirs.get(name)
-        if a is None or b is None or (a.dtype, a.shape, a.tobytes()) != (b.dtype, b.shape, b.tobytes()):
-            differing.append(name)
-    if list(ours) != list(theirs):
-        differing.append("block order")
+    plan = harness.ExperimentPlan(scenario, train_cfg=TrainConfig(episodes=1, episode_length=6))
+    qtables = {a.key: QTable.create() for a in roster}
+    for table in qtables.values():
+        table.freeze()
+    artifacts = harness.Artifacts(qtables=qtables, capabilities=caps)
+    with tempfile.TemporaryDirectory() as out:
+        harness.stage_train_supervisor(plan, artifacts, harness.Approach.ATMARL, Path(out))
+    trained = artifacts.policy_capabilities[harness.Approach.ATMARL.value]
+    assert any(not np.array_equal(trained[key].rho, caps[key].rho) for key in caps)
+    for vectors in (caps, trained):
+        ours, theirs = harness._capability_blocks(vectors), bench.capability_blocks(vectors)
+        count += len(ours)
+        for name in sorted(set(ours) | set(theirs)):
+            a, b = ours.get(name), theirs.get(name)
+            if a is None or b is None or (a.dtype, a.shape, a.tobytes()) != (b.dtype, b.shape, b.tobytes()):
+                differing.append(name)
+        if list(ours) != list(theirs):
+            differing.append("block order")
 print(json.dumps({"differing": differing, "count": count}))
 """
 
@@ -67,5 +78,5 @@ def test_perfbench_capability_blocks_equal_the_harness_blocks():
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report["count"] == 2 * (6 + 10)
+    assert report["count"] == 2 * 2 * (6 + 10)
     assert report["differing"] == [], f"capability blocks differ: {report['differing']}"

@@ -840,6 +840,30 @@ def test_rollout_flushes_its_tracker(tiny_system):
     assert any(not np.array_equal(tracker.capabilities[k].rho, caps[k].rho) for k in caps)
 
 
+def test_a_tracker_update_at_one_step_is_what_the_next_step_encodes(tiny_system):
+    # the tracker's EMA writes land in the vectors' rho in place, and every
+    # step of a training tape copies the rho it finds into its row
+    cfg, qtables, caps = tiny_system
+    rng = np.random.default_rng(8)
+    policy = create_policy(rng, cfg, dims=TOY_DIMS)
+    tracker = _tracker(caps, cfg)
+    keys = [a.key for a in policy.agents]
+    after_step = [np.array([tracker.capabilities[key].rho for key in keys])]
+    observe_step = tracker.observe_step
+
+    def observe_and_record(levels, kpis):
+        observe_step(levels, kpis)
+        after_step.append(np.array([tracker.capabilities[key].rho for key in keys]))
+
+    tracker.observe_step = observe_and_record
+    tape = EpisodeTape(policy, 30)
+    rollout_episode(tape, cfg, qtables, tracker, rng)
+    assert len(after_step) == 31
+    for t in range(30):
+        assert tape.gammas[t].tobytes() == after_step[t].tobytes(), t
+    assert any(not np.array_equal(tape.gammas[t], tape.gammas[t + 1]) for t in range(29))
+
+
 def test_rollout_refuses_an_acting_tape_before_its_first_step(tiny_system):
     # nothing drawn and no capability moved: the refusal comes first
     cfg, qtables, caps = tiny_system
