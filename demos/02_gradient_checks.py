@@ -51,11 +51,11 @@ def main():
         return cache
 
     def dense_loss():
-        return float(((dense_run()[2] - target) ** 2).sum())
+        return float(((dense_run()[1] - target) ** 2).sum())
 
     cache = dense_run()
     grads = {name: np.zeros_like(param) for name, param in layer.params().items()}
-    dense_backward(layer, cache, 2 * (cache[2] - target), grads)
+    dense_backward(layer, cache, 2 * (cache[1] - target), grads)
     for name, param in layer.params().items():
         err = rel_err(grads[name], finite_difference(dense_loss, param))
         print(f"  {name}: relative error {err:.2e}")

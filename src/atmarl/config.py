@@ -113,7 +113,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
         # a missing section header, a repeated section or key, a line without
         # "=": configparser's messages span lines, so they are joined into one
@@ -198,5 +200,5 @@ def write_scenario(config: ScenarioConfig, path: str | Path):
             "ue_count": str(svc.ue_count),
             "kpi_target": repr(svc.kpi_target),
         }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

@@ -4,7 +4,9 @@ Everything operates on float64 arrays; parameters live in small dataclasses
 so training code can walk them generically. A dense layer may stack copies
 along a leading axis. Forwards write into preallocated step buffers, a tape
 with a leading step axis: ``stack_caches`` and ``gru_caches`` allocate them,
-and ``dense_forward`` and ``gru_forward`` fill the rows they are given.
+and ``dense_forward`` and ``gru_forward`` fill the rows they are given. A
+dense layer keeps only its input and output rows: it applies its bias and
+activation in place in its output, and its backward reads ``out``.
 Each forward is a short list of numpy calls, each a (function, arguments)
 pair with its argument views already sliced: ``dense_calls`` and
 ``gru_calls`` build them, and ``run`` makes them. A caller that runs the
@@ -78,71 +80,61 @@ def run(calls) -> None:
         f(*args)
 
 
-def dense_calls(layer: DenseLayer, x: np.ndarray, pre: np.ndarray, out: np.ndarray) -> list[tuple]:
+def dense_calls(layer: DenseLayer, x: np.ndarray, out: np.ndarray) -> list[tuple]:
     """The numpy calls of ``dense_forward`` on these buffers, as ``run`` takes them.
 
     A 2-D layer on one [in] row is one ``np.dot``; a stacked layer, or an
     unstacked one on [steps, in] rows, is one ``np.matmul`` that runs each
     copy (and step) as its own matrix-vector product, bit-equal to the copy
-    alone; np.einsum sums in another order. The bias is added in place, and
-    the activation writes ``out``: an identity layer given ``pre`` as
-    ``out`` needs no call for it.
+    alone; np.einsum sums in another order. The bias is added and a tanh
+    applied in place in ``out``; an identity layer needs no call for it.
     """
     if x.shape[-1] != layer.weights.shape[-1]:
         raise ValueError(
             f"dense input size {x.shape[-1]} does not match weights {layer.weights.shape}"
         )
     if layer.weights.ndim == 2 and x.ndim == 1:
-        calls = [(np.dot, (layer.weights, x, pre))]
+        calls = [(np.dot, (layer.weights, x, out))]
     else:
-        calls = [(np.matmul, (layer.weights, x[..., None], pre[..., None]))]
-    calls.append((np.add, (pre, layer.bias, pre)))
+        calls = [(np.matmul, (layer.weights, x[..., None], out[..., None]))]
+    calls.append((np.add, (out, layer.bias, out)))
     if layer.activation == "tanh":
-        calls.append((np.tanh, (pre, out)))
+        calls.append((np.tanh, (out, out)))
     elif layer.activation != "identity":
         raise ValueError(f"unknown activation {layer.activation!r}")
-    elif out is not pre:
-        calls.append((np.copyto, (out, pre)))
     return calls
 
 
-def _activate_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return 1.0 - out * out
-    if kind == "identity":
-        return np.ones_like(pre)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Affine map of ``x`` into ``pre``, then the activation into ``out``; returns ``out``.
+def dense_forward(layer: DenseLayer, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Affine map of ``x``, then the activation, into ``out``; returns ``out``.
 
     ``x`` is [in], or [copies, in] for a stacked layer, which shares an [in]
-    input among its copies; ``pre`` and ``out`` are shaped like the bias.
-    An unstacked layer also takes [steps, in] rows at once. An identity
-    layer may be given ``pre`` as ``out``. It builds ``dense_calls`` and runs them.
+    input among its copies; ``out`` is shaped like the bias. An unstacked
+    layer also takes [steps, in] rows at once. It builds ``dense_calls``
+    and runs them.
     """
-    run(dense_calls(layer, x, pre, out))
+    run(dense_calls(layer, x, out))
     return out
 
 
 def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
     """Adds the parameter gradients into ``grads`` (shaped like ``params()``); returns dx.
 
-    The cache, (x, pre, out), and ``dout`` carry a leading step axis (the
-    step rows of a tape; a single step is a stack of one), and dx keeps it.
-    A shared input gets one dx per copy. dx has the bits of one step at a
-    time. The weight gradient is one matmul over the step axis, per copy for
-    a stacked layer (on each copy's input, or on the input the copies
-    share), and the bias gradient one sum along it: each within the
-    module's bound of the step-ordered sums.
+    The cache, (x, out), and ``dout`` carry a leading step axis (the step
+    rows of a tape; a single step is a stack of one), and dx keeps it. The
+    pre-activation grad is ``dout * (1 - out * out)`` for a tanh layer and
+    ``dout`` itself for an identity one. A shared input gets one dx per
+    copy. dx has the bits of one step at a time. The weight gradient is one
+    matmul over the step axis, per copy for a stacked layer (on each copy's
+    input, or on the input the copies share), and the bias gradient one sum
+    along it: each within the module's bound of the step-ordered sums.
     """
-    x, pre, out = cache
+    x, out = cache
     if dout.shape != out.shape:
         raise ValueError(f"upstream grad shape {dout.shape} != output shape {out.shape}")
     if dout.ndim != layer.bias.ndim + 1:
         raise ValueError(f"upstream grad shape {dout.shape} lacks a step axis before bias shape {layer.bias.shape}")
-    dpre = dout * _activate_grad(pre, out, layer.activation)
+    dpre = dout * (1.0 - out * out) if layer.activation == "tanh" else dout
     # [..., out, steps] @ [..., steps, in]; a shared [steps, in] input broadcasts over the copies
     grads["W"] += np.moveaxis(dpre, 0, -1) @ np.moveaxis(x, 0, -2)
     grads["b"] += dpre.sum(axis=0)
@@ -150,21 +142,16 @@ def dense_backward(layer: DenseLayer, cache, dout: np.ndarray, grads: dict[str, 
 
 
 def stack_caches(layers: list[DenseLayer], x: np.ndarray, out: np.ndarray | None = None) -> list[tuple]:
-    """Step buffers (x, pre, out) of a layer stack over ``x``'s leading step axis.
+    """Step buffers (x, out) of a layer stack over ``x``'s leading step axis.
 
     Each layer's output buffer is the next layer's input; the last layer
     writes into ``out`` when given (e.g. a view into the input of what
-    follows), else into a buffer of its own. An identity layer other than
-    the last outputs its pre-activation.
+    follows), else into a buffer of its own.
     """
     caches = []
     for j, layer in enumerate(layers):
-        pre = np.empty((len(x), *layer.bias.shape))
-        if j == len(layers) - 1 and out is not None:
-            y = out
-        else:
-            y = pre if layer.activation == "identity" else np.empty_like(pre)
-        caches.append((x, pre, y))
+        y = out if j == len(layers) - 1 and out is not None else np.empty((len(x), *layer.bias.shape))
+        caches.append((x, y))
         x = y
     return caches
 
@@ -173,27 +160,22 @@ def stack_calls(layers: list[DenseLayer], caches: list[tuple], index, out: np.nd
     """The ``dense_calls`` of row ``index`` of ``stack_caches`` buffers, layer after layer.
 
     A layer's output row is the next layer's input row, one view serving
-    both, and an identity layer that outputs its pre-activation writes it
-    once. ``out`` may be given as a view of the last layer's output row
+    both. ``out`` may be given as a view of the last layer's output row
     that the caller already holds.
     """
     calls = []
     x = caches[0][0][index]
-    for j, (layer, (_, pre_rows, out_rows)) in enumerate(zip(layers, caches)):
-        pre = pre_rows[index]
-        if j == len(layers) - 1 and out is not None:
-            y = out
-        else:
-            y = pre if out_rows is pre_rows else out_rows[index]
-        calls += dense_calls(layer, x, pre, y)
+    for j, (layer, (_, out_rows)) in enumerate(zip(layers, caches)):
+        y = out if j == len(layers) - 1 and out is not None else out_rows[index]
+        calls += dense_calls(layer, x, y)
         x = y
     return calls
 
 
 def stack_forward(layers: list[DenseLayer], caches: list[tuple], index=...):
     """Run row ``index`` (all rows by default) of ``stack_caches`` buffers through the layers; returns the last output."""
-    for layer, (x, pre, out) in zip(layers, caches):
-        y = dense_forward(layer, x[index], pre[index], out[index])
+    for layer, (x, out) in zip(layers, caches):
+        y = dense_forward(layer, x[index], out[index])
     return y
 
 

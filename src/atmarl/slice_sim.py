@@ -83,6 +83,16 @@ class ServiceSpec:
             raise ScenarioError(f"ue_count must be nonnegative, got {self.ue_count}")
         if not 0 < self.kpi_target < math.inf:
             raise ScenarioError(f"kpi_target must be finite and positive, got {self.kpi_target}")
+        # a lane's offered load is at most twice the total demand: a UE weight is
+        # at most 1 and the load noise at most 100%
+        try:
+            peak = float(self.demand_per_ue) * float(self.ue_count) * 2.0
+        except OverflowError:
+            raise ScenarioError("ue_count is too large for a float") from None
+        if peak == math.inf:
+            raise ScenarioError(
+                f"demand_per_ue * ue_count = {self.demand_per_ue} * {self.ue_count} is too large: twice it must be finite"
+            )
 
     @cached_property
     def kpi_kind(self) -> KpiKind:

@@ -13,12 +13,13 @@ baseline: acting never runs it, and training scores an episode's contexts
 in one call once the episode is over. One preallocated ``EpisodeTape``
 owns every buffer of an episode and is the one handle on it: the forward
 writes step t into row t, the tape's sampler keeps step t's rungs in its
-row t, the backward reads the rows of all steps at once, and only training
-builds the critic's rows and the GRU backward's programs; evaluation acts
-on a tape of two rows used as a ring. A step encodes its row's
-capabilities exactly when the episode has not used that row yet: every
-step of a training tape, and the ring's first two; later ring steps reuse
-the latents their row holds. The tape builds the numpy calls of each row's
+row t, the backward reads the rows of all steps at once, and only a
+training tape holds the critic's rows and the GRU backward's programs,
+built with it; evaluation acts on a tape of two rows used as a ring. Each
+dense layer keeps an input and an output row per step, no pre-activation.
+A step encodes its row's capabilities exactly when the episode has not
+used that row yet: every step of a training tape, and the ring's first
+two; later ring steps reuse the latents their row holds. The tape builds the numpy calls of each row's
 forward, of its sampling and of the GRU recurrence's backward once, each
 program a plain list of per-row call lists, so a step runs flat lists of
 calls with ``nn.run``. The capability vectors stay the caller's: a step
@@ -196,10 +197,9 @@ class EpisodeTape:
     rows used as a ring: step t runs on row t % 2, and each cell hands its
     new state to the other row. Its step lists (``logit_rows``,
     ``gamma_rows``, ``tuple_rows`` and ``step_calls``) alias those two
-    rows, so a step indexes either tape by t; ``prepare_training`` refuses
-    it.
+    rows, so a step indexes either tape by t. Training refuses it.
 
-    Each dense part has (x, pre, out) buffers from ``nn.stack_caches``:
+    Each dense part has (x, out) buffers from ``nn.stack_caches``:
     ``enc`` (two layers), ``mrg``, ``fus`` (three layers) and ``head``; each
     GRU cell has (a, zr, a_n, n) from ``nn.gru_caches`` in ``gru``. A part's
     output rows are views into the input of the next, so nothing is
@@ -227,9 +227,12 @@ class EpisodeTape:
     the rest of the actor, each run by ``nn.run``. ``sampler`` samples or
     picks each step's logits and keeps step t's rungs, 0-based, in row t of
     its [steps, heads] ``idx`` on either tape: the one record of an
-    episode's rungs. ``prepare_training`` builds what only training reads,
-    ``crit``, the critic's (x, pre, out) rows over ``contexts``, and
-    ``gru_backward``, each cell's ``nn.GruBackward``.
+    episode's rungs. A training tape also holds what only training reads,
+    built with it: ``crit``, the critic's (x, out) rows over ``contexts``,
+    and ``gru_backward``, each cell's ``nn.GruBackward``. The cells'
+    backwards run top cell first, one after the other, so the first cell's
+    program shares the top one's buffers where shapes agree. An acting tape
+    holds ``None`` for both.
     """
 
     def __init__(self, policy: SupervisorPolicy, steps: int, acting: bool = False):
@@ -255,10 +258,14 @@ class EpisodeTape:
         self.latents = mrg_x[..., : dims.encoder]  # [rows, agents, encoder]
         self.tuples = mrg_x[..., dims.encoder :]  # [rows, agents, TUPLE_DIM]
         self.targets = fus_x[:, embedded:]  # [rows, intents]
-        self.contexts = self.fus[-1][2]  # [rows, fusion]
+        self.contexts = self.fus[-1][1]  # [rows, fusion]
         self.logits = self.head[1]  # [rows, heads, levels]
         self.crit: list[tuple] | None = None
         self.gru_backward: tuple[GruBackward, ...] | None = None
+        if not acting:
+            self.crit = stack_caches(policy.critic, self.contexts)
+            upper = GruBackward(policy.gru[1], self.gru[1])
+            self.gru_backward = (GruBackward(policy.gru[0], self.gru[0], upper), upper)
 
         cell1, cell2 = policy.gru
         scratch1, scratch2 = np.empty(dims.gru), np.empty(dims.gru)
@@ -267,18 +274,18 @@ class EpisodeTape:
         # call on its memory, so the hidden state a step writes is the view
         # the next step reads
         views = [list(arr) for arr in (*self.mrg, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, self.logits)]
-        x, pre, out, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, logits = views
+        x, out, a1, zr1, a_n1, n1, a2, zr2, a_n2, n2, logits = views
         x1, h1 = list(self.gru[0][0][:, : dims.fusion]), list(self.gru[0][0][:, dims.fusion :])
         x2, h2 = list(self.gru[1][0][:, : dims.gru]), list(self.gru[1][0][:, dims.gru :])
         encode, rest = [], []
         for r in range(rows):
             after = (r + 1) % len(h1)  # the next row of a cell's steps + 1 rows, or the ring's other row
             # the fusion output is the first cell's input
-            calls = dense_calls(policy.merger, x[r], pre[r], out[r]) + stack_calls(policy.fusion, self.fus, r, x1[r])
+            calls = dense_calls(policy.merger, x[r], out[r]) + stack_calls(policy.fusion, self.fus, r, x1[r])
             calls += gru_calls(cell1, a1[r], zr1[r], a_n1[r], n1[r], h1[after], scratch1, x1[r], h1[r])
             calls.append((np.copyto, (x2[r], h1[after])))
             calls += gru_calls(cell2, a2[r], zr2[r], a_n2[r], n2[r], h2[after], scratch2, x2[r], h2[r])
-            calls += dense_calls(policy.heads, h2[after], logits[r], logits[r])
+            calls += dense_calls(policy.heads, h2[after], logits[r])
             encode.append(stack_calls(policy.encoders, self.enc, r))
             rest.append(calls)
         # step t runs on row t % rows, so a ring's step lists alias its two rows
@@ -300,20 +307,6 @@ class EpisodeTape:
     def hidden(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of both cells' hidden states before step ``t``, which are those step t-1 left."""
         return tuple(a[t % len(a), a.shape[1] - n.shape[1] :] for a, _, _, n in self.gru)
-
-    def prepare_training(self) -> None:
-        """Build ``crit`` and ``gru_backward`` on first use; later calls keep them. An acting tape is refused.
-
-        The cells' backwards run top cell first, one after the other, so the
-        first cell's program shares the top one's buffers where shapes agree.
-        """
-        if self.acting:
-            raise ValueError("an acting tape keeps two rows, not an episode's rows to train on")
-        if self.crit is None:
-            policy = self.policy
-            self.crit = stack_caches(policy.critic, self.contexts)
-            top = GruBackward(policy.gru[1], self.gru[1])
-            self.gru_backward = (GruBackward(policy.gru[0], self.gru[0], top), top)
 
 
 def forward_step(tape: EpisodeTape, t: int) -> np.ndarray:
@@ -407,16 +400,21 @@ class TrainConfig:
     episode_length: int = 40
 
 
+def _refuse_acting(tape: EpisodeTape) -> None:
+    if tape.acting:
+        raise ValueError("an acting tape keeps two rows, not an episode's rows to train on")
+
+
 def score_contexts(tape: EpisodeTape, steps: int) -> np.ndarray:
     """Run the critic once over the first ``steps`` [fusion] context rows, into the tape's critic rows; returns the [steps] values.
 
     The values are a view of the critic's last rows, which the next episode
     on the tape overwrites. Each step's row is its own matrix-vector product
     in the stacked matmul, bit-equal to scoring that step's context alone.
-    An acting tape keeps no episode's contexts, and is refused
-    (``prepare_training``).
+    An acting tape keeps no episode's contexts, and is refused with
+    ``ValueError``.
     """
-    tape.prepare_training()
+    _refuse_acting(tape)
     return stack_forward(tape.policy.critic, tape.crit, slice(steps))[:, 0]
 
 
@@ -473,7 +471,7 @@ def episode_gradients(
     dh2 = dh.sum(axis=1)  # [steps, gru]: each step's heads summed in head order
 
     # critic: 0.5-weighted squared error on the context value
-    err = tape.crit[-1][2][:steps, 0] - returns
+    err = tape.crit[-1][1][:steps, 0] - returns
     critic_loss = 0.0
     for e in err.tolist():
         critic_loss += CRITIC_COEF * e * e
@@ -629,16 +627,17 @@ def rollout_episode(
 ) -> tuple[list[float], np.ndarray]:
     """Run one exploring training episode of ``tape.length`` steps on the tape, the frozen agents in the loop; returns (rewards, values).
 
-    An acting tape is refused before anything is drawn or tracked. The
-    rollout's first draw picks an exploring start (``EXPLORING_STARTS``):
-    random priorities and MBR caps instead of the scenario's defaults. The
-    supervisor samples its goals from ``tracker.capabilities``, the tracker
-    counts every step's rungs against its KPIs, and it is flushed at the end.
+    An acting tape is refused with ``ValueError`` before anything is drawn
+    or tracked. The rollout's first draw picks an exploring start
+    (``EXPLORING_STARTS``): random priorities and MBR caps instead of the
+    scenario's defaults. The supervisor samples its goals from
+    ``tracker.capabilities``, the tracker counts every step's rungs against
+    its KPIs, and it is flushed at the end.
     Then ``score_contexts`` scores the episode: the values are its view of
     the critic's rows. The episode stays on the tape, its sampled rungs in
     the sampler's rows, for ``episode_gradients``.
     """
-    tape.prepare_training()
+    _refuse_acting(tape)
     state = slice_sim.init_scenario(config)
     if rng.random() < EXPLORING_STARTS:
         n = config.intent_count

@@ -332,15 +332,15 @@ def per_head_act(logits: np.ndarray, rng: np.random.Generator, explore: bool) ->
 
 
 def dense_step(layer, x: np.ndarray) -> tuple:
-    """One (possibly stacked) dense layer on fresh arrays: its (x, pre, out) cache."""
+    """One (possibly stacked) dense layer on fresh arrays: its (x, out) cache."""
     pre = (layer.weights @ x[..., None])[..., 0] + layer.bias
-    return x, pre, np.tanh(pre) if layer.activation == "tanh" else pre
+    return x, np.tanh(pre) if layer.activation == "tanh" else pre
 
 
 def per_step_forward(policy, gammas: np.ndarray, tuples: np.ndarray, targets: np.ndarray, h1: np.ndarray, h2: np.ndarray):
     """One decision's actor forward on fresh arrays, its inputs concatenated, each GRU gate its own matvec.
 
-    Returns (logits, h1', h2', caches). ``caches`` holds the (x, pre, out)
+    Returns (logits, h1', h2', caches). ``caches`` holds the (x, out)
     of each dense layer by part ("enc", "fus" as per-layer lists; "mrg",
     "head") and ``unfused_gru_forward``'s (x, h, a, z, r, a_n, n) of each
     cell ("gru", a list). ``supervisor.forward_step``, which writes every
@@ -350,18 +350,18 @@ def per_step_forward(policy, gammas: np.ndarray, tuples: np.ndarray, targets: np
     x = gammas
     for layer in policy.encoders:
         caches["enc"].append(dense_step(layer, x))
-        x = caches["enc"][-1][2]
+        x = caches["enc"][-1][1]
     caches["mrg"] = dense_step(policy.merger, np.concatenate([x, tuples], axis=1))
-    x = np.concatenate([caches["mrg"][2].ravel(), targets])
+    x = np.concatenate([caches["mrg"][1].ravel(), targets])
     for layer in policy.fusion:
         caches["fus"].append(dense_step(layer, x))
-        x = caches["fus"][-1][2]
+        x = caches["fus"][-1][1]
     h1, cache = unfused_gru_forward(policy.gru[0], x, h1)
     caches["gru"].append(cache)
     h2, cache = unfused_gru_forward(policy.gru[1], h1, h2)
     caches["gru"].append(cache)
     caches["head"] = dense_step(policy.heads, h2)
-    return caches["head"][2], h1, h2, caches
+    return caches["head"][1], h1, h2, caches
 
 
 def replay_episode(policy, tape, steps):
@@ -375,14 +375,14 @@ def replay_episode(policy, tape, steps):
 def critic_step(policy, context: np.ndarray) -> tuple[float, list]:
     """The critic on one step's [fusion] context, each layer one ``W @ x`` matrix-vector product.
 
-    Returns (value, per-layer (x, pre, out) caches). ``supervisor.score_contexts``,
+    Returns (value, per-layer (x, out) caches). ``supervisor.score_contexts``,
     which scores every step in one call, must equal it step by step, bit for bit.
     """
     x, caches = context, []
     for layer in policy.critic:
         pre = layer.weights @ x + layer.bias
         out = np.tanh(pre) if layer.activation == "tanh" else pre
-        caches.append((x, pre, out))
+        caches.append((x, out))
         x = out
     return float(x[0]), caches
 
@@ -397,14 +397,14 @@ def episode_loss(policy, tape, steps, advantages, returns) -> float:
     """
     total = 0.0
     for t, caches in enumerate(replay_episode(policy, tape, steps)):
-        logits = caches["head"][2]
+        logits = caches["head"][1]
         for i in range(policy.n_heads):
             logp = _log_softmax_1d(logits[i])
             probs = _softmax_1d(logits[i])
             entropy = float(-(probs * logp).sum())
             chosen = int(tape.sampler.idx[t, i])
             total += -advantages[t] * float(logp[chosen]) - ENTROPY_COEF * entropy
-        err = critic_step(policy, caches["fus"][-1][2])[0] - returns[t]
+        err = critic_step(policy, caches["fus"][-1][1])[0] - returns[t]
         total += CRITIC_COEF * err * err
     return float(total)
 
@@ -437,8 +437,8 @@ def assert_reordered_sum(got: np.ndarray, ref: np.ndarray, abs_sum: np.ndarray, 
 
 def dense_step_backward(layer, cache, dout: np.ndarray):
     """One step of one (possibly stacked) dense layer, whole-array formulas: (dW, db, dx)."""
-    x, pre, out = cache
-    dpre = dout * (1.0 - out * out if layer.activation == "tanh" else np.ones_like(pre))
+    x, out = cache
+    dpre = dout * (1.0 - out * out if layer.activation == "tanh" else np.ones_like(out))
     dx = (np.swapaxes(layer.weights, -1, -2) @ dpre[..., None])[..., 0]
     return dpre[..., :, None] * x[..., None, :], dpre.copy(), dx
 
@@ -562,7 +562,7 @@ def per_step_episode_gradients(policy, tape, steps, advantages, returns):
     dh2, dc_direct = [], []
     actor_loss = entropy_total = critic_loss = 0.0
     for t, caches in enumerate(replayed):
-        logits_t = caches["head"][2]
+        logits_t = caches["head"][1]
         dlogits = np.empty_like(logits_t)
         for i, logits in enumerate(logits_t):
             probs = _softmax_1d(logits)
@@ -577,7 +577,7 @@ def per_step_episode_gradients(policy, tape, steps, advantages, returns):
             dlogits[i] += ENTROPY_COEF * probs * (logp + entropy)
         dh = _stack_step_backward([policy.heads], [acc.heads], [abs_acc.heads], [caches["head"]], dlogits)
         dh2.append(dh.sum(axis=0))
-        value, crit_caches = critic_step(policy, caches["fus"][-1][2])
+        value, crit_caches = critic_step(policy, caches["fus"][-1][1])
         err = value - returns[t]
         critic_loss += CRITIC_COEF * err * err
         dc_direct.append(

@@ -1,5 +1,6 @@
 """Scenario validation: every field is checked once, where its spec is built."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,52 @@ def test_rejects_a_demand_that_is_not_finite_and_positive(tmp_path, demand):
         load_text(tmp_path, demand=repr(demand))
 
 
+@pytest.mark.parametrize(
+    "demand, ue_count, named",
+    [
+        (1e308, 68, "demand_per_ue \\* ue_count"),
+        (sys.float_info.max, 1, "demand_per_ue \\* ue_count"),
+        (float(np.nextafter(sys.float_info.max / 2, INF)), 1, "demand_per_ue \\* ue_count"),
+        (0.2, 10**400, "ue_count is too large"),
+    ],
+    ids=["infinite-load", "max-float-demand", "just-past-half-max", "count-beyond-float"],
+)
+def test_rejects_a_service_whose_offered_load_can_overflow(tmp_path, demand, ue_count, named):
+    svc = default_scenario().services[1]
+    with pytest.raises(ScenarioError, match=named):
+        ServiceSpec(svc.kind, svc.instance_id, demand, ue_count, svc.kpi_target)
+    path = tmp_path / "scenario.ini"
+    path.write_text(scenario_text(demand=repr(demand)).replace("ue_count = 52", f"ue_count = {ue_count}"))
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(path)
+
+
+def test_the_largest_accepted_load_stays_finite_under_full_noise():
+    # twice the total demand is the largest float: every lane, every gNodeB's
+    # weight at most 1 and the noise at most 100%, stays finite
+    svc = default_scenario().services[1]
+    big = ServiceSpec(svc.kind, svc.instance_id, sys.float_info.max / 2, 1, svc.kpi_target)
+    zero_ues = ServiceSpec(svc.kind, svc.instance_id, sys.float_info.max, 0, svc.kpi_target)
+    distribution = DistributionSpec.of(DistributionKind.UNIFORM, (1.0, 0.0, 0.0, 0.0))
+    state = init_scenario(ScenarioConfig(services=[big, zero_ues], distribution=distribution, noise_pct=100.0))
+    rng = np.random.default_rng(4)
+    loads = np.array([offered_loads(state, rng) for _ in range(200)])
+    assert np.isfinite(loads).all() and loads.max() > sys.float_info.max / 2
+
+
+def test_a_file_that_is_not_utf8_is_a_scenario_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(b"\xff\xfe" + scenario_text().encode("utf-16-le"))
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(path)
+    assert str(raised.value).startswith(f"{path}: not UTF-8 text"), str(raised.value)
+    rc = cli.main(["pretrain", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: {raised.value}"], err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("weights", [(NAN, 0.25, 0.25, 0.25), (0.25, 0.25, 0.25, NAN), (-0.25, 0.5, 0.5, 0.25)])
 def test_rejects_distribution_weights_that_are_negative_or_nan(tmp_path, weights):
     with pytest.raises(ScenarioError, match="distribution weights"):
@@ -128,10 +175,13 @@ def test_rejects_distribution_weights_that_are_negative_or_nan(tmp_path, weights
         (("[scenario]\n", ""), "no section headers"),
         (("noise_pct = 5.0", "noise_pct = 5.0\nnoise_pct = 5.0"), "noise_pct"),
         (("[service:urllc0]", "[service:cv0]"), "service:cv0"),
+        # offered loads that would overflow the simulator
+        (("demand_mbps = 0.2", "demand_mbps = 1e308"), "[service:urllc0] demand_per_ue * ue_count"),
+        (("ue_count = 68", "ue_count = 1" + "0" * 400), "[service:urllc0] ue_count is too large"),
     ],
     ids=[
         "150-percent-noise", "zero-kpi-target", "percent-sign", "no-demand", "no-section-header",
-        "duplicate-option", "duplicate-section",
+        "duplicate-option", "duplicate-section", "infinite-load", "count-beyond-float",
     ],
 )
 def test_cli_exits_with_the_config_code_on_a_bad_scenario_file(tmp_path, capsys, edit, named):

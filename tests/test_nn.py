@@ -62,10 +62,10 @@ def rel_error(a, b):
 
 
 def forward(layer, x):
-    """``dense_forward`` into fresh buffers; returns (output, the (x, pre, out) cache)."""
-    pre = np.empty(np.broadcast_shapes(layer.weights.shape[:-2], x.shape[:-1]) + layer.weights.shape[-2:-1])
-    out = dense_forward(layer, x, pre, np.empty_like(pre))
-    return out, (x, pre, out)
+    """``dense_forward`` into a fresh buffer; returns (output, the (x, out) cache)."""
+    out = np.empty(np.broadcast_shapes(layer.weights.shape[:-2], x.shape[:-1]) + layer.weights.shape[-2:-1])
+    dense_forward(layer, x, out)
+    return out, (x, out)
 
 
 def one_step_backward(layer, cache, dout, grads):
@@ -93,6 +93,22 @@ def test_dense_zero_upstream_gives_zero_grads():
     assert not grads["W"].any()
     assert not grads["b"].any()
     assert not dx.any()
+
+
+def test_identity_backward_passes_the_upstream_gradient_through():
+    # the pre-activation grad of an identity layer is dout itself: one step's
+    # bias grad has dout's bits, its weight grad is dout's outer product with
+    # x and dx is W^T dout, each bit for bit
+    rng = np.random.default_rng(14)
+    layer = DenseLayer.create(rng, 3, 4, "identity")
+    x = rng.normal(size=3)
+    _, cache = forward(layer, x)
+    dout = np.array([1e300, -3e-7, 0.75, -2.5])
+    grads = zero_grads(layer)
+    dx = one_step_backward(layer, cache, dout, grads)
+    assert grads["b"].tobytes() == dout.tobytes()
+    assert grads["W"].tobytes() == np.outer(dout, x).tobytes()
+    assert dx.tobytes() == (layer.weights.T @ dout).tobytes()
 
 
 def test_dense_shape_mismatch_raises():
@@ -176,8 +192,8 @@ def test_dense_backward_over_steps_equals_per_step_calls(copies, out_dim, shared
     for t in range(steps):
         stack_forward([layer], [rows], t)
     per_step = [dense_step(layer, x) for x in xs]
-    for t, (_, pre, out) in enumerate(per_step):
-        assert rows[1][t].tobytes() == pre.tobytes() and rows[2][t].tobytes() == out.tobytes(), t
+    for t, (_, out) in enumerate(per_step):
+        assert rows[1][t].tobytes() == out.tobytes(), t
     douts = rng.normal(size=(steps, *layer.bias.shape))
 
     folded, magnitude = zero_grads(layer), zero_grads(layer)

@@ -87,14 +87,14 @@ def merge(policy, latents, tuples):
     tape = EpisodeTape(policy, 1)
     tape.latents[0] = latents
     tape.tuples[0] = tuples
-    x, pre, out = tape.mrg
-    return dense_forward(policy.merger, x[0], pre[0], out[0])
+    x, out = tape.mrg
+    return dense_forward(policy.merger, x[0], out[0])
 
 
 def fuse(policy, embeddings, targets, tape=None):
     tape = tape or EpisodeTape(policy, 1)
     tape.start(targets)
-    tape.mrg[2][0] = embeddings  # the merger's output rows are the fusion input
+    tape.mrg[1][0] = embeddings  # the merger's output rows are the fusion input
     return stack_forward(policy.fusion, tape.fus, 0)
 
 
@@ -291,8 +291,8 @@ def test_prebuilt_forward_equals_per_step_oracle(five, acting):
         logits = forward_step(tape, t)
         ref, h1, h2, caches = per_step_forward(policy, gammas, tape.tuples[r], tape.targets[r], h1, h2)
         assert logits.tobytes() == ref.tobytes(), t
-        assert tape.latents[r].tobytes() == caches["enc"][-1][2].tobytes(), t
-        assert tape.contexts[r].tobytes() == caches["fus"][-1][2].tobytes(), t
+        assert tape.latents[r].tobytes() == caches["enc"][-1][1].tobytes(), t
+        assert tape.contexts[r].tobytes() == caches["fus"][-1][1].tobytes(), t
         for h, ref_h in zip(tape.hidden(t + 1), (h1, h2)):
             assert h.tobytes() == ref_h.tobytes(), t
     assert not np.isnan(tape.gammas).any()
@@ -698,9 +698,8 @@ def test_episode_gradients_called_twice_return_the_same_gradients():
 
 
 def _poisoned_tape(policy, steps):
-    """A tape whose every buffer, its training ones built first, starts as NaN, so a row read before it is written shows."""
+    """A tape whose every buffer, its training ones included, starts as NaN, so a row read before it is written shows."""
     tape = EpisodeTape(policy, steps)
-    tape.prepare_training()
     for cache in [*tape.enc, tape.mrg, *tape.fus, *tape.gru, tape.head, *tape.crit]:
         for arr in cache:
             arr.fill(np.nan)
@@ -965,10 +964,42 @@ def test_acting_tape_refuses_training():
     cfg, policy = toy_policy(seed=22)
     tape = EpisodeTape(policy, 4, acting=True)
     with pytest.raises(ValueError, match="acting tape"):
-        tape.prepare_training()
-    with pytest.raises(ValueError, match="acting tape"):
         score_contexts(tape, 4)
     assert tape.crit is None and tape.gru_backward is None
+
+
+def test_training_tape_holds_its_training_rows_from_construction():
+    # the critic's rows over the contexts and both cells' backward programs,
+    # the first sharing the top one's buffers (an acting tape holds neither:
+    # test_acting_tape_refuses_training)
+    cfg, policy = toy_policy(seed=23)
+    tape = EpisodeTape(policy, 6)
+    assert [len(cache) for cache in tape.crit] == [2, 2]
+    assert tape.crit[0][0] is tape.contexts and tape.crit[1][1].shape == (6, 1)
+    first, top = tape.gru_backward
+    assert (first.cell, top.cell) == tuple(policy.gru)
+    assert first.caches is tape.gru[0] and top.caches is tape.gru[1]
+    assert first.buffers is top.buffers
+
+
+def _distinct_bytes(arrays) -> int:
+    bases = {}
+    for arr in arrays:
+        while arr.base is not None:
+            arr = arr.base
+        bases[id(arr)] = arr
+    return sum(arr.nbytes for arr in bases.values())
+
+
+@pytest.mark.parametrize("five, expected", [(False, 581_888), (True, 736_128)], ids=["3-intents", "5-intents"])
+def test_training_tape_dense_and_gru_buffers_total(five, expected):
+    # default dims, 40 rows: each dense layer keeps an input and an output
+    # row per step, no pre-activation row
+    cfg = default_scenario(five_intents=five)
+    tape = EpisodeTape(create_policy(np.random.default_rng(24), cfg), 40)
+    caches = [*tape.enc, tape.mrg, *tape.fus, tape.head, *tape.crit, *tape.gru]
+    assert all(len(cache) == 2 for cache in caches[:-2])
+    assert _distinct_bytes(arr for cache in caches for arr in cache) == expected
 
 
 def test_train_supervisor_runs_and_tracks_rewards(tiny_system):
